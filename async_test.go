@@ -11,7 +11,7 @@ import (
 func TestAsyncLifecycle(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(64, 32, 11)
-	tb, err := sys.BuildSkipList(keys, vals)
+	tb, err := sys.Build(KindSkipList, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestWaitUnknownHandle(t *testing.T) {
 func TestQueryAsyncQSTFull(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(64, 32, 12)
-	tb, err := sys.BuildSkipList(keys, vals)
+	tb, err := sys.Build(KindSkipList, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestQueryAsyncQSTFull(t *testing.T) {
 func TestQueryBatch(t *testing.T) {
 	sys := NewSystem(CHATLB)
 	keys, vals := testKeys(200, 16, 13)
-	tb := sys.MustBuildCuckoo(keys, vals)
+	tb := mustBuild(t, sys, KindCuckoo, keys, vals)
 
 	// Batch twice the QST capacity so the window logic has to recycle
 	// entries.
@@ -148,7 +148,7 @@ func TestQueryBatch(t *testing.T) {
 func TestQueryBatchWindow(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(64, 32, 14)
-	tb, err := sys.BuildSkipList(keys, vals)
+	tb, err := sys.Build(KindSkipList, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestQueryBatchWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys2 := NewSystem(CoreIntegrated)
-	tb2, err := sys2.BuildSkipList(keys, vals)
+	tb2, err := sys2.Build(KindSkipList, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestNewSystemOptions(t *testing.T) {
 
 	traced := NewSystem(CoreIntegrated, WithQuerySpans())
 	keys, vals := testKeys(8, 16, 15)
-	tb := traced.MustBuildCuckoo(keys, vals)
+	tb := mustBuild(t, traced, KindCuckoo, keys, vals)
 	if _, err := traced.Query(tb, keys[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestNewSystemOptions(t *testing.T) {
 	// same layout; the structures stay queryable either way.
 	for _, seed := range []int64{1, 42} {
 		s := NewSystem(CoreIntegrated, WithSeed(seed))
-		mt, err := s.BuildMutableSkipList(keys, vals)
+		mt, err := s.BuildMutable(KindSkipList, keys, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,29 +210,5 @@ func TestNewSystemOptions(t *testing.T) {
 		if err != nil || !res.Found || res.Value != 777 {
 			t.Fatalf("seed %d: inserted key not found: %+v, %v", seed, res, err)
 		}
-	}
-}
-
-func TestStructKindRoundTrip(t *testing.T) {
-	for _, k := range StructKinds() {
-		got, err := ParseStructKind(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseStructKind(%q) = %v, %v", k.String(), got, err)
-		}
-		if k.TypeCode() == 0 {
-			t.Fatalf("built-in kind %s has no type code", k)
-		}
-	}
-	if _, err := ParseStructKind("quadtree"); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-	if k, err := ParseStructKind(" Cuckoo "); err != nil || k != KindCuckoo {
-		t.Fatalf("case/space-insensitive parse failed: %v, %v", k, err)
-	}
-	sys := NewSystem(CoreIntegrated)
-	keys, vals := testKeys(8, 16, 16)
-	tb := sys.MustBuildCuckoo(keys, vals)
-	if tb.Kind != KindCuckoo || tb.Name() != "cuckoo" {
-		t.Fatalf("builder kind: %v (%s)", tb.Kind, tb.Name())
 	}
 }

@@ -80,19 +80,10 @@ const minLevelWiseBatch = 4
 // little cross-query sharing), custom firmware, and tiny batches stay
 // on the windowed path.
 func PlanBatch(kind StructKind, n int) BatchPlan {
-	if n < minLevelWiseBatch {
-		return BatchPlan{Kind: kind, Mode: BatchWindowed, Grouping: "windowed"}
+	if k := kind.info(); n >= minLevelWiseBatch && k != nil && k.grouping != "" {
+		return BatchPlan{Kind: kind, Mode: BatchLevelWise, Grouping: k.grouping}
 	}
-	switch kind {
-	case KindBTree, KindBST, KindSkipList:
-		return BatchPlan{Kind: kind, Mode: BatchLevelWise, Grouping: "levels"}
-	case KindCuckoo, KindHashTable:
-		return BatchPlan{Kind: kind, Mode: BatchLevelWise, Grouping: "bucket phases"}
-	case KindLinkedList:
-		return BatchPlan{Kind: kind, Mode: BatchLevelWise, Grouping: "chunked scan"}
-	default:
-		return BatchPlan{Kind: kind, Mode: BatchWindowed, Grouping: "windowed"}
-	}
+	return BatchPlan{Kind: kind, Mode: BatchWindowed, Grouping: "windowed"}
 }
 
 // QueryBatch looks up every key in t as one batch. Results are returned

@@ -344,9 +344,9 @@ func BenchmarkAblationIndexStructure(b *testing.B) {
 			var tb Table
 			var err error
 			if kind == "skiplist" {
-				tb, err = sys.BuildSkipList(keys, vals)
+				tb, err = sys.Build(KindSkipList, keys, vals)
 			} else {
-				tb, err = sys.BuildBTree(keys, vals)
+				tb, err = sys.Build(KindBTree, keys, vals)
 			}
 			if err != nil {
 				b.Fatal(err)
@@ -456,9 +456,9 @@ func BenchmarkBenchMatrix(b *testing.B) {
 // simulated cycles are asserted identical by
 // TestObservabilityZeroCycleImpact).
 func BenchmarkObservedQuery(b *testing.B) {
-	sys := NewSystem(CoreIntegrated, WithMetrics(), WithTrace())
+	sys := NewSystem(CoreIntegrated, WithMetrics(), WithTimeline())
 	keys, vals := testKeys(1000, 16, 42)
-	table := sys.MustBuildCuckoo(keys, vals)
+	table := mustBuild(b, sys, KindCuckoo, keys, vals)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sys.Query(table, keys[i%len(keys)])
@@ -476,7 +476,7 @@ func BenchmarkObservedQuery(b *testing.B) {
 func BenchmarkQuerySingle(b *testing.B) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(1000, 16, 42)
-	table := sys.MustBuildCuckoo(keys, vals)
+	table := mustBuild(b, sys, KindCuckoo, keys, vals)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sys.Query(table, keys[i%len(keys)])

@@ -1,14 +1,9 @@
 package qei
 
-import (
-	"fmt"
+import "fmt"
 
-	"qei/internal/dstruct"
-	"qei/internal/mem"
-)
-
-// BuildOption configures the generic Build entrypoint for the structure
-// kinds that take extra parameters.
+// BuildOption configures Build and BuildMutable for the structure kinds
+// that take extra parameters.
 type BuildOption func(*buildConfig)
 
 type buildConfig struct {
@@ -21,76 +16,80 @@ func WithBSTPayload(n int) BuildOption {
 	return func(c *buildConfig) { c.payload = n }
 }
 
-// Build is the generic table constructor: one entrypoint for every
-// built-in structure kind, selected by StructKind — the serving layer's
-// backend adapters and any kind-parameterized caller use it instead of
-// switching over the seven typed Build* methods (which are thin
-// wrappers around this).
+func newBuildConfig(opts []BuildOption) buildConfig {
+	cfg := buildConfig{}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
+// Build lays out a read-only table of any built-in structure kind in
+// the simulated machine's memory: a DPDK-style two-choice cuckoo hash, a
+// chained hash table, a sorted skip list (RocksDB-memtable style), a
+// binary search tree, a singly linked list, a bulk-loaded B+-tree
+// (fanout 16), or an Aho-Corasick trie.
 //
 // keys must share one length; values[i] is reported when keys[i]
 // matches. For KindTrie the keys are the dictionary's keywords
 // (variable length, values non-zero) and the table answers Scan
 // queries. KindBST takes WithBSTPayload. KindCustom has no generic
-// builder — register firmware and lay the structure out explicitly —
-// and unknown kinds return ErrUnknownKind.
+// builder (register firmware and lay the structure out explicitly);
+// it and undefined kinds return ErrUnknownKind.
 func (s *System) Build(kind StructKind, keys [][]byte, values []uint64, opts ...BuildOption) (Table, error) {
-	cfg := buildConfig{}
-	for _, o := range opts {
-		o(&cfg)
+	k := kind.info()
+	if k == nil || k.build == nil {
+		return Table{}, fmt.Errorf("%w %s", ErrUnknownKind, kind)
 	}
-	if kind == KindTrie {
-		return s.buildTrie(keys, values)
-	}
-	if kind == KindCustom {
-		return Table{}, fmt.Errorf("qei: %w: custom firmware tables have no generic builder", ErrUnknownKind)
-	}
-	if err := validateKV(keys, values); err != nil {
+	cfg := newBuildConfig(opts)
+	if err := k.check(keys, values, cfg); err != nil {
 		return Table{}, err
 	}
-	var header mem.VAddr
-	var keyLen uint16
-	switch kind {
-	case KindCuckoo:
-		c := dstruct.BuildCuckoo(s.m.AS, uint64(len(keys)/2), 8, 0x9E37, keys, values)
-		header, keyLen = c.HeaderAddr, c.KeyLen
-	case KindHashTable:
-		h := dstruct.BuildHashTable(s.m.AS, uint64(len(keys)/4), 0x51ED, keys, values)
-		header, keyLen = h.HeaderAddr, h.KeyLen
-	case KindSkipList:
-		sl := dstruct.BuildSkipList(s.m.AS, 7, keys, values)
-		header, keyLen = sl.HeaderAddr, sl.KeyLen
-	case KindBST:
-		if cfg.payload < 0 {
-			return Table{}, fmt.Errorf("qei: negative payload %d", cfg.payload)
-		}
-		b := dstruct.BuildBST(s.m.AS, 7, cfg.payload, keys, values)
-		header, keyLen = b.HeaderAddr, b.KeyLen
-	case KindLinkedList:
-		l := dstruct.BuildLinkedList(s.m.AS, keys, values)
-		header, keyLen = l.HeaderAddr, l.KeyLen
-	case KindBTree:
-		bt := dstruct.BuildBTree(s.m.AS, 16, keys, values)
-		header, keyLen = bt.HeaderAddr, bt.KeyLen
-	default:
-		return Table{}, fmt.Errorf("qei: %w: %s", ErrUnknownKind, kind)
-	}
+	header, keyLen := k.build(s, keys, values, cfg)
 	return Table{header: header, Kind: kind, KeyLen: int(keyLen)}, nil
 }
 
-// buildTrie is the trie arm of Build (and the body of BuildTrie): keys
-// are the dictionary keywords, values the non-zero match reports.
-func (s *System) buildTrie(keywords [][]byte, values []uint64) (Table, error) {
+// checkKV checks fixed-length key/value builder inputs.
+func checkKV(keys [][]byte, values []uint64, _ buildConfig) error {
+	if len(keys) != len(values) {
+		return fmt.Errorf("qei: %d keys but %d values", len(keys), len(values))
+	}
+	if len(keys) == 0 {
+		return fmt.Errorf("qei: empty key set")
+	}
+	l := len(keys[0])
+	for i, k := range keys {
+		if len(k) != l {
+			return fmt.Errorf("qei: key %d has length %d, want %d", i, len(k), l)
+		}
+	}
+	return nil
+}
+
+// checkBST is checkKV plus a non-negative object payload.
+func checkBST(keys [][]byte, values []uint64, cfg buildConfig) error {
+	if err := checkKV(keys, values, cfg); err != nil {
+		return err
+	}
+	if cfg.payload < 0 {
+		return fmt.Errorf("qei: negative payload %d", cfg.payload)
+	}
+	return nil
+}
+
+// checkDict checks a trie dictionary: keywords of any length, values
+// non-zero (zero is the no-match report).
+func checkDict(keywords [][]byte, values []uint64, _ buildConfig) error {
 	if len(keywords) != len(values) {
-		return Table{}, fmt.Errorf("qei: %d keywords but %d values", len(keywords), len(values))
+		return fmt.Errorf("qei: %d keywords but %d values", len(keywords), len(values))
 	}
 	if len(keywords) == 0 {
-		return Table{}, fmt.Errorf("qei: empty dictionary")
+		return fmt.Errorf("qei: empty dictionary")
 	}
 	for i, v := range values {
 		if v == 0 {
-			return Table{}, fmt.Errorf("qei: value %d is zero (reserved for no-match)", i)
+			return fmt.Errorf("qei: value %d is zero (reserved for no-match)", i)
 		}
 	}
-	tr := dstruct.BuildTrie(s.m.AS, keywords, values)
-	return Table{header: tr.HeaderAddr, Kind: KindTrie, KeyLen: 1}, nil
+	return nil
 }

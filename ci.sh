@@ -36,6 +36,16 @@ go test -run '^(TestObservabilityZeroCycleImpact|TestFaultInjectionZeroCycleImpa
 # after an intentional performance change.
 QEI_BENCH_GUARD=1 go test -run '^TestBenchGuard$' -count=1 -short .
 
+# Example smoke: every example program checks its answers against a
+# host-side reference and panics on a mismatch, so each must exit 0
+# (go vet ./... above only compiles them).
+for ex in examples/*/; do
+	if ! go run "./$ex" >/dev/null; then
+		echo "example-smoke: $ex exited non-zero" >&2
+		exit 1
+	fi
+done
+
 # Fault-injection smoke: a replayable chaos schedule through every
 # structure kind must resolve every query without panicking the
 # process (qeisim exits non-zero otherwise).

@@ -42,31 +42,22 @@ func runFaultSmoke(spec string) {
 		}
 	}
 
-	builders := []struct {
-		label string
-		build func() (qei.Table, error)
-	}{
-		{"linkedlist", func() (qei.Table, error) { return sys.BuildLinkedList(keys, vals) }},
-		{"cuckoo", func() (qei.Table, error) { return sys.BuildCuckoo(keys, vals) }},
-		{"skiplist", func() (qei.Table, error) { return sys.BuildSkipList(keys, vals) }},
-		{"bst", func() (qei.Table, error) { return sys.BuildBST(keys, vals, 0) }},
-	}
-	for _, b := range builders {
-		table, err := b.build()
+	for _, kind := range []qei.StructKind{qei.KindLinkedList, qei.KindCuckoo, qei.KindSkipList, qei.KindBST} {
+		table, err := sys.Build(kind, keys, vals)
 		if err != nil {
-			fail("build %s: %v", b.label, err)
+			fail("build %s: %v", kind, err)
 		}
 		for _, k := range keys {
 			res, err := sys.Query(table, k)
-			classify(b.label, res, err)
+			classify(kind.String(), res, err)
 		}
 		for _, k := range absent {
 			res, err := sys.Query(table, k)
-			classify(b.label, res, err)
+			classify(kind.String(), res, err)
 		}
 	}
 
-	trie, err := sys.BuildTrie(
+	trie, err := sys.Build(qei.KindTrie,
 		[][]byte{[]byte("fault"), []byte("inject"), []byte("chaos")},
 		[]uint64{1, 2, 3})
 	if err != nil {

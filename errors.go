@@ -37,10 +37,8 @@ var (
 	// memory, a pointer cycle, or bytes the firmware could not interpret
 	// (Sec. IV-D surfaces these architecturally rather than wandering).
 	ErrStructCorrupt = qei.ErrStructCorrupt
-	// ErrUnsupportedOp is returned by MutableTable.Insert and Delete for
-	// a structure kind whose software routines do not implement the
-	// operation (e.g. Delete on a singly linked list keeps the sentinel
-	// while hash tables and tries have no mutators at all).
+	// ErrUnsupportedOp is returned by BuildMutable for a structure kind
+	// without software mutators (hash tables and tries).
 	ErrUnsupportedOp = errors.New("qei: operation not supported by this structure kind")
 	// ErrTableFull is returned by MutableTable.Insert when a cuckoo
 	// insertion keeps failing even after the online rehash doubled the
@@ -54,9 +52,11 @@ var (
 	// a load condition (load waits, or sheds under a resilience
 	// deadline); it means the backend's capacity accounting is broken.
 	ErrAdmissionStall = serve.ErrAdmissionStall
-	// ErrUnknownKind is returned by the generic Build for a StructKind
-	// it has no builder for (KindInvalid, KindCustom, undefined values),
-	// and by QuerySoftware for a kind without a software walker.
+	// ErrUnknownKind is returned by Build and BuildMutable for a
+	// StructKind they have no builder for (KindInvalid, KindCustom,
+	// undefined values), by QuerySoftware for a kind without a software
+	// walker, and by ParseStructKind — hence by the serving backends'
+	// builders — for an unrecognized kind name.
 	ErrUnknownKind = errors.New("qei: no builder for structure kind")
 	// ErrFirmwareInvalid is returned by RegisterFirmware and
 	// ValidateFirmware for firmware that fails admission: reserved or

@@ -17,7 +17,10 @@ func Example() {
 		[]byte("flow-0002-abcdef"),
 	}
 	values := []uint64{100, 200, 300}
-	table := sys.MustBuildCuckoo(keys, values)
+	table, err := sys.Build(qei.KindCuckoo, keys, values)
+	if err != nil {
+		panic(err)
+	}
 
 	res, err := sys.Query(table, keys[1])
 	if err != nil {

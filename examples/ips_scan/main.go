@@ -35,7 +35,7 @@ func main() {
 		dict = append(dict, w)
 		values = append(values, uint64(len(dict)))
 	}
-	trie, err := sys.BuildTrie(dict, values)
+	trie, err := sys.Build(qei.KindTrie, dict, values)
 	if err != nil {
 		panic(err)
 	}

@@ -31,7 +31,7 @@ func main() {
 		rng.Read(payload)
 		valuePtrs[i] = sys.Write(payload)
 	}
-	memtable, err := sys.BuildSkipList(keys, valuePtrs)
+	memtable, err := sys.Build(qei.KindSkipList, keys, valuePtrs)
 	if err != nil {
 		panic(err)
 	}

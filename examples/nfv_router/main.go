@@ -41,7 +41,11 @@ func main() {
 			rng.Read(keys[i])
 			vals[i] = uint64(t)<<32 | uint64(i) | 1 // action id
 		}
-		tables[t] = sys.MustBuildCuckoo(keys, vals)
+		tb, err := sys.Build(qei.KindCuckoo, keys, vals)
+		if err != nil {
+			panic(err)
+		}
+		tables[t] = tb
 		flows[t] = keys
 		actions[t] = vals
 	}

@@ -25,7 +25,10 @@ func main() {
 		values[i] = uint64(i)*10 + 1
 	}
 
-	table := sys.MustBuildCuckoo(keys, values)
+	table, err := sys.Build(qei.KindCuckoo, keys, values)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("built %s table, header at %#x\n", table.Kind, table.HeaderAddr())
 
 	// Blocking QUERY_B lookups.

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"qei/internal/baseline"
 	"qei/internal/cpu"
-	"qei/internal/isa"
 	"qei/internal/mem"
 	"qei/internal/trace"
 )
@@ -46,40 +44,13 @@ func (s *System) QuerySoftware(t Table, key []byte) (Result, error) {
 	if pinned, ok := s.pinQuery(); ok {
 		defer s.gc.Unpin(pinned)
 	}
-	var res Result
-	var tr isa.Trace
-	switch t.Kind {
-	case KindLinkedList, KindHashTable, KindCuckoo, KindSkipList, KindBST, KindBTree:
-		var br baseline.Result
-		var err error
-		switch t.Kind {
-		case KindLinkedList:
-			br, err = baseline.QueryLinkedList(s.m.AS, t.header, key)
-		case KindHashTable:
-			br, err = baseline.QueryHashTable(s.m.AS, t.header, key)
-		case KindCuckoo:
-			br, err = baseline.QueryCuckoo(s.m.AS, t.header, key)
-		case KindSkipList:
-			br, err = baseline.QuerySkipList(s.m.AS, t.header, key)
-		case KindBST:
-			br, err = baseline.QueryBST(s.m.AS, t.header, key)
-		case KindBTree:
-			br, err = baseline.QueryBTree(s.m.AS, t.header, key)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		res = Result{Found: br.Found, Value: br.Value}
-		tr = br.Trace
-	case KindTrie:
-		sr, err := baseline.ScanTrie(s.m.AS, t.header, key)
-		if err != nil {
-			return Result{}, err
-		}
-		res = Result{Found: len(sr.Matches) > 0, Matches: sr.Matches}
-		tr = sr.Trace
-	default:
+	k := t.Kind.info()
+	if k == nil || k.walk == nil {
 		return Result{}, fmt.Errorf("qei: %w: %s has no software walker", ErrUnknownKind, t.Name())
+	}
+	res, tr, err := k.walk(s.m.AS, t.header, key)
+	if err != nil {
+		return Result{}, err
 	}
 
 	// Time the software path on a simulated core sharing the machine's

@@ -124,7 +124,7 @@ func TestBTreeThroughPublicAPI(t *testing.T) {
 	// The built-in B+-tree via the full public path.
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(1000, 16, 50)
-	tb, err := sys.BuildBTree(keys, vals)
+	tb, err := sys.Build(KindBTree, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,6 +141,8 @@ type Core struct {
 	fetchSlots int    // ops already issued in fetchCycle
 	lastRetire uint64
 	retireInCy int
+	// maxDispatch is the highest dispatch cycle reached so far.
+	maxDispatch uint64
 
 	stats Stats
 	err   error
@@ -217,12 +219,18 @@ func (c *Core) Feed(op *isa.Op) uint64 {
 	// Frontend: claim an issue slot.
 	dispatch := c.frontendSlot()
 
-	// ROB: the instruction ROBEntries older must have retired.
+	// ROB: the instruction ROBEntries older must have retired. A full ROB
+	// delays dispatch but not the fetch clock, so later instructions see
+	// the same lag again: charge only the cycles by which this stall
+	// pushes dispatch past the furthest point already reached.
 	robIdx := c.seq % uint64(len(c.retireRing))
 	if free := c.retireRing[robIdx]; free > dispatch {
-		c.stats.ROBStallCycles += free - dispatch
+		if reached := max2(dispatch, c.maxDispatch); free > reached {
+			c.stats.ROBStallCycles += free - reached
+		}
 		dispatch = free
 	}
+	c.maxDispatch = max2(c.maxDispatch, dispatch)
 
 	// Register dependences.
 	start := dispatch

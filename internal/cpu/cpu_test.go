@@ -118,8 +118,14 @@ func TestROBStallOnLongLoad(t *testing.T) {
 	if end < 500 {
 		t.Fatalf("run finished at %d; tiny ROB should stall behind the 500-cycle load", end)
 	}
-	if c.Stats().ROBStallCycles == 0 {
+	st := c.Stats()
+	if st.ROBStallCycles == 0 {
 		t.Fatal("expected ROB stall cycles to be recorded")
+	}
+	// Stalled instructions queue behind the same full ROB; the lag is
+	// charged once, so the counter cannot exceed the run itself.
+	if st.ROBStallCycles > end {
+		t.Fatalf("%d ROB stall cycles in a %d-cycle run", st.ROBStallCycles, end)
 	}
 }
 

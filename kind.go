@@ -2,7 +2,14 @@ package qei
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
+
+	"qei/internal/baseline"
+	"qei/internal/dstruct"
+	"qei/internal/isa"
+	"qei/internal/mem"
 )
 
 // StructKind identifies the data-structure type of a Table. For the
@@ -24,16 +31,156 @@ const (
 	KindCustom     StructKind = 255
 )
 
-var kindNames = map[StructKind]string{
-	KindInvalid:    "invalid",
-	KindLinkedList: "linkedlist",
-	KindHashTable:  "hashtable",
-	KindCuckoo:     "cuckoo",
-	KindSkipList:   "skiplist",
-	KindBST:        "bst",
-	KindTrie:       "trie",
-	KindBTree:      "btree",
-	KindCustom:     "custom",
+// kindInfo is everything the root package knows about one structure
+// kind. The accelerator side — CFA firmware and level-wise rounds —
+// stays in internal/cfa and internal/qei, selected by the header type
+// code, and the baseline walkers' traces in internal/baseline.
+type kindInfo struct {
+	// names holds the canonical name first, then the parse aliases.
+	names []string
+	// check validates builder inputs before anything is laid out.
+	check func(keys [][]byte, values []uint64, cfg buildConfig) error
+	// build lays out the read-only structure and returns its header
+	// address and key length; nil for kinds without a generic builder.
+	build func(s *System, keys [][]byte, values []uint64, cfg buildConfig) (mem.VAddr, uint16)
+	// buildMutable lays out the updatable variant and returns its
+	// software mutator; nil for kinds without software mutators.
+	buildMutable func(s *System, keys [][]byte, values []uint64, cfg buildConfig) (mem.VAddr, uint16, mutator)
+	// walk runs one query on the software baseline walker.
+	walk walkFunc
+	// grouping names the level-wise batch rounds' shape; "" keeps every
+	// batch on the windowed path.
+	grouping string
+}
+
+type walkFunc func(as *mem.AddressSpace, header mem.VAddr, key []byte) (Result, isa.Trace, error)
+
+// mutableBTreeFanout is deliberately smaller than the read-only B+-tree
+// fanout of 16 so streaming workloads exercise node splits and merges at
+// experiment scale rather than only at millions of keys.
+const mutableBTreeFanout = 8
+
+// kindTable is indexed by StructKind (the header type code).
+var kindTable = [...]kindInfo{
+	KindInvalid: {names: []string{"invalid"}},
+	KindLinkedList: {
+		names: []string{"linkedlist", "list"},
+		check: checkKV,
+		build: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
+			l := dstruct.BuildLinkedList(s.m.AS, keys, values)
+			return l.HeaderAddr, l.KeyLen
+		},
+		buildMutable: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16, mutator) {
+			l := dstruct.BuildLinkedList(s.m.AS, keys, values)
+			return l.HeaderAddr, l.KeyLen, listMutator{l}
+		},
+		walk:     lookupWalker(baseline.QueryLinkedList),
+		grouping: "chunked scan",
+	},
+	KindHashTable: {
+		names: []string{"hashtable", "hash"},
+		check: checkKV,
+		build: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
+			h := dstruct.BuildHashTable(s.m.AS, uint64(len(keys)/4), 0x51ED, keys, values)
+			return h.HeaderAddr, h.KeyLen
+		},
+		walk:     lookupWalker(baseline.QueryHashTable),
+		grouping: "bucket phases",
+	},
+	KindCuckoo: {
+		names: []string{"cuckoo"},
+		check: checkKV,
+		build: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
+			c := dstruct.BuildCuckoo(s.m.AS, uint64(len(keys)/2), 8, 0x9E37, keys, values)
+			return c.HeaderAddr, c.KeyLen
+		},
+		// One bucket per key leaves room for inserts before the first
+		// online rehash.
+		buildMutable: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16, mutator) {
+			c := dstruct.BuildCuckoo(s.m.AS, uint64(len(keys)), 8, 0x9E37, keys, values)
+			return c.HeaderAddr, c.KeyLen, cuckooMutator{c}
+		},
+		walk:     lookupWalker(baseline.QueryCuckoo),
+		grouping: "bucket phases",
+	},
+	KindSkipList: {
+		names: []string{"skiplist"},
+		check: checkKV,
+		build: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
+			sl := dstruct.BuildSkipList(s.m.AS, 7, keys, values)
+			return sl.HeaderAddr, sl.KeyLen
+		},
+		buildMutable: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16, mutator) {
+			sl := dstruct.BuildSkipList(s.m.AS, 7, keys, values)
+			return sl.HeaderAddr, sl.KeyLen, skipListMutator{sl, rand.New(rand.NewSource(s.seed))}
+		},
+		walk:     lookupWalker(baseline.QuerySkipList),
+		grouping: "levels",
+	},
+	KindBST: {
+		names: []string{"bst"},
+		check: checkBST,
+		build: func(s *System, keys [][]byte, values []uint64, cfg buildConfig) (mem.VAddr, uint16) {
+			b := dstruct.BuildBST(s.m.AS, 7, cfg.payload, keys, values)
+			return b.HeaderAddr, b.KeyLen
+		},
+		buildMutable: func(s *System, keys [][]byte, values []uint64, cfg buildConfig) (mem.VAddr, uint16, mutator) {
+			b := dstruct.BuildBST(s.m.AS, 7, cfg.payload, keys, values)
+			return b.HeaderAddr, b.KeyLen, bstMutator{b}
+		},
+		walk:     lookupWalker(baseline.QueryBST),
+		grouping: "levels",
+	},
+	KindTrie: {
+		names: []string{"trie"},
+		check: checkDict,
+		// The keys are the dictionary's keywords; a trie answers Scan
+		// queries over variable-length input, so its key length is 1.
+		build: func(s *System, keywords [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
+			return dstruct.BuildTrie(s.m.AS, keywords, values).HeaderAddr, 1
+		},
+		walk: func(as *mem.AddressSpace, header mem.VAddr, input []byte) (Result, isa.Trace, error) {
+			sr, err := baseline.ScanTrie(as, header, input)
+			return Result{Found: len(sr.Matches) > 0, Matches: sr.Matches}, sr.Trace, err
+		},
+	},
+	KindBTree: {
+		names: []string{"btree"},
+		check: checkKV,
+		build: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
+			bt := dstruct.BuildBTree(s.m.AS, 16, keys, values)
+			return bt.HeaderAddr, bt.KeyLen
+		},
+		buildMutable: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16, mutator) {
+			bt := dstruct.BuildBTree(s.m.AS, mutableBTreeFanout, keys, values)
+			return bt.HeaderAddr, bt.KeyLen, btreeMutator{bt}
+		},
+		walk:     lookupWalker(baseline.QueryBTree),
+		grouping: "levels",
+	},
+}
+
+// customKind is KindCustom's row: a name only, since custom firmware
+// tables are laid out by the application.
+var customKind = kindInfo{names: []string{"custom"}}
+
+// info returns k's row, or nil for a value that names no kind.
+func (k StructKind) info() *kindInfo {
+	if int(k) < len(kindTable) {
+		return &kindTable[k]
+	}
+	if k == KindCustom {
+		return &customKind
+	}
+	return nil
+}
+
+// lookupWalker adapts a baseline point-lookup routine to walkFunc.
+func lookupWalker(q func(*mem.AddressSpace, mem.VAddr, []byte) (baseline.Result, error)) walkFunc {
+	return func(as *mem.AddressSpace, header mem.VAddr, key []byte) (Result, isa.Trace, error) {
+		br, err := q(as, header, key)
+		return Result{Found: br.Found, Value: br.Value}, br.Trace, err
+	}
 }
 
 // StructKinds lists the built-in kinds in header-type-code order.
@@ -45,8 +192,8 @@ func StructKinds() []StructKind {
 }
 
 func (k StructKind) String() string {
-	if n, ok := kindNames[k]; ok {
-		return n
+	if r := k.info(); r != nil {
+		return r.names[0]
 	}
 	return fmt.Sprintf("structkind(%d)", uint8(k))
 }
@@ -65,26 +212,14 @@ var kindNormalizer = strings.NewReplacer(" ", "", "-", "", "_", "")
 // ParseStructKind maps a structure name ("cuckoo", "skiplist", …) back
 // to its StructKind; it accepts any case, ignores spaces, hyphens, and
 // underscores ("skip list", "b-tree"), and takes the aliases "list"
-// (linkedlist) and "hash" (hashtable).
+// (linkedlist) and "hash" (hashtable). Unknown names return
+// ErrUnknownKind.
 func ParseStructKind(s string) (StructKind, error) {
-	switch strings.ToLower(kindNormalizer.Replace(s)) {
-	case "linkedlist", "list":
-		return KindLinkedList, nil
-	case "hashtable", "hash":
-		return KindHashTable, nil
-	case "cuckoo":
-		return KindCuckoo, nil
-	case "skiplist":
-		return KindSkipList, nil
-	case "bst":
-		return KindBST, nil
-	case "trie":
-		return KindTrie, nil
-	case "btree":
-		return KindBTree, nil
-	case "custom":
-		return KindCustom, nil
-	default:
-		return KindInvalid, fmt.Errorf("qei: unknown structure kind %q", s)
+	name := strings.ToLower(kindNormalizer.Replace(s))
+	for _, k := range append(StructKinds(), KindCustom) {
+		if slices.Contains(k.info().names, name) {
+			return k, nil
+		}
 	}
+	return KindInvalid, fmt.Errorf("%w %q", ErrUnknownKind, s)
 }

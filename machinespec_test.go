@@ -65,7 +65,7 @@ func TestWithMachineSpecDefaultIdentical(t *testing.T) {
 	vals := []uint64{1, 2, 3}
 	run := func(opts ...Option) (Result, error) {
 		sys := NewSystem(CoreIntegrated, opts...)
-		tab, err := sys.BuildCuckoo(keys, vals)
+		tab, err := sys.Build(KindCuckoo, keys, vals)
 		if err != nil {
 			return Result{}, err
 		}
@@ -102,7 +102,7 @@ func TestWithMachineSpecCustomChip(t *testing.T) {
 
 	sys := NewSystem(CHATLB, WithMachineSpec(spec))
 	keys := [][]byte{[]byte("aaaaaaaa"), []byte("bbbbbbbb")}
-	tab, err := sys.BuildSkipList(keys, []uint64{10, 20})
+	tab, err := sys.Build(KindSkipList, keys, []uint64{10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}

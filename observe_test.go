@@ -13,7 +13,7 @@ import (
 // returns the per-query latencies plus the final clock.
 func queryAll(t *testing.T, sys *System, keys [][]byte, vals []uint64) ([]uint64, uint64) {
 	t.Helper()
-	table := sys.MustBuildCuckoo(keys, vals)
+	table := mustBuild(t, sys, KindCuckoo, keys, vals)
 	lats := make([]uint64, 0, len(keys))
 	for i, k := range keys {
 		res, err := sys.Query(table, k)

@@ -25,10 +25,20 @@ func testKeys(n, keyLen int, seed int64) ([][]byte, []uint64) {
 	return keys, vals
 }
 
+// mustBuild is Build for tests: it fails tb on a build error.
+func mustBuild(tb testing.TB, sys *System, kind StructKind, keys [][]byte, vals []uint64) Table {
+	tb.Helper()
+	table, err := sys.Build(kind, keys, vals)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return table
+}
+
 func TestSystemQuickstartFlow(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(500, 16, 1)
-	table := sys.MustBuildCuckoo(keys, vals)
+	table := mustBuild(t, sys, KindCuckoo, keys, vals)
 	for i := 0; i < 100; i++ {
 		res, err := sys.Query(table, keys[i])
 		if err != nil {
@@ -61,14 +71,13 @@ func TestAllBuildersAndSchemes(t *testing.T) {
 			t.Parallel()
 			sys := NewSystem(sch)
 			tables := []Table{}
-			for _, build := range []func() (Table, error){
-				func() (Table, error) { return sys.BuildCuckoo(keys, vals) },
-				func() (Table, error) { return sys.BuildHashTable(keys, vals) },
-				func() (Table, error) { return sys.BuildSkipList(keys, vals) },
-				func() (Table, error) { return sys.BuildBST(keys, vals, 64) },
-				func() (Table, error) { return sys.BuildLinkedList(keys[:30], vals[:30]) },
-			} {
-				tb, err := build()
+			for _, kind := range []StructKind{KindCuckoo, KindHashTable, KindSkipList, KindBST, KindLinkedList} {
+				n := len(keys)
+				if kind == KindLinkedList {
+					n = 30
+				}
+				// Kinds other than KindBST ignore the payload.
+				tb, err := sys.Build(kind, keys[:n], vals[:n], WithBSTPayload(64))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +104,7 @@ func TestAllBuildersAndSchemes(t *testing.T) {
 
 func TestTrieScanAPI(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
-	tr, err := sys.BuildTrie([][]byte{[]byte("alpha"), []byte("beta")}, []uint64{10, 20})
+	tr, err := sys.Build(KindTrie, [][]byte{[]byte("alpha"), []byte("beta")}, []uint64{10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +117,7 @@ func TestTrieScanAPI(t *testing.T) {
 	}
 	// Scan on a non-trie table must be rejected.
 	keys, vals := testKeys(10, 8, 3)
-	ht, _ := sys.BuildHashTable(keys, vals)
+	ht, _ := sys.Build(KindHashTable, keys, vals)
 	if _, err := sys.Scan(ht, []byte("x")); err == nil {
 		t.Fatal("Scan accepted a hash table")
 	}
@@ -116,19 +125,19 @@ func TestTrieScanAPI(t *testing.T) {
 
 func TestBuilderValidation(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
-	if _, err := sys.BuildCuckoo(nil, nil); err == nil {
+	if _, err := sys.Build(KindCuckoo, nil, nil); err == nil {
 		t.Fatal("empty key set accepted")
 	}
-	if _, err := sys.BuildCuckoo([][]byte{{1, 2}}, []uint64{1, 2}); err == nil {
+	if _, err := sys.Build(KindCuckoo, [][]byte{{1, 2}}, []uint64{1, 2}); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
-	if _, err := sys.BuildCuckoo([][]byte{{1, 2}, {1, 2, 3}}, []uint64{1, 2}); err == nil {
+	if _, err := sys.Build(KindCuckoo, [][]byte{{1, 2}, {1, 2, 3}}, []uint64{1, 2}); err == nil {
 		t.Fatal("ragged keys accepted")
 	}
-	if _, err := sys.BuildTrie([][]byte{[]byte("x")}, []uint64{0}); err == nil {
+	if _, err := sys.Build(KindTrie, [][]byte{[]byte("x")}, []uint64{0}); err == nil {
 		t.Fatal("zero trie value accepted")
 	}
-	if _, err := sys.BuildBST([][]byte{{1}}, []uint64{1}, -1); err == nil {
+	if _, err := sys.Build(KindBST, [][]byte{{1}}, []uint64{1}, WithBSTPayload(-1)); err == nil {
 		t.Fatal("negative payload accepted")
 	}
 }
@@ -136,7 +145,7 @@ func TestBuilderValidation(t *testing.T) {
 func TestAsyncQueryFlow(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(100, 16, 4)
-	table := sys.MustBuildCuckoo(keys, vals)
+	table := mustBuild(t, sys, KindCuckoo, keys, vals)
 	handles := make([]AsyncHandle, 10)
 	for i := range handles {
 		h, err := sys.QueryAsync(table, keys[i])
@@ -160,7 +169,7 @@ func TestQueryLatencyOrderingAcrossSchemes(t *testing.T) {
 	keys, vals := testKeys(300, 32, 5)
 	latency := func(s Scheme) uint64 {
 		sys := NewSystem(s)
-		tb, err := sys.BuildSkipList(keys, vals)
+		tb, err := sys.Build(KindSkipList, keys, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +247,7 @@ func TestFig11SmallScale(t *testing.T) {
 func TestPublicTracing(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(64, 16, 70)
-	tb := sys.MustBuildCuckoo(keys, vals)
+	tb := mustBuild(t, sys, KindCuckoo, keys, vals)
 	sys.EnableTracing()
 	for i := 0; i < 12; i++ {
 		if _, err := sys.Query(tb, keys[i]); err != nil {

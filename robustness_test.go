@@ -66,12 +66,6 @@ func chaosRun(t *testing.T, spec string) (chaosOutcome, string) {
 
 	keys, vals := testKeys(48, 16, 31)
 	absent, _ := testKeys(8, 16, 32)
-	build := []func() (Table, error){
-		func() (Table, error) { return sys.BuildLinkedList(keys, vals) },
-		func() (Table, error) { return sys.BuildCuckoo(keys, vals) },
-		func() (Table, error) { return sys.BuildSkipList(keys, vals) },
-		func() (Table, error) { return sys.BuildBST(keys, vals, 0) },
-	}
 
 	var out chaosOutcome
 	classify := func(res Result, err error) {
@@ -88,8 +82,8 @@ func chaosRun(t *testing.T, spec string) (chaosOutcome, string) {
 		}
 	}
 
-	for _, b := range build {
-		table, err := b()
+	for _, kind := range []StructKind{KindLinkedList, KindCuckoo, KindSkipList, KindBST} {
+		table, err := sys.Build(kind, keys, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +97,7 @@ func chaosRun(t *testing.T, spec string) (chaosOutcome, string) {
 
 	// Fifth kind: the Aho-Corasick trie, driven through Scan.
 	kws := [][]byte{[]byte("fault"), []byte("inject"), []byte("chaos"), []byte("soak")}
-	trie, err := sys.BuildTrie(kws, []uint64{1, 2, 3, 4})
+	trie, err := sys.Build(KindTrie, kws, []uint64{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +157,7 @@ func TestFallbackPolicy(t *testing.T) {
 		WithFaultInjection(MustParseFaultSpec("3:spurious=1")),
 		WithFallback(FallbackPolicy{AfterFaults: 1}))
 	keys, vals := testKeys(32, 16, 41)
-	table := sys.MustBuildCuckoo(keys, vals)
+	table := mustBuild(t, sys, KindCuckoo, keys, vals)
 	for i, k := range keys {
 		res, err := sys.Query(table, k)
 		if err != nil {
@@ -210,7 +204,7 @@ func TestFallbackPolicy(t *testing.T) {
 func TestPublicWatchdogTimeout(t *testing.T) {
 	sys := NewSystem(CoreIntegrated, WithQueryCycleBudget(3000))
 	keys, vals := testKeys(400, 16, 51)
-	table, err := sys.BuildLinkedList(keys, vals)
+	table, err := sys.Build(KindLinkedList, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,11 +47,20 @@ func servingTable(t serve.Table) Table {
 	return t.(Table)
 }
 
-// servingMutator implements serve.Mutator for both adapters: mutations
-// are software routines on the shared machine (QEI accelerates queries
-// only), so the write path is backend-independent.
+// servingMutator implements table construction and serve.Mutator for
+// both adapters: tables are laid out and mutated by software routines on
+// the shared machine (QEI accelerates queries only), so the build and
+// write paths are backend-independent.
 type servingMutator struct {
 	sys *System
+}
+
+func (m *servingMutator) Build(kind string, keys [][]byte, values []uint64) (serve.Table, error) {
+	k, err := ParseStructKind(kind)
+	if err != nil {
+		return nil, err
+	}
+	return m.sys.Build(k, keys, values)
 }
 
 func (m *servingMutator) BuildMutable(kind string, keys [][]byte, values []uint64) (serve.Table, error) {
@@ -86,14 +95,6 @@ type qeiServeBackend struct {
 }
 
 func (b *qeiServeBackend) Name() string { return "qei" }
-
-func (b *qeiServeBackend) Build(kind string, keys [][]byte, values []uint64) (serve.Table, error) {
-	k, err := ParseStructKind(kind)
-	if err != nil {
-		return nil, err
-	}
-	return b.sys.Build(k, keys, values)
-}
 
 func (b *qeiServeBackend) Query(t serve.Table, key []byte) (serve.Result, error) {
 	res, err := b.sys.Query(servingTable(t), key)
@@ -189,14 +190,6 @@ type baselineHandle struct {
 }
 
 func (b *baselineServeBackend) Name() string { return "baseline" }
-
-func (b *baselineServeBackend) Build(kind string, keys [][]byte, values []uint64) (serve.Table, error) {
-	k, err := ParseStructKind(kind)
-	if err != nil {
-		return nil, err
-	}
-	return b.sys.Build(k, keys, values)
-}
 
 func (b *baselineServeBackend) Query(t serve.Table, key []byte) (serve.Result, error) {
 	res, err := b.sys.QuerySoftware(servingTable(t), key)

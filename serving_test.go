@@ -19,7 +19,7 @@ func TestQueryBatchOverCapacity(t *testing.T) {
 	cap := sys.QSTCapacity()
 	n := 3*cap + 5
 	keys, vals := testKeys(n, 16, 11)
-	tb := sys.MustBuildCuckoo(keys, vals)
+	tb := mustBuild(t, sys, KindCuckoo, keys, vals)
 
 	results, err := sys.QueryBatch(tb, keys)
 	if err != nil {
@@ -236,56 +236,20 @@ func TestNewServingBackendUnknown(t *testing.T) {
 	}
 }
 
-// TestBuildGenericMatchesTyped pins that the generic Build entrypoint
-// and the typed wrappers construct equivalent tables: same kind, same
-// lookup answers on machines with identical seeds.
-func TestBuildGenericMatchesTyped(t *testing.T) {
-	keys, vals := testKeys(128, 16, 5)
-	sysA := NewSystem(CoreIntegrated, WithSeed(3))
-	sysB := NewSystem(CoreIntegrated, WithSeed(3))
-
-	ta, err := sysA.Build(KindBST, keys, vals, WithBSTPayload(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := sysB.BuildBST(keys, vals, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ta.Kind != tb.Kind || ta.KeyLen != tb.KeyLen {
-		t.Fatalf("table metadata differs: %+v vs %+v", ta, tb)
-	}
-	for i := 0; i < 32; i++ {
-		ra, err := sysA.Query(ta, keys[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := sysB.Query(tb, keys[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ra.Found != rb.Found || ra.Value != rb.Value || ra.Latency != rb.Latency {
-			t.Fatalf("key %d: generic %+v vs typed %+v", i, ra, rb)
-		}
-	}
-
-	if _, err := sysA.Build(KindCustom, keys, vals); err == nil {
-		t.Fatal("Build(KindCustom) should fail")
-	} else if !errors.Is(err, ErrUnknownKind) {
-		t.Fatalf("Build(KindCustom) = %v, want ErrUnknownKind", err)
-	}
-}
-
-// TestDeprecatedObservabilityAliases pins that the old option names
-// keep working and mean the same thing as the renamed ones.
-func TestDeprecatedObservabilityAliases(t *testing.T) {
-	sys := NewSystem(CoreIntegrated, WithTracing(), WithTrace())
+// TestServingBackendUnknownKind pins that a serving adapter's builders
+// reject an unknown kind name with the typed sentinel.
+func TestServingBackendUnknownKind(t *testing.T) {
 	keys, vals := testKeys(8, 16, 9)
-	tb := sys.MustBuildCuckoo(keys, vals)
-	if _, err := sys.Query(tb, keys[0]); err != nil {
-		t.Fatal(err)
-	}
-	if doc := sys.ExportTrace(); doc == "" {
-		t.Fatal("deprecated WithTracing/WithTrace produced no trace document")
+	for _, name := range ServingBackends() {
+		b, err := NewServingBackend(name, NewSystem(CoreIntegrated))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Build("nosuch", keys, vals); !errors.Is(err, ErrUnknownKind) {
+			t.Fatalf("%s Build(nosuch) = %v, want ErrUnknownKind", name, err)
+		}
+		if _, err := b.(serve.Mutator).BuildMutable("nosuch", keys, vals); !errors.Is(err, ErrUnknownKind) {
+			t.Fatalf("%s BuildMutable(nosuch) = %v, want ErrUnknownKind", name, err)
+		}
 	}
 }

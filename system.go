@@ -167,13 +167,6 @@ func WithQuerySpans() Option {
 	return func(c *sysConfig) { c.tracing = true }
 }
 
-// WithTracing is the deprecated former name of WithQuerySpans, kept so
-// existing callers build; it recorded accelerator query spans only and
-// was easy to confuse with WithTrace (the unified tracer).
-//
-// Deprecated: use WithQuerySpans.
-func WithTracing() Option { return WithQuerySpans() }
-
 // WithSeed sets the seed for the system's randomized software routines
 // (skip-list level coins in mutable tables). Default 7.
 func WithSeed(seed int64) Option {
@@ -195,13 +188,6 @@ func WithMetrics() Option {
 func WithTimeline() Option {
 	return func(c *sysConfig) { c.trace = true }
 }
-
-// WithTrace is the deprecated former name of WithTimeline, kept so
-// existing callers build; the name collided with the narrower
-// WithTracing query-span option.
-//
-// Deprecated: use WithTimeline.
-func WithTrace() Option { return WithTimeline() }
 
 // WithFaultInjection arms the deterministic fault-injection harness
 // with the given replayable plan. Faults fire only while the
@@ -333,76 +319,6 @@ func (s *System) Write(data []byte) uint64 {
 	a := s.m.AS.AllocLines(uint64(len(data)))
 	s.m.AS.MustWrite(a, data)
 	return uint64(a)
-}
-
-// validateKV checks builder inputs.
-func validateKV(keys [][]byte, values []uint64) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("qei: %d keys but %d values", len(keys), len(values))
-	}
-	if len(keys) == 0 {
-		return fmt.Errorf("qei: empty key set")
-	}
-	l := len(keys[0])
-	for i, k := range keys {
-		if len(k) != l {
-			return fmt.Errorf("qei: key %d has length %d, want %d", i, len(k), l)
-		}
-	}
-	return nil
-}
-
-// BuildCuckoo lays out a DPDK-style two-choice bucketed cuckoo hash
-// table holding the given fixed-length keys. It is Build(KindCuckoo, ...).
-func (s *System) BuildCuckoo(keys [][]byte, values []uint64) (Table, error) {
-	return s.Build(KindCuckoo, keys, values)
-}
-
-// MustBuildCuckoo is BuildCuckoo, panicking on invalid input.
-func (s *System) MustBuildCuckoo(keys [][]byte, values []uint64) Table {
-	t, err := s.BuildCuckoo(keys, values)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// BuildHashTable lays out a chained hash table (the hash-table-of-
-// linked-lists combined structure). It is Build(KindHashTable, ...).
-func (s *System) BuildHashTable(keys [][]byte, values []uint64) (Table, error) {
-	return s.Build(KindHashTable, keys, values)
-}
-
-// BuildSkipList lays out a sorted skip list (RocksDB-memtable style).
-// It is Build(KindSkipList, ...).
-func (s *System) BuildSkipList(keys [][]byte, values []uint64) (Table, error) {
-	return s.Build(KindSkipList, keys, values)
-}
-
-// BuildBST lays out a binary search tree whose nodes carry payload extra
-// bytes of object body (the JVM object-tree shape). It is
-// Build(KindBST, ..., WithBSTPayload(payload)).
-func (s *System) BuildBST(keys [][]byte, values []uint64, payload int) (Table, error) {
-	return s.Build(KindBST, keys, values, WithBSTPayload(payload))
-}
-
-// BuildLinkedList lays out a singly linked list in the given order.
-// It is Build(KindLinkedList, ...).
-func (s *System) BuildLinkedList(keys [][]byte, values []uint64) (Table, error) {
-	return s.Build(KindLinkedList, keys, values)
-}
-
-// BuildBTree bulk-loads a B+-tree index (fanout 16) over the keys.
-// It is Build(KindBTree, ...).
-func (s *System) BuildBTree(keys [][]byte, values []uint64) (Table, error) {
-	return s.Build(KindBTree, keys, values)
-}
-
-// BuildTrie compiles a keyword dictionary into an Aho-Corasick automaton
-// for Scan queries. values must be non-zero; values[i] is reported when
-// keywords[i] matches. It is Build(KindTrie, keywords, values).
-func (s *System) BuildTrie(keywords [][]byte, values []uint64) (Table, error) {
-	return s.Build(KindTrie, keywords, values)
 }
 
 // Query performs a blocking QUERY_B lookup of key in t through the

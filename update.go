@@ -24,19 +24,14 @@ import (
 // read-intensive usage model assumes — and the read-after-retire
 // watcher (epoch/read_after_retire) proves the protocol holds.
 //
-// Handles returned by the Build functions are immutable descriptors; to
-// mutate a structure, create it with the Mutable variants below, which
-// return a handle carrying the mutation state.
+// Tables returned by Build are immutable descriptors; to mutate a
+// structure, build it with BuildMutable, which returns a handle carrying
+// the mutation state.
 
 // defaultMaxLoad is the cuckoo load-factor ceiling that triggers an
 // online rehash before the kick loop starts thrashing (DPDK resizes in
 // the same regime). SetMaxLoadFactor overrides it per table.
 const defaultMaxLoad = 0.85
-
-// mutableBTreeFanout is deliberately smaller than BuildBTree's read-only
-// fanout of 16 so streaming workloads exercise node splits and merges at
-// experiment scale rather than only at millions of keys.
-const mutableBTreeFanout = 8
 
 // MutStats counts a mutable table's software-routine activity. The
 // streaming experiment asserts the structural-maintenance paths
@@ -61,114 +56,46 @@ type MutStats struct {
 type MutableTable struct {
 	Table
 	sys     *System
-	ck      *dstruct.Cuckoo
-	sl      *dstruct.SkipList
-	bs      *dstruct.BST
-	ll      *dstruct.LinkedList
-	bt      *dstruct.BTree
-	rng     *rand.Rand
+	mut     mutator
 	maxLoad float64
 	stats   MutStats
 }
 
-// BuildMutableCuckoo is BuildCuckoo returning an updatable handle.
-func (s *System) BuildMutableCuckoo(keys [][]byte, values []uint64) (*MutableTable, error) {
-	if err := validateKV(keys, values); err != nil {
+// mutator is one kind's software update routines over its laid-out
+// structure; the kind table's mutable builder creates it.
+type mutator interface {
+	insert(t *MutableTable, key []byte, value uint64) error
+	// delete removes key, reporting whether it was present, and retires
+	// the nodes it unlinked.
+	delete(t *MutableTable, key []byte) (bool, error)
+}
+
+// BuildMutable is Build returning an updatable handle — the entry point
+// the stream engine and the serving write path use. KindBST takes
+// WithBSTPayload. Mutable cuckoo tables start with one bucket per key,
+// and mutable B+-trees use a smaller fanout than the read-only bulk
+// loader so update streams exercise splits and merges. Kinds without
+// software mutators (hash table chains, tries) return ErrUnsupportedOp.
+func (s *System) BuildMutable(kind StructKind, keys [][]byte, values []uint64, opts ...BuildOption) (*MutableTable, error) {
+	k := kind.info()
+	if k == nil || k.build == nil {
+		return nil, fmt.Errorf("%w %s", ErrUnknownKind, kind)
+	}
+	if k.buildMutable == nil {
+		return nil, fmt.Errorf("qei: %w: no mutable builder for %s", ErrUnsupportedOp, kind)
+	}
+	cfg := newBuildConfig(opts)
+	if err := k.check(keys, values, cfg); err != nil {
 		return nil, err
 	}
 	s.ensureGC()
-	c := dstruct.BuildCuckoo(s.m.AS, uint64(len(keys)), 8, 0x9E37, keys, values)
+	header, keyLen, mut := k.buildMutable(s, keys, values, cfg)
 	return &MutableTable{
-		Table:   Table{header: c.HeaderAddr, Kind: KindCuckoo, KeyLen: int(c.KeyLen)},
+		Table:   Table{header: header, Kind: kind, KeyLen: int(keyLen)},
 		sys:     s,
-		ck:      c,
+		mut:     mut,
 		maxLoad: defaultMaxLoad,
 	}, nil
-}
-
-// BuildMutableSkipList is BuildSkipList returning an updatable handle.
-func (s *System) BuildMutableSkipList(keys [][]byte, values []uint64) (*MutableTable, error) {
-	if err := validateKV(keys, values); err != nil {
-		return nil, err
-	}
-	s.ensureGC()
-	sl := dstruct.BuildSkipList(s.m.AS, 7, keys, values)
-	return &MutableTable{
-		Table: Table{header: sl.HeaderAddr, Kind: KindSkipList, KeyLen: int(sl.KeyLen)},
-		sys:   s,
-		sl:    sl,
-		rng:   rand.New(rand.NewSource(s.seed)),
-	}, nil
-}
-
-// BuildMutableBST is BuildBST returning an updatable handle.
-func (s *System) BuildMutableBST(keys [][]byte, values []uint64, payload int) (*MutableTable, error) {
-	if err := validateKV(keys, values); err != nil {
-		return nil, err
-	}
-	if payload < 0 {
-		return nil, fmt.Errorf("qei: negative payload %d", payload)
-	}
-	s.ensureGC()
-	b := dstruct.BuildBST(s.m.AS, 7, payload, keys, values)
-	return &MutableTable{
-		Table: Table{header: b.HeaderAddr, Kind: KindBST, KeyLen: int(b.KeyLen)},
-		sys:   s,
-		bs:    b,
-	}, nil
-}
-
-// BuildMutableLinkedList is BuildLinkedList returning an updatable handle.
-func (s *System) BuildMutableLinkedList(keys [][]byte, values []uint64) (*MutableTable, error) {
-	if err := validateKV(keys, values); err != nil {
-		return nil, err
-	}
-	s.ensureGC()
-	l := dstruct.BuildLinkedList(s.m.AS, keys, values)
-	return &MutableTable{
-		Table: Table{header: l.HeaderAddr, Kind: KindLinkedList, KeyLen: int(l.KeyLen)},
-		sys:   s,
-		ll:    l,
-	}, nil
-}
-
-// BuildMutableBTree is BuildBTree returning an updatable handle. The
-// tree uses a smaller fanout than the read-only bulk loader so update
-// streams exercise splits and merges.
-func (s *System) BuildMutableBTree(keys [][]byte, values []uint64) (*MutableTable, error) {
-	if err := validateKV(keys, values); err != nil {
-		return nil, err
-	}
-	s.ensureGC()
-	b := dstruct.BuildBTree(s.m.AS, mutableBTreeFanout, keys, values)
-	return &MutableTable{
-		Table: Table{header: b.HeaderAddr, Kind: KindBTree, KeyLen: int(b.KeyLen)},
-		sys:   s,
-		bt:    b,
-	}, nil
-}
-
-// BuildMutable builds an updatable table of the given kind — the
-// generic entry point the stream engine uses. Kinds without software
-// mutators (hash table chains, tries) return ErrUnsupportedOp; BSTs get
-// payload 0 (use BuildMutableBST directly for object-tree payloads).
-func (s *System) BuildMutable(kind StructKind, keys [][]byte, values []uint64) (*MutableTable, error) {
-	switch kind {
-	case KindCuckoo:
-		return s.BuildMutableCuckoo(keys, values)
-	case KindSkipList:
-		return s.BuildMutableSkipList(keys, values)
-	case KindBST:
-		return s.BuildMutableBST(keys, values, 0)
-	case KindLinkedList:
-		return s.BuildMutableLinkedList(keys, values)
-	case KindBTree:
-		return s.BuildMutableBTree(keys, values)
-	case KindHashTable, KindTrie:
-		return nil, fmt.Errorf("qei: %w: no mutable builder for %s", ErrUnsupportedOp, kind)
-	default:
-		return nil, fmt.Errorf("qei: %w: %d", ErrUnknownKind, int(kind))
-	}
 }
 
 // SetMaxLoadFactor overrides the cuckoo load-factor ceiling that
@@ -184,9 +111,9 @@ func (t *MutableTable) SetMaxLoadFactor(f float64) {
 // MutStats reports the table's accumulated mutation activity.
 func (t *MutableTable) MutStats() MutStats {
 	st := t.stats
-	if t.bt != nil {
-		st.Splits = uint64(t.bt.Splits)
-		st.Merges = uint64(t.bt.Merges)
+	if m, ok := t.mut.(btreeMutator); ok {
+		st.Splits = uint64(m.bt.Splits)
+		st.Merges = uint64(m.bt.Merges)
 	}
 	return st
 }
@@ -210,50 +137,56 @@ func (t *MutableTable) retire(exts ...mem.Extent) {
 // come from the epoch-aware allocator and replaced structures are
 // retired, not freed.
 func (t *MutableTable) Insert(key []byte, value uint64) error {
-	as, gc := t.sys.m.AS, t.sys.gc
-	var err error
-	switch {
-	case t.ck != nil:
-		err = t.insertCuckoo(key, value)
-	case t.sl != nil:
-		err = t.sl.Insert(as, gc, t.rng, key, value)
-	case t.bs != nil:
-		err = t.insertBST(key, value)
-	case t.bt != nil:
-		_, err = t.bt.Insert(as, gc, key, value)
-	case t.ll != nil:
-		err = t.ll.InsertFront(as, gc, key, value)
-	default:
-		return fmt.Errorf("qei: %w: Insert on %s", ErrUnsupportedOp, t.Kind)
-	}
-	if err != nil {
+	if err := t.mut.insert(t, key, value); err != nil {
 		return err
 	}
 	t.stats.Inserts++
-	gc.Bump()
+	t.sys.gc.Bump()
 	return nil
 }
 
-// insertCuckoo inserts with online resizing: a rehash to double the
-// buckets fires when the load factor crosses the ceiling, and again if
-// the kick loop still reports the table full (bad luck on a dense
-// table). The old bucket array is retired, never freed — a query
-// admitted against it finishes against it.
-func (t *MutableTable) insertCuckoo(key []byte, value uint64) error {
-	if t.ck.LoadFactor() >= t.maxLoad {
-		if err := t.rehash(t.ck.NBuckets * 2); err != nil {
+// Delete removes a key, reporting whether it existed. Unlinked nodes
+// are retired to the epoch GC so an in-flight query that already read a
+// pointer to one still walks valid bytes.
+func (t *MutableTable) Delete(key []byte) (bool, error) {
+	ok, err := t.mut.delete(t, key)
+	if err != nil {
+		return ok, err
+	}
+	if ok {
+		t.stats.Deletes++
+	}
+	t.sys.gc.Bump()
+	return ok, nil
+}
+
+// Query runs an accelerated lookup against the mutable table.
+func (t *MutableTable) Query(key []byte) (Result, error) {
+	return t.sys.Query(t.Table, key)
+}
+
+type cuckooMutator struct{ ck *dstruct.Cuckoo }
+
+// insert inserts with online resizing: a rehash to double the buckets
+// fires when the load factor crosses the ceiling, and again if the kick
+// loop still reports the table full (bad luck on a dense table). The old
+// bucket array is retired, never freed — a query admitted against it
+// finishes against it.
+func (m cuckooMutator) insert(t *MutableTable, key []byte, value uint64) error {
+	if m.ck.LoadFactor() >= t.maxLoad {
+		if err := m.rehash(t); err != nil {
 			return err
 		}
 	}
 	for attempt := 0; ; attempt++ {
-		err := t.ck.Insert(t.sys.m.AS, key, value)
+		err := m.ck.Insert(t.sys.m.AS, key, value)
 		if err == nil {
 			return nil
 		}
 		if !errors.Is(err, dstruct.ErrTableFull) || attempt >= 2 {
 			return err
 		}
-		if err := t.rehash(t.ck.NBuckets * 2); err != nil {
+		if err := m.rehash(t); err != nil {
 			return err
 		}
 	}
@@ -262,8 +195,8 @@ func (t *MutableTable) insertCuckoo(key []byte, value uint64) error {
 // rehash doubles the cuckoo bucket array. Whether the rehash published
 // the new array or rolled back to the old one, the extent it returns is
 // the array that is now unreachable from the header — retire it.
-func (t *MutableTable) rehash(nBuckets uint64) error {
-	unreachable, err := t.ck.Rehash(t.sys.m.AS, t.sys.gc, nBuckets)
+func (m cuckooMutator) rehash(t *MutableTable) error {
+	unreachable, err := m.ck.Rehash(t.sys.m.AS, t.sys.gc, m.ck.NBuckets*2)
 	t.retire(unreachable)
 	if err != nil {
 		return err
@@ -272,15 +205,39 @@ func (t *MutableTable) rehash(nBuckets uint64) error {
 	return nil
 }
 
-// insertBST inserts and, when the tree has degenerated past the
-// scapegoat depth bound, rebuilds it balanced, retiring every old node.
-func (t *MutableTable) insertBST(key []byte, value uint64) error {
+// delete clears the entry in place: there is no node to retire.
+func (m cuckooMutator) delete(t *MutableTable, key []byte) (bool, error) {
+	return m.ck.Delete(t.sys.m.AS, key)
+}
+
+type skipListMutator struct {
+	sl  *dstruct.SkipList
+	rng *rand.Rand
+}
+
+func (m skipListMutator) insert(t *MutableTable, key []byte, value uint64) error {
+	return m.sl.Insert(t.sys.m.AS, t.sys.gc, m.rng, key, value)
+}
+
+func (m skipListMutator) delete(t *MutableTable, key []byte) (bool, error) {
+	ok, e, err := m.sl.Delete(t.sys.m.AS, key)
+	if ok {
+		t.retire(e)
+	}
+	return ok, err
+}
+
+type bstMutator struct{ bs *dstruct.BST }
+
+// insert inserts and, when the tree has degenerated past the scapegoat
+// depth bound, rebuilds it balanced, retiring every old node.
+func (m bstMutator) insert(t *MutableTable, key []byte, value uint64) error {
 	as, gc := t.sys.m.AS, t.sys.gc
-	if err := t.bs.Insert(as, gc, key, value); err != nil {
+	if err := m.bs.Insert(as, gc, key, value); err != nil {
 		return err
 	}
-	if t.bs.NeedsRebuild() {
-		freed, err := t.bs.Rebuild(as, gc)
+	if m.bs.NeedsRebuild() {
+		freed, err := m.bs.Rebuild(as, gc)
 		if err != nil {
 			return err
 		}
@@ -290,54 +247,39 @@ func (t *MutableTable) insertBST(key []byte, value uint64) error {
 	return nil
 }
 
-// Delete removes a key, reporting whether it existed. Unlinked nodes
-// are retired to the epoch GC so an in-flight query that already read a
-// pointer to one still walks valid bytes. Hash-table chains and tries
-// have no mutators and return ErrUnsupportedOp.
-func (t *MutableTable) Delete(key []byte) (bool, error) {
-	as, gc := t.sys.m.AS, t.sys.gc
-	var ok bool
-	var err error
-	switch {
-	case t.ck != nil:
-		// Cuckoo deletion clears the entry in place: no node to retire.
-		ok, err = t.ck.Delete(as, key)
-	case t.sl != nil:
-		var e mem.Extent
-		ok, e, err = t.sl.Delete(as, key)
-		if ok {
-			t.retire(e)
-		}
-	case t.bs != nil:
-		var e mem.Extent
-		ok, e, err = t.bs.Delete(as, key)
-		if ok {
-			t.retire(e)
-		}
-	case t.bt != nil:
-		var freed []mem.Extent
-		ok, freed, err = t.bt.Delete(as, key)
-		t.retire(freed...)
-	case t.ll != nil:
-		var e mem.Extent
-		ok, e, err = t.ll.Remove(as, key)
-		if ok {
-			t.retire(e)
-		}
-	default:
-		return false, fmt.Errorf("qei: %w: Delete on %s", ErrUnsupportedOp, t.Kind)
-	}
-	if err != nil {
-		return ok, err
-	}
+func (m bstMutator) delete(t *MutableTable, key []byte) (bool, error) {
+	ok, e, err := m.bs.Delete(t.sys.m.AS, key)
 	if ok {
-		t.stats.Deletes++
+		t.retire(e)
 	}
-	gc.Bump()
-	return ok, nil
+	return ok, err
 }
 
-// Query runs an accelerated lookup against the mutable table.
-func (t *MutableTable) Query(key []byte) (Result, error) {
-	return t.sys.Query(t.Table, key)
+// btreeMutator's node splits and merges happen inside dstruct.BTree;
+// MutStats reads their counts from it.
+type btreeMutator struct{ bt *dstruct.BTree }
+
+func (m btreeMutator) insert(t *MutableTable, key []byte, value uint64) error {
+	_, err := m.bt.Insert(t.sys.m.AS, t.sys.gc, key, value)
+	return err
+}
+
+func (m btreeMutator) delete(t *MutableTable, key []byte) (bool, error) {
+	ok, freed, err := m.bt.Delete(t.sys.m.AS, key)
+	t.retire(freed...)
+	return ok, err
+}
+
+type listMutator struct{ ll *dstruct.LinkedList }
+
+func (m listMutator) insert(t *MutableTable, key []byte, value uint64) error {
+	return m.ll.InsertFront(t.sys.m.AS, t.sys.gc, key, value)
+}
+
+func (m listMutator) delete(t *MutableTable, key []byte) (bool, error) {
+	ok, e, err := m.ll.Remove(t.sys.m.AS, key)
+	if ok {
+		t.retire(e)
+	}
+	return ok, err
 }

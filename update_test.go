@@ -12,7 +12,7 @@ func TestSoftwareUpdateHardwareQueryCoexistence(t *testing.T) {
 	// after an insert must observe it; after a delete, miss.
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(200, 16, 20)
-	tb, err := sys.BuildMutableCuckoo(keys[:100], vals[:100])
+	tb, err := sys.BuildMutable(KindCuckoo, keys[:100], vals[:100])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestMutableSkipListAndBST(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(120, 32, 21)
 
-	sl, err := sys.BuildMutableSkipList(keys[:60], vals[:60])
+	sl, err := sys.BuildMutable(KindSkipList, keys[:60], vals[:60])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestMutableSkipListAndBST(t *testing.T) {
 	}
 
 	bkeys, bvals := testKeys(80, 8, 22)
-	bst, err := sys.BuildMutableBST(bkeys[:40], bvals[:40], 64)
+	bst, err := sys.BuildMutable(KindBST, bkeys[:40], bvals[:40], WithBSTPayload(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMutableSkipListAndBST(t *testing.T) {
 func TestMutableLinkedList(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(30, 16, 23)
-	ll, err := sys.BuildMutableLinkedList(keys[:20], vals[:20])
+	ll, err := sys.BuildMutable(KindLinkedList, keys[:20], vals[:20])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestMutableLinkedList(t *testing.T) {
 func TestMutableKeyValidation(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(10, 16, 24)
-	tb, err := sys.BuildMutableCuckoo(keys, vals)
+	tb, err := sys.BuildMutable(KindCuckoo, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestMutableKeyValidation(t *testing.T) {
 func TestMutableBTree(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(120, 16, 26)
-	tb, err := sys.BuildMutableBTree(keys[:40], vals[:40])
+	tb, err := sys.BuildMutable(KindBTree, keys[:40], vals[:40])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCuckooOnlineRehash(t *testing.T) {
 	// key reachable by the accelerator.
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(400, 16, 28)
-	tb, err := sys.BuildMutableCuckoo(keys[:50], vals[:50])
+	tb, err := sys.BuildMutable(KindCuckoo, keys[:50], vals[:50])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestAsyncPinsHoldReclamation(t *testing.T) {
 	// is in flight must not be reclaimed until the query is drained.
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(100, 32, 29)
-	tb, err := sys.BuildMutableSkipList(keys, vals)
+	tb, err := sys.BuildMutable(KindSkipList, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestInterruptFlushAPI(t *testing.T) {
 	// software observes the abort code and reissues.
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(100, 32, 25)
-	tb, err := sys.BuildSkipList(keys, vals)
+	tb, err := sys.Build(KindSkipList, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
