@@ -185,14 +185,14 @@ func TestNewSystemOptions(t *testing.T) {
 			big.QSTCapacity(), base.QSTCapacity())
 	}
 
-	traced := NewSystem(CoreIntegrated, WithQuerySpans())
+	traced := NewSystem(CoreIntegrated, WithTimeline())
 	keys, vals := testKeys(8, 16, 15)
 	tb := mustBuild(t, traced, KindCuckoo, keys, vals)
 	if _, err := traced.Query(tb, keys[0]); err != nil {
 		t.Fatal(err)
 	}
 	if doc := traced.ExportTrace(); !strings.Contains(doc, `"cat":"qst"`) {
-		t.Fatalf("WithQuerySpans recorded no spans: %s", doc)
+		t.Fatalf("WithTimeline recorded no query spans: %s", doc)
 	}
 
 	// WithSeed steers the mutable skip list's level coins: same seed,

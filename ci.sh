@@ -51,6 +51,31 @@ done
 # process (qeisim exits non-zero otherwise).
 go run ./cmd/qeisim -faults "7:flip=0.05,nocdelay=0.1,nocdrop=0.05,shootdown=0.1,spurious=0.05,evict=0.1"
 
+# Scheme smoke: every integration scheme name resolves through the one
+# scheme table in each CLI that takes -scheme, and an unknown name
+# fails.
+bindir=$(mktemp -d)
+trap 'rm -rf "$bindir"' EXIT
+for cli in qeisim qeiserve qeitrace; do
+	go build -o "$bindir/$cli" "./cmd/$cli"
+done
+for s in core cha-tlb cha-notlb device-direct device-indirect; do
+	case "$("$bindir/qeitrace" -scheme "$s" -queries 4)" in
+	*'"traceEvents"'*) ;;
+	*)
+		echo "scheme-smoke: qeitrace -scheme $s wrote no trace document" >&2
+		exit 1
+		;;
+	esac
+	"$bindir/qeiserve" -scheme "$s" -tenants 1 -requests 20 -keys 16 >/dev/null
+done
+for cli in qeiserve qeisim; do
+	if "$bindir/$cli" -scheme nosuch >/dev/null 2>&1; then
+		echo "scheme-smoke: $cli accepted -scheme nosuch" >&2
+		exit 1
+	fi
+done
+
 # Serve smoke: a small multi-tenant run through BOTH serving backends
 # must emit machine-readable per-tenant percentiles. Checks that the
 # JSON carries p99 fields and one report per backend.

@@ -68,28 +68,13 @@ import (
 	"os"
 
 	"qei"
+	"qei/internal/scheme"
 	"qei/internal/serve"
 )
 
 func fail(format string, v ...any) {
 	fmt.Fprintf(os.Stderr, "qeiserve: "+format+"\n", v...)
 	os.Exit(1)
-}
-
-func parseScheme(name string) (qei.Scheme, bool) {
-	switch name {
-	case "core":
-		return qei.CoreIntegrated, true
-	case "cha-tlb":
-		return qei.CHATLB, true
-	case "cha-notlb":
-		return qei.CHANoTLB, true
-	case "device-direct":
-		return qei.DeviceDirect, true
-	case "device-indirect":
-		return qei.DeviceIndirect, true
-	}
-	return 0, false
 }
 
 // output is the -json document: the shared stream description plus one
@@ -135,16 +120,16 @@ func main() {
 	jsonFlag := flag.Bool("json", false, "emit the per-tenant reports as machine-readable JSON")
 	flag.Parse()
 
-	scheme, ok := parseScheme(*schemeFlag)
-	if !ok {
-		fail("unknown scheme %q", *schemeFlag)
+	sch, err := scheme.Parse(*schemeFlag)
+	if err != nil {
+		fail("%v", err)
 	}
 	kind, err := qei.ParseStructKind(*kindFlag)
 	if err != nil {
 		fail("%v", err)
 	}
 	cfg := qei.ServingConfig{
-		Scheme:         scheme,
+		Scheme:         sch,
 		Tenants:        *tenantsFlag,
 		Requests:       *requestsFlag,
 		KeysPerTenant:  *keysFlag,
@@ -249,7 +234,7 @@ func main() {
 		}
 	}
 
-	out := output{Experiment: "serving", Scheme: scheme.String(), Gen: gen}
+	out := output{Experiment: "serving", Scheme: sch.String(), Gen: gen}
 	for _, name := range backends {
 		c := cfg
 		c.Backend = name

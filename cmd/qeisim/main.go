@@ -153,9 +153,9 @@ func main() {
 	case "software":
 		run, err = workload.RunBaseline(bench, mode, opts...)
 	default:
-		k, ok := parseKind(*schemeFlag)
-		if !ok {
-			fail("unknown scheme %q", *schemeFlag)
+		k, perr := scheme.Parse(*schemeFlag)
+		if perr != nil {
+			fail("%v", perr)
 		}
 		if *nbFlag {
 			run, err = workload.RunQEINonBlocking(bench, k, 32, opts...)
@@ -163,7 +163,7 @@ func main() {
 			// The description also sizes the accelerator (QST entries,
 			// comparators, TLB, device latency) under the chosen scheme.
 			d := *desc
-			d.Scheme = hwdesc.SchemeName(k)
+			d.Scheme = k.Name()
 			params, perr := d.SchemeParams()
 			if perr != nil {
 				fail("-machine: %v", perr)
@@ -210,22 +210,6 @@ func main() {
 	if run.Mismatches != 0 {
 		os.Exit(1)
 	}
-}
-
-func parseKind(name string) (scheme.Kind, bool) {
-	switch name {
-	case "core":
-		return scheme.CoreIntegrated, true
-	case "cha-tlb":
-		return scheme.CHATLB, true
-	case "cha-notlb":
-		return scheme.CHANoTLB, true
-	case "device-direct":
-		return scheme.DeviceDirect, true
-	case "device-indirect":
-		return scheme.DeviceIndirect, true
-	}
-	return 0, false
 }
 
 // runAllSchemes fans the software baseline and every integration scheme
@@ -276,9 +260,9 @@ func runAllSchemes(bench workload.Benchmark, mode workload.Mode, nb bool, par in
 }
 
 func runMultiCore(bench workload.Benchmark, schemeName string, cores int) {
-	k, ok := parseKind(schemeName)
-	if !ok {
-		fail("multi-core mode needs an accelerator scheme, got %q", schemeName)
+	k, err := scheme.Parse(schemeName)
+	if err != nil {
+		fail("multi-core mode needs an accelerator scheme: %v", err)
 	}
 	r, err := workload.RunMultiCore(bench, k, cores)
 	if err != nil {

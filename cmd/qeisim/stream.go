@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"qei"
+	"qei/internal/scheme"
 )
 
 // runStreamSmoke is the -stream mode: a short epoch-consistency smoke
@@ -13,12 +14,12 @@ import (
 // any model mismatch, read-after-retire violation, or replay
 // divergence.
 func runStreamSmoke(schemeName, machine string) {
-	scheme, ok := parseRootScheme(schemeName)
-	if !ok {
-		fail("-stream needs an accelerator scheme, got %q", schemeName)
+	sch, err := scheme.Parse(schemeName)
+	if err != nil {
+		fail("-stream needs an accelerator scheme: %v", err)
 	}
 	base := qei.DefaultStreamConfig()
-	base.Scheme = scheme
+	base.Scheme = sch
 	if machine != "" {
 		spec, err := qei.LoadMachineSpec(machine)
 		if err != nil {
@@ -39,7 +40,7 @@ func runStreamSmoke(schemeName, machine string) {
 		{qei.KindBTree, 0},
 	}
 	fmt.Printf("stream smoke  scheme=%s ops=%d writes=%.0f%% window=%d\n",
-		scheme, base.Ops, base.WriteFraction*100, base.Window)
+		sch, base.Ops, base.WriteFraction*100, base.Window)
 	var last *qei.StreamReport
 	var lastCfg qei.StreamConfig
 	for _, k := range kinds {
@@ -68,22 +69,4 @@ func runStreamSmoke(schemeName, machine string) {
 		fail("stream not deterministic: %016x vs %016x", again.Digest, last.Digest)
 	}
 	fmt.Printf("replay        digest identical (%016x)\n", again.Digest)
-}
-
-// parseRootScheme maps a scheme name to the public API's Scheme (the
-// rest of qeisim uses the internal scheme.Kind).
-func parseRootScheme(name string) (qei.Scheme, bool) {
-	switch name {
-	case "core":
-		return qei.CoreIntegrated, true
-	case "cha-tlb":
-		return qei.CHATLB, true
-	case "cha-notlb":
-		return qei.CHANoTLB, true
-	case "device-direct":
-		return qei.DeviceDirect, true
-	case "device-indirect":
-		return qei.DeviceIndirect, true
-	}
-	return 0, false
 }

@@ -5,11 +5,9 @@
 // pipelined CFA execution of Sec. IV-B), alongside cache accesses, page
 // walks, NoC transfers, and CHA remote compares on their own tracks.
 //
-// -spans restricts the output to the legacy query-span-only view.
-//
 // Usage:
 //
-//	qeitrace [-queries 64] [-scheme core|cha-tlb|...] [-table skiplist|cuckoo|...] [-o trace.json] [-spans]
+//	qeitrace [-queries 64] [-scheme core|cha-tlb|...] [-table skiplist|cuckoo|...] [-o trace.json]
 package main
 
 import (
@@ -19,6 +17,7 @@ import (
 	"os"
 
 	"qei"
+	"qei/internal/scheme"
 )
 
 func main() {
@@ -26,23 +25,11 @@ func main() {
 	schemeFlag := flag.String("scheme", "core", "integration scheme")
 	tableFlag := flag.String("table", "skiplist", "structure to trace: skiplist, cuckoo, hashtable, bst, btree, linkedlist")
 	outFlag := flag.String("o", "", "output file (default stdout)")
-	spansFlag := flag.Bool("spans", false, "export only the legacy query-span view, not the unified timeline")
 	flag.Parse()
 
-	var sch qei.Scheme
-	switch *schemeFlag {
-	case "core":
-		sch = qei.CoreIntegrated
-	case "cha-tlb":
-		sch = qei.CHATLB
-	case "cha-notlb":
-		sch = qei.CHANoTLB
-	case "device-direct":
-		sch = qei.DeviceDirect
-	case "device-indirect":
-		sch = qei.DeviceIndirect
-	default:
-		fmt.Fprintf(os.Stderr, "qeitrace: unknown scheme %q\n", *schemeFlag)
+	sch, err := scheme.Parse(*schemeFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "qeitrace: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -52,13 +39,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	sysOpts := []qei.Option{qei.WithQuerySpans()}
-	if !*spansFlag {
-		// Unified timeline: ExportTrace then renders every component's
-		// events, not just the accelerator's query spans.
-		sysOpts = append(sysOpts, qei.WithTimeline())
-	}
-	sys := qei.NewSystem(sch, sysOpts...)
+	sys := qei.NewSystem(sch, qei.WithTimeline())
 	rng := rand.New(rand.NewSource(1))
 	keys := make([][]byte, 2048)
 	vals := make([]uint64, len(keys))

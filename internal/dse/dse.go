@@ -28,6 +28,7 @@ import (
 	"qei/internal/hwdesc"
 	"qei/internal/power"
 	"qei/internal/runner"
+	"qei/internal/scheme"
 	"qei/internal/workload"
 )
 
@@ -118,8 +119,8 @@ func ParseAxes(spec string) (Axes, error) {
 		case "scheme":
 			for _, it := range items {
 				s := strings.TrimSpace(it)
-				if _, err := hwdesc.SchemeKind(s); err != nil {
-					return a, err
+				if _, err := scheme.Parse(s); err != nil {
+					return a, fmt.Errorf("%w: %v", hwdesc.ErrBadConfig, err)
 				}
 				a.Schemes = append(a.Schemes, s)
 			}

@@ -108,38 +108,17 @@ type Description struct {
 	TechNodeNM int `json:"tech_node_nm"`
 }
 
-// SchemeKind resolves a Description scheme name to its internal kind.
-func SchemeKind(name string) (scheme.Kind, error) {
-	switch name {
-	case "core", "":
+// schemeKind resolves the description's scheme name; "" means the
+// Core-integrated default.
+func (d Description) schemeKind() (scheme.Kind, error) {
+	if d.Scheme == "" {
 		return scheme.CoreIntegrated, nil
-	case "cha-tlb":
-		return scheme.CHATLB, nil
-	case "cha-notlb":
-		return scheme.CHANoTLB, nil
-	case "device-direct":
-		return scheme.DeviceDirect, nil
-	case "device-indirect":
-		return scheme.DeviceIndirect, nil
 	}
-	return 0, fmt.Errorf("%w: unknown scheme %q", ErrBadConfig, name)
-}
-
-// SchemeName is the inverse of SchemeKind.
-func SchemeName(k scheme.Kind) string {
-	switch k {
-	case scheme.CoreIntegrated:
-		return "core"
-	case scheme.CHATLB:
-		return "cha-tlb"
-	case scheme.CHANoTLB:
-		return "cha-notlb"
-	case scheme.DeviceDirect:
-		return "device-direct"
-	case scheme.DeviceIndirect:
-		return "device-indirect"
+	k, err := scheme.Parse(d.Scheme)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	return fmt.Sprintf("scheme(%d)", int(k))
+	return k, nil
 }
 
 // Default returns the Tab. II machine — 24 Skylake-SP-like cores on a
@@ -176,7 +155,7 @@ func Default() Description {
 // under the given scheme, matching scheme.ForKind(k) exactly.
 func ForScheme(k scheme.Kind) Description {
 	d := Default()
-	d.Scheme = SchemeName(k)
+	d.Scheme = k.Name()
 	d.Name = "tab2-" + d.Scheme
 	p := scheme.ForKind(k)
 	d.QST = QST{Entries: p.QSTEntriesPerInstance, Comparators: p.ComparatorsPerSite}
@@ -191,23 +170,19 @@ func (d Description) WithDataLatency(lat uint64) Description {
 	return d
 }
 
-// Presets lists the named machine descriptions, one per topology the
-// experiments previously hard-coded.
+// Presets lists the named machine descriptions: "default", then one
+// Tab. II machine per integration scheme, in scheme.Kind order.
 func Presets() []string {
-	return []string{"default", "core", "cha-tlb", "cha-notlb", "device-direct", "device-indirect"}
+	return append([]string{"default"}, scheme.Names()...)
 }
 
 // Preset returns a named description: "default" (== "core") or one of
 // the per-scheme Tab. II machines.
 func Preset(name string) (Description, error) {
-	switch name {
-	case "default":
+	if name == "default" {
 		return Default(), nil
-	case "core", "cha-tlb", "cha-notlb", "device-direct", "device-indirect":
-		k, err := SchemeKind(name)
-		if err != nil {
-			return Description{}, err
-		}
+	}
+	if k, err := scheme.Parse(name); err == nil {
 		return ForScheme(k), nil
 	}
 	return Description{}, fmt.Errorf("%w: unknown preset %q (have %s)",
@@ -324,7 +299,7 @@ func (d Description) Validate() error {
 			return err
 		}
 	}
-	if _, err := SchemeKind(d.Scheme); err != nil {
+	if _, err := d.schemeKind(); err != nil {
 		return err
 	}
 	if d.QST.Entries < 1 {
@@ -378,10 +353,10 @@ func tlbConfig(t TLB) tlb.Config {
 // SchemeParams materializes the accelerator half: the named scheme's
 // paper parameter set with the description's QST capacity, comparator
 // count, accelerator-TLB geometry, and device-interface latency applied.
-// Distributed CHA schemes get one instance per LLC slice, so the
-// instance count follows the core count.
+// Tile-placed schemes get one instance per LLC slice, so the instance
+// count follows the core count.
 func (d Description) SchemeParams() (scheme.Params, error) {
-	k, err := SchemeKind(d.Scheme)
+	k, err := d.schemeKind()
 	if err != nil {
 		return scheme.Params{}, err
 	}
@@ -398,9 +373,9 @@ func (d Description) SchemeParams() (scheme.Params, error) {
 	if d.ExtraDataLatency > 0 {
 		p.ExtraDataLatency = d.ExtraDataLatency
 	}
-	// One accelerator per CHA/slice tile — and there is one tile per
-	// core, so a smaller chip has fewer distributed instances.
-	if k == scheme.CHATLB || k == scheme.CHANoTLB {
+	// There is one tile per core, so a smaller chip has fewer
+	// distributed instances.
+	if p.Placement == scheme.PlaceTile {
 		p.Instances = d.Cores
 	}
 	return p, nil

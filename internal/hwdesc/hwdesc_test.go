@@ -52,10 +52,7 @@ func TestDefaultMatchesMachineDefault(t *testing.T) {
 		t.Errorf("Default().MachineConfig() = %+v, want %+v", got, want)
 	}
 
-	for _, k := range []scheme.Kind{
-		scheme.CoreIntegrated, scheme.CHATLB, scheme.CHANoTLB,
-		scheme.DeviceDirect, scheme.DeviceIndirect,
-	} {
+	for _, k := range scheme.Kinds() {
 		p, err := ForScheme(k).SchemeParams()
 		if err != nil {
 			t.Fatalf("%v: SchemeParams: %v", k, err)
@@ -72,6 +69,12 @@ func TestPresetsAndLoad(t *testing.T) {
 	}
 	if _, err := Load("no-such-file.json"); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("Load(missing file) error = %v, want ErrBadConfig", err)
+	}
+	for _, k := range scheme.Kinds() {
+		d, err := Preset(k.Name())
+		if err != nil || d.Scheme != k.Name() {
+			t.Errorf("Preset(%q) = %q, %v", k.Name(), d.Scheme, err)
+		}
 	}
 
 	// A preset written to disk loads back equal.

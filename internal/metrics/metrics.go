@@ -1,15 +1,15 @@
 // Package metrics is the simulator-wide metrics registry: a hierarchical
-// namespace of typed counters, gauges, and histograms that every
-// simulated component (cores, caches, TLBs, NoC, memory, the QEI
-// accelerator) publishes its activity into, so experiments can ask
+// namespace of typed counters and gauges that every simulated component
+// (cores, caches, TLBs, NoC, memory, the QEI accelerator) publishes its
+// activity into, so experiments can ask
 // "where did the cycles go" with one snapshot instead of reaching into
 // package-specific stats structs.
 //
 // Design constraints, in order:
 //
 //  1. Zero cost when disabled. Handles are nil-safe: methods on a nil
-//     *Counter/*Gauge/*Histogram are no-ops, and a nil *Registry hands
-//     out nil handles, so instrumented hot paths pay only a predicted
+//     *Counter/*Gauge are no-ops, and a nil *Registry hands out nil
+//     handles, so instrumented hot paths pay only a predicted
 //     branch when observability is off. Pull-based metrics
 //     (RegisterFunc) cost nothing at all until Snapshot is taken.
 //  2. Determinism. All values are uint64 and Snapshot/Merge aggregate
@@ -44,8 +44,6 @@ const (
 	// KindGauge is a point-in-time level (merged by summation, like the
 	// counters, so parallel merges stay order-independent).
 	KindGauge
-	// KindHistogram is a bucketed distribution of uint64 observations.
-	KindHistogram
 )
 
 func (k Kind) String() string {
@@ -54,8 +52,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -111,41 +107,6 @@ func (g *Gauge) Value() uint64 {
 	return g.v
 }
 
-// Histogram is a bucketed distribution: Observe(v) increments the bucket
-// of the first bound >= v, or the overflow bucket. A nil Histogram is a
-// valid no-op handle.
-type Histogram struct {
-	name    string
-	bounds  []uint64 // ascending upper bounds; len(buckets) = len(bounds)+1
-	buckets []uint64
-	count   uint64
-	sum     uint64
-}
-
-// Observe records one value. No-op on a nil handle.
-func (h *Histogram) Observe(v uint64) {
-	if h == nil {
-		return
-	}
-	h.count++
-	h.sum += v
-	for i, b := range h.bounds {
-		if v <= b {
-			h.buckets[i]++
-			return
-		}
-	}
-	h.buckets[len(h.bounds)]++
-}
-
-// Count returns the number of observations (0 for a nil handle).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
 // funcMetric is a pull-based counter: fn is read at Snapshot time, so
 // components with existing stats fields publish them without touching
 // their hot paths at all.
@@ -159,7 +120,6 @@ type funcMetric struct {
 type registryCore struct {
 	counters []*Counter
 	gauges   []*Gauge
-	hists    []*Histogram
 	funcs    []funcMetric
 }
 
@@ -219,19 +179,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram registers and returns a histogram with the given ascending
-// bucket bounds (nil on a nil registry).
-func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	bs := make([]uint64, len(bounds))
-	copy(bs, bounds)
-	h := &Histogram{name: r.join(name), bounds: bs, buckets: make([]uint64, len(bs)+1)}
-	r.core.hists = append(r.core.hists, h)
-	return h
-}
-
 // RegisterFunc registers a pull-based counter evaluated at Snapshot
 // time. This is how components expose pre-existing stats fields with
 // zero hot-path changes. No-op on a nil registry.
@@ -244,16 +191,9 @@ func (r *Registry) RegisterFunc(name string, fn func() uint64) {
 
 // Sample is one named value in a Snapshot.
 type Sample struct {
-	Name string
-	Kind Kind
-	// Value is the counter/gauge value, or the histogram observation
-	// count.
+	Name  string
+	Kind  Kind
 	Value uint64
-	// Sum is the histogram's sum of observations (0 otherwise).
-	Sum uint64
-	// Bounds/Buckets carry the histogram shape (nil otherwise).
-	Bounds  []uint64
-	Buckets []uint64
 }
 
 // Snapshot is a point-in-time reading of a registry, sorted by name.
@@ -276,44 +216,24 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, f := range r.core.funcs {
 		s = append(s, Sample{Name: f.name, Kind: KindCounter, Value: f.fn()})
 	}
-	for _, h := range r.core.hists {
-		bounds := make([]uint64, len(h.bounds))
-		copy(bounds, h.bounds)
-		buckets := make([]uint64, len(h.buckets))
-		copy(buckets, h.buckets)
-		s = append(s, Sample{Name: h.name, Kind: KindHistogram,
-			Value: h.count, Sum: h.sum, Bounds: bounds, Buckets: buckets})
-	}
 	return Merge(s)
 }
 
 // Merge combines snapshots by summing same-named samples. Summation is
 // commutative and associative, so the result is identical for any input
 // order — the property the parallel experiment runner relies on.
-// Histograms merge bucket-wise when their bounds match; mismatched
-// bounds fall back to count/sum merging with the first-seen shape.
 func Merge(snaps ...Snapshot) Snapshot {
 	byName := make(map[string]*Sample)
 	var names []string
 	for _, snap := range snaps {
-		for i := range snap {
-			in := snap[i]
-			acc, ok := byName[in.Name]
-			if !ok {
-				cp := in
-				cp.Bounds = append([]uint64(nil), in.Bounds...)
-				cp.Buckets = append([]uint64(nil), in.Buckets...)
-				byName[in.Name] = &cp
-				names = append(names, in.Name)
+		for _, in := range snap {
+			if acc, ok := byName[in.Name]; ok {
+				acc.Value += in.Value
 				continue
 			}
-			acc.Value += in.Value
-			acc.Sum += in.Sum
-			if len(acc.Buckets) == len(in.Buckets) && boundsEqual(acc.Bounds, in.Bounds) {
-				for b := range in.Buckets {
-					acc.Buckets[b] += in.Buckets[b]
-				}
-			}
+			cp := in
+			byName[in.Name] = &cp
+			names = append(names, in.Name)
 		}
 	}
 	sort.Strings(names)
@@ -322,18 +242,6 @@ func Merge(snaps ...Snapshot) Snapshot {
 		out = append(out, *byName[n])
 	}
 	return out
-}
-
-func boundsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Get returns the sample with the given name.
@@ -356,7 +264,7 @@ func (s Snapshot) Value(name string) uint64 {
 func (s Snapshot) NonZero() Snapshot {
 	var out Snapshot
 	for _, sm := range s {
-		if sm.Value != 0 || sm.Sum != 0 {
+		if sm.Value != 0 {
 			out = append(out, sm)
 		}
 	}
@@ -368,12 +276,7 @@ func (s Snapshot) NonZero() Snapshot {
 func (s Snapshot) String() string {
 	var b strings.Builder
 	for _, sm := range s {
-		switch sm.Kind {
-		case KindHistogram:
-			fmt.Fprintf(&b, "%s count=%d sum=%d\n", sm.Name, sm.Value, sm.Sum)
-		default:
-			fmt.Fprintf(&b, "%s %d\n", sm.Name, sm.Value)
-		}
+		fmt.Fprintf(&b, "%s %d\n", sm.Name, sm.Value)
 	}
 	return b.String()
 }

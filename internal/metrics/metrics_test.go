@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeHistogram(t *testing.T) {
+func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("core0/rob/stall_cycles")
 	c.Add(10)
@@ -17,26 +17,9 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if got := g.Value(); got != 375 {
 		t.Fatalf("gauge value = %d, want 375", got)
 	}
-	h := r.Histogram("qei/query_latency", []uint64{10, 100})
-	h.Observe(5)
-	h.Observe(50)
-	h.Observe(500)
-	if got := h.Count(); got != 3 {
-		t.Fatalf("histogram count = %d, want 3", got)
-	}
-	s := r.Snapshot()
-	sm, ok := s.Get("qei/query_latency")
-	if !ok {
-		t.Fatal("histogram missing from snapshot")
-	}
-	if sm.Sum != 555 {
-		t.Fatalf("histogram sum = %d, want 555", sm.Sum)
-	}
-	want := []uint64{1, 1, 1}
-	for i, b := range sm.Buckets {
-		if b != want[i] {
-			t.Fatalf("bucket[%d] = %d, want %d", i, b, want[i])
-		}
+	sm, ok := r.Snapshot().Get("qst/occupancy_milli")
+	if !ok || sm.Kind != KindGauge || sm.Value != 375 {
+		t.Fatalf("gauge sample = %+v, %v", sm, ok)
 	}
 }
 
@@ -47,17 +30,15 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 	c := r.Counter("x")
 	g := r.Gauge("y")
-	h := r.Histogram("z", []uint64{1})
-	if c != nil || g != nil || h != nil {
+	if c != nil || g != nil {
 		t.Fatal("nil registry returned non-nil handles")
 	}
 	// None of these may panic.
 	c.Add(1)
 	c.Inc()
 	g.Set(2)
-	h.Observe(3)
 	r.RegisterFunc("f", func() uint64 { return 1 })
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil handles returned non-zero values")
 	}
 	if snap := r.Snapshot(); snap != nil {
@@ -105,12 +86,12 @@ func TestDuplicateNamesSumAtSnapshot(t *testing.T) {
 func TestMergeOrderIndependent(t *testing.T) {
 	a := Snapshot{
 		{Name: "a", Kind: KindCounter, Value: 1},
-		{Name: "h", Kind: KindHistogram, Value: 2, Sum: 30, Bounds: []uint64{10}, Buckets: []uint64{1, 1}},
+		{Name: "g", Kind: KindGauge, Value: 2},
 	}
 	b := Snapshot{
 		{Name: "a", Kind: KindCounter, Value: 10},
 		{Name: "b", Kind: KindCounter, Value: 5},
-		{Name: "h", Kind: KindHistogram, Value: 1, Sum: 5, Bounds: []uint64{10}, Buckets: []uint64{1, 0}},
+		{Name: "g", Kind: KindGauge, Value: 1},
 	}
 	ab := Merge(a, b).String()
 	ba := Merge(b, a).String()
@@ -121,9 +102,8 @@ func TestMergeOrderIndependent(t *testing.T) {
 	if got := m.Value("a"); got != 11 {
 		t.Fatalf("merged a = %d, want 11", got)
 	}
-	hm, _ := m.Get("h")
-	if hm.Value != 3 || hm.Sum != 35 || hm.Buckets[0] != 2 || hm.Buckets[1] != 1 {
-		t.Fatalf("merged histogram = %+v", hm)
+	if gm, _ := m.Get("g"); gm.Value != 3 || gm.Kind != KindGauge {
+		t.Fatalf("merged gauge = %+v", gm)
 	}
 	// Merge must not mutate its inputs.
 	if a[0].Value != 1 || b[0].Value != 10 {

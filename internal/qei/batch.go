@@ -428,8 +428,7 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 		if res.Done > batchDone {
 			batchDone = res.Done
 		}
-		a.recordSpan(Span{Tag: w.tag, Start: start, End: res.Done,
-			Instance: a.instanceIndex(ins), Slot: int(slot)})
+		a.querySpan(start, res.Done, ins, slot, false)
 	}
 
 	ins.qstRing[slot] = batchDone

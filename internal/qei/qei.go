@@ -212,9 +212,6 @@ type Accelerator struct {
 	// nbInFlight tracks non-blocking queries for interrupt flushes.
 	nbInFlight map[uint64]nbRecord
 
-	// traceOn/spans collect query timelines for ExportChromeTrace.
-	traceOn bool
-	spans   []Span
 	// tr is the unified event tracer (SetTracer); nil disables emission.
 	tr *trace.Tracer
 	// remoteOps are per-slice cha<i>/cmp/remote_ops counters
@@ -328,14 +325,12 @@ func New(m *machine.Machine, p scheme.Params, reg *cfa.Registry, core int) *Acce
 			idx:     i,
 			qstRing: make([]uint64, p.QSTEntriesPerInstance),
 		}
-		switch p.Kind {
-		case scheme.CoreIntegrated:
+		switch p.Placement {
+		case scheme.PlaceCore:
 			ins.stop = m.Hier.CoreStop(core)
-		case scheme.CHATLB, scheme.CHANoTLB:
-			ins.stop = noc.Stop(i) // one per CHA/slice tile
-		default:
-			// Device schemes occupy a dedicated stop: the last mesh stop
-			// (a corner, maximizing average distance — the hotspot).
+		case scheme.PlaceTile:
+			ins.stop = noc.Stop(i)
+		case scheme.PlaceDevice:
 			ins.stop = noc.Stop(m.Mesh.Stops() - 1)
 		}
 		if p.Translation == scheme.TransDedicated {
@@ -575,17 +570,17 @@ func putLE(b []byte, v uint64) {
 }
 
 // requestHop charges the NoC transfer from the serving core to the
-// instance at cycle at (zero-distance for Core-integrated, whose QST
-// sits by the L2).
+// instance at cycle at (zero-distance for a core-placed QST, which sits
+// by the L2).
 func (a *Accelerator) requestHop(ins *instance, bytes, at uint64) uint64 {
-	if a.p.Kind == scheme.CoreIntegrated {
+	if a.p.Placement == scheme.PlaceCore {
 		return 0
 	}
 	return a.m.Mesh.SendAt(a.m.Hier.CoreStop(a.core), ins.stop, bytes, at)
 }
 
 func (a *Accelerator) responseHop(ins *instance, bytes, at uint64) uint64 {
-	if a.p.Kind == scheme.CoreIntegrated {
+	if a.p.Placement == scheme.PlaceCore {
 		return 0
 	}
 	return a.m.Mesh.SendAt(ins.stop, a.m.Hier.CoreStop(a.core), bytes, at)
@@ -761,8 +756,7 @@ func (a *Accelerator) execute(ins *instance, qd *isa.QueryDesc, t0 uint64) uint6
 	a.results[qd.Tag] = res
 	ins.qstRing[slot] = t
 	a.noteFinish(start, t)
-	a.recordSpan(Span{Tag: qd.Tag, Start: start, End: t,
-		Instance: a.instanceIndex(ins), Slot: int(slot), Fault: res.Fault != nil})
+	a.querySpan(start, t, ins, slot, res.Fault != nil)
 	return t
 }
 

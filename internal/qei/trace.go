@@ -1,34 +1,13 @@
 package qei
 
-import (
-	"fmt"
-
-	"qei/internal/trace"
-)
+import "qei/internal/trace"
 
 // Query-timeline tracing. The accelerator's per-query spans ride on the
 // simulator-wide tracer (internal/trace): when one is attached via
 // SetTracer, every query emits a span on its QST instance's track, CHA
 // remote comparisons emit spans on the owning slice's track, and
 // dedicated-TLB page walks emit spans from the tlb package — all on one
-// interleaved timeline. EnableTracing/Spans remain as a lightweight
-// span-only collection mode for callers that want just the QST picture.
-
-// Span is one traced query.
-type Span struct {
-	Tag      uint64
-	Start    uint64
-	End      uint64
-	Instance int
-	Slot     int
-	Fault    bool
-}
-
-// EnableTracing starts span collection (cleared of prior spans).
-func (a *Accelerator) EnableTracing() {
-	a.traceOn = true
-	a.spans = nil
-}
+// interleaved timeline.
 
 // SetTracer attaches the unified event tracer: query spans, CHA
 // remote-compare spans, and dedicated-TLB page walks are emitted on it.
@@ -42,47 +21,15 @@ func (a *Accelerator) SetTracer(tr *trace.Tracer) {
 	}
 }
 
-// Spans returns the collected spans in issue order.
-func (a *Accelerator) Spans() []Span {
-	out := make([]Span, len(a.spans))
-	copy(out, a.spans)
-	return out
-}
-
-func (a *Accelerator) recordSpan(s Span) {
-	if a.traceOn {
-		a.spans = append(a.spans, s)
+// querySpan emits one query's issue→completion span on its QST slot's
+// row; a faulting query carries an !EXCEPTION suffix.
+func (a *Accelerator) querySpan(start, end uint64, ins *instance, slot uint64, fault bool) {
+	if a.tr == nil {
+		return
 	}
-	if a.tr != nil {
-		name := "query"
-		if s.Fault {
-			name = "query!EXCEPTION"
-		}
-		a.tr.Span("qst", name, s.Start, s.End, trace.PidQST(s.Instance), s.Slot, nil)
+	name := "query"
+	if fault {
+		name = "query!EXCEPTION"
 	}
-}
-
-// ExportChromeTrace renders spans as a Chrome trace-event JSON document
-// (the {"traceEvents":[...]} object form Perfetto and chrome://tracing
-// accept), via the shared exporter in internal/trace. Rows (tid) are QST
-// slots within instances (pid), so the viewer shows each entry's
-// occupancy timeline; faulting queries carry an !EXCEPTION suffix.
-func ExportChromeTrace(spans []Span) string {
-	evs := make([]trace.Event, 0, len(spans))
-	for _, s := range spans {
-		name := fmt.Sprintf("query-%d", s.Tag)
-		if s.Fault {
-			name += "!EXCEPTION"
-		}
-		dur := s.End - s.Start
-		if dur == 0 {
-			dur = 1
-		}
-		evs = append(evs, trace.Event{
-			Name: name, Cat: "qst", Phase: trace.Complete,
-			TS: s.Start, Dur: dur,
-			Pid: trace.PidQST(s.Instance), Tid: s.Slot,
-		})
-	}
-	return trace.ExportChromeTrace(evs)
+	a.tr.Span("qst", name, start, end, trace.PidQST(a.instanceIndex(ins)), int(slot), nil)
 }

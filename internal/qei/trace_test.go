@@ -1,20 +1,30 @@
 package qei
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"qei/internal/dstruct"
 	"qei/internal/isa"
 	"qei/internal/scheme"
+	"qei/internal/trace"
 )
+
+// qstSpans returns the query spans (category "qst") a tracer recorded.
+func qstSpans(tr *trace.Tracer) []trace.Event {
+	var out []trace.Event
+	for _, e := range tr.Events() {
+		if e.Cat == "qst" {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 func TestTracingSpansAndExport(t *testing.T) {
 	m, a := newAccel(t, scheme.CoreIntegrated)
-	a.EnableTracing()
+	tr := trace.New(0)
+	a.SetTracer(tr)
 	keys, vals := genKeys(50, 16, 60)
 	ck := dstruct.BuildCuckoo(m.AS, 64, 4, 5, keys, vals)
 	for i := 0; i < 20; i++ {
@@ -23,26 +33,26 @@ func TestTracingSpansAndExport(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	spans := a.Spans()
+	spans := qstSpans(tr)
 	if len(spans) != 20 {
 		t.Fatalf("spans = %d, want 20", len(spans))
 	}
-	for _, s := range spans {
-		if s.End < s.Start {
-			t.Fatalf("span %d ends before start", s.Tag)
+	for i, s := range spans {
+		if s.Phase != trace.Complete {
+			t.Fatalf("span %d has phase %c, want a complete span", i, s.Phase)
 		}
-		if s.Fault {
-			t.Fatalf("span %d unexpectedly faulted", s.Tag)
+		if s.Name != "query" {
+			t.Fatalf("span %d named %q — unexpectedly faulted?", i, s.Name)
 		}
-		if s.Slot < 0 || s.Slot >= 10 {
-			t.Fatalf("span %d in slot %d — QST has 10", s.Tag, s.Slot)
+		if s.Tid < 0 || s.Tid >= 10 {
+			t.Fatalf("span %d in slot %d — QST has 10", i, s.Tid)
 		}
 	}
 	// Overlap: with all 20 issued at cycle 0, at least two spans overlap.
 	overlap := false
 	for i := range spans {
 		for j := i + 1; j < len(spans); j++ {
-			if spans[i].Start < spans[j].End && spans[j].Start < spans[i].End {
+			if spans[i].TS < spans[j].TS+spans[j].Dur && spans[j].TS < spans[i].TS+spans[i].Dur {
 				overlap = true
 			}
 		}
@@ -50,89 +60,40 @@ func TestTracingSpansAndExport(t *testing.T) {
 	if !overlap {
 		t.Fatal("no overlapping spans — QST parallelism invisible")
 	}
-
-	// The export must be valid JSON in the Chrome trace-event object form
-	// ({"traceEvents":[...]}, accepted by chrome://tracing and Perfetto).
-	doc := ExportChromeTrace(spans)
-	var parsed struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(doc), &parsed); err != nil {
-		t.Fatalf("trace not valid JSON: %v\n%s", err, doc)
-	}
-	if len(parsed.TraceEvents) != 20 {
-		t.Fatalf("trace has %d events", len(parsed.TraceEvents))
-	}
-	if parsed.TraceEvents[0]["ph"] != "X" {
-		t.Fatal("events must be complete spans (ph=X)")
-	}
 }
 
 func TestTracingFaultMarked(t *testing.T) {
 	m, a := newAccel(t, scheme.CoreIntegrated)
-	a.EnableTracing()
+	tr := trace.New(0)
+	a.SetTracer(tr)
 	key := stage(m, make([]byte, 8))
 	if _, err := a.IssueBlocking(&isa.QueryDesc{HeaderAddr: 0xbad0000, KeyAddr: key, Tag: 9}, 0); err != nil {
 		t.Fatal(err)
 	}
-	spans := a.Spans()
-	if len(spans) != 1 || !spans[0].Fault {
-		t.Fatalf("faulting span not recorded: %+v", spans)
+	spans := qstSpans(tr)
+	if len(spans) != 1 || !strings.HasSuffix(spans[0].Name, "!EXCEPTION") {
+		t.Fatalf("faulting span not marked: %+v", spans)
 	}
-	if !strings.Contains(ExportChromeTrace(spans), "EXCEPTION") {
+	if !strings.Contains(tr.Export(), "EXCEPTION") {
 		t.Fatal("fault not visible in export")
 	}
 }
 
-// TestExportChromeTraceGolden pins the exported bytes for a fixed span
-// set: field ordering, the qst category, PidQST track mapping, and the
-// EXCEPTION marker must not drift. Regenerate with UPDATE_GOLDEN=1.
-func TestExportChromeTraceGolden(t *testing.T) {
-	spans := []Span{
-		{Tag: 7, Start: 40, End: 95, Instance: 1, Slot: 4},
-		{Tag: 3, Start: 10, End: 60, Instance: 0, Slot: 2},
-		{Tag: 9, Start: 25, End: 25, Instance: 0, Slot: 3, Fault: true},
-	}
-	got := ExportChromeTrace(spans)
-
-	golden := filepath.Join("testdata", "chrome_trace_golden.json")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (set UPDATE_GOLDEN=1 to generate): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("export drifted from golden file\n--- got:\n%s--- want:\n%s", got, want)
-	}
-
-	// The golden document must itself satisfy the trace-event schema.
-	var parsed struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(got), &parsed); err != nil {
-		t.Fatalf("golden export not valid JSON: %v", err)
-	}
-	if len(parsed.TraceEvents) != 3 {
-		t.Fatalf("golden export has %d events, want 3", len(parsed.TraceEvents))
-	}
-}
-
+// TestTracingOffByDefault checks that queries emit spans only while a
+// tracer is attached: none before SetTracer, none after SetTracer(nil).
 func TestTracingOffByDefault(t *testing.T) {
 	m, a := newAccel(t, scheme.CoreIntegrated)
 	keys, vals := genKeys(5, 16, 61)
 	ck := dstruct.BuildCuckoo(m.AS, 16, 4, 5, keys, vals)
-	qd := &isa.QueryDesc{HeaderAddr: ck.HeaderAddr, KeyAddr: stage(m, keys[0]), Tag: 0}
-	if _, err := a.IssueBlocking(qd, 0); err != nil {
-		t.Fatal(err)
+	tr := trace.New(0)
+	for i, attach := range []*trace.Tracer{nil, tr, nil} {
+		a.SetTracer(attach)
+		qd := &isa.QueryDesc{HeaderAddr: ck.HeaderAddr, KeyAddr: stage(m, keys[i]), Tag: uint64(i)}
+		if _, err := a.IssueBlocking(qd, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(a.Spans()) != 0 {
-		t.Fatal("spans collected without EnableTracing")
+	if n := len(qstSpans(tr)); n != 1 {
+		t.Fatalf("recorded %d query spans, want only the traced query's", n)
 	}
 }

@@ -3,10 +3,16 @@
 // accelerator sits on the chip, how many in-flight queries it supports,
 // how it translates addresses, how it reaches data, and whether it can
 // dispatch key comparisons to the CHAs.
+//
+// It is the only package that knows what a scheme is: every name, every
+// parameter, and every Tab. I label lives in one table indexed by Kind.
+// The rest of the simulator reads the Params and never branches on a
+// Kind.
 package scheme
 
 import (
 	"fmt"
+	"strings"
 
 	"qei/internal/tlb"
 )
@@ -38,22 +44,21 @@ func Kinds() []Kind {
 	return []Kind{CHATLB, CHANoTLB, DeviceDirect, DeviceIndirect, CoreIntegrated}
 }
 
-func (k Kind) String() string {
-	switch k {
-	case CoreIntegrated:
-		return "Core-integrated"
-	case CHATLB:
-		return "CHA-TLB"
-	case CHANoTLB:
-		return "CHA-noTLB"
-	case DeviceDirect:
-		return "Device-direct"
-	case DeviceIndirect:
-		return "Device-indirect"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
+// Placement is where the accelerator's instances sit on the chip.
+type Placement int
+
+const (
+	// PlaceCore puts the accelerator beside the serving core's L2: the
+	// core reaches its QST without crossing the NoC.
+	PlaceCore Placement = iota
+	// PlaceTile puts one instance in every CHA/LLC tile, instance i at
+	// mesh stop i, so the instance count follows the core count.
+	PlaceTile
+	// PlaceDevice puts one centralized instance at the last mesh stop (a
+	// corner, maximizing average distance): every query crosses the NoC
+	// to the same stop, the hotspot of Tab. I.
+	PlaceDevice
+)
 
 // TranslationPath selects how the accelerator translates virtual
 // addresses (the crux of Challenge 3, Sec. II-B).
@@ -98,6 +103,8 @@ const (
 // Params is the complete description of one integration scheme.
 type Params struct {
 	Kind Kind
+	// Placement is where the instances sit on the chip.
+	Placement Placement
 	// QSTEntriesPerInstance is the in-flight query capacity of one
 	// accelerator instance (10 for CHA/core schemes, 240 for devices —
 	// Sec. VI-A).
@@ -126,21 +133,24 @@ type Params struct {
 	// ComparatorsPerSite bounds concurrent comparisons per CHA (2) or per
 	// device DPU (10) — Tab. II.
 	ComparatorsPerSite int
-	// HardwareCost is Tab. I's qualitative cost label.
-	HardwareCost string
-	// NoCHotspot marks schemes that concentrate traffic on one stop.
-	NoCHotspot bool
-	// Scalability is Tab. I's qualitative scalability label.
-	Scalability string
 }
 
-// ForKind returns the paper's configuration for a scheme (Sec. VI-A,
-// Tab. I, Tab. II).
-func ForKind(k Kind) Params {
-	switch k {
-	case CoreIntegrated:
-		return Params{
-			Kind:                  k,
+// info is one scheme's row of the table.
+type info struct {
+	// display is the paper's name; name is the CLI/JSON name.
+	display, name string
+	params        Params
+	// tab carries the scheme's Tab. I labels; TableI fills in the
+	// Scheme and NoCHotspot columns.
+	tab TableIRow
+}
+
+// table holds every scheme, indexed by Kind (Sec. VI-A, Tab. I, Tab. II).
+var table = [...]info{
+	CoreIntegrated: {
+		display: "Core-integrated", name: "core",
+		params: Params{
+			Placement:             PlaceCore,
 			QSTEntriesPerInstance: 10,
 			Instances:             1,
 			PortOverhead:          8, // Tab. I: 10–25 cycles core↔accel
@@ -149,12 +159,14 @@ func ForKind(k Kind) Params {
 			Data:                  DataViaL2,
 			RemoteCompare:         true,
 			ComparatorsPerSite:    2,
-			HardwareCost:          "Low",
-			Scalability:           "Good",
-		}
-	case CHATLB:
-		return Params{
-			Kind:                  k,
+		},
+		tab: TableIRow{AccelCoreCycles: "10-25", AccelDataCycles: "20-40",
+			HardwareCost: "Low", MemMgmt: "Shared", PrivatePollute: "No", Scalability: "Good"},
+	},
+	CHATLB: {
+		display: "CHA-TLB", name: "cha-tlb",
+		params: Params{
+			Placement:             PlaceTile,
 			QSTEntriesPerInstance: 10,
 			Instances:             24,
 			PortOverhead:          18, // Tab. I: 40–60 with NoC traversal
@@ -164,12 +176,14 @@ func ForKind(k Kind) Params {
 			Data:                  DataViaLLC,
 			RemoteCompare:         true,
 			ComparatorsPerSite:    2,
-			HardwareCost:          "Low (TLB-heavy)",
-			Scalability:           "Good",
-		}
-	case CHANoTLB:
-		return Params{
-			Kind:                  k,
+		},
+		tab: TableIRow{AccelCoreCycles: "40-60", AccelDataCycles: "10-50",
+			HardwareCost: "Low (TLB-heavy)", MemMgmt: "Dedicated", PrivatePollute: "No", Scalability: "Good"},
+	},
+	CHANoTLB: {
+		display: "CHA-noTLB", name: "cha-notlb",
+		params: Params{
+			Placement:             PlaceTile,
 			QSTEntriesPerInstance: 10,
 			Instances:             24,
 			PortOverhead:          18,
@@ -178,12 +192,14 @@ func ForKind(k Kind) Params {
 			Data:                  DataViaLLC,
 			RemoteCompare:         true,
 			ComparatorsPerSite:    2,
-			HardwareCost:          "Low",
-			Scalability:           "Good",
-		}
-	case DeviceDirect:
-		return Params{
-			Kind:                  k,
+		},
+		tab: TableIRow{AccelCoreCycles: "40-60", AccelDataCycles: "10-50",
+			HardwareCost: "Low", MemMgmt: "Shared", PrivatePollute: "No", Scalability: "Good"},
+	},
+	DeviceDirect: {
+		display: "Device-direct", name: "device-direct",
+		params: Params{
+			Placement:             PlaceDevice,
 			QSTEntriesPerInstance: 240, // 10 × 24 cores, Sec. VI-A
 			Instances:             1,
 			PortOverhead:          90, // Tab. I: 100–500 core↔accel
@@ -193,13 +209,14 @@ func ForKind(k Kind) Params {
 			Data:                  DataViaLLC,
 			RemoteCompare:         false,
 			ComparatorsPerSite:    10,
-			HardwareCost:          "Medium/High",
-			NoCHotspot:            true,
-			Scalability:           "Medium",
-		}
-	case DeviceIndirect:
-		return Params{
-			Kind:                  k,
+		},
+		tab: TableIRow{AccelCoreCycles: "100-500", AccelDataCycles: "100-500",
+			HardwareCost: "Medium/High", MemMgmt: "Dedicated", PrivatePollute: "No", Scalability: "Medium"},
+	},
+	DeviceIndirect: {
+		display: "Device-indirect", name: "device-indirect",
+		params: Params{
+			Placement:             PlaceDevice,
 			QSTEntriesPerInstance: 240,
 			Instances:             1,
 			PortOverhead:          280, // device-interface request path
@@ -210,13 +227,65 @@ func ForKind(k Kind) Params {
 			ExtraDataLatency:      300, // swept 50–2000 in Fig. 8
 			RemoteCompare:         false,
 			ComparatorsPerSite:    10,
-			HardwareCost:          "Medium/High",
-			NoCHotspot:            true,
-			Scalability:           "Medium",
+		},
+		tab: TableIRow{AccelCoreCycles: "100-500", AccelDataCycles: "100-500",
+			HardwareCost: "Medium/High", MemMgmt: "Dedicated", PrivatePollute: "No", Scalability: "Medium"},
+	},
+}
+
+// row returns k's table row, or nil for a value that names no scheme.
+func (k Kind) row() *info {
+	if k < 0 || int(k) >= len(table) {
+		return nil
+	}
+	return &table[k]
+}
+
+// String returns the paper's display name ("Core-integrated").
+func (k Kind) String() string {
+	if r := k.row(); r != nil {
+		return r.display
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// Name returns the CLI/JSON name ("core", "cha-tlb", ...).
+func (k Kind) Name() string {
+	if r := k.row(); r != nil {
+		return r.name
+	}
+	return fmt.Sprintf("scheme(%d)", int(k))
+}
+
+// Names lists the CLI/JSON names in Kind order.
+func Names() []string {
+	out := make([]string, len(table))
+	for i, r := range table {
+		out[i] = r.name
+	}
+	return out
+}
+
+// Parse resolves a CLI/JSON name to its scheme.
+func Parse(name string) (Kind, error) {
+	for i, r := range table {
+		if r.name == name {
+			return Kind(i), nil
 		}
-	default:
+	}
+	return 0, fmt.Errorf("unknown scheme %q (have %s)", name, strings.Join(Names(), ", "))
+}
+
+// ForKind returns the paper's configuration for a scheme (Sec. VI-A,
+// Tab. I, Tab. II).
+func ForKind(k Kind) Params {
+	r := k.row()
+	if r == nil {
 		panic(fmt.Sprintf("scheme: unknown kind %d", int(k)))
 	}
+	p := r.params
+	p.Kind = k
+	return p
 }
 
 // TableIRow summarizes a scheme for the Tab. I reproduction.
@@ -231,31 +300,19 @@ type TableIRow struct {
 	Scalability     string
 }
 
-// TableI returns the qualitative comparison of Tab. I derived from the
-// parameter sets.
+// TableI returns the qualitative comparison of Tab. I in the paper's
+// order; the NoC-hotspot column follows from each scheme's placement.
 func TableI() []TableIRow {
-	mk := func(k Kind, coreLat, dataLat, mgmt, pollute string) TableIRow {
-		p := ForKind(k)
-		hot := "No"
-		if p.NoCHotspot {
-			hot = "Yes"
+	var rows []TableIRow
+	for _, k := range Kinds() {
+		r := k.row()
+		row := r.tab
+		row.Scheme = r.display
+		row.NoCHotspot = "No"
+		if r.params.Placement == PlaceDevice {
+			row.NoCHotspot = "Yes"
 		}
-		return TableIRow{
-			Scheme:          k.String(),
-			AccelCoreCycles: coreLat,
-			AccelDataCycles: dataLat,
-			HardwareCost:    p.HardwareCost,
-			MemMgmt:         mgmt,
-			NoCHotspot:      hot,
-			PrivatePollute:  pollute,
-			Scalability:     p.Scalability,
-		}
+		rows = append(rows, row)
 	}
-	return []TableIRow{
-		mk(CHATLB, "40-60", "10-50", "Dedicated", "No"),
-		mk(CHANoTLB, "40-60", "10-50", "Shared", "No"),
-		mk(DeviceDirect, "100-500", "100-500", "Dedicated", "No"),
-		mk(DeviceIndirect, "100-500", "100-500", "Dedicated", "No"),
-		mk(CoreIntegrated, "10-25", "20-40", "Shared", "No"),
-	}
+	return rows
 }

@@ -94,14 +94,29 @@ func TestLatencyOverheadOrdering(t *testing.T) {
 	}
 }
 
-func TestHotspotFlags(t *testing.T) {
-	for _, k := range []Kind{DeviceDirect, DeviceIndirect} {
-		if !ForKind(k).NoCHotspot {
-			t.Fatalf("%s should be flagged as a NoC hotspot", k)
+// TestSchemeTable checks every row of the scheme table: names round-trip
+// through Parse, ForKind returns the row's own kind, and placement
+// matches the paper (one centralized device stop for the two device
+// schemes, the core's L2 only for Core-integrated).
+func TestSchemeTable(t *testing.T) {
+	for _, k := range Kinds() {
+		if got, err := Parse(k.Name()); err != nil || got != k {
+			t.Fatalf("Parse(%q) = %v, %v; want %s", k.Name(), got, err, k)
+		}
+		p := ForKind(k)
+		if p.Kind != k {
+			t.Fatalf("ForKind(%s).Kind = %s", k, p.Kind)
+		}
+		device := k == DeviceDirect || k == DeviceIndirect
+		if (p.Placement == PlaceDevice) != device {
+			t.Fatalf("%s placement %d: device placement is for the device schemes only", k, p.Placement)
+		}
+		if (p.Placement == PlaceCore) != (k == CoreIntegrated) {
+			t.Fatalf("%s placement %d: core placement is Core-integrated's alone", k, p.Placement)
 		}
 	}
-	if ForKind(CoreIntegrated).NoCHotspot {
-		t.Fatal("Core-integrated is distributed — no hotspot")
+	if _, err := Parse("nosuch"); err == nil {
+		t.Fatal("Parse accepted an unknown name")
 	}
 }
 
@@ -113,21 +128,6 @@ func TestTableIShape(t *testing.T) {
 	for _, r := range rows {
 		if r.Scheme == "" || r.AccelCoreCycles == "" || r.Scalability == "" {
 			t.Fatalf("incomplete row %+v", r)
-		}
-	}
-}
-
-func TestKindString(t *testing.T) {
-	want := map[Kind]string{
-		CoreIntegrated: "Core-integrated",
-		CHATLB:         "CHA-TLB",
-		CHANoTLB:       "CHA-noTLB",
-		DeviceDirect:   "Device-direct",
-		DeviceIndirect: "Device-indirect",
-	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Fatalf("Kind(%d).String() = %q, want %q", int(k), k.String(), s)
 		}
 	}
 }

@@ -12,12 +12,12 @@ import (
 )
 
 // Multi-core scalability experiment, backing the Scalability column of
-// Tab. I: K cores issue independent query streams concurrently. The
-// Core-integrated scheme instantiates one private accelerator per core
-// (its QST scales with the core count); the CHA-based schemes share the
-// 24 distributed instances; the Device-based schemes funnel every core
-// into one centralized accelerator whose comparators and QST become the
-// chokepoint.
+// Tab. I: K cores issue independent query streams concurrently. A
+// core-placed scheme (Core-integrated) instantiates one private
+// accelerator per core (its QST scales with the core count); tile-placed
+// schemes (CHA-based) share the 24 distributed instances; device-placed
+// schemes funnel every core into one centralized accelerator whose
+// comparators and QST become the chokepoint.
 
 // MultiCoreResult summarizes a scalability run.
 type MultiCoreResult struct {
@@ -52,15 +52,16 @@ func RunMultiCore(bench Benchmark, kind scheme.Kind, cores int) (MultiCoreResult
 	reg := cfa.DefaultRegistry()
 	res := MultiCoreResult{Scheme: kind.String(), Cores: cores}
 
-	// Accelerators: private per core for Core-integrated, shared views
-	// otherwise.
+	// Accelerators: private per core when placed beside the core, shared
+	// views otherwise.
+	p := scheme.ForKind(kind)
 	accels := make([]*qei.Accelerator, cores)
-	if kind == scheme.CoreIntegrated {
+	if p.Placement == scheme.PlaceCore {
 		for c := 0; c < cores; c++ {
-			accels[c] = qei.New(m, scheme.ForKind(kind), reg, c)
+			accels[c] = qei.New(m, p, reg, c)
 		}
 	} else {
-		base := qei.New(m, scheme.ForKind(kind), reg, 0)
+		base := qei.New(m, p, reg, 0)
 		accels[0] = base
 		for c := 1; c < cores; c++ {
 			accels[c] = base.ViewForCore(c)

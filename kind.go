@@ -139,9 +139,14 @@ var kindTable = [...]kindInfo{
 		build: func(s *System, keywords [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
 			return dstruct.BuildTrie(s.m.AS, keywords, values).HeaderAddr, 1
 		},
+		// Like the accelerator, a scan leaves its last match in Value.
 		walk: func(as *mem.AddressSpace, header mem.VAddr, input []byte) (Result, isa.Trace, error) {
 			sr, err := baseline.ScanTrie(as, header, input)
-			return Result{Found: len(sr.Matches) > 0, Matches: sr.Matches}, sr.Trace, err
+			res := Result{Found: len(sr.Matches) > 0, Matches: sr.Matches}
+			if res.Found {
+				res.Value = sr.Matches[len(sr.Matches)-1]
+			}
+			return res, sr.Trace, err
 		},
 	},
 	KindBTree: {

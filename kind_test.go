@@ -68,10 +68,10 @@ func TestStructKindRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A scan's answer is its match list; the accelerator also
-			// leaves the last match in Value, the software walker does not.
-			sameValue := k == KindTrie || hw.Value == sw.Value
-			if hw.Found != sw.Found || !sameValue || !slices.Equal(hw.Matches, sw.Matches) {
+			// Both paths return the same architectural result; only the
+			// latency differs.
+			if hw.Found != sw.Found || hw.Value != sw.Value || !slices.Equal(hw.Matches, sw.Matches) ||
+				hw.Err != sw.Err || hw.FellBack != sw.FellBack {
 				t.Fatalf("%s probe %q: accelerator %+v, software %+v", k, p, hw, sw)
 			}
 			if hw.Found {

@@ -245,17 +245,20 @@ func TestFig11SmallScale(t *testing.T) {
 }
 
 func TestPublicTracing(t *testing.T) {
-	sys := NewSystem(CoreIntegrated)
+	sys := NewSystem(CoreIntegrated, WithTimeline())
 	keys, vals := testKeys(64, 16, 70)
 	tb := mustBuild(t, sys, KindCuckoo, keys, vals)
-	sys.EnableTracing()
 	for i := 0; i < 12; i++ {
 		if _, err := sys.Query(tb, keys[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	doc := sys.ExportTrace()
-	if !strings.Contains(doc, `"ph":"X"`) || !strings.Contains(doc, "query-") {
+	if !strings.Contains(doc, `"ph":"X"`) || !strings.Contains(doc, `"name":"query"`) {
 		t.Fatalf("trace export malformed:\n%s", doc)
+	}
+	// Without WithTimeline nothing is recorded: the document is empty.
+	if doc := NewSystem(CoreIntegrated).ExportTrace(); strings.Contains(doc, `"name"`) {
+		t.Fatalf("untraced system exported events:\n%s", doc)
 	}
 }

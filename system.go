@@ -6,7 +6,6 @@ import (
 	"qei/internal/cfa"
 	"qei/internal/epoch"
 	"qei/internal/faultinject"
-	"qei/internal/hwdesc"
 	"qei/internal/isa"
 	"qei/internal/machine"
 	"qei/internal/mem"
@@ -17,49 +16,29 @@ import (
 )
 
 // Scheme selects how the accelerator is integrated into the CPU
-// (Sec. V / Sec. VI-A of the paper).
-type Scheme int
+// (Sec. V / Sec. VI-A of the paper). String gives the paper's name,
+// Name the CLI/JSON name.
+type Scheme = scheme.Kind
 
 // The five evaluated integration schemes.
 const (
 	// CoreIntegrated is the paper's proposal: QST/CEE beside each core's
 	// L2 and L2-TLB, comparators distributed into the CHAs.
-	CoreIntegrated Scheme = iota
+	CoreIntegrated = scheme.CoreIntegrated
 	// CHATLB places an accelerator with a dedicated TLB in every CHA.
-	CHATLB
+	CHATLB = scheme.CHATLB
 	// CHANoTLB places accelerators in the CHAs but translates through
 	// the core's MMU.
-	CHANoTLB
+	CHANoTLB = scheme.CHANoTLB
 	// DeviceDirect attaches one accelerator to the NoC as a special core.
-	DeviceDirect
+	DeviceDirect = scheme.DeviceDirect
 	// DeviceIndirect attaches the accelerator behind a standard device
 	// interface, paying interface latency on every access.
-	DeviceIndirect
+	DeviceIndirect = scheme.DeviceIndirect
 )
 
 // Schemes lists all integration schemes in the paper's order.
-func Schemes() []Scheme {
-	return []Scheme{CHATLB, CHANoTLB, DeviceDirect, DeviceIndirect, CoreIntegrated}
-}
-
-func (s Scheme) String() string { return s.kind().String() }
-
-func (s Scheme) kind() scheme.Kind {
-	switch s {
-	case CoreIntegrated:
-		return scheme.CoreIntegrated
-	case CHATLB:
-		return scheme.CHATLB
-	case CHANoTLB:
-		return scheme.CHANoTLB
-	case DeviceDirect:
-		return scheme.DeviceDirect
-	case DeviceIndirect:
-		return scheme.DeviceIndirect
-	default:
-		panic(fmt.Sprintf("qei: unknown scheme %d", int(s)))
-	}
-}
+func Schemes() []Scheme { return scheme.Kinds() }
 
 // Table is a handle to a data structure laid out in the simulated
 // machine's memory and described by a Fig. 4 metadata header.
@@ -142,7 +121,6 @@ type Option func(*sysConfig)
 
 type sysConfig struct {
 	qstSize     int
-	tracing     bool
 	metrics     bool
 	trace       bool
 	seed        int64
@@ -157,14 +135,6 @@ type sysConfig struct {
 // internal/scheme constants.
 func WithQSTSize(n int) Option {
 	return func(c *sysConfig) { c.qstSize = n }
-}
-
-// WithQuerySpans enables accelerator query-span recording from the
-// first query: one span per query (issue→completion, QST instance and
-// slot), exported by ExportTrace when the unified timeline is off. See
-// EnableTracing for enabling mid-run.
-func WithQuerySpans() Option {
-	return func(c *sysConfig) { c.tracing = true }
 }
 
 // WithSeed sets the seed for the system's randomized software routines
@@ -224,14 +194,14 @@ func NewSystem(s Scheme, opts ...Option) *System {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	p := scheme.ForKind(s.kind())
+	p := scheme.ForKind(s)
 	m := machine.NewDefault()
 	if cfg.spec != nil {
 		// The spec contributes the chip and the accelerator sizing; the
 		// integration scheme stays NewSystem's argument. Specs are
 		// validated at construction, so materialization cannot fail.
 		d := cfg.spec.desc()
-		d.Scheme = hwdesc.SchemeName(s.kind())
+		d.Scheme = s.Name()
 		sp, err := d.SchemeParams()
 		if err != nil {
 			panic(err) // unreachable: every MachineSpec constructor validates
@@ -263,9 +233,6 @@ func NewSystem(s Scheme, opts ...Option) *System {
 	}
 	sys.accel.RegisterMetrics(mreg)
 	sys.accel.SetTracer(tracer)
-	if cfg.tracing {
-		sys.accel.EnableTracing()
-	}
 	if cfg.faults != nil {
 		sys.fi = faultinject.New(cfg.faults.sched)
 		m.AttachFaultInjection(sys.fi)
@@ -496,22 +463,11 @@ func (s *System) Poll(h AsyncHandle) (Result, error) {
 	}, nil
 }
 
-// EnableTracing starts recording one span per query (issue→completion,
-// QST instance and slot). ExportTrace renders the spans in Chrome
-// tracing JSON (chrome://tracing, Perfetto), making the QST's
-// out-of-order overlap visible — the pipelined-CFA picture of Sec. IV-B.
-func (s *System) EnableTracing() { s.accel.EnableTracing() }
-
-// ExportTrace returns the recorded trace as a Chrome trace-event JSON
-// document. With WithTimeline it renders the unified cycle-stamped
-// timeline (every component's events); otherwise it falls back to the
-// query-span export driven by EnableTracing/WithQuerySpans.
-func (s *System) ExportTrace() string {
-	if s.tracer != nil {
-		return s.tracer.Export()
-	}
-	return qei.ExportChromeTrace(s.accel.Spans())
-}
+// ExportTrace returns the unified cycle-stamped timeline recorded under
+// WithTimeline (every component's events) as a Chrome trace-event JSON
+// document (chrome://tracing, Perfetto). Without WithTimeline the
+// document has no events.
+func (s *System) ExportTrace() string { return s.tracer.Export() }
 
 // Metric is one named simulator counter, read by Metrics().
 type Metric struct {
