@@ -100,10 +100,10 @@ func TestQueryBatchLevelWiseMatchesPerQuery(t *testing.T) {
 }
 
 // TestQueryBatchLevelWiseUnderChaosAndMutation is the property test:
-// with fault injection and the cycle watchdog armed, fallback enabled,
-// and software mutations interleaved between batches, the level-wise
-// batch's architectural answers still equal sequential per-query
-// lookups on the same table state — and the epoch GC records zero
+// with fault injection and the cycle watchdog armed and software
+// mutations interleaved between batches, every level-wise and every
+// per-query result that carries no fault equals the software walker's
+// answer on the same table state — and the epoch GC records zero
 // read-after-retire violations.
 func TestQueryBatchLevelWiseUnderChaosAndMutation(t *testing.T) {
 	for _, kind := range []StructKind{KindBST, KindSkipList, KindCuckoo} {
@@ -111,11 +111,11 @@ func TestQueryBatchLevelWiseUnderChaosAndMutation(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			s := NewSystem(CoreIntegrated,
 				// Recoverable chaos only: timing faults and spurious traps
-				// retry/fall back to the correct answer; flip corrupts data
-				// silently and no execution strategy can agree on it.
+				// either retry to the correct answer or surface as a
+				// fault; flip corrupts data silently and no execution
+				// strategy can agree on it.
 				WithFaultInjection(MustParseFaultSpec("17:nocdelay=0.05,spurious=0.02,evict=0.05,shootdown=0.05")),
-				WithQueryCycleBudget(2_000_000),
-				WithFallback(FallbackPolicy{AfterFaults: 2}))
+				WithQueryCycleBudget(2_000_000))
 			keys, vals := testKeys(128, 16, 41)
 			absent, extra := testKeys(64, 16, 42)
 			mt, err := s.BuildMutable(kind, keys, vals)
@@ -125,6 +125,7 @@ func TestQueryBatchLevelWiseUnderChaosAndMutation(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(43))
 			live := append([][]byte(nil), keys...)
+			var answered int
 			for round := 0; round < 4; round++ {
 				// Mutate between batches: a few inserts of fresh keys and
 				// deletes of live ones.
@@ -149,19 +150,32 @@ func TestQueryBatchLevelWiseUnderChaosAndMutation(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, p := range probes {
-					want, err := s.Query(mt.Table, p)
+					per, err := s.Query(mt.Table, p)
 					if err != nil {
 						t.Fatal(err)
 					}
-					g := got[i]
-					// Under chaos with fallback armed, the architectural
-					// answer (found/value) is the invariant; latency and the
-					// recovery route may differ.
-					if g.Found != want.Found || g.Value != want.Value {
-						t.Fatalf("round %d probe %d: batch (found=%v value=%d) != per-query (found=%v value=%d)",
-							round, i, g.Found, g.Value, want.Found, want.Value)
+					sw, err := s.QuerySoftware(mt.Table, p)
+					if err != nil {
+						t.Fatal(err)
 					}
+					// A result without a fault must carry the software
+					// walker's answer; latency may differ.
+					check := func(path string, r Result) {
+						if r.Err != nil {
+							return
+						}
+						answered++
+						if r.Found != sw.Found || r.Value != sw.Value {
+							t.Fatalf("round %d probe %d: %s (found=%v value=%d) != software (found=%v value=%d)",
+								round, i, path, r.Found, r.Value, sw.Found, sw.Value)
+						}
+					}
+					check("batch", got[i])
+					check("per-query", per)
 				}
+			}
+			if answered == 0 {
+				t.Fatal("every result faulted; nothing was compared")
 			}
 			if v := s.EpochViolations(); v != 0 {
 				t.Fatalf("%d read-after-retire epoch violations", v)
@@ -239,24 +253,14 @@ func TestQueryBatchForeignStall(t *testing.T) {
 
 // TestServeBatchedAdmission pins the serving frontend's batched path:
 // the same stream served with and without batched admission retires
-// every request with identical architectural answers, and the batch
-// report carries the flush and amortization counters.
+// every request with identical architectural answers — read-only,
+// under writes, and under injected faults on the resilient path — and
+// the batch report carries the flush and amortization counters.
 func TestServeBatchedAdmission(t *testing.T) {
 	cfg := DefaultServingConfig()
 	cfg.Requests = 160
 	cfg.Kind = KindBTree
-	cfg.KeepResults = true
-
-	plain, err := RunServing(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.BatchAdmit = 8
-	batched, err := RunServing(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	plain, batched := servePlainAndBatched(t, cfg)
 	if batched.Batch == nil {
 		t.Fatal("batched run carries no batch report")
 	}
@@ -268,6 +272,51 @@ func TestServeBatchedAdmission(t *testing.T) {
 	}
 	if plain.Batch != nil {
 		t.Fatal("plain run unexpectedly carries a batch report")
+	}
+
+	// The software walker has no batch path; batched admission on it is
+	// a configuration error, not a silent fallback.
+	bcfg := cfg
+	bcfg.Backend = "baseline"
+	bcfg.BatchAdmit = 8
+	if _, err := RunServing(bcfg); err == nil {
+		t.Fatal("baseline backend accepted batched admission")
+	}
+
+	// Batched admission under writes keeps read-your-writes ordering.
+	wcfg := DefaultServingConfig()
+	wcfg.Requests = 160
+	wcfg.Kind = KindBST
+	wcfg.WriteFraction = 0.25
+	servePlainAndBatched(t, wcfg)
+
+	// Batched reads that still fault after the engine's per-query re-run
+	// fail over like unbatched ones (no deadline: SLO 0).
+	fcfg := cfg
+	spec := MustParseFaultSpec("9:spurious=0.3,shootdown=0.05")
+	fcfg.Faults = &spec
+	fcfg.Resilient = true
+	fcfg.SLO = 0
+	_, fbatched := servePlainAndBatched(t, fcfg)
+	if fbatched.Total.Faults != 0 || fbatched.Total.FailedOver == 0 {
+		t.Fatalf("batched chaos run: %d faults surfaced, %d failed over", fbatched.Total.Faults, fbatched.Total.FailedOver)
+	}
+}
+
+// servePlainAndBatched serves cfg without and with batched admission
+// (groups of 8) and fails unless both retire every request with the
+// same found/value answer and no epoch violation.
+func servePlainAndBatched(t *testing.T, cfg ServingConfig) (plain, batched *serve.Report) {
+	t.Helper()
+	cfg.KeepResults = true
+	plain, err := RunServing(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.BatchAdmit = 8
+	batched, err = RunServing(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got, want := batched.Total.Requests, plain.Total.Requests; got != want {
 		t.Fatalf("batched run retired %d requests, plain retired %d", got, want)
@@ -282,40 +331,7 @@ func TestServeBatchedAdmission(t *testing.T) {
 	if v := batched.EpochViolations; v != 0 {
 		t.Fatalf("%d epoch violations under batched admission", v)
 	}
-
-	// The software walker has no batch path; batched admission on it is
-	// a configuration error, not a silent fallback.
-	cfg.Backend = "baseline"
-	if _, err := RunServing(cfg); err == nil {
-		t.Fatal("baseline backend accepted batched admission")
-	}
-
-	// Batched admission under writes keeps read-your-writes ordering:
-	// the run must still match its unbatched twin per request.
-	wcfg := DefaultServingConfig()
-	wcfg.Requests = 160
-	wcfg.Kind = KindBST
-	wcfg.WriteFraction = 0.25
-	wcfg.KeepResults = true
-	wplain, err := RunServing(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcfg.BatchAdmit = 8
-	wbatched, err := RunServing(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := range wplain.Results {
-		p, b := wplain.Results[seq], wbatched.Results[seq]
-		if p.Found != b.Found || p.Value != b.Value {
-			t.Fatalf("write-mix request %d: batched (found=%v value=%d) != plain (found=%v value=%d)",
-				seq, b.Found, b.Value, p.Found, p.Value)
-		}
-	}
-	if v := wbatched.EpochViolations; v != 0 {
-		t.Fatalf("%d epoch violations under batched admission with writes", v)
-	}
+	return plain, batched
 }
 
 // The qei adapter is the batch-capable backend the server requires.

@@ -23,7 +23,7 @@ go test -race -timeout 90m ./...
 go test -run '^$' -bench BenchmarkTab1 -benchtime 1x -short .
 
 # Zero-overhead guard: attaching metrics + tracing — and the disabled
-# fault-injection/watchdog/fallback apparatus — must not move a single
+# fault-injection/watchdog apparatus — must not move a single
 # simulated cycle (deterministic cycle-count assertion — no flaky
 # wall-clock thresholds).
 go test -run '^(TestObservabilityZeroCycleImpact|TestFaultInjectionZeroCycleImpact)$' -count=1 .
@@ -126,30 +126,37 @@ fi
 # read-after-retire epoch violation), degrade at least one request to
 # the software safety net, and replay its recorded trace byte-
 # identically under the same fault schedule. "failed_over" is an
-# omitempty field, so its mere presence in the JSON means >= 1.
+# omitempty field, so its mere presence in the JSON means >= 1. The
+# batched run checks that faulting batched reads reach the same
+# failover.
 res_trace=$(mktemp)
 res_flags="-resilient -faults 9:spurious=0.3,flip=0.03,shootdown=0.05 -writes 0.1 -slo 4000 -tenants 3 -requests 300 -keys 64"
-res_live=$(go run ./cmd/qeiserve $res_flags -record "$res_trace" -json)
-res_replay=$(go run ./cmd/qeiserve $res_flags -replay "$res_trace" -json)
+for mode in "" "-batchmode"; do
+	res_live=$("$bindir/qeiserve" $res_flags $mode -record "$res_trace" -json)
+	res_replay=$("$bindir/qeiserve" $res_flags $mode -replay "$res_trace" -json)
+	case "$res_live" in
+	*'"failed_over"'*) ;;
+	*)
+		echo "resilience-smoke${mode:+ $mode}: no failover under chaos" >&2
+		rm -f "$res_trace"
+		exit 1
+		;;
+	esac
+	case "$res_live" in
+	*'"faults_injected"'*) ;;
+	*)
+		echo "resilience-smoke${mode:+ $mode}: chaos schedule injected nothing" >&2
+		rm -f "$res_trace"
+		exit 1
+		;;
+	esac
+	if [ "$res_live" != "$res_replay" ]; then
+		echo "resilience-smoke${mode:+ $mode}: chaos replay diverged from live run" >&2
+		rm -f "$res_trace"
+		exit 1
+	fi
+done
 rm -f "$res_trace"
-case "$res_live" in
-*'"failed_over"'*) ;;
-*)
-	echo "resilience-smoke: no failover under chaos" >&2
-	exit 1
-	;;
-esac
-case "$res_live" in
-*'"faults_injected"'*) ;;
-*)
-	echo "resilience-smoke: chaos schedule injected nothing" >&2
-	exit 1
-	;;
-esac
-if [ "$res_live" != "$res_replay" ]; then
-	echo "resilience-smoke: chaos replay diverged from live run" >&2
-	exit 1
-fi
 
 # Batch smoke: the level-wise batch demo parity-checks every kind
 # against the per-query path (qeibench exits non-zero on any

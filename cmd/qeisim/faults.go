@@ -10,8 +10,8 @@ import (
 // drives a replayable fault schedule through every built-in structure
 // kind via the public API and checks the architectural contract — no
 // panic escapes the System and every blocking query resolves to exactly
-// one of {accelerator result, architectural fault, fallback result}.
-// It exits non-zero (via fail) on any unresolved query.
+// one of {accelerator result, architectural fault}. It exits non-zero
+// (via fail) on any unresolved query.
 func runFaultSmoke(spec string) {
 	fs, err := qei.ParseFaultSpec(spec)
 	if err != nil {
@@ -20,24 +20,20 @@ func runFaultSmoke(spec string) {
 	sys := qei.NewSystem(qei.CoreIntegrated,
 		qei.WithMetrics(),
 		qei.WithFaultInjection(fs),
-		qei.WithQueryCycleBudget(2_000_000),
-		qei.WithFallback(qei.FallbackPolicy{AfterFaults: 2}))
+		qei.WithQueryCycleBudget(2_000_000))
 
 	keys, vals := smokeKeys(48, 16)
 	absent, _ := smokeKeys(8, 17) // distinct stream: misses by construction
 
-	var ok, faulted, fellBack, queries int
+	var ok, faulted, queries int
 	classify := func(label string, res qei.Result, err error) {
 		queries++
 		if err != nil {
 			fail("%s query did not resolve: %v", label, err)
 		}
-		switch {
-		case res.FellBack:
-			fellBack++
-		case res.Err != nil:
+		if res.Err != nil {
 			faulted++
-		default:
+		} else {
 			ok++
 		}
 	}
@@ -71,15 +67,11 @@ func runFaultSmoke(spec string) {
 		classify("trie", res, err)
 	}
 
-	if ok+faulted+fellBack != queries {
-		fail("outcome classes overlap: %d+%d+%d != %d", ok, faulted, fellBack, queries)
-	}
 	st := sys.Stats()
 	fmt.Printf("fault smoke  %s\n", fs)
-	fmt.Printf("queries      %d (%d ok, %d faulted, %d fell back)\n", queries, ok, faulted, fellBack)
+	fmt.Printf("queries      %d (%d ok, %d faulted)\n", queries, ok, faulted)
 	fmt.Printf("injection    %d faults injected, %d retries, %d timeouts, %d exceptions\n",
 		sys.FaultsInjected(), st.Retries, st.Timeouts, st.Exceptions)
-	fmt.Printf("fallback     %d software re-executions\n", sys.Fallbacks())
 }
 
 // smokeKeys generates n deterministic fixed-length keys with distinct

@@ -14,8 +14,8 @@
 // -faults skips the workload entirely and runs the fault-injection
 // chaos smoke: a replayable fault schedule driven through every
 // built-in structure kind via the public API, asserting that every
-// query resolves to a result, an architectural fault, or a software
-// fallback. It exits non-zero if any query fails to resolve.
+// query resolves to a result or an architectural fault. It exits
+// non-zero if any query fails to resolve.
 //
 // -stream runs the streaming epoch-consistency smoke instead: the
 // default mixed read-write stream against every mutable structure kind

@@ -29,8 +29,8 @@ var (
 	ErrUnknownHandle = errors.New("qei: unknown async handle")
 	// ErrQueryTimeout is carried by Result.Err when the per-query cycle
 	// budget watchdog (WithQueryCycleBudget) killed a stuck or looping
-	// CFA walk. Treat the structure as suspect; with WithFallback the
-	// query re-executes on the software path instead.
+	// CFA walk. Treat the structure as suspect; a caller wanting an
+	// answer anyway runs QuerySoftware, as resilient serving does.
 	ErrQueryTimeout = qei.ErrQueryTimeout
 	// ErrStructCorrupt is carried by Result.Err when the accelerator
 	// found the guest structure inconsistent — a pointer into unmapped

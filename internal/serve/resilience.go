@@ -18,7 +18,9 @@ const (
 	// spends one more attempt and then degrades.
 	DefaultMaxRetries = 1
 	// DefaultRetryBackoff is the simulated-cycle pause before the first
-	// retry, doubling per attempt.
+	// retry, doubling per attempt. The pause advances the shared clock,
+	// so backoff is charged honestly to the request's (and every later
+	// request's) latency.
 	DefaultRetryBackoff = 64
 )
 
@@ -26,9 +28,11 @@ const (
 // deadlines with load shedding, bounded retry of faulting queries on
 // the primary backend, per-request failover to a software safety-net
 // backend, and a circuit breaker that routes around a rotten primary
-// wholesale. A nil *Resilience in Config disables the layer entirely —
-// the server then behaves exactly as it did before the layer existed,
-// byte for byte.
+// wholesale. Batched lookups (Config.BatchAdmit) enter the same ladder
+// past its retry rung — the batch engine already re-ran each deferred
+// query on the per-query path — and never consult the breaker. A nil
+// *Resilience in Config disables the layer entirely — the server then
+// behaves exactly as it did before the layer existed, byte for byte.
 type Resilience struct {
 	// Deadline is the per-request completion budget in simulated cycles
 	// from arrival. A request that cannot be issued — or whose faulting
@@ -42,12 +46,6 @@ type Resilience struct {
 	// reissued on the primary backend before failing over. 0 uses
 	// DefaultMaxRetries; negative disables retries.
 	MaxRetries int
-	// RetryBackoff is the simulated-cycle pause charged before the
-	// first retry, doubling on each subsequent attempt. The pause
-	// advances the shared clock, so backoff is charged honestly to the
-	// request's (and every later request's) latency. 0 uses
-	// DefaultRetryBackoff.
-	RetryBackoff uint64
 	// Failover is the safety-net backend a faulting request degrades to
 	// once its retries are exhausted. It must share the primary's
 	// machine and clock — the tables Run built on the primary are
@@ -71,13 +69,9 @@ func (r *Resilience) maxRetries() int {
 }
 
 // retryBackoff is the pause before reissue number attempt (0-based).
-func (r *Resilience) retryBackoff(attempt int) uint64 {
-	base := r.RetryBackoff
-	if base == 0 {
-		base = DefaultRetryBackoff
-	}
+func retryBackoff(attempt int) uint64 {
 	if attempt > 32 {
 		attempt = 32
 	}
-	return base << uint(attempt)
+	return DefaultRetryBackoff << uint(attempt)
 }

@@ -48,9 +48,10 @@ type Config struct {
 	// groups of up to BatchAdmit keys. A tenant's buffer also flushes
 	// before any of its writes (so reads issued before a write never
 	// observe it) and at end of stream. Batched lookups bypass QST slot
-	// admission, retry, and the breaker — the batch engine defers
-	// faulting queries to the per-query path internally — but the
-	// deadline shed still applies at arrival. Requires the backend to
+	// admission, the retry rung, and the breaker — the batch engine
+	// already re-runs each faulting query on the per-query path — but a
+	// result that still faults enters the rest of the resilience ladder:
+	// shed past its deadline, else failed over. Requires the backend to
 	// implement BatchBackend.
 	BatchAdmit int
 }
@@ -416,7 +417,8 @@ func (s *server) serve(req *Request) error {
 }
 
 // flushBatch executes one tenant's buffered lookups as a single batch
-// on the backend's batched path and retires every one of them. The
+// on the backend's batched path and settles every one of them: clean
+// results retire, and under Resilience faulting ones degrade. The
 // batch runs synchronously — the backend clock advances to the batch's
 // completion — so a buffered request's latency spans from its arrival
 // to the whole group's finish: the batching wait is charged, not
@@ -442,10 +444,19 @@ func (s *server) flushBatch(tenant int) error {
 	s.cfg.Trace.Span("serve", fmt.Sprintf("batch_flush/%d", len(pend)), start, s.b.Now(), trace.PidServe, tenant, nil)
 	s.batches++
 	s.batchedReads += uint64(len(pend))
+	done := s.b.Now()
 	for i := range pend {
 		res := rs[i]
 		if res.Done == 0 {
-			res.Done = s.b.Now()
+			res.Done = done
+		}
+		if res.Err != nil && s.res != nil {
+			// The engine's per-query re-run of a deferred query was its
+			// retry; what still faults settles like an exhausted retry.
+			if err := s.degrade(tenant, pend[i].seq, pend[i].at, pend[i].key, res); err != nil {
+				return err
+			}
+			continue
 		}
 		s.retire(tenant, pend[i].seq, pend[i].at, res)
 	}
@@ -535,10 +546,9 @@ func (s *server) pollRetire() error {
 }
 
 // finish settles one completed primary execution. Clean results retire;
-// faulting ones walk the resilience ladder — shed if the deadline has
-// passed, retried on the primary while attempts remain and the breaker
-// is closed, then failed over to the safety-net backend (or retired
-// with their fault when there is none).
+// faulting ones walk the resilience ladder — retried on the primary
+// while the deadline holds, attempts remain and the breaker is closed,
+// then settled by degrade.
 func (s *server) finish(q inflight, res Result) error {
 	s.recordPrimary(res.Err == nil)
 	if res.Err == nil || s.res == nil {
@@ -546,16 +556,11 @@ func (s *server) finish(q inflight, res Result) error {
 		s.retire(q.tenant, q.seq, q.at, res)
 		return nil
 	}
-	if s.pastDeadline(q.at) {
-		s.adm.Release(q.tenant)
-		s.shed(q.tenant, q.seq, q.at)
-		return nil
-	}
-	if q.attempt < s.res.maxRetries() && (s.brk == nil || s.brk.State() == BreakerClosed) {
+	if !s.pastDeadline(q.at) && q.attempt < s.res.maxRetries() && (s.brk == nil || s.brk.State() == BreakerClosed) {
 		// Back off on the shared clock — the pause is charged to this
 		// request and everything queued behind it — then reissue on the
 		// slot the request still holds.
-		s.b.Advance(s.res.retryBackoff(q.attempt))
+		s.b.Advance(retryBackoff(q.attempt))
 		h, err := s.b.QueryAsync(s.tables[q.tenant], q.key)
 		if err == nil {
 			s.acct[q.tenant].retries++
@@ -570,11 +575,22 @@ func (s *server) finish(q inflight, res Result) error {
 		// rather than stalling the pipeline behind one request.
 	}
 	s.adm.Release(q.tenant)
-	if s.res.Failover == nil {
-		s.retire(q.tenant, q.seq, q.at, res)
-		return nil
+	return s.degrade(q.tenant, q.seq, q.at, q.key, res)
+}
+
+// degrade settles a faulting result whose retries are spent: shed if the
+// deadline has passed, else fail over to the safety-net backend, else
+// retire with the fault.
+func (s *server) degrade(tenant, seq int, at uint64, key []byte, res Result) error {
+	switch {
+	case s.pastDeadline(at):
+		s.shed(tenant, seq, at)
+	case s.res.Failover != nil:
+		return s.failover(tenant, seq, at, key)
+	default:
+		s.retire(tenant, seq, at, res)
 	}
-	return s.failover(q.tenant, q.seq, q.at, q.key)
+	return nil
 }
 
 // failover executes one request on the safety-net backend, charging the

@@ -71,7 +71,7 @@ func TestStructKindRoundTrip(t *testing.T) {
 			// Both paths return the same architectural result; only the
 			// latency differs.
 			if hw.Found != sw.Found || hw.Value != sw.Value || !slices.Equal(hw.Matches, sw.Matches) ||
-				hw.Err != sw.Err || hw.FellBack != sw.FellBack {
+				hw.Err != sw.Err {
 				t.Fatalf("%s probe %q: accelerator %+v, software %+v", k, p, hw, sw)
 			}
 			if hw.Found {

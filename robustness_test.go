@@ -2,8 +2,9 @@ package qei
 
 // Robustness tests for the fault-injection harness and the recovery
 // machinery behind it: the zero-cycle-impact guarantee when injection
-// is disabled, the chaos soak over every structure kind, the software
-// fallback policy, and the public cycle-budget watchdog.
+// is disabled, the chaos soak over every structure kind, and the public
+// cycle-budget watchdog. Routing a faulted query to software is the
+// serving layer's job (serving_resilience_test.go).
 
 import (
 	"errors"
@@ -13,7 +14,7 @@ import (
 
 // TestFaultInjectionZeroCycleImpact is the CI-enforced guard for the
 // robustness layer: a system carrying the full fault-injection +
-// watchdog + fallback apparatus with every rate at zero must produce
+// watchdog apparatus with every rate at zero must produce
 // the exact same simulated timeline as a plain system. Recovery
 // machinery observes the query; it must never tax it.
 func TestFaultInjectionZeroCycleImpact(t *testing.T) {
@@ -28,8 +29,7 @@ func TestFaultInjectionZeroCycleImpact(t *testing.T) {
 			plain := NewSystem(sch)
 			armed := NewSystem(sch,
 				WithFaultInjection(zero),
-				WithQueryCycleBudget(1<<60),
-				WithFallback(FallbackPolicy{AfterFaults: 2}))
+				WithQueryCycleBudget(1<<60))
 			pl, pn := queryAll(t, plain, keys, vals)
 			al, an := queryAll(t, armed, keys, vals)
 			if pn != an {
@@ -40,18 +40,17 @@ func TestFaultInjectionZeroCycleImpact(t *testing.T) {
 					t.Fatalf("query %d latency changed: %d vs %d", i, pl[i], al[i])
 				}
 			}
-			if armed.FaultsInjected() != 0 || armed.Fallbacks() != 0 {
-				t.Fatalf("zero-rate system injected %d faults, %d fallbacks",
-					armed.FaultsInjected(), armed.Fallbacks())
+			if armed.FaultsInjected() != 0 {
+				t.Fatalf("zero-rate system injected %d faults", armed.FaultsInjected())
 			}
 		})
 	}
 }
 
 // chaosOutcome classifies a blocking query's architectural ending.
-type chaosOutcome struct{ ok, fault, fellBack int }
+type chaosOutcome struct{ ok, fault int }
 
-func (c chaosOutcome) total() int { return c.ok + c.fault + c.fellBack }
+func (c chaosOutcome) total() int { return c.ok + c.fault }
 
 // chaosRun drives a randomized fault schedule across all five built-in
 // structure kinds and returns the outcome tally plus a byte-exact
@@ -61,8 +60,7 @@ func chaosRun(t *testing.T, spec string) (chaosOutcome, string) {
 	sys := NewSystem(CoreIntegrated,
 		WithMetrics(),
 		WithFaultInjection(MustParseFaultSpec(spec)),
-		WithQueryCycleBudget(2_000_000),
-		WithFallback(FallbackPolicy{AfterFaults: 2}))
+		WithQueryCycleBudget(2_000_000))
 
 	keys, vals := testKeys(48, 16, 31)
 	absent, _ := testKeys(8, 16, 32)
@@ -72,12 +70,9 @@ func chaosRun(t *testing.T, spec string) (chaosOutcome, string) {
 		if err != nil {
 			t.Fatalf("blocking query escaped the architectural interface: %v", err)
 		}
-		switch {
-		case res.FellBack:
-			out.fellBack++
-		case res.Err != nil:
+		if res.Err != nil {
 			out.fault++
-		default:
+		} else {
 			out.ok++
 		}
 	}
@@ -110,17 +105,14 @@ func chaosRun(t *testing.T, spec string) (chaosOutcome, string) {
 		classify(sys.Scan(trie, in))
 	}
 
-	if got := int(sys.Fallbacks()); got != out.fellBack {
-		t.Fatalf("Fallbacks() = %d but %d results carried FellBack", got, out.fellBack)
-	}
 	return out, fmt.Sprintf("%+v", sys.Metrics())
 }
 
 // TestChaosSoak throws randomized-but-replayable fault schedules at all
 // five structure kinds and asserts the architectural contract: no panic
 // escapes System, every blocking query ends in exactly one of
-// {accelerator result, architectural fault, fallback result}, and an
-// identical seed replays to a byte-identical metrics snapshot.
+// {accelerator result, architectural fault}, and an identical seed
+// replays to a byte-identical metrics snapshot.
 func TestChaosSoak(t *testing.T) {
 	specs := []string{
 		"101:flip=0.02,nocdelay=0.05,nocdrop=0.02,shootdown=0.05,spurious=0.02,evict=0.05",
@@ -144,57 +136,6 @@ func TestChaosSoak(t *testing.T) {
 			}
 			t.Logf("outcomes: %+v", out)
 		})
-	}
-}
-
-// TestFallbackPolicy forces every accelerator execution to fault
-// (spurious rate 1) and checks the software path serves every query
-// with correct answers, FellBack set, and the fallback counter and
-// metric in agreement.
-func TestFallbackPolicy(t *testing.T) {
-	sys := NewSystem(CoreIntegrated,
-		WithMetrics(),
-		WithFaultInjection(MustParseFaultSpec("3:spurious=1")),
-		WithFallback(FallbackPolicy{AfterFaults: 1}))
-	keys, vals := testKeys(32, 16, 41)
-	table := mustBuild(t, sys, KindCuckoo, keys, vals)
-	for i, k := range keys {
-		res, err := sys.Query(table, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.FellBack {
-			t.Fatalf("query %d did not fall back under spurious=1", i)
-		}
-		if res.Err != nil {
-			t.Fatalf("query %d fallback errored: %v", i, res.Err)
-		}
-		if !res.Found || res.Value != vals[i] {
-			t.Fatalf("query %d fallback result %+v, want value %d", i, res, vals[i])
-		}
-		if res.Latency == 0 {
-			t.Fatalf("query %d fallback reported zero latency", i)
-		}
-	}
-	n := uint64(len(keys))
-	if sys.Fallbacks() != n {
-		t.Fatalf("Fallbacks() = %d, want %d", sys.Fallbacks(), n)
-	}
-	var metric uint64
-	for _, m := range sys.Metrics() {
-		if m.Name == "qei/fallback_total" {
-			metric = m.Value
-		}
-	}
-	if metric != n {
-		t.Fatalf("qei/fallback_total = %d, want %d", metric, n)
-	}
-	st := sys.Stats()
-	if st.Exceptions != n {
-		t.Fatalf("Exceptions = %d, want %d (one final fault per query)", st.Exceptions, n)
-	}
-	if st.Retries == 0 {
-		t.Fatal("no transient retries recorded under spurious=1")
 	}
 }
 

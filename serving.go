@@ -304,13 +304,9 @@ type ServingConfig struct {
 	// arrival (requests past it are shed). 0 derives 4x the SLO; with
 	// the SLO also 0, shedding is off. Ignored without Resilient.
 	Deadline uint64
-	// MaxRetries and RetryBackoff tune the pre-failover retry loop
-	// (serve.Resilience semantics; zero values use the serve defaults).
-	MaxRetries   int
-	RetryBackoff uint64
-	// Breaker overrides the circuit-breaker tuning; nil uses the
-	// serve-layer defaults. Ignored without Resilient.
-	Breaker *serve.BreakerConfig
+	// MaxRetries bounds the pre-failover retry loop (serve.Resilience
+	// semantics; 0 uses the serve default).
+	MaxRetries int
 	// Timeline, when non-empty, arms the unified cycle-stamped tracer
 	// and writes the Chrome trace-event JSON document (component tracks
 	// plus the serving track's shed/failover/breaker events) to this
@@ -408,15 +404,11 @@ func ReplayServing(cfg ServingConfig, gen serve.GenConfig, reqs []serve.Request)
 	}
 	if cfg.Resilient {
 		res := &serve.Resilience{
-			Deadline:     cfg.Deadline,
-			MaxRetries:   cfg.MaxRetries,
-			RetryBackoff: cfg.RetryBackoff,
+			Deadline:   cfg.Deadline,
+			MaxRetries: cfg.MaxRetries,
 		}
 		if res.Deadline == 0 && cfg.SLO > 0 {
 			res.Deadline = 4 * cfg.SLO
-		}
-		if cfg.Breaker != nil {
-			res.Breaker = *cfg.Breaker
 		}
 		// The safety net is the software walker over the same machine:
 		// tables the primary built are queried directly, on the shared

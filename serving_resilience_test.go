@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,34 +34,79 @@ func chaosServingConfig() ServingConfig {
 // x tight SLO through the resilient serving path must complete without
 // aborting, degrade at least one request to the software safety net,
 // and keep the consistency contract — zero read-after-retire
-// violations.
+// violations. It runs unbatched and with batched admission: batched
+// reads that fault reach the same failover.
 func TestServingChaosSoak(t *testing.T) {
-	cfg := chaosServingConfig()
+	for _, batchAdmit := range []int{0, 8} {
+		cfg := chaosServingConfig()
+		cfg.BatchAdmit = batchAdmit
+		rep, err := RunServing(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.FaultsInjected == 0 {
+			t.Fatalf("BatchAdmit=%d: chaos schedule injected nothing", batchAdmit)
+		}
+		if rep.Total.FailedOver == 0 {
+			t.Fatalf("BatchAdmit=%d: no request degraded to the software path under chaos", batchAdmit)
+		}
+		if rep.EpochViolations != 0 {
+			t.Fatalf("BatchAdmit=%d: %d read-after-retire violations under chaos", batchAdmit, rep.EpochViolations)
+		}
+		// Degraded, never wrong or lost: every request is accounted for
+		// as completed, written, or shed.
+		if got := rep.Total.Requests + rep.Total.Writes + rep.Total.Shed; got != uint64(cfg.Requests) {
+			t.Fatalf("BatchAdmit=%d: requests %d + writes %d + shed %d != %d",
+				batchAdmit, rep.Total.Requests, rep.Total.Writes, rep.Total.Shed, cfg.Requests)
+		}
+		// Failover absorbs the faults: nothing surfaces in the fault column.
+		if rep.Total.Faults != 0 {
+			t.Fatalf("BatchAdmit=%d: %d faults surfaced despite failover", batchAdmit, rep.Total.Faults)
+		}
+		if rep.Breaker == nil {
+			t.Fatalf("BatchAdmit=%d: resilient qei run carries no breaker report", batchAdmit)
+		}
+	}
+}
+
+// TestServingFailoverOnEveryFault forces every accelerator execution to
+// fault (spurious rate 1) and checks that resilient serving answers
+// every read from the software walker, correctly and with no fault left
+// in the report.
+func TestServingFailoverOnEveryFault(t *testing.T) {
+	cfg := DefaultServingConfig()
+	cfg.Requests = 120
+	cfg.Kind = KindCuckoo
+	spec := MustParseFaultSpec("3:spurious=1")
+	cfg.Faults = &spec
+	cfg.Resilient = true
+	cfg.SLO = 0
+	cfg.KeepResults = true
 	rep, err := RunServing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.FaultsInjected == 0 {
-		t.Fatal("chaos schedule injected nothing")
-	}
-	if rep.Total.FailedOver == 0 {
-		t.Fatal("no request degraded to the software path under chaos")
-	}
-	if rep.EpochViolations != 0 {
-		t.Fatalf("%d read-after-retire violations under chaos", rep.EpochViolations)
-	}
-	// Degraded, never wrong or lost: every request is accounted for as
-	// completed, written, or shed.
-	if got := rep.Total.Requests + rep.Total.Writes + rep.Total.Shed; got != uint64(cfg.Requests) {
-		t.Fatalf("requests %d + writes %d + shed %d != %d",
-			rep.Total.Requests, rep.Total.Writes, rep.Total.Shed, cfg.Requests)
-	}
-	// Failover absorbs the faults: nothing surfaces in the fault column.
 	if rep.Total.Faults != 0 {
 		t.Fatalf("%d faults surfaced despite failover", rep.Total.Faults)
 	}
-	if rep.Breaker == nil {
-		t.Fatal("resilient qei run carries no breaker report")
+	if rep.Total.FailedOver != uint64(cfg.Requests) || rep.Total.Requests != uint64(cfg.Requests) {
+		t.Fatalf("%d of %d reads failed over (%d retired)", rep.Total.FailedOver, cfg.Requests, rep.Total.Requests)
+	}
+	if rep.Exceptions == 0 {
+		t.Fatal("no accelerator exception recorded under spurious=1")
+	}
+	gen := cfg.GenConfig()
+	reqs, err := serve.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range reqs {
+		keys, _ := serve.TenantKeys(gen, req.Tenant)
+		rank := slices.IndexFunc(keys, func(k []byte) bool { return bytes.Equal(k, req.Key) })
+		res := rep.Results[i]
+		if want := serve.TenantValue(req.Tenant, rank); !res.Found || res.Value != want || res.Err != nil {
+			t.Fatalf("request %d: failed-over result %+v, want value %d", i, res, want)
+		}
 	}
 }
 

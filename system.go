@@ -76,14 +76,11 @@ type Result struct {
 	// Matches holds all match values of a trie scan, in match order.
 	Matches []uint64
 	// Latency is the query's end-to-end cycle count as observed by the
-	// issuing core (issue to result writeback); for a fallback result it
-	// is the software walker's execution time.
+	// issuing core (issue to result writeback); for QuerySoftware it is
+	// the software walker's execution time.
 	Latency uint64
 	// Err carries the architectural exception, if the query faulted.
 	Err error
-	// FellBack marks a result produced by the software baseline walker
-	// after the accelerator faulted (WithFallback).
-	FellBack bool
 }
 
 // System is one simulated machine with a QEI accelerator attached to
@@ -103,10 +100,6 @@ type System struct {
 	// fi is the fault-injection harness (WithFaultInjection); nil keeps
 	// every hook a free no-op.
 	fi *faultinject.Injector
-	// fallback is the graceful-degradation policy (WithFallback); nil
-	// disables software fallback. fallbacks counts queries served by it.
-	fallback  *FallbackPolicy
-	fallbacks uint64
 	// gc is the epoch-based reclamation domain coordinating writers with
 	// in-flight queries; created lazily by the first mutable build (see
 	// ensureGC), nil for read-only systems so no query path pays for it.
@@ -126,7 +119,6 @@ type sysConfig struct {
 	seed        int64
 	faults      *FaultSpec
 	cycleBudget uint64
-	fallback    *FallbackPolicy
 	spec        *MachineSpec
 }
 
@@ -161,7 +153,7 @@ func WithTimeline() Option {
 
 // WithFaultInjection arms the deterministic fault-injection harness
 // with the given replayable plan. Faults fire only while the
-// accelerator executes a query — builders and the software fallback
+// accelerator executes a query — builders and the software walker
 // stay exact — and every injection decision is a pure function of the
 // spec's seed, so reruns reproduce failures bit for bit. A spec with
 // all rates zero wires the harness but never fires, changing nothing.
@@ -176,15 +168,6 @@ func WithFaultInjection(f FaultSpec) Option {
 // default — disables the watchdog.
 func WithQueryCycleBudget(cycles uint64) Option {
 	return func(c *sysConfig) { c.cycleBudget = cycles }
-}
-
-// WithFallback enables graceful degradation for blocking queries: after
-// p.AfterFaults faulting accelerator executions, the query re-executes
-// on the software baseline walker (see FallbackPolicy). Fallbacks are
-// counted in the qei/fallback_total metric and appear on the trace
-// timeline.
-func WithFallback(p FallbackPolicy) Option {
-	return func(c *sysConfig) { c.fallback = &p }
 }
 
 // NewSystem builds a 24-core machine (Tab. II configuration) with a QEI
@@ -241,12 +224,8 @@ func NewSystem(s Scheme, opts ...Option) *System {
 	if cfg.cycleBudget > 0 {
 		sys.accel.SetCycleBudget(cfg.cycleBudget)
 	}
-	sys.fallback = cfg.fallback
-	// Robustness counters live beside the accelerator's qei/ metrics
-	// (Scoped and RegisterFunc are nil-safe, like all registry wiring).
-	q := mreg.Scoped("qei")
-	q.RegisterFunc("fallback_total", func() uint64 { return sys.fallbacks })
 	if cfg.faults != nil {
+		// Scoped and RegisterFunc are nil-safe, like all registry wiring.
 		f := mreg.Scoped("faults")
 		f.RegisterFunc("injected", func() uint64 { return sys.fi.Injected() })
 		for k := 0; k < faultinject.NumKinds(); k++ {
@@ -260,10 +239,6 @@ func NewSystem(s Scheme, opts ...Option) *System {
 // FaultsInjected reports how many faults the injection harness has
 // fired so far (0 without WithFaultInjection).
 func (s *System) FaultsInjected() uint64 { return s.fi.Injected() }
-
-// Fallbacks reports how many queries were served by the software
-// fallback path (0 without WithFallback).
-func (s *System) Fallbacks() uint64 { return s.fallbacks }
 
 // QSTCapacity returns the total number of QST entries across the
 // accelerator's instances — the bound on outstanding async queries.
@@ -295,30 +270,14 @@ func (s *System) Query(t Table, key []byte) (Result, error) {
 	return s.QueryAt(t, keyAddr, len(key))
 }
 
-// QueryAt is Query for a key already staged in simulated memory. With
-// WithFallback, a query whose accelerator executions keep faulting is
-// transparently re-executed on the software baseline walker; the
-// returned result then has FellBack set.
+// QueryAt is Query for a key already staged in simulated memory: one
+// blocking accelerator execution, advancing the issue clock to its
+// completion. A query that still faults after the engine's internal
+// retry-from-root returns the exception in Result.Err; the System never
+// reroutes it. Callers that want a software answer on a fault run
+// QuerySoftware themselves — resilient serving (serve.Resilience) does
+// exactly that.
 func (s *System) QueryAt(t Table, keyAddr uint64, keyLen int) (Result, error) {
-	res, err := s.issueAccel(t, keyAddr, keyLen)
-	if err != nil || res.Err == nil || s.fallback == nil {
-		return res, err
-	}
-	// Re-execute on the accelerator until the policy's fault tolerance
-	// is exhausted (the engine's internal transient-retry already ran
-	// inside each execution), then degrade to the software walker.
-	for faults := 1; faults < s.fallback.afterFaults(); faults++ {
-		res, err = s.issueAccel(t, keyAddr, keyLen)
-		if err != nil || res.Err == nil {
-			return res, err
-		}
-	}
-	return s.softwareFallback(t, keyAddr, keyLen, res)
-}
-
-// issueAccel runs one blocking accelerator execution of a query,
-// advancing the issue clock to its completion.
-func (s *System) issueAccel(t Table, keyAddr uint64, keyLen int) (Result, error) {
 	// A blocking query's in-flight window is the call itself: pin the
 	// epoch at admission, release it once the result is architectural.
 	if pinned, ok := s.pinQuery(); ok {
