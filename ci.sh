@@ -46,6 +46,11 @@ for ex in examples/*/; do
 	fi
 done
 
+# Firmware fuzz: arbitrary table-driven firmware through the admission
+# pass must never panic, and every rejection must wrap
+# ErrInvalidProgram.
+go test -run '^$' -fuzz '^FuzzValidateProgramDeep$' -fuzztime 10s ./internal/cfa
+
 # Fault-injection smoke: a replayable chaos schedule through every
 # structure kind must resolve every query without panicking the
 # process (qeisim exits non-zero otherwise).

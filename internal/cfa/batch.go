@@ -29,21 +29,12 @@ const stAltComp StateID = 6
 // found/value/fault outcomes for any query — but may phase the walk
 // differently so that each transition touches one memory site, letting
 // the level-wise engine group that site's accesses across the batch.
-// The engine falls back to Step for programs without it.
+// A walk in batch mode (NewWalk) falls back to Step for programs
+// without it.
 type BatchProgram interface {
 	Program
 	// BatchStep executes the batch-mode transition out of state for q.
 	BatchStep(q *Query, state StateID) Request
-}
-
-// BatchStepper returns the stepping function the level-wise engine
-// should drive p with: BatchStep when p opts into batch mode, Step
-// otherwise.
-func BatchStepper(p Program) func(q *Query, state StateID) Request {
-	if bp, ok := p.(BatchProgram); ok {
-		return bp.BatchStep
-	}
-	return p.Step
 }
 
 // cuckooFindIn scans one bucket's slots for the staged key, returning

@@ -2,6 +2,7 @@ package cfa
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -346,6 +347,28 @@ func TestRunawayFirmwareBounded(t *testing.T) {
 	if _, err := Run(reg, as, hdr, ka, 0); err == nil {
 		t.Fatal("runaway CFA not detected")
 	}
+}
+
+func TestPanickingFirmwareRejected(t *testing.T) {
+	as := newAS()
+	reg := NewRegistry()
+	if err := reg.Register(panicProgram{}); err != nil {
+		t.Fatal(err)
+	}
+	hdr := dstruct.WriteHeader(as, dstruct.Header{Type: 44, KeyLen: 8})
+	ka := stageKey(as, make([]byte, 8))
+	if _, err := Run(reg, as, hdr, ka, 0); !errors.Is(err, ErrInvalidProgram) {
+		t.Fatalf("panicking firmware: err = %v, want ErrInvalidProgram", err)
+	}
+}
+
+type panicProgram struct{}
+
+func (panicProgram) TypeCode() uint8 { return 44 }
+func (panicProgram) Name() string    { return "panic" }
+func (panicProgram) NumStates() int  { return 1 }
+func (panicProgram) Step(q *Query, s StateID) Request {
+	panic("firmware bug: unchecked index")
 }
 
 type loopProgram struct{}

@@ -35,17 +35,21 @@ type Graph struct {
 	States []StateID
 }
 
-// exploreProbe drives prog over the given queries, recording every
-// transition taken.
+// explore walks prog over the given queries, recording every transition
+// taken. A walk that ends in a fault or trips a walk guard fails the
+// exploration.
 func explore(prog Program, qs []*Query) (*Graph, error) {
 	seen := map[Edge]bool{}
-	states := map[StateID]bool{}
+	states := map[StateID]bool{StateStart: true}
 	g := &Graph{Program: prog.Name()}
 	for _, q := range qs {
-		state := StateStart
-		states[state] = true
-		for steps := 0; steps < maxTransitions; steps++ {
-			req := prog.Step(q, state)
+		w := NewWalk(prog, q, false)
+		for {
+			from := w.state
+			req, err := w.Next()
+			if err != nil {
+				return nil, fmt.Errorf("cfa: %s faulted during exploration: %w", prog.Name(), err)
+			}
 			var kinds []string
 			have := map[string]bool{}
 			for _, op := range req.Ops {
@@ -56,7 +60,7 @@ func explore(prog Program, qs []*Query) (*Graph, error) {
 				}
 			}
 			sort.Strings(kinds)
-			e := Edge{From: state, To: req.Next, Ops: strings.Join(kinds, "+")}
+			e := Edge{From: from, To: req.Next, Ops: strings.Join(kinds, "+")}
 			if !seen[e] {
 				seen[e] = true
 				g.Edges = append(g.Edges, e)
@@ -65,10 +69,6 @@ func explore(prog Program, qs []*Query) (*Graph, error) {
 			if req.Next == StateDone {
 				break
 			}
-			if req.Next == StateException {
-				return nil, fmt.Errorf("cfa: %s faulted during exploration: %v", prog.Name(), req.Fault)
-			}
-			state = req.Next
 		}
 	}
 	for s := range states {
@@ -92,6 +92,22 @@ func explore(prog Program, qs []*Query) (*Graph, error) {
 // built-in program serves, runs hit and miss queries through it, and
 // returns the explored state graph.
 func ExploreBuiltin(prog Program) (*Graph, error) {
+	qs, builtin := probeQueries(prog)
+	if !builtin {
+		return nil, fmt.Errorf("cfa: no miniature builder for type %d", prog.TypeCode())
+	}
+	return explore(prog, qs)
+}
+
+// probeQueries builds the structure prog is explored over and the
+// queries that walk it. A built-in type code gets a miniature instance
+// of its structure with hit, deep-hit and miss probes (plus a scan for
+// the trie). Any other type code gets a minimal synthetic structure —
+// a header of the program's own type whose Root points at zeroed
+// memory — and one probe with a non-zero key: null pointers and
+// zero-length fields are exactly what a terminating walk must cope
+// with. builtin reports which one was built.
+func probeQueries(prog Program) (qs []*Query, builtin bool) {
 	as := mem.NewAddressSpace(mem.NewPhysical())
 	keys := make([][]byte, 8)
 	vals := make([]uint64, 8)
@@ -99,6 +115,8 @@ func ExploreBuiltin(prog Program) (*Graph, error) {
 		keys[i] = []byte(fmt.Sprintf("key-%02d-padddddd", i))[:16]
 		vals[i] = uint64(i) + 1
 	}
+	probes := [][]byte{keys[0], keys[7], []byte("absent-key-16byt")} // front hit, deep hit, miss
+	builtin = true
 	var header mem.VAddr
 	switch prog.TypeCode() {
 	case dstruct.TypeLinkedList:
@@ -113,29 +131,24 @@ func ExploreBuiltin(prog Program) (*Graph, error) {
 		header = dstruct.BuildBST(as, 3, 32, keys, vals).HeaderAddr
 	case dstruct.TypeTrie:
 		header = dstruct.BuildTrie(as, keys, vals).HeaderAddr
+		probes = append(probes, []byte("zz key-03-paddddddzz trailing"))
 	case dstruct.TypeBTree:
 		header = dstruct.BuildBTree(as, 4, keys, vals).HeaderAddr
 	default:
-		return nil, fmt.Errorf("cfa: no miniature builder for type %d", prog.TypeCode())
+		root := as.AllocLines(512) // zeroed scratch the probe walk may read
+		header = dstruct.WriteHeader(as, dstruct.Header{
+			Root: root, Type: prog.TypeCode(), Subtype: 1, KeyLen: 16, Size: 1, Aux: 1, Aux2: 1,
+		})
+		probes = [][]byte{[]byte("validation-probe")}
+		builtin = false
 	}
-	hdr, err := dstruct.ReadHeader(as, header)
-	if err != nil {
-		return nil, err
-	}
-	mkQuery := func(key []byte) *Query {
+	hdr, _ := dstruct.ReadHeader(as, header) // just written, so mapped
+	for _, key := range probes {
 		ka := as.AllocLines(uint64(len(key)))
 		as.MustWrite(ka, key)
-		return &Query{AS: as, HeaderAddr: header, Header: hdr, KeyAddr: ka, Key: key}
+		qs = append(qs, &Query{AS: as, HeaderAddr: header, Header: hdr, KeyAddr: ka, Key: key})
 	}
-	probes := []*Query{
-		mkQuery(keys[0]),                    // hit at the front
-		mkQuery(keys[7]),                    // hit deeper in
-		mkQuery([]byte("absent-key-16byt")), // miss path
-	}
-	if prog.TypeCode() == dstruct.TypeTrie {
-		probes = append(probes, mkQuery([]byte("zz key-03-paddddddzz trailing")))
-	}
-	return explore(prog, probes)
+	return qs, builtin
 }
 
 // Validate checks the explored graph's firmware invariants.

@@ -1,11 +1,6 @@
 package cfa
 
-import (
-	"fmt"
-
-	"qei/internal/dstruct"
-	"qei/internal/mem"
-)
+import "qei/internal/mem"
 
 // ExecResult is the outcome of a functional CFA execution.
 type ExecResult struct {
@@ -22,48 +17,23 @@ type ExecResult struct {
 	MemLines int
 }
 
-// maxTransitions bounds runaway CFAs (a firmware bug must not hang the
-// engine; real hardware would watchdog).
-const maxTransitions = 1 << 20
-
 // Run executes a query functionally against the registry: it stages the
-// header and key the way the engine does, then steps the CFA to a
+// header and key the way the engine does, then walks the CFA to a
 // terminal state, tallying micro-ops without timing. The timed engine in
-// package qei layers scheduling and latency on the same Step sequence.
+// package qei layers scheduling and latency on the same guarded walk.
 func Run(reg *Registry, as *mem.AddressSpace, headerAddr, keyAddr mem.VAddr, keyLen int) (ExecResult, error) {
 	res := ExecResult{Ops: make(map[OpKind]int)}
-	hdr, err := dstruct.ReadHeader(as, headerAddr)
+	prog, q, err := Stage(reg, as, headerAddr, keyAddr, keyLen, nil)
 	if err != nil {
 		return res, err
-	}
-	prog, ok := reg.Lookup(hdr.Type)
-	if !ok {
-		return res, fmt.Errorf("cfa: no program registered for type %s", dstruct.TypeName(hdr.Type))
-	}
-	if keyLen == 0 {
-		keyLen = int(hdr.KeyLen)
-	}
-	key := make([]byte, keyLen)
-	if err := as.Read(keyAddr, key); err != nil {
-		return res, err
-	}
-	q := &Query{
-		AS:         as,
-		HeaderAddr: headerAddr,
-		Header:     hdr,
-		KeyAddr:    keyAddr,
-		Key:        key,
 	}
 	// The engine's metadata fetch is itself one line read.
 	res.Ops[OpMemRead]++
 	res.MemLines++
 
-	state := StateStart
+	w := NewWalk(prog, &q, false)
 	for {
-		if res.Transitions >= maxTransitions {
-			return res, fmt.Errorf("cfa: %s exceeded %d transitions — runaway firmware", prog.Name(), maxTransitions)
-		}
-		req := prog.Step(q, state)
+		req, err := w.Next()
 		res.Transitions++
 		for _, op := range req.Ops {
 			res.Ops[op.Kind]++
@@ -71,16 +41,14 @@ func Run(reg *Registry, as *mem.AddressSpace, headerAddr, keyAddr mem.VAddr, key
 				res.MemLines += mem.LinesTouched(op.Addr, op.Bytes)
 			}
 		}
-		switch req.Next {
-		case StateDone:
+		if err != nil {
+			return res, err
+		}
+		if req.Next == StateDone {
 			res.Found = req.Found
 			res.Value = req.Value
 			res.Matches = q.Matches
 			return res, nil
-		case StateException:
-			return res, req.Fault
-		default:
-			state = req.Next
 		}
 	}
 }

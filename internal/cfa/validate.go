@@ -3,9 +3,6 @@ package cfa
 import (
 	"errors"
 	"fmt"
-
-	"qei/internal/dstruct"
-	"qei/internal/mem"
 )
 
 // ErrInvalidProgram is the sentinel behind every firmware rejection:
@@ -20,88 +17,25 @@ var ErrInvalidProgram = errors.New("cfa: invalid firmware program")
 // the per-line accounting loop would spin over the claimed range.
 const MaxOpBytes = 1 << 24
 
-// deepProbeBudget caps the symbolic probe of ValidateProgramDeep. Real
-// firmware terminates a one-element structure within a few transitions;
-// 1<<16 leaves three orders of magnitude of slack while keeping
-// validation instant.
-const deepProbeBudget = 1 << 16
-
 // ValidateProgramDeep runs the full firmware admission pass used by
 // RegisterFirmware: the static checks of ValidateProgram, then a
 // behavioral probe proving the program can actually reach FirmwareDone
-// within hardware bounds. Built-in type codes are explored over a
-// miniature instance of their structure (hit, deep-hit, and miss
-// probes) and their state graph validated; custom programs are driven
-// over a minimal synthetic structure — a single zeroed element — which
-// any total walk must terminate on. Every rejection wraps
-// ErrInvalidProgram.
+// within hardware bounds. The program is explored over probe queries —
+// a miniature instance of the structure for a built-in type code, a
+// minimal synthetic one-element structure otherwise (see probeQueries)
+// — under every walk guard, and its state graph validated. Every
+// rejection wraps ErrInvalidProgram.
 func ValidateProgramDeep(p Program) error {
 	if err := ValidateProgram(p); err != nil {
 		return err
 	}
-	switch p.TypeCode() {
-	case dstruct.TypeLinkedList, dstruct.TypeHashTable, dstruct.TypeCuckoo,
-		dstruct.TypeSkipList, dstruct.TypeBST, dstruct.TypeTrie, dstruct.TypeBTree:
-		g, err := ExploreBuiltin(p)
-		if err != nil {
-			return fmt.Errorf("%w: exploration of %q failed: %v", ErrInvalidProgram, p.Name(), err)
-		}
-		if err := g.Validate(); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidProgram, err)
-		}
-		return nil
-	default:
-		return probeCustom(p)
-	}
-}
-
-// probeCustom drives a custom program over a minimal synthetic
-// structure: a header of the program's own type whose Root points at
-// zeroed memory, queried with a non-zero key. Null pointers and
-// zero-length fields are exactly what a terminating walk must cope
-// with, so a program that panics, faults, or fails to reach
-// FirmwareDone here is rejected.
-func probeCustom(p Program) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %q panicked during validation probe: %v",
-				ErrInvalidProgram, p.Name(), r)
-		}
-	}()
-
-	as := mem.NewAddressSpace(mem.NewPhysical())
-	root := as.AllocLines(512) // zeroed scratch the probe walk may read
-	headerAddr := dstruct.WriteHeader(as, dstruct.Header{
-		Root: root, Type: p.TypeCode(), Subtype: 1, KeyLen: 16, Size: 1, Aux: 1, Aux2: 1,
-	})
-	hdr, err := dstruct.ReadHeader(as, headerAddr)
+	qs, _ := probeQueries(p)
+	g, err := explore(p, qs)
 	if err != nil {
-		return fmt.Errorf("%w: probe header unreadable: %v", ErrInvalidProgram, err)
+		return fmt.Errorf("%w: exploration of %q failed: %v", ErrInvalidProgram, p.Name(), err)
 	}
-	key := []byte("validation-probe")[:16]
-	keyAddr := as.AllocLines(uint64(len(key)))
-	as.MustWrite(keyAddr, key)
-	q := &Query{AS: as, HeaderAddr: headerAddr, Header: hdr, KeyAddr: keyAddr, Key: key}
-
-	state := StateStart
-	for steps := 0; steps < deepProbeBudget; steps++ {
-		req := p.Step(q, state)
-		for _, op := range req.Ops {
-			if op.Bytes > MaxOpBytes {
-				return fmt.Errorf("%w: %q state %d issues a %d-byte micro-op (max %d)",
-					ErrInvalidProgram, p.Name(), state, op.Bytes, MaxOpBytes)
-			}
-		}
-		switch req.Next {
-		case StateDone:
-			return nil
-		case StateException:
-			return fmt.Errorf("%w: %q faulted on the minimal probe structure instead of reaching FirmwareDone: %v",
-				ErrInvalidProgram, p.Name(), req.Fault)
-		default:
-			state = req.Next
-		}
+	if err := g.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidProgram, err)
 	}
-	return fmt.Errorf("%w: %q did not reach FirmwareDone within %d transitions on a one-element structure",
-		ErrInvalidProgram, p.Name(), deepProbeBudget)
+	return nil
 }

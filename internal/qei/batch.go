@@ -6,7 +6,6 @@ import (
 
 	"qei/internal/cache"
 	"qei/internal/cfa"
-	"qei/internal/dstruct"
 	"qei/internal/isa"
 	"qei/internal/mem"
 	"qei/internal/trace"
@@ -42,25 +41,17 @@ import (
 // it on the unchanged per-query path, retry-from-root included. A
 // batched query therefore either completes with exactly the
 // per-query result or is never resolved by the batch engine at all.
-const batchMaxTransitions = 1 << 20
 
 // batchCursor is the lock-step walk state of one representative query.
 type batchCursor struct {
-	idx   int // position in the submitted batch
-	qd    *isa.QueryDesc
-	q     *cfa.Query
-	state cfa.StateID
-	res   Result
+	qd   *isa.QueryDesc
+	q    cfa.Query
+	walk cfa.Walk // batch-mode walk over q
+	res  Result
 	// pages are the virtual pages this query touched — the translations
 	// the per-query path would have paid for (saved-translation
 	// accounting).
-	pages map[uint64]bool
-	// Brent's cycle detection over the walk configuration, as in the
-	// per-query attempt loop.
-	tortoise cfaConfig
-	cyclePow int
-	cycleLen int
-	steps    int
+	pages    map[uint64]bool
 	done     bool
 	deferred bool
 	// dups are batch positions of duplicate keys coalesced onto this
@@ -152,15 +143,12 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 		return deferAll(t)
 	}
 	sc.markFetched(uint64(qds[0].HeaderAddr.Line()))
-	hdr, err := dstruct.ReadHeader(a.m.AS, qds[0].HeaderAddr)
-	if err != nil {
+	// Staging the first query reads the shared header; the rest stage
+	// only their keys.
+	prog, q0, err0 := cfa.Stage(a.reg, a.m.AS, qds[0].HeaderAddr, qds[0].KeyAddr, int(qds[0].KeyLen), nil)
+	if prog == nil {
 		return deferAll(t)
 	}
-	prog, ok := a.reg.Lookup(hdr.Type)
-	if !ok {
-		return deferAll(t)
-	}
-	step := cfa.BatchStepper(prog)
 	for _, qd := range qds {
 		touchPage(nil, uint64(qd.HeaderAddr.Line()))
 	}
@@ -171,37 +159,23 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 	cursorAt := make([]*batchCursor, len(qds)) // rep resolving each position
 	var deferred []int
 	for i, qd := range qds {
-		keyLen := int(hdr.KeyLen)
-		if qd.KeyLen != 0 {
-			keyLen = int(qd.KeyLen)
+		q, err := q0, err0
+		if i > 0 {
+			err = q.StageKey(qd.KeyAddr, int(qd.KeyLen), nil)
 		}
-		key := make([]byte, keyLen)
-		if err := a.m.AS.Read(qd.KeyAddr, key); err != nil {
+		if err != nil {
 			deferred = append(deferred, i)
 			continue
 		}
-		if rep, ok := repOf[string(key)]; ok {
+		if rep, ok := repOf[string(q.Key)]; ok {
 			rep.dups = append(rep.dups, i)
 			cursorAt[i] = rep
 			a.stats.BatchCoalescedProbes++
 			continue
 		}
-		c := &batchCursor{
-			idx: i,
-			qd:  qd,
-			q: &cfa.Query{
-				AS:         a.m.AS,
-				HeaderAddr: qd.HeaderAddr,
-				Header:     hdr,
-				KeyAddr:    qd.KeyAddr,
-				Key:        key,
-			},
-			state: cfa.StateStart,
-			pages: make(map[uint64]bool, 8),
-		}
-		c.tortoise = configOf(c.state, c.q)
-		c.cyclePow = 1
-		repOf[string(key)] = c
+		c := &batchCursor{qd: qd, q: q, pages: make(map[uint64]bool, 8)}
+		c.walk = cfa.NewWalk(prog, &c.q, true)
+		repOf[string(q.Key)] = c
 		cursorAt[i] = c
 		cursors = append(cursors, c)
 	}
@@ -224,9 +198,7 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 		computeEnd := t
 		for k, c := range active {
 			ceeT := t + uint64(k)
-			c.steps++
-			if c.steps >= batchMaxTransitions ||
-				(a.cycleBudget != 0 && ceeT-start >= a.cycleBudget) {
+			if a.cycleBudget != 0 && ceeT-start >= a.cycleBudget {
 				c.deferred = true
 				continue
 			}
@@ -236,25 +208,15 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 			}
 			ins.lastCEECycle = ceeT
 			a.stats.Transitions++
-			req, err := safeBatchStep(step, prog, c.q, c.state)
-			if err != nil {
-				c.deferred = true
-				continue
-			}
+			// A walk guard or firmware exception defers the query after
+			// its ops are charged; the per-query path reports it.
+			req, err := c.walk.Next()
 
 			var serial, parallel uint64
 			for _, op := range req.Ops {
-				if op.Bytes > cfa.MaxOpBytes {
-					c.deferred = true
-					break
-				}
 				if op.Kind == cfa.OpMemRead {
 					a.stats.MemOps++
-					first := uint64(op.Addr.Line())
-					last := uint64((op.Addr + mem.VAddr(op.Bytes) - 1).Line())
-					if op.Bytes == 0 {
-						last = first
-					}
+					first, last := opLines(op)
 					for line := first; line <= last; line += mem.LineSize {
 						touchPage(c.pages, line)
 						if sc.wasFetched(line) {
@@ -276,11 +238,7 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 				if op.Kind == cfa.OpCompare && !a.coveredByStaged(op, sc) {
 					// The per-query path translates the remote operand per
 					// query; the batch shares the page cache.
-					first := uint64(op.Addr.Line())
-					last := uint64((op.Addr + mem.VAddr(op.Bytes) - 1).Line())
-					if op.Bytes == 0 {
-						last = first
-					}
+					first, last := opLines(op)
 					for line := first; line <= last; line += mem.LineSize {
 						touchPage(c.pages, line)
 					}
@@ -306,25 +264,15 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 				computeEnd = end
 			}
 
-			switch req.Next {
-			case cfa.StateDone:
-				c.res = Result{Found: req.Found, Value: req.Value, Matches: c.q.Matches}
-				c.done = true
-			case cfa.StateException:
+			switch {
+			case err != nil:
 				// Architectural faults go through the per-query path so its
 				// retry-from-root applies.
 				c.deferred = true
+			case req.Next == cfa.StateDone:
+				c.res = Result{Found: req.Found, Value: req.Value, Matches: c.q.Matches}
+				c.done = true
 			default:
-				c.state = req.Next
-				cur := configOf(c.state, c.q)
-				if cur == c.tortoise {
-					c.deferred = true // pointer cycle: per-query path reports it
-					continue
-				}
-				if c.cycleLen == c.cyclePow {
-					c.tortoise, c.cyclePow, c.cycleLen = cur, c.cyclePow*2, 0
-				}
-				c.cycleLen++
 				next = append(next, c)
 			}
 		}
@@ -411,14 +359,7 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 		}
 		wlat, err := a.dataAccess(ins, w.addr, cache.Write, at, sc)
 		if err == nil {
-			var buf [16]byte
-			flag := uint64(1)
-			if w.c.res.Found {
-				flag = 3
-			}
-			putLE(buf[0:8], flag)
-			putLE(buf[8:16], w.c.res.Value)
-			a.m.AS.MustWrite(w.addr, buf[:])
+			a.writeResult(w.addr, w.c.res)
 		}
 		res := w.c.res
 		res.Done = at + wlat
@@ -448,17 +389,4 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 	slices.Sort(deferred)
 	a.stats.BatchDeferred += uint64(len(deferred))
 	return batchDone, deferred, nil
-}
-
-// safeBatchStep invokes the batch-mode stepping function under the same
-// panic barrier as the per-query safeStep.
-func safeBatchStep(step func(*cfa.Query, cfa.StateID) cfa.Request, prog cfa.Program,
-	q *cfa.Query, state cfa.StateID) (req cfa.Request, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: firmware %s panicked in state %d: %v",
-				cfa.ErrInvalidProgram, prog.Name(), state, r)
-		}
-	}()
-	return step(q, state), nil
 }

@@ -257,8 +257,10 @@ type scratch struct {
 	// fetched records virtual lines staged into the QST data field.
 	fetched  map[uint64]bool
 	lastLine uint64
-	// key stages the query's key bytes for the attempt.
-	key []byte
+	// q and walk are the attempt's staged query and its guarded CFA
+	// walk; q.Key is reused as the next attempt's key buffer.
+	q    cfa.Query
+	walk cfa.Walk
 }
 
 // reset prepares the scratch for a new attempt.
@@ -301,15 +303,6 @@ func (s *scratch) markFetched(line uint64) {
 // wasFetched reports whether a line is staged.
 func (s *scratch) wasFetched(line uint64) bool {
 	return line == s.lastLine || s.fetched[line]
-}
-
-// keyBuf returns the scratch's n-byte key buffer, growing it if needed.
-func (s *scratch) keyBuf(n int) []byte {
-	if cap(s.key) < n {
-		s.key = make([]byte, n)
-	}
-	s.key = s.key[:n]
-	return s.key
 }
 
 // New builds an accelerator for the given machine, scheme, firmware
@@ -424,45 +417,24 @@ func (a *Accelerator) pickInstance(q *isa.QueryDesc) *instance {
 	return a.inst[a.m.Hier.LLC().SliceFor(pa)%len(a.inst)]
 }
 
-// pickKeyBuf returns the issue-time key buffer, growing it if needed.
-func (a *Accelerator) pickKeyBuf(n int) []byte {
-	if cap(a.pickKey) < n {
-		a.pickKey = make([]byte, n)
-	}
-	a.pickKey = a.pickKey[:n]
-	return a.pickKey
-}
-
 // firstDataAddr computes the first structure address a query touches.
-func (a *Accelerator) firstDataAddr(q *isa.QueryDesc) mem.VAddr {
-	hdr, err := dstruct.ReadHeader(a.m.AS, q.HeaderAddr)
+func (a *Accelerator) firstDataAddr(qd *isa.QueryDesc) mem.VAddr {
+	_, q, err := cfa.Stage(a.reg, a.m.AS, qd.HeaderAddr, qd.KeyAddr, int(qd.KeyLen), a.pickKey)
+	a.pickKey = q.Key
 	if err != nil {
-		return q.KeyAddr
+		return qd.KeyAddr
 	}
-	switch hdr.Type {
+	switch hdr := q.Header; hdr.Type {
 	case dstruct.TypeCuckoo:
-		keyLen := int(hdr.KeyLen)
-		if q.KeyLen != 0 {
-			keyLen = int(q.KeyLen)
-		}
-		key := a.pickKeyBuf(keyLen)
-		if err := a.m.AS.Read(q.KeyAddr, key); err != nil {
-			return q.KeyAddr
-		}
-		h1, _ := dstruct.CuckooHashes(key, hdr.Aux2, hdr.Aux)
+		h1, _ := dstruct.CuckooHashes(q.Key, hdr.Aux2, hdr.Aux)
 		return dstruct.EntryAddr(hdr, h1, 0)
 	case dstruct.TypeHashTable:
-		keyLen := int(hdr.KeyLen)
-		key := a.pickKeyBuf(keyLen)
-		if err := a.m.AS.Read(q.KeyAddr, key); err != nil {
-			return q.KeyAddr
-		}
-		return dstruct.HashBucketSlot(hdr, key)
+		return dstruct.HashBucketSlot(hdr, q.Key)
 	default:
 		if hdr.Root != 0 {
 			return hdr.Root
 		}
-		return q.KeyAddr
+		return qd.KeyAddr
 	}
 }
 
@@ -496,16 +468,7 @@ func (a *Accelerator) IssueNonBlocking(q *isa.QueryDesc, issue uint64) (uint64, 
 	r := a.results[q.Tag]
 	wlat, err := a.dataAccess(ins, q.ResultAddr, cache.Write, finish, nil)
 	if err == nil {
-		var buf [16]byte
-		flag := uint64(1) // completion flag
-		if r.Fault != nil {
-			flag = 0xEE // error code visible to polling software
-		} else if r.Found {
-			flag = 3
-		}
-		putLE(buf[0:8], flag)
-		putLE(buf[8:16], r.Value)
-		a.m.AS.MustWrite(q.ResultAddr, buf[:])
+		a.writeResult(q.ResultAddr, r)
 	}
 	r.Done = finish + wlat
 	a.results[q.Tag] = r
@@ -561,6 +524,21 @@ func (a *Accelerator) TryIssueNonBlocking(q *isa.QueryDesc, issue uint64) (uint6
 		return 0, fmt.Errorf("%w: %d queries outstanding at cycle %d", ErrQSTFull, a.Capacity(), issue)
 	}
 	return a.IssueNonBlocking(q, issue)
+}
+
+// writeResult stores the 16-byte flag+value record polling software
+// reads at addr: flag 1 on completion, 3 on a hit, 0xEE on a fault.
+func (a *Accelerator) writeResult(addr mem.VAddr, r Result) {
+	flag := uint64(1)
+	if r.Fault != nil {
+		flag = 0xEE
+	} else if r.Found {
+		flag = 3
+	}
+	var buf [16]byte
+	putLE(buf[0:8], flag)
+	putLE(buf[8:16], r.Value)
+	a.m.AS.MustWrite(addr, buf[:])
 }
 
 func putLE(b []byte, v uint64) {
@@ -767,34 +745,17 @@ func corrupt(err error) error {
 	return fmt.Errorf("%w: %w", ErrStructCorrupt, err)
 }
 
-// cfaConfig is the complete mutable configuration of a CFA walk: the
-// automaton state plus the QST cursor. Step is deterministic given this
-// tuple and guest memory, and guest memory is static during a query —
-// so an exactly repeated configuration proves an infinite pointer
-// cycle. Matches can only grow, so its length stands in for it.
-type cfaConfig struct {
-	state      cfa.StateID
-	node, alt  mem.VAddr
-	level, pos int
-	matches    int
-}
-
-func configOf(state cfa.StateID, q *cfa.Query) cfaConfig {
-	return cfaConfig{state: state, node: q.Node, alt: q.AltNode,
-		level: q.Level, pos: q.Pos, matches: len(q.Matches)}
-}
-
-// safeStep invokes the firmware handler with a panic barrier: firmware
-// is untrusted input, and a handler that panics (out-of-range index,
-// nil deref) must become an architectural fault, not a process crash.
-func safeStep(prog cfa.Program, q *cfa.Query, state cfa.StateID) (req cfa.Request, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: firmware %s panicked in state %d: %v",
-				cfa.ErrInvalidProgram, prog.Name(), state, r)
-		}
-	}()
-	return prog.Step(q, state), nil
+// walkFault maps a walk guard's error onto the architectural faults: a
+// runaway walk is a timeout, a pointer cycle a corrupt structure.
+// Firmware rejections and the firmware's own exceptions pass through.
+func walkFault(err error) error {
+	switch {
+	case errors.Is(err, cfa.ErrRunaway):
+		return fmt.Errorf("%w: %w", ErrQueryTimeout, err)
+	case errors.Is(err, cfa.ErrPointerCycle):
+		return corrupt(err)
+	}
+	return err
 }
 
 // attempt runs one execution attempt of a query starting at cycle
@@ -819,44 +780,18 @@ func (a *Accelerator) attempt(ins *instance, qd *isa.QueryDesc, start uint64) (R
 		return fail(corrupt(err))
 	}
 	sc.markFetched(uint64(qd.HeaderAddr.Line()))
-	hdr, err := dstruct.ReadHeader(a.m.AS, qd.HeaderAddr)
+	prog, q, err := cfa.Stage(a.reg, a.m.AS, qd.HeaderAddr, qd.KeyAddr, int(qd.KeyLen), sc.q.Key)
+	sc.q = q
 	if err != nil {
-		return fail(corrupt(err))
-	}
-	prog, ok := a.reg.Lookup(hdr.Type)
-	if !ok {
-		return fail(fmt.Errorf("qei: no CFA firmware for type %s", dstruct.TypeName(hdr.Type)))
-	}
-
-	keyLen := int(hdr.KeyLen)
-	if qd.KeyLen != 0 {
-		keyLen = int(qd.KeyLen)
-	}
-	key := sc.keyBuf(keyLen)
-	if err := a.m.AS.Read(qd.KeyAddr, key); err != nil {
-		return fail(corrupt(err))
-	}
-
-	q := &cfa.Query{
-		AS:         a.m.AS,
-		HeaderAddr: qd.HeaderAddr,
-		Header:     hdr,
-		KeyAddr:    qd.KeyAddr,
-		Key:        key,
-	}
-
-	state := cfa.StateStart
-	// Brent's cycle detection over the walk configuration: O(1) memory,
-	// catches corrupt structures whose pointers loop (the walk repeats a
-	// configuration exactly) long before the transition-count backstop.
-	tortoise := configOf(state, q)
-	cyclePow, cycleLen := 1, 0
-	const maxTransitions = 1 << 20
-	for steps := 0; ; steps++ {
-		if steps >= maxTransitions {
-			return fail(fmt.Errorf("%w: runaway CFA %s after %d transitions",
-				ErrQueryTimeout, prog.Name(), maxTransitions))
+		if !errors.Is(err, cfa.ErrNoProgram) {
+			err = corrupt(err)
 		}
+		return fail(err)
+	}
+
+	w := &sc.walk
+	*w = cfa.NewWalk(prog, &sc.q, false)
+	for {
 		// Watchdog: a stuck or wandering walk must not hold its QST slot
 		// forever; past the per-attempt cycle budget it aborts
 		// architecturally (Sec. IV-D).
@@ -881,20 +816,13 @@ func (a *Accelerator) attempt(ins *instance, qd *isa.QueryDesc, start uint64) (R
 			return fail(errSpurious)
 		}
 
-		req, err := safeStep(prog, q, state)
-		if err != nil {
-			return fail(err)
-		}
+		req, err := w.Next()
 
 		// Charge the transition's micro-ops.
 		var serial uint64
 		var parallel uint64
 		for _, op := range req.Ops {
-			if op.Bytes > cfa.MaxOpBytes {
-				return fail(fmt.Errorf("%w: firmware %s op of %d bytes in state %d",
-					cfa.ErrInvalidProgram, prog.Name(), op.Bytes, state))
-			}
-			lat, err := a.chargeOp(ins, op, t, sc, uint64(len(q.Key)))
+			lat, err := a.chargeOp(ins, op, t, sc, uint64(len(sc.q.Key)))
 			if err != nil {
 				return fail(corrupt(err))
 			}
@@ -909,24 +837,12 @@ func (a *Accelerator) attempt(ins *instance, qd *isa.QueryDesc, start uint64) (R
 			t += serial
 		}
 
-		switch req.Next {
-		case cfa.StateDone:
-			return Result{Found: req.Found, Value: req.Value, Matches: q.Matches}, t
-		case cfa.StateException:
-			return fail(req.Fault)
-		default:
-			state = req.Next
+		if err != nil {
+			return fail(walkFault(err))
 		}
-
-		cur := configOf(state, q)
-		if cur == tortoise {
-			return fail(fmt.Errorf("%w: pointer cycle in firmware %s (period ≤ %d)",
-				ErrStructCorrupt, prog.Name(), cycleLen+1))
+		if req.Next == cfa.StateDone {
+			return Result{Found: req.Found, Value: req.Value, Matches: sc.q.Matches}, t
 		}
-		if cycleLen == cyclePow {
-			tortoise, cyclePow, cycleLen = cur, cyclePow*2, 0
-		}
-		cycleLen++
 	}
 }
 
@@ -943,11 +859,7 @@ func (a *Accelerator) chargeOp(ins *instance, op cfa.Op, t uint64, sc *scratch, 
 	switch op.Kind {
 	case cfa.OpMemRead:
 		a.stats.MemOps++
-		first := uint64(op.Addr.Line())
-		last := uint64((op.Addr + mem.VAddr(op.Bytes) - 1).Line())
-		if op.Bytes == 0 {
-			last = first
-		}
+		first, last := opLines(op)
 		var maxLat uint64
 		for line := first; line <= last; line += mem.LineSize {
 			a.stats.MemLines++
@@ -999,14 +911,23 @@ func (a *Accelerator) chargeOp(ins *instance, op cfa.Op, t uint64, sc *scratch, 
 	return 0, fmt.Errorf("qei: unknown micro-op kind %d", int(op.Kind))
 }
 
+// opLines returns the first and last cacheline an op covers; an op of
+// zero bytes still names the line at its address.
+func opLines(op cfa.Op) (first, last uint64) {
+	first = uint64(op.Addr.Line())
+	if op.Bytes == 0 {
+		return first, first
+	}
+	return first, uint64((op.Addr + mem.VAddr(op.Bytes) - 1).Line())
+}
+
 // coveredByStaged reports whether every line of the compare operand has
 // already been fetched into the QST's intermediate-data field.
 func (a *Accelerator) coveredByStaged(op cfa.Op, sc *scratch) bool {
 	if op.Bytes == 0 {
 		return true
 	}
-	first := uint64(op.Addr.Line())
-	last := uint64((op.Addr + mem.VAddr(op.Bytes) - 1).Line())
+	first, last := opLines(op)
 	for line := first; line <= last; line += mem.LineSize {
 		if !sc.wasFetched(line) {
 			return false
@@ -1035,8 +956,7 @@ func (a *Accelerator) remoteCompare(ins *instance, op cfa.Op, t uint64, sc *scra
 	arrive := t + tlat + reqLat
 	// The CHA comparator pulls the operand lines from its own slice.
 	var dataLat uint64
-	first := uint64(op.Addr.Line())
-	last := uint64((op.Addr + mem.VAddr(op.Bytes) - 1).Line())
+	first, last := opLines(op)
 	for line := first; line <= last; line += mem.LineSize {
 		lpa, _, err := a.translate(ins, mem.VAddr(line), arrive, sc)
 		if err != nil {

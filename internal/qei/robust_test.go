@@ -115,6 +115,65 @@ func TestFirmwarePanicBecomesArchitecturalFault(t *testing.T) {
 	}
 }
 
+// rogueFW is custom firmware with a configurable step, for the walk
+// guards both engines must turn into faults.
+type rogueFW struct {
+	step func(q *cfa.Query, s cfa.StateID) cfa.Request
+}
+
+func (rogueFW) TypeCode() uint8 { return 61 }
+func (rogueFW) Name() string    { return "rogue-fw" }
+func (rogueFW) NumStates() int  { return 2 }
+func (f rogueFW) Step(q *cfa.Query, s cfa.StateID) cfa.Request {
+	return f.step(q, s)
+}
+
+func TestWalkGuardsFaultBothEngines(t *testing.T) {
+	cases := []struct {
+		name string
+		step func(q *cfa.Query, s cfa.StateID) cfa.Request
+		want error
+	}{
+		{"panic", func(q *cfa.Query, s cfa.StateID) cfa.Request {
+			panic("firmware bug")
+		}, cfa.ErrInvalidProgram},
+		{"oversize-op", func(q *cfa.Query, s cfa.StateID) cfa.Request {
+			return cfa.Finish(false, 0, cfa.ALU(8), cfa.MemRead(q.Header.Root, 1<<30))
+		}, cfa.ErrInvalidProgram},
+		// A walk that never repeats its configuration escapes cycle
+		// detection; the transition bound stops it.
+		{"runaway", func(q *cfa.Query, s cfa.StateID) cfa.Request {
+			q.Level++
+			return cfa.Continue(1, false)
+		}, ErrQueryTimeout},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := machine.NewDefault()
+			reg := cfa.NewRegistry()
+			if err := reg.Register(rogueFW{tc.step}); err != nil {
+				t.Fatal(err)
+			}
+			a := New(m, scheme.ForKind(scheme.CoreIntegrated), reg, 3)
+			hdr := dstruct.WriteHeader(m.AS, dstruct.Header{Type: 61, KeyLen: 8, Size: 1})
+			key := stage(m, make([]byte, 8))
+			if _, err := a.IssueBlocking(&isa.QueryDesc{HeaderAddr: hdr, KeyAddr: key, Tag: 1}, 0); err != nil {
+				t.Fatal(err)
+			}
+			if r, _ := a.Result(1); !errors.Is(r.Fault, tc.want) {
+				t.Fatalf("fault = %v, want %v", r.Fault, tc.want)
+			}
+			// The level-wise engine hands the query back to the per-query
+			// path instead of resolving it.
+			qd := &isa.QueryDesc{HeaderAddr: hdr, KeyAddr: key, ResultAddr: m.AS.AllocLines(16), Tag: 2}
+			_, deferred, err := a.ExecuteBatch([]*isa.QueryDesc{qd}, 0)
+			if err != nil || len(deferred) != 1 {
+				t.Fatalf("batch: deferred = %v, err = %v; want the query deferred", deferred, err)
+			}
+		})
+	}
+}
+
 func TestSpuriousFaultRetryExhaustion(t *testing.T) {
 	m, a := newAccel(t, scheme.CoreIntegrated)
 	keys, vals := genKeys(10, 16, 43)
