@@ -13,6 +13,10 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+# Golden fast path: the bench matrix and every internal/workload driver
+# must reproduce their committed simulated outputs, so a cycle drift
+# fails here in seconds instead of after the race-detector run.
+go test -run '^(TestBenchGoldenCycles|TestDriversGolden)$' -count=1 . ./internal/workload
 # The root package's experiment-band tests run minutes of simulation;
 # under the race detector on few cores they outlast go test's default
 # 10m per-package budget, so give them room.

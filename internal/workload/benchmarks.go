@@ -75,7 +75,6 @@ func (d DPDK) Build(m *machine.Machine) (*Plan, error) {
 		want[i] = j
 	}
 	addrs := stageKeys(m, probeKeys)
-	var keyBuf []byte
 	plan := &Plan{
 		Name: d.Name(),
 		// Packet RX/parse/TX around each lookup: header parsing, checksum
@@ -84,10 +83,7 @@ func (d DPDK) Build(m *machine.Machine) (*Plan, error) {
 		NonROILoadEvery: 8,
 		Scratch:         m.AS.AllocLines(4096),
 		scratchSize:     4096,
-		BaselineTrace: func(mm *machine.Machine, q *baseline.Querier, p Probe) (isa.Trace, foundValue, error) {
-			r, err := q.QueryCuckoo(mm.AS, p.Header, readKeyAt(mm, p, &keyBuf))
-			return r.Trace, foundValue{r.Found, r.Value}, err
-		},
+		BaselineTrace:   pointLookup((*baseline.Querier).QueryCuckoo),
 	}
 	for i := 0; i < n; i++ {
 		req := Request{Probes: []Probe{{
@@ -96,11 +92,7 @@ func (d DPDK) Build(m *machine.Machine) (*Plan, error) {
 			WantFound: true,
 			WantValue: vals[want[i]],
 		}}}
-		if i < d.Queries {
-			plan.WarmupRequests = append(plan.WarmupRequests, req)
-		} else {
-			plan.Requests = append(plan.Requests, req)
-		}
+		plan.add(i < d.Queries, req)
 	}
 	return plan, nil
 }
@@ -125,6 +117,27 @@ func readKeyAt(m *machine.Machine, p Probe, buf *[]byte) []byte {
 	k := (*buf)[:n]
 	m.AS.MustRead(p.Key, k)
 	return k
+}
+
+// pointLookup adapts a baseline point-lookup routine, given as a
+// (*baseline.Querier).QueryX method expression, to Plan.BaselineTrace.
+// The adapter owns the key buffer readKeyAt fills.
+func pointLookup(query func(*baseline.Querier, *mem.AddressSpace, mem.VAddr, []byte) (baseline.Result, error)) func(*machine.Machine, *baseline.Querier, Probe) (isa.Trace, foundValue, error) {
+	var keyBuf []byte
+	return func(m *machine.Machine, q *baseline.Querier, p Probe) (isa.Trace, foundValue, error) {
+		r, err := query(q, m.AS, p.Header, readKeyAt(m, p, &keyBuf))
+		return r.Trace, foundValue{r.Found, r.Value}, err
+	}
+}
+
+// add appends req to the warmup stream or, once the warmup half is
+// drawn, to the measured stream.
+func (p *Plan) add(warmup bool, req Request) {
+	if warmup {
+		p.WarmupRequests = append(p.WarmupRequests, req)
+	} else {
+		p.Requests = append(p.Requests, req)
+	}
 }
 
 // JVM is the garbage-collection benchmark (Sec. VI-B): the live-object
@@ -159,7 +172,6 @@ func (j JVM) Build(m *machine.Machine) (*Plan, error) {
 		want[i] = k
 	}
 	addrs := stageKeys(m, probeKeys)
-	var keyBuf []byte
 	plan := &Plan{
 		Name: j.Name(),
 		// Mutator work interleaved between GC mark queries (allocation,
@@ -168,10 +180,7 @@ func (j JVM) Build(m *machine.Machine) (*Plan, error) {
 		NonROILoadEvery: 10,
 		Scratch:         m.AS.AllocLines(4096),
 		scratchSize:     4096,
-		BaselineTrace: func(mm *machine.Machine, q *baseline.Querier, p Probe) (isa.Trace, foundValue, error) {
-			r, err := q.QueryBST(mm.AS, p.Header, readKeyAt(mm, p, &keyBuf))
-			return r.Trace, foundValue{r.Found, r.Value}, err
-		},
+		BaselineTrace:   pointLookup((*baseline.Querier).QueryBST),
 	}
 	for i := 0; i < n; i++ {
 		req := Request{Probes: []Probe{{
@@ -180,11 +189,7 @@ func (j JVM) Build(m *machine.Machine) (*Plan, error) {
 			WantFound: true,
 			WantValue: vals[want[i]],
 		}}}
-		if i < j.Queries {
-			plan.WarmupRequests = append(plan.WarmupRequests, req)
-		} else {
-			plan.Requests = append(plan.Requests, req)
-		}
+		plan.add(i < j.Queries, req)
 	}
 	return plan, nil
 }
@@ -227,7 +232,6 @@ func (r RocksDB) Build(m *machine.Machine) (*Plan, error) {
 		want[i] = k
 	}
 	addrs := stageKeys(m, probeKeys)
-	var keyBuf []byte
 	plan := &Plan{
 		Name: r.Name(),
 		// The paper singles RocksDB out: its seek loop carries a lot of
@@ -237,10 +241,7 @@ func (r RocksDB) Build(m *machine.Machine) (*Plan, error) {
 		NonROILoadEvery: 6,
 		Scratch:         m.AS.AllocLines(8192),
 		scratchSize:     8192,
-		BaselineTrace: func(mm *machine.Machine, q *baseline.Querier, p Probe) (isa.Trace, foundValue, error) {
-			res, err := q.QuerySkipList(mm.AS, p.Header, readKeyAt(mm, p, &keyBuf))
-			return res.Trace, foundValue{res.Found, res.Value}, err
-		},
+		BaselineTrace:   pointLookup((*baseline.Querier).QuerySkipList),
 	}
 	for i := 0; i < n; i++ {
 		req := Request{Probes: []Probe{{
@@ -249,11 +250,7 @@ func (r RocksDB) Build(m *machine.Machine) (*Plan, error) {
 			WantFound: true,
 			WantValue: valPtrs[want[i]],
 		}}}
-		if i < r.Queries {
-			plan.WarmupRequests = append(plan.WarmupRequests, req)
-		} else {
-			plan.Requests = append(plan.Requests, req)
-		}
+		plan.add(i < r.Queries, req)
 	}
 	return plan, nil
 }
@@ -350,11 +347,7 @@ func (s Snort) Build(m *machine.Machine) (*Plan, error) {
 			WantFound: len(ref) > 0,
 			WantValue: wantVal,
 		}}}
-		if qi < s.Queries {
-			plan.WarmupRequests = append(plan.WarmupRequests, req)
-		} else {
-			plan.Requests = append(plan.Requests, req)
-		}
+		plan.add(qi < s.Queries, req)
 	}
 	return plan, nil
 }
@@ -394,7 +387,6 @@ func (f FLANN) Build(m *machine.Machine) (*Plan, error) {
 		headers[t] = ht.HeaderAddr
 	}
 	rng := rand.New(rand.NewSource(f.Seed + 1))
-	var keyBuf []byte
 	plan := &Plan{
 		Name: f.Name(),
 		// Feature extraction and exact-distance verification of the
@@ -403,10 +395,7 @@ func (f FLANN) Build(m *machine.Machine) (*Plan, error) {
 		NonROILoadEvery: 7,
 		Scratch:         m.AS.AllocLines(8192),
 		scratchSize:     8192,
-		BaselineTrace: func(mm *machine.Machine, q *baseline.Querier, p Probe) (isa.Trace, foundValue, error) {
-			r, err := q.QueryHashTable(mm.AS, p.Header, readKeyAt(mm, p, &keyBuf))
-			return r.Trace, foundValue{r.Found, r.Value}, err
-		},
+		BaselineTrace:   pointLookup((*baseline.Querier).QueryHashTable),
 	}
 	for qi := 0; qi < 2*f.Queries; qi++ {
 		k := rng.Intn(len(keys))
@@ -420,11 +409,7 @@ func (f FLANN) Build(m *machine.Machine) (*Plan, error) {
 				WantValue: vals[k],
 			}
 		}
-		if qi < f.Queries {
-			plan.WarmupRequests = append(plan.WarmupRequests, Request{Probes: probes})
-		} else {
-			plan.Requests = append(plan.Requests, Request{Probes: probes})
-		}
+		plan.add(qi < f.Queries, Request{Probes: probes})
 	}
 	return plan, nil
 }
@@ -465,17 +450,13 @@ func (t TupleSpace) Build(m *machine.Machine) (*Plan, error) {
 		headers[ti] = ck.HeaderAddr
 	}
 	rng := rand.New(rand.NewSource(t.Seed + 1))
-	var keyBuf []byte
 	plan := &Plan{
 		Name:            t.Name(),
 		NonROIOps:       100,
 		NonROILoadEvery: 8,
 		Scratch:         m.AS.AllocLines(4096),
 		scratchSize:     4096,
-		BaselineTrace: func(mm *machine.Machine, q *baseline.Querier, p Probe) (isa.Trace, foundValue, error) {
-			r, err := q.QueryCuckoo(mm.AS, p.Header, readKeyAt(mm, p, &keyBuf))
-			return r.Trace, foundValue{r.Found, r.Value}, err
-		},
+		BaselineTrace:   pointLookup((*baseline.Querier).QueryCuckoo),
 	}
 	for qi := 0; qi < 2*t.Queries; qi++ {
 		owner := rng.Intn(t.Tuples)
@@ -493,11 +474,7 @@ func (t TupleSpace) Build(m *machine.Machine) (*Plan, error) {
 				probes[ti].WantValue = vals[keyIdx]
 			}
 		}
-		if qi < t.Queries {
-			plan.WarmupRequests = append(plan.WarmupRequests, Request{Probes: probes})
-		} else {
-			plan.Requests = append(plan.Requests, Request{Probes: probes})
-		}
+		plan.add(qi < t.Queries, Request{Probes: probes})
 	}
 	return plan, nil
 }

@@ -5,8 +5,6 @@ import (
 
 	"qei/internal/cfa"
 	"qei/internal/cpu"
-	"qei/internal/isa"
-	"qei/internal/machine"
 	"qei/internal/qei"
 	"qei/internal/scheme"
 )
@@ -37,115 +35,71 @@ func RunMultiCore(bench Benchmark, kind scheme.Kind, cores int) (MultiCoreResult
 	if cores < 1 {
 		return MultiCoreResult{}, fmt.Errorf("workload: need at least one core")
 	}
-	m := machine.NewDefault()
-	if cores > m.Cfg.Cores {
-		return MultiCoreResult{}, fmt.Errorf("workload: %d cores exceed the chip's %d", cores, m.Cfg.Cores)
-	}
-	buildStart := m.AS.Brk()
-	plan, err := bench.Build(m)
+	params := scheme.ForKind(kind)
+	s, err := open(bench, &params, nil)
 	if err != nil {
 		return MultiCoreResult{}, err
 	}
-	buildEnd := m.AS.Brk()
-	m.WarmLLC(buildStart, buildEnd)
-
-	reg := cfa.DefaultRegistry()
+	if cores > s.m.Cfg.Cores {
+		return MultiCoreResult{}, fmt.Errorf("workload: %d cores exceed the chip's %d", cores, s.m.Cfg.Cores)
+	}
+	s.warmLLC()
 	res := MultiCoreResult{Scheme: kind.String(), Cores: cores}
 
 	// Accelerators: private per core when placed beside the core, shared
-	// views otherwise.
-	p := scheme.ForKind(kind)
-	accels := make([]*qei.Accelerator, cores)
-	if p.Placement == scheme.PlaceCore {
-		for c := 0; c < cores; c++ {
-			accels[c] = qei.New(m, p, reg, c)
+	// views of core 0's otherwise.
+	accels := []*qei.Accelerator{s.accel}
+	cpus := []*cpu.Core{s.core}
+	for c := 1; c < cores; c++ {
+		var a *qei.Accelerator
+		if params.Placement == scheme.PlaceCore {
+			a = qei.New(s.m, params, cfa.DefaultRegistry(), c)
+		} else {
+			a = s.accel.ViewForCore(c)
 		}
-	} else {
-		base := qei.New(m, p, reg, 0)
-		accels[0] = base
-		for c := 1; c < cores; c++ {
-			accels[c] = base.ViewForCore(c)
-		}
-	}
-	cpus := make([]*cpu.Core, cores)
-	for c := 0; c < cores; c++ {
-		cpus[c] = m.NewCore(c, accels[c])
+		accels = append(accels, a)
+		cpus = append(cpus, s.m.NewCore(c, a))
 	}
 
 	// Split requests across cores, flatten to probes.
 	perCore := make([][]Probe, cores)
-	for i, req := range plan.Requests {
+	for i, req := range s.plan.Requests {
 		c := i % cores
 		perCore[c] = append(perCore[c], req.Probes...)
 	}
 
-	type pend struct {
-		core int
-		tag  uint64
-		p    Probe
-	}
-	var pending []pend
-	tag := uint64(0)
-
 	// Round-robin across cores in QST-sized batches so the shared
 	// accelerator sees interleaved issue times, as concurrent cores
 	// would produce.
-	batch := 10
-	offsets := make([]int, cores)
-	remaining := res.Queries
-	_ = remaining
-	for {
-		progress := false
-		for c := 0; c < cores; c++ {
-			probes := perCore[c]
-			if offsets[c] >= len(probes) {
+	const batch = 10
+	pending := make([][]expect, cores)
+	for progress := true; progress; {
+		progress = false
+		for c, probes := range perCore {
+			if len(probes) == 0 {
 				continue
 			}
 			progress = true
-			end := offsets[c] + batch
-			if end > len(probes) {
-				end = len(probes)
+			chunk := probes[:min(batch, len(probes))]
+			perCore[c] = probes[len(chunk):]
+			s.b.Reset()
+			for _, p := range chunk {
+				emitQueryB(s.b, p, s.tag, false)
+				pending[c] = append(pending[c], expect{tag: s.tag, p: p})
+				s.tag++
 			}
-			b := isa.NewBuilder()
-			for _, p := range probes[offsets[c]:end] {
-				b.ALUN(6, 0)
-				r := b.QueryB(isa.QueryDesc{
-					HeaderAddr: p.Header,
-					KeyAddr:    p.Key,
-					KeyLen:     p.KeyLen,
-					Tag:        tag,
-				})
-				check := b.ALU(r, 0)
-				b.Branch(check, false)
-				b.ALUN(4, 0)
-				pending = append(pending, pend{core: c, tag: tag, p: p})
-				tag++
-				res.Queries++
-			}
-			offsets[c] = end
-			cpus[c].Run(b.Take())
+			cpus[c].Run(s.b.Ops())
 			if err := cpus[c].Err(); err != nil {
 				return res, err
 			}
 		}
-		if !progress {
-			break
-		}
 	}
 
-	for _, e := range pending {
-		r, ok := accels[e.core].Result(e.tag)
-		if !ok || r.Fault != nil || r.Found != e.p.WantFound || (r.Found && r.Value != e.p.WantValue) {
-			res.Mismatches++
-		}
-	}
-	for c := 0; c < cores; c++ {
-		if now := cpus[c].Now(); now > res.Makespan {
-			res.Makespan = now
-		}
-		if fin := accels[c].Stats().LastFinish; fin > res.Makespan {
-			res.Makespan = fin
-		}
+	for c := range pending {
+		mismatches, _ := verify(accels[c], pending[c])
+		res.Queries += len(pending[c])
+		res.Mismatches += mismatches
+		res.Makespan = max(res.Makespan, cpus[c].Now(), accels[c].Stats().LastFinish)
 	}
 	if res.Makespan > 0 {
 		res.Throughput = float64(res.Queries) * 1000 / float64(res.Makespan)

@@ -5,10 +5,7 @@ import (
 	"sort"
 	"sync"
 
-	"qei/internal/cfa"
 	"qei/internal/isa"
-	"qei/internal/machine"
-	"qei/internal/qei"
 	"qei/internal/scheme"
 	"qei/internal/sim"
 )
@@ -75,19 +72,16 @@ func OpenLoopLatency(bench Benchmark, kind scheme.Kind, interarrival uint64, que
 	if interarrival == 0 {
 		return LatencyProfile{}, fmt.Errorf("workload: zero interarrival")
 	}
-	m := machine.NewDefault()
-	buildStart := m.AS.Brk()
-	plan, err := bench.Build(m)
+	params := scheme.ForKind(kind)
+	s, err := open(bench, &params, nil)
 	if err != nil {
 		return LatencyProfile{}, err
 	}
-	buildEnd := m.AS.Brk()
-	m.WarmLLC(buildStart, buildEnd)
-	accel := qei.New(m, scheme.ForKind(kind), cfa.DefaultRegistry(), 0)
+	s.warmLLC()
 
 	// Flatten the probe stream.
 	var probes []Probe
-	for _, req := range plan.Requests {
+	for _, req := range s.plan.Requests {
 		probes = append(probes, req.Probes...)
 	}
 	if len(probes) == 0 {
@@ -108,11 +102,11 @@ func OpenLoopLatency(bench Benchmark, kind scheme.Kind, interarrival uint64, que
 		arrive := sim.Cycle(uint64(i) * interarrival)
 		eng.At(arrive, func() {
 			p := probes[i]
-			done, err := accel.IssueBlocking(&isa.QueryDesc{
+			done, err := s.accel.IssueBlocking(&isa.QueryDesc{
 				HeaderAddr: p.Header,
 				KeyAddr:    p.Key,
 				KeyLen:     p.KeyLen,
-				Tag:        uint64(i),
+				Tag:        s.issue(p, true),
 			}, uint64(eng.Now()))
 			if err != nil {
 				issueErr = err
@@ -124,6 +118,9 @@ func OpenLoopLatency(bench Benchmark, kind scheme.Kind, interarrival uint64, que
 	eng.Run()
 	if issueErr != nil {
 		return profile, issueErr
+	}
+	if mismatches, _ := verify(s.accel, s.pending); mismatches > 0 {
+		return profile, fmt.Errorf("workload: %d of %d open-loop results wrong", mismatches, queries)
 	}
 
 	var sum uint64

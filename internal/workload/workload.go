@@ -54,12 +54,6 @@ type Plan struct {
 	// played by the warmup pass so the measured stream does not reuse
 	// exactly the lines warmup pulled into the private caches.
 	WarmupRequests []Request
-	// Batch is the QUERY_B issue batch used by the accelerated ROI
-	// rewrite (Sec. IV-A: "QUERY_B ... can be used in small batches,
-	// determined by the resource limitations of the accelerator and the
-	// core pipeline, to maximize the parallelism"). Zero means the QST
-	// depth (10).
-	Batch int
 	// NonROIOps is the per-request op count of surrounding work.
 	NonROIOps int
 	// NonROILoadEvery makes every Nth non-ROI op a load into Scratch
@@ -156,17 +150,6 @@ func (c *runCfg) newMachine() *machine.Machine {
 	return machine.NewDefault()
 }
 
-// attach wires the run's machine (and, for accelerated runs, the
-// accelerator) into the configured observability sinks; both may be nil.
-func (c *runCfg) attach(m *machine.Machine, accel *qei.Accelerator) {
-	if accel != nil {
-		accel.RegisterMetrics(c.reg)
-		accel.SetTracer(c.tr)
-		return
-	}
-	m.AttachObservability(c.reg, c.tr)
-}
-
 // WithWarmup plays the request stream once before the measured pass, so
 // caches and TLBs reach steady state — the regime the paper evaluates
 // ("there are few TLB misses in our tests", Sec. VII-A). Reported
@@ -175,7 +158,7 @@ func WithWarmup() RunOption {
 	return func(c *runCfg) { c.warmup = true }
 }
 
-// WithBatch overrides the QUERY_NB issue batch size.
+// WithBatch overrides the QUERY_B and QUERY_NB issue batch size.
 func WithBatch(n int) RunOption {
 	return func(c *runCfg) { c.batch = n }
 }
@@ -272,88 +255,225 @@ func emitNonROI(b *isa.Builder, plan *Plan, reqIdx int, seed isa.Reg) {
 	b.Branch(chain, reqIdx%24 == 0)
 }
 
-// warmupStream picks the warmup request stream for a plan.
-func warmupStream(plan *Plan) []Request {
-	if len(plan.WarmupRequests) > 0 {
-		return plan.WarmupRequests
+// session is one run of a benchmark on a fresh machine. It owns what
+// every driver shares — the machine and its build, the accelerator
+// beside core 0, the trace builder, the measured window and the result
+// check — so a driver is only the trace its configuration emits.
+type session struct {
+	cfg   runCfg
+	m     *machine.Machine
+	plan  *Plan
+	accel *qei.Accelerator // nil on software runs
+	core  *cpu.Core        // core 0, beside accel
+	// b builds every trace handed to a core. A core consumes each trace
+	// synchronously in Run, so the storage is reusable as soon as Run
+	// returns (Reset keeps register numbering byte-identical to a fresh
+	// builder).
+	b   *isa.Builder
+	run Run
+	// buildStart and buildEnd bound the plan's structures, which a
+	// warmup installs in the LLC.
+	buildStart, buildEnd mem.VAddr
+	tag                  uint64   // next accelerator query tag
+	pending              []expect // the measured pass's accelerator probes
+}
+
+// open applies opts, builds bench into a fresh machine wired to the
+// configured observability sinks, and creates core 0 — with an
+// accelerator of the given scheme beside it when params is non-nil.
+func open(bench Benchmark, params *scheme.Params, opts []RunOption) (*session, error) {
+	s := &session{b: isa.NewBuilder()}
+	for _, o := range opts {
+		o(&s.cfg)
 	}
-	return plan.Requests
+	s.m = s.cfg.newMachine()
+	s.m.AttachObservability(s.cfg.reg, s.cfg.tr)
+	s.buildStart = s.m.AS.Brk()
+	plan, err := bench.Build(s.m)
+	if err != nil {
+		return nil, err
+	}
+	s.plan, s.buildEnd = plan, s.m.AS.Brk()
+	s.run.Name = plan.Name
+	var port cpu.QueryPort
+	if params != nil {
+		s.accel = qei.New(s.m, *params, cfa.DefaultRegistry(), 0)
+		s.accel.RegisterMetrics(s.cfg.reg)
+		s.accel.SetTracer(s.cfg.tr)
+		port = s.accel
+	}
+	s.core = s.m.NewCore(0, port)
+	return s, nil
+}
+
+// warmLLC installs the plan's structures in the LLC.
+func (s *session) warmLLC() { s.m.WarmLLC(s.buildStart, s.buildEnd) }
+
+// measure plays the plan and returns the measured window's Run. With a
+// warmup, the LLC is seeded and play first runs the warmup stream
+// unmeasured; the window then opens once core 0 and the accelerator are
+// both idle. It closes at the latest of core 0's last retirement, the
+// accelerator's last finish and the last measured result's completion
+// (QUERY_NB results land after the accelerator's last finish).
+func (s *session) measure(play func(reqs []Request, measured bool) error) (Run, error) {
+	mesh := s.m.Hier.Mesh()
+	var start uint64
+	var startCore cpu.Stats
+	var startAccel qei.Stats
+	var startMem memSnapshot
+	if s.cfg.warmup {
+		s.warmLLC()
+		warm := s.plan.WarmupRequests
+		if len(warm) == 0 {
+			warm = s.plan.Requests
+		}
+		if err := play(warm, false); err != nil {
+			return s.run, err
+		}
+		start, startCore = s.core.Now(), s.core.Stats()
+		if s.accel != nil {
+			startAccel = s.accel.Stats()
+			start = max(start, startAccel.LastFinish)
+		}
+		if s.cfg.nocReset {
+			mesh.ResetTraffic()
+		}
+		startMem = snapshotMemory(s.m)
+	}
+	if err := play(s.plan.Requests, true); err != nil {
+		return s.run, err
+	}
+	end := s.core.Now()
+	if s.accel != nil {
+		mismatches, lastDone := verify(s.accel, s.pending)
+		s.run.Queries += len(s.pending)
+		s.run.Mismatches += mismatches
+		as := s.accel.Stats()
+		end = max(end, as.LastFinish, lastDone)
+		d := as.Sub(startAccel)
+		s.run.Accel = &d
+	}
+	s.run.Cycles = end - start
+	s.run.Core = s.core.Stats().Sub(startCore)
+	if s.cfg.nocReset {
+		mesh.ObserveWindow(s.run.Cycles)
+		s.run.PeakLinkUtil, _ = mesh.LinkUtilization()
+		s.run.MeanUtil = mesh.MeanUtilization()
+	} else {
+		mesh.ObserveWindow(end)
+	}
+	applyMemoryDelta(&s.run, startMem, snapshotMemory(s.m))
+	s.run.Metrics = s.cfg.reg.Snapshot()
+	return s.run, nil
+}
+
+// batches hands reqs to core 0 in traces of up to n requests: emit
+// appends one chunk's ops to the reset builder (first is the chunk's
+// index in reqs), and the core runs them before the next chunk.
+func (s *session) batches(reqs []Request, n int, emit func(chunk []Request, first int) error) error {
+	for first := 0; first < len(reqs); first += n {
+		s.b.Reset()
+		if err := emit(reqs[first:min(first+n, len(reqs))], first); err != nil {
+			return err
+		}
+		s.core.Run(s.b.Ops())
+		if err := s.core.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// issue returns the next query tag for p and, on the measured pass,
+// queues p for verification.
+func (s *session) issue(p Probe, measured bool) uint64 {
+	tag := s.tag
+	s.tag++
+	if measured {
+		s.pending = append(s.pending, expect{tag: tag, p: p})
+	}
+	return tag
+}
+
+// expect is a probe issued to an accelerator under tag.
+type expect struct {
+	tag uint64
+	p   Probe
+}
+
+// matches reports whether a lookup outcome is the one p expects.
+func (p Probe) matches(found bool, value uint64) bool {
+	return found == p.WantFound && (!found || value == p.WantValue)
+}
+
+// verify counts the pending probes whose result on accel is missing,
+// faulted or wrong, and returns the latest completion among them.
+func verify(accel *qei.Accelerator, pending []expect) (mismatches int, lastDone uint64) {
+	for _, e := range pending {
+		r, ok := accel.Result(e.tag)
+		if !ok || r.Fault != nil || !e.p.matches(r.Found, r.Value) {
+			mismatches++
+		}
+		if ok {
+			lastDone = max(lastDone, r.Done)
+		}
+	}
+	return mismatches, lastDone
+}
+
+// emitQueryB appends one probe's QUERY_B in the software shell of the
+// rewritten ROI (List 2): key pointer setup before the instruction, a
+// result check after, then loop bookkeeping. The shell is what keeps
+// the ROB's in-flight query count near the QST depth — the "bounded by
+// the core" effect of Sec. VII-A. It returns the result register.
+func emitQueryB(b *isa.Builder, p Probe, tag uint64, mispredict bool) isa.Reg {
+	b.ALUN(6, 0)
+	r := b.QueryB(isa.QueryDesc{
+		HeaderAddr: p.Header,
+		KeyAddr:    p.Key,
+		KeyLen:     p.KeyLen,
+		Tag:        tag,
+	})
+	b.Branch(b.ALU(r, 0), mispredict)
+	b.ALUN(4, 0)
+	return r
 }
 
 // RunBaseline executes bench in pure software on core 0 of a fresh
 // machine.
 func RunBaseline(bench Benchmark, mode Mode, opts ...RunOption) (Run, error) {
-	var cfg runCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
-	m := cfg.newMachine()
-	cfg.attach(m, nil)
-	buildStart := m.AS.Brk()
-	plan, err := bench.Build(m)
+	s, err := open(bench, nil, opts)
 	if err != nil {
 		return Run{}, err
 	}
-	buildEnd := m.AS.Brk()
-	core := m.NewCore(0, nil)
-	run := Run{Name: plan.Name, Mode: mode, Scheme: "software"}
-
-	// One builder and one querier arena serve every request: the core
-	// consumes each trace synchronously in Run, so the builder's storage
-	// is reusable immediately after (Reset keeps register numbering
-	// byte-identical to a fresh builder).
-	b := isa.NewBuilder()
+	s.run.Mode, s.run.Scheme = mode, "software"
+	// One querier arena serves every probe; Append copies each trace out
+	// of it before the next.
 	q := baseline.NewQuerier()
-	pass := func(reqs []Request, count bool) error {
-		for i, req := range reqs {
-			b.Reset()
+	return s.measure(func(reqs []Request, measured bool) error {
+		return s.batches(reqs, 1, func(chunk []Request, first int) error {
 			if mode != ROIOnly {
-				emitNonROI(b, plan, i, 0)
+				emitNonROI(s.b, s.plan, first, 0)
 			}
-			if mode != NonROIOnly {
-				for _, p := range req.Probes {
-					tr, want, err := plan.BaselineTrace(m, q, p)
-					if err != nil {
-						return err
-					}
-					if count {
-						if want.Found != p.WantFound || (want.Found && want.Value != p.WantValue) {
-							run.Mismatches++
-						}
-						run.Queries++
-					}
-					b.Append(tr)
+			if mode == NonROIOnly {
+				return nil
+			}
+			for _, p := range chunk[0].Probes {
+				tr, got, err := s.plan.BaselineTrace(s.m, q, p)
+				if err != nil {
+					return err
 				}
+				if measured {
+					if !p.matches(got.Found, got.Value) {
+						s.run.Mismatches++
+					}
+					s.run.Queries++
+				}
+				s.b.Append(tr)
 			}
-			core.Run(b.Ops())
-			if core.Err() != nil {
-				return core.Err()
-			}
-		}
-		return nil
-	}
-
-	var startCycle uint64
-	var startStats cpu.Stats
-	var startMem memSnapshot
-	if cfg.warmup {
-		m.WarmLLC(buildStart, buildEnd)
-		if err := pass(warmupStream(plan), false); err != nil {
-			return run, err
-		}
-		startCycle = core.Now()
-		startStats = core.Stats()
-		startMem = snapshotMemory(m)
-	}
-	if err := pass(plan.Requests, true); err != nil {
-		return run, err
-	}
-	run.Cycles = core.Now() - startCycle
-	run.Core = core.Stats().Sub(startStats)
-	m.Hier.Mesh().ObserveWindow(core.Now())
-	applyMemoryDelta(&run, startMem, snapshotMemory(m))
-	run.Metrics = cfg.reg.Snapshot()
-	return run, nil
+			return nil
+		})
+	})
 }
 
 // RunQEI executes bench with QEI under the given integration scheme
@@ -365,294 +485,103 @@ func RunQEI(bench Benchmark, kind scheme.Kind, mode Mode, opts ...RunOption) (Ru
 // RunQEIWithParams is RunQEI with an explicit (possibly modified) scheme
 // parameter set — used by the Fig. 8 latency sweep and the ablations.
 func RunQEIWithParams(bench Benchmark, params scheme.Params, mode Mode, opts ...RunOption) (Run, error) {
-	var cfg runCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
-	m := cfg.newMachine()
-	cfg.attach(m, nil)
-	buildStart := m.AS.Brk()
-	plan, err := bench.Build(m)
+	s, err := open(bench, &params, opts)
 	if err != nil {
 		return Run{}, err
 	}
-	buildEnd := m.AS.Brk()
-	accel := qei.New(m, params, cfa.DefaultRegistry(), 0)
-	cfg.attach(m, accel)
-	core := m.NewCore(0, accel)
-	run := Run{Name: plan.Name, Mode: mode, Scheme: params.Kind.String()}
-	tag := uint64(0)
-	type expect struct {
-		tag uint64
-		p   Probe
-	}
-	var pending []expect
-
+	s.run.Mode, s.run.Scheme = mode, params.Kind.String()
 	// The accelerated ROI issues QUERY_B in small batches and then
 	// consumes the batch's results in the per-request work — the List 2
-	// usage pattern that fills (but does not overflow) the QST.
-	batch := plan.Batch
-	if cfg.batch > 0 {
-		batch = cfg.batch
-	}
+	// usage pattern that fills (but does not overflow) the QST. Software
+	// batches to the common QST depth unless WithBatch overrides it.
+	batch := s.cfg.batch
 	if batch <= 0 {
-		batch = params.QSTEntriesPerInstance
-		if batch > 10 {
-			batch = 10 // software batches to the common QST depth
-		}
+		batch = min(params.QSTEntriesPerInstance, 10)
 	}
 	prevFound := true
-	// One builder and one result-register scratch serve every batch; the
-	// core consumes each trace synchronously, so both are reusable as
-	// soon as Run returns.
-	b := isa.NewBuilder()
-	var resultScratch []isa.Reg
-	pass := func(reqs []Request, count bool) error {
-		for start := 0; start < len(reqs); start += batch {
-			end := start + batch
-			if end > len(reqs) {
-				end = len(reqs)
+	var results []isa.Reg // each chunk request's result register
+	return s.measure(func(reqs []Request, measured bool) error {
+		return s.batches(reqs, batch, func(chunk []Request, first int) error {
+			if cap(results) < len(chunk) {
+				results = make([]isa.Reg, len(chunk))
 			}
-			b.Reset()
-			if cap(resultScratch) < end-start {
-				resultScratch = make([]isa.Reg, end-start)
-			}
-			resultReg := resultScratch[:end-start]
-			clear(resultReg)
+			results = results[:len(chunk)]
+			clear(results)
 			if mode != NonROIOnly {
-				for ri := start; ri < end; ri++ {
-					for _, p := range reqs[ri].Probes {
-						// Per-query software shell of the rewritten ROI:
-						// key pointer setup before the instruction,
-						// result check after (List 2). This is what keeps
-						// the ROB's in-flight query count near the QST
-						// depth — the "bounded by the core" effect of
-						// Sec. VII-A.
-						b.ALUN(6, 0)
-						r := b.QueryB(isa.QueryDesc{
-							HeaderAddr: p.Header,
-							KeyAddr:    p.Key,
-							KeyLen:     p.KeyLen,
-							Tag:        tag,
-						})
-						check := b.ALU(r, 0)
-						// Result-dependent check: the predictor learns the
-						// dominant outcome and mispredicts only when a
-						// probe's found-ness flips (a miss after a run of
-						// hits, or vice versa).
-						b.Branch(check, p.WantFound != prevFound)
+				for i, req := range chunk {
+					for _, p := range req.Probes {
+						// The predictor learns the dominant outcome and
+						// mispredicts only when a probe's found-ness
+						// flips (a miss after a run of hits, or vice
+						// versa).
+						results[i] = emitQueryB(s.b, p, s.issue(p, measured), p.WantFound != prevFound)
 						prevFound = p.WantFound
-						b.ALUN(4, 0) // loop bookkeeping
-						resultReg[ri-start] = r
-						if count {
-							pending = append(pending, expect{tag: tag, p: p})
-							run.Queries++
-						}
-						tag++
 					}
 				}
 			}
 			if mode != ROIOnly {
-				for ri := start; ri < end; ri++ {
-					emitNonROI(b, plan, ri, resultReg[ri-start])
+				for i := range chunk {
+					emitNonROI(s.b, s.plan, first+i, results[i])
 				}
 			}
-			core.Run(b.Ops())
-			if core.Err() != nil {
-				return core.Err()
-			}
-		}
-		return nil
-	}
-
-	var startCycle uint64
-	var startStats cpu.Stats
-	var startAccel qei.Stats
-	var startMem memSnapshot
-	if cfg.warmup {
-		m.WarmLLC(buildStart, buildEnd)
-		if err := pass(warmupStream(plan), false); err != nil {
-			return run, err
-		}
-		startCycle = core.Now()
-		if fin := accel.Stats().LastFinish; fin > startCycle {
-			startCycle = fin
-		}
-		startStats = core.Stats()
-		startAccel = accel.Stats()
-		if cfg.nocReset {
-			m.Hier.Mesh().ResetTraffic()
-		}
-		startMem = snapshotMemory(m)
-	}
-	if err := pass(plan.Requests, true); err != nil {
-		return run, err
-	}
-	for _, e := range pending {
-		r, ok := accel.Result(e.tag)
-		if !ok || r.Fault != nil || r.Found != e.p.WantFound || (r.Found && r.Value != e.p.WantValue) {
-			run.Mismatches++
-		}
-	}
-	endCycle := core.Now()
-	as := accel.Stats()
-	if as.LastFinish > endCycle {
-		endCycle = as.LastFinish
-	}
-	run.Cycles = endCycle - startCycle
-	asd := as.Sub(startAccel)
-	run.Core = core.Stats().Sub(startStats)
-	run.Accel = &asd
-	if cfg.nocReset {
-		m.Hier.Mesh().ObserveWindow(run.Cycles)
-		run.PeakLinkUtil, _ = m.Hier.Mesh().LinkUtilization()
-		run.MeanUtil = m.Hier.Mesh().MeanUtilization()
-	} else {
-		m.Hier.Mesh().ObserveWindow(endCycle)
-	}
-	applyMemoryDelta(&run, startMem, snapshotMemory(m))
-	run.Metrics = cfg.reg.Snapshot()
-	return run, nil
+			return nil
+		})
+	})
 }
 
 // RunQEINonBlocking executes bench with QUERY_NB in batches: each batch
 // issues batch requests' probes non-blocking, then polls their result
 // lines (the SNAPSHOT_READ loop of List 2).
 func RunQEINonBlocking(bench Benchmark, kind scheme.Kind, batch int, opts ...RunOption) (Run, error) {
-	var cfg runCfg
-	for _, o := range opts {
-		o(&cfg)
+	params := scheme.ForKind(kind)
+	s, err := open(bench, &params, opts)
+	if err != nil {
+		return Run{}, err
 	}
-	if cfg.batch > 0 {
-		batch = cfg.batch
+	if s.cfg.batch > 0 {
+		batch = s.cfg.batch
 	}
 	if batch <= 0 {
 		batch = 32
 	}
-	m := cfg.newMachine()
-	cfg.attach(m, nil)
-	buildStart := m.AS.Brk()
-	plan, err := bench.Build(m)
-	if err != nil {
-		return Run{}, err
-	}
-	buildEnd := m.AS.Brk()
-	accel := qei.New(m, scheme.ForKind(kind), cfa.DefaultRegistry(), 0)
-	cfg.attach(m, accel)
-	core := m.NewCore(0, accel)
-	run := Run{Name: plan.Name, Mode: Full, Scheme: kind.String() + "+NB"}
+	s.run.Mode, s.run.Scheme = Full, kind.String()+"+NB"
 
 	// Result area: one line per in-flight probe slot.
 	maxProbes := 0
-	for _, req := range plan.Requests {
-		if len(req.Probes) > maxProbes {
-			maxProbes = len(req.Probes)
-		}
+	for _, req := range s.plan.Requests {
+		maxProbes = max(maxProbes, len(req.Probes))
 	}
-	slots := batch * maxProbes
-	resultArea := m.AS.AllocLines(uint64(slots) * mem.LineSize)
+	resultArea := s.m.AS.AllocLines(uint64(batch*maxProbes) * mem.LineSize)
 
-	tag := uint64(0)
-	type expect struct {
-		tag uint64
-		p   Probe
-	}
-	var pending []expect
-
-	// One builder serves every batch (the core consumes each trace
-	// synchronously in Run).
-	b := isa.NewBuilder()
-	flushBatch := func(batchReqs []Request, firstIdx int, count bool) error {
-		b.Reset()
-		slot := 0
-		for ri, req := range batchReqs {
-			emitNonROI(b, plan, firstIdx+ri, 0)
-			for _, p := range req.Probes {
-				resAddr := resultArea + mem.VAddr(slot*mem.LineSize)
-				b.QueryNB(isa.QueryDesc{
-					HeaderAddr: p.Header,
-					KeyAddr:    p.Key,
-					KeyLen:     p.KeyLen,
-					ResultAddr: resAddr,
-					Tag:        tag,
-				})
-				if count {
-					pending = append(pending, expect{tag: tag, p: p})
-					run.Queries++
+	return s.measure(func(reqs []Request, measured bool) error {
+		return s.batches(reqs, batch, func(chunk []Request, first int) error {
+			slot := 0
+			for i, req := range chunk {
+				emitNonROI(s.b, s.plan, first+i, 0)
+				for _, p := range req.Probes {
+					s.b.QueryNB(isa.QueryDesc{
+						HeaderAddr: p.Header,
+						KeyAddr:    p.Key,
+						KeyLen:     p.KeyLen,
+						ResultAddr: resultArea + mem.VAddr(slot*mem.LineSize),
+						Tag:        s.issue(p, measured),
+					})
+					slot++
 				}
-				tag++
-				slot++
 			}
-		}
-		// Polling loop: SNAPSHOT_READ-style wide loads over the result
-		// lines until completion flags are set (List 2). Each poll pass
-		// reads every 8th line (a 512-bit gather per 8 slots).
-		for pass := 0; pass < 2; pass++ {
-			for s := 0; s < slot; s += 8 {
-				r := b.Load(resultArea+mem.VAddr(s*mem.LineSize), 64, 0)
-				b.Branch(r, pass == 1 && s+8 >= slot)
+			// Polling loop: SNAPSHOT_READ-style wide loads over the
+			// result lines until completion flags are set (List 2). Each
+			// poll pass reads every 8th line (a 512-bit gather per 8
+			// slots).
+			for pass := 0; pass < 2; pass++ {
+				for sl := 0; sl < slot; sl += 8 {
+					r := s.b.Load(resultArea+mem.VAddr(sl*mem.LineSize), 64, 0)
+					s.b.Branch(r, pass == 1 && sl+8 >= slot)
+				}
 			}
-		}
-		core.Run(b.Ops())
-		return core.Err()
-	}
-
-	pass := func(reqs []Request, count bool) error {
-		for start := 0; start < len(reqs); start += batch {
-			end := start + batch
-			if end > len(reqs) {
-				end = len(reqs)
-			}
-			if err := flushBatch(reqs[start:end], start, count); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var startCycle uint64
-	var startStats cpu.Stats
-	var startAccel qei.Stats
-	var startMem memSnapshot
-	if cfg.warmup {
-		m.WarmLLC(buildStart, buildEnd)
-		if err := pass(warmupStream(plan), false); err != nil {
-			return run, err
-		}
-		startCycle = core.Now()
-		if fin := accel.Stats().LastFinish; fin > startCycle {
-			startCycle = fin
-		}
-		startStats = core.Stats()
-		startAccel = accel.Stats()
-		startMem = snapshotMemory(m)
-	}
-	if err := pass(plan.Requests, true); err != nil {
-		return run, err
-	}
-	var lastAccelDone uint64
-	for _, e := range pending {
-		r, ok := accel.Result(e.tag)
-		if !ok || r.Fault != nil || r.Found != e.p.WantFound || (r.Found && r.Value != e.p.WantValue) {
-			run.Mismatches++
-		}
-		if ok && r.Done > lastAccelDone {
-			lastAccelDone = r.Done
-		}
-	}
-	endCycle := core.Now()
-	if lastAccelDone > endCycle {
-		endCycle = lastAccelDone
-	}
-	run.Cycles = endCycle - startCycle
-	as := accel.Stats()
-	asd := as.Sub(startAccel)
-	run.Core = core.Stats().Sub(startStats)
-	run.Accel = &asd
-	m.Hier.Mesh().ObserveWindow(endCycle)
-	applyMemoryDelta(&run, startMem, snapshotMemory(m))
-	run.Metrics = cfg.reg.Snapshot()
-	return run, nil
+			return nil
+		})
+	})
 }
 
 // ROIShare computes Fig. 1's metric: the fraction of software time spent
@@ -675,12 +604,4 @@ func ROIShare(bench Benchmark) (float64, error) {
 		roi = 0
 	}
 	return roi, nil
-}
-
-// RunQEIUtilization measures the mesh utilization attributable to one
-// accelerator under a dense query stream (ROI only, no idle gaps) — the
-// Sec. V hotspot analysis: "each QEI accelerator can saturate as much as
-// 8% of the mesh NoC bandwidth".
-func RunQEIUtilization(bench Benchmark, kind scheme.Kind) (Run, error) {
-	return RunQEI(bench, kind, ROIOnly, WithNoCWindow())
 }
