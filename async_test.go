@@ -145,38 +145,6 @@ func TestQueryBatch(t *testing.T) {
 	}
 }
 
-func TestQueryBatchWindow(t *testing.T) {
-	sys := NewSystem(CoreIntegrated)
-	keys, vals := testKeys(64, 32, 14)
-	tb, err := sys.Build(KindSkipList, keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := sys.QueryBatch(tb, keys[:30])
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys2 := NewSystem(CoreIntegrated)
-	tb2, err := sys2.Build(KindSkipList, keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrow, err := sys2.QueryBatch(tb2, keys[:30], WithWindow(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wide {
-		if wide[i].Value != narrow[i].Value || wide[i].Found != narrow[i].Found {
-			t.Fatalf("window changed result %d: %+v vs %+v", i, wide[i], narrow[i])
-		}
-	}
-	// Window 1 serializes the batch; the clock must end later than the
-	// overlapped run.
-	if sys2.Now() <= sys.Now() {
-		t.Fatalf("serial window finished at %d, overlapped at %d", sys2.Now(), sys.Now())
-	}
-}
-
 func TestNewSystemOptions(t *testing.T) {
 	base := NewSystem(CoreIntegrated)
 	big := NewSystem(CoreIntegrated, WithQSTSize(32))

@@ -38,17 +38,7 @@ func (m BatchMode) String() string {
 type BatchOption func(*batchConfig)
 
 type batchConfig struct {
-	window int
-	mode   BatchMode
-}
-
-// WithWindow caps the number of queries QueryBatch keeps outstanding,
-// below the QST capacity — the knob the Fig. 10 tuple-space sweep
-// varies. n <= 0 or n above capacity means the full QST. The knob
-// belongs to the windowed path, so a positive window also pins an
-// otherwise-auto batch to windowed execution.
-func WithWindow(n int) BatchOption {
-	return func(c *batchConfig) { c.window = n }
+	mode BatchMode
 }
 
 // WithBatchMode overrides the automatic windowed/level-wise choice.
@@ -105,8 +95,8 @@ func PlanBatch(kind StructKind, n int) BatchPlan {
 //     the per-query path, retry-from-root included.
 //
 // Over-capacity contract (windowed path): len(keys) may exceed the QST
-// capacity by any factor. The batch admits at most min(capacity,
-// WithWindow) queries at a time and drains its own oldest completion
+// capacity by any factor. The batch admits at most a QST's worth of
+// queries at a time and drains its own oldest completion
 // before each further issue, so QueryBatch never returns ErrQSTFull for
 // its own queries — the bound is handled internally, and every key gets
 // exactly one result, in key order (pinned by TestQueryBatchOverCapacity).
@@ -121,18 +111,12 @@ func (s *System) QueryBatch(t Table, keys [][]byte, opts ...BatchOption) ([]Resu
 	}
 	mode := cfg.mode
 	if mode == BatchAuto {
-		if cfg.window > 0 {
-			// An explicit window is a windowed-path knob (the Fig. 10
-			// sweep varies it), so it pins the mode.
-			mode = BatchWindowed
-		} else {
-			mode = PlanBatch(t.Kind, len(keys)).Mode
-		}
+		mode = PlanBatch(t.Kind, len(keys)).Mode
 	}
 	if mode == BatchLevelWise {
 		return s.queryBatchLevelWise(t, keys)
 	}
-	return s.queryBatchWindowed(t, keys, cfg)
+	return s.queryBatchWindowed(t, keys)
 }
 
 // queryBatchLevelWise submits the batch as one batched instruction to
@@ -214,11 +198,8 @@ func (s *System) queryBatchLevelWise(t Table, keys [][]byte) ([]Result, error) {
 }
 
 // queryBatchWindowed is the original windowed non-blocking path.
-func (s *System) queryBatchWindowed(t Table, keys [][]byte, cfg batchConfig) ([]Result, error) {
+func (s *System) queryBatchWindowed(t Table, keys [][]byte) ([]Result, error) {
 	window := s.QSTCapacity()
-	if cfg.window > 0 && cfg.window < window {
-		window = cfg.window
-	}
 	if window < 1 {
 		// A zero-capacity QST (every entry foreign, or a degenerate
 		// machine description) still reaches the issue path below, where

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"time"
 )
 
 // The "batch" experiment: level-wise vs windowed QueryBatch across
@@ -100,9 +98,6 @@ type batchCell struct {
 	job       batchJob
 	winCycles uint64
 	lwCycles  uint64
-	winWall   time.Duration
-	lwWall    time.Duration
-	lwAllocs  uint64
 	// level-wise engine counters for the cell's run
 	levels, transSaved, linesDeduped, coalesced, deferred uint64
 }
@@ -162,12 +157,10 @@ func runBatchCell(s Scale, job batchJob) (batchCell, error) {
 		return cell, err
 	}
 	winStart := sw.Now()
-	wallStart := time.Now()
 	winRes, err := sw.QueryBatch(tw, probes, WithBatchMode(BatchWindowed))
 	if err != nil {
 		return cell, err
 	}
-	cell.winWall = time.Since(wallStart)
 	cell.winCycles = sw.Now() - winStart
 
 	// Level-wise batch.
@@ -177,16 +170,10 @@ func runBatchCell(s Scale, job batchJob) (batchCell, error) {
 		return cell, err
 	}
 	lwStart := sl.Now()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	wallStart = time.Now()
 	lwRes, err := sl.QueryBatch(tl, probes, WithBatchMode(BatchLevelWise))
 	if err != nil {
 		return cell, err
 	}
-	cell.lwWall = time.Since(wallStart)
-	runtime.ReadMemStats(&ms1)
-	cell.lwAllocs = ms1.Mallocs - ms0.Mallocs
 	cell.lwCycles = sl.Now() - lwStart
 	st := sl.accel.Stats()
 	cell.levels = st.BatchLevels
@@ -235,47 +222,9 @@ func BatchSpeedup(s Scale, opts ...ExpOption) (TableData, error) {
 	return t, err
 }
 
-// BatchDemo runs the level-wise vs windowed comparison at one batch
-// size across every kind (the qeibench -batch path), returning the
-// rendered table and the aggregate engine counters summed over the
-// cells. Every cell is parity-checked against the per-query path.
-func BatchDemo(s Scale, n int) (TableData, map[string]uint64, error) {
-	if n < 2 {
-		return TableData{}, nil, fmt.Errorf("qei: batch demo needs a batch size >= 2, got %d", n)
-	}
-	t := TableData{
-		Title: fmt.Sprintf("Batch demo — level-wise vs windowed at batch size %d (simulated cycles)", n),
-		Headers: []string{"kind", "batch", "windowed_cyc", "levelwise_cyc",
-			"speedup_x", "levels", "trans_saved", "lines_deduped", "coalesced"},
-	}
-	agg := map[string]uint64{
-		"batch/levels": 0, "batch/translations_saved": 0,
-		"batch/lines_deduped": 0, "batch/coalesced_probes": 0, "batch/deferred": 0,
-	}
-	for _, k := range batchKinds {
-		c, err := runBatchCell(s, batchJob{kind: k, n: n})
-		if err != nil {
-			return t, nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			k.String(), f("%d", n),
-			f("%d", c.winCycles), f("%d", c.lwCycles), f("%.2f", c.speedup()),
-			f("%d", c.levels), f("%d", c.transSaved),
-			f("%d", c.linesDeduped), f("%d", c.coalesced),
-		})
-		agg["batch/levels"] += c.levels
-		agg["batch/translations_saved"] += c.transSaved
-		agg["batch/lines_deduped"] += c.linesDeduped
-		agg["batch/coalesced_probes"] += c.coalesced
-		agg["batch/deferred"] += c.deferred
-	}
-	return t, agg, nil
-}
-
 // RunBatchBench runs the batch sweep serially and returns one
 // machine-readable record per cell — the "batch" rows of
-// BENCH_bench.json, carrying host wall-clock and allocation
-// measurements beside the simulated cycles.
+// BENCH_bench.json.
 func RunBatchBench(s Scale) ([]BenchResult, error) {
 	var out []BenchResult
 	for _, job := range batchJobsFor(s) {
@@ -299,9 +248,6 @@ func RunBatchBench(s Scale) ([]BenchResult, error) {
 				"qei/batch/coalesced_probes":   c.coalesced,
 				"qei/batch/deferred":           c.deferred,
 			},
-			WallNanos:         c.lwWall.Nanoseconds(),
-			BaselineWallNanos: c.winWall.Nanoseconds(),
-			Allocs:            c.lwAllocs,
 		}
 		out = append(out, r)
 	}

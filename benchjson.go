@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"qei/internal/metrics"
 	"qei/internal/runner"
@@ -38,24 +37,6 @@ type BenchResult struct {
 	// Counters holds the non-zero key metrics of the accelerated run
 	// (see benchCounters for the selection).
 	Counters map[string]uint64 `json:"counters"`
-	// WallNanos and BaselineWallNanos record host wall-clock time for
-	// the accelerated and baseline runs. Unlike every field above they
-	// depend on the machine running the simulator, so they are excluded
-	// from golden comparisons (see TestBenchGoldenCycles) and omitted
-	// when zero to keep old files parseable.
-	WallNanos         int64 `json:"wall_ns,omitempty"`
-	BaselineWallNanos int64 `json:"baseline_wall_ns,omitempty"`
-	// Allocs records host heap allocations during the accelerated run —
-	// host-dependent like the wall-clock fields (batch records carry it).
-	Allocs uint64 `json:"allocs,omitempty"`
-}
-
-// clearWallClock zeroes the host-dependent fields of r so the remaining
-// simulated quantities can be compared byte-for-byte across machines.
-func clearWallClock(r *BenchResult) {
-	r.WallNanos = 0
-	r.BaselineWallNanos = 0
-	r.Allocs = 0
 }
 
 // benchCounters is the metric subset copied into each BenchResult: the
@@ -90,23 +71,19 @@ func runBenchOn(benches []workload.Benchmark, opts []ExpOption) ([]BenchResult, 
 	cfg := expConfigFor(opts)
 	groups, err := runner.Map(cfg.ctx, cfg.par, benches,
 		func(_ context.Context, _ int, b workload.Benchmark) ([]BenchResult, error) {
-			swStart := time.Now()
 			sw, err := workload.RunBaseline(b, workload.Full, workload.WithWarmup())
 			if err != nil {
 				return nil, err
 			}
-			swWall := time.Since(swStart)
 			var out []BenchResult
 			for _, k := range scheme.Kinds() {
 				// Bench always measures counters, collector or not.
 				reg := metrics.NewRegistry()
-				hwStart := time.Now()
 				hw, err := workload.RunQEI(b, k, workload.Full,
 					workload.WithWarmup(), workload.WithMetrics(reg))
 				if err != nil {
 					return nil, err
 				}
-				hwWall := time.Since(hwStart)
 				if hw.Mismatches != 0 {
 					return nil, fmt.Errorf("qei: bench %s/%s produced %d wrong results", b.Name(), k, hw.Mismatches)
 				}
@@ -126,9 +103,6 @@ func runBenchOn(benches []workload.Benchmark, opts []ExpOption) ([]BenchResult, 
 					Queries:        uint64(hw.Queries),
 					Speedup:        float64(sw.Cycles) / float64(hw.Cycles),
 					Counters:       counters,
-
-					WallNanos:         hwWall.Nanoseconds(),
-					BaselineWallNanos: swWall.Nanoseconds(),
 				}
 				if hw.Queries > 0 {
 					r.CyclesPerQuery = float64(hw.Cycles) / float64(hw.Queries)
@@ -172,15 +146,9 @@ func BenchMatrix(s Scale, opts ...ExpOption) (TableData, error) {
 // <dir>/BENCH_<name>.json and returns the file path.
 func WriteBenchJSON(dir, name string, results []BenchResult) (string, error) {
 	path := filepath.Join(dir, "BENCH_"+name+".json")
-	return path, WriteBenchJSONFile(path, results)
-}
-
-// WriteBenchJSONFile writes bench records to an explicit file path
-// (qeibench's -benchjson flag; WriteBenchJSON derives the name).
-func WriteBenchJSONFile(path string, results []BenchResult) error {
 	data, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
-		return err
+		return "", err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return path, os.WriteFile(path, append(data, '\n'), 0o644)
 }

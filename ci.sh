@@ -55,11 +55,6 @@ done
 # ErrInvalidProgram.
 go test -run '^$' -fuzz '^FuzzValidateProgramDeep$' -fuzztime 10s ./internal/cfa
 
-# Fault-injection smoke: a replayable chaos schedule through every
-# structure kind must resolve every query without panicking the
-# process (qeisim exits non-zero otherwise).
-go run ./cmd/qeisim -faults "7:flip=0.05,nocdelay=0.1,nocdrop=0.05,shootdown=0.1,spurious=0.05,evict=0.1"
-
 # Scheme smoke: every integration scheme name resolves through the one
 # scheme table in each CLI that takes -scheme, and an unknown name
 # fails.
@@ -129,6 +124,20 @@ if [ -z "$live_digest" ] || [ "$live_digest" != "$replay_digest" ]; then
 	echo "stream-smoke: trace replay diverged ($live_digest vs $replay_digest)" >&2
 	exit 1
 fi
+# The same stream under a chaos schedule must still verify op-for-op
+# and must actually fault some lookups (-faults reaches the stream).
+stream_chaos=$(go run ./cmd/qeiserve -stream -kind btree -writes 0.3 -requests 200 -keys 64 -faults "9:spurious=0.3")
+case "$stream_chaos" in
+*'stream/faulted 0'*)
+	echo "stream-smoke: -faults faulted no stream lookup" >&2
+	exit 1
+	;;
+*'stream/faulted '*) ;;
+*)
+	echo "stream-smoke: missing stream/faulted in qeiserve -stream -faults output" >&2
+	exit 1
+	;;
+esac
 
 # Resilience smoke: a chaos schedule plus a tight SLO through the
 # resilient serving path must complete (exit 0 — qeiserve fails on any
@@ -167,24 +176,13 @@ for mode in "" "-batchmode"; do
 done
 rm -f "$res_trace"
 
-# Batch smoke: the level-wise batch demo parity-checks every kind
-# against the per-query path (qeibench exits non-zero on any
-# divergence) and must amortize real work — a zero translations-saved
-# counter means the level-wise grouping did nothing. Then a batched-
-# admission serving run must flush through the engine and retire every
-# request (qeiserve exits non-zero on epoch violations).
-batch_out=$(go run ./cmd/qeibench -batch 64 -scale small)
-case "$batch_out" in
-*'batch/translations_saved 0 '*)
-	echo "batch-smoke: level-wise engine saved zero translations" >&2
-	exit 1
-	;;
-*'batch/translations_saved '*) ;;
-*)
-	echo "batch-smoke: missing batch/translations_saved counter line" >&2
-	exit 1
-	;;
-esac
+# Batch smoke: the batch experiment parity-checks every kind × batch
+# size cell against the per-query path (qeibench exits non-zero on any
+# divergence; TestQueryBatchLevelWiseDeterministic asserts the engine
+# saves translations). Then a batched-admission serving run must flush
+# through the engine and retire every request (qeiserve exits non-zero
+# on epoch violations).
+go run ./cmd/qeibench -exp batch -scale small >/dev/null
 bserve_out=$(go run ./cmd/qeiserve -batchmode -tenants 2 -requests 80 -keys 64)
 case "$bserve_out" in
 *'batch/batches 0 '*)

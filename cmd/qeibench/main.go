@@ -8,7 +8,6 @@
 //
 //	qeibench [-scale small|full] [-exp all|fig1|...|batch|bench] [-parallel N] [-csv]
 //	qeibench -json [-out DIR] [-scale small|full] [-parallel N]
-//	qeibench -batch N [-scale small|full]
 //	qeibench -cpuprofile cpu.pprof -memprofile mem.pprof -exp bench
 //
 // -json runs the bench experiment (the workload × scheme matrix with
@@ -16,11 +15,6 @@
 // BENCH_bench.json in -out: one record per cell with cycles, speedup
 // over the software baseline, and the key simulator counters — plus
 // the batch experiment's level-wise vs windowed records.
-//
-// -batch N runs the level-wise batch demo: every structure kind at
-// batch size N, level-wise vs windowed simulated cycles with the
-// engine's amortization counters, parity-checked against the
-// per-query path, ending with a greppable "batch ..." counter line.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run for the
 // wall-clock optimization workflow (see README "Performance"): profile
@@ -47,8 +41,6 @@ func main() {
 	csvFlag := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonFlag := flag.Bool("json", false, "run the bench matrix and write machine-readable BENCH_bench.json")
 	outFlag := flag.String("out", ".", "directory for -json output")
-	benchJSONFlag := flag.String("benchjson", "", "run the bench matrix and write its records to this exact file path")
-	batchFlag := flag.Int("batch", 0, "run the level-wise batch demo at this batch size across every kind (0 = off)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	flag.Parse()
@@ -92,45 +84,23 @@ func main() {
 	}
 
 	ctx := context.Background()
-	if *batchFlag > 0 {
-		t, counters, err := qei.BatchDemo(scale, *batchFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "qeibench: batch: %v\n", err)
-			os.Exit(1)
-		}
-		if *csvFlag {
-			fmt.Printf("# batch\n%s\n", t.CSV())
-		} else {
-			fmt.Println(t.String())
-		}
-		// Greppable counter line (smoke tests key off batch/...).
-		fmt.Printf("batch size %d batch/levels %d batch/translations_saved %d batch/lines_deduped %d batch/coalesced_probes %d batch/deferred %d\n",
-			*batchFlag, counters["batch/levels"], counters["batch/translations_saved"],
-			counters["batch/lines_deduped"], counters["batch/coalesced_probes"], counters["batch/deferred"])
-		return
-	}
-	if *jsonFlag || *benchJSONFlag != "" {
+	if *jsonFlag {
 		rs, err := qei.RunBench(scale, qei.WithContext(ctx), qei.WithParallelism(*parFlag))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qeibench: bench: %v\n", err)
 			os.Exit(1)
 		}
-		// The JSON document also carries the batch experiment's records
-		// (level-wise vs windowed, with host wall/alloc measurements);
-		// TestBenchGoldenCycles pins only the "bench" rows.
+		// The JSON document also carries the batch experiment's
+		// level-wise vs windowed records; TestBenchGoldenCycles pins only
+		// the "bench" rows.
 		brs, err := qei.RunBatchBench(scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qeibench: batch bench: %v\n", err)
 			os.Exit(1)
 		}
 		rs = append(rs, brs...)
-		path := *benchJSONFlag
-		if *jsonFlag {
-			if path, err = qei.WriteBenchJSON(*outFlag, "bench", rs); err != nil {
-				fmt.Fprintf(os.Stderr, "qeibench: %v\n", err)
-				os.Exit(1)
-			}
-		} else if err = qei.WriteBenchJSONFile(path, rs); err != nil {
+		path, err := qei.WriteBenchJSON(*outFlag, "bench", rs)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "qeibench: %v\n", err)
 			os.Exit(1)
 		}

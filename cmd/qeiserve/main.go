@@ -33,7 +33,7 @@
 // reported alongside the read percentiles.
 //
 // -faults arms the replayable chaos schedule ("seed:kind=rate,...", the
-// qeisim format) on the serving machine; -budget adds the per-query
+// qei.ParseFaultSpec format) on the serving machine; -budget adds the per-query
 // cycle watchdog. Without -resilient, faults ride in each report's
 // per-tenant fault counts. With -resilient, the serving resilience
 // layer is on: requests past -deadline cycles (default 4x the SLO) are
@@ -57,7 +57,8 @@
 // read-write stream with a window of accelerated lookups held in flight
 // across mutations, verified op-for-op against a host model. -record /
 // -replay use the stream trace format; replays are byte-identical,
-// digest included. The run fails (exit 1) on any model mismatch or
+// digest included. -faults arms the same chaos schedule on the stream's
+// machine; faulted lookups count in stream/faulted. The run fails (exit 1) on any model mismatch or
 // read-after-retire violation.
 package main
 

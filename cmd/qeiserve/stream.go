@@ -35,6 +35,7 @@ func runStreamMode(cfg qei.ServingConfig, record, replay string, jsonOut bool) {
 		Window:         window,
 		Seed:           cfg.Seed,
 		Machine:        cfg.Machine,
+		Faults:         cfg.Faults,
 	}
 
 	var wl *stream.Workload

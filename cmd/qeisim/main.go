@@ -8,24 +8,16 @@
 //	       -scheme software|core|cha-tlb|cha-notlb|device-direct|device-indirect|all \
 //	       [-mode full|roi|nonroi] [-nb] [-scale small|full] [-warm] [-parallel N] \
 //	       [-machine preset|file.json] [-metrics] [-trace out.json]
-//	qeisim -faults "7:flip=0.05,spurious=0.1"
-//	qeisim -stream [-scheme core] [-machine preset|file.json]
-//
-// -faults skips the workload entirely and runs the fault-injection
-// chaos smoke: a replayable fault schedule driven through every
-// built-in structure kind via the public API, asserting that every
-// query resolves to a result or an architectural fault. It exits
-// non-zero if any query fails to resolve.
-//
-// -stream runs the streaming epoch-consistency smoke instead: the
-// default mixed read-write stream against every mutable structure kind
-// on the selected scheme and machine, verified op-for-op against a host
-// model, with a replay proving determinism. It exits non-zero on any
-// mismatch, read-after-retire violation, or replay divergence.
 //
 // -scheme all runs the software baseline plus every integration scheme
 // and prints a side-by-side comparison, fanning the runs across
 // -parallel workers.
+//
+// -machine sets the machine for every run. Its accelerator block (QST
+// entries, comparators, accelerator TLB, device latency) sizes the
+// scheme a single run selects with -scheme, blocking or -nb; under
+// -scheme all it sizes only the row of the scheme the description
+// names, and the other rows keep their Tab. II sizing.
 //
 // -metrics appends the run's full counter snapshot (component-path
 // names, one per line); -trace writes the unified cycle-stamped event
@@ -59,18 +51,7 @@ func main() {
 	metricsFlag := flag.Bool("metrics", false, "print the full metric snapshot after the run")
 	traceFlag := flag.String("trace", "", "write the unified event trace to this file (Chrome trace-event JSON)")
 	machineFlag := flag.String("machine", "", "machine description: a preset name (default, core, cha-tlb, ...) or a JSON file; empty = the Tab. II default")
-	faultsFlag := flag.String("faults", "", "run the fault-injection chaos smoke with this seed:kind=rate,... spec and exit")
-	streamFlag := flag.Bool("stream", false, "run the streaming epoch-consistency smoke (honors -scheme and -machine) and exit")
 	flag.Parse()
-
-	if *faultsFlag != "" {
-		runFaultSmoke(*faultsFlag)
-		return
-	}
-	if *streamFlag {
-		runStreamSmoke(*schemeFlag, *machineFlag)
-		return
-	}
 
 	full := *scaleFlag == "full"
 	var bench workload.Benchmark
@@ -132,7 +113,7 @@ func main() {
 		return
 	}
 	if *schemeFlag == "all" {
-		runAllSchemes(bench, mode, *nbFlag, *parFlag, opts)
+		runAllSchemes(bench, mode, *nbFlag, *parFlag, desc, opts)
 		return
 	}
 
@@ -157,21 +138,7 @@ func main() {
 		if perr != nil {
 			fail("%v", perr)
 		}
-		if *nbFlag {
-			run, err = workload.RunQEINonBlocking(bench, k, 32, opts...)
-		} else if desc != nil {
-			// The description also sizes the accelerator (QST entries,
-			// comparators, TLB, device latency) under the chosen scheme.
-			d := *desc
-			d.Scheme = k.Name()
-			params, perr := d.SchemeParams()
-			if perr != nil {
-				fail("-machine: %v", perr)
-			}
-			run, err = workload.RunQEIWithParams(bench, params, mode, opts...)
-		} else {
-			run, err = workload.RunQEI(bench, k, mode, opts...)
-		}
+		run, err = runScheme(bench, schemeParams(k, desc), mode, *nbFlag, opts)
 	}
 	if err != nil {
 		fail("run failed: %v", err)
@@ -212,28 +179,67 @@ func main() {
 	}
 }
 
+// schemeParams sizes the accelerator for scheme k: from the -machine
+// description (QST entries, comparators, TLB, device latency, tile
+// count) when there is one, else the scheme's defaults.
+func schemeParams(k scheme.Kind, desc *hwdesc.Description) scheme.Params {
+	if desc == nil {
+		return scheme.ForKind(k)
+	}
+	d := *desc
+	d.Scheme = k.Name()
+	p, err := d.SchemeParams()
+	if err != nil {
+		fail("-machine: %v", err)
+	}
+	return p
+}
+
+// rowDescription is the machine the -scheme all row for k runs on. The
+// description's accelerator block (QST, accelerator TLB, device
+// latency) sizes only the scheme it names; every other row keeps its
+// own Tab. II sizing on the described machine, so -machine default
+// matches the run without -machine.
+func rowDescription(desc *hwdesc.Description, k scheme.Kind) *hwdesc.Description {
+	if desc == nil {
+		return nil
+	}
+	if named, err := desc.SchemeParams(); err == nil && named.Kind == k {
+		return desc
+	}
+	d := *desc
+	d.QST, d.AccelTLB, d.ExtraDataLatency = hwdesc.QST{}, hwdesc.TLB{}, 0
+	return &d
+}
+
+// runScheme runs bench on the accelerator that params describe, with
+// QUERY_NB (batch 32) when nb is set and QUERY_B otherwise.
+func runScheme(bench workload.Benchmark, params scheme.Params, mode workload.Mode, nb bool, opts []workload.RunOption) (workload.Run, error) {
+	if nb {
+		return workload.RunQEINonBlocking(bench, params, 32, opts...)
+	}
+	return workload.RunQEIWithParams(bench, params, mode, opts...)
+}
+
 // runAllSchemes fans the software baseline and every integration scheme
 // across the worker pool and prints a side-by-side comparison; results
 // are collected in a fixed order, so the table is deterministic.
-func runAllSchemes(bench workload.Benchmark, mode workload.Mode, nb bool, par int, opts []workload.RunOption) {
+func runAllSchemes(bench workload.Benchmark, mode workload.Mode, nb bool, par int, desc *hwdesc.Description, opts []workload.RunOption) {
 	type job struct {
-		name string
-		kind scheme.Kind
-		sw   bool
+		name   string
+		params *scheme.Params // nil = the software baseline
 	}
-	jobs := []job{{name: "software", sw: true}}
+	jobs := []job{{name: "software"}}
 	for _, k := range scheme.Kinds() {
-		jobs = append(jobs, job{name: k.String(), kind: k})
+		p := schemeParams(k, rowDescription(desc, k))
+		jobs = append(jobs, job{name: k.String(), params: &p})
 	}
 	runs, err := runner.Map(context.Background(), par, jobs,
 		func(_ context.Context, _ int, j job) (workload.Run, error) {
-			if j.sw {
+			if j.params == nil {
 				return workload.RunBaseline(bench, mode, opts...)
 			}
-			if nb {
-				return workload.RunQEINonBlocking(bench, j.kind, 32, opts...)
-			}
-			return workload.RunQEI(bench, j.kind, mode, opts...)
+			return runScheme(bench, *j.params, mode, nb, opts)
 		})
 	if err != nil {
 		fail("run failed: %v", err)

@@ -67,11 +67,14 @@ func (t TableData) CSV() string {
 func f(format string, v ...any) string { return fmt.Sprintf(format, v...) }
 
 // Fig1QueryTimeShare reproduces Fig. 1: the percentage of CPU time spent
-// in data-query operations for each workload (paper band: 23%–44%).
+// in data-query operations for each workload (paper band: 23%–44%),
+// plus the query code's frontend/backend profile from a cold ROI-only
+// run (Sec. II-A): branch mispredicts and loads per query, and IPC.
 func Fig1QueryTimeShare(s Scale, opts ...ExpOption) (TableData, error) {
 	t := TableData{
-		Title:   "Fig. 1 — query share of CPU time (paper: 23%-44%)",
-		Headers: []string{"workload", "query_share_pct"},
+		Title: "Fig. 1 — query share of CPU time (paper: 23%-44%)",
+		Headers: []string{"workload", "query_share_pct", "mispredicts_per_query",
+			"loads_per_query", "roi_ipc"},
 	}
 	rows, err := expRows(expConfigFor(opts), benchesFor(s),
 		func(_ context.Context, _ int, b workload.Benchmark) ([][]string, error) {
@@ -79,7 +82,15 @@ func Fig1QueryTimeShare(s Scale, opts ...ExpOption) (TableData, error) {
 			if err != nil {
 				return nil, err
 			}
-			return [][]string{{b.Name(), f("%.1f", share*100)}}, nil
+			roi, err := workload.RunBaseline(b, workload.ROIOnly)
+			if err != nil {
+				return nil, err
+			}
+			q := float64(roi.Queries)
+			return [][]string{{b.Name(), f("%.1f", share*100),
+				f("%.2f", float64(roi.Core.Mispredicts)/q),
+				f("%.1f", float64(roi.Core.Loads)/q),
+				f("%.2f", roi.Core.IPC())}}, nil
 		})
 	t.Rows = rows
 	return t, err
@@ -268,7 +279,7 @@ func Fig10TupleSpace(s Scale, opts ...ExpOption) (TableData, error) {
 			}
 			var rows [][]string
 			for _, k := range scheme.Kinds() {
-				hw, err := workload.RunQEINonBlocking(b, k, nbBatch, workload.WithWarmup())
+				hw, err := workload.RunQEINonBlocking(b, scheme.ForKind(k), nbBatch, workload.WithWarmup())
 				if err != nil {
 					return nil, err
 				}

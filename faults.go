@@ -11,7 +11,7 @@ type FaultSpec struct {
 }
 
 // ParseFaultSpec parses the textual "seed:kind=rate,kind=rate" form
-// shared with the qeisim -faults flag, e.g. "7:flip=0.001,spurious=0.01".
+// shared with the qeiserve -faults flag, e.g. "7:flip=0.001,spurious=0.01".
 // Kinds: flip (guest-memory bit-flips), nocdelay / nocdrop (mesh
 // transfer delays and drops), shootdown (TLB invalidations), spurious
 // (CFA exceptions), evict (LLC line evictions). Rates are probabilities

@@ -9,10 +9,9 @@ import (
 // TestBenchGoldenCycles pins the "bench" experiment's simulated outputs
 // to the committed BENCH_bench.json. The performance work on the hot
 // path (PR 5) must leave every simulated quantity — cycle counts,
-// speedups, and the counter profile of each run — byte-identical; only
-// host wall-clock fields may differ, so they are zeroed before
-// comparison. If this test fails after an intentional model change,
-// regenerate the file with:
+// speedups, and the counter profile of each run — byte-identical. If
+// this test fails after an intentional model change, regenerate the
+// file with:
 //
 //	go run ./cmd/qeibench -exp bench -scale small -json -out .
 func TestBenchGoldenCycles(t *testing.T) {
@@ -24,9 +23,9 @@ func TestBenchGoldenCycles(t *testing.T) {
 	if err := json.Unmarshal(data, &all); err != nil {
 		t.Fatalf("golden file: %v", err)
 	}
-	// The file also carries "batch" experiment records (host wall/alloc
-	// measurements for the batch engine, pinned for determinism by the
-	// batch tests); the golden cycle comparison covers the "bench" rows.
+	// The file also carries the "batch" experiment's records (pinned for
+	// determinism by the batch tests); this comparison covers the
+	// "bench" rows.
 	var want []BenchResult
 	for _, w := range all {
 		if w.Experiment == "bench" {
@@ -42,8 +41,6 @@ func TestBenchGoldenCycles(t *testing.T) {
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		clearWallClock(&g)
-		clearWallClock(&w)
 		gj, _ := json.Marshal(g)
 		wj, _ := json.Marshal(w)
 		if string(gj) != string(wj) {

@@ -80,7 +80,7 @@ type Schedule struct {
 }
 
 // ParseSchedule parses the "seed:kind=rate,kind=rate" spec used by the
-// qeisim -faults flag, e.g. "7:flip=0.001,spurious=0.01". Kinds are
+// qeiserve -faults flag, e.g. "7:flip=0.001,spurious=0.01". Kinds are
 // flip, nocdelay, nocdrop, shootdown, spurious, evict; omitted kinds
 // stay at rate 0. "seed:" alone is a valid all-zero schedule.
 func ParseSchedule(spec string) (Schedule, error) {

@@ -531,9 +531,9 @@ func RunQEIWithParams(bench Benchmark, params scheme.Params, mode Mode, opts ...
 
 // RunQEINonBlocking executes bench with QUERY_NB in batches: each batch
 // issues batch requests' probes non-blocking, then polls their result
-// lines (the SNAPSHOT_READ loop of List 2).
-func RunQEINonBlocking(bench Benchmark, kind scheme.Kind, batch int, opts ...RunOption) (Run, error) {
-	params := scheme.ForKind(kind)
+// lines (the SNAPSHOT_READ loop of List 2). params sizes the
+// accelerator as in RunQEIWithParams; scheme.ForKind gives the defaults.
+func RunQEINonBlocking(bench Benchmark, params scheme.Params, batch int, opts ...RunOption) (Run, error) {
 	s, err := open(bench, &params, opts)
 	if err != nil {
 		return Run{}, err
@@ -544,7 +544,7 @@ func RunQEINonBlocking(bench Benchmark, kind scheme.Kind, batch int, opts ...Run
 	if batch <= 0 {
 		batch = 32
 	}
-	s.run.Mode, s.run.Scheme = Full, kind.String()+"+NB"
+	s.run.Mode, s.run.Scheme = Full, params.Kind.String()+"+NB"
 
 	// Result area: one line per in-flight probe slot.
 	maxProbes := 0

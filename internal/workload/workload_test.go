@@ -108,7 +108,7 @@ func TestInstructionCountReduction(t *testing.T) {
 
 func TestNonBlockingTupleSpace(t *testing.T) {
 	b := SmallTupleSpace(5)
-	run, err := RunQEINonBlocking(b, scheme.CoreIntegrated, 32)
+	run, err := RunQEINonBlocking(b, scheme.ForKind(scheme.CoreIntegrated), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +123,31 @@ func TestNonBlockingTupleSpace(t *testing.T) {
 	}
 }
 
+func TestNonBlockingHonoursParams(t *testing.T) {
+	// The QUERY_NB driver must size the accelerator from the params it
+	// is given, as the blocking driver does. Tuple-space search keeps
+	// many probes in flight, so a 2-entry QST with one comparator stalls
+	// where the default 10-entry QST does not.
+	b := SmallTupleSpace(5)
+	def := scheme.ForKind(scheme.CoreIntegrated)
+	small := def
+	small.QSTEntriesPerInstance, small.ComparatorsPerSite = 2, 1
+	base, err := RunQEINonBlocking(b, def, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight, err := RunQEINonBlocking(b, small, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tight.Mismatches != 0 {
+		t.Fatalf("%d mismatches", tight.Mismatches)
+	}
+	if tight.Cycles == base.Cycles {
+		t.Fatalf("2-entry QST ran in the default %d cycles; params ignored", base.Cycles)
+	}
+}
+
 func TestNonBlockingHelpsDeviceSchemesMost(t *testing.T) {
 	// Sec. VII-B: with QUERY_NB "the performance of the Device-based
 	// schemes becomes much better than using the blocking instruction"
@@ -133,7 +158,7 @@ func TestNonBlockingHelpsDeviceSchemesMost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := RunQEINonBlocking(b, scheme.DeviceDirect, 32)
+	nb, err := RunQEINonBlocking(b, scheme.ForKind(scheme.DeviceDirect), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +172,7 @@ func TestNonBlockingHelpsDeviceSchemesMost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ciNB, err := RunQEINonBlocking(b, scheme.CoreIntegrated, 32)
+	ciNB, err := RunQEINonBlocking(b, scheme.ForKind(scheme.CoreIntegrated), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +191,7 @@ func TestTupleSpeedupGrowsWithTuples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nb, err := RunQEINonBlocking(b, scheme.CoreIntegrated, 32)
+		nb, err := RunQEINonBlocking(b, scheme.ForKind(scheme.CoreIntegrated), 32)
 		if err != nil {
 			t.Fatal(err)
 		}

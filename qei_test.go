@@ -220,12 +220,26 @@ func TestFig1SmallScale(t *testing.T) {
 		t.Fatalf("Fig1 rows = %d, want 5", len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		var pct float64
-		if _, err := fmt.Sscanf(r[1], "%f", &pct); err != nil {
-			t.Fatal(err)
+		if len(r) != len(res.Headers) {
+			t.Fatalf("%s: %d columns, want %d", r[0], len(r), len(res.Headers))
+		}
+		var pct, mispredicts, loads, ipc float64
+		for i, v := range []*float64{&pct, &mispredicts, &loads, &ipc} {
+			if _, err := fmt.Sscanf(r[i+1], "%f", v); err != nil {
+				t.Fatalf("%s %s: %v", r[0], res.Headers[i+1], err)
+			}
 		}
 		if pct < 15 || pct > 60 {
 			t.Fatalf("%s query share %.1f%% outside plausible band", r[0], pct)
+		}
+		// Every query ends in a data-dependent branch and reads at least
+		// one line; the ROI is memory-bound, so IPC stays well under the
+		// core's width (Sec. II-A).
+		if mispredicts < 1 || loads < 1 {
+			t.Fatalf("%s: %.2f mispredicts and %.1f loads per query", r[0], mispredicts, loads)
+		}
+		if ipc <= 0 || ipc >= 1 {
+			t.Fatalf("%s ROI IPC %.2f outside (0, 1)", r[0], ipc)
 		}
 	}
 }

@@ -119,6 +119,7 @@ func TestChaosSoak(t *testing.T) {
 		"202:flip=0.1,spurious=0.05",
 		"303:nocdrop=0.2,shootdown=0.2,evict=0.2",
 		"404:flip=0.3,nocdelay=0.3,nocdrop=0.3,shootdown=0.3,spurious=0.3,evict=0.3",
+		"7:flip=0.05,nocdelay=0.1,nocdrop=0.05,shootdown=0.1,spurious=0.05,evict=0.1",
 	}
 	for _, spec := range specs {
 		spec := spec
