@@ -17,6 +17,10 @@ go vet ./...
 # must reproduce their committed simulated outputs, so a cycle drift
 # fails here in seconds instead of after the race-detector run.
 go test -run '^(TestBenchGoldenCycles|TestDriversGolden)$' -count=1 . ./internal/workload
+# Benchmark module: benchmark/ is a Go module of its own, so nothing
+# above compiles it. Its tests run every workload at test size, so a
+# change to an API it calls fails here instead of in benchmark/run.sh.
+(cd benchmark && GOWORK=off go test -count=1 ./...)
 # The root package's experiment-band tests run minutes of simulation;
 # under the race detector on few cores they outlast go test's default
 # 10m per-package budget, so give them room.

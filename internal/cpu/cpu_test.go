@@ -241,3 +241,34 @@ func TestStatsCounts(t *testing.T) {
 		t.Fatalf("instructions = %d, want 8", s.Instructions)
 	}
 }
+
+// BenchmarkCoreRun feeds a fixed 4096-op trace shaped like the
+// workloads' non-ROI request work — a dependent ALU chain, independent
+// scalar ops, well-predicted branches and a cache-resident load every
+// 8th op — the bulk of every core's instruction stream.
+func BenchmarkCoreRun(b *testing.B) {
+	bl := isa.NewBuilder()
+	chain := isa.Reg(0)
+	for i := 0; i < 4096; i++ {
+		switch {
+		case i%8 == 0:
+			chain = bl.Load(mem.VAddr(0x10000+(i*8)%4096), 8, 0)
+		case i%3 == 0:
+			chain = bl.ALU(chain, 0)
+		case i%7 == 6:
+			bl.Branch(chain, false)
+		default:
+			bl.ALU(0, 0)
+		}
+	}
+	tr := bl.Take()
+	c := New(DefaultConfig(), &fixedMem{lat: 4}, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRetire = c.Run(tr)
+	}
+}
+
+// benchRetire keeps BenchmarkCoreRun's result live.
+var benchRetire uint64

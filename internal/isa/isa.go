@@ -126,16 +126,63 @@ func (t Trace) Loads() int {
 	return n
 }
 
+// Sink consumes ops in program order. A Trace handed to Run is only
+// valid for the duration of the call: the builder reuses its storage.
+// *cpu.Core is a Sink (package isa cannot import cpu).
+type Sink interface {
+	Run(Trace) uint64
+}
+
+// streamChunk is the number of ops a streaming Builder buffers before
+// handing them to its sink: 4096 ops = 128 KiB, large enough to
+// amortise the Run call and small enough to stay cache-resident.
+const streamChunk = 4096
+
 // Builder accumulates a trace with a tiny register-allocation convention,
-// making the query-routine generators readable.
+// making the query-routine generators readable. By default it keeps
+// every op until Take, Ops or Reset; after StreamTo it instead hands its
+// ops to a sink in order through a fixed-size buffer, so an arbitrarily
+// long trace never becomes one slice.
 type Builder struct {
 	ops     Trace
 	nextReg Reg
+	sink    Sink // nil: accumulate
 }
 
 // NewBuilder returns an empty trace builder.
 func NewBuilder() *Builder {
 	return &Builder{nextReg: 1}
+}
+
+// StreamTo makes the builder hand its ops to sink: whenever streamChunk
+// ops are buffered they are passed to sink.Run and the buffer empties.
+// Flush hands over the remainder. Register numbering carries on across
+// flushes (only Reset restarts it), so the sink sees exactly the ops,
+// in the same order, that an accumulating builder would hold.
+func (b *Builder) StreamTo(sink Sink) {
+	b.sink = sink
+	if cap(b.ops) < streamChunk {
+		b.ops = make(Trace, 0, streamChunk)
+	}
+}
+
+// Flush hands the buffered ops to the sink and empties the buffer. It
+// does not call the sink when nothing is buffered, and does nothing on
+// a builder that does not stream.
+func (b *Builder) Flush() {
+	if b.sink == nil || len(b.ops) == 0 {
+		return
+	}
+	b.sink.Run(b.ops)
+	b.ops = b.ops[:0]
+}
+
+// push appends one op, flushing a full stream buffer.
+func (b *Builder) push(op Op) {
+	b.ops = append(b.ops, op)
+	if len(b.ops) == streamChunk && b.sink != nil {
+		b.Flush()
+	}
 }
 
 // Temp allocates a fresh register, wrapping within the file (past results
@@ -153,7 +200,7 @@ func (b *Builder) Temp() Reg {
 // the destination register.
 func (b *Builder) Load(addr mem.VAddr, size uint8, base Reg) Reg {
 	dst := b.Temp()
-	b.ops = append(b.ops, Op{Kind: Load, Dst: dst, Src1: base, Addr: addr, Size: size})
+	b.push(Op{Kind: Load, Dst: dst, Src1: base, Addr: addr, Size: size})
 	return dst
 }
 
@@ -181,13 +228,13 @@ func (b *Builder) LoadRange(addr mem.VAddr, size uint64, base Reg) Reg {
 
 // Store appends a store of src to addr.
 func (b *Builder) Store(addr mem.VAddr, size uint8, src Reg) {
-	b.ops = append(b.ops, Op{Kind: Store, Src1: src, Addr: addr, Size: size})
+	b.push(Op{Kind: Store, Src1: src, Addr: addr, Size: size})
 }
 
 // ALU appends a single-cycle op combining two registers.
 func (b *Builder) ALU(a, c Reg) Reg {
 	dst := b.Temp()
-	b.ops = append(b.ops, Op{Kind: ALU, Dst: dst, Src1: a, Src2: c})
+	b.push(Op{Kind: ALU, Dst: dst, Src1: a, Src2: c})
 	return dst
 }
 
@@ -203,39 +250,46 @@ func (b *Builder) ALUN(n int, src Reg) Reg {
 // Mul appends a multi-cycle integer op.
 func (b *Builder) Mul(a, c Reg) Reg {
 	dst := b.Temp()
-	b.ops = append(b.ops, Op{Kind: MulALU, Dst: dst, Src1: a, Src2: c})
+	b.push(Op{Kind: MulALU, Dst: dst, Src1: a, Src2: c})
 	return dst
 }
 
 // Branch appends a conditional branch depending on cond.
 func (b *Builder) Branch(cond Reg, mispredict bool) {
-	b.ops = append(b.ops, Op{Kind: Branch, Src1: cond, Mispredict: mispredict})
+	b.push(Op{Kind: Branch, Src1: cond, Mispredict: mispredict})
 }
 
 // QueryB appends a blocking QEI query and returns the result register.
 func (b *Builder) QueryB(q QueryDesc) Reg {
 	dst := b.Temp()
 	qd := q
-	b.ops = append(b.ops, Op{Kind: QueryB, Dst: dst, Query: &qd})
+	b.push(Op{Kind: QueryB, Dst: dst, Query: &qd})
 	return dst
 }
 
 // QueryNB appends a non-blocking QEI query.
 func (b *Builder) QueryNB(q QueryDesc) {
 	qd := q
-	b.ops = append(b.ops, Op{Kind: QueryNB, Query: &qd})
+	b.push(Op{Kind: QueryNB, Query: &qd})
 }
 
 // Nop appends n frontend-only micro-ops (models surrounding scalar work
 // with no memory behaviour).
 func (b *Builder) Nop(n int) {
 	for i := 0; i < n; i++ {
-		b.ops = append(b.ops, Op{Kind: Nop})
+		b.push(Op{Kind: Nop})
 	}
 }
 
-// Append concatenates a prebuilt trace.
+// Append concatenates a prebuilt trace, flushing each time a streaming
+// builder's buffer fills.
 func (b *Builder) Append(t Trace) {
+	for b.sink != nil && len(b.ops)+len(t) >= streamChunk {
+		n := streamChunk - len(b.ops)
+		b.ops = append(b.ops, t[:n]...)
+		t = t[n:]
+		b.Flush()
+	}
 	b.ops = append(b.ops, t...)
 }
 
@@ -246,24 +300,27 @@ func (b *Builder) Take() Trace {
 	return t
 }
 
-// Ops returns the accumulated trace without giving up its backing
-// array: the caller may read it until the next Reset, after which the
-// storage is reused. This is the reuse-path twin of Take for callers
-// that consume the trace synchronously (cpu.Core.Run does).
+// Ops returns the ops accumulated since the last Reset (on a streaming
+// builder, since the last flush) without giving up the backing array:
+// the caller may read them until the builder's next emit or Reset,
+// after which the storage is reused. Take hands the storage over
+// instead.
 func (b *Builder) Ops() Trace { return b.ops }
 
 // Reset empties the builder for reuse, keeping the trace's backing
 // array and restarting register numbering exactly as a fresh builder
 // would (NewBuilder starts at register 1, and register numbering feeds
 // the core's dependence tracking — so a Reset builder emits
-// byte-identical traces to a new one). Any Trace previously obtained
-// from Ops is invalidated.
+// byte-identical traces to a new one). Ops not yet flushed to a sink
+// are dropped, and the sink stays attached. Any Trace previously
+// obtained from Ops is invalidated.
 func (b *Builder) Reset() {
 	b.ops = b.ops[:0]
 	b.nextReg = 1
 }
 
-// Len reports the number of ops accumulated so far.
+// Len reports the number of ops buffered: accumulated since the last
+// Reset, or on a streaming builder not yet flushed.
 func (b *Builder) Len() int { return len(b.ops) }
 
 // Skeleton is a memoized builder prefix: the ops emitted so far plus the
@@ -276,16 +333,17 @@ type Skeleton struct {
 	NextReg Reg
 }
 
-// Snapshot captures the builder's current contents as a Skeleton. The
-// ops are copied, so the skeleton stays valid across Reset.
+// Snapshot captures the builder's buffered ops as a Skeleton. The ops
+// are copied, so the skeleton stays valid across Reset. Only an
+// accumulating builder holds a whole prefix to capture.
 func (b *Builder) Snapshot() Skeleton {
 	return Skeleton{Ops: append(Trace(nil), b.ops...), NextReg: b.nextReg}
 }
 
-// AppendSkeleton replays a memoized prefix: the ops are appended and the
-// register allocator is advanced to the state it had when the skeleton
-// was captured.
+// AppendSkeleton replays a memoized prefix: the ops are appended (and
+// flushed like Append's) and the register allocator is advanced to the
+// state it had when the skeleton was captured.
 func (b *Builder) AppendSkeleton(s Skeleton) {
-	b.ops = append(b.ops, s.Ops...)
+	b.Append(s.Ops)
 	b.nextReg = s.NextReg
 }

@@ -265,10 +265,10 @@ type session struct {
 	plan  *Plan
 	accel *qei.Accelerator // nil on software runs
 	core  *cpu.Core        // core 0, beside accel
-	// b builds every trace handed to a core. A core consumes each trace
-	// synchronously in Run, so the storage is reusable as soon as Run
-	// returns (Reset keeps register numbering byte-identical to a fresh
-	// builder).
+	// b streams every trace into a core (core 0 unless a driver points
+	// it elsewhere) through the builder's fixed-size buffer, so a chunk
+	// of requests never becomes one slice. Reset at each chunk keeps
+	// register numbering byte-identical to a fresh builder.
 	b   *isa.Builder
 	run Run
 	// buildStart and buildEnd bound the plan's structures, which a
@@ -303,6 +303,7 @@ func open(bench Benchmark, params *scheme.Params, opts []RunOption) (*session, e
 		port = s.accel
 	}
 	s.core = s.m.NewCore(0, port)
+	s.b.StreamTo(s.core)
 	return s, nil
 }
 
@@ -368,15 +369,17 @@ func (s *session) measure(play func(reqs []Request, measured bool) error) (Run, 
 }
 
 // batches hands reqs to core 0 in traces of up to n requests: emit
-// appends one chunk's ops to the reset builder (first is the chunk's
-// index in reqs), and the core runs them before the next chunk.
+// streams one chunk's ops into the reset builder (first is the chunk's
+// index in reqs), and the core has run all of them before the next
+// chunk. Once the core faults it ignores the rest of the chunk, so the
+// error is the one its first faulting op raised.
 func (s *session) batches(reqs []Request, n int, emit func(chunk []Request, first int) error) error {
 	for first := 0; first < len(reqs); first += n {
 		s.b.Reset()
 		if err := emit(reqs[first:min(first+n, len(reqs))], first); err != nil {
 			return err
 		}
-		s.core.Run(s.b.Ops())
+		s.b.Flush()
 		if err := s.core.Err(); err != nil {
 			return err
 		}
