@@ -68,6 +68,11 @@ func TestDriversGolden(t *testing.T) {
 		mc, err := RunMultiCore(SmallDPDK(), k, 4)
 		record("multicore/dpdk/"+k.Name()+"/4", mc, err)
 	}
+	// Gap 20 overloads the QST, so these pin open-loop queueing.
+	for _, k := range []scheme.Kind{scheme.CHATLB, scheme.CoreIntegrated} {
+		p, err := OpenLoopLatency(SmallDPDK(), k, 20, 100)
+		record("openloop/dpdk/"+k.Name()+"/20", p, err)
+	}
 
 	gotJSON, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
