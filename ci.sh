@@ -27,8 +27,10 @@ go test -run '^(TestBenchGoldenCycles|TestDriversGolden)$' -count=1 . ./internal
 go test -race -timeout 90m ./...
 
 # Bench smoke: one iteration of the Tab. I benchmark proves the bench
-# harness still assembles and logs its table.
+# harness still assembles and logs its table, and one iteration of every
+# layer micro-benchmark keeps those compiling and running.
 go test -run '^$' -bench BenchmarkTab1 -benchtime 1x -short .
+go test -run '^$' -bench . -benchtime 1x ./internal/...
 
 # Zero-overhead guard: attaching metrics + tracing — and the disabled
 # fault-injection/watchdog apparatus — must not move a single

@@ -8,7 +8,6 @@ import (
 	"qei/internal/hwdesc"
 	"qei/internal/power"
 	"qei/internal/scheme"
-	"qei/internal/stats"
 	"qei/internal/workload"
 )
 
@@ -30,38 +29,80 @@ func benchesFor(s Scale) []workload.Benchmark {
 	return workload.AllSmall()
 }
 
-// TableData is a rendered experiment result: structured rows plus a
-// preformatted text table.
+// TableData is a rendered experiment result: structured rows that
+// render themselves as aligned text or CSV.
 type TableData struct {
 	Title   string
 	Headers []string
 	Rows    [][]string
 }
 
-// String renders the table with aligned columns.
+// String renders the title, the headers, a dashed rule and the rows,
+// each column as wide as its widest cell.
 func (t TableData) String() string {
-	tab := stats.NewTable(t.Title, t.Headers...)
-	for _, r := range t.Rows {
-		cells := make([]any, len(r))
+	var widths []int
+	for _, r := range append([][]string{t.Headers}, t.Rows...) {
 		for i, c := range r {
-			cells[i] = c
+			if i == len(widths) {
+				widths = append(widths, 0)
+			}
+			widths[i] = max(widths[i], len(c))
 		}
-		tab.AddRow(cells...)
 	}
-	return tab.String()
+	var b strings.Builder
+	if t.Title != "" {
+		b.WriteString(t.Title + "\n")
+	}
+	writeRow := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			fmt.Fprintf(&b, "%-*s", widths[i], c)
+		}
+		b.WriteByte('\n')
+	}
+	writeRow(t.Headers)
+	rule := make([]string, len(t.Headers))
+	for i := range rule {
+		rule[i] = strings.Repeat("-", widths[i])
+	}
+	writeRow(rule)
+	for _, r := range t.Rows {
+		writeRow(r)
+	}
+	return b.String()
 }
 
-// CSV renders the table as comma-separated values, escaping cells per
-// RFC 4180 (several titles and scheme notes contain commas).
+// CSV renders the table as comma-separated values, header first,
+// escaping cells per RFC 4180 (several titles and scheme notes contain
+// commas).
 func (t TableData) CSV() string {
 	var b strings.Builder
-	b.WriteString(stats.CSVRow(t.Headers))
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		b.WriteString(stats.CSVRow(r))
+	for _, r := range append([][]string{t.Headers}, t.Rows...) {
+		b.WriteString(csvRow(r))
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// csvRow renders one escaped, comma-joined CSV record (no newline).
+func csvRow(cells []string) string {
+	esc := make([]string, len(cells))
+	for i, c := range cells {
+		esc[i] = csvField(c)
+	}
+	return strings.Join(esc, ",")
+}
+
+// csvField escapes one cell per RFC 4180: a field containing a comma,
+// a double quote or a line break is wrapped in double quotes with its
+// quotes doubled; anything else passes through unchanged.
+func csvField(s string) string {
+	if !strings.ContainsAny(s, ",\"\n\r") {
+		return s
+	}
+	return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
 }
 
 func f(format string, v ...any) string { return fmt.Sprintf(format, v...) }

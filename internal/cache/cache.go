@@ -257,8 +257,3 @@ func (c *Cache) HitRate() float64 {
 	}
 	return float64(c.hits) / float64(t)
 }
-
-// ResetStats zeroes the counters without touching contents.
-func (c *Cache) ResetStats() {
-	c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0
-}

@@ -289,15 +289,6 @@ type Result struct {
 	SkippedInvalid int `json:"skipped_invalid"`
 }
 
-// FrontierPoints returns the Pareto-optimal points in grid order.
-func (r *Result) FrontierPoints() []Point {
-	out := make([]Point, 0, len(r.Frontier))
-	for _, i := range r.Frontier {
-		out = append(out, r.Points[i])
-	}
-	return out
-}
-
 // JSON renders the result as indented, deterministic JSON.
 func (r *Result) JSON() ([]byte, error) {
 	data, err := json.MarshalIndent(r, "", "  ")

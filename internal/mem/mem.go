@@ -154,11 +154,6 @@ func (p *Physical) ByteAt(a PAddr) byte {
 	return p.frame(a.Frame())[uint64(a)&(PageSize-1)]
 }
 
-// SetByteAt stores b at physical address a.
-func (p *Physical) SetByteAt(a PAddr, b byte) {
-	p.frame(a.Frame())[uint64(a)&(PageSize-1)] = b
-}
-
 // Read copies len(dst) bytes starting at physical address a. The range may
 // cross frame boundaries.
 func (p *Physical) Read(a PAddr, dst []byte) {
@@ -251,11 +246,6 @@ type ASOption func(*AddressSpace)
 // ablation experiments.
 func WithContiguousFrames() ASOption {
 	return func(as *AddressSpace) { as.frameStride = 1 }
-}
-
-// WithBase sets the first virtual address handed out by Alloc.
-func WithBase(base VAddr) ASOption {
-	return func(as *AddressSpace) { as.brk = base }
 }
 
 // NewAddressSpace creates an address space over phys. By default virtual

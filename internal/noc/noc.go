@@ -181,7 +181,7 @@ func (m *Mesh) accountRoute(a, b Stop, bytes uint64) {
 
 // Send accounts a transfer of bytes from a to b along the XY route and
 // returns its one-way latency. Timing is returned, not scheduled; callers
-// compose it with the sim engine.
+// add it to their own issue cycle.
 func (m *Mesh) Send(a, b Stop, bytes uint64) uint64 {
 	m.sends++
 	m.accountRoute(a, b, bytes)
@@ -201,10 +201,6 @@ func (m *Mesh) Send(a, b Stop, bytes uint64) uint64 {
 // dropTimeout is the fixed detection delay before a dropped mesh
 // message is retransmitted.
 const dropTimeout = 16
-
-// Drops reports how many transfers were dropped and retransmitted by
-// fault injection.
-func (m *Mesh) Drops() uint64 { return m.drops }
 
 // SetFaultInjector attaches the fault-injection harness; while fi is
 // armed, transfers may be delayed or dropped-and-retransmitted. A nil

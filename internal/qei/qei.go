@@ -1009,9 +1009,3 @@ func (a *Accelerator) Flush(at uint64) uint64 {
 	}
 	return lat
 }
-
-// ResetNoCWindow is a hook for experiments measuring NoC utilization
-// attributable to the accelerator only.
-func (a *Accelerator) ResetNoCWindow() {
-	a.m.Mesh.ResetTraffic()
-}

@@ -51,8 +51,5 @@ func (a *Admission) Release(t int) {
 	a.inflight[t]--
 }
 
-// Inflight returns tenant t's current in-flight count.
-func (a *Admission) Inflight(t int) int { return a.inflight[t] }
-
 // Throttled returns how many times tenant t was refused at its bound.
 func (a *Admission) Throttled(t int) uint64 { return a.throttled[t] }

@@ -63,9 +63,6 @@ func (h *LatencyHist) Observe(v uint64) {
 // Count returns the number of samples.
 func (h *LatencyHist) Count() uint64 { return h.count }
 
-// Sum returns the sum of all samples.
-func (h *LatencyHist) Sum() uint64 { return h.sum }
-
 // Max returns the exact largest sample (0 when empty).
 func (h *LatencyHist) Max() uint64 { return h.max }
 
@@ -90,7 +87,7 @@ func (h *LatencyHist) Quantile(q float64) uint64 {
 	if q > 1 {
 		q = 1
 	}
-	// Rank of the target sample, 1-based; ceil without float drift.
+	// Rank of the target sample, 1-based: floor(q·n) clamped to [1, n].
 	rank := uint64(q * float64(h.count))
 	if rank < 1 {
 		rank = 1

@@ -2,51 +2,20 @@ package workload
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"qei/internal/isa"
 	"qei/internal/scheme"
-	"qei/internal/sim"
 )
-
-// enginePool recycles event engines across open-loop jobs so the
-// parallel runner's workers schedule on warmed queue arrays instead of
-// growing fresh ones per point. Engines are interchangeable after
-// Reset (sim.TestResetReuseMatchesFreshEngine pins this), so which
-// worker gets which engine cannot affect results.
-var enginePool = struct {
-	sync.Mutex
-	free []*sim.Engine
-}{}
-
-func getEngine() *sim.Engine {
-	enginePool.Lock()
-	defer enginePool.Unlock()
-	if n := len(enginePool.free); n > 0 {
-		e := enginePool.free[n-1]
-		enginePool.free = enginePool.free[:n-1]
-		return e
-	}
-	return sim.NewEngine()
-}
-
-func putEngine(e *sim.Engine) {
-	e.Reset()
-	enginePool.Lock()
-	defer enginePool.Unlock()
-	enginePool.free = append(enginePool.free, e)
-}
 
 // Open-loop latency experiment. The paper motivates QEI with
 // latency-sensitive serving (Sec. II-B, Challenge 2: "the jitters and
 // latency to serve each query are critical to the observed quality of
 // service"), and argues that batching to hide device latency "can lead
 // to much worse average latency and tail latency". This experiment
-// drives the accelerator with an open-loop arrival process on the
-// discrete-event engine: queries arrive every interarrival cycles
-// whether or not earlier ones finished, and per-query latency is
-// recorded — average and tails.
+// drives the accelerator with an open-loop arrival process: queries
+// arrive every interarrival cycles whether or not earlier ones
+// finished, and per-query latency is recorded — average and tails.
 
 // LatencyProfile summarizes an open-loop run.
 type LatencyProfile struct {
@@ -91,33 +60,20 @@ func OpenLoopLatency(bench Benchmark, kind scheme.Kind, interarrival uint64, que
 		queries = len(probes)
 	}
 
-	eng := getEngine()
-	defer putEngine(eng)
 	latencies := make([]uint64, 0, queries)
 	profile := LatencyProfile{Scheme: kind.String(), Interarrival: interarrival, Queries: queries}
-
-	var issueErr error
-	for i := 0; i < queries; i++ {
-		i := i
-		arrive := sim.Cycle(uint64(i) * interarrival)
-		eng.At(arrive, func() {
-			p := probes[i]
-			done, err := s.accel.IssueBlocking(&isa.QueryDesc{
-				HeaderAddr: p.Header,
-				KeyAddr:    p.Key,
-				KeyLen:     p.KeyLen,
-				Tag:        s.issue(p, true),
-			}, uint64(eng.Now()))
-			if err != nil {
-				issueErr = err
-				return
-			}
-			latencies = append(latencies, done-uint64(eng.Now()))
-		})
-	}
-	eng.Run()
-	if issueErr != nil {
-		return profile, issueErr
+	for i, p := range probes[:queries] {
+		arrive := uint64(i) * interarrival
+		done, err := s.accel.IssueBlocking(&isa.QueryDesc{
+			HeaderAddr: p.Header,
+			KeyAddr:    p.Key,
+			KeyLen:     p.KeyLen,
+			Tag:        s.issue(p, true),
+		}, arrive)
+		if err != nil {
+			return profile, err
+		}
+		latencies = append(latencies, done-arrive)
 	}
 	if mismatches, _ := verify(s.accel, s.pending); mismatches > 0 {
 		return profile, fmt.Errorf("workload: %d of %d open-loop results wrong", mismatches, queries)
@@ -128,15 +84,13 @@ func OpenLoopLatency(bench Benchmark, kind scheme.Kind, interarrival uint64, que
 		sum += l
 	}
 	profile.AvgLatency = float64(sum) / float64(len(latencies))
-	sorted := append([]uint64(nil), latencies...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	slices.Sort(latencies)
 	pct := func(p float64) uint64 {
-		idx := int(p * float64(len(sorted)-1))
-		return sorted[idx]
+		return latencies[int(p*float64(len(latencies)-1))]
 	}
 	profile.P50 = pct(0.50)
 	profile.P95 = pct(0.95)
 	profile.P99 = pct(0.99)
-	profile.Max = sorted[len(sorted)-1]
+	profile.Max = latencies[len(latencies)-1]
 	return profile, nil
 }

@@ -120,14 +120,6 @@ type Run struct {
 	Metrics metrics.Snapshot
 }
 
-// QueriesPerKilocycle is the throughput metric used by Fig. 9/10.
-func (r Run) QueriesPerKilocycle() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Queries) * 1000 / float64(r.Cycles)
-}
-
 // RunOption configures a runner.
 type RunOption func(*runCfg)
 
