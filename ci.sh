@@ -100,47 +100,34 @@ for needle in '"p99"' '"backend": "qei"' '"backend": "baseline"' '"slo_violation
 	esac
 done
 
-# Stream smoke: a short mixed read-write stream through the epoch-
-# consistent mutation engine must retire every op with zero model
-# mismatches and zero read-after-retire violations (qeiserve exits
-# non-zero otherwise), report non-zero stream/ counters, and replay its
-# recorded trace byte-identically.
-stream_trace=$(mktemp)
-stream_out=$(go run ./cmd/qeiserve -stream -kind btree -writes 0.3 -requests 200 -keys 64 -record "$stream_trace")
-for counter in stream/ops_total stream/puts stream/dels stream/hits; do
-	case "$stream_out" in
-	*"$counter 0"*)
-		echo "stream-smoke: $counter is zero" >&2
-		rm -f "$stream_trace"
-		exit 1
-		;;
-	*"$counter "*) ;;
-	*)
-		echo "stream-smoke: missing $counter in qeiserve -stream output" >&2
-		rm -f "$stream_trace"
-		exit 1
-		;;
-	esac
-done
-stream_replay=$(go run ./cmd/qeiserve -stream -kind btree -replay "$stream_trace")
-rm -f "$stream_trace"
-live_digest=$(echo "$stream_out" | grep '^digest')
-replay_digest=$(echo "$stream_replay" | grep '^digest')
-if [ -z "$live_digest" ] || [ "$live_digest" != "$replay_digest" ]; then
-	echo "stream-smoke: trace replay diverged ($live_digest vs $replay_digest)" >&2
-	exit 1
-fi
-# The same stream under a chaos schedule must still verify op-for-op
-# and must actually fault some lookups (-faults reaches the stream).
-stream_chaos=$(go run ./cmd/qeiserve -stream -kind btree -writes 0.3 -requests 200 -keys 64 -faults "9:spurious=0.3")
-case "$stream_chaos" in
-*'stream/faulted 0'*)
-	echo "stream-smoke: -faults faulted no stream lookup" >&2
+# Read-write smoke: a short single-tenant read-write stream through the
+# serving path must answer every read and delete like the host model
+# and read no retired memory (qeiserve exits non-zero otherwise), retire
+# some writes, and replay its recorded trace byte-identically.
+rw_trace=$(mktemp)
+rw_flags="-tenants 1 -kind btree -writes 0.3 -requests 200 -keys 64"
+rw_live=$("$bindir/qeiserve" $rw_flags -record "$rw_trace" -json)
+rw_replay=$("$bindir/qeiserve" -replay "$rw_trace" -json)
+rm -f "$rw_trace"
+case "$rw_live" in
+*'"writes": '[1-9]*) ;;
+*)
+	echo "rw-smoke: the read-write stream retired no writes" >&2
 	exit 1
 	;;
-*'stream/faulted '*) ;;
+esac
+if [ "$rw_live" != "$rw_replay" ]; then
+	echo "rw-smoke: trace replay diverged from live run" >&2
+	exit 1
+fi
+# The same stream under a chaos schedule must actually fault some reads
+# (-faults reaches the serving machine) and still answer every unfaulted
+# read like the host model.
+rw_chaos=$("$bindir/qeiserve" $rw_flags -faults "9:spurious=0.3" -json)
+case "$rw_chaos" in
+*'"faults_injected"'*) ;;
 *)
-	echo "stream-smoke: missing stream/faulted in qeiserve -stream -faults output" >&2
+	echo "rw-smoke: -faults injected nothing" >&2
 	exit 1
 	;;
 esac

@@ -14,8 +14,6 @@
 //	         [-budget CYCLES] [-timeline FILE] [-batchmode [-batchadmit N]]
 //	         [-seed N] [-scheme core|cha-tlb|...] [-machine preset|file.json]
 //	         [-genparallel N] [-record FILE | -replay FILE] [-json]
-//	qeiserve -stream [-kind btree] [-writes 0.3] [-requests N] [-keys N]
-//	         [-record FILE | -replay FILE] [...]
 //
 // -record writes the generated stream as a JSONL trace before serving
 // it; -replay serves a previously recorded trace instead of generating
@@ -31,6 +29,13 @@
 // tables build updatable, mutations apply between in-flight accelerated
 // lookups under epoch-based reclamation, and per-tenant write latency is
 // reported alongside the read percentiles.
+//
+// Without -resilient, every read and delete is checked against a host
+// model of the tenant tables (serve.Verify): a read must answer as the
+// table stood at its arrival, and a faulted read is skipped. The text
+// report prints the mismatch count, -json carries it as "mismatches"
+// when non-zero, and the run exits non-zero on any mismatch. With
+// -resilient, shed, retried and failed-over reads are not checked.
 //
 // -faults arms the replayable chaos schedule ("seed:kind=rate,...", the
 // qei.ParseFaultSpec format) on the serving machine; -budget adds the per-query
@@ -51,15 +56,6 @@
 // before its writes and at end of stream. A greppable "batch ..."
 // counter line (flush counts plus the engine's amortization counters)
 // follows each text report.
-//
-// -stream switches to the single-table streaming consistency harness
-// (internal/stream): one mutable structure under a seeded mixed
-// read-write stream with a window of accelerated lookups held in flight
-// across mutations, verified op-for-op against a host model. -record /
-// -replay use the stream trace format; replays are byte-identical,
-// digest included. -faults arms the same chaos schedule on the stream's
-// machine; faulted lookups count in stream/faulted. The run fails (exit 1) on any model mismatch or
-// read-after-retire violation.
 package main
 
 import (
@@ -99,7 +95,7 @@ func main() {
 	keyZipfFlag := flag.Float64("keyzipf", def.KeySkew, "Zipf skew of per-tenant key popularity")
 	gapFlag := flag.Uint64("gap", def.MeanGap, "mean inter-arrival gap in cycles (open loop)")
 	sloFlag := flag.Uint64("slo", def.SLO, "per-request latency SLO in cycles; 0 disables")
-	slotsFlag := flag.Int("slots", 0, "in-flight QST slots per tenant; 0 = capacity/tenants (stream mode: lookup window, 0 = 8)")
+	slotsFlag := flag.Int("slots", 0, "in-flight QST slots per tenant; 0 = capacity/tenants")
 	writesFlag := flag.Float64("writes", 0, "fraction of requests that are software mutations (0 = read-only)")
 	delFracFlag := flag.Float64("delfrac", 0.4, "fraction of mutations that are deletes (rest are upserts)")
 	writeCostFlag := flag.Uint64("writecost", 0, "simulated cycles charged per mutation; 0 = default")
@@ -111,7 +107,6 @@ func main() {
 	timelineFlag := flag.String("timeline", "", "write the unified Chrome trace-event timeline to this file")
 	batchModeFlag := flag.Bool("batchmode", false, "batched admission: buffer lookups per tenant and flush them through the level-wise batch engine (qei backend only)")
 	batchAdmitFlag := flag.Int("batchadmit", 16, "lookups buffered per tenant before a batch flush (with -batchmode)")
-	streamFlag := flag.Bool("stream", false, "run the streaming consistency harness instead of the serving frontend")
 	seedFlag := flag.Int64("seed", def.Seed, "stream and machine seed")
 	schemeFlag := flag.String("scheme", "core", "integration scheme: core, cha-tlb, cha-notlb, device-direct, device-indirect")
 	machineFlag := flag.String("machine", "", "machine description: a preset name (default, core, cha-tlb, ...) or a JSON file; empty = the Tab. II default")
@@ -147,6 +142,7 @@ func main() {
 		SlotsPerTenant: *slotsFlag,
 		GenWorkers:     *genParFlag,
 		Resilient:      *resilientFlag,
+		KeepResults:    !*resilientFlag,
 		Deadline:       *deadlineFlag,
 		MaxRetries:     *retriesFlag,
 		QueryBudget:    *budgetFlag,
@@ -177,11 +173,6 @@ func main() {
 			fail("-batchadmit must be >= 2, got %d", *batchAdmitFlag)
 		}
 		cfg.BatchAdmit = *batchAdmitFlag
-	}
-
-	if *streamFlag {
-		runStreamMode(cfg, *recordFlag, *replayFlag, *jsonFlag)
-		return
 	}
 
 	var backends []string
@@ -246,11 +237,21 @@ func main() {
 		out.Reports = append(out.Reports, rep)
 	}
 
-	// Read-after-retire is a consistency-contract breach, never "degraded
-	// but correct" — the run fails loudly whatever the output mode.
-	var violations uint64
+	// Read-after-retire and a wrong answer are consistency-contract
+	// breaches, never "degraded but correct" — the run fails loudly
+	// whatever the output mode.
+	var violations, mismatches uint64
 	for _, rep := range out.Reports {
 		violations += rep.EpochViolations
+		mismatches += rep.Mismatches
+	}
+	check := func() {
+		if violations > 0 {
+			fail("%d read-after-retire epoch violations", violations)
+		}
+		if mismatches > 0 {
+			fail("%d answers disagree with the host model", mismatches)
+		}
 	}
 
 	if *jsonFlag {
@@ -259,9 +260,7 @@ func main() {
 		if err := enc.Encode(out); err != nil {
 			fail("%v", err)
 		}
-		if violations > 0 {
-			fail("%d read-after-retire epoch violations", violations)
-		}
+		check()
 		return
 	}
 	for _, rep := range out.Reports {
@@ -306,9 +305,10 @@ func main() {
 				rep.Total.Shed, rep.Total.Retries, rep.Total.FailedOver,
 				trips, state, rep.FaultsInjected, rep.EpochViolations)
 		}
+		if cfg.KeepResults {
+			fmt.Printf("verify mismatches %d\n", rep.Mismatches)
+		}
 		fmt.Println()
 	}
-	if violations > 0 {
-		fail("%d read-after-retire epoch violations", violations)
-	}
+	check()
 }

@@ -76,8 +76,6 @@ type Mesh struct {
 	// fi may delay or drop transfers (see SetFaultInjector); nil
 	// disables injection.
 	fi *faultinject.Injector
-	// drops counts transfers that were dropped and retransmitted.
-	drops uint64
 }
 
 // New creates a mesh with the given configuration.
@@ -191,7 +189,6 @@ func (m *Mesh) Send(a, b Stop, bytes uint64) uint64 {
 	// path twice (link traffic included) plus a detection timeout.
 	lat += m.fi.NoCDelayCycles()
 	if m.fi.NoCDrop() {
-		m.drops++
 		m.accountRoute(a, b, bytes)
 		lat = lat*2 + dropTimeout
 	}

@@ -126,6 +126,10 @@ type Report struct {
 	// reclamation are armed on the machine; zero otherwise.
 	FaultsInjected  uint64 `json:"faults_injected,omitempty"`
 	EpochViolations uint64 `json:"epoch_violations,omitempty"`
+	// Mismatches counts answers that disagree with the host model
+	// (Verify). The qei layer stamps it when results were kept and the
+	// resilience layer was off; zero otherwise.
+	Mismatches uint64 `json:"mismatches,omitempty"`
 	// Results holds per-request results by Seq when Config.KeepResults
 	// was set; excluded from JSON output.
 	Results []Result `json:"-"`

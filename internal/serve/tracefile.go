@@ -83,6 +83,11 @@ func ReadTrace(r io.Reader) (GenConfig, []Request, error) {
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			return GenConfig{}, nil, fmt.Errorf("serve: trace line %d: %w", line, err)
 		}
+		// Results are filed by Seq, so a record out of place would
+		// misfile or drop another request's result.
+		if rec.Seq != len(reqs) {
+			return GenConfig{}, nil, fmt.Errorf("serve: trace line %d: seq %d, want %d", line, rec.Seq, len(reqs))
+		}
 		key, err := hex.DecodeString(rec.Key)
 		if err != nil {
 			return GenConfig{}, nil, fmt.Errorf("serve: trace line %d key: %w", line, err)

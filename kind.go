@@ -56,8 +56,8 @@ type kindInfo struct {
 type walkFunc func(as *mem.AddressSpace, header mem.VAddr, key []byte) (Result, isa.Trace, error)
 
 // mutableBTreeFanout is deliberately smaller than the read-only B+-tree
-// fanout of 16 so streaming workloads exercise node splits and merges at
-// experiment scale rather than only at millions of keys.
+// fanout of 16 so update workloads exercise node splits and merges at
+// test scale rather than only at millions of keys.
 const mutableBTreeFanout = 8
 
 // kindTable is indexed by StructKind (the header type code).

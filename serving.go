@@ -280,7 +280,9 @@ type ServingConfig struct {
 	// Metrics attaches the simulator metrics registry and registers the
 	// per-tenant serving counters in it.
 	Metrics bool
-	// KeepResults retains per-request results (tests).
+	// KeepResults retains per-request results. Without Resilient, the
+	// run then also checks them against the host model
+	// (Report.Mismatches).
 	KeepResults bool
 	// Faults arms the deterministic fault-injection harness on the
 	// serving machine (WithFaultInjection semantics: seeded, counter-
@@ -431,6 +433,11 @@ func ReplayServing(cfg ServingConfig, gen serve.GenConfig, reqs []serve.Request)
 	// and the epoch GC's read-after-retire count (always asserted 0).
 	rep.FaultsInjected = sys.FaultsInjected()
 	rep.EpochViolations = sys.EpochViolations()
+	// Without resilience every read answers at its arrival, so the kept
+	// results are checkable against the host model.
+	if cfg.KeepResults && !cfg.Resilient {
+		rep.Mismatches = serve.Verify(gen, reqs, rep.Results)
+	}
 	if rep.Batch != nil {
 		// Engine-side amortization counters the serving layer cannot see.
 		st := sys.accel.Stats()

@@ -164,10 +164,12 @@ func TestServingChaosDeterministicAnyParallel(t *testing.T) {
 // TestServingFaultsWithoutResilience pins the other half of the
 // ServingConfig.Faults contract: with the resilience layer off, the
 // run still completes — injected faults ride in the per-tenant fault
-// counts instead of being absorbed by retry/failover.
+// counts instead of being absorbed by retry/failover, and the kept
+// results go through the host-model check.
 func TestServingFaultsWithoutResilience(t *testing.T) {
 	cfg := chaosServingConfig()
 	cfg.Resilient = false
+	cfg.KeepResults = true
 	rep, err := RunServing(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +188,26 @@ func TestServingFaultsWithoutResilience(t *testing.T) {
 	}
 	if rep.EpochViolations != 0 {
 		t.Fatalf("%d read-after-retire violations", rep.EpochViolations)
+	}
+	// A flip returns wrong data with no error (the silent-corruption
+	// defect on ROADMAP), so the schedule's flips must reach the oracle.
+	if rep.Mismatches == 0 {
+		t.Fatal("host-model check saw none of the flipped reads")
+	}
+
+	// Spurious exceptions fault a read without corrupting it: every
+	// read they spare still answers like the host model.
+	spurious := MustParseFaultSpec("11:spurious=0.3")
+	cfg.Faults = &spurious
+	rep, err = RunServing(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Total.Faults == 0 {
+		t.Fatal("spurious schedule faulted no read")
+	}
+	if rep.Mismatches != 0 {
+		t.Fatalf("%d unfaulted reads disagree with the host model", rep.Mismatches)
 	}
 }
 

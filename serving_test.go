@@ -161,9 +161,9 @@ func TestServingBackendsAgreeOnValues(t *testing.T) {
 
 // TestServingMixedReadWrite drives a 20%-write stream through both real
 // backends: tenant tables build mutable, software mutations interleave
-// with in-flight accelerated lookups, and the two backends still agree
-// on every request's architectural outcome. The mixed run replays
-// byte-identically from its recorded trace.
+// with in-flight accelerated lookups, and both backends answer like the
+// host model and agree on every request's architectural outcome. The
+// mixed run replays byte-identically from its recorded trace.
 func TestServingMixedReadWrite(t *testing.T) {
 	cfg := DefaultServingConfig()
 	cfg.Requests = 160
@@ -188,6 +188,9 @@ func TestServingMixedReadWrite(t *testing.T) {
 		}
 		if rep.Total.WriteP99 == 0 {
 			t.Fatalf("%s: write latency never observed", be)
+		}
+		if rep.Mismatches != 0 {
+			t.Fatalf("%s: %d answers disagree with the host model", be, rep.Mismatches)
 		}
 		reports[be] = rep
 	}

@@ -3,229 +3,64 @@ package qei
 import (
 	"context"
 	"fmt"
-
-	"qei/internal/epoch"
-	"qei/internal/stream"
 )
 
-// This file wires the streaming mutation engine (internal/stream) to
-// the simulated machine: a seeded read-write operation stream drives a
-// MutableTable while accelerated lookups stay in flight across the
-// mutations, exercising the epoch-based reclamation protocol end to
-// end. Live runs and trace replays are byte-identical, as are serial
-// and parallel experiment executions.
+// This file is the streaming experiment: single-tenant read-write
+// streams served through the same serving path as every other request
+// stream (serving.go), one row per mutable structure kind, each checked
+// against the host model (serve.Verify) and the epoch GC's
+// read-after-retire watcher.
 
-// StreamConfig describes one streaming run end to end: the operation
-// mix, the structure under mutation, and the machine serving the
-// lookups. The zero value is not runnable; DefaultStreamConfig gives a
-// small, fast configuration.
-type StreamConfig struct {
-	// Scheme is the accelerator integration scheme of the simulated
-	// machine.
-	Scheme Scheme
-	// Kind is the mutable structure the stream drives (one of the
-	// BuildMutable kinds).
-	Kind StructKind
-	// InitialKeys, Ops, KeyLen, WriteFraction, DeleteFraction, KeySkew,
-	// Window and Seed mirror stream.Config.
-	InitialKeys    int
-	Ops            int
-	KeyLen         int
-	WriteFraction  float64
-	DeleteFraction float64
-	KeySkew        float64
-	Window         int
-	Seed           int64
-	// MaxLoadFactor overrides the cuckoo online-rehash ceiling (0 keeps
-	// the default; see MutableTable.SetMaxLoadFactor).
-	MaxLoadFactor float64
-	// Faults arms the deterministic fault-injection harness for the
-	// run (chaos soaks); nil keeps every hook a free no-op.
-	Faults *FaultSpec
-	// Machine runs on the given chip instead of the Tab. II default.
-	Machine *MachineSpec
-	// Metrics attaches the simulator metrics registry; the stream's
-	// counters register under stream/ alongside it.
-	Metrics bool
-}
-
-// DefaultStreamConfig returns a small, fast streaming configuration: a
-// B+-tree under a 30%-write Zipf(0.99) stream with eight lookups in
-// flight.
-func DefaultStreamConfig() StreamConfig {
-	return StreamConfig{
-		Scheme:         CoreIntegrated,
-		Kind:           KindBTree,
-		InitialKeys:    96,
-		Ops:            420,
-		KeyLen:         16,
-		WriteFraction:  0.3,
-		DeleteFraction: 0.4,
-		KeySkew:        0.99,
-		Window:         8,
-		Seed:           7,
+// streamingConfig is one row of the streaming experiment: a single
+// tenant's read-write stream (30% writes, 40% of them deletes, Zipf
+// 0.99 keys) over a mutable table of the given kind, with up to eight
+// lookups in flight across the writes and every answer kept for the
+// host-model check.
+func streamingConfig(s Scale, kind StructKind) ServingConfig {
+	cfg := DefaultServingConfig()
+	cfg.Tenants = 1
+	cfg.Kind = kind
+	cfg.KeysPerTenant, cfg.Requests = 96, 420
+	if s == FullScale {
+		cfg.KeysPerTenant, cfg.Requests = 512, 4000
 	}
-}
-
-// streamConfig renders the workload-generation part of the config.
-func (c StreamConfig) streamConfig() stream.Config {
-	return stream.Config{
-		InitialKeys:    c.InitialKeys,
-		Ops:            c.Ops,
-		KeyLen:         c.KeyLen,
-		WriteFraction:  c.WriteFraction,
-		DeleteFraction: c.DeleteFraction,
-		KeySkew:        c.KeySkew,
-		Window:         c.Window,
-		Seed:           c.Seed,
-	}
-}
-
-// StreamReport is one streaming run's outcome: the engine's
-// verification report plus the table's mutation counters and the epoch
-// GC's reclamation accounting.
-type StreamReport struct {
-	stream.Report
-	Mut   MutStats
-	Epoch epoch.Stats
-}
-
-// streamTarget adapts a System+MutableTable pair to the stream engine:
-// mutations run in software immediately, lookups ride the accelerator's
-// non-blocking path so the window stays in flight across writes.
-type streamTarget struct {
-	sys *System
-	mt  *MutableTable
-}
-
-func (t *streamTarget) Insert(key []byte, value uint64) error { return t.mt.Insert(key, value) }
-func (t *streamTarget) Delete(key []byte) (bool, error)       { return t.mt.Delete(key) }
-
-func (t *streamTarget) QueryAsync(key []byte) (stream.Handle, error) {
-	return t.sys.QueryAsync(t.mt.Table, key)
-}
-
-func (t *streamTarget) Wait(h stream.Handle) (stream.Outcome, error) {
-	res, err := t.sys.Wait(h.(AsyncHandle))
-	if err != nil {
-		return stream.Outcome{}, err
-	}
-	return stream.Outcome{
-		Found:   res.Found,
-		Value:   res.Value,
-		Latency: res.Latency,
-		Faulted: res.Err != nil,
-	}, nil
-}
-
-// RunStream generates the seeded operation stream and drives it on a
-// fresh simulated machine. The run is deterministic: equal configs
-// yield equal reports, digest included.
-func RunStream(cfg StreamConfig) (*StreamReport, error) {
-	wl, err := stream.Generate(cfg.streamConfig())
-	if err != nil {
-		return nil, err
-	}
-	return ReplayStream(cfg, wl)
-}
-
-// ReplayStream drives an explicit workload (a recorded trace, or a
-// freshly generated one) on a fresh machine. Replaying a recorded
-// trace is byte-identical to the live run that recorded it.
-func ReplayStream(cfg StreamConfig, wl *stream.Workload) (*StreamReport, error) {
-	opts := []Option{WithSeed(cfg.Seed)}
-	if cfg.Machine != nil {
-		opts = append(opts, WithMachineSpec(*cfg.Machine))
-	}
-	if cfg.Metrics {
-		opts = append(opts, WithMetrics())
-	}
-	if cfg.Faults != nil {
-		opts = append(opts, WithFaultInjection(*cfg.Faults))
-	}
-	sys := NewSystem(cfg.Scheme, opts...)
-	if wl.Cfg.Window > sys.QSTCapacity() {
-		return nil, fmt.Errorf("qei: stream window %d exceeds QST capacity %d",
-			wl.Cfg.Window, sys.QSTCapacity())
-	}
-	keys, values := wl.InitialTable()
-	mt, err := sys.BuildMutable(cfg.Kind, keys, values)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.MaxLoadFactor > 0 {
-		mt.SetMaxLoadFactor(cfg.MaxLoadFactor)
-	}
-	rep, err := stream.Run(wl, &streamTarget{sys: sys, mt: mt}, sys.mreg)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamReport{Report: *rep, Mut: mt.MutStats(), Epoch: sys.EpochStats()}, nil
-}
-
-// streamingJob is one structure kind's slot in the streaming
-// experiment, with the per-kind rehash ceiling that guarantees the
-// cuckoo row exercises an online rehash at experiment scale.
-type streamingJob struct {
-	kind    StructKind
-	maxLoad float64
+	cfg.WriteFraction = 0.3
+	cfg.DeleteFraction = 0.4
+	cfg.SlotsPerTenant = 8
+	cfg.KeepResults = true
+	return cfg
 }
 
 // StreamingConsistency is the "streaming" experiment: the same seeded
-// read-write stream driven against each mutable structure kind, with
-// lookups pinned in flight across mutations. The row set proves the
-// consistency story: zero model mismatches, zero read-after-retire
-// violations, and the structural-maintenance paths (online rehash,
-// B+-tree splits and merges) actually exercised.
+// read-write stream served against each mutable structure kind, with
+// software writes landing beside in-flight accelerated lookups under
+// epoch reclamation. Every row must show zero host-model mismatches and
+// zero read-after-retire violations.
 func StreamingConsistency(s Scale, opts ...ExpOption) (TableData, error) {
 	t := TableData{
 		Title: "Streaming — epoch-consistent read-write streams (30% writes)",
-		Headers: []string{"kind", "ops", "puts", "dels", "hits", "mismatch",
-			"rehash", "split", "merge", "rebuild", "retired", "reclaimed",
-			"reused", "viol", "p50", "p99", "digest"},
+		Headers: []string{"kind", "reads", "writes", "found", "mismatch",
+			"viol", "p50", "p99", "write_p99"},
 	}
-	base := DefaultStreamConfig()
-	cuckooLoad := 0.10
-	if s == FullScale {
-		base.InitialKeys = 512
-		base.Ops = 4000
-		cuckooLoad = 0.15
-	}
-	jobs := []streamingJob{
-		{KindCuckoo, cuckooLoad},
-		{KindSkipList, 0},
-		{KindBST, 0},
-		{KindBTree, 0},
-	}
-	rows, err := expRows(expConfigFor(opts), jobs,
-		func(_ context.Context, _ int, j streamingJob) ([][]string, error) {
-			cfg := base
-			cfg.Kind = j.kind
-			cfg.MaxLoadFactor = j.maxLoad
-			rep, err := RunStream(cfg)
+	kinds := []StructKind{KindCuckoo, KindSkipList, KindBST, KindBTree}
+	rows, err := expRows(expConfigFor(opts), kinds,
+		func(_ context.Context, _ int, kind StructKind) ([][]string, error) {
+			rep, err := RunServing(streamingConfig(s, kind))
 			if err != nil {
 				return nil, err
 			}
 			if rep.Mismatches != 0 {
-				return nil, fmt.Errorf("qei: streaming %s: %d lookups disagreed with the host model",
-					j.kind, rep.Mismatches)
+				return nil, fmt.Errorf("qei: streaming %s: %d answers disagreed with the host model",
+					kind, rep.Mismatches)
 			}
-			if rep.Epoch.Violations != 0 {
+			if rep.EpochViolations != 0 {
 				return nil, fmt.Errorf("qei: streaming %s: %d read-after-retire violations",
-					j.kind, rep.Epoch.Violations)
+					kind, rep.EpochViolations)
 			}
-			if j.kind == KindCuckoo && rep.Mut.Rehashes == 0 {
-				return nil, fmt.Errorf("qei: streaming cuckoo run exercised no online rehash")
-			}
-			if j.kind == KindBTree && rep.Mut.Splits == 0 {
-				return nil, fmt.Errorf("qei: streaming btree run exercised no node split")
-			}
-			return [][]string{{j.kind.String(), f("%d", rep.Ops), f("%d", rep.Puts),
-				f("%d", rep.Dels), f("%d", rep.Hits), f("%d", rep.Mismatches),
-				f("%d", rep.Mut.Rehashes), f("%d", rep.Mut.Splits), f("%d", rep.Mut.Merges),
-				f("%d", rep.Mut.Rebuilds), f("%d", rep.Epoch.Retired), f("%d", rep.Epoch.Reclaimed),
-				f("%d", rep.Epoch.Reused), f("%d", rep.Epoch.Violations),
-				f("%d", rep.P50), f("%d", rep.P99), f("%016x", rep.Digest)}}, nil
+			ts := rep.Total
+			return [][]string{{kind.String(), f("%d", ts.Requests), f("%d", ts.Writes),
+				f("%d", ts.Found), f("%d", rep.Mismatches), f("%d", rep.EpochViolations),
+				f("%d", ts.P50), f("%d", ts.P99), f("%d", ts.WriteP99)}}, nil
 		})
 	t.Rows = rows
 	return t, err

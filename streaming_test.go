@@ -2,9 +2,10 @@ package qei
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
-	"qei/internal/stream"
+	"qei/internal/serve"
 )
 
 func TestStreamingSerialParallelIdentical(t *testing.T) {
@@ -22,82 +23,88 @@ func TestStreamingSerialParallelIdentical(t *testing.T) {
 	if len(serial.Rows) != 4 {
 		t.Fatalf("%d rows, want 4 structure kinds", len(serial.Rows))
 	}
+	for _, row := range serial.Rows {
+		if row[2] == "0" || row[4] != "0" || row[5] != "0" {
+			t.Fatalf("row %v: want writes, no mismatches, no violations", row)
+		}
+	}
 }
 
+// TestStreamLiveReplayTraceIdentical records the streaming experiment's
+// B+-tree stream as a JSONL trace and replays it: the replayed report
+// matches the live one field for field, and both answer like the host
+// model.
 func TestStreamLiveReplayTraceIdentical(t *testing.T) {
-	cfg := DefaultStreamConfig()
-	live, err := RunStream(cfg)
+	cfg := streamingConfig(Small, KindBTree)
+	live, err := RunServing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live.Mismatches != 0 || live.Epoch.Violations != 0 {
-		t.Fatalf("live run inconsistent: %+v", live.Report)
+	if live.Mismatches != 0 || live.EpochViolations != 0 || live.Total.Writes == 0 {
+		t.Fatalf("live run: %d mismatches, %d violations, %d writes",
+			live.Mismatches, live.EpochViolations, live.Total.Writes)
 	}
-
-	// Replaying the same generated workload reproduces the digest.
-	wl, err := stream.Generate(cfg.streamConfig())
+	gen := cfg.GenConfig()
+	reqs, err := serve.Generate(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := ReplayStream(cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replay.Digest != live.Digest {
-		t.Fatalf("replay digest %016x, live %016x", replay.Digest, live.Digest)
-	}
-
-	// And so does a trace round-tripped through the JSONL codec.
 	var buf bytes.Buffer
-	if err := stream.WriteTrace(&buf, wl); err != nil {
+	if err := serve.WriteTrace(&buf, gen, reqs); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := stream.ReadTrace(&buf)
+	rgen, rreqs, err := serve.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromTrace, err := ReplayStream(cfg, loaded)
+	replay, err := ReplayServing(cfg, rgen, rreqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromTrace.Digest != live.Digest {
-		t.Fatalf("trace replay digest %016x, live %016x", fromTrace.Digest, live.Digest)
-	}
-	if *fromTrace != *live {
-		t.Fatalf("trace replay report diverged: %+v vs %+v", fromTrace, live)
+	lj, _ := json.Marshal(live)
+	rj, _ := json.Marshal(replay)
+	if !bytes.Equal(lj, rj) {
+		t.Fatalf("trace replay diverged:\nlive   %s\nreplay %s", lj, rj)
 	}
 }
 
 // Property: across seeds and structure kinds, no in-flight query ever
 // dereferences a reclaimed address (the read watcher would count a
-// violation), even under a write-heavy stream that reuses memory.
+// violation) and every answer matches the host model, even under a
+// write-heavy served stream that reuses memory.
 func TestStreamNoReadAfterRetireProperty(t *testing.T) {
-	kinds := []StructKind{KindSkipList, KindBST, KindBTree}
 	var reused uint64
-	for _, kind := range kinds {
+	for _, kind := range []StructKind{KindSkipList, KindBST, KindBTree} {
 		for seed := int64(1); seed <= 3; seed++ {
-			cfg := DefaultStreamConfig()
-			cfg.Kind = kind
+			cfg := streamingConfig(Small, kind)
 			cfg.Seed = seed
 			cfg.WriteFraction = 0.5
 			cfg.DeleteFraction = 0.5
-			rep, err := RunStream(cfg)
+			gen := cfg.GenConfig()
+			reqs, err := serve.Generate(gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := NewSystem(cfg.Scheme, WithSeed(seed))
+			b, err := NewServingBackend(cfg.Backend, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := serve.Run(b, serve.Config{Gen: gen, SlotsPerTenant: cfg.SlotsPerTenant, KeepResults: true}, reqs)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", kind, seed, err)
 			}
-			if rep.Epoch.Violations != 0 {
-				t.Fatalf("%s seed %d: %d read-after-retire violations", kind, seed, rep.Epoch.Violations)
+			if v := sys.EpochViolations(); v != 0 {
+				t.Fatalf("%s seed %d: %d read-after-retire violations", kind, seed, v)
 			}
-			if rep.Mismatches != 0 {
-				t.Fatalf("%s seed %d: %d model mismatches", kind, seed, rep.Mismatches)
+			if n := serve.Verify(gen, reqs, rep.Results); n != 0 {
+				t.Fatalf("%s seed %d: %d model mismatches", kind, seed, n)
 			}
-			if rep.Epoch.Retired == 0 {
+			es := sys.EpochStats()
+			if es.Retired == 0 {
 				t.Fatalf("%s seed %d: write-heavy stream retired nothing", kind, seed)
 			}
-			if rep.MaxOutstanding < 2 {
-				t.Fatalf("%s seed %d: no queries overlapped mutations", kind, seed)
-			}
-			reused += rep.Epoch.Reused
+			reused += es.Reused
 		}
 	}
 	if reused == 0 {
@@ -105,43 +112,49 @@ func TestStreamNoReadAfterRetireProperty(t *testing.T) {
 	}
 }
 
-// Chaos soak: the deterministic fault injector fires while the stream
-// mutates and queries concurrently. Architectural faults and corrupted
-// lookups are tolerated (counted, not fatal); the run itself must stay
-// deterministic and complete every operation.
+// Chaos soak: the deterministic fault injector fires while a served
+// stream mutates and queries concurrently, with the resilience layer
+// off. Faulted reads ride in the report; the run must complete every
+// request and stay deterministic.
 func TestStreamChaosSoakWithFaults(t *testing.T) {
-	cfg := DefaultStreamConfig()
-	cfg.Kind = KindSkipList
+	cfg := streamingConfig(Small, KindSkipList)
 	cfg.WriteFraction = 0.4
 	faults := MustParseFaultSpec("11:flip=0.002,spurious=0.02,nocdelay=0.01")
 	cfg.Faults = &faults
 
-	soak, err := RunStream(cfg)
+	soak, err := RunServing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if soak.Ops != cfg.Ops {
-		t.Fatalf("soak completed %d/%d ops", soak.Ops, cfg.Ops)
+	if got := soak.Total.Requests + soak.Total.Writes; got != uint64(cfg.Requests) {
+		t.Fatalf("soak retired %d/%d requests", got, cfg.Requests)
 	}
-	again, err := RunStream(cfg)
+	if soak.FaultsInjected == 0 {
+		t.Fatal("chaos schedule injected nothing")
+	}
+	again, err := RunServing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Digest != soak.Digest {
-		t.Fatalf("chaos soak not deterministic: %016x vs %016x", again.Digest, soak.Digest)
+	sj, _ := json.Marshal(soak)
+	aj, _ := json.Marshal(again)
+	if !bytes.Equal(sj, aj) {
+		t.Fatalf("chaos soak not deterministic:\n%s\n%s", sj, aj)
 	}
 
 	// The same stream without faults must behave differently — proof
-	// the injector actually engaged the overlapped read-write path.
+	// the injector engaged the overlapped read-write path — and answer
+	// like the host model.
 	cfg.Faults = nil
-	clean, err := RunStream(cfg)
+	clean, err := RunServing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Digest == soak.Digest {
+	cj, _ := json.Marshal(clean)
+	if bytes.Equal(cj, sj) {
 		t.Fatal("fault injection changed nothing; soak was vacuous")
 	}
-	if clean.Mismatches != 0 || clean.Epoch.Violations != 0 {
-		t.Fatalf("clean run inconsistent: %+v", clean.Report)
+	if clean.Mismatches != 0 || clean.EpochViolations != 0 {
+		t.Fatalf("clean run: %d mismatches, %d violations", clean.Mismatches, clean.EpochViolations)
 	}
 }

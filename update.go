@@ -28,14 +28,15 @@ import (
 // structure, build it with BuildMutable, which returns a handle carrying
 // the mutation state.
 
-// defaultMaxLoad is the cuckoo load-factor ceiling that triggers an
-// online rehash before the kick loop starts thrashing (DPDK resizes in
-// the same regime). SetMaxLoadFactor overrides it per table.
-const defaultMaxLoad = 0.85
+// maxLoad is the cuckoo load-factor ceiling that triggers an online
+// rehash before the kick loop starts thrashing (DPDK resizes in the
+// same regime).
+const maxLoad = 0.85
 
-// MutStats counts a mutable table's software-routine activity. The
-// streaming experiment asserts the structural-maintenance paths
-// (rehash, split, merge, rebuild) actually ran.
+// MutStats counts a mutable table's software-routine activity: the
+// operations applied and the structural maintenance (rehash, split,
+// merge, rebuild) they caused. TestCuckooOnlineRehash and
+// TestMutableBTree assert that maintenance runs under in-flight reads.
 type MutStats struct {
 	// Inserts and Deletes count successful operations (Deletes only
 	// those that removed a present key).
@@ -55,10 +56,9 @@ type MutStats struct {
 // MutableTable wraps a Table with software update operations.
 type MutableTable struct {
 	Table
-	sys     *System
-	mut     mutator
-	maxLoad float64
-	stats   MutStats
+	sys   *System
+	mut   mutator
+	stats MutStats
 }
 
 // mutator is one kind's software update routines over its laid-out
@@ -71,7 +71,7 @@ type mutator interface {
 }
 
 // BuildMutable is Build returning an updatable handle — the entry point
-// the stream engine and the serving write path use. KindBST takes
+// the serving write path uses. KindBST takes
 // WithBSTPayload. Mutable cuckoo tables start with one bucket per key,
 // and mutable B+-trees use a smaller fanout than the read-only bulk
 // loader so update streams exercise splits and merges. Kinds without
@@ -91,21 +91,10 @@ func (s *System) BuildMutable(kind StructKind, keys [][]byte, values []uint64, o
 	s.ensureGC()
 	header, keyLen, mut := k.buildMutable(s, keys, values, cfg)
 	return &MutableTable{
-		Table:   Table{header: header, Kind: kind, KeyLen: int(keyLen)},
-		sys:     s,
-		mut:     mut,
-		maxLoad: defaultMaxLoad,
+		Table: Table{header: header, Kind: kind, KeyLen: int(keyLen)},
+		sys:   s,
+		mut:   mut,
 	}, nil
-}
-
-// SetMaxLoadFactor overrides the cuckoo load-factor ceiling that
-// triggers an online rehash (default 0.85). The streaming experiment
-// lowers it to force a rehash at experiment scale. It is ignored for
-// non-cuckoo tables.
-func (t *MutableTable) SetMaxLoadFactor(f float64) {
-	if f > 0 {
-		t.maxLoad = f
-	}
 }
 
 // MutStats reports the table's accumulated mutation activity.
@@ -173,7 +162,7 @@ type cuckooMutator struct{ ck *dstruct.Cuckoo }
 // bucket array is retired, never freed — a query admitted against it
 // finishes against it.
 func (m cuckooMutator) insert(t *MutableTable, key []byte, value uint64) error {
-	if m.ck.LoadFactor() >= t.maxLoad {
+	if m.ck.LoadFactor() >= maxLoad {
 		if err := m.rehash(t); err != nil {
 			return err
 		}

@@ -148,6 +148,95 @@ func TestMutableKeyValidation(t *testing.T) {
 	}
 }
 
+// readsInFlight keeps a window of accelerated lookups in flight while a
+// test mutates the table, and checks each against the value its key
+// held when the lookup was admitted (the epoch protocol's
+// snapshot-at-admission contract).
+type readsInFlight struct {
+	t     *testing.T
+	sys   *System
+	tb    *MutableTable
+	model map[string]uint64
+	q     []admittedRead
+}
+
+type admittedRead struct {
+	h     AsyncHandle
+	key   []byte
+	found bool
+	want  uint64
+}
+
+// readsWindow bounds the lookups held in flight, under the
+// Core-integrated QST capacity of 10.
+const readsWindow = 8
+
+func newReadsInFlight(t *testing.T, sys *System, tb *MutableTable, keys [][]byte, vals []uint64) *readsInFlight {
+	r := &readsInFlight{t: t, sys: sys, tb: tb, model: map[string]uint64{}}
+	for i, k := range keys {
+		r.model[string(k)] = vals[i]
+	}
+	return r
+}
+
+// issue admits a lookup of key, first retiring the oldest one if the
+// window is full.
+func (r *readsInFlight) issue(key []byte) {
+	if len(r.q) == readsWindow {
+		r.retire()
+	}
+	h, err := r.sys.QueryAsync(r.tb.Table, key)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	want, found := r.model[string(key)]
+	r.q = append(r.q, admittedRead{h: h, key: key, found: found, want: want})
+}
+
+func (r *readsInFlight) retire() {
+	a := r.q[0]
+	r.q = r.q[1:]
+	res, err := r.sys.Wait(a.h)
+	if err == nil {
+		err = res.Err
+	}
+	if err != nil {
+		r.t.Fatalf("in-flight lookup of %x: %v", a.key, err)
+	}
+	if res.Found != a.found || a.found && res.Value != a.want {
+		r.t.Fatalf("in-flight lookup of %x: found=%v value=%d, want found=%v value=%d at admission",
+			a.key, res.Found, res.Value, a.found, a.want)
+	}
+}
+
+func (r *readsInFlight) insert(key []byte, value uint64) {
+	if err := r.tb.Insert(key, value); err != nil {
+		r.t.Fatal(err)
+	}
+	r.model[string(key)] = value
+}
+
+func (r *readsInFlight) delete(key []byte) {
+	if ok, err := r.tb.Delete(key); err != nil || !ok {
+		r.t.Fatalf("delete %x: %v %v", key, ok, err)
+	}
+	delete(r.model, string(key))
+}
+
+// drain retires every lookup still in flight and checks that none read
+// retired memory.
+func (r *readsInFlight) drain() {
+	for len(r.q) > 0 {
+		r.retire()
+	}
+	if v := r.sys.EpochViolations(); v != 0 {
+		r.t.Fatalf("%d read-after-retire violations", v)
+	}
+}
+
+// TestMutableBTree grows and shrinks a B+-tree through splits and
+// merges while lookups stay in flight across every mutation: each
+// answers as the tree stood at its admission.
 func TestMutableBTree(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(120, 16, 26)
@@ -155,11 +244,13 @@ func TestMutableBTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reads := newReadsInFlight(t, sys, tb, keys[:40], vals[:40])
 	for i := 40; i < 120; i++ {
-		if err := tb.Insert(keys[i], vals[i]); err != nil {
-			t.Fatal(err)
-		}
+		reads.issue(keys[i])
+		reads.issue(keys[i/2])
+		reads.insert(keys[i], vals[i])
 	}
+	reads.drain()
 	for i := 0; i < 120; i++ {
 		res, err := tb.Query(keys[i])
 		if err != nil {
@@ -170,10 +261,12 @@ func TestMutableBTree(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		ok, err := tb.Delete(keys[i])
-		if err != nil || !ok {
-			t.Fatalf("btree delete %d: %v %v", i, ok, err)
-		}
+		reads.issue(keys[i])
+		reads.issue(keys[119-i])
+		reads.delete(keys[i])
+	}
+	reads.drain()
+	for i := 0; i < 100; i++ {
 		if res, _ := tb.Query(keys[i]); res.Found {
 			t.Fatalf("deleted btree key %d still visible", i)
 		}
@@ -210,29 +303,31 @@ func TestBuildMutableGenericAndUnsupported(t *testing.T) {
 func TestCuckooOnlineRehash(t *testing.T) {
 	// Growing a cuckoo table past its load ceiling must trigger an
 	// online rehash that retires the old bucket array and keeps every
-	// key reachable by the accelerator.
+	// key reachable by the accelerator — including lookups admitted
+	// before the rehash and still in flight across it.
 	sys := NewSystem(CoreIntegrated)
-	keys, vals := testKeys(400, 16, 28)
+	keys, vals := testKeys(600, 16, 28)
 	tb, err := sys.BuildMutable(KindCuckoo, keys[:50], vals[:50])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The build allocates one bucket per key (512 slots here), so lower
-	// the ceiling to force the online rehash at test scale.
-	tb.SetMaxLoadFactor(0.5)
-	for i := 50; i < 400; i++ {
-		if err := tb.Insert(keys[i], vals[i]); err != nil {
-			t.Fatal(err)
-		}
+	// The build allocates one bucket per key (512 slots here), so 600
+	// keys cross the 0.85 load ceiling.
+	reads := newReadsInFlight(t, sys, tb, keys[:50], vals[:50])
+	for i := 50; i < 600; i++ {
+		reads.issue(keys[i])
+		reads.issue(keys[i/3])
+		reads.insert(keys[i], vals[i])
 	}
+	reads.drain()
 	st := tb.MutStats()
 	if st.Rehashes == 0 {
-		t.Fatal("8x growth caused no rehash")
+		t.Fatal("12x growth caused no rehash")
 	}
 	if st.RetiredNodes == 0 {
 		t.Fatal("rehash retired no bucket array")
 	}
-	for i := 0; i < 400; i += 13 {
+	for i := 0; i < 600; i += 13 {
 		res, err := tb.Query(keys[i])
 		if err != nil || !res.Found || res.Value != vals[i] {
 			t.Fatalf("post-rehash key %d: %+v %v", i, res, err)
