@@ -28,9 +28,10 @@ go test -race -timeout 90m ./...
 
 # Bench smoke: one iteration of the Tab. I benchmark proves the bench
 # harness still assembles and logs its table, and one iteration of every
-# layer micro-benchmark keeps those compiling and running.
+# layer micro-benchmark keeps those compiling and running (-benchmem
+# prints their allocations too).
 go test -run '^$' -bench BenchmarkTab1 -benchtime 1x -short .
-go test -run '^$' -bench . -benchtime 1x ./internal/...
+go test -run '^$' -bench . -benchtime 1x -benchmem ./internal/...
 
 # Zero-overhead guard: attaching metrics + tracing — and the disabled
 # fault-injection/watchdog apparatus — must not move a single

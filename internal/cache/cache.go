@@ -81,6 +81,11 @@ func LLCSliceConfig() Config {
 // every configuration in this repo is; the division path is kept for
 // odd geometries. Lookup/Insert sit under every simulated memory
 // access, so this layout is what the hierarchy's throughput rides on.
+//
+// The arrays are built by the first Insert: a machine has a private
+// L1D and L2 per core, and most runs touch only core 0's. Until then
+// the cache is empty, so Lookup counts a miss and Contains, MarkDirty
+// and Invalidate find nothing.
 type Cache struct {
 	cfg  Config
 	sets uint64
@@ -92,7 +97,7 @@ type Cache struct {
 	linePow2  bool
 	setsPow2  bool
 
-	tags  []uint64 // line addresses; ^0 = invalid
+	tags  []uint64 // line addresses; ^0 = invalid; nil until the first Insert
 	dirty []bool
 	lru   []uint64
 	stamp uint64
@@ -100,7 +105,8 @@ type Cache struct {
 	hits, misses, evictions, writebacks uint64
 }
 
-// New builds a cache array.
+// New returns an empty cache of the given geometry; its arrays are
+// built on the first Insert.
 func New(cfg Config) *Cache {
 	sets := cfg.Sets()
 	if sets <= 0 || cfg.SizeBytes%(cfg.LineSize*uint64(cfg.Ways)) != 0 {
@@ -117,14 +123,18 @@ func New(cfg Config) *Cache {
 		c.setsPow2 = true
 		c.setMask = c.sets - 1
 	}
-	n := sets * cfg.Ways
+	return c
+}
+
+// build allocates the tag, dirty and LRU arrays, every way invalid.
+func (c *Cache) build() {
+	n := int(c.sets) * c.ways
 	c.tags = make([]uint64, n)
 	c.dirty = make([]bool, n)
 	c.lru = make([]uint64, n)
 	for i := range c.tags {
 		c.tags[i] = ^uint64(0)
 	}
-	return c
 }
 
 // Config returns the cache geometry.
@@ -144,6 +154,10 @@ func (c *Cache) setIndex(line uint64) uint64 {
 
 // Lookup probes for the line containing a, updating LRU and stats.
 func (c *Cache) Lookup(a mem.PAddr) bool {
+	if c.tags == nil {
+		c.misses++
+		return false
+	}
 	line := uint64(a.Line())
 	base := int(c.setIndex(line)) * c.ways
 	for i, tag := range c.tags[base : base+c.ways] {
@@ -160,6 +174,9 @@ func (c *Cache) Lookup(a mem.PAddr) bool {
 
 // Contains probes without touching LRU or stats (for invariant checks).
 func (c *Cache) Contains(a mem.PAddr) bool {
+	if c.tags == nil {
+		return false
+	}
 	line := uint64(a.Line())
 	base := int(c.setIndex(line)) * c.ways
 	for _, tag := range c.tags[base : base+c.ways] {
@@ -174,6 +191,9 @@ func (c *Cache) Contains(a mem.PAddr) bool {
 // full. It returns the evicted line address and whether an eviction of a
 // dirty line (writeback) occurred. evicted is ^0 when nothing was evicted.
 func (c *Cache) Insert(a mem.PAddr, dirtyFill bool) (evicted uint64, writeback bool) {
+	if c.tags == nil {
+		c.build()
+	}
 	line := uint64(a.Line())
 	base := int(c.setIndex(line)) * c.ways
 	set := c.tags[base : base+c.ways]
@@ -217,6 +237,9 @@ func (c *Cache) Insert(a mem.PAddr, dirtyFill bool) (evicted uint64, writeback b
 
 // MarkDirty sets the dirty bit of the line containing a if present.
 func (c *Cache) MarkDirty(a mem.PAddr) {
+	if c.tags == nil {
+		return
+	}
 	line := uint64(a.Line())
 	base := int(c.setIndex(line)) * c.ways
 	for i, tag := range c.tags[base : base+c.ways] {
@@ -230,6 +253,9 @@ func (c *Cache) MarkDirty(a mem.PAddr) {
 // Invalidate drops the line containing a if present, reporting whether it
 // was dirty.
 func (c *Cache) Invalidate(a mem.PAddr) (present, wasDirty bool) {
+	if c.tags == nil {
+		return false, false
+	}
 	line := uint64(a.Line())
 	base := int(c.setIndex(line)) * c.ways
 	for i, tag := range c.tags[base : base+c.ways] {

@@ -26,6 +26,56 @@ func TestCacheMissThenHit(t *testing.T) {
 	}
 }
 
+// TestCacheUnfilled pins a cache before its first fill: it holds no
+// arrays, probes find nothing and only Lookup counts (a miss).
+func TestCacheUnfilled(t *testing.T) {
+	c := New(L2Config())
+	a := lineAddr(5)
+	if c.Contains(a) {
+		t.Fatal("unfilled cache contains a line")
+	}
+	c.MarkDirty(a)
+	if present, dirty := c.Invalidate(a); present || dirty {
+		t.Fatalf("Invalidate on an unfilled cache = %v, %v", present, dirty)
+	}
+	if h, m, e, w := c.Stats(); h+m+e+w != 0 {
+		t.Fatalf("stats = %d/%d/%d/%d, want all zero", h, m, e, w)
+	}
+	if c.Lookup(a) {
+		t.Fatal("unfilled cache hit")
+	}
+	if h, m, _, _ := c.Stats(); h != 0 || m != 1 {
+		t.Fatalf("stats after Lookup: %d hits %d misses, want one miss", h, m)
+	}
+	if c.tags != nil {
+		t.Fatal("a probe built the arrays")
+	}
+	c.Insert(a, false)
+	c.MarkDirty(a)
+	if present, dirty := c.Invalidate(a); !present || !dirty {
+		t.Fatalf("Invalidate after a fill = %v, %v, want a dirty line", present, dirty)
+	}
+}
+
+// TestHierarchyBuildsPrivateCachesOnFirstFill pins which arrays a chip
+// builds up front: every LLC slice, and no private cache until a core
+// fills it.
+func TestHierarchyBuildsPrivateCachesOnFirstFill(t *testing.T) {
+	h := newTestHierarchy(t)
+	for i := 0; i < h.LLC().Slices(); i++ {
+		if h.LLC().Slice(i).tags == nil {
+			t.Fatalf("LLC slice %d has no arrays", i)
+		}
+	}
+	h.L2Access(3, 0x1000, Read)
+	for core := range h.L1D {
+		if h.L1D[core].tags != nil || (h.L2[core].tags != nil) != (core == 3) {
+			t.Fatalf("core %d: L1D built %v, L2 built %v; only core 3's L2 was filled",
+				core, h.L1D[core].tags != nil, h.L2[core].tags != nil)
+		}
+	}
+}
+
 func TestCacheSameSetDifferentLines(t *testing.T) {
 	// 8 sets, 2 ways: lines 0, 8, 16 map to set 0.
 	c := New(Config{SizeBytes: 1024, Ways: 2, LineSize: 64, HitLatency: 1})
@@ -260,7 +310,7 @@ func TestDRAMChannelInterleave(t *testing.T) {
 	for i := uint64(0); i < 600; i++ {
 		d.Access(mem.PAddr(i * mem.LineSize))
 	}
-	for ch, n := range d.ChannelAccesses() {
+	for ch, n := range d.accesses {
 		if n != 100 {
 			t.Fatalf("channel %d got %d accesses, want 100", ch, n)
 		}
@@ -272,8 +322,49 @@ func TestPrivateFootprint(t *testing.T) {
 	lines := []mem.PAddr{0x1000, 0x2000, 0x3000}
 	h.CoreAccess(0, lines[0], Read)
 	h.CoreAccess(0, lines[1], Read)
-	inL1, inL2 := h.PrivateFootprint(0, lines)
+	inL1, inL2 := privateFootprint(h, 0, lines)
 	if inL1 != 2 || inL2 != 2 {
 		t.Fatalf("footprint = %d/%d, want 2/2", inL1, inL2)
+	}
+}
+
+// privateFootprint reports how many lines of the given address set are
+// resident in core's private caches.
+func privateFootprint(h *Hierarchy, core int, lines []mem.PAddr) (inL1, inL2 int) {
+	for _, a := range lines {
+		if h.L1D[core].Contains(a) {
+			inL1++
+		}
+		if h.L2[core].Contains(a) {
+			inL2++
+		}
+	}
+	return inL1, inL2
+}
+
+// BenchmarkCacheAccess probes an L2-geometry cache with three hits to
+// one miss: 768 hot lines stay resident (true LRU keeps them) while
+// every fourth probe brings in a new line, filled on the miss and
+// evicting once its set is full. One pass warms the cache first.
+func BenchmarkCacheAccess(b *testing.B) {
+	c := New(L2Config())
+	cold := uint64(1 << 20)
+	pass := func() {
+		for i := uint64(0); i < 1024; i++ {
+			a := lineAddr(i)
+			if i%4 == 3 {
+				a = lineAddr(cold)
+				cold++
+			}
+			if !c.Lookup(a) {
+				c.Insert(a, i%8 == 7)
+			}
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		pass()
 	}
 }

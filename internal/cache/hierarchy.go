@@ -52,13 +52,6 @@ func (d *DRAM) Accesses() uint64 {
 	return t
 }
 
-// ChannelAccesses reports per-channel access counts.
-func (d *DRAM) ChannelAccesses() []uint64 {
-	out := make([]uint64, len(d.accesses))
-	copy(out, d.accesses)
-	return out
-}
-
 // LLC is the shared NUCA last-level cache: one slice per CHA, each slice
 // pinned to a mesh stop. The slice owning a line is chosen by a hash of
 // the physical line address, as in real Xeon NUCA designs.
@@ -67,14 +60,19 @@ type LLC struct {
 	stops  []noc.Stop
 }
 
-// NewLLC builds n slices with cfg each, mapped to the given mesh stops.
-func NewLLC(n int, cfg Config, stops []noc.Stop) *LLC {
+// newLLC builds n slices with cfg each, mapped to the given mesh stops.
+// Unlike a private cache, a slice builds its arrays here, with the
+// machine: any run spreads its lines over every slice, so building them
+// on first fill would only move the allocation into the run.
+func newLLC(n int, cfg Config, stops []noc.Stop) *LLC {
 	if len(stops) != n {
 		panic(fmt.Sprintf("cache: %d slices need %d stops, got %d", n, n, len(stops)))
 	}
 	l := &LLC{stops: stops}
 	for i := 0; i < n; i++ {
-		l.slices = append(l.slices, New(cfg))
+		s := New(cfg)
+		s.build()
+		l.slices = append(l.slices, s)
 	}
 	return l
 }
@@ -179,7 +177,7 @@ func NewHierarchyGeom(nCores int, mesh *noc.Mesh, memStops []noc.Stop, l1d, l2, 
 		h.L1D = append(h.L1D, New(l1d))
 		h.L2 = append(h.L2, New(l2))
 	}
-	h.llc = NewLLC(nCores, llcSlice, coreStops)
+	h.llc = newLLC(nCores, llcSlice, coreStops)
 	return h
 }
 
@@ -310,26 +308,4 @@ func (h *Hierarchy) LLCAccessLocal(at noc.Stop, a mem.PAddr, kind AccessKind) Re
 		lat += h.mesh.Send(sliceStop, at, h.lineBytes)
 	}
 	return Result{Latency: lat, Hit: level}
-}
-
-// FlushPrivate invalidates core's L1D and L2 (used on context switches in
-// some experiments).
-func (h *Hierarchy) FlushPrivate(core int) {
-	h.L1D[core] = New(L1DConfig())
-	h.L2[core] = New(L2Config())
-}
-
-// PrivateFootprint reports how many lines of the given address set are
-// resident in core's private caches — the cache-pollution metric used by
-// the remote-vs-local comparison ablation.
-func (h *Hierarchy) PrivateFootprint(core int, lines []mem.PAddr) (inL1, inL2 int) {
-	for _, a := range lines {
-		if h.L1D[core].Contains(a) {
-			inL1++
-		}
-		if h.L2[core].Contains(a) {
-			inL2++
-		}
-	}
-	return inL1, inL2
 }

@@ -19,14 +19,12 @@ func (h *Hierarchy) RegisterMetrics(r *metrics.Registry) {
 	if r == nil {
 		return
 	}
-	for i := range h.L1D {
-		core := i
-		registerCache(r.Scoped(fmt.Sprintf("core%d/l1d", core)), func() *Cache { return h.L1D[core] })
-		registerCache(r.Scoped(fmt.Sprintf("core%d/l2", core)), func() *Cache { return h.L2[core] })
+	for core := range h.L1D {
+		registerCache(r.Scoped(fmt.Sprintf("core%d/l1d", core)), h.L1D[core])
+		registerCache(r.Scoped(fmt.Sprintf("core%d/l2", core)), h.L2[core])
 	}
-	for i := 0; i < h.llc.Slices(); i++ {
-		slice := i
-		registerCache(r.Scoped(fmt.Sprintf("cha%d/llc", slice)), func() *Cache { return h.llc.Slice(slice) })
+	for slice := 0; slice < h.llc.Slices(); slice++ {
+		registerCache(r.Scoped(fmt.Sprintf("cha%d/llc", slice)), h.llc.Slice(slice))
 	}
 	dram := r.Scoped("dram")
 	dram.RegisterFunc("accesses", h.dram.Accesses)
@@ -36,14 +34,12 @@ func (h *Hierarchy) RegisterMetrics(r *metrics.Registry) {
 	}
 }
 
-// registerCache publishes one cache array's stats under r. The cache is
-// fetched through get at snapshot time because FlushPrivate replaces the
-// *Cache values wholesale.
-func registerCache(r *metrics.Registry, get func() *Cache) {
-	r.RegisterFunc("hits", func() uint64 { h, _, _, _ := get().Stats(); return h })
-	r.RegisterFunc("misses", func() uint64 { _, m, _, _ := get().Stats(); return m })
-	r.RegisterFunc("evictions", func() uint64 { _, _, e, _ := get().Stats(); return e })
-	r.RegisterFunc("writebacks", func() uint64 { _, _, _, w := get().Stats(); return w })
+// registerCache publishes one cache array's stats under r.
+func registerCache(r *metrics.Registry, c *Cache) {
+	r.RegisterFunc("hits", func() uint64 { return c.hits })
+	r.RegisterFunc("misses", func() uint64 { return c.misses })
+	r.RegisterFunc("evictions", func() uint64 { return c.evictions })
+	r.RegisterFunc("writebacks", func() uint64 { return c.writebacks })
 }
 
 // SetTracer attaches the unified event tracer; the *At access variants

@@ -115,10 +115,10 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
-// Core is the incremental OoO timing model. Feed ops in program order;
-// state (register readiness, ROB occupancy, frontend position) persists
-// across calls so independent work in consecutive requests overlaps, as
-// it would in a real pipelined loop.
+// Core is the incremental OoO timing model. Run executes ops in program
+// order; state (register readiness, ROB occupancy, frontend position)
+// persists across calls so independent work in consecutive requests
+// overlaps, as it would in a real pipelined loop.
 type Core struct {
 	cfg   Config
 	mem   MemPort
@@ -133,10 +133,10 @@ type Core struct {
 	loadRing []uint64
 	// storeRing: ditto for stores.
 	storeRing []uint64
+	// robPos, lqPos and sqPos index the ring slot the next instruction,
+	// load and store take; each wraps at its ring's length.
+	robPos, lqPos, sqPos int
 
-	seq        uint64 // dynamic instruction index
-	loadSeq    uint64
-	storeSeq   uint64
 	fetchCycle uint64 // cycle the next fetch group is available
 	fetchSlots int    // ops already issued in fetchCycle
 	lastRetire uint64
@@ -171,37 +171,15 @@ func New(cfg Config, memPort MemPort, queryPort QueryPort) *Core {
 func (c *Core) Err() error { return c.err }
 
 // Stats returns a copy of the accumulated statistics. Cycles reflects the
-// retire time of the last instruction fed so far.
+// retire time of the last instruction run so far.
 func (c *Core) Stats() Stats {
 	s := c.stats
 	s.Cycles = c.lastRetire
 	return s
 }
 
-// Now returns the cycle at which the last fed instruction retired.
+// Now returns the cycle at which the last instruction run retired.
 func (c *Core) Now() uint64 { return c.lastRetire }
-
-// frontendSlot returns the cycle the next instruction can be dispatched
-// by the frontend and consumes one issue slot.
-func (c *Core) frontendSlot() uint64 {
-	cy := c.fetchCycle
-	c.fetchSlots++
-	if c.fetchSlots >= c.cfg.IssueWidth {
-		c.fetchCycle++
-		c.fetchSlots = 0
-	}
-	return cy
-}
-
-// redirectFrontend models a pipeline redirect (branch misprediction): no
-// instruction fetches until cycle target.
-func (c *Core) redirectFrontend(target uint64) {
-	if target > c.fetchCycle {
-		c.stats.FrontendCycles += target - c.fetchCycle
-		c.fetchCycle = target
-		c.fetchSlots = 0
-	}
-}
 
 func max2(a, b uint64) uint64 {
 	if a > b {
@@ -210,156 +188,191 @@ func max2(a, b uint64) uint64 {
 	return b
 }
 
-// Feed executes one micro-op, returning its completion cycle.
-func (c *Core) Feed(op *isa.Op) uint64 {
+// Run executes t in program order and returns the cycle the last op
+// retired. The first fault stops the run: Err reports it, Instructions
+// counts only the ops before the faulting one, and every later Run
+// returns at once.
+//
+// Run is the core's only loop. It keeps the frontend, dispatch and
+// retire clocks, the ring positions and Stats in locals for the length
+// of the call and writes them back once on return, a fault included.
+// That is sound because nothing reads the core while Run is on the
+// stack: the memory and query ports and the tracer never reach back
+// into it, and metric closures are read only between calls.
+func (c *Core) Run(t isa.Trace) uint64 {
 	if c.err != nil {
 		return c.lastRetire
 	}
+	cfg := &c.cfg
+	issueWidth, retireWidth := cfg.IssueWidth, cfg.RetireWidth
+	aluLat, mulLat := cfg.ALULatency, cfg.MulLatency
+	regReady := &c.regReady
+	retireRing, loadRing, storeRing := c.retireRing, c.loadRing, c.storeRing
+	robPos, lqPos, sqPos := c.robPos, c.lqPos, c.sqPos
+	fetchCycle, fetchSlots := c.fetchCycle, c.fetchSlots
+	maxDispatch := c.maxDispatch
+	lastRetire, retireInCy := c.lastRetire, c.retireInCy
+	st := c.stats
 
-	// Frontend: claim an issue slot.
-	dispatch := c.frontendSlot()
+	n := 0
+loop:
+	for ; n < len(t); n++ {
+		op := &t[n]
 
-	// ROB: the instruction ROBEntries older must have retired. A full ROB
-	// delays dispatch but not the fetch clock, so later instructions see
-	// the same lag again: charge only the cycles by which this stall
-	// pushes dispatch past the furthest point already reached.
-	robIdx := c.seq % uint64(len(c.retireRing))
-	if free := c.retireRing[robIdx]; free > dispatch {
-		if reached := max2(dispatch, c.maxDispatch); free > reached {
-			c.stats.ROBStallCycles += free - reached
+		// Frontend: claim an issue slot.
+		dispatch := fetchCycle
+		fetchSlots++
+		if fetchSlots >= issueWidth {
+			fetchCycle++
+			fetchSlots = 0
 		}
-		dispatch = free
+
+		// ROB: the instruction ROBEntries older must have retired. A full
+		// ROB delays dispatch but not the fetch clock, so later
+		// instructions see the same lag again: charge only the cycles by
+		// which this stall pushes dispatch past the furthest point
+		// already reached.
+		if free := retireRing[robPos]; free > dispatch {
+			if reached := max2(dispatch, maxDispatch); free > reached {
+				st.ROBStallCycles += free - reached
+			}
+			dispatch = free
+		}
+		maxDispatch = max2(maxDispatch, dispatch)
+
+		// Register dependences.
+		start := dispatch
+		if op.Src1 != 0 {
+			start = max2(start, regReady[op.Src1])
+		}
+		if op.Src2 != 0 {
+			start = max2(start, regReady[op.Src2])
+		}
+
+		var complete uint64
+		switch op.Kind {
+		case isa.Nop:
+			complete = start
+
+		case isa.ALU:
+			complete = start + aluLat
+
+		case isa.MulALU:
+			complete = start + mulLat
+
+		case isa.Load:
+			st.Loads++
+			if free := loadRing[lqPos]; free > start {
+				st.LQStallCycles += free - start
+				start = free
+			}
+			lat, err := c.mem.Access(op.Addr, false, start)
+			if err != nil {
+				c.err = err
+				break loop
+			}
+			complete = start + lat
+
+		case isa.Store:
+			st.Stores++
+			if free := storeRing[sqPos]; free > start {
+				start = free
+			}
+			// Stores complete at address+data ready; the writeback drains
+			// post-retirement. Charge the access now for cache-state
+			// effects.
+			if _, err := c.mem.Access(op.Addr, true, start); err != nil {
+				c.err = err
+				break loop
+			}
+			complete = start + 1
+
+		case isa.Branch:
+			st.Branches++
+			complete = start + aluLat
+			if op.Mispredict {
+				st.Mispredicts++
+				c.tr.Point("cpu", "mispredict", complete, c.tracePid, trace.TidCorePipe, nil)
+				// Redirect: no instruction fetches until the penalty
+				// has passed.
+				if target := complete + cfg.MispredictPenalty; target > fetchCycle {
+					st.FrontendCycles += target - fetchCycle
+					fetchCycle = target
+					fetchSlots = 0
+				}
+			}
+
+		case isa.QueryB:
+			st.Queries++
+			// Blocking query: like a load — occupies an LQ slot and the
+			// ROB until the accelerator returns the result (Sec. IV-C).
+			if free := loadRing[lqPos]; free > start {
+				st.LQStallCycles += free - start
+				start = free
+			}
+			issue := start + cfg.QueryIssueCost
+			done, err := c.query.IssueBlocking(op.Query, issue)
+			if err != nil {
+				c.err = err
+				break loop
+			}
+			c.tr.Span("cpu", "query_b", issue, done, c.tracePid, trace.TidCorePipe, nil)
+			complete = done
+
+		case isa.QueryNB:
+			st.Queries++
+			if free := storeRing[sqPos]; free > start {
+				start = free
+			}
+			issue := start + cfg.QueryIssueCost
+			accepted, err := c.query.IssueNonBlocking(op.Query, issue)
+			if err != nil {
+				c.err = err
+				break loop
+			}
+			c.tr.Span("cpu", "query_nb", issue, accepted, c.tracePid, trace.TidCorePipe, nil)
+			complete = accepted
+		}
+
+		if op.Dst != 0 {
+			regReady[op.Dst] = complete
+		}
+
+		// In-order retire, RetireWidth per cycle.
+		retire := max2(complete, lastRetire)
+		if retire == lastRetire {
+			retireInCy++
+			if retireInCy >= retireWidth {
+				retire++
+				retireInCy = 0
+			}
+		} else {
+			retireInCy = 1
+		}
+		lastRetire = retire
+		retireRing[robPos] = retire
+		if robPos++; robPos == len(retireRing) {
+			robPos = 0
+		}
+		switch op.Kind {
+		case isa.Load, isa.QueryB:
+			loadRing[lqPos] = retire
+			if lqPos++; lqPos == len(loadRing) {
+				lqPos = 0
+			}
+		case isa.Store, isa.QueryNB:
+			storeRing[sqPos] = retire
+			if sqPos++; sqPos == len(storeRing) {
+				sqPos = 0
+			}
+		}
 	}
-	c.maxDispatch = max2(c.maxDispatch, dispatch)
 
-	// Register dependences.
-	start := dispatch
-	if op.Src1 != 0 {
-		start = max2(start, c.regReady[op.Src1])
-	}
-	if op.Src2 != 0 {
-		start = max2(start, c.regReady[op.Src2])
-	}
-
-	var complete uint64
-	switch op.Kind {
-	case isa.Nop:
-		complete = start
-
-	case isa.ALU:
-		complete = start + c.cfg.ALULatency
-
-	case isa.MulALU:
-		complete = start + c.cfg.MulLatency
-
-	case isa.Load:
-		c.stats.Loads++
-		lqIdx := c.loadSeq % uint64(len(c.loadRing))
-		if free := c.loadRing[lqIdx]; free > start {
-			c.stats.LQStallCycles += free - start
-			start = free
-		}
-		lat, err := c.mem.Access(op.Addr, false, start)
-		if err != nil {
-			c.err = err
-			return c.lastRetire
-		}
-		complete = start + lat
-
-	case isa.Store:
-		c.stats.Stores++
-		sqIdx := c.storeSeq % uint64(len(c.storeRing))
-		if free := c.storeRing[sqIdx]; free > start {
-			start = free
-		}
-		// Stores complete at address+data ready; the writeback drains
-		// post-retirement. Charge the access now for cache-state effects.
-		if _, err := c.mem.Access(op.Addr, true, start); err != nil {
-			c.err = err
-			return c.lastRetire
-		}
-		complete = start + 1
-
-	case isa.Branch:
-		c.stats.Branches++
-		complete = start + c.cfg.ALULatency
-		if op.Mispredict {
-			c.stats.Mispredicts++
-			c.tr.Point("cpu", "mispredict", complete, c.tracePid, trace.TidCorePipe, nil)
-			c.redirectFrontend(complete + c.cfg.MispredictPenalty)
-		}
-
-	case isa.QueryB:
-		c.stats.Queries++
-		// Blocking query: like a load — occupies an LQ slot and the ROB
-		// until the accelerator returns the result (Sec. IV-C).
-		lqIdx := c.loadSeq % uint64(len(c.loadRing))
-		if free := c.loadRing[lqIdx]; free > start {
-			c.stats.LQStallCycles += free - start
-			start = free
-		}
-		issue := start + c.cfg.QueryIssueCost
-		done, err := c.query.IssueBlocking(op.Query, issue)
-		if err != nil {
-			c.err = err
-			return c.lastRetire
-		}
-		c.tr.Span("cpu", "query_b", issue, done, c.tracePid, trace.TidCorePipe, nil)
-		complete = done
-
-	case isa.QueryNB:
-		c.stats.Queries++
-		sqIdx := c.storeSeq % uint64(len(c.storeRing))
-		if free := c.storeRing[sqIdx]; free > start {
-			start = free
-		}
-		issue := start + c.cfg.QueryIssueCost
-		accepted, err := c.query.IssueNonBlocking(op.Query, issue)
-		if err != nil {
-			c.err = err
-			return c.lastRetire
-		}
-		c.tr.Span("cpu", "query_nb", issue, accepted, c.tracePid, trace.TidCorePipe, nil)
-		complete = accepted
-	}
-
-	if op.Dst != 0 {
-		c.regReady[op.Dst] = complete
-	}
-
-	// In-order retire, RetireWidth per cycle.
-	retire := max2(complete, c.lastRetire)
-	if retire == c.lastRetire {
-		c.retireInCy++
-		if c.retireInCy >= c.cfg.RetireWidth {
-			retire++
-			c.retireInCy = 0
-		}
-	} else {
-		c.retireInCy = 1
-	}
-	c.lastRetire = retire
-	c.retireRing[robIdx] = retire
-	if op.Kind == isa.Load || op.Kind == isa.QueryB {
-		c.loadRing[c.loadSeq%uint64(len(c.loadRing))] = retire
-		c.loadSeq++
-	}
-	if op.Kind == isa.Store || op.Kind == isa.QueryNB {
-		c.storeRing[c.storeSeq%uint64(len(c.storeRing))] = retire
-		c.storeSeq++
-	}
-	c.seq++
-	c.stats.Instructions++
-	return complete
-}
-
-// Run feeds an entire trace and returns the cycle the last op retired.
-func (c *Core) Run(t isa.Trace) uint64 {
-	for i := range t {
-		c.Feed(&t[i])
-		if c.err != nil {
-			break
-		}
-	}
-	return c.lastRetire
+	st.Instructions += uint64(n)
+	c.stats = st
+	c.robPos, c.lqPos, c.sqPos = robPos, lqPos, sqPos
+	c.fetchCycle, c.fetchSlots = fetchCycle, fetchSlots
+	c.maxDispatch = maxDispatch
+	c.lastRetire, c.retireInCy = lastRetire, retireInCy
+	return lastRetire
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"qei/internal/isa"
@@ -239,6 +240,119 @@ func TestStatsCounts(t *testing.T) {
 	}
 	if s.Instructions != 8 {
 		t.Fatalf("instructions = %d, want 8", s.Instructions)
+	}
+}
+
+// splitTrace is a mixed trace for the split tests: dependent ALU
+// chains that retire several ops a cycle, a mispredicted branch, a
+// burst of independent loads that overruns splitConfig's load queue, a
+// multiply, stores, and QUERY_B/QUERY_NB ops.
+func splitTrace() isa.Trace {
+	b := isa.NewBuilder()
+	r := b.ALUN(5, 0)
+	for i := 0; i < 6; i++ {
+		b.Load(mem.VAddr(0x1000*(i+1)), 8, r)
+	}
+	r = b.Mul(r, b.ALU(0, 0))
+	b.Branch(r, true)
+	q := b.QueryB(isa.QueryDesc{HeaderAddr: 0x100, KeyAddr: 0x200})
+	b.Store(0x3000, 8, q)
+	b.QueryNB(isa.QueryDesc{HeaderAddr: 0x100, KeyAddr: 0x240, ResultAddr: 0x300})
+	for i := 0; i < 12; i++ {
+		b.ALU(0, 0)
+	}
+	r = b.ALUN(3, q)
+	b.Branch(r, false)
+	b.Nop(3)
+	b.Store(0x3040, 8, r)
+	b.Load(0x4000, 8, r)
+	return b.Take()
+}
+
+// splitConfig shrinks the load and store queues so splitTrace stalls
+// on them. Its ROB holds the whole trace, so after one run
+// retireRing[i] is op i's retire cycle; rob > 0 shrinks the ROB to
+// that many entries instead, so dispatch stalls on it.
+func splitConfig(rob int) Config {
+	cfg := DefaultConfig()
+	cfg.LoadQueueEntries = 4
+	cfg.StoreQueueEntries = 2
+	if rob > 0 {
+		cfg.ROBEntries = rob
+	}
+	return cfg
+}
+
+func newSplitCore(rob int, port MemPort) *Core {
+	return New(splitConfig(rob), port, &scriptedQuery{blockingLat: 60, acceptLat: 5})
+}
+
+// TestRunIndependentOfSplit pins that Run keeps no state of its own
+// between calls: running a trace as t[:k] then t[k:] must leave the
+// core exactly as one Run(t) does, for every k.
+func TestRunIndependentOfSplit(t *testing.T) {
+	tr := splitTrace()
+	for _, rob := range []int{0, 8} {
+		whole := newSplitCore(rob, &fixedMem{lat: 30})
+		end := whole.Run(tr)
+		if whole.Err() != nil {
+			t.Fatal(whole.Err())
+		}
+		s := whole.Stats()
+		if s.LQStallCycles == 0 || s.Mispredicts != 1 || s.Queries != 2 || (rob > 0) != (s.ROBStallCycles > 0) {
+			t.Fatalf("rob=%d: trace does not exercise the core: %+v", rob, s)
+		}
+		for k := 1; k < len(tr); k++ {
+			c := newSplitCore(rob, &fixedMem{lat: 30})
+			first := c.Run(tr[:k])
+			if rob == 0 && first != whole.retireRing[k-1] {
+				t.Fatalf("k=%d: Run(t[:k]) = %d, want op %d's retire cycle %d", k, first, k-1, whole.retireRing[k-1])
+			}
+			if got := c.Run(tr[k:]); got != end {
+				t.Fatalf("rob=%d k=%d: split run ended at %d, want %d", rob, k, got, end)
+			}
+			if c.Stats() != s || c.Now() != whole.Now() {
+				t.Fatalf("rob=%d k=%d: stats %+v now %d, want %+v now %d", rob, k, c.Stats(), c.Now(), s, whole.Now())
+			}
+			if rob == 0 && !reflect.DeepEqual(c.retireRing, whole.retireRing) {
+				t.Fatalf("k=%d: per-op retire cycles %v, want %v", k, c.retireRing[:len(tr)], whole.retireRing[:len(tr)])
+			}
+			// Every field: clocks, ring positions, register readiness.
+			if !reflect.DeepEqual(c, whole) {
+				t.Fatalf("rob=%d k=%d: core state %+v, want %+v", rob, k, *c, *whole)
+			}
+		}
+	}
+}
+
+// TestRunStopsAtFault pins the fault contract: the faulting load ends
+// the run, only the ops before it count, and a later Run does nothing.
+func TestRunStopsAtFault(t *testing.T) {
+	tr := splitTrace()
+	m := &fixedMem{lat: 30, failAt: 4}
+	c := newSplitCore(0, m)
+	c.Run(tr)
+	if c.Err() == nil {
+		t.Fatal("the fourth access did not fault")
+	}
+	loads := 0
+	faulting := -1
+	for i := range tr {
+		if tr[i].Kind == isa.Load {
+			if loads++; loads == 4 {
+				faulting = i
+				break
+			}
+		}
+	}
+	s := c.Stats()
+	if s.Instructions != uint64(faulting) {
+		t.Fatalf("instructions = %d, want the %d ops before the faulting load", s.Instructions, faulting)
+	}
+	now, accesses := c.Now(), m.accesses
+	if got := c.Run(tr); got != now || c.Stats() != s || m.accesses != accesses {
+		t.Fatalf("Run after a fault changed the core: end %d (was %d), stats %+v (was %+v), %d accesses (was %d)",
+			got, now, c.Stats(), s, m.accesses, accesses)
 	}
 }
 

@@ -26,7 +26,7 @@ func (c *Core) RegisterMetrics(r *metrics.Registry) {
 }
 
 // SetTracer attaches the unified tracer; pid is the core's trace track.
-// With a tracer attached, Feed emits query spans (issue → writeback) and
+// With a tracer attached, Run emits query spans (issue → writeback) and
 // mispredict instants on the pipeline lane.
 func (c *Core) SetTracer(tr *trace.Tracer, pid int) {
 	c.tr = tr

@@ -128,7 +128,8 @@ func (t Trace) Loads() int {
 
 // Sink consumes ops in program order. A Trace handed to Run is only
 // valid for the duration of the call: the builder reuses its storage.
-// *cpu.Core is a Sink (package isa cannot import cpu).
+// *cpu.Core is a Sink (package isa cannot import cpu); its Run is the
+// core's only loop.
 type Sink interface {
 	Run(Trace) uint64
 }
@@ -177,9 +178,17 @@ func (b *Builder) Flush() {
 	b.ops = b.ops[:0]
 }
 
-// push appends one op, flushing a full stream buffer.
-func (b *Builder) push(op Op) {
-	b.ops = append(b.ops, op)
+// slot appends a zeroed op and returns it for the emitter to fill in
+// place: building the op on the stack and copying it into the buffer
+// costs a store-forwarding stall per op. The emitter calls filled once
+// the op is complete.
+func (b *Builder) slot() *Op {
+	b.ops = append(b.ops, Op{})
+	return &b.ops[len(b.ops)-1]
+}
+
+// filled hands a full stream buffer to the sink.
+func (b *Builder) filled() {
 	if len(b.ops) == streamChunk && b.sink != nil {
 		b.Flush()
 	}
@@ -200,7 +209,9 @@ func (b *Builder) Temp() Reg {
 // the destination register.
 func (b *Builder) Load(addr mem.VAddr, size uint8, base Reg) Reg {
 	dst := b.Temp()
-	b.push(Op{Kind: Load, Dst: dst, Src1: base, Addr: addr, Size: size})
+	op := b.slot()
+	op.Kind, op.Dst, op.Src1, op.Addr, op.Size = Load, dst, base, addr, size
+	b.filled()
 	return dst
 }
 
@@ -228,13 +239,17 @@ func (b *Builder) LoadRange(addr mem.VAddr, size uint64, base Reg) Reg {
 
 // Store appends a store of src to addr.
 func (b *Builder) Store(addr mem.VAddr, size uint8, src Reg) {
-	b.push(Op{Kind: Store, Src1: src, Addr: addr, Size: size})
+	op := b.slot()
+	op.Kind, op.Src1, op.Addr, op.Size = Store, src, addr, size
+	b.filled()
 }
 
 // ALU appends a single-cycle op combining two registers.
 func (b *Builder) ALU(a, c Reg) Reg {
 	dst := b.Temp()
-	b.push(Op{Kind: ALU, Dst: dst, Src1: a, Src2: c})
+	op := b.slot()
+	op.Kind, op.Dst, op.Src1, op.Src2 = ALU, dst, a, c
+	b.filled()
 	return dst
 }
 
@@ -250,34 +265,43 @@ func (b *Builder) ALUN(n int, src Reg) Reg {
 // Mul appends a multi-cycle integer op.
 func (b *Builder) Mul(a, c Reg) Reg {
 	dst := b.Temp()
-	b.push(Op{Kind: MulALU, Dst: dst, Src1: a, Src2: c})
+	op := b.slot()
+	op.Kind, op.Dst, op.Src1, op.Src2 = MulALU, dst, a, c
+	b.filled()
 	return dst
 }
 
 // Branch appends a conditional branch depending on cond.
 func (b *Builder) Branch(cond Reg, mispredict bool) {
-	b.push(Op{Kind: Branch, Src1: cond, Mispredict: mispredict})
+	op := b.slot()
+	op.Kind, op.Src1, op.Mispredict = Branch, cond, mispredict
+	b.filled()
 }
 
 // QueryB appends a blocking QEI query and returns the result register.
 func (b *Builder) QueryB(q QueryDesc) Reg {
 	dst := b.Temp()
 	qd := q
-	b.push(Op{Kind: QueryB, Dst: dst, Query: &qd})
+	op := b.slot()
+	op.Kind, op.Dst, op.Query = QueryB, dst, &qd
+	b.filled()
 	return dst
 }
 
 // QueryNB appends a non-blocking QEI query.
 func (b *Builder) QueryNB(q QueryDesc) {
 	qd := q
-	b.push(Op{Kind: QueryNB, Query: &qd})
+	op := b.slot()
+	op.Kind, op.Query = QueryNB, &qd
+	b.filled()
 }
 
 // Nop appends n frontend-only micro-ops (models surrounding scalar work
 // with no memory behaviour).
 func (b *Builder) Nop(n int) {
 	for i := 0; i < n; i++ {
-		b.push(Op{Kind: Nop})
+		b.slot() // a zeroed op is a Nop
+		b.filled()
 	}
 }
 

@@ -253,3 +253,101 @@ func TestBuilderFlushKeepsRegistersResetRestarts(t *testing.T) {
 		t.Fatal("Reset did not restart register numbering")
 	}
 }
+
+// TestBuilderReusedSlotsCarryNoStaleFields refills the stream buffer's
+// positions across six flushes: each position alternates between a
+// QUERY_B, a mispredicted branch or a load and, the round after, an
+// ALU, a Nop or a store, so every plain kind lands on every rich one.
+// The sink must see the ops an accumulating builder holds, with no
+// field left over from the op that last used the position.
+func TestBuilderReusedSlotsCarryNoStaleFields(t *testing.T) {
+	const rounds = 6
+	emit := func(b *Builder) {
+		for round := 0; round < rounds; round++ {
+			for i := 0; i < streamChunk; i++ {
+				if round%2 == 0 {
+					switch i % 3 {
+					case 0:
+						b.QueryB(QueryDesc{HeaderAddr: 0x40, KeyAddr: mem.VAddr(i)})
+					case 1:
+						b.Branch(Reg(1+i%(NumRegs-1)), true)
+					default:
+						b.Load(mem.VAddr(0x1000+8*i), 8, Reg(1+i%(NumRegs-1)))
+					}
+					continue
+				}
+				switch (i + round/2) % 3 {
+				case 0:
+					b.ALU(0, 0)
+				case 1:
+					b.Nop(1)
+				default:
+					b.Store(0x2000, 4, 0)
+				}
+			}
+		}
+	}
+	ref := NewBuilder()
+	emit(ref)
+	want := ref.Take()
+
+	sink := &recordingSink{}
+	b := NewBuilder()
+	b.StreamTo(sink)
+	emit(b)
+	b.Flush()
+	if len(sink.calls) != rounds {
+		t.Fatalf("hand-offs = %v, want %d full buffers", sink.calls, rounds)
+	}
+	for i, op := range sink.ops {
+		plain := Op{Kind: op.Kind}
+		switch op.Kind {
+		case ALU:
+			plain.Dst = op.Dst
+		case Store:
+			plain.Addr, plain.Size = 0x2000, 4
+		}
+		if (i/streamChunk)%2 == 1 && op != plain {
+			t.Fatalf("op %d = %+v, want %+v: a field survived from the position's last op", i, op, plain)
+		}
+	}
+	if !reflect.DeepEqual(sink.ops, want) {
+		t.Fatal("streamed ops differ from the accumulated trace")
+	}
+}
+
+// countingSink counts the ops it is handed.
+type countingSink struct{ n int }
+
+func (s *countingSink) Run(t Trace) uint64 {
+	s.n += len(t)
+	return 0
+}
+
+// BenchmarkBuilderStream streams 4096 ops per iteration shaped like the
+// workloads' non-ROI request work — a dependent ALU chain, independent
+// scalar ops, well-predicted branches and a load every 8th op — into a
+// sink that only counts them: the cost of building the ops alone.
+func BenchmarkBuilderStream(b *testing.B) {
+	sink := &countingSink{}
+	bl := NewBuilder()
+	bl.StreamTo(sink)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		chain := Reg(0)
+		for i := 0; i < 4096; i++ {
+			switch {
+			case i%8 == 0:
+				chain = bl.Load(mem.VAddr(0x10000+(i*8)%4096), 8, 0)
+			case i%3 == 0:
+				chain = bl.ALU(chain, 0)
+			case i%7 == 6:
+				bl.Branch(chain, false)
+			default:
+				bl.ALU(0, 0)
+			}
+		}
+	}
+	bl.Flush()
+}

@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
+	"qei/internal/cache"
 	"qei/internal/isa"
 	"qei/internal/mem"
 	"qei/internal/noc"
@@ -21,6 +23,27 @@ func TestNewDefaultGeometry(t *testing.T) {
 	}
 	if len(m.TLB) != 24 {
 		t.Fatalf("TLB hierarchies = %d, want 24", len(m.TLB))
+	}
+}
+
+// TestNewDefaultAllocatesLLCOnly pins that a new machine builds its LLC
+// slices' arrays and little else: the 24 cores' private caches (6.6 MiB
+// of arrays) are built by their first fill. Not parallel: TotalAlloc
+// counts every goroutine's allocations.
+func TestNewDefaultAllocatesLLCOnly(t *testing.T) {
+	cfg := DefaultConfig()
+	slice := cache.LLCSliceConfig()
+	// Per line: an 8-byte tag, a dirty flag and an 8-byte LRU stamp.
+	llc := uint64(cfg.Cores) * slice.SizeBytes / slice.LineSize * (8 + 1 + 8)
+	limit := llc + 1<<20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewDefault()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("NewDefault allocated %.1f MiB, want at most %.1f MiB (the LLC's %.1f MiB + 1 MiB)",
+			float64(got)/(1<<20), float64(limit)/(1<<20), float64(llc)/(1<<20))
 	}
 }
 
@@ -184,3 +207,15 @@ func TestNormalizedFillsGeometryDefaults(t *testing.T) {
 		t.Errorf("explicit L1D size normalized away: %d", got)
 	}
 }
+
+// BenchmarkNewMachine builds the default 24-core machine: every
+// experiment cell and served run starts with one.
+func BenchmarkNewMachine(b *testing.B) {
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		benchMachine = NewDefault()
+	}
+}
+
+// benchMachine keeps BenchmarkNewMachine's result live.
+var benchMachine *Machine

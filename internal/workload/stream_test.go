@@ -10,7 +10,7 @@ import (
 // TestRunsAllocateBounded pins that a session streams its traces into
 // the core through the builder's fixed-size buffer: materialising a
 // chunk of Snort requests (8 × 512 000 non-ROI ops of 32 B) would
-// allocate over 100 MiB per run. About 16 MiB is the machine itself.
+// allocate over 100 MiB per run. About 9 MiB is the machine itself.
 // Not parallel: TotalAlloc counts every goroutine's allocations.
 func TestRunsAllocateBounded(t *testing.T) {
 	const limit = 64 << 20

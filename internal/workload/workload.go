@@ -230,17 +230,30 @@ func emitNonROI(b *isa.Builder, plan *Plan, reqIdx int, seed isa.Reg) {
 		return
 	}
 	chain := seed
+	loads := plan.NonROILoadEvery > 0 && plan.Scratch != 0
+	// toLoad, to3 and to7 count the ops until the next i%NonROILoadEvery
+	// == 0, i%3 == 0 and i%7 == 6, so choosing an op divides by nothing.
+	toLoad, to3, to7 := 0, 0, 6
 	for i := 0; i < plan.NonROIOps; i++ {
 		switch {
-		case plan.NonROILoadEvery > 0 && i%plan.NonROILoadEvery == 0 && plan.Scratch != 0:
+		case loads && toLoad == 0:
 			off := uint64(reqIdx*64+i*8) % plan.scratchSize
 			chain = b.Load(plan.Scratch+mem.VAddr(off&^7), 8, 0)
-		case i%3 == 0:
+		case to3 == 0:
 			chain = b.ALU(chain, 0) // dependent on the running chain
-		case i%7 == 6:
+		case to7 == 0:
 			b.Branch(chain, false) // well-predicted control flow
 		default:
 			b.ALU(0, 0) // independent scalar work
+		}
+		if toLoad--; toLoad < 0 {
+			toLoad = plan.NonROILoadEvery - 1
+		}
+		if to3--; to3 < 0 {
+			to3 = 2
+		}
+		if to7--; to7 < 0 {
+			to7 = 6
 		}
 	}
 	// A data-dependent branch per request mispredicts occasionally.
