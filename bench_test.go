@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"testing"
 
+	"qei/internal/hwdesc"
 	"qei/internal/machine"
 	"qei/internal/scheme"
 	"qei/internal/workload"
@@ -413,9 +414,9 @@ func BenchmarkAblationHugePage(b *testing.B) {
 		rows.Title = "Ablation — fragmented vs contiguous physical layout"
 		rows.Headers = []string{"layout", "contiguous", "pages_mapped"}
 		for _, contiguous := range []bool{false, true} {
-			cfg := machine.DefaultConfig()
-			cfg.ContiguousFrames = contiguous
-			m := machine.New(cfg)
+			d := hwdesc.Default()
+			d.ContiguousFrames = contiguous
+			m := machine.New(d)
 			start := m.AS.Brk()
 			bench := workload.SmallDPDK()
 			if _, err := bench.Build(m); err != nil {

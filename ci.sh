@@ -61,6 +61,10 @@ done
 # pass must never panic, and every rejection must wrap
 # ErrInvalidProgram.
 go test -run '^$' -fuzz '^FuzzValidateProgramDeep$' -fuzztime 10s ./internal/cfa
+# Machine-description fuzz: arbitrary bytes through hwdesc.Decode must
+# never panic, every rejection must wrap ErrBadConfig, and an accepted
+# description must validate and round-trip through Encode unchanged.
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/hwdesc
 
 # Scheme smoke: every integration scheme name resolves through the one
 # scheme table in each CLI that takes -scheme, and an unknown name
@@ -86,6 +90,33 @@ for cli in qeiserve qeisim; do
 		exit 1
 	fi
 done
+
+# Machine smoke: the Tab. II description must simulate the same chip as
+# no description, and a description too large to build must be refused
+# with ErrBadConfig and exit status 1, not panic.
+machine_default=$("$bindir/qeisim" -machine default -scheme all)
+machine_none=$("$bindir/qeisim" -scheme all)
+if [ "$machine_default" != "$machine_none" ]; then
+	echo "machine-smoke: -machine default -scheme all differs from -scheme all" >&2
+	exit 1
+fi
+oversized_status=0
+oversized=$("$bindir/qeisim" -machine cmd/qeisim/testdata/llc-slice-2p57.json 2>&1) || oversized_status=$?
+case "$oversized" in
+*'panic:'*)
+	echo "machine-smoke: qeisim panicked on an over-large description" >&2
+	exit 1
+	;;
+*'bad machine description'*) ;;
+*)
+	echo "machine-smoke: no ErrBadConfig message for an over-large description" >&2
+	exit 1
+	;;
+esac
+if [ "$oversized_status" -ne 1 ]; then
+	echo "machine-smoke: qeisim exited $oversized_status on an over-large description, want 1" >&2
+	exit 1
+fi
 
 # Serve smoke: a small multi-tenant run through BOTH serving backends
 # must emit machine-readable per-tenant percentiles. Checks that the

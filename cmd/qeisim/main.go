@@ -102,7 +102,7 @@ func main() {
 			fail("-machine: %v", err)
 		}
 		desc = &d
-		opts = append(opts, workload.WithMachine(d.MachineConfig()))
+		opts = append(opts, workload.WithMachine(d))
 	}
 
 	if *coresFlag > 1 {
@@ -291,7 +291,9 @@ func pick(full bool, f, s workload.Benchmark) workload.Benchmark {
 	return s
 }
 
+// fail reports an error and exits with status 1, as qeidse and qeiserve
+// do; status 2 stays the mark of a panic or a flag-syntax error.
 func fail(format string, v ...any) {
 	fmt.Fprintf(os.Stderr, "qeisim: "+format+"\n", v...)
-	os.Exit(2)
+	os.Exit(1)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"qei/internal/cpu"
 	"qei/internal/hwdesc"
 	"qei/internal/power"
 	"qei/internal/scheme"
@@ -154,25 +155,56 @@ func TabI() TableData {
 	return t
 }
 
-// TabII reproduces Table II: the simulated CPU configuration.
+// TabII reproduces Table II: the simulated CPU configuration, read from
+// the chip every experiment builds (hwdesc.Default), the core model
+// (cpu.DefaultConfig) and the scheme table. What the simulator does not
+// model — the clock, the L1I, the DRAM part, the routing algorithm, the
+// DPU's ALUs — stays as words.
 func TabII() TableData {
+	d := hwdesc.Default()
+	c := cpu.DefaultConfig()
 	t := TableData{
 		Title:   "Tab. II — simulated CPU model configuration",
 		Headers: []string{"item", "configuration"},
 	}
 	rows := [][2]string{
-		{"Cores", "24 OoO cores, 2.5 GHz"},
-		{"Caches", "8-way 32KB L1D/L1I, 16-way 1MB L2, 11-way 33MB shared LLC (24 slices)"},
-		{"LQ/SQ/ROB entries", "72/56/224"},
-		{"Memory controllers", "6 DDR4-2666 channels"},
-		{"QEI accelerator", "five ALUs per DPU; two comparators per CHA (CHA/Core-integrated); ten per DPU (Device)"},
-		{"NoC", "6x4 mesh, XY routing"},
-		{"Process", "22 nm"},
+		{"Cores", fmt.Sprintf("%d OoO cores, 2.5 GHz", d.Cores)},
+		{"Caches", fmt.Sprintf("%d-way %s L1D/L1I, %d-way %s L2, %d-way %s shared LLC (%d slices)",
+			d.L1D.Ways, sizeLabel(d.L1D.SizeBytes), d.L2.Ways, sizeLabel(d.L2.SizeBytes),
+			d.LLCSlice.Ways, sizeLabel(d.LLCSlice.SizeBytes*uint64(d.Cores)), d.Cores)},
+		{"LQ/SQ/ROB entries", fmt.Sprintf("%d/%d/%d", c.LoadQueueEntries, c.StoreQueueEntries, c.ROBEntries)},
+		{"Memory controllers", fmt.Sprintf("%d DDR4-2666 channels", len(d.MemStops))},
+		{"QEI accelerator", fmt.Sprintf("five ALUs per DPU; %s comparators per CHA (CHA/Core-integrated); %s per DPU (Device)",
+			numberWord(scheme.ForKind(scheme.CHATLB).ComparatorsPerSite),
+			numberWord(scheme.ForKind(scheme.DeviceDirect).ComparatorsPerSite))},
+		{"NoC", fmt.Sprintf("%dx%d mesh, XY routing", d.Mesh.Cols, d.Mesh.Rows)},
+		{"Process", fmt.Sprintf("%d nm", d.TechNodeNM)},
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{r[0], r[1]})
 	}
 	return t
+}
+
+// sizeLabel renders a byte count in the largest binary unit that divides
+// it, as Tab. II writes sizes: 32KB, 1MB, 33MB.
+func sizeLabel(n uint64) string {
+	switch {
+	case n%(1<<20) == 0:
+		return fmt.Sprintf("%dMB", n>>20)
+	case n%(1<<10) == 0:
+		return fmt.Sprintf("%dKB", n>>10)
+	}
+	return fmt.Sprintf("%dB", n)
+}
+
+// numberWord spells a count up to ten as a word, as Tab. II does.
+func numberWord(n int) string {
+	words := [...]string{"zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten"}
+	if n >= 0 && n < len(words) {
+		return words[n]
+	}
+	return fmt.Sprint(n)
 }
 
 // roiCycles computes the in-context ROI cycle count of a run pair: the

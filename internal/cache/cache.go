@@ -57,22 +57,6 @@ func (c Config) Sets() int {
 	return int(c.SizeBytes / (c.LineSize * uint64(c.Ways)))
 }
 
-// L1DConfig is an 8-way 32 KB L1 data cache, 4-cycle hit.
-func L1DConfig() Config {
-	return Config{SizeBytes: 32 << 10, Ways: 8, LineSize: mem.LineSize, HitLatency: 4}
-}
-
-// L2Config is a 16-way 1 MB private L2, 14-cycle hit.
-func L2Config() Config {
-	return Config{SizeBytes: 1 << 20, Ways: 16, LineSize: mem.LineSize, HitLatency: 14}
-}
-
-// LLCSliceConfig is one of 24 slices of the 33 MB 11-way shared LLC:
-// 1.375 MB per slice, ~20-cycle array access (NoC hops are separate).
-func LLCSliceConfig() Config {
-	return Config{SizeBytes: (33 << 20) / 24, Ways: 11, LineSize: mem.LineSize, HitLatency: 20}
-}
-
 // Cache is a single set-associative cache array with true-LRU replacement.
 //
 // Tag, dirty, and LRU state live in flat arrays indexed set*ways+way

@@ -8,6 +8,23 @@ import (
 	"qei/internal/noc"
 )
 
+// l1dConfig is Tab. II's 8-way 32 KB L1 data cache, 4-cycle hit.
+func l1dConfig() Config {
+	return Config{SizeBytes: 32 << 10, Ways: 8, LineSize: mem.LineSize, HitLatency: 4}
+}
+
+// l2Config is Tab. II's 16-way 1 MB private L2, 14-cycle hit.
+func l2Config() Config {
+	return Config{SizeBytes: 1 << 20, Ways: 16, LineSize: mem.LineSize, HitLatency: 14}
+}
+
+// llcSliceConfig is one of 24 slices of Tab. II's 33 MB 11-way shared
+// LLC: 1.375 MB per slice, ~20-cycle array access (NoC hops are
+// separate).
+func llcSliceConfig() Config {
+	return Config{SizeBytes: (33 << 20) / 24, Ways: 11, LineSize: mem.LineSize, HitLatency: 20}
+}
+
 func lineAddr(i uint64) mem.PAddr { return mem.PAddr(i * mem.LineSize) }
 
 func TestCacheMissThenHit(t *testing.T) {
@@ -29,7 +46,7 @@ func TestCacheMissThenHit(t *testing.T) {
 // TestCacheUnfilled pins a cache before its first fill: it holds no
 // arrays, probes find nothing and only Lookup counts (a miss).
 func TestCacheUnfilled(t *testing.T) {
-	c := New(L2Config())
+	c := New(l2Config())
 	a := lineAddr(5)
 	if c.Contains(a) {
 		t.Fatal("unfilled cache contains a line")
@@ -151,10 +168,10 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestConfigSets(t *testing.T) {
-	if got := L1DConfig().Sets(); got != 64 {
+	if got := l1dConfig().Sets(); got != 64 {
 		t.Fatalf("L1D sets = %d, want 64", got)
 	}
-	if got := L2Config().Sets(); got != 1024 {
+	if got := l2Config().Sets(); got != 1024 {
 		t.Fatalf("L2 sets = %d, want 1024", got)
 	}
 }
@@ -193,9 +210,9 @@ func TestPropertySetBounded(t *testing.T) {
 
 func newTestHierarchy(t *testing.T) *Hierarchy {
 	t.Helper()
-	mesh := noc.New(noc.DefaultConfig())
+	mesh := noc.New(noc.Config{Cols: 6, Rows: 4, HopLatency: 1, RouterLatency: 1, LinkBytesPerCycle: 32})
 	memStops := []noc.Stop{0, 5, 18, 23, 2, 21}
-	return NewHierarchy(24, mesh, memStops)
+	return NewHierarchy(24, mesh, memStops, l1dConfig(), l2Config(), llcSliceConfig())
 }
 
 func TestHierarchyColdAccessGoesToDRAM(t *testing.T) {
@@ -221,8 +238,8 @@ func TestHierarchyFillPath(t *testing.T) {
 	if r.Hit != LevelL1 {
 		t.Fatalf("second access hit %v, want L1", r.Hit)
 	}
-	if r.Latency != L1DConfig().HitLatency {
-		t.Fatalf("L1 hit latency = %d, want %d", r.Latency, L1DConfig().HitLatency)
+	if r.Latency != l1dConfig().HitLatency {
+		t.Fatalf("L1 hit latency = %d, want %d", r.Latency, l1dConfig().HitLatency)
 	}
 	// Another core misses privately but hits in the shared LLC.
 	r2 := h.CoreAccess(7, a, Read)
@@ -245,7 +262,7 @@ func TestL2AccessSkipsL1(t *testing.T) {
 		t.Fatal("L2Access did not fill the L2")
 	}
 	r := h.L2Access(0, a, Read)
-	if r.Hit != LevelL2 || r.Latency != L2Config().HitLatency {
+	if r.Hit != LevelL2 || r.Latency != l2Config().HitLatency {
 		t.Fatalf("warm L2 access: %+v", r)
 	}
 }
@@ -287,8 +304,8 @@ func TestLLCAccessLocalCheaperThanRemote(t *testing.T) {
 	if local.Latency >= remote.Latency {
 		t.Fatalf("local CHA access (%d) should beat remote (%d)", local.Latency, remote.Latency)
 	}
-	if local.Latency != LLCSliceConfig().HitLatency {
-		t.Fatalf("local hit latency = %d, want %d", local.Latency, LLCSliceConfig().HitLatency)
+	if local.Latency != llcSliceConfig().HitLatency {
+		t.Fatalf("local hit latency = %d, want %d", local.Latency, llcSliceConfig().HitLatency)
 	}
 }
 
@@ -347,7 +364,7 @@ func privateFootprint(h *Hierarchy, core int, lines []mem.PAddr) (inL1, inL2 int
 // every fourth probe brings in a new line, filled on the miss and
 // evicting once its set is full. One pass warms the cache first.
 func BenchmarkCacheAccess(b *testing.B) {
-	c := New(L2Config())
+	c := New(l2Config())
 	cold := uint64(1 << 20)
 	pass := func() {
 		for i := uint64(0); i < 1024; i++ {

@@ -148,16 +148,12 @@ type Hierarchy struct {
 	fi *faultinject.Injector
 }
 
-// NewHierarchy builds the chip: nCores private hierarchies, an LLC slice
-// at every core stop (tile = core + CHA/slice, as on Skylake-SP), and
-// memory controllers at the given stops.
-func NewHierarchy(nCores int, mesh *noc.Mesh, memStops []noc.Stop) *Hierarchy {
-	return NewHierarchyGeom(nCores, mesh, memStops, L1DConfig(), L2Config(), LLCSliceConfig())
-}
-
-// NewHierarchyGeom is NewHierarchy with explicit cache geometry — the
-// materialization path for declarative machine descriptions (hwdesc).
-func NewHierarchyGeom(nCores int, mesh *noc.Mesh, memStops []noc.Stop, l1d, l2, llcSlice Config) *Hierarchy {
+// NewHierarchy builds the chip: nCores private L1D/L2 pairs of the
+// given geometry, an LLC slice of llcSlice's geometry at every core stop
+// (tile = core + CHA/slice, as on Skylake-SP), and memory controllers at
+// the given stops. machine.New calls it with a hwdesc.Description's
+// sizes.
+func NewHierarchy(nCores int, mesh *noc.Mesh, memStops []noc.Stop, l1d, l2, llcSlice Config) *Hierarchy {
 	if nCores > mesh.Stops() {
 		panic("cache: more cores than mesh stops")
 	}
@@ -193,8 +189,8 @@ func (h *Hierarchy) Mesh() *noc.Mesh { return h.mesh }
 // CoreStop returns the mesh stop of core i.
 func (h *Hierarchy) CoreStop(i int) noc.Stop { return h.coreStops[i] }
 
-// memStopFor picks the memory controller stop serving address a.
-func (h *Hierarchy) memStopFor(a mem.PAddr) noc.Stop {
+// MemStopFor returns the memory controller stop serving address a.
+func (h *Hierarchy) MemStopFor(a mem.PAddr) noc.Stop {
 	idx := (uint64(a) >> mem.LineShift) % uint64(len(h.memStops))
 	return h.memStops[idx]
 }
@@ -217,7 +213,7 @@ func (h *Hierarchy) llcAccess(a mem.PAddr, kind AccessKind) (uint64, Level) {
 		return slice.Config().HitLatency, LevelLLC
 	}
 	// Miss: CHA forwards to the memory controller, DRAM access, fill.
-	memStop := h.memStopFor(a)
+	memStop := h.MemStopFor(a)
 	lat := slice.Config().HitLatency // tag probe before miss detected
 	lat += h.mesh.Send(sliceStop, memStop, h.reqBytes)
 	lat += h.dram.Access(a)

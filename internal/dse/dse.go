@@ -360,7 +360,7 @@ func Sweep(ctx context.Context, cfg Config) (*Result, error) {
 	baselines, err := runner.Map(ctx, cfg.Parallelism, firstDesc,
 		func(_ context.Context, _ int, d hwdesc.Description) (workload.Run, error) {
 			return workload.RunBaseline(bench, workload.ROIOnly,
-				workload.WithWarmup(), workload.WithMachine(d.MachineConfig()))
+				workload.WithWarmup(), workload.WithMachine(d))
 		})
 	if err != nil {
 		return nil, err
@@ -374,7 +374,7 @@ func Sweep(ctx context.Context, cfg Config) (*Result, error) {
 				return Point{}, err
 			}
 			hw, err := workload.RunQEIWithParams(bench, params, workload.ROIOnly,
-				workload.WithWarmup(), workload.WithMachine(d.MachineConfig()))
+				workload.WithWarmup(), workload.WithMachine(d))
 			if err != nil {
 				return Point{}, fmt.Errorf("dse %s: %w", d.Name, err)
 			}

@@ -5,18 +5,16 @@
 // capacity and comparator count of the accelerator, its integration
 // scheme, and the technology node for the area/power model.
 //
-// Until this package existed, the Tab. II chip lived as literals inside
-// machine.DefaultConfig(), power.Default(), and per-experiment code, so
-// "what if the QST were bigger / the mesh smaller / the node 7 nm" meant
-// editing Go. A Description answers those questions as data: presets
-// reproduce every topology the experiments hard-code (pinned by tests to
-// the previous literals, so no cycle drift), files loaded from disk are
-// validated with errors wrapping ErrBadConfig, and the dse package
-// sweeps grids of Descriptions through the deterministic runner.
+// It is the only description of the chip: machine.New builds from a
+// Description, Default() is the Tab. II chip every experiment simulates,
+// and "what if the QST were bigger / the mesh smaller / the node 7 nm"
+// is an edit to data, not to Go. Files loaded from disk are validated
+// with errors wrapping ErrBadConfig, and the dse package sweeps grids
+// of Descriptions through the deterministic runner.
 //
-// Materialization is aliasing-free by construction: MachineConfig()
-// builds fresh slices on every call, so two sweep points evaluated
-// concurrently can never share MemStops or mesh state.
+// The Config methods on Mesh, Cache and TLB turn each block into the
+// component's own configuration; machine.New copies MemStops, so a
+// built machine never aliases the Description it came from.
 package hwdesc
 
 import (
@@ -27,7 +25,6 @@ import (
 	"strings"
 
 	"qei/internal/cache"
-	"qei/internal/machine"
 	"qei/internal/mem"
 	"qei/internal/noc"
 	"qei/internal/power"
@@ -60,6 +57,22 @@ type TLB struct {
 	Entries    int    `json:"entries"`
 	Ways       int    `json:"ways"`
 	HitLatency uint64 `json:"hit_latency"`
+}
+
+// Config is the mesh's noc configuration.
+func (m Mesh) Config() noc.Config {
+	return noc.Config{Cols: m.Cols, Rows: m.Rows, HopLatency: m.HopLatency,
+		RouterLatency: m.RouterLatency, LinkBytesPerCycle: m.LinkBytesPerCycle}
+}
+
+// Config is the cache array's geometry with mem.LineSize lines.
+func (c Cache) Config() cache.Config {
+	return cache.Config{SizeBytes: c.SizeBytes, Ways: c.Ways, LineSize: mem.LineSize, HitLatency: c.HitLatency}
+}
+
+// Config is the TLB array's geometry.
+func (t TLB) Config() tlb.Config {
+	return tlb.Config{Entries: t.Entries, Ways: t.Ways, HitLatency: t.HitLatency}
 }
 
 // QST describes the accelerator's query-status-table capacity and the
@@ -124,16 +137,17 @@ func (d Description) schemeKind() (scheme.Kind, error) {
 // Default returns the Tab. II machine — 24 Skylake-SP-like cores on a
 // 6x4 mesh, 6 memory controllers, the paper's cache/TLB hierarchy — with
 // the Core-integrated accelerator (QST 10, 2 comparators/CHA) at 22 nm.
-// Materializing it reproduces machine.DefaultConfig() and
-// scheme.ForKind(CoreIntegrated) exactly (pinned by tests).
+// Its accelerator half reproduces scheme.ForKind(CoreIntegrated)
+// exactly (pinned by tests).
 func Default() Description {
 	return Description{
 		Name:  "tab2",
 		Cores: 24,
 		Mesh: Mesh{
 			Cols: 6, Rows: 4,
-			// Calibrated per-hop costs (see machine.DefaultConfig): core→CHA
-			// round trips land in Tab. I's 40–60 cycle band.
+			// Calibrated per-hop costs: core→CHA round trips land in Tab.
+			// I's 40–60 cycle band (avg ~4 hops from a corner core:
+			// 2×(4×1 + 5×2) ≈ 28 cycles round trip + port overheads).
 			HopLatency:        1,
 			RouterLatency:     2,
 			LinkBytesPerCycle: 32,
@@ -234,25 +248,48 @@ func bad(format string, v ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadConfig, fmt.Sprintf(format, v...))
 }
 
-func validCache(name string, c Cache) error {
+// maxEntries bounds every array a description makes the simulator
+// build: the mesh's stops (four directed links each), and per field the
+// cache lines or TLB or QST entries summed over the chip. It admits an
+// LLC nearly eight times Tab. II's 540,672 lines and keeps a file from
+// asking for an allocation Go cannot make.
+const maxEntries = 1 << 22
+
+// bounded rejects count arrays of per entries each when their total
+// exceeds maxEntries; field names the offender. Both operands are
+// checked first, so the product cannot overflow.
+func bounded(field string, count, per uint64) error {
+	if count > maxEntries || per > maxEntries || count*per > maxEntries {
+		return bad("%s: %d × %d entries exceed the %d-entry bound", field, count, per, maxEntries)
+	}
+	return nil
+}
+
+func validCache(name string, c Cache, cores int) error {
 	if c.SizeBytes == 0 || c.Ways <= 0 {
 		return bad("%s: size %d bytes / %d ways must be positive", name, c.SizeBytes, c.Ways)
 	}
-	if c.SizeBytes%(mem.LineSize*uint64(c.Ways)) != 0 {
+	lines := c.SizeBytes / mem.LineSize
+	if err := bounded(name, uint64(cores), lines); err != nil {
+		return err
+	}
+	// More ways than lines cannot divide; checking it first keeps the
+	// product below from overflowing.
+	if uint64(c.Ways) > lines || c.SizeBytes%(mem.LineSize*uint64(c.Ways)) != 0 {
 		return bad("%s: %d bytes not divisible by %d ways of %d-byte lines",
 			name, c.SizeBytes, c.Ways, mem.LineSize)
 	}
 	return nil
 }
 
-func validTLB(name string, t TLB) error {
+func validTLB(name string, t TLB, cores int) error {
 	if t.Entries <= 0 || t.Ways <= 0 {
 		return bad("%s: %d entries / %d ways must be positive", name, t.Entries, t.Ways)
 	}
 	if t.Entries%t.Ways != 0 {
 		return bad("%s: %d entries not divisible by %d ways", name, t.Entries, t.Ways)
 	}
-	return nil
+	return bounded(name, uint64(cores), uint64(t.Entries))
 }
 
 // Validate checks the description for internal consistency; every
@@ -263,6 +300,9 @@ func (d Description) Validate() error {
 	}
 	if d.Mesh.Cols < 1 || d.Mesh.Rows < 1 {
 		return bad("mesh %dx%d: dimensions must be positive", d.Mesh.Cols, d.Mesh.Rows)
+	}
+	if err := bounded("mesh", uint64(d.Mesh.Cols), uint64(d.Mesh.Rows)); err != nil {
+		return err
 	}
 	stops := d.Mesh.Cols * d.Mesh.Rows
 	if d.Cores > stops {
@@ -279,23 +319,23 @@ func (d Description) Validate() error {
 			return bad("memory stop %d outside the %d-stop mesh", s, stops)
 		}
 	}
-	if err := validCache("l1d", d.L1D); err != nil {
+	if err := validCache("l1d", d.L1D, d.Cores); err != nil {
 		return err
 	}
-	if err := validCache("l2", d.L2); err != nil {
+	if err := validCache("l2", d.L2, d.Cores); err != nil {
 		return err
 	}
-	if err := validCache("llc_slice", d.LLCSlice); err != nil {
+	if err := validCache("llc_slice", d.LLCSlice, d.Cores); err != nil {
 		return err
 	}
-	if err := validTLB("l1_tlb", d.L1TLB); err != nil {
+	if err := validTLB("l1_tlb", d.L1TLB, d.Cores); err != nil {
 		return err
 	}
-	if err := validTLB("l2_tlb", d.L2TLB); err != nil {
+	if err := validTLB("l2_tlb", d.L2TLB, d.Cores); err != nil {
 		return err
 	}
 	if d.AccelTLB != (TLB{}) {
-		if err := validTLB("accel_tlb", d.AccelTLB); err != nil {
+		if err := validTLB("accel_tlb", d.AccelTLB, d.Cores); err != nil {
 			return err
 		}
 	}
@@ -305,6 +345,10 @@ func (d Description) Validate() error {
 	if d.QST.Entries < 1 {
 		return bad("qst entries %d < 1", d.QST.Entries)
 	}
+	// Every scheme has at most one QST per core.
+	if err := bounded("qst", uint64(d.Cores), uint64(d.QST.Entries)); err != nil {
+		return err
+	}
 	if d.QST.Comparators < 1 {
 		return bad("qst comparators %d < 1", d.QST.Comparators)
 	}
@@ -312,42 +356,6 @@ func (d Description) Validate() error {
 		return bad("tech node %d nm < 1", d.TechNodeNM)
 	}
 	return nil
-}
-
-// MachineConfig materializes the chip-topology half of the description.
-// Every call builds fresh slices, so concurrently evaluated sweep points
-// never alias MemStops or geometry state.
-func (d Description) MachineConfig() machine.Config {
-	stops := make([]noc.Stop, len(d.MemStops))
-	for i, s := range d.MemStops {
-		stops[i] = noc.Stop(s)
-	}
-	return machine.Config{
-		Cores: d.Cores,
-		Mesh: noc.Config{
-			Cols:              d.Mesh.Cols,
-			Rows:              d.Mesh.Rows,
-			HopLatency:        d.Mesh.HopLatency,
-			RouterLatency:     d.Mesh.RouterLatency,
-			LinkBytesPerCycle: d.Mesh.LinkBytesPerCycle,
-		},
-		MemStops:         stops,
-		PageWalkLatency:  d.PageWalkLatency,
-		ContiguousFrames: d.ContiguousFrames,
-		L1D:              cacheConfig(d.L1D),
-		L2:               cacheConfig(d.L2),
-		LLCSlice:         cacheConfig(d.LLCSlice),
-		L1TLB:            tlbConfig(d.L1TLB),
-		L2TLB:            tlbConfig(d.L2TLB),
-	}
-}
-
-func cacheConfig(c Cache) cache.Config {
-	return cache.Config{SizeBytes: c.SizeBytes, Ways: c.Ways, LineSize: mem.LineSize, HitLatency: c.HitLatency}
-}
-
-func tlbConfig(t TLB) tlb.Config {
-	return tlb.Config{Entries: t.Entries, Ways: t.Ways, HitLatency: t.HitLatency}
 }
 
 // SchemeParams materializes the accelerator half: the named scheme's
@@ -368,7 +376,7 @@ func (d Description) SchemeParams() (scheme.Params, error) {
 		p.ComparatorsPerSite = d.QST.Comparators
 	}
 	if d.AccelTLB != (TLB{}) {
-		p.DedicatedTLB = tlbConfig(d.AccelTLB)
+		p.DedicatedTLB = d.AccelTLB.Config()
 	}
 	if d.ExtraDataLatency > 0 {
 		p.ExtraDataLatency = d.ExtraDataLatency

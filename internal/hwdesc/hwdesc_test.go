@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"qei/internal/machine"
 	"qei/internal/scheme"
 )
 
@@ -41,17 +40,10 @@ func TestGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDefaultMatchesMachineDefault pins the materialization of the
-// "tab2" description to the literals it replaced: the chip half must
-// equal machine.DefaultConfig() and the accelerator half must equal
-// scheme.ForKind for every integration scheme.
-func TestDefaultMatchesMachineDefault(t *testing.T) {
-	got := Default().MachineConfig().Normalized()
-	want := machine.DefaultConfig().Normalized()
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Default().MachineConfig() = %+v, want %+v", got, want)
-	}
-
+// TestForSchemeMatchesSchemeTable pins the accelerator half of every
+// per-scheme Tab. II description to the scheme table. The chip half is
+// pinned in package machine (TestDefaultIsTabII), which builds it.
+func TestForSchemeMatchesSchemeTable(t *testing.T) {
 	for _, k := range scheme.Kinds() {
 		p, err := ForScheme(k).SchemeParams()
 		if err != nil {
@@ -136,6 +128,14 @@ func TestValidate(t *testing.T) {
 		{"zero qst", func(d *Description) { d.QST.Entries = 0 }},
 		{"zero comparators", func(d *Description) { d.QST.Comparators = 0 }},
 		{"zero node", func(d *Description) { d.TechNodeNM = 0 }},
+		// Chips too large for the simulator to allocate.
+		{"llc slice of 2^57 bytes", func(d *Description) { d.LLCSlice = Cache{SizeBytes: 1 << 57, Ways: 1, HitLatency: 20} }},
+		{"mesh 2^30x2^30", func(d *Description) { d.Mesh.Cols, d.Mesh.Rows = 1<<30, 1<<30 }},
+		{"mesh stops overflow int", func(d *Description) { d.Mesh.Cols, d.Mesh.Rows = 1<<40, 1<<40 }},
+		{"l1d ways overflow the set size", func(d *Description) { d.L1D.Ways = 1 << 58 }},
+		{"l2 tlb over the bound", func(d *Description) { d.L2TLB = TLB{Entries: 1 << 20, Ways: 8, HitLatency: 7} }},
+		{"accel tlb over the bound", func(d *Description) { d.AccelTLB = TLB{Entries: 1 << 40, Ways: 1, HitLatency: 1} }},
+		{"qst over the bound", func(d *Description) { d.QST.Entries = 1 << 62 }},
 	}
 	for _, tc := range mutations {
 		d := Default()
@@ -144,24 +144,11 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%s: Validate() = %v, want ErrBadConfig", tc.name, err)
 		}
 	}
-	if err := Default().Validate(); err != nil {
-		t.Errorf("Default().Validate() = %v, want nil", err)
-	}
-}
-
-// TestMachineConfigNoAliasing is the slice-aliasing regression: two
-// materializations of one Description must not share MemStops storage,
-// and mutating one machine's view must not leak into the other.
-func TestMachineConfigNoAliasing(t *testing.T) {
-	d := Default()
-	a := d.MachineConfig()
-	b := d.MachineConfig()
-	a.MemStops[0] = 99
-	if b.MemStops[0] == 99 {
-		t.Fatal("two MachineConfig() calls share MemStops storage")
-	}
-	if d.MemStops[0] == 99 {
-		t.Fatal("MachineConfig() aliases the Description's MemStops")
+	for _, name := range Presets() {
+		d, _ := Preset(name)
+		if err := d.Validate(); err != nil {
+			t.Errorf("Preset(%q).Validate() = %v, want nil", name, err)
+		}
 	}
 }
 
@@ -223,4 +210,42 @@ func TestAreaScalesWithNodeAndInstances(t *testing.T) {
 	if shrunk >= core {
 		t.Errorf("7 nm area %.4f should shrink below 22 nm %.4f", shrunk, core)
 	}
+}
+
+// FuzzDecode feeds arbitrary bytes to Decode. It must never panic, every
+// rejection must wrap ErrBadConfig, and an accepted description must
+// validate and survive Encode then Decode unchanged, in value and in
+// bytes. The seed corpus (testdata/fuzz/FuzzDecode) holds every preset's
+// encoding and Tab. II files with one size too large to allocate.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := Decode(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("Decode error %v does not wrap ErrBadConfig", err)
+			}
+			return
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("Decode accepted a description Validate rejects: %v", err)
+		}
+		first, err := d.Encode()
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		back, err := Decode(first)
+		if err != nil {
+			t.Fatalf("decode of own encoding: %v\n%s", err, first)
+		}
+		if !reflect.DeepEqual(d, back) {
+			t.Fatalf("round trip changed the value: %+v vs %+v", d, back)
+		}
+		second, err := back.Encode()
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("round trip not byte-identical:\n%s\n%s", first, second)
+		}
+	})
 }

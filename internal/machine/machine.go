@@ -12,6 +12,7 @@ import (
 	"qei/internal/cache"
 	"qei/internal/cpu"
 	"qei/internal/faultinject"
+	"qei/internal/hwdesc"
 	"qei/internal/mem"
 	"qei/internal/metrics"
 	"qei/internal/noc"
@@ -19,78 +20,11 @@ import (
 	"qei/internal/trace"
 )
 
-// Config selects the chip parameters (defaults follow Tab. II).
-type Config struct {
-	Cores int
-	// NoC geometry/timing.
-	Mesh noc.Config
-	// MemStops are the mesh stops hosting memory controllers.
-	MemStops []noc.Stop
-	// PageWalkLatency is the per-level cost of a hardware page walk.
-	PageWalkLatency uint64
-	// ContiguousFrames lays data out physically contiguously (the
-	// huge-page ablation); default false (fragmented, Sec. II-B).
-	ContiguousFrames bool
-
-	// Cache and TLB geometry. Zero values fall back to the Tab. II
-	// defaults (cache.L1DConfig etc.), so literal Configs predating
-	// these fields build the same chip they always did.
-	L1D      cache.Config
-	L2       cache.Config
-	LLCSlice cache.Config
-	L1TLB    tlb.Config
-	L2TLB    tlb.Config
-}
-
-// Clone returns a deep copy: the MemStops slice is duplicated, so
-// mutating one copy's stops can never alias another's — the guarantee
-// design-space sweeps rely on when many Configs derive from one value.
-func (c Config) Clone() Config {
-	c.MemStops = append([]noc.Stop(nil), c.MemStops...)
-	return c
-}
-
-// Normalized returns a deep copy with every zero-valued cache/TLB
-// geometry replaced by its Tab. II default — the form New builds from.
-func (c Config) Normalized() Config {
-	c = c.Clone()
-	if c.L1D == (cache.Config{}) {
-		c.L1D = cache.L1DConfig()
-	}
-	if c.L2 == (cache.Config{}) {
-		c.L2 = cache.L2Config()
-	}
-	if c.LLCSlice == (cache.Config{}) {
-		c.LLCSlice = cache.LLCSliceConfig()
-	}
-	if c.L1TLB == (tlb.Config{}) {
-		c.L1TLB = tlb.L1TLBConfig()
-	}
-	if c.L2TLB == (tlb.Config{}) {
-		c.L2TLB = tlb.L2TLBConfig()
-	}
-	return c
-}
-
-// DefaultConfig is the 24-core Skylake-SP-like chip of Tab. II.
-func DefaultConfig() Config {
-	m := noc.DefaultConfig()
-	// Calibrate per-hop costs so core→CHA round trips land in Tab. I's
-	// 40–60 cycle band for CHA-based schemes (avg ~4 hops from a corner
-	// core: 2×(4×1 + 5×2) ≈ 28 cycles round trip + port overheads).
-	m.HopLatency = 1
-	m.RouterLatency = 2
-	return Config{
-		Cores:           24,
-		Mesh:            m,
-		MemStops:        []noc.Stop{0, 5, 9, 14, 18, 23},
-		PageWalkLatency: 30,
-	}
-}
-
 // Machine is one simulated chip plus the process under test.
 type Machine struct {
-	Cfg  Config
+	// Desc is the machine's own copy of the description it was built
+	// from.
+	Desc hwdesc.Description
 	Phys *mem.Physical
 	AS   *mem.AddressSpace
 	Mesh *noc.Mesh
@@ -105,35 +39,36 @@ type Machine struct {
 	tr  *trace.Tracer
 }
 
-// New builds a machine from cfg. The stored Cfg is a normalized deep
-// copy, so callers may reuse or mutate their Config (including its
-// MemStops slice) without affecting a built machine.
-func New(cfg Config) *Machine {
-	cfg = cfg.Normalized()
+// New builds the chip that d describes; d must be valid
+// (hwdesc.Description.Validate). The machine keeps its own copy of d,
+// MemStops included, so callers may reuse or mutate their Description
+// without affecting a built machine.
+func New(d hwdesc.Description) *Machine {
+	d.MemStops = append([]int(nil), d.MemStops...)
 	phys := mem.NewPhysical()
 	var as *mem.AddressSpace
-	if cfg.ContiguousFrames {
+	if d.ContiguousFrames {
 		as = mem.NewAddressSpace(phys, mem.WithContiguousFrames())
 	} else {
 		as = mem.NewAddressSpace(phys)
 	}
-	mesh := noc.New(cfg.Mesh)
-	hier := cache.NewHierarchyGeom(cfg.Cores, mesh, cfg.MemStops, cfg.L1D, cfg.L2, cfg.LLCSlice)
+	mesh := noc.New(d.Mesh.Config())
+	memStops := make([]noc.Stop, len(d.MemStops))
+	for i, s := range d.MemStops {
+		memStops[i] = noc.Stop(s)
+	}
 	m := &Machine{
-		Cfg:  cfg,
+		Desc: d,
 		Phys: phys,
 		AS:   as,
 		Mesh: mesh,
-		Hier: hier,
+		Hier: cache.NewHierarchy(d.Cores, mesh, memStops, d.L1D.Config(), d.L2.Config(), d.LLCSlice.Config()),
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		m.TLB = append(m.TLB, tlb.NewHierarchyGeom(as, cfg.PageWalkLatency, cfg.L1TLB, cfg.L2TLB))
+	for i := 0; i < d.Cores; i++ {
+		m.TLB = append(m.TLB, tlb.NewHierarchy(as, d.PageWalkLatency, d.L1TLB.Config(), d.L2TLB.Config()))
 	}
 	return m
 }
-
-// NewDefault builds a machine with DefaultConfig.
-func NewDefault() *Machine { return New(DefaultConfig()) }
 
 // AttachObservability wires every component of the machine into the
 // given metrics registry and event tracer. Either (or both) may be nil:

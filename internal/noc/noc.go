@@ -35,18 +35,6 @@ type Config struct {
 	LinkBytesPerCycle float64
 }
 
-// DefaultConfig is a 6x4 mesh (24 stops) approximating a Skylake-SP die,
-// 1 cycle per hop, 1 cycle per router, 32 B/cycle links.
-func DefaultConfig() Config {
-	return Config{
-		Cols:              6,
-		Rows:              4,
-		HopLatency:        1,
-		RouterLatency:     1,
-		LinkBytesPerCycle: 32,
-	}
-}
-
 // Directed-link direction indices for the flat traffic table: the link
 // leaving stop s toward its east/west/south/north neighbour lives at
 // linkBytes[s*linkDirs+dir].

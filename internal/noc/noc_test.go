@@ -5,8 +5,15 @@ import (
 	"testing/quick"
 )
 
+// testConfig is a 6x4 mesh (24 stops) with 1 cycle per hop and per
+// router and 32 B/cycle links: the round numbers these tests assert
+// against. The Tab. II chip's routers take 2 cycles (hwdesc.Default).
+func testConfig() Config {
+	return Config{Cols: 6, Rows: 4, HopLatency: 1, RouterLatency: 1, LinkBytesPerCycle: 32}
+}
+
 func TestCoordRoundTrip(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New(testConfig())
 	for s := Stop(0); int(s) < m.Stops(); s++ {
 		c, r := m.Coord(s)
 		if m.StopAt(c, r) != s {
@@ -16,7 +23,7 @@ func TestCoordRoundTrip(t *testing.T) {
 }
 
 func TestHopsManhattan(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New(testConfig())
 	a := m.StopAt(0, 0)
 	b := m.StopAt(5, 3)
 	if got := m.Hops(a, b); got != 8 {
@@ -28,7 +35,7 @@ func TestHopsManhattan(t *testing.T) {
 }
 
 func TestLatencyComposition(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := testConfig()
 	m := New(cfg)
 	a, b := m.StopAt(0, 0), m.StopAt(2, 1)
 	// 3 hops, 4 routers with the default 1+1 cycle costs.
@@ -42,14 +49,14 @@ func TestLatencyComposition(t *testing.T) {
 }
 
 func TestLocalDeliveryPaysRouter(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New(testConfig())
 	if got := m.Latency(3, 3); got != m.Config().RouterLatency {
 		t.Fatalf("self latency = %d, want %d", got, m.Config().RouterLatency)
 	}
 }
 
 func TestSendAccountsTraffic(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New(testConfig())
 	a, b := m.StopAt(0, 0), m.StopAt(3, 0)
 	m.Send(a, b, 64)
 	m.ObserveWindow(100)
@@ -64,7 +71,7 @@ func TestSendAccountsTraffic(t *testing.T) {
 }
 
 func TestXYRoutingDeterministic(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New(testConfig())
 	a, b := m.StopAt(1, 1), m.StopAt(4, 3)
 	m.Send(a, b, 10)
 	hot := m.Hotspots(100)
@@ -80,7 +87,7 @@ func TestXYRoutingDeterministic(t *testing.T) {
 }
 
 func TestHotspotsOrdering(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New(testConfig())
 	m.Send(m.StopAt(0, 0), m.StopAt(1, 0), 100) // one link, 100 B
 	m.Send(m.StopAt(2, 0), m.StopAt(3, 0), 40)  // one link, 40 B
 	hot := m.Hotspots(2)
@@ -90,7 +97,7 @@ func TestHotspotsOrdering(t *testing.T) {
 }
 
 func TestResetTraffic(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New(testConfig())
 	m.Send(0, 5, 64)
 	m.ObserveWindow(10)
 	m.ResetTraffic()
@@ -114,7 +121,7 @@ func TestMeanUtilization(t *testing.T) {
 // Property: latency is symmetric and satisfies the triangle inequality
 // (true for Manhattan distance with uniform per-hop costs).
 func TestPropertyLatencyMetric(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New(testConfig())
 	n := m.Stops()
 	f := func(ai, bi, ci uint8) bool {
 		a := Stop(int(ai) % n)
@@ -137,7 +144,7 @@ func TestPropertyLatencyMetric(t *testing.T) {
 // Property: a Send touches exactly Hops(a,b) links and conserves bytes.
 func TestPropertySendConservation(t *testing.T) {
 	f := func(ai, bi uint8, payload uint16) bool {
-		m := New(DefaultConfig())
+		m := New(testConfig())
 		n := m.Stops()
 		a := Stop(int(ai) % n)
 		b := Stop(int(bi) % n)

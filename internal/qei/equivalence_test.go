@@ -6,6 +6,7 @@ import (
 
 	"qei/internal/cfa"
 	"qei/internal/dstruct"
+	"qei/internal/hwdesc"
 	"qei/internal/isa"
 	"qei/internal/machine"
 	"qei/internal/mem"
@@ -18,7 +19,7 @@ import (
 // functional/timing separation invariant of the whole engine.
 func TestTimedEngineMatchesFunctionalInterpreter(t *testing.T) {
 	f := func(seed int64) bool {
-		m := machine.NewDefault()
+		m := machine.New(hwdesc.Default())
 		a := New(m, scheme.ForKind(scheme.CoreIntegrated), cfa.DefaultRegistry(), 0)
 		n := 60 + int(uint64(seed)%60)
 		keys, vals := genKeys(n, 16, seed)
@@ -69,7 +70,7 @@ func TestTimedEngineMatchesFunctionalInterpreter(t *testing.T) {
 // produce bit-identical timing and results.
 func TestEngineDeterminism(t *testing.T) {
 	run := func() (uint64, uint64) {
-		m := machine.NewDefault()
+		m := machine.New(hwdesc.Default())
 		a := New(m, scheme.ForKind(scheme.CHATLB), cfa.DefaultRegistry(), 0)
 		keys, vals := genKeys(150, 32, 99)
 		sl := dstruct.BuildSkipList(m.AS, 3, keys, vals)

@@ -328,7 +328,7 @@ func New(m *machine.Machine, p scheme.Params, reg *cfa.Registry, core int) *Acce
 		}
 		if p.Translation == scheme.TransDedicated {
 			ins.tlb = tlb.New(p.DedicatedTLB)
-			ins.walker = tlb.NewWalker(m.AS, m.Cfg.PageWalkLatency)
+			ins.walker = tlb.NewWalker(m.AS, m.Desc.PageWalkLatency)
 		}
 		a.inst = append(a.inst, ins)
 	}

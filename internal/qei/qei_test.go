@@ -6,6 +6,7 @@ import (
 
 	"qei/internal/cfa"
 	"qei/internal/dstruct"
+	"qei/internal/hwdesc"
 	"qei/internal/isa"
 	"qei/internal/machine"
 	"qei/internal/mem"
@@ -38,7 +39,7 @@ func stage(m *machine.Machine, key []byte) mem.VAddr {
 
 func newAccel(t *testing.T, k scheme.Kind) (*machine.Machine, *Accelerator) {
 	t.Helper()
-	m := machine.NewDefault()
+	m := machine.New(hwdesc.Default())
 	return m, New(m, scheme.ForKind(k), cfa.DefaultRegistry(), 3)
 }
 
@@ -338,7 +339,7 @@ func TestCHASchemesAvoidPrivateCachesEntirely(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for core := 0; core < m.Cfg.Cores; core++ {
+	for core := 0; core < m.Desc.Cores; core++ {
 		h1, m1, _, _ := m.Hier.L1D[core].Stats()
 		h2, m2, _, _ := m.Hier.L2[core].Stats()
 		if h1+m1+h2+m2 != 0 {

@@ -7,6 +7,7 @@ import (
 	"qei/internal/cfa"
 	"qei/internal/dstruct"
 	"qei/internal/faultinject"
+	"qei/internal/hwdesc"
 	"qei/internal/isa"
 	"qei/internal/machine"
 	"qei/internal/mem"
@@ -94,7 +95,7 @@ func (panicFW) Step(q *cfa.Query, s cfa.StateID) cfa.Request {
 }
 
 func TestFirmwarePanicBecomesArchitecturalFault(t *testing.T) {
-	m := machine.NewDefault()
+	m := machine.New(hwdesc.Default())
 	reg := cfa.NewRegistry()
 	if err := reg.Register(panicFW{}); err != nil {
 		t.Fatal(err)
@@ -149,7 +150,7 @@ func TestWalkGuardsFaultBothEngines(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := machine.NewDefault()
+			m := machine.New(hwdesc.Default())
 			reg := cfa.NewRegistry()
 			if err := reg.Register(rogueFW{tc.step}); err != nil {
 				t.Fatal(err)

@@ -172,7 +172,7 @@ var table = [...]info{
 			PortOverhead:          18, // Tab. I: 40–60 with NoC traversal
 			ReplyOverhead:         10,
 			Translation:           TransDedicated,
-			DedicatedTLB:          tlb.L2TLBConfig(), // "same as the L2-TLB size"
+			DedicatedTLB:          tlb.Config{Entries: 1024, Ways: 8, HitLatency: 7}, // "same as the L2-TLB size"
 			Data:                  DataViaLLC,
 			RemoteCompare:         true,
 			ComparatorsPerSite:    2,

@@ -24,17 +24,6 @@ type Config struct {
 	HitLatency uint64 // cycles for a hit
 }
 
-// L2TLBConfig matches the paper's 1024-entry second-level TLB (the size it
-// also gives the dedicated CHA TLBs in the CHA-TLB scheme).
-func L2TLBConfig() Config {
-	return Config{Entries: 1024, Ways: 8, HitLatency: 7}
-}
-
-// L1TLBConfig is a small first-level data TLB.
-func L1TLBConfig() Config {
-	return Config{Entries: 64, Ways: 4, HitLatency: 1}
-}
-
 // TLB is a set-associative translation cache with true-LRU replacement.
 //
 // Tag and LRU state are flat arrays indexed set*ways+way, and the set
@@ -215,14 +204,11 @@ type Hierarchy struct {
 	Walker *Walker
 }
 
-// NewHierarchy builds the standard core translation path.
-func NewHierarchy(as *mem.AddressSpace, perLevelWalk uint64) *Hierarchy {
-	return NewHierarchyGeom(as, perLevelWalk, L1TLBConfig(), L2TLBConfig())
-}
-
-// NewHierarchyGeom is NewHierarchy with explicit TLB geometry — the
-// materialization path for declarative machine descriptions (hwdesc).
-func NewHierarchyGeom(as *mem.AddressSpace, perLevelWalk uint64, l1, l2 Config) *Hierarchy {
+// NewHierarchy builds a core's translation path: an L1 and an L2 TLB of
+// the given geometry in front of a walker charging perLevelWalk cycles
+// per page-table level. machine.New calls it with a hwdesc.Description's
+// sizes.
+func NewHierarchy(as *mem.AddressSpace, perLevelWalk uint64, l1, l2 Config) *Hierarchy {
 	return &Hierarchy{
 		L1:     New(l1),
 		L2:     New(l2),

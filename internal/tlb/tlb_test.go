@@ -7,6 +7,12 @@ import (
 	"qei/internal/mem"
 )
 
+// l1TLBConfig is Tab. II's 64-entry first-level data TLB.
+func l1TLBConfig() Config { return Config{Entries: 64, Ways: 4, HitLatency: 1} }
+
+// l2TLBConfig is Tab. II's 1024-entry second-level TLB.
+func l2TLBConfig() Config { return Config{Entries: 1024, Ways: 8, HitLatency: 7} }
+
 func vaddr(page uint64) mem.VAddr { return mem.VAddr(page << mem.PageShift) }
 
 func TestMissThenHit(t *testing.T) {
@@ -46,7 +52,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestFlushClearsAll(t *testing.T) {
-	tl := New(L1TLBConfig())
+	tl := New(l1TLBConfig())
 	for p := uint64(0); p < 32; p++ {
 		tl.Insert(vaddr(p))
 	}
@@ -98,7 +104,7 @@ func TestWalkerLatencyAndFaults(t *testing.T) {
 func TestHierarchyFillsUpward(t *testing.T) {
 	as := mem.NewAddressSpace(mem.NewPhysical())
 	a := as.Alloc(mem.PageSize, mem.PageSize)
-	h := NewHierarchy(as, 30)
+	h := NewHierarchy(as, 30, l1TLBConfig(), l2TLBConfig())
 
 	// First access: L1 miss + L2 miss + full walk.
 	_, lat1, err := h.Translate(a)
@@ -122,7 +128,7 @@ func TestHierarchyFillsUpward(t *testing.T) {
 func TestTranslateL2SkipsL1(t *testing.T) {
 	as := mem.NewAddressSpace(mem.NewPhysical())
 	a := as.Alloc(mem.PageSize, mem.PageSize)
-	h := NewHierarchy(as, 30)
+	h := NewHierarchy(as, 30, l1TLBConfig(), l2TLBConfig())
 	if _, _, err := h.TranslateL2(a); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +148,7 @@ func TestTranslateL2SkipsL1(t *testing.T) {
 
 func TestHierarchyFaultPropagates(t *testing.T) {
 	as := mem.NewAddressSpace(mem.NewPhysical())
-	h := NewHierarchy(as, 30)
+	h := NewHierarchy(as, 30, l1TLBConfig(), l2TLBConfig())
 	if _, _, err := h.Translate(mem.VAddr(0xdeadbeef000)); err == nil {
 		t.Fatal("expected fault")
 	}

@@ -40,8 +40,8 @@ func RunMultiCore(bench Benchmark, kind scheme.Kind, cores int) (MultiCoreResult
 	if err != nil {
 		return MultiCoreResult{}, err
 	}
-	if cores > s.m.Cfg.Cores {
-		return MultiCoreResult{}, fmt.Errorf("workload: %d cores exceed the chip's %d", cores, s.m.Cfg.Cores)
+	if cores > s.m.Desc.Cores {
+		return MultiCoreResult{}, fmt.Errorf("workload: %d cores exceed the chip's %d", cores, s.m.Desc.Cores)
 	}
 	s.warmLLC()
 	res := MultiCoreResult{Scheme: kind.String(), Cores: cores}

@@ -20,6 +20,7 @@ import (
 	"qei/internal/baseline"
 	"qei/internal/cfa"
 	"qei/internal/cpu"
+	"qei/internal/hwdesc"
 	"qei/internal/isa"
 	"qei/internal/machine"
 	"qei/internal/mem"
@@ -129,17 +130,17 @@ type runCfg struct {
 	nocReset bool
 	reg      *metrics.Registry
 	tr       *trace.Tracer
-	mach     *machine.Config
+	mach     *hwdesc.Description
 }
 
-// newMachine builds the run's machine: the configured topology
-// (WithMachine) or the Tab. II default. machine.New deep-copies the
-// Config, so one Config value can feed many concurrent runs.
+// newMachine builds the run's machine: the described chip (WithMachine)
+// or the Tab. II default. machine.New copies the Description, so one
+// value can feed many concurrent runs.
 func (c *runCfg) newMachine() *machine.Machine {
 	if c.mach != nil {
 		return machine.New(*c.mach)
 	}
-	return machine.NewDefault()
+	return machine.New(hwdesc.Default())
 }
 
 // WithWarmup plays the request stream once before the measured pass, so
@@ -175,12 +176,13 @@ func WithTrace(tr *trace.Tracer) RunOption {
 	return func(c *runCfg) { c.tr = tr }
 }
 
-// WithMachine runs the workload on the given chip topology instead of
-// the Tab. II default — the design-space-exploration knob. The Config
-// is captured by value and deep-copied by machine.New, so sweep points
-// sharing a base Config never alias.
-func WithMachine(cfg machine.Config) RunOption {
-	return func(c *runCfg) { c.mach = &cfg }
+// WithMachine runs the workload on the chip d describes instead of the
+// Tab. II default — the design-space-exploration knob. Only the chip half
+// of d is used; the accelerator comes from the run's scheme.Params. d is
+// captured by value and copied by machine.New, so sweep points sharing a
+// base Description never alias.
+func WithMachine(d hwdesc.Description) RunOption {
+	return func(c *runCfg) { c.mach = &d }
 }
 
 // memSnapshot captures machine-wide memory-system counters for delta
@@ -191,7 +193,7 @@ type memSnapshot struct {
 
 func snapshotMemory(m *machine.Machine) memSnapshot {
 	var s memSnapshot
-	for core := 0; core < m.Cfg.Cores; core++ {
+	for core := 0; core < m.Desc.Cores; core++ {
 		h, mi, _, _ := m.Hier.L1D[core].Stats()
 		s.l1 += h + mi
 		h2, m2, _, _ := m.Hier.L2[core].Stats()

@@ -6,6 +6,7 @@ import (
 	"qei/internal/cfa"
 	"qei/internal/epoch"
 	"qei/internal/faultinject"
+	"qei/internal/hwdesc"
 	"qei/internal/isa"
 	"qei/internal/machine"
 	"qei/internal/mem"
@@ -177,21 +178,18 @@ func NewSystem(s Scheme, opts ...Option) *System {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	p := scheme.ForKind(s)
-	m := machine.NewDefault()
+	d := hwdesc.ForScheme(s)
 	if cfg.spec != nil {
 		// The spec contributes the chip and the accelerator sizing; the
-		// integration scheme stays NewSystem's argument. Specs are
-		// validated at construction, so materialization cannot fail.
-		d := cfg.spec.desc()
+		// integration scheme stays NewSystem's argument.
+		d = cfg.spec.desc()
 		d.Scheme = s.Name()
-		sp, err := d.SchemeParams()
-		if err != nil {
-			panic(err) // unreachable: every MachineSpec constructor validates
-		}
-		p = sp
-		m = machine.New(d.MachineConfig())
 	}
+	p, err := d.SchemeParams()
+	if err != nil {
+		panic(err) // unreachable: presets and every MachineSpec constructor validate
+	}
+	m := machine.New(d)
 	if cfg.qstSize > 0 {
 		p.QSTEntriesPerInstance = cfg.qstSize
 	}
