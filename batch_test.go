@@ -44,6 +44,12 @@ func TestPlanBatch(t *testing.T) {
 	}
 }
 
+// batchKinds are the built-in fixed-length-key kinds with a level-wise
+// plan.
+var batchKinds = []StructKind{
+	KindBTree, KindBST, KindSkipList, KindCuckoo, KindHashTable, KindLinkedList,
+}
+
 // batchTestProbes draws a shuffled probe set over keys with duplicates
 // and absent keys mixed in.
 func batchTestProbes(keys, absent [][]byte, n int, seed int64) [][]byte {

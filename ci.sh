@@ -16,21 +16,27 @@ go vet ./...
 # Golden fast path: the bench matrix and every internal/workload driver
 # must reproduce their committed simulated outputs, so a cycle drift
 # fails here in seconds instead of after the race-detector run.
-go test -run '^(TestBenchGoldenCycles|TestDriversGolden)$' -count=1 . ./internal/workload
+go test -run '^(TestBenchGoldenCycles|TestDriversGolden)$' -count=1 ./internal/exp ./internal/workload
 # Benchmark module: benchmark/ is a Go module of its own, so nothing
 # above compiles it. Its tests run every workload at test size, so a
 # change to an API it calls fails here instead of in benchmark/run.sh.
 (cd benchmark && GOWORK=off go test -count=1 ./...)
-# The root package's experiment-band tests run minutes of simulation;
+# The experiment tests (internal/exp) run minutes of simulation;
 # under the race detector on few cores they outlast go test's default
 # 10m per-package budget, so give them room.
 go test -race -timeout 90m ./...
 
-# Bench smoke: one iteration of the Tab. I benchmark proves the bench
-# harness still assembles and logs its table, and one iteration of every
-# layer micro-benchmark keeps those compiling and running (-benchmem
-# prints their allocations too).
-go test -run '^$' -bench BenchmarkTab1 -benchtime 1x -short .
+# Bench smoke: the Tab. I experiment proves the registry and qeibench
+# still assemble and print a table, and one iteration of every layer
+# micro-benchmark keeps those compiling and running (-benchmem prints
+# their allocations too).
+case "$(go run ./cmd/qeibench -exp tab1)" in
+*Core-integrated*) ;;
+*)
+	echo "bench-smoke: qeibench -exp tab1 printed no Core-integrated row" >&2
+	exit 1
+	;;
+esac
 go test -run '^$' -bench . -benchtime 1x -benchmem ./internal/...
 
 # Zero-overhead guard: attaching metrics + tracing — and the disabled
@@ -43,9 +49,9 @@ go test -run '^(TestObservabilityZeroCycleImpact|TestFaultInjectionZeroCycleImpa
 # committed BENCH_guard.json envelope. Allocations are the hard gate
 # (>2x allocs/op fails — machine-independent, so any excursion is a real
 # hot-path regression); wall time gets a generous 5x to absorb machine
-# variation. See bench_guard_test.go for how to regenerate the envelope
-# after an intentional performance change.
-QEI_BENCH_GUARD=1 go test -run '^TestBenchGuard$' -count=1 -short .
+# variation. See internal/exp/bench_guard_test.go for how to regenerate
+# the envelope after an intentional performance change.
+QEI_BENCH_GUARD=1 go test -run '^TestBenchGuard$' -count=1 -short ./internal/exp
 
 # Example smoke: every example program checks its answers against a
 # host-side reference and panics on a mismatch, so each must exit 0

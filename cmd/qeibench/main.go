@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	qeibench [-scale small|full] [-exp all|fig1|...|batch|bench] [-parallel N] [-csv]
+//	qeibench [-scale small|full] [-exp all|fig1|...|abl-hugepage|bench] [-parallel N] [-csv]
 //	qeibench -json [-out DIR] [-scale small|full] [-parallel N]
 //	qeibench -cpuprofile cpu.pprof -memprofile mem.pprof -exp bench
 //
@@ -23,7 +23,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -31,7 +30,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"qei"
+	"qei/internal/exp"
 )
 
 func main() {
@@ -73,19 +72,18 @@ func main() {
 		}()
 	}
 
-	scale := qei.Small
+	scale := exp.Small
 	switch *scaleFlag {
 	case "small":
 	case "full":
-		scale = qei.FullScale
+		scale = exp.FullScale
 	default:
 		fmt.Fprintf(os.Stderr, "qeibench: unknown scale %q\n", *scaleFlag)
 		os.Exit(2)
 	}
 
-	ctx := context.Background()
 	if *jsonFlag {
-		rs, err := qei.RunBench(scale, qei.WithContext(ctx), qei.WithParallelism(*parFlag))
+		rs, err := exp.RunBench(scale, *parFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qeibench: bench: %v\n", err)
 			os.Exit(1)
@@ -93,13 +91,13 @@ func main() {
 		// The JSON document also carries the batch experiment's
 		// level-wise vs windowed records; TestBenchGoldenCycles pins only
 		// the "bench" rows.
-		brs, err := qei.RunBatchBench(scale)
+		brs, err := exp.RunBatchBench(scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qeibench: batch bench: %v\n", err)
 			os.Exit(1)
 		}
 		rs = append(rs, brs...)
-		path, err := qei.WriteBenchJSON(*outFlag, "bench", rs)
+		path, err := exp.WriteBenchJSON(*outFlag, "bench", rs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qeibench: %v\n", err)
 			os.Exit(1)
@@ -109,11 +107,11 @@ func main() {
 	}
 	want := strings.ToLower(*expFlag)
 	ran := 0
-	for _, e := range qei.Experiments() {
+	for _, e := range exp.Experiments() {
 		if want != "all" && want != e.Name {
 			continue
 		}
-		t, err := e.Run(scale, qei.WithContext(ctx), qei.WithParallelism(*parFlag))
+		t, err := e.Run(scale, *parFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qeibench: %s: %v\n", e.Name, err)
 			os.Exit(1)

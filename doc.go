@@ -26,9 +26,8 @@
 //
 // # Experiments
 //
-// Every table and figure of the paper's evaluation is regenerated by a
-// function in experiments.go (Fig1 … Fig12, TabI … TabIII) and has a
-// matching benchmark in bench_test.go; `go run ./cmd/qeibench` prints
-// them all. See DESIGN.md for the experiment index and EXPERIMENTS.md
-// for paper-vs-measured results.
+// Every table and figure of the paper's evaluation, and each ablation,
+// is an entry of the experiment registry in internal/exp, run by
+// `go run ./cmd/qeibench -exp NAME`. See DESIGN.md for the experiment
+// index and EXPERIMENTS.md for paper-vs-measured results.
 package qei

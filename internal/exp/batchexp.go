@@ -1,9 +1,10 @@
-package qei
+package exp
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
+
+	"qei"
 )
 
 // The "batch" experiment: level-wise vs windowed QueryBatch across
@@ -14,13 +15,13 @@ import (
 
 // batchKinds are the kinds the experiment sweeps — every built-in
 // fixed-length-key kind with a level-wise plan.
-var batchKinds = []StructKind{
-	KindBTree, KindBST, KindSkipList, KindCuckoo, KindHashTable, KindLinkedList,
+var batchKinds = []qei.StructKind{
+	qei.KindBTree, qei.KindBST, qei.KindSkipList, qei.KindCuckoo, qei.KindHashTable, qei.KindLinkedList,
 }
 
 // batchJob is one experiment cell.
 type batchJob struct {
-	kind StructKind
+	kind qei.StructKind
 	n    int
 }
 
@@ -41,8 +42,8 @@ func batchJobsFor(s Scale) []batchJob {
 // batchTableSize picks the structure population: big enough that tree
 // walks have real depth, short enough that the linked list's O(n) scan
 // keeps the windowed oracle fast.
-func batchTableSize(s Scale, kind StructKind) int {
-	if kind == KindLinkedList {
+func batchTableSize(s Scale, kind qei.StructKind) int {
+	if kind == qei.KindLinkedList {
 		if s == FullScale {
 			return 512
 		}
@@ -93,13 +94,22 @@ func batchProbeSet(table [][]byte, absent [][]byte, n int, seed int64) [][]byte 
 	return probes
 }
 
+// batchCounters are the level-wise engine counters each cell reports.
+var batchCounters = []string{
+	"qei/batch/levels",
+	"qei/batch/translations_saved",
+	"qei/batch/lines_deduped",
+	"qei/batch/coalesced_probes",
+	"qei/batch/deferred",
+}
+
 // batchCell is one measured experiment cell.
 type batchCell struct {
 	job       batchJob
 	winCycles uint64
 	lwCycles  uint64
-	// level-wise engine counters for the cell's run
-	levels, transSaved, linesDeduped, coalesced, deferred uint64
+	// counters holds every batchCounters metric of the level-wise run.
+	counters map[string]uint64
 }
 
 func (c batchCell) speedup() float64 {
@@ -136,12 +146,12 @@ func runBatchCell(s Scale, job batchJob) (batchCell, error) {
 	cell := batchCell{job: job}
 
 	// Sequential per-query oracle.
-	so := NewSystem(CoreIntegrated)
+	so := qei.NewSystem(qei.CoreIntegrated)
 	to, err := so.Build(job.kind, keys, values)
 	if err != nil {
 		return cell, err
 	}
-	oracle := make([]Result, len(probes))
+	oracle := make([]qei.Result, len(probes))
 	for i, p := range probes {
 		r, err := so.Query(to, p)
 		if err != nil {
@@ -151,41 +161,44 @@ func runBatchCell(s Scale, job batchJob) (batchCell, error) {
 	}
 
 	// Windowed batch.
-	sw := NewSystem(CoreIntegrated)
+	sw := qei.NewSystem(qei.CoreIntegrated)
 	tw, err := sw.Build(job.kind, keys, values)
 	if err != nil {
 		return cell, err
 	}
 	winStart := sw.Now()
-	winRes, err := sw.QueryBatch(tw, probes, WithBatchMode(BatchWindowed))
+	winRes, err := sw.QueryBatch(tw, probes, qei.WithBatchMode(qei.BatchWindowed))
 	if err != nil {
 		return cell, err
 	}
 	cell.winCycles = sw.Now() - winStart
 
 	// Level-wise batch.
-	sl := NewSystem(CoreIntegrated)
+	sl := qei.NewSystem(qei.CoreIntegrated, qei.WithMetrics())
 	tl, err := sl.Build(job.kind, keys, values)
 	if err != nil {
 		return cell, err
 	}
 	lwStart := sl.Now()
-	lwRes, err := sl.QueryBatch(tl, probes, WithBatchMode(BatchLevelWise))
+	lwRes, err := sl.QueryBatch(tl, probes, qei.WithBatchMode(qei.BatchLevelWise))
 	if err != nil {
 		return cell, err
 	}
 	cell.lwCycles = sl.Now() - lwStart
-	st := sl.accel.Stats()
-	cell.levels = st.BatchLevels
-	cell.transSaved = st.BatchTranslationsSaved
-	cell.linesDeduped = st.BatchLinesDeduped
-	cell.coalesced = st.BatchCoalescedProbes
-	cell.deferred = st.BatchDeferred
+	cell.counters = make(map[string]uint64, len(batchCounters))
+	for _, name := range batchCounters {
+		cell.counters[name] = 0
+	}
+	for _, m := range sl.Metrics() {
+		if _, ok := cell.counters[m.Name]; ok {
+			cell.counters[m.Name] = m.Value
+		}
+	}
 
 	// The contract the speedup stands on: identical results on all
 	// three paths.
 	for i := range probes {
-		for _, pair := range [][2]Result{{lwRes[i], oracle[i]}, {winRes[i], oracle[i]}} {
+		for _, pair := range [][2]qei.Result{{lwRes[i], oracle[i]}, {winRes[i], oracle[i]}} {
 			g, w := pair[0], pair[1]
 			if g.Found != w.Found || g.Value != w.Value || (g.Err == nil) != (w.Err == nil) {
 				return cell, fmt.Errorf("qei: batch %s/%d: probe %d diverges from per-query path (got found=%v value=%d, want found=%v value=%d)",
@@ -196,17 +209,17 @@ func runBatchCell(s Scale, job batchJob) (batchCell, error) {
 	return cell, nil
 }
 
-// BatchSpeedup reproduces the level-wise batching evaluation: simulated
+// batchSpeedup reproduces the level-wise batching evaluation: simulated
 // makespan of the level-wise engine vs the windowed path per structure
 // kind and batch size, with the engine's amortization counters.
-func BatchSpeedup(s Scale, opts ...ExpOption) (TableData, error) {
+func batchSpeedup(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title: "Batch — level-wise vs windowed QueryBatch (simulated cycles)",
 		Headers: []string{"kind", "batch", "windowed_cyc", "levelwise_cyc",
 			"speedup_x", "levels", "trans_saved", "lines_deduped", "coalesced"},
 	}
-	rows, err := expRows(expConfigFor(opts), batchJobsFor(s),
-		func(_ context.Context, _ int, job batchJob) ([][]string, error) {
+	rows, err := mapJobs(par, batchJobsFor(s),
+		func(job batchJob) ([][]string, error) {
 			c, err := runBatchCell(s, job)
 			if err != nil {
 				return nil, err
@@ -214,8 +227,8 @@ func BatchSpeedup(s Scale, opts ...ExpOption) (TableData, error) {
 			return [][]string{{
 				job.kind.String(), f("%d", job.n),
 				f("%d", c.winCycles), f("%d", c.lwCycles), f("%.2f", c.speedup()),
-				f("%d", c.levels), f("%d", c.transSaved),
-				f("%d", c.linesDeduped), f("%d", c.coalesced),
+				f("%d", c.counters["qei/batch/levels"]), f("%d", c.counters["qei/batch/translations_saved"]),
+				f("%d", c.counters["qei/batch/lines_deduped"]), f("%d", c.counters["qei/batch/coalesced_probes"]),
 			}}, nil
 		})
 	t.Rows = rows
@@ -235,19 +248,13 @@ func RunBatchBench(s Scale) ([]BenchResult, error) {
 		r := BenchResult{
 			Experiment:     "batch",
 			Workload:       fmt.Sprintf("%s/%d", job.kind, job.n),
-			Scheme:         CoreIntegrated.String(),
+			Scheme:         qei.CoreIntegrated.String(),
 			BaselineCycles: c.winCycles,
 			Cycles:         c.lwCycles,
 			Queries:        uint64(job.n),
 			CyclesPerQuery: float64(c.lwCycles) / float64(job.n),
 			Speedup:        c.speedup(),
-			Counters: map[string]uint64{
-				"qei/batch/levels":             c.levels,
-				"qei/batch/translations_saved": c.transSaved,
-				"qei/batch/lines_deduped":      c.linesDeduped,
-				"qei/batch/coalesced_probes":   c.coalesced,
-				"qei/batch/deferred":           c.deferred,
-			},
+			Counters:       c.counters,
 		}
 		out = append(out, r)
 	}

@@ -1,13 +1,14 @@
-package qei
+package exp
 
-// End-to-end wall-clock benchmarks for the simulator hot path. Unlike
-// the figure benches (bench_test.go) these are sized for -benchmem
-// iteration during performance work and back the ci.sh bench-guard
-// stage: BENCH_guard.json pins their allocs/op envelope.
+// End-to-end wall-clock benchmarks for the simulator hot path, sized
+// for -benchmem iteration during performance work. They back the ci.sh
+// bench-guard stage: the repository root's BENCH_guard.json pins their
+// allocs/op envelope.
 
 import (
 	"testing"
 
+	"qei"
 	"qei/internal/scheme"
 	"qei/internal/workload"
 )
@@ -45,13 +46,13 @@ func BenchmarkEndToEndQEI(b *testing.B) {
 // benchBatchSetup builds the batch benchmarks' shared fixture: a
 // 4096-key B+ tree and a shuffled 64-probe set with duplicates and
 // misses (the level-wise engine's acceptance workload).
-func benchBatchSetup(b *testing.B) (*System, Table, [][]byte) {
+func benchBatchSetup(b *testing.B) (*qei.System, qei.Table, [][]byte) {
 	b.Helper()
 	keys, vals := batchGenKeys(4096, 16, 42)
 	absent, _ := batchGenKeys(64, 16, 43)
 	probes := batchProbeSet(keys, absent, 64, 44)
-	s := NewSystem(CoreIntegrated)
-	tb, err := s.Build(KindBTree, keys, vals)
+	s := qei.NewSystem(qei.CoreIntegrated)
+	tb, err := s.Build(qei.KindBTree, keys, vals)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func BenchmarkQueryBatch(b *testing.B) {
 	s, tb, probes := benchBatchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QueryBatch(tb, probes, WithBatchMode(BatchLevelWise)); err != nil {
+		if _, err := s.QueryBatch(tb, probes, qei.WithBatchMode(qei.BatchLevelWise)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -78,7 +79,7 @@ func BenchmarkQueryBatchWindowed(b *testing.B) {
 	s, tb, probes := benchBatchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QueryBatch(tb, probes, WithBatchMode(BatchWindowed)); err != nil {
+		if _, err := s.QueryBatch(tb, probes, qei.WithBatchMode(qei.BatchWindowed)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,7 +107,7 @@ func BenchmarkEndToEndBench(b *testing.B) {
 	b.ReportAllocs()
 	benches := []workload.Benchmark{workload.SmallDPDK()}
 	for i := 0; i < b.N; i++ {
-		if _, err := runBenchOn(benches, nil); err != nil {
+		if _, err := runBenchOn(benches, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,4 +1,4 @@
-package qei
+package exp
 
 import (
 	"encoding/json"
@@ -16,16 +16,16 @@ import (
 //
 // Regenerate the envelope after an intentional performance change:
 //
-//	go test -run '^$' -bench BenchmarkEndToEnd -benchtime 3x .
+//	go test -run '^$' -bench BenchmarkEndToEnd -benchtime 3x ./internal/exp
 //
 // then round the measured allocs/op and ns/op up ~10% into
-// BENCH_guard.json.
+// BENCH_guard.json at the repository root.
 func TestBenchGuard(t *testing.T) {
 	if os.Getenv("QEI_BENCH_GUARD") == "" {
 		t.Skip("set QEI_BENCH_GUARD=1 to run the benchmark regression guard (ci.sh bench-guard stage does)")
 	}
 
-	data, err := os.ReadFile("BENCH_guard.json")
+	data, err := os.ReadFile("../../BENCH_guard.json")
 	if err != nil {
 		t.Fatalf("read envelope: %v", err)
 	}

@@ -1,14 +1,12 @@
-package qei
+package exp
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"qei/internal/metrics"
-	"qei/internal/runner"
 	"qei/internal/scheme"
 	"qei/internal/workload"
 )
@@ -58,26 +56,23 @@ var benchCounters = []string{
 
 // RunBench executes the workload × scheme benchmark matrix with metrics
 // attached and returns one record per cell, in workload-major order
-// (deterministic at any worker count). When the options carry a
-// MetricsCollector, each accelerated run's full snapshot is merged into
-// it as well.
-func RunBench(s Scale, opts ...ExpOption) ([]BenchResult, error) {
-	return runBenchOn(benchesFor(s), opts)
+// (deterministic at any worker count: par workers, <= 0 means
+// GOMAXPROCS).
+func RunBench(s Scale, par int) ([]BenchResult, error) {
+	return runBenchOn(benchesFor(s), par)
 }
 
 // runBenchOn is RunBench over an explicit benchmark list (tests use a
 // trimmed set to keep the suite fast).
-func runBenchOn(benches []workload.Benchmark, opts []ExpOption) ([]BenchResult, error) {
-	cfg := expConfigFor(opts)
-	groups, err := runner.Map(cfg.ctx, cfg.par, benches,
-		func(_ context.Context, _ int, b workload.Benchmark) ([]BenchResult, error) {
+func runBenchOn(benches []workload.Benchmark, par int) ([]BenchResult, error) {
+	return mapJobs(par, benches,
+		func(b workload.Benchmark) ([]BenchResult, error) {
 			sw, err := workload.RunBaseline(b, workload.Full, workload.WithWarmup())
 			if err != nil {
 				return nil, err
 			}
 			var out []BenchResult
 			for _, k := range scheme.Kinds() {
-				// Bench always measures counters, collector or not.
 				reg := metrics.NewRegistry()
 				hw, err := workload.RunQEI(b, k, workload.Full,
 					workload.WithWarmup(), workload.WithMetrics(reg))
@@ -87,7 +82,6 @@ func runBenchOn(benches []workload.Benchmark, opts []ExpOption) ([]BenchResult, 
 				if hw.Mismatches != 0 {
 					return nil, fmt.Errorf("qei: bench %s/%s produced %d wrong results", b.Name(), k, hw.Mismatches)
 				}
-				cfg.collect(hw)
 				counters := make(map[string]uint64)
 				for _, name := range benchCounters {
 					if v := hw.Metrics.Value(name); v != 0 {
@@ -111,20 +105,12 @@ func runBenchOn(benches []workload.Benchmark, opts []ExpOption) ([]BenchResult, 
 			}
 			return out, nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	var results []BenchResult
-	for _, g := range groups {
-		results = append(results, g...)
-	}
-	return results, nil
 }
 
-// BenchMatrix renders RunBench as a TableData for the experiment
+// benchMatrix renders RunBench as a TableData for the experiment
 // registry ("bench"); qeibench -json emits the same runs as JSON.
-func BenchMatrix(s Scale, opts ...ExpOption) (TableData, error) {
-	rs, err := RunBench(s, opts...)
+func benchMatrix(s Scale, par int) (TableData, error) {
+	rs, err := RunBench(s, par)
 	t := TableData{
 		Title: "Bench — per-scheme cycles, speedup, and key counters",
 		Headers: []string{"workload", "scheme", "cycles", "cyc_per_query",

@@ -1,0 +1,60 @@
+package exp
+
+import (
+	"encoding/json"
+	"os"
+	"strings"
+	"testing"
+
+	"qei"
+	"qei/internal/workload"
+)
+
+// TestBenchJSONRoundTrip validates the qeibench -json schema: the
+// written BENCH_*.json decodes back into []BenchResult with cycles and
+// speedup per scheme. Two structurally different workloads keep it
+// fast; TestBenchGoldenCycles covers the full set.
+func TestBenchJSONRoundTrip(t *testing.T) {
+	rs, err := runBenchOn([]workload.Benchmark{workload.SmallDPDK(), workload.SmallJVM()}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) == 0 {
+		t.Fatal("no bench results")
+	}
+	schemes := map[string]bool{}
+	for _, r := range rs {
+		if r.Cycles == 0 || r.BaselineCycles == 0 || r.Speedup <= 0 {
+			t.Fatalf("degenerate record %+v", r)
+		}
+		if r.Counters["qei/queries"] == 0 {
+			t.Fatalf("record %s/%s lost its counters", r.Workload, r.Scheme)
+		}
+		schemes[r.Scheme] = true
+	}
+	if len(schemes) != len(qei.Schemes()) {
+		t.Fatalf("results cover %d schemes, want %d", len(schemes), len(qei.Schemes()))
+	}
+
+	path, err := WriteBenchJSON(t.TempDir(), "test", rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(path, "BENCH_test.json") {
+		t.Fatalf("unexpected path %s", path)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []BenchResult
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("BENCH json does not decode into the result schema: %v", err)
+	}
+	if len(back) != len(rs) {
+		t.Fatalf("round trip lost records: %d vs %d", len(back), len(rs))
+	}
+	if back[0].Experiment != "bench" {
+		t.Fatalf("experiment name %q", back[0].Experiment)
+	}
+}

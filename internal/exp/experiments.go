@@ -1,7 +1,6 @@
-package qei
+package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -108,18 +107,18 @@ func csvField(s string) string {
 
 func f(format string, v ...any) string { return fmt.Sprintf(format, v...) }
 
-// Fig1QueryTimeShare reproduces Fig. 1: the percentage of CPU time spent
+// fig1QueryTimeShare reproduces Fig. 1: the percentage of CPU time spent
 // in data-query operations for each workload (paper band: 23%–44%),
 // plus the query code's frontend/backend profile from a cold ROI-only
 // run (Sec. II-A): branch mispredicts and loads per query, and IPC.
-func Fig1QueryTimeShare(s Scale, opts ...ExpOption) (TableData, error) {
+func fig1QueryTimeShare(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title: "Fig. 1 — query share of CPU time (paper: 23%-44%)",
 		Headers: []string{"workload", "query_share_pct", "mispredicts_per_query",
 			"loads_per_query", "roi_ipc"},
 	}
-	rows, err := expRows(expConfigFor(opts), benchesFor(s),
-		func(_ context.Context, _ int, b workload.Benchmark) ([][]string, error) {
+	rows, err := mapJobs(par, benchesFor(s),
+		func(b workload.Benchmark) ([][]string, error) {
 			share, err := workload.ROIShare(b)
 			if err != nil {
 				return nil, err
@@ -138,9 +137,9 @@ func Fig1QueryTimeShare(s Scale, opts ...ExpOption) (TableData, error) {
 	return t, err
 }
 
-// TabI reproduces Table I: the qualitative comparison of integration
+// tabI reproduces Table I: the qualitative comparison of integration
 // schemes.
-func TabI() TableData {
+func tabI(Scale, int) (TableData, error) {
 	t := TableData{
 		Title: "Tab. I — comparison of integration schemes",
 		Headers: []string{"scheme", "accel-core_cyc", "accel-data_cyc", "hw_cost",
@@ -152,15 +151,15 @@ func TabI() TableData {
 			r.MemMgmt, r.NoCHotspot, r.PrivatePollute, r.Scalability,
 		})
 	}
-	return t
+	return t, nil
 }
 
-// TabII reproduces Table II: the simulated CPU configuration, read from
+// tabII reproduces Table II: the simulated CPU configuration, read from
 // the chip every experiment builds (hwdesc.Default), the core model
 // (cpu.DefaultConfig) and the scheme table. What the simulator does not
 // model — the clock, the L1I, the DRAM part, the routing algorithm, the
 // DPU's ALUs — stays as words.
-func TabII() TableData {
+func tabII(Scale, int) (TableData, error) {
 	d := hwdesc.Default()
 	c := cpu.DefaultConfig()
 	t := TableData{
@@ -183,7 +182,7 @@ func TabII() TableData {
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{r[0], r[1]})
 	}
-	return t
+	return t, nil
 }
 
 // sizeLabel renders a byte count in the largest binary unit that divides
@@ -217,15 +216,15 @@ func roiCycles(full, nonROI uint64) uint64 {
 	return full - nonROI
 }
 
-// Fig7Speedup reproduces Fig. 7: per-workload lookup speedup of every
+// fig7Speedup reproduces Fig. 7: per-workload lookup speedup of every
 // integration scheme over the software baseline.
-func Fig7Speedup(s Scale, opts ...ExpOption) (TableData, error) {
+func fig7Speedup(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 7 — speedup of lookup operations (paper: 6.5x-11.2x, CHA-TLB up to 12.7x)",
 		Headers: []string{"workload", "scheme", "speedup_x"},
 	}
-	rows, err := expRows(expConfigFor(opts), benchesFor(s),
-		func(_ context.Context, _ int, b workload.Benchmark) ([][]string, error) {
+	rows, err := mapJobs(par, benchesFor(s),
+		func(b workload.Benchmark) ([][]string, error) {
 			sw, err := workload.RunBaseline(b, workload.Full, workload.WithWarmup())
 			if err != nil {
 				return nil, err
@@ -253,16 +252,16 @@ func Fig7Speedup(s Scale, opts ...ExpOption) (TableData, error) {
 	return t, err
 }
 
-// Fig8LatencySweep reproduces Fig. 8: the Device-indirect scheme's
+// fig8LatencySweep reproduces Fig. 8: the Device-indirect scheme's
 // sensitivity to the accelerator's data-access latency (50–2000 cycles).
-func Fig8LatencySweep(s Scale, opts ...ExpOption) (TableData, error) {
+func fig8LatencySweep(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 8 — Device-indirect latency sensitivity",
 		Headers: []string{"workload", "access_latency_cyc", "speedup_x"},
 	}
 	latencies := []uint64{50, 100, 300, 600, 1000, 2000}
-	rows, err := expRows(expConfigFor(opts), benchesFor(s),
-		func(_ context.Context, _ int, b workload.Benchmark) ([][]string, error) {
+	rows, err := mapJobs(par, benchesFor(s),
+		func(b workload.Benchmark) ([][]string, error) {
 			sw, err := workload.RunBaseline(b, workload.Full, workload.WithWarmup())
 			if err != nil {
 				return nil, err
@@ -299,15 +298,15 @@ func deviceIndirectWith(lat uint64) scheme.Params {
 	return p
 }
 
-// Fig9EndToEnd reproduces Fig. 9: end-to-end query/packet-per-second
+// fig9EndToEnd reproduces Fig. 9: end-to-end query/packet-per-second
 // improvement of the full applications (paper: 36.2%–66.7%).
-func Fig9EndToEnd(s Scale, opts ...ExpOption) (TableData, error) {
+func fig9EndToEnd(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 9 — end-to-end throughput improvement (paper: 36.2%-66.7%)",
 		Headers: []string{"workload", "scheme", "improvement_pct"},
 	}
-	rows, err := expRows(expConfigFor(opts), benchesFor(s),
-		func(_ context.Context, _ int, b workload.Benchmark) ([][]string, error) {
+	rows, err := mapJobs(par, benchesFor(s),
+		func(b workload.Benchmark) ([][]string, error) {
 			sw, err := workload.RunBaseline(b, workload.Full, workload.WithWarmup())
 			if err != nil {
 				return nil, err
@@ -327,9 +326,9 @@ func Fig9EndToEnd(s Scale, opts ...ExpOption) (TableData, error) {
 	return t, err
 }
 
-// Fig10TupleSpace reproduces Fig. 10: tuple-space search with QUERY_NB
+// fig10TupleSpace reproduces Fig. 10: tuple-space search with QUERY_NB
 // over 5/10/15 tuples, per scheme.
-func Fig10TupleSpace(s Scale, opts ...ExpOption) (TableData, error) {
+func fig10TupleSpace(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 10 — tuple-space search speedup with QUERY_NB",
 		Headers: []string{"tuples", "scheme", "speedup_x"},
@@ -338,8 +337,8 @@ func Fig10TupleSpace(s Scale, opts ...ExpOption) (TableData, error) {
 	// schemes (the device DPU has 240 entries; the software poll loop is
 	// sized to this).
 	const nbBatch = 32
-	rows, err := expRows(expConfigFor(opts), []int{5, 10, 15},
-		func(_ context.Context, _ int, tuples int) ([][]string, error) {
+	rows, err := mapJobs(par, []int{5, 10, 15},
+		func(tuples int) ([][]string, error) {
 			var b workload.Benchmark
 			if s == FullScale {
 				b = workload.DefaultTupleSpace(tuples)
@@ -368,15 +367,15 @@ func Fig10TupleSpace(s Scale, opts ...ExpOption) (TableData, error) {
 	return t, err
 }
 
-// Fig11InstrReduction reproduces Fig. 11: dynamic instructions executed
+// fig11InstrReduction reproduces Fig. 11: dynamic instructions executed
 // by the core in the ROI, software vs QEI.
-func Fig11InstrReduction(s Scale, opts ...ExpOption) (TableData, error) {
+func fig11InstrReduction(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 11 — dynamic instruction count in ROIs",
 		Headers: []string{"workload", "software_instrs", "qei_instrs", "reduction_pct"},
 	}
-	rows, err := expRows(expConfigFor(opts), benchesFor(s),
-		func(_ context.Context, _ int, b workload.Benchmark) ([][]string, error) {
+	rows, err := mapJobs(par, benchesFor(s),
+		func(b workload.Benchmark) ([][]string, error) {
 			sw, err := workload.RunBaseline(b, workload.ROIOnly)
 			if err != nil {
 				return nil, err
@@ -397,9 +396,9 @@ func Fig11InstrReduction(s Scale, opts ...ExpOption) (TableData, error) {
 	return t, err
 }
 
-// TabIII reproduces Table III: area and static power of the three QEI
+// tabIII reproduces Table III: area and static power of the three QEI
 // configurations at 22 nm.
-func TabIII() TableData {
+func tabIII(Scale, int) (TableData, error) {
 	t := TableData{
 		Title:   "Tab. III — area and static power of QEI",
 		Headers: []string{"configuration", "area_mm2", "paper_mm2", "static_mW", "paper_mW"},
@@ -411,19 +410,19 @@ func TabIII() TableData {
 			f("%.4f", r.StaticMW), f("%.4f", r.PaperStaticMW),
 		})
 	}
-	return t
+	return t, nil
 }
 
-// Fig12DynamicPower reproduces Fig. 12: QEI's per-query dynamic energy
+// fig12DynamicPower reproduces Fig. 12: QEI's per-query dynamic energy
 // relative to the software baseline (paper: >60% reduction).
-func Fig12DynamicPower(s Scale, opts ...ExpOption) (TableData, error) {
+func fig12DynamicPower(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 12 — QEI dynamic energy per query vs software (paper: <40%)",
 		Headers: []string{"workload", "scheme", "energy_pct_of_software"},
 	}
 	model := hwdesc.Default().PowerModel()
-	rows, err := expRows(expConfigFor(opts), benchesFor(s),
-		func(_ context.Context, _ int, b workload.Benchmark) ([][]string, error) {
+	rows, err := mapJobs(par, benchesFor(s),
+		func(b workload.Benchmark) ([][]string, error) {
 			sw, err := workload.RunBaseline(b, workload.ROIOnly, workload.WithWarmup())
 			if err != nil {
 				return nil, err
@@ -475,12 +474,12 @@ func Fig12DynamicPower(s Scale, opts ...ExpOption) (TableData, error) {
 	return t, err
 }
 
-// TailLatency runs the open-loop latency study (an extension of the
+// tailLatency runs the open-loop latency study (an extension of the
 // paper's Sec. II-B QoS argument): queries arrive at a fixed rate and
 // per-query latency percentiles are recorded. Device schemes show their
 // long access latency directly in the distribution; overload pushes the
 // tail out for every scheme.
-func TailLatency(s Scale, opts ...ExpOption) (TableData, error) {
+func tailLatency(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Extension — open-loop query latency (cycles)",
 		Headers: []string{"scheme", "interarrival", "avg", "p50", "p95", "p99"},
@@ -501,8 +500,8 @@ func TailLatency(s Scale, opts ...ExpOption) (TableData, error) {
 			points = append(points, point{k, gap})
 		}
 	}
-	rows, err := expRows(expConfigFor(opts), points,
-		func(_ context.Context, _ int, pt point) ([][]string, error) {
+	rows, err := mapJobs(par, points,
+		func(pt point) ([][]string, error) {
 			p, err := workload.OpenLoopLatency(b, pt.k, pt.gap, queries)
 			if err != nil {
 				return nil, err
@@ -516,11 +515,11 @@ func TailLatency(s Scale, opts ...ExpOption) (TableData, error) {
 	return t, err
 }
 
-// Scalability runs the multi-core study behind Tab. I's Scalability
+// scalability runs the multi-core study behind Tab. I's Scalability
 // column: the same aggregate query stream split across 1/2/4/8 cores.
 // Core-integrated accelerators are private per core; CHA schemes share
 // 24 distributed instances; device schemes funnel into one accelerator.
-func Scalability(s Scale, opts ...ExpOption) (TableData, error) {
+func scalability(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Tab. I scalability — aggregate throughput (queries/kilocycle)",
 		Headers: []string{"scheme", "cores", "throughput_q_per_kcyc"},
@@ -539,8 +538,8 @@ func Scalability(s Scale, opts ...ExpOption) (TableData, error) {
 			points = append(points, point{k, cores})
 		}
 	}
-	rows, err := expRows(expConfigFor(opts), points,
-		func(_ context.Context, _ int, pt point) ([][]string, error) {
+	rows, err := mapJobs(par, points,
+		func(pt point) ([][]string, error) {
 			r, err := workload.RunMultiCore(b, pt.k, pt.cores)
 			if err != nil {
 				return nil, err
@@ -554,11 +553,11 @@ func Scalability(s Scale, opts ...ExpOption) (TableData, error) {
 	return t, err
 }
 
-// NoCUtilization checks the Sec. V claim that one QEI accelerator can
+// nocUtilization checks the Sec. V claim that one QEI accelerator can
 // saturate a meaningful share (~8%) of the mesh NoC bandwidth ("each QEI
 // accelerator can saturate as much as 8% of the mesh NoC bandwidth"),
 // measured under a dense query stream: ROI only, no idle gaps.
-func NoCUtilization(s Scale, opts ...ExpOption) (TableData, error) {
+func nocUtilization(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Sec. V — NoC bandwidth utilization of one QEI accelerator",
 		Headers: []string{"workload", "scheme", "peak_link_util_pct", "mean_util_pct"},
@@ -567,9 +566,8 @@ func NoCUtilization(s Scale, opts ...ExpOption) (TableData, error) {
 	if s == FullScale {
 		b = workload.DefaultFLANN()
 	}
-	rows, err := expRows(expConfigFor(opts),
-		[]scheme.Kind{scheme.CoreIntegrated, scheme.DeviceIndirect},
-		func(_ context.Context, _ int, k scheme.Kind) ([][]string, error) {
+	rows, err := mapJobs(par, []scheme.Kind{scheme.CoreIntegrated, scheme.DeviceIndirect},
+		func(k scheme.Kind) ([][]string, error) {
 			hw, err := workload.RunQEI(b, k, workload.ROIOnly, workload.WithNoCWindow())
 			if err != nil {
 				return nil, err

@@ -1,11 +1,13 @@
-package qei
+package exp
 
 // Shape tests: the paper's qualitative claims, asserted on the
 // small-scale experiment runs. These are the guardrails that keep the
 // reproduction honest — each test states the claim it checks.
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -42,7 +44,7 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	td, err := Fig7Speedup(Small)
+	td, err := fig7Speedup(Small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	td, err := Fig8LatencySweep(Small)
+	td, err := fig8LatencySweep(Small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestFig9Band(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	td, err := Fig9EndToEnd(Small)
+	td, err := fig9EndToEnd(Small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	td, err := Fig10TupleSpace(Small)
+	td, err := fig10TupleSpace(Small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestFig12Band(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	td, err := Fig12DynamicPower(Small)
+	td, err := fig12DynamicPower(Small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func TestTailLatencyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	td, err := TailLatency(Small)
+	td, err := tailLatency(Small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +178,77 @@ func TestNoCUtilizationReported(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	td, err := NoCUtilization(Small)
+	td, err := nocUtilization(Small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(td.Rows) != 2 {
 		t.Fatalf("rows = %d", len(td.Rows))
+	}
+}
+
+func TestExperimentTablesRender(t *testing.T) {
+	tab1, _ := tabI(Small, 0)
+	if len(tab1.Rows) != 5 {
+		t.Fatalf("TabI rows = %d", len(tab1.Rows))
+	}
+	if !strings.Contains(tab1.String(), "Core-integrated") {
+		t.Fatal("TabI text missing Core-integrated")
+	}
+	if !strings.Contains(tab1.CSV(), "scheme,") {
+		t.Fatal("CSV header missing")
+	}
+	if tab2, _ := tabII(Small, 0); len(tab2.Rows) == 0 {
+		t.Fatal("TabII empty")
+	}
+	if tab3, _ := tabIII(Small, 0); len(tab3.Rows) != 3 {
+		t.Fatalf("TabIII rows = %d", len(tab3.Rows))
+	}
+}
+
+func TestFig1SmallScale(t *testing.T) {
+	res, err := fig1QueryTimeShare(Small, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 5 {
+		t.Fatalf("Fig1 rows = %d, want 5", len(res.Rows))
+	}
+	for _, r := range res.Rows {
+		if len(r) != len(res.Headers) {
+			t.Fatalf("%s: %d columns, want %d", r[0], len(r), len(res.Headers))
+		}
+		var pct, mispredicts, loads, ipc float64
+		for i, v := range []*float64{&pct, &mispredicts, &loads, &ipc} {
+			if _, err := fmt.Sscanf(r[i+1], "%f", v); err != nil {
+				t.Fatalf("%s %s: %v", r[0], res.Headers[i+1], err)
+			}
+		}
+		if pct < 15 || pct > 60 {
+			t.Fatalf("%s query share %.1f%% outside plausible band", r[0], pct)
+		}
+		// Every query ends in a data-dependent branch and reads at least
+		// one line; the ROI is memory-bound, so IPC stays well under the
+		// core's width (Sec. II-A).
+		if mispredicts < 1 || loads < 1 {
+			t.Fatalf("%s: %.2f mispredicts and %.1f loads per query", r[0], mispredicts, loads)
+		}
+		if ipc <= 0 || ipc >= 1 {
+			t.Fatalf("%s ROI IPC %.2f outside (0, 1)", r[0], ipc)
+		}
+	}
+}
+
+func TestFig11SmallScale(t *testing.T) {
+	res, err := fig11InstrReduction(Small, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Rows {
+		var red float64
+		fmt.Sscanf(r[3], "%f", &red)
+		if red < 50 {
+			t.Fatalf("%s instruction reduction only %.1f%%", r[0], red)
+		}
 	}
 }

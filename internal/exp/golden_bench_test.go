@@ -1,4 +1,4 @@
-package qei
+package exp
 
 import (
 	"encoding/json"
@@ -7,15 +7,15 @@ import (
 )
 
 // TestBenchGoldenCycles pins the "bench" experiment's simulated outputs
-// to the committed BENCH_bench.json. The performance work on the hot
-// path (PR 5) must leave every simulated quantity — cycle counts,
-// speedups, and the counter profile of each run — byte-identical. If
-// this test fails after an intentional model change, regenerate the
-// file with:
+// to BENCH_bench.json, committed at the repository root. Performance
+// work on the hot path must leave every simulated quantity — cycle
+// counts, speedups, and the counter profile of each run —
+// byte-identical. If this test fails after an intentional model change,
+// regenerate the file from the repository root with:
 //
 //	go run ./cmd/qeibench -exp bench -scale small -json -out .
 func TestBenchGoldenCycles(t *testing.T) {
-	data, err := os.ReadFile("BENCH_bench.json")
+	data, err := os.ReadFile("../../BENCH_bench.json")
 	if err != nil {
 		t.Fatalf("missing golden file: %v", err)
 	}
@@ -32,7 +32,7 @@ func TestBenchGoldenCycles(t *testing.T) {
 			want = append(want, w)
 		}
 	}
-	got, err := RunBench(Small)
+	got, err := RunBench(Small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,16 @@
-package qei
+package exp
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // TestExperimentParallelDeterminism is the tentpole guarantee: an
 // experiment fanned across workers renders byte-identically to its
 // serial run.
 func TestExperimentParallelDeterminism(t *testing.T) {
-	serial, err := Fig1QueryTimeShare(Small, WithParallelism(1))
+	serial, err := fig1QueryTimeShare(Small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Fig1QueryTimeShare(Small, WithParallelism(4))
+	parallel, err := fig1QueryTimeShare(Small, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,14 +19,6 @@ func TestExperimentParallelDeterminism(t *testing.T) {
 	}
 	if s, p := serial.CSV(), parallel.CSV(); s != p {
 		t.Fatal("parallel CSV diverges from serial")
-	}
-}
-
-func TestExperimentContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Fig1QueryTimeShare(Small, WithContext(ctx), WithParallelism(2)); err == nil {
-		t.Fatal("cancelled context did not stop the experiment")
 	}
 }
 
@@ -50,7 +39,7 @@ func TestExperimentsRegistry(t *testing.T) {
 			t.Fatalf("registry missing %s", name)
 		}
 	}
-	tab, err := Experiments()[1].Run(Small) // tab1
+	tab, err := Experiments()[1].Run(Small, 1) // tab1
 	if err != nil || len(tab.Rows) == 0 {
 		t.Fatalf("static experiment: %v, %d rows", err, len(tab.Rows))
 	}

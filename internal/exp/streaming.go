@@ -1,14 +1,15 @@
-package qei
+package exp
 
 import (
-	"context"
 	"fmt"
+
+	"qei"
 )
 
 // This file is the streaming experiment: single-tenant read-write
 // streams served through the same serving path as every other request
-// stream (serving.go), one row per mutable structure kind, each checked
-// against the host model (serve.Verify) and the epoch GC's
+// stream (qei.RunServing), one row per mutable structure kind, each
+// checked against the host model (serve.Verify) and the epoch GC's
 // read-after-retire watcher.
 
 // streamingConfig is one row of the streaming experiment: a single
@@ -16,8 +17,8 @@ import (
 // 0.99 keys) over a mutable table of the given kind, with up to eight
 // lookups in flight across the writes and every answer kept for the
 // host-model check.
-func streamingConfig(s Scale, kind StructKind) ServingConfig {
-	cfg := DefaultServingConfig()
+func streamingConfig(s Scale, kind qei.StructKind) qei.ServingConfig {
+	cfg := qei.DefaultServingConfig()
 	cfg.Tenants = 1
 	cfg.Kind = kind
 	cfg.KeysPerTenant, cfg.Requests = 96, 420
@@ -31,21 +32,21 @@ func streamingConfig(s Scale, kind StructKind) ServingConfig {
 	return cfg
 }
 
-// StreamingConsistency is the "streaming" experiment: the same seeded
+// streamingConsistency is the "streaming" experiment: the same seeded
 // read-write stream served against each mutable structure kind, with
 // software writes landing beside in-flight accelerated lookups under
 // epoch reclamation. Every row must show zero host-model mismatches and
 // zero read-after-retire violations.
-func StreamingConsistency(s Scale, opts ...ExpOption) (TableData, error) {
+func streamingConsistency(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title: "Streaming — epoch-consistent read-write streams (30% writes)",
 		Headers: []string{"kind", "reads", "writes", "found", "mismatch",
 			"viol", "p50", "p99", "write_p99"},
 	}
-	kinds := []StructKind{KindCuckoo, KindSkipList, KindBST, KindBTree}
-	rows, err := expRows(expConfigFor(opts), kinds,
-		func(_ context.Context, _ int, kind StructKind) ([][]string, error) {
-			rep, err := RunServing(streamingConfig(s, kind))
+	kinds := []qei.StructKind{qei.KindCuckoo, qei.KindSkipList, qei.KindBST, qei.KindBTree}
+	rows, err := mapJobs(par, kinds,
+		func(kind qei.StructKind) ([][]string, error) {
+			rep, err := qei.RunServing(streamingConfig(s, kind))
 			if err != nil {
 				return nil, err
 			}

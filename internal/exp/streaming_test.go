@@ -1,19 +1,20 @@
-package qei
+package exp
 
 import (
 	"bytes"
 	"encoding/json"
 	"testing"
 
+	"qei"
 	"qei/internal/serve"
 )
 
 func TestStreamingSerialParallelIdentical(t *testing.T) {
-	serial, err := StreamingConsistency(Small, WithParallelism(1))
+	serial, err := streamingConsistency(Small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := StreamingConsistency(Small, WithParallelism(4))
+	par, err := streamingConsistency(Small, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +36,8 @@ func TestStreamingSerialParallelIdentical(t *testing.T) {
 // matches the live one field for field, and both answer like the host
 // model.
 func TestStreamLiveReplayTraceIdentical(t *testing.T) {
-	cfg := streamingConfig(Small, KindBTree)
-	live, err := RunServing(cfg)
+	cfg := streamingConfig(Small, qei.KindBTree)
+	live, err := qei.RunServing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestStreamLiveReplayTraceIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := ReplayServing(cfg, rgen, rreqs)
+	replay, err := qei.ReplayServing(cfg, rgen, rreqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestStreamLiveReplayTraceIdentical(t *testing.T) {
 // write-heavy served stream that reuses memory.
 func TestStreamNoReadAfterRetireProperty(t *testing.T) {
 	var reused uint64
-	for _, kind := range []StructKind{KindSkipList, KindBST, KindBTree} {
+	for _, kind := range []qei.StructKind{qei.KindSkipList, qei.KindBST, qei.KindBTree} {
 		for seed := int64(1); seed <= 3; seed++ {
 			cfg := streamingConfig(Small, kind)
 			cfg.Seed = seed
@@ -85,8 +86,8 @@ func TestStreamNoReadAfterRetireProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys := NewSystem(cfg.Scheme, WithSeed(seed))
-			b, err := NewServingBackend(cfg.Backend, sys)
+			sys := qei.NewSystem(cfg.Scheme, qei.WithSeed(seed))
+			b, err := qei.NewServingBackend(cfg.Backend, sys)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,12 +118,12 @@ func TestStreamNoReadAfterRetireProperty(t *testing.T) {
 // off. Faulted reads ride in the report; the run must complete every
 // request and stay deterministic.
 func TestStreamChaosSoakWithFaults(t *testing.T) {
-	cfg := streamingConfig(Small, KindSkipList)
+	cfg := streamingConfig(Small, qei.KindSkipList)
 	cfg.WriteFraction = 0.4
-	faults := MustParseFaultSpec("11:flip=0.002,spurious=0.02,nocdelay=0.01")
+	faults := qei.MustParseFaultSpec("11:flip=0.002,spurious=0.02,nocdelay=0.01")
 	cfg.Faults = &faults
 
-	soak, err := RunServing(cfg)
+	soak, err := qei.RunServing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestStreamChaosSoakWithFaults(t *testing.T) {
 	if soak.FaultsInjected == 0 {
 		t.Fatal("chaos schedule injected nothing")
 	}
-	again, err := RunServing(cfg)
+	again, err := qei.RunServing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestStreamChaosSoakWithFaults(t *testing.T) {
 	// the injector engaged the overlapped read-write path — and answer
 	// like the host model.
 	cfg.Faults = nil
-	clean, err := RunServing(cfg)
+	clean, err := qei.RunServing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package qei
+package exp
 
 import "testing"
 

@@ -205,14 +205,6 @@ func (i *Injector) Hits(k Kind) uint64 {
 	return i.hits[k]
 }
 
-// Opportunities returns how many injection opportunities kind k has seen.
-func (i *Injector) Opportunities(k Kind) uint64 {
-	if i == nil {
-		return 0
-	}
-	return i.ops[k]
-}
-
 // splitmix64 is the SplitMix64 finalizer — a strong, allocation-free
 // mix of one 64-bit word, the standard choice for counter-based PRNGs.
 func splitmix64(x uint64) uint64 {

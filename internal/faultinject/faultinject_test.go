@@ -93,8 +93,8 @@ func TestInjectorRateExtremes(t *testing.T) {
 	if buf[0] != 0xAA {
 		t.Fatal("zero-rate MaybeFlip mutated the buffer")
 	}
-	if never.Opportunities(BitFlip) != 50 {
-		t.Fatalf("opportunities = %d, want 50", never.Opportunities(BitFlip))
+	if never.ops[BitFlip] != 50 {
+		t.Fatalf("opportunities = %d, want 50", never.ops[BitFlip])
 	}
 }
 
@@ -104,7 +104,7 @@ func TestInjectorDisarmedAndNil(t *testing.T) {
 	if inj.MaybeFlip(0, buf) || inj.SpuriousFault() || inj.NoCDrop() {
 		t.Fatal("disarmed injector fired")
 	}
-	if inj.Opportunities(BitFlip) != 0 {
+	if inj.ops[BitFlip] != 0 {
 		t.Fatal("disarmed injector consumed an opportunity")
 	}
 	inj.Arm()
@@ -120,7 +120,7 @@ func TestInjectorDisarmedAndNil(t *testing.T) {
 	if nilInj.Armed() || nilInj.MaybeFlip(0, buf) || nilInj.NoCDrop() ||
 		nilInj.TLBShootdown() || nilInj.SpuriousFault() || nilInj.EvictLine() ||
 		nilInj.NoCDelayCycles() != 0 || nilInj.Injected() != 0 ||
-		nilInj.Hits(BitFlip) != 0 || nilInj.Opportunities(Spurious) != 0 {
+		nilInj.Hits(BitFlip) != 0 {
 		t.Fatal("nil injector is not a no-op")
 	}
 	nilInj.Arm()

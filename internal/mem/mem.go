@@ -149,11 +149,6 @@ func (p *Physical) growFrame(f uint64) []byte {
 	return b
 }
 
-// ByteAt returns the byte at physical address a.
-func (p *Physical) ByteAt(a PAddr) byte {
-	return p.frame(a.Frame())[uint64(a)&(PageSize-1)]
-}
-
 // Read copies len(dst) bytes starting at physical address a. The range may
 // cross frame boundaries.
 func (p *Physical) Read(a PAddr, dst []byte) {
@@ -493,22 +488,6 @@ func (as *AddressSpace) WriteU64(a VAddr, v uint64) error {
 	return as.Write(a, buf[:])
 }
 
-// ReadU32 reads a little-endian uint32 at a.
-func (as *AddressSpace) ReadU32(a VAddr) (uint32, error) {
-	var buf [4]byte
-	if err := as.Read(a, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
-// WriteU32 writes a little-endian uint32 at a.
-func (as *AddressSpace) WriteU32(a VAddr, v uint32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	return as.Write(a, buf[:])
-}
-
 // ReadU16 reads a little-endian uint16 at a.
 func (as *AddressSpace) ReadU16(a VAddr) (uint16, error) {
 	var buf [2]byte
@@ -516,13 +495,6 @@ func (as *AddressSpace) ReadU16(a VAddr) (uint16, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint16(buf[:]), nil
-}
-
-// WriteU16 writes a little-endian uint16 at a.
-func (as *AddressSpace) WriteU16(a VAddr, v uint16) error {
-	var buf [2]byte
-	binary.LittleEndian.PutUint16(buf[:], v)
-	return as.Write(a, buf[:])
 }
 
 // LinesTouched returns how many distinct cachelines the byte range

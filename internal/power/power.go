@@ -170,16 +170,16 @@ func (m Model) QEIArea(qstEntries, comparators int, withTLB bool) (mm2, mW float
 		mW += float64(extraComp) * m.ComparatorLeak
 	}
 	if withTLB {
-		ta, tp := m.TLBArea()
+		ta, tp := m.tlbArea()
 		mm2 += ta
 		mW += tp
 	}
 	return mm2, mW
 }
 
-// TLBArea returns the dedicated 1024-entry TLB's area (mm²) and static
+// tlbArea returns the dedicated 1024-entry TLB's area (mm²) and static
 // power (mW) — the hardware the CHA-TLB scheme pays 24 times for.
-func (m Model) TLBArea() (mm2, mW float64) {
+func (m Model) tlbArea() (mm2, mW float64) {
 	cam := float64(m.TLBEntries * m.TLBTagBits)
 	data := float64(m.TLBEntries * m.TLBDataBits)
 	mm2 = (cam*m.CAMAreaPerBit + data*m.SRAMAreaPerBit) / 1e6

@@ -27,7 +27,7 @@ func TestTableIIIMatchesPaper(t *testing.T) {
 func TestTLBDominatesQEI10Area(t *testing.T) {
 	m := Default()
 	base, _ := m.QEIArea(10, 2, false)
-	tlbA, _ := m.TLBArea()
+	tlbA, _ := m.tlbArea()
 	// Sec. VII-D: "the extra TLB incurs significant overhead" — the TLB
 	// is bigger than the whole QEI-10 accelerator.
 	if tlbA <= base {

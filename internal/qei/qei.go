@@ -488,9 +488,9 @@ func (a *Accelerator) Capacity() int {
 	return a.p.QSTEntriesPerInstance * a.p.Instances
 }
 
-// InFlightNB counts non-blocking queries still executing at cycle at,
+// inFlightNB counts non-blocking queries still executing at cycle at,
 // pruning records of queries that have already completed.
-func (a *Accelerator) InFlightNB(at uint64) int {
+func (a *Accelerator) inFlightNB(at uint64) int {
 	n := 0
 	for tag, rec := range a.nbInFlight {
 		if rec.done > at {
@@ -520,7 +520,7 @@ func (a *Accelerator) NextNBDone(at uint64) (uint64, bool) {
 // fails fast with ErrQSTFull instead of modelling back-pressure as
 // waiting, so software can run the List-2 drain-and-retry loop.
 func (a *Accelerator) TryIssueNonBlocking(q *isa.QueryDesc, issue uint64) (uint64, error) {
-	if a.InFlightNB(issue) >= a.Capacity() {
+	if a.inFlightNB(issue) >= a.Capacity() {
 		return 0, fmt.Errorf("%w: %d queries outstanding at cycle %d", ErrQSTFull, a.Capacity(), issue)
 	}
 	return a.IssueNonBlocking(q, issue)

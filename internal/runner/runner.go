@@ -4,9 +4,9 @@
 // machine.Machine, so jobs share no mutable state and can execute in any
 // interleaving; the pool collects results strictly by input index, which
 // makes the rendered output of a parallel run byte-identical to the
-// serial run. The harness is the substrate for qei.RunAll, the parallel
-// experiment CLIs, and every future scaling study (sharding, open-loop
-// load generation, multi-backend).
+// serial run. The harness is the substrate for the experiment registry
+// (internal/exp), the parallel CLIs, and every future scaling study
+// (sharding, open-loop load generation, multi-backend).
 package runner
 
 import (

@@ -242,9 +242,6 @@ func (b *Breaker) Record(now uint64, ok bool) {
 // State returns the current automaton state.
 func (b *Breaker) State() BreakerState { return b.state }
 
-// OpenedAt returns the cycle of the most recent trip.
-func (b *Breaker) OpenedAt() uint64 { return b.openedAt }
-
 // Trips counts Closed/HalfOpen -> Open transitions.
 func (b *Breaker) Trips() uint64 { return b.trips }
 

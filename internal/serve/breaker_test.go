@@ -80,7 +80,7 @@ func TestBreakerHalfOpenCloseAndRetrip(t *testing.T) {
 	if b.State() != BreakerOpen {
 		t.Fatal("no trip")
 	}
-	openedAt := b.OpenedAt()
+	openedAt := b.openedAt
 	// Before the hold expires: fast-fail.
 	if b.Allow(openedAt + 100) {
 		t.Fatal("allowed during open hold")
@@ -116,10 +116,10 @@ func TestBreakerHalfOpenCloseAndRetrip(t *testing.T) {
 	if b.State() != BreakerOpen || b.Trips() != 2 {
 		t.Fatalf("second trip missing: state %v trips %d", b.State(), b.Trips())
 	}
-	if !b.Allow(b.OpenedAt() + 600) {
+	if !b.Allow(b.openedAt + 600) {
 		t.Fatal("no probe on second half-open")
 	}
-	b.Record(b.OpenedAt()+700, false)
+	b.Record(b.openedAt+700, false)
 	if b.State() != BreakerOpen || b.Trips() != 3 {
 		t.Fatalf("probe fault did not re-trip: state %v trips %d", b.State(), b.Trips())
 	}

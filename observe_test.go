@@ -2,11 +2,7 @@ package qei
 
 import (
 	"encoding/json"
-	"os"
-	"strings"
 	"testing"
-
-	"qei/internal/workload"
 )
 
 // queryAll runs the same deterministic query sequence on sys and
@@ -118,84 +114,5 @@ func TestSystemUnifiedTraceExport(t *testing.T) {
 		if !cats[want] {
 			t.Fatalf("category %q missing from unified trace (have %v)", want, cats)
 		}
-	}
-}
-
-// benchTestSet trims the bench matrix to two structurally different
-// workloads so the JSON and determinism tests stay fast; RunBench
-// itself covers the full set.
-func benchTestSet() []workload.Benchmark {
-	return []workload.Benchmark{workload.SmallDPDK(), workload.SmallJVM()}
-}
-
-// TestBenchJSONRoundTrip validates the qeibench -json schema: the
-// written BENCH_*.json decodes back into []BenchResult with cycles and
-// speedup per scheme.
-func TestBenchJSONRoundTrip(t *testing.T) {
-	rs, err := runBenchOn(benchTestSet(), []ExpOption{WithParallelism(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) == 0 {
-		t.Fatal("no bench results")
-	}
-	schemes := map[string]bool{}
-	for _, r := range rs {
-		if r.Cycles == 0 || r.BaselineCycles == 0 || r.Speedup <= 0 {
-			t.Fatalf("degenerate record %+v", r)
-		}
-		if r.Counters["qei/queries"] == 0 {
-			t.Fatalf("record %s/%s lost its counters", r.Workload, r.Scheme)
-		}
-		schemes[r.Scheme] = true
-	}
-	if len(schemes) != len(Schemes()) {
-		t.Fatalf("results cover %d schemes, want %d", len(schemes), len(Schemes()))
-	}
-
-	path, err := WriteBenchJSON(t.TempDir(), "test", rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(path, "BENCH_test.json") {
-		t.Fatalf("unexpected path %s", path)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []BenchResult
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("BENCH json does not decode into the result schema: %v", err)
-	}
-	if len(back) != len(rs) {
-		t.Fatalf("round trip lost records: %d vs %d", len(back), len(rs))
-	}
-	if back[0].Experiment != "bench" {
-		t.Fatalf("experiment name %q", back[0].Experiment)
-	}
-}
-
-// TestMetricsCollectorParallelDeterminism extends PR 1's byte-identical
-// guarantee to metric aggregation: the merged snapshot of a parallel
-// run must equal the serial run's exactly.
-func TestMetricsCollectorParallelDeterminism(t *testing.T) {
-	serial := NewMetricsCollector()
-	if _, err := runBenchOn(benchTestSet(), []ExpOption{WithParallelism(1), WithMetricsCollector(serial)}); err != nil {
-		t.Fatal(err)
-	}
-	parallel := NewMetricsCollector()
-	if _, err := runBenchOn(benchTestSet(), []ExpOption{WithParallelism(4), WithMetricsCollector(parallel)}); err != nil {
-		t.Fatal(err)
-	}
-	s, p := serial.String(), parallel.String()
-	if s == "" {
-		t.Fatal("collector saw no metrics")
-	}
-	if s != p {
-		t.Fatalf("merged metrics diverge between worker counts:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
-	}
-	if m := serial.Merged(); len(m) == 0 || m[0].Name == "" {
-		t.Fatal("Merged() returned no metrics")
 	}
 }

@@ -1,7 +1,6 @@
 package qei
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -187,74 +186,6 @@ func TestQueryLatencyOrderingAcrossSchemes(t *testing.T) {
 	di := latency(DeviceIndirect)
 	if ci >= di {
 		t.Fatalf("Core-integrated latency (%d) should beat Device-indirect (%d)", ci, di)
-	}
-}
-
-func TestExperimentTablesRender(t *testing.T) {
-	tabI := TabI()
-	if len(tabI.Rows) != 5 {
-		t.Fatalf("TabI rows = %d", len(tabI.Rows))
-	}
-	if !strings.Contains(tabI.String(), "Core-integrated") {
-		t.Fatal("TabI text missing Core-integrated")
-	}
-	if !strings.Contains(tabI.CSV(), "scheme,") {
-		t.Fatal("CSV header missing")
-	}
-	tabII := TabII()
-	if len(tabII.Rows) == 0 {
-		t.Fatal("TabII empty")
-	}
-	tabIII := TabIII()
-	if len(tabIII.Rows) != 3 {
-		t.Fatalf("TabIII rows = %d", len(tabIII.Rows))
-	}
-}
-
-func TestFig1SmallScale(t *testing.T) {
-	res, err := Fig1QueryTimeShare(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("Fig1 rows = %d, want 5", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if len(r) != len(res.Headers) {
-			t.Fatalf("%s: %d columns, want %d", r[0], len(r), len(res.Headers))
-		}
-		var pct, mispredicts, loads, ipc float64
-		for i, v := range []*float64{&pct, &mispredicts, &loads, &ipc} {
-			if _, err := fmt.Sscanf(r[i+1], "%f", v); err != nil {
-				t.Fatalf("%s %s: %v", r[0], res.Headers[i+1], err)
-			}
-		}
-		if pct < 15 || pct > 60 {
-			t.Fatalf("%s query share %.1f%% outside plausible band", r[0], pct)
-		}
-		// Every query ends in a data-dependent branch and reads at least
-		// one line; the ROI is memory-bound, so IPC stays well under the
-		// core's width (Sec. II-A).
-		if mispredicts < 1 || loads < 1 {
-			t.Fatalf("%s: %.2f mispredicts and %.1f loads per query", r[0], mispredicts, loads)
-		}
-		if ipc <= 0 || ipc >= 1 {
-			t.Fatalf("%s ROI IPC %.2f outside (0, 1)", r[0], ipc)
-		}
-	}
-}
-
-func TestFig11SmallScale(t *testing.T) {
-	res, err := Fig11InstrReduction(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Rows {
-		var red float64
-		fmt.Sscanf(r[3], "%f", &red)
-		if red < 50 {
-			t.Fatalf("%s instruction reduction only %.1f%%", r[0], red)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package qei
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -12,11 +11,10 @@ import (
 // This file wires the multi-tenant serving frontend (internal/serve)
 // to the simulated machine: the two Backend adapters — the QEI
 // accelerator and the software baseline walker — over one *System, plus
-// the ServingConfig runner and the "serving" experiment. Both adapters
-// build tenant tables through the generic System.Build entrypoint, so a
-// backend is chosen by name, never by divergent call paths (the
-// Tailwind framing: accelerator vs software is a placement decision
-// behind one interface).
+// the ServingConfig runner. Both adapters build tenant tables through
+// the generic System.Build entrypoint, so a backend is chosen by name,
+// never by divergent call paths (the Tailwind framing: accelerator vs
+// software is a placement decision behind one interface).
 
 // ServingBackends lists the registered serving backend names.
 func ServingBackends() []string { return []string{"qei", "baseline"} }
@@ -452,49 +450,4 @@ func ReplayServing(cfg ServingConfig, gen serve.GenConfig, reqs []serve.Request)
 		}
 	}
 	return rep, nil
-}
-
-// ServingPercentiles is the "serving" experiment: the same seeded
-// multi-tenant open-loop trace served by the software baseline and the
-// QEI accelerator behind the shared Backend interface, reported as
-// per-tenant latency percentiles and SLO violations.
-func ServingPercentiles(s Scale, opts ...ExpOption) (TableData, error) {
-	t := TableData{
-		Title: "Serving — multi-tenant open-loop latency per backend (cycles)",
-		Headers: []string{"backend", "tenant", "requests", "throttled",
-			"slo_viol", "p50", "p99", "p999"},
-	}
-	base := DefaultServingConfig()
-	if s == FullScale {
-		base.Tenants = 16
-		base.Requests = 4000
-		base.KeysPerTenant = 256
-		base.MeanGap = 200
-	}
-	rows, err := expRows(expConfigFor(opts), ServingBackends(),
-		func(_ context.Context, _ int, backend string) ([][]string, error) {
-			cfg := base
-			cfg.Backend = backend
-			rep, err := RunServing(cfg)
-			if err != nil {
-				return nil, err
-			}
-			var rows [][]string
-			row := func(ts serve.TenantStats) []string {
-				tenant := "all"
-				if ts.Tenant >= 0 {
-					tenant = f("%d", ts.Tenant)
-				}
-				return []string{backend, tenant, f("%d", ts.Requests),
-					f("%d", ts.Throttled), f("%d", ts.SLOViolations),
-					f("%d", ts.P50), f("%d", ts.P99), f("%d", ts.P999)}
-			}
-			for _, ts := range rep.Tenants {
-				rows = append(rows, row(ts))
-			}
-			rows = append(rows, row(rep.Total))
-			return rows, nil
-		})
-	t.Rows = rows
-	return t, err
 }
