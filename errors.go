@@ -54,9 +54,10 @@ var (
 	ErrAdmissionStall = serve.ErrAdmissionStall
 	// ErrUnknownKind is returned by Build and BuildMutable for a
 	// StructKind they have no builder for (KindInvalid, KindCustom,
-	// undefined values), by QuerySoftware for a kind without a software
-	// walker, and by ParseStructKind — hence by the serving backends'
-	// builders — for an unrecognized kind name.
+	// undefined values), by QuerySoftware for a table whose header type
+	// code has no software walker (custom firmware), and by
+	// ParseStructKind — hence by the serving backends' builders — for an
+	// unrecognized kind name.
 	ErrUnknownKind = errors.New("qei: no builder for structure kind")
 	// ErrFirmwareInvalid is returned by RegisterFirmware and
 	// ValidateFirmware for firmware that fails admission: reserved or

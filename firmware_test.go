@@ -2,7 +2,9 @@ package qei
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -101,6 +103,39 @@ func TestPublicFirmwareExtension(t *testing.T) {
 	rL, _ := sys.Query(table, kLast[:])
 	if rL.Latency <= r0.Latency {
 		t.Fatalf("last entry (%d cyc) should cost more than first (%d cyc)", rL.Latency, r0.Latency)
+	}
+}
+
+// TestCustomFirmwareHasNoSoftwareWalker checks that a table whose header
+// carries a registered non-built-in type code has no software walker:
+// QuerySoftware returns ErrUnknownKind, and the "baseline" serving
+// backend passes that error through without counting an exception.
+func TestCustomFirmwareHasNoSoftwareWalker(t *testing.T) {
+	sys := NewSystem(CoreIntegrated)
+	if err := sys.RegisterFirmware(arrayFW{}); err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, 16)
+	binary.LittleEndian.PutUint64(body, 0xA000)
+	binary.LittleEndian.PutUint64(body[8:], 7000)
+	table, err := sys.WriteTableHeader("array50", arrayType, sys.Write(body), 8, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := body[:8]
+	if _, err := sys.QuerySoftware(table, key); !errors.Is(err, ErrUnknownKind) ||
+		!strings.Contains(err.Error(), "array50 has no software walker") {
+		t.Fatalf("QuerySoftware on a custom table: err = %v, want ErrUnknownKind", err)
+	}
+	be, err := NewServingBackend("baseline", sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := be.Query(table, key); !errors.Is(err, ErrUnknownKind) {
+		t.Fatalf("baseline backend on a custom table: err = %v, want ErrUnknownKind", err)
+	}
+	if st := be.Stats(); st.Queries != 0 || st.Exceptions != 0 {
+		t.Fatalf("baseline backend counted %+v for a table it cannot walk", st)
 	}
 }
 

@@ -19,15 +19,17 @@
 // characterization of query loops as frontend-bound for linked
 // structures.
 //
-// Two entry points exist per structure: free functions (QueryLinkedList
-// et al.) that return a trace owning its storage, and methods on Querier
-// — a reusable arena that amortizes the builder, the key scratch buffer,
-// and the constant per-structure trace prefix across millions of queries
-// on the workload runner's hot path.
+// The single entry point, Querier.Query, reads the structure's metadata
+// header and lets its type code pick the routine — the same byte that
+// selects the CFA program on the accelerator (Sec. IV-B). A Querier is
+// a reusable arena that amortizes the builder, the key scratch buffer,
+// and the constant per-structure trace prefix across millions of
+// queries.
 package baseline
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"qei/internal/dstruct"
@@ -35,12 +37,18 @@ import (
 	"qei/internal/mem"
 )
 
+// ErrNoWalker reports a header whose type code has no software routine
+// (a custom firmware type).
+var ErrNoWalker = errors.New("baseline: no software walker")
+
 // Result is the outcome of one software query: the functional answer and
-// the dynamic trace it cost.
+// the dynamic trace it cost. A trie scan lists every match in Matches
+// and, like the accelerator, leaves the last one in Value.
 type Result struct {
-	Value uint64
-	Found bool
-	Trace isa.Trace
+	Value   uint64
+	Found   bool
+	Matches []uint64
+	Trace   isa.Trace
 }
 
 // callOverheadOps is the per-query scalar overhead of the surrounding
@@ -77,9 +85,9 @@ func emitHash(b *isa.Builder, keyLen int) isa.Reg {
 // prefixSkel caches the constant per-query trace prefix for one
 // structure: call overhead, the descriptor-line load, and (for hashed
 // tables) the key hash and bucket-index arithmetic. These ops depend
-// only on the header address and the header's key length — never on
-// structure contents, which updates mutate — so replaying the skeleton
-// is byte-identical to re-emitting it.
+// only on the header address and the header's type and key length —
+// never on structure contents, which updates mutate — so replaying the
+// skeleton is byte-identical to re-emitting it.
 type prefixSkel struct {
 	skel isa.Skeleton
 	cur  isa.Reg // descriptor-load destination register
@@ -87,23 +95,57 @@ type prefixSkel struct {
 }
 
 // Querier is a reusable arena for the query routines: one trace builder,
-// one stored-key scratch buffer, and a per-structure prefix cache. A
-// zero Querier is usable (the free functions run on one) but does not
-// memoize prefixes; NewQuerier enables memoization for long-lived use.
+// one stored-key scratch buffer, and a per-structure prefix cache. The
+// zero Querier is ready to use. The cache is keyed by header address, so
+// a Querier serves one address space, where headers are never freed.
 //
-// Traces returned by Querier methods share the arena's storage and are
-// valid only until the next query on the same Querier — callers must
-// copy (isa.Builder.Append does) or consume them first. A Querier is not
-// safe for concurrent use; the workload runner keeps one per plan.
+// Traces returned by Query share the arena's storage and are valid only
+// until the next query on the same Querier — callers must copy
+// (isa.Builder.Append does) or consume them first. A Querier is not
+// safe for concurrent use.
 type Querier struct {
 	b     isa.Builder
 	key   []byte
 	skels map[mem.VAddr]prefixSkel
 }
 
-// NewQuerier returns a Querier with prefix memoization enabled.
-func NewQuerier() *Querier {
-	return &Querier{skels: make(map[mem.VAddr]prefixSkel)}
+// Query runs one query for key on the structure whose header is at
+// headerAddr, with the routine the header's type code selects; a trie
+// scans key as its input. A type code with no routine returns
+// ErrNoWalker.
+func (q *Querier) Query(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
+	h, err := dstruct.ReadHeader(as, headerAddr)
+	if err != nil {
+		return Result{}, err
+	}
+	switch h.Type {
+	case dstruct.TypeLinkedList:
+		// Load the list descriptor (head pointer) — one line.
+		cur, _ := q.emitPrefix(headerAddr, h)
+		return q.walkChain(as, h.KeyLen, h.Root, cur, key)
+	case dstruct.TypeHashTable:
+		// Hash the key, load the bucket head, then walk the chain (the
+		// "hash table of linked lists" combined structure).
+		_, idx := q.emitPrefix(headerAddr, h)
+		slot := dstruct.HashBucketSlot(h, key)
+		head := q.b.Load(slot, 8, idx) // bucket head pointer load
+		headU, err := as.ReadU64(slot)
+		if err != nil {
+			return Result{}, err
+		}
+		return q.walkChain(as, h.KeyLen, mem.VAddr(headU), head, key)
+	case dstruct.TypeCuckoo:
+		return q.cuckoo(as, headerAddr, h, key)
+	case dstruct.TypeSkipList:
+		return q.skipList(as, headerAddr, h, key)
+	case dstruct.TypeBST:
+		return q.bst(as, headerAddr, h, key)
+	case dstruct.TypeTrie:
+		return q.scanTrie(as, headerAddr, h, key)
+	case dstruct.TypeBTree:
+		return q.btree(as, headerAddr, h, key)
+	}
+	return Result{}, fmt.Errorf("%w for type %s", ErrNoWalker, dstruct.TypeName(h.Type))
 }
 
 // scratch returns the arena's n-byte stored-key buffer, growing it if
@@ -116,54 +158,44 @@ func (q *Querier) scratch(n int) []byte {
 	return q.key
 }
 
-// emitPrefix emits (or replays) the constant query prologue for the
-// structure at headerAddr into the arena's freshly Reset builder:
-// call overhead plus the descriptor-line load, and for hashed tables
-// also the key hash and bucket-index ALU. It returns the descriptor
-// register and, for hashed prefixes, the index register.
-func (q *Querier) emitPrefix(headerAddr mem.VAddr, keyLen int, hashed bool) (cur, idx isa.Reg) {
-	if q.skels != nil {
-		if s, ok := q.skels[headerAddr]; ok {
-			q.b.AppendSkeleton(s.skel)
-			return s.cur, s.idx
-		}
-	}
+// emitPrefix resets the arena's builder and emits (or replays) the
+// constant query prologue for the structure at headerAddr: call
+// overhead plus the descriptor-line load, and for hashed tables also
+// the key hash and bucket-index ALU. It returns the descriptor register
+// and, for hashed tables, the index register.
+func (q *Querier) emitPrefix(headerAddr mem.VAddr, h dstruct.Header) (cur, idx isa.Reg) {
 	b := &q.b
+	b.Reset()
+	if s, ok := q.skels[headerAddr]; ok {
+		b.AppendSkeleton(s.skel)
+		return s.cur, s.idx
+	}
 	emitCallOverhead(b)
 	cur = b.LoadLine(headerAddr, 0)
-	if hashed {
-		hreg := emitHash(b, keyLen)
+	if h.Type == dstruct.TypeHashTable || h.Type == dstruct.TypeCuckoo {
+		hreg := emitHash(b, int(h.KeyLen))
 		idx = b.ALU(hreg, cur)
 	}
-	if q.skels != nil {
-		// The prefix is the entire builder contents here (every routine
-		// emits it first after Reset), so a snapshot captures exactly it.
-		q.skels[headerAddr] = prefixSkel{skel: q.b.Snapshot(), cur: cur, idx: idx}
+	if q.skels == nil {
+		q.skels = make(map[mem.VAddr]prefixSkel)
 	}
+	// The prefix is the entire builder contents here, so a snapshot
+	// captures exactly it.
+	q.skels[headerAddr] = prefixSkel{skel: b.Snapshot(), cur: cur, idx: idx}
 	return cur, idx
 }
 
-// QueryLinkedList walks the list per List 1 of the paper.
-func (q *Querier) QueryLinkedList(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
-	h, err := dstruct.ReadHeader(as, headerAddr)
-	if err != nil {
-		return Result{}, err
-	}
-	if h.Type != dstruct.TypeLinkedList {
-		return Result{}, fmt.Errorf("baseline: header at %#x is %s, want linkedlist", uint64(headerAddr), dstruct.TypeName(h.Type))
-	}
-	q.b.Reset()
+// walkChain walks a singly linked chain from node per List 1 of the
+// paper: a whole linked list, or one hash bucket's chain. cur is the
+// register the first node address came from.
+func (q *Querier) walkChain(as *mem.AddressSpace, keyLen uint16, node mem.VAddr, cur isa.Reg, key []byte) (Result, error) {
 	b := &q.b
-	// Load the list descriptor (head pointer) — one line.
-	cur, _ := q.emitPrefix(headerAddr, 0, false)
-
-	node := h.Root
 	for node != 0 {
 		// Load the node line (next/value/key share it for short keys).
 		nodeReady := b.LoadLine(node, cur)
-		cmp := emitKeyCompare(b, dstruct.ListKeyAddr(node), h.KeyLen, nodeReady)
+		cmp := emitKeyCompare(b, dstruct.ListKeyAddr(node), keyLen, nodeReady)
 
-		k := q.scratch(int(h.KeyLen))
+		k := q.scratch(int(keyLen))
 		if err := as.Read(dstruct.ListKeyAddr(node), k); err != nil {
 			return Result{}, err
 		}
@@ -190,77 +222,17 @@ func (q *Querier) QueryLinkedList(as *mem.AddressSpace, headerAddr mem.VAddr, ke
 	return Result{Trace: b.Ops()}, nil
 }
 
-// QueryHashTable hashes the key, loads the bucket head, then walks the
-// chain (the "hash table of linked lists" combined structure).
-func (q *Querier) QueryHashTable(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
-	h, err := dstruct.ReadHeader(as, headerAddr)
-	if err != nil {
-		return Result{}, err
-	}
-	if h.Type != dstruct.TypeHashTable {
-		return Result{}, fmt.Errorf("baseline: header at %#x is %s, want hashtable", uint64(headerAddr), dstruct.TypeName(h.Type))
-	}
-	q.b.Reset()
-	b := &q.b
-	_, idx := q.emitPrefix(headerAddr, int(h.KeyLen), true)
-
-	slot := dstruct.HashBucketSlot(h, key)
-	head := b.Load(slot, 8, idx) // bucket head pointer load
-
-	headU, err := as.ReadU64(slot)
-	if err != nil {
-		return Result{}, err
-	}
-	node := mem.VAddr(headU)
-	cur := head
-	for node != 0 {
-		nodeReady := b.LoadLine(node, cur)
-		cmp := emitKeyCompare(b, dstruct.ListKeyAddr(node), h.KeyLen, nodeReady)
-		k := q.scratch(int(h.KeyLen))
-		if err := as.Read(dstruct.ListKeyAddr(node), k); err != nil {
-			return Result{}, err
-		}
-		match := bytes.Equal(k, key)
-		b.Branch(cmp, match)
-		if match {
-			v, err := dstruct.ListValue(as, node)
-			if err != nil {
-				return Result{}, err
-			}
-			b.ALU(nodeReady, 0)
-			return Result{Value: v, Found: true, Trace: b.Ops()}, nil
-		}
-		next, err := dstruct.ListNext(as, node)
-		if err != nil {
-			return Result{}, err
-		}
-		b.Branch(nodeReady, next == 0)
-		cur = nodeReady
-		node = next
-	}
-	return Result{Trace: b.Ops()}, nil
-}
-
-// QueryCuckoo probes the two candidate buckets of the DPDK-style table.
+// cuckoo probes the two candidate buckets of the DPDK-style table.
 // The two bucket loads are independent (software issues both probes), so
 // the core can overlap them — the baseline is already MLP-friendly here,
 // which is why hash tables show the smallest per-query accelerator win
 // (Sec. VII-A).
-func (q *Querier) QueryCuckoo(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
-	h, err := dstruct.ReadHeader(as, headerAddr)
-	if err != nil {
-		return Result{}, err
-	}
-	if h.Type != dstruct.TypeCuckoo {
-		return Result{}, fmt.Errorf("baseline: header at %#x is %s, want cuckoo", uint64(headerAddr), dstruct.TypeName(h.Type))
-	}
-	q.b.Reset()
+func (q *Querier) cuckoo(as *mem.AddressSpace, headerAddr mem.VAddr, h dstruct.Header, key []byte) (Result, error) {
+	_, idx := q.emitPrefix(headerAddr, h)
 	b := &q.b
-	_, idx := q.emitPrefix(headerAddr, int(h.KeyLen), true)
 
 	h1, h2 := dstruct.CuckooHashes(key, h.Aux2, h.Aux)
 	occOff, valOff, keyOff := dstruct.CuckooEntryFieldOffsets()
-	_ = valOff
 
 	for bi, bucket := range [2]uint64{h1, h2} {
 		// Load the bucket's lines (independent of the other bucket).
@@ -307,19 +279,11 @@ func (q *Querier) QueryCuckoo(as *mem.AddressSpace, headerAddr mem.VAddr, key []
 	return Result{Trace: b.Ops()}, nil
 }
 
-// QuerySkipList performs a RocksDB-style seek: descend levels, move right
+// skipList performs a RocksDB-style seek: descend levels, move right
 // while the next key is smaller. Every step is a dependent load.
-func (q *Querier) QuerySkipList(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
-	h, err := dstruct.ReadHeader(as, headerAddr)
-	if err != nil {
-		return Result{}, err
-	}
-	if h.Type != dstruct.TypeSkipList {
-		return Result{}, fmt.Errorf("baseline: header at %#x is %s, want skiplist", uint64(headerAddr), dstruct.TypeName(h.Type))
-	}
-	q.b.Reset()
+func (q *Querier) skipList(as *mem.AddressSpace, headerAddr mem.VAddr, h dstruct.Header, key []byte) (Result, error) {
+	cur, _ := q.emitPrefix(headerAddr, h)
 	b := &q.b
-	cur, _ := q.emitPrefix(headerAddr, 0, false)
 
 	node := h.Root
 	for l := int(h.Aux) - 1; l >= 0; l-- {
@@ -349,8 +313,6 @@ func (q *Querier) QuerySkipList(as *mem.AddressSpace, headerAddr mem.VAddr, key 
 			decode := b.ALUN(18, nodeReady) // InternalKey decode + comparator dispatch
 			b.Branch(decode, false)
 			cmp := emitKeyCompare(b, dstruct.SkipKeyAddr(next, nh), h.KeyLen, decode)
-			nk, err := as.ReadU64(dstruct.SkipKeyAddr(next, nh))
-			_ = nk
 			stored := q.scratch(int(h.KeyLen))
 			if err := as.Read(dstruct.SkipKeyAddr(next, nh), stored); err != nil {
 				return Result{}, err
@@ -378,21 +340,13 @@ func (q *Querier) QuerySkipList(as *mem.AddressSpace, headerAddr mem.VAddr, key 
 	return Result{Trace: b.Ops()}, nil
 }
 
-// QueryBST walks the object tree: one node visit = node line + key lines
+// bst walks the object tree: one node visit = node line + key lines
 // (the payload pushes keys onto a second line), compare, branch left or
 // right — a textbook pointer chase.
-func (q *Querier) QueryBST(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
-	h, err := dstruct.ReadHeader(as, headerAddr)
-	if err != nil {
-		return Result{}, err
-	}
-	if h.Type != dstruct.TypeBST {
-		return Result{}, fmt.Errorf("baseline: header at %#x is %s, want bst", uint64(headerAddr), dstruct.TypeName(h.Type))
-	}
+func (q *Querier) bst(as *mem.AddressSpace, headerAddr mem.VAddr, h dstruct.Header, key []byte) (Result, error) {
 	payload := int(h.Aux)
-	q.b.Reset()
+	cur, _ := q.emitPrefix(headerAddr, h)
 	b := &q.b
-	cur, _ := q.emitPrefix(headerAddr, 0, false)
 
 	node := h.Root
 	for node != 0 {
@@ -427,20 +381,12 @@ func (q *Querier) QueryBST(as *mem.AddressSpace, headerAddr mem.VAddr, key []byt
 	return Result{Trace: b.Ops()}, nil
 }
 
-// QueryBTree descends the B+-tree in software: per level, load the node
-// and binary-search its separators — the index-walker loop of in-memory
+// btree descends the B+-tree in software: per level, load the node and
+// binary-search its separators — the index-walker loop of in-memory
 // databases.
-func (q *Querier) QueryBTree(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
-	h, err := dstruct.ReadHeader(as, headerAddr)
-	if err != nil {
-		return Result{}, err
-	}
-	if h.Type != dstruct.TypeBTree {
-		return Result{}, fmt.Errorf("baseline: header at %#x is %s, want btree", uint64(headerAddr), dstruct.TypeName(h.Type))
-	}
-	q.b.Reset()
+func (q *Querier) btree(as *mem.AddressSpace, headerAddr mem.VAddr, h dstruct.Header, key []byte) (Result, error) {
+	cur, _ := q.emitPrefix(headerAddr, h)
 	b := &q.b
-	cur, _ := q.emitPrefix(headerAddr, 0, false)
 
 	node := h.Root
 	for node != 0 {
@@ -473,35 +419,26 @@ func (q *Querier) QueryBTree(as *mem.AddressSpace, headerAddr mem.VAddr, key []b
 	return Result{Trace: b.Ops()}, nil
 }
 
-// ScanTrie runs the Aho-Corasick automaton over input, emitting the
+// scanTrie runs the Aho-Corasick automaton over input, emitting the
 // per-byte goto/fail walk (Snort's literal matcher, Sec. VI-B).
-func (q *Querier) ScanTrie(as *mem.AddressSpace, headerAddr mem.VAddr, input []byte) (ScanResult, error) {
-	h, err := dstruct.ReadHeader(as, headerAddr)
-	if err != nil {
-		return ScanResult{}, err
-	}
-	if h.Type != dstruct.TypeTrie {
-		return ScanResult{}, fmt.Errorf("baseline: header at %#x is %s, want trie", uint64(headerAddr), dstruct.TypeName(h.Type))
-	}
-	q.b.Reset()
+func (q *Querier) scanTrie(as *mem.AddressSpace, headerAddr mem.VAddr, h dstruct.Header, input []byte) (Result, error) {
+	cur, _ := q.emitPrefix(headerAddr, h)
 	b := &q.b
-	cur, _ := q.emitPrefix(headerAddr, 0, false)
 
-	var res ScanResult
+	var matches []uint64
 	state := h.Root
 	for _, ib := range input {
 		// Load the input byte (sequential, prefetch-friendly: charged as
 		// an independent load).
 		inReady := b.Load(mem.VAddr(uint64(headerAddr)), 1, 0)
 		for {
-			res.Steps++
 			// Load the state node and search its index table (one load
 			// per probed slot: a single slot for dense nodes, a binary
 			// search for sparse ones).
 			stReady := b.LoadLine(state, cur)
 			child, probes, slots, err := dstruct.TrieFindEdgeProbes(as, state, ib)
 			if err != nil {
-				return ScanResult{}, err
+				return Result{}, err
 			}
 			probeReady := stReady
 			for _, s := range slots {
@@ -522,7 +459,7 @@ func (q *Querier) ScanTrie(as *mem.AddressSpace, headerAddr mem.VAddr, input []b
 			}
 			fl, err := dstruct.TrieFail(as, state)
 			if err != nil {
-				return ScanResult{}, err
+				return Result{}, err
 			}
 			// Fail-link transitions are frequent on benign traffic; the
 			// predictor learns the pattern and misses ~1/4 of the time.
@@ -532,14 +469,17 @@ func (q *Querier) ScanTrie(as *mem.AddressSpace, headerAddr mem.VAddr, input []b
 		}
 		out, err := dstruct.TrieOutput(as, state)
 		if err != nil {
-			return ScanResult{}, err
+			return Result{}, err
 		}
 		b.Branch(cur, out != 0) // output check
 		if out != 0 {
-			res.Matches = append(res.Matches, out)
+			matches = append(matches, out)
 		}
 	}
-	res.Trace = b.Ops()
+	res := Result{Found: len(matches) > 0, Matches: matches, Trace: b.Ops()}
+	if res.Found {
+		res.Value = matches[len(matches)-1]
+	}
 	return res, nil
 }
 
@@ -554,92 +494,4 @@ func mispredictDirection(a, b []byte) bool {
 		x ^= b[i]
 	}
 	return x&1 == 1
-}
-
-// ScanResult is the outcome of a trie scan over an input buffer.
-type ScanResult struct {
-	Matches []uint64
-	Trace   isa.Trace
-	// Steps is the number of automaton transitions taken (one query per
-	// input byte, plus fail-link hops).
-	Steps int
-}
-
-// QueryLinkedList walks the list per List 1 of the paper. The returned
-// trace owns its storage (unlike Querier traces).
-func QueryLinkedList(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
-	var q Querier
-	r, err := q.QueryLinkedList(as, headerAddr, key)
-	if err != nil {
-		return Result{}, err
-	}
-	r.Trace = q.b.Take()
-	return r, nil
-}
-
-// QueryHashTable hashes the key, loads the bucket head, then walks the
-// chain (the "hash table of linked lists" combined structure).
-func QueryHashTable(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
-	var q Querier
-	r, err := q.QueryHashTable(as, headerAddr, key)
-	if err != nil {
-		return Result{}, err
-	}
-	r.Trace = q.b.Take()
-	return r, nil
-}
-
-// QueryCuckoo probes the two candidate buckets of the DPDK-style table.
-func QueryCuckoo(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
-	var q Querier
-	r, err := q.QueryCuckoo(as, headerAddr, key)
-	if err != nil {
-		return Result{}, err
-	}
-	r.Trace = q.b.Take()
-	return r, nil
-}
-
-// QuerySkipList performs a RocksDB-style seek.
-func QuerySkipList(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
-	var q Querier
-	r, err := q.QuerySkipList(as, headerAddr, key)
-	if err != nil {
-		return Result{}, err
-	}
-	r.Trace = q.b.Take()
-	return r, nil
-}
-
-// QueryBST walks the object tree.
-func QueryBST(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
-	var q Querier
-	r, err := q.QueryBST(as, headerAddr, key)
-	if err != nil {
-		return Result{}, err
-	}
-	r.Trace = q.b.Take()
-	return r, nil
-}
-
-// QueryBTree descends the B+-tree in software.
-func QueryBTree(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
-	var q Querier
-	r, err := q.QueryBTree(as, headerAddr, key)
-	if err != nil {
-		return Result{}, err
-	}
-	r.Trace = q.b.Take()
-	return r, nil
-}
-
-// ScanTrie runs the Aho-Corasick automaton over input.
-func ScanTrie(as *mem.AddressSpace, headerAddr mem.VAddr, input []byte) (ScanResult, error) {
-	var q Querier
-	res, err := q.ScanTrie(as, headerAddr, input)
-	if err != nil {
-		return ScanResult{}, err
-	}
-	res.Trace = q.b.Take()
-	return res, nil
 }

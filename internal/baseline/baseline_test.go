@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -12,6 +13,13 @@ import (
 
 func newAS() *mem.AddressSpace {
 	return mem.NewAddressSpace(mem.NewPhysical())
+}
+
+// query runs one query on a fresh Querier, so the returned trace owns
+// its storage.
+func query(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (Result, error) {
+	var q Querier
+	return q.Query(as, headerAddr, key)
 }
 
 func genKeys(n, keyLen int, seed int64) ([][]byte, []uint64) {
@@ -37,7 +45,7 @@ func TestLinkedListMatchesReference(t *testing.T) {
 	keys, vals := genKeys(40, 16, 1)
 	l := dstruct.BuildLinkedList(as, keys, vals)
 	for i, k := range keys {
-		r, err := QueryLinkedList(as, l.HeaderAddr, k)
+		r, err := query(as, l.HeaderAddr, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +56,7 @@ func TestLinkedListMatchesReference(t *testing.T) {
 			t.Fatal("no trace emitted")
 		}
 	}
-	r, err := QueryLinkedList(as, l.HeaderAddr, make([]byte, 16))
+	r, err := query(as, l.HeaderAddr, make([]byte, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +73,8 @@ func TestLinkedListTraceGrowsWithPosition(t *testing.T) {
 	as := newAS()
 	keys, vals := genKeys(30, 16, 2)
 	l := dstruct.BuildLinkedList(as, keys, vals)
-	r0, _ := QueryLinkedList(as, l.HeaderAddr, keys[0])
-	r29, _ := QueryLinkedList(as, l.HeaderAddr, keys[29])
+	r0, _ := query(as, l.HeaderAddr, keys[0])
+	r29, _ := query(as, l.HeaderAddr, keys[29])
 	if len(r29.Trace) <= len(r0.Trace) {
 		t.Fatalf("tail query trace (%d ops) not longer than head query (%d ops)",
 			len(r29.Trace), len(r0.Trace))
@@ -78,7 +86,7 @@ func TestHashTableMatchesReference(t *testing.T) {
 	keys, vals := genKeys(300, 16, 3)
 	ht := dstruct.BuildHashTable(as, 64, 9, keys, vals)
 	for i, k := range keys {
-		r, err := QueryHashTable(as, ht.HeaderAddr, k)
+		r, err := query(as, ht.HeaderAddr, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +101,7 @@ func TestCuckooMatchesReference(t *testing.T) {
 	keys, vals := genKeys(1000, 16, 4)
 	c := dstruct.BuildCuckoo(as, 512, 4, 11, keys, vals)
 	for i, k := range keys {
-		r, err := QueryCuckoo(as, c.HeaderAddr, k)
+		r, err := query(as, c.HeaderAddr, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +109,7 @@ func TestCuckooMatchesReference(t *testing.T) {
 			t.Fatalf("key %d: %+v want %d", i, r, vals[i])
 		}
 	}
-	r, _ := QueryCuckoo(as, c.HeaderAddr, make([]byte, 16))
+	r, _ := query(as, c.HeaderAddr, make([]byte, 16))
 	if r.Found {
 		t.Fatal("absent key found")
 	}
@@ -115,7 +123,7 @@ func TestCuckooBoundedWork(t *testing.T) {
 	// (Sec. VII-A); with 16 B keys and 4-entry buckets a probe is ~2
 	// lines per bucket.
 	for _, k := range keys[:50] {
-		r, _ := QueryCuckoo(as, c.HeaderAddr, k)
+		r, _ := query(as, c.HeaderAddr, k)
 		if n := r.Trace.Loads(); n > 12 {
 			t.Fatalf("cuckoo query loaded %d lines, want bounded (<=12)", n)
 		}
@@ -127,7 +135,7 @@ func TestSkipListMatchesReference(t *testing.T) {
 	keys, vals := genKeys(500, 32, 6)
 	sl := dstruct.BuildSkipList(as, 77, keys, vals)
 	for i, k := range keys {
-		r, err := QuerySkipList(as, sl.HeaderAddr, k)
+		r, err := query(as, sl.HeaderAddr, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +143,7 @@ func TestSkipListMatchesReference(t *testing.T) {
 			t.Fatalf("key %d: found=%v value=%d want %d", i, r.Found, r.Value, vals[i])
 		}
 	}
-	r, _ := QuerySkipList(as, sl.HeaderAddr, bytes.Repeat([]byte{0xff}, 32))
+	r, _ := query(as, sl.HeaderAddr, bytes.Repeat([]byte{0xff}, 32))
 	if r.Found {
 		t.Fatal("absent key found")
 	}
@@ -147,7 +155,7 @@ func TestSkipListLogarithmicWork(t *testing.T) {
 	sl := dstruct.BuildSkipList(as, 13, keys, vals)
 	total := 0
 	for _, k := range keys[:100] {
-		r, _ := QuerySkipList(as, sl.HeaderAddr, k)
+		r, _ := query(as, sl.HeaderAddr, k)
 		total += r.Trace.Loads()
 	}
 	avg := float64(total) / 100
@@ -166,7 +174,7 @@ func TestBSTMatchesReference(t *testing.T) {
 	keys, vals := genKeys(600, 8, 8)
 	b := dstruct.BuildBST(as, 3, 64, keys, vals)
 	for i, k := range keys {
-		r, err := QueryBST(as, b.HeaderAddr, k)
+		r, err := query(as, b.HeaderAddr, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +191,7 @@ func TestBSTQueryHasDeepDependentChain(t *testing.T) {
 	// JVM calibration target: tens of memory accesses per query.
 	total := 0
 	for _, k := range keys[:200] {
-		r, _ := QueryBST(as, b.HeaderAddr, k)
+		r, _ := query(as, b.HeaderAddr, k)
 		total += r.Trace.Loads()
 	}
 	avg := float64(total) / 200
@@ -201,7 +209,7 @@ func TestScanTrieMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ScanTrie(as, tr.HeaderAddr, input)
+	got, err := query(as, tr.HeaderAddr, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +221,12 @@ func TestScanTrieMatchesReference(t *testing.T) {
 			t.Fatalf("match %d = %d, want %d", i, got.Matches[i], want[i])
 		}
 	}
-	if got.Steps < len(input) {
-		t.Fatalf("steps = %d, want >= input length %d", got.Steps, len(input))
+	if !got.Found || got.Value != want[len(want)-1] {
+		t.Fatalf("found=%v value=%d, want the last match %d", got.Found, got.Value, want[len(want)-1])
+	}
+	// At least one automaton transition, hence one state load, per byte.
+	if n := got.Trace.Loads(); n < len(input) {
+		t.Fatalf("trace loads = %d, want >= input length %d", n, len(input))
 	}
 }
 
@@ -224,30 +236,24 @@ func TestHundredsOfDynamicInstructions(t *testing.T) {
 	as := newAS()
 	keys, vals := genKeys(10000, 32, 10)
 	sl := dstruct.BuildSkipList(as, 3, keys, vals)
-	r, _ := QuerySkipList(as, sl.HeaderAddr, keys[7000])
+	r, _ := query(as, sl.HeaderAddr, keys[7000])
 	if len(r.Trace) < 100 {
 		t.Fatalf("skip list query = %d dynamic ops, want hundreds", len(r.Trace))
 	}
 }
 
-func TestWrongHeaderTypeRejected(t *testing.T) {
+func TestUnknownHeaderTypeRejected(t *testing.T) {
 	as := newAS()
 	keys, vals := genKeys(5, 16, 11)
 	l := dstruct.BuildLinkedList(as, keys, vals)
-	if _, err := QueryCuckoo(as, l.HeaderAddr, keys[0]); err == nil {
-		t.Fatal("cuckoo walker accepted a linked-list header")
+	h, err := dstruct.ReadHeader(as, l.HeaderAddr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := QuerySkipList(as, l.HeaderAddr, keys[0]); err == nil {
-		t.Fatal("skiplist walker accepted a linked-list header")
-	}
-	if _, err := QueryBST(as, l.HeaderAddr, keys[0]); err == nil {
-		t.Fatal("bst walker accepted a linked-list header")
-	}
-	if _, err := QueryHashTable(as, l.HeaderAddr, keys[0]); err == nil {
-		t.Fatal("hashtable walker accepted a linked-list header")
-	}
-	if _, err := ScanTrie(as, l.HeaderAddr, []byte("x")); err == nil {
-		t.Fatal("trie walker accepted a linked-list header")
+	h.Type = 9 // no built-in structure has this code
+	hdr := dstruct.WriteHeader(as, h)
+	if _, err := query(as, hdr, keys[0]); !errors.Is(err, ErrNoWalker) {
+		t.Fatalf("type code 9: err = %v, want ErrNoWalker", err)
 	}
 }
 
@@ -255,7 +261,7 @@ func TestTraceHasRealAddresses(t *testing.T) {
 	as := newAS()
 	keys, vals := genKeys(20, 16, 12)
 	l := dstruct.BuildLinkedList(as, keys, vals)
-	r, _ := QueryLinkedList(as, l.HeaderAddr, keys[10])
+	r, _ := query(as, l.HeaderAddr, keys[10])
 	for _, op := range r.Trace {
 		if op.Kind == isa.Load && op.Addr == 0 && op.Size > 1 {
 			t.Fatal("load with NULL address in trace")
@@ -265,5 +271,42 @@ func TestTraceHasRealAddresses(t *testing.T) {
 				t.Fatalf("trace load at unmapped address %#x", uint64(op.Addr))
 			}
 		}
+	}
+}
+
+// BenchmarkQuery measures one software query per built-in structure on a
+// warmed Querier: its prefix cache is filled and its buffers have grown,
+// so allocs/op is the steady state of a long-running caller.
+func BenchmarkQuery(b *testing.B) {
+	as := newAS()
+	keys, vals := genKeys(1024, 16, 13)
+	kws := [][]byte{[]byte("attack"), []byte("root"), []byte("passwd"), []byte("admin")}
+	cases := []struct {
+		name   string
+		header mem.VAddr
+		key    []byte
+	}{
+		{"linkedlist", dstruct.BuildLinkedList(as, keys[:64], vals[:64]).HeaderAddr, keys[32]},
+		{"hashtable", dstruct.BuildHashTable(as, 256, 9, keys, vals).HeaderAddr, keys[7]},
+		{"cuckoo", dstruct.BuildCuckoo(as, 512, 4, 11, keys, vals).HeaderAddr, keys[7]},
+		{"skiplist", dstruct.BuildSkipList(as, 77, keys, vals).HeaderAddr, keys[7]},
+		{"bst", dstruct.BuildBST(as, 3, 64, keys, vals).HeaderAddr, keys[7]},
+		{"trie", dstruct.BuildTrie(as, kws, []uint64{1, 2, 3, 4}).HeaderAddr, []byte("GET /rootkit?admin=1&x=passwd HTTP/1.1")},
+		{"btree", dstruct.BuildBTree(as, 16, keys, vals).HeaderAddr, keys[7]},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var q Querier
+			if _, err := q.Query(as, c.header, c.key); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := q.Query(as, c.header, c.key); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

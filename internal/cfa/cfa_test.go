@@ -244,12 +244,14 @@ func TestWrongTypeFaults(t *testing.T) {
 	as := newAS()
 	keys, vals := genKeys(5, 16, 7)
 	dstruct.BuildLinkedList(as, keys, vals)
-	// Force the cuckoo program onto a linked-list header via a registry
-	// with remapped type codes.
+	// Force the cuckoo program onto a linked-list header: the walk's
+	// first transition checks the header's type code against the
+	// program's.
 	q := &Query{AS: as, Header: dstruct.Header{Type: dstruct.TypeLinkedList}, Key: keys[0]}
-	req := CuckooProgram{}.Step(q, StateStart)
-	if req.Next != StateException || req.Fault == nil {
-		t.Fatal("cuckoo CFA accepted a linked-list header")
+	w := NewWalk(CuckooProgram{}, q, false)
+	req, err := w.Next()
+	if req.Next != StateException || req.Fault == nil || err != req.Fault {
+		t.Fatalf("cuckoo CFA accepted a linked-list header: req %+v, err %v", req, err)
 	}
 }
 

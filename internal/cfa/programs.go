@@ -26,10 +26,6 @@ const (
 	stIndex StateID = 5 // INDEX: search a node's index table (trie)
 )
 
-func errWrongType(name string, h dstruct.Header) error {
-	return fmt.Errorf("cfa: %s CFA invoked on %s header", name, dstruct.TypeName(h.Type))
-}
-
 func errBadState(name string, s StateID) error {
 	return fmt.Errorf("cfa: %s CFA has no state %d", name, s)
 }
@@ -47,9 +43,6 @@ func (LinkedListProgram) NumStates() int  { return 4 }
 func (p LinkedListProgram) Step(q *Query, state StateID) Request {
 	switch state {
 	case StateStart:
-		if q.Header.Type != dstruct.TypeLinkedList {
-			return Fail(errWrongType(p.Name(), q.Header))
-		}
 		q.Node = q.Header.Root
 		// 1: issue memory requests for the queried key and starting node.
 		ops := []Op{MemRead(q.KeyAddr, uint64(q.Header.KeyLen))}
@@ -106,9 +99,6 @@ func (HashTableProgram) NumStates() int  { return 5 }
 func (p HashTableProgram) Step(q *Query, state StateID) Request {
 	switch state {
 	case StateStart:
-		if q.Header.Type != dstruct.TypeHashTable {
-			return Fail(errWrongType(p.Name(), q.Header))
-		}
 		// Stage the key first; hashing needs it.
 		return Continue(stHash, false, MemRead(q.KeyAddr, uint64(q.Header.KeyLen)))
 
@@ -177,9 +167,6 @@ func (p CuckooProgram) Step(q *Query, state StateID) Request {
 	bucketBytes := dstruct.CuckooBucketSize(int(q.Header.KeyLen), int(q.Header.Subtype))
 	switch state {
 	case StateStart:
-		if q.Header.Type != dstruct.TypeCuckoo {
-			return Fail(errWrongType(p.Name(), q.Header))
-		}
 		return Continue(stHash, false, MemRead(q.KeyAddr, uint64(q.Header.KeyLen)))
 
 	case stHash:
@@ -228,9 +215,6 @@ func (SkipListProgram) NumStates() int  { return 4 }
 func (p SkipListProgram) Step(q *Query, state StateID) Request {
 	switch state {
 	case StateStart:
-		if q.Header.Type != dstruct.TypeSkipList {
-			return Fail(errWrongType(p.Name(), q.Header))
-		}
 		q.Node = q.Header.Root
 		q.Level = int(q.Header.Aux) - 1
 		return Continue(stNext, true,
@@ -311,9 +295,6 @@ func (p BSTProgram) Step(q *Query, state StateID) Request {
 	payload := int(q.Header.Aux)
 	switch state {
 	case StateStart:
-		if q.Header.Type != dstruct.TypeBST {
-			return Fail(errWrongType(p.Name(), q.Header))
-		}
 		q.Node = q.Header.Root
 		if q.Node == 0 {
 			return Finish(false, 0)
@@ -372,9 +353,6 @@ func (TrieProgram) NumStates() int  { return 5 }
 func (p TrieProgram) Step(q *Query, state StateID) Request {
 	switch state {
 	case StateStart:
-		if q.Header.Type != dstruct.TypeTrie {
-			return Fail(errWrongType(p.Name(), q.Header))
-		}
 		q.Node = q.Header.Root
 		q.Pos = 0
 		// Stage the whole input string (its lines stream in) and the root.
@@ -455,9 +433,6 @@ func (BTreeProgram) NumStates() int { return 3 }
 func (p BTreeProgram) Step(q *Query, state StateID) Request {
 	switch state {
 	case StateStart:
-		if q.Header.Type != dstruct.TypeBTree {
-			return Fail(errWrongType(p.Name(), q.Header))
-		}
 		q.Node = q.Header.Root
 		if q.Node == 0 {
 			return Finish(false, 0)

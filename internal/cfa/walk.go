@@ -110,7 +110,8 @@ func (w *Walk) config() walkConfig {
 // non-nil err ends the walk with that fault, req.Next == StateDone ends
 // it with req.Found/req.Value (and the query's Matches), and anything
 // else continues. The guards, in order: the transition bound
-// (ErrRunaway), the panic barrier and the MaxOpBytes check over all of
+// (ErrRunaway), on the first transition a header whose type code is not
+// the program's (an exception's Fault), the panic barrier and the MaxOpBytes check over all of
 // the request's ops (both ErrInvalidProgram, with no ops to charge),
 // terminal classification (an exception's Fault), and pointer-cycle
 // detection (ErrPointerCycle).
@@ -119,6 +120,10 @@ func (w *Walk) Next() (req Request, err error) {
 		return Request{}, fmt.Errorf("%w: %s after %d transitions", ErrRunaway, w.prog.Name(), w.steps)
 	}
 	w.steps++
+	if w.steps == 1 && w.q.Header.Type != w.prog.TypeCode() {
+		req = Fail(fmt.Errorf("cfa: %s CFA invoked on %s header", w.prog.Name(), dstruct.TypeName(w.q.Header.Type)))
+		return req, req.Fault
+	}
 	if req, err = w.step(); err != nil {
 		return Request{}, err
 	}

@@ -267,58 +267,3 @@ func QueryBTreeRef(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (uint
 	}
 	return 0, false, nil
 }
-
-// BTreeScanFrom walks leaf links collecting up to n values starting at
-// the first key >= start (range scans, the other classic index query).
-func BTreeScanFrom(as *mem.AddressSpace, headerAddr mem.VAddr, start []byte, n int) ([]uint64, error) {
-	h, err := ReadHeader(as, headerAddr)
-	if err != nil {
-		return nil, err
-	}
-	node := h.Root
-	// Descend to the leaf that would hold start.
-	for {
-		leaf, _, err := BTreeNodeMeta(as, node)
-		if err != nil {
-			return nil, err
-		}
-		if leaf {
-			break
-		}
-		ptr, _, _, _, err := BTreeSearchNode(as, node, int(h.KeyLen), start)
-		if err != nil {
-			return nil, err
-		}
-		node = mem.VAddr(ptr)
-	}
-	var out []uint64
-	for node != 0 && len(out) < n {
-		leaf, count, err := BTreeNodeMeta(as, node)
-		if err != nil {
-			return nil, err
-		}
-		if !leaf {
-			return nil, fmt.Errorf("dstruct: leaf chain reached an inner node")
-		}
-		for i := 0; i < count && len(out) < n; i++ {
-			k, err := readKey(as, BTreeEntryAddr(node, int(h.KeyLen), i), h.KeyLen)
-			if err != nil {
-				return nil, err
-			}
-			if bytes.Compare(k, start) < 0 {
-				continue
-			}
-			v, err := as.ReadU64(BTreeEntryAddr(node, int(h.KeyLen), i) + mem.VAddr(uint64((int(h.KeyLen)+7)&^7)))
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
-		}
-		nextU, err := as.ReadU64(node + btreeOffLink)
-		if err != nil {
-			return nil, err
-		}
-		node = mem.VAddr(nextU)
-	}
-	return out, nil
-}

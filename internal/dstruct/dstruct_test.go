@@ -442,3 +442,44 @@ func TestPropertyTrieVsNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BSTDepthStats walks the whole tree and returns node count, max depth,
+// and average depth — used to validate the "≈39.9 memory accesses per
+// query" calibration of the JVM workload.
+func BSTDepthStats(as *mem.AddressSpace, headerAddr mem.VAddr) (nodes int, maxDepth int, avgDepth float64, err error) {
+	h, err := ReadHeader(as, headerAddr)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	var sumDepth int
+	type frame struct {
+		node  mem.VAddr
+		depth int
+	}
+	stack := []frame{{h.Root, 1}}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if f.node == 0 {
+			continue
+		}
+		nodes++
+		sumDepth += f.depth
+		if f.depth > maxDepth {
+			maxDepth = f.depth
+		}
+		lu, err := as.ReadU64(BSTChildSlot(f.node, false))
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		ru, err := as.ReadU64(BSTChildSlot(f.node, true))
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		stack = append(stack, frame{mem.VAddr(lu), f.depth + 1}, frame{mem.VAddr(ru), f.depth + 1})
+	}
+	if nodes > 0 {
+		avgDepth = float64(sumDepth) / float64(nodes)
+	}
+	return nodes, maxDepth, avgDepth, nil
+}

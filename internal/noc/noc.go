@@ -87,14 +87,6 @@ func (m *Mesh) Coord(s Stop) (col, row int) {
 	return int(s) % m.cfg.Cols, int(s) / m.cfg.Cols
 }
 
-// StopAt returns the stop at (col, row).
-func (m *Mesh) StopAt(col, row int) Stop {
-	if col < 0 || col >= m.cfg.Cols || row < 0 || row >= m.cfg.Rows {
-		panic(fmt.Sprintf("noc: coordinate (%d,%d) out of range", col, row))
-	}
-	return Stop(row*m.cfg.Cols + col)
-}
-
 // Hops returns the Manhattan distance between two stops.
 func (m *Mesh) Hops(a, b Stop) int {
 	ac, ar := m.Coord(a)

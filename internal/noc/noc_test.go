@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -213,4 +214,12 @@ func TestPropertySendConservation(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// StopAt returns the stop at (col, row).
+func (m *Mesh) StopAt(col, row int) Stop {
+	if col < 0 || col >= m.cfg.Cols || row < 0 || row >= m.cfg.Rows {
+		panic(fmt.Sprintf("noc: coordinate (%d,%d) out of range", col, row))
+	}
+	return Stop(row*m.cfg.Cols + col)
 }

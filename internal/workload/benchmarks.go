@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"qei/internal/baseline"
 	"qei/internal/dstruct"
-	"qei/internal/isa"
 	"qei/internal/machine"
 	"qei/internal/mem"
 )
@@ -83,7 +81,6 @@ func (d DPDK) Build(m *machine.Machine) (*Plan, error) {
 		NonROILoadEvery: 8,
 		Scratch:         m.AS.AllocLines(4096),
 		scratchSize:     4096,
-		BaselineTrace:   pointLookup((*baseline.Querier).QueryCuckoo),
 	}
 	for i := 0; i < n; i++ {
 		req := Request{Probes: []Probe{{
@@ -98,10 +95,8 @@ func (d DPDK) Build(m *machine.Machine) (*Plan, error) {
 }
 
 // readKeyAt fetches a probe's key bytes back out of simulated memory
-// into a caller-owned buffer (grown as needed). Each plan's
-// BaselineTrace closure captures its own buffer, so the key stays valid
-// while the query routine runs — distinct from the Querier's internal
-// stored-key scratch.
+// into buf, growing it as needed: p.KeyLen bytes, or the header's key
+// length when p.KeyLen is 0.
 func readKeyAt(m *machine.Machine, p Probe, buf *[]byte) []byte {
 	n := int(p.KeyLen)
 	if n == 0 {
@@ -117,17 +112,6 @@ func readKeyAt(m *machine.Machine, p Probe, buf *[]byte) []byte {
 	k := (*buf)[:n]
 	m.AS.MustRead(p.Key, k)
 	return k
-}
-
-// pointLookup adapts a baseline point-lookup routine, given as a
-// (*baseline.Querier).QueryX method expression, to Plan.BaselineTrace.
-// The adapter owns the key buffer readKeyAt fills.
-func pointLookup(query func(*baseline.Querier, *mem.AddressSpace, mem.VAddr, []byte) (baseline.Result, error)) func(*machine.Machine, *baseline.Querier, Probe) (isa.Trace, foundValue, error) {
-	var keyBuf []byte
-	return func(m *machine.Machine, q *baseline.Querier, p Probe) (isa.Trace, foundValue, error) {
-		r, err := query(q, m.AS, p.Header, readKeyAt(m, p, &keyBuf))
-		return r.Trace, foundValue{r.Found, r.Value}, err
-	}
 }
 
 // add appends req to the warmup stream or, once the warmup half is
@@ -180,7 +164,6 @@ func (j JVM) Build(m *machine.Machine) (*Plan, error) {
 		NonROILoadEvery: 10,
 		Scratch:         m.AS.AllocLines(4096),
 		scratchSize:     4096,
-		BaselineTrace:   pointLookup((*baseline.Querier).QueryBST),
 	}
 	for i := 0; i < n; i++ {
 		req := Request{Probes: []Probe{{
@@ -241,7 +224,6 @@ func (r RocksDB) Build(m *machine.Machine) (*Plan, error) {
 		NonROILoadEvery: 6,
 		Scratch:         m.AS.AllocLines(8192),
 		scratchSize:     8192,
-		BaselineTrace:   pointLookup((*baseline.Querier).QuerySkipList),
 	}
 	for i := 0; i < n; i++ {
 		req := Request{Probes: []Probe{{
@@ -299,7 +281,6 @@ func (s Snort) Build(m *machine.Machine) (*Plan, error) {
 	}
 	trie := dstruct.BuildTrie(m.AS, kws, vals)
 
-	var keyBuf []byte
 	plan := &Plan{
 		Name: s.Name(),
 		// Per-payload packet handling around the scan: decode,
@@ -308,15 +289,6 @@ func (s Snort) Build(m *machine.Machine) (*Plan, error) {
 		NonROILoadEvery: 8,
 		Scratch:         m.AS.AllocLines(8192),
 		scratchSize:     8192,
-		BaselineTrace: func(mm *machine.Machine, q *baseline.Querier, p Probe) (isa.Trace, foundValue, error) {
-			input := readKeyAt(mm, p, &keyBuf)
-			res, err := q.ScanTrie(mm.AS, p.Header, input)
-			var last uint64
-			if n := len(res.Matches); n > 0 {
-				last = res.Matches[n-1]
-			}
-			return res.Trace, foundValue{len(res.Matches) > 0, last}, err
-		},
 	}
 
 	for qi := 0; qi < 2*s.Queries; qi++ {
@@ -395,7 +367,6 @@ func (f FLANN) Build(m *machine.Machine) (*Plan, error) {
 		NonROILoadEvery: 7,
 		Scratch:         m.AS.AllocLines(8192),
 		scratchSize:     8192,
-		BaselineTrace:   pointLookup((*baseline.Querier).QueryHashTable),
 	}
 	for qi := 0; qi < 2*f.Queries; qi++ {
 		k := rng.Intn(len(keys))
@@ -456,7 +427,6 @@ func (t TupleSpace) Build(m *machine.Machine) (*Plan, error) {
 		NonROILoadEvery: 8,
 		Scratch:         m.AS.AllocLines(4096),
 		scratchSize:     4096,
-		BaselineTrace:   pointLookup((*baseline.Querier).QueryCuckoo),
 	}
 	for qi := 0; qi < 2*t.Queries; qi++ {
 		owner := rng.Intn(t.Tuples)

@@ -62,17 +62,6 @@ type Plan struct {
 	NonROILoadEvery int
 	Scratch         mem.VAddr
 	scratchSize     uint64
-	// BaselineTrace renders the software routine for one probe through
-	// the run's baseline.Querier arena. The returned trace shares the
-	// arena's storage and is only valid until the next probe — callers
-	// append (copy) it immediately.
-	BaselineTrace func(m *machine.Machine, q *baseline.Querier, p Probe) (isa.Trace, foundValue, error)
-}
-
-// foundValue is a probe outcome for verification.
-type foundValue struct {
-	Found bool
-	Value uint64
 }
 
 // Benchmark builds a Plan into a machine.
@@ -457,9 +446,10 @@ func RunBaseline(bench Benchmark, mode Mode, opts ...RunOption) (Run, error) {
 		return Run{}, err
 	}
 	s.run.Mode, s.run.Scheme = mode, "software"
-	// One querier arena serves every probe; Append copies each trace out
-	// of it before the next.
-	q := baseline.NewQuerier()
+	// One querier arena and one key buffer serve every probe; Append
+	// copies each trace out of the arena before the next.
+	var q baseline.Querier
+	var key []byte
 	return s.measure(func(reqs []Request, measured bool) error {
 		return s.batches(reqs, 1, func(chunk []Request, first int) error {
 			if mode != ROIOnly {
@@ -469,17 +459,17 @@ func RunBaseline(bench Benchmark, mode Mode, opts ...RunOption) (Run, error) {
 				return nil
 			}
 			for _, p := range chunk[0].Probes {
-				tr, got, err := s.plan.BaselineTrace(s.m, q, p)
+				r, err := q.Query(s.m.AS, p.Header, readKeyAt(s.m, p, &key))
 				if err != nil {
 					return err
 				}
 				if measured {
-					if !p.matches(got.Found, got.Value) {
+					if !p.matches(r.Found, r.Value) {
 						s.run.Mismatches++
 					}
 					s.run.Queries++
 				}
-				s.b.Append(tr)
+				s.b.Append(r.Trace)
 			}
 			return nil
 		})

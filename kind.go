@@ -6,9 +6,7 @@ import (
 	"slices"
 	"strings"
 
-	"qei/internal/baseline"
 	"qei/internal/dstruct"
-	"qei/internal/isa"
 	"qei/internal/mem"
 )
 
@@ -32,9 +30,9 @@ const (
 )
 
 // kindInfo is everything the root package knows about one structure
-// kind. The accelerator side — CFA firmware and level-wise rounds —
-// stays in internal/cfa and internal/qei, selected by the header type
-// code, and the baseline walkers' traces in internal/baseline.
+// kind. The query engines live elsewhere, both selected by the header
+// type code: CFA firmware and level-wise rounds in internal/cfa and
+// internal/qei, the software walkers in internal/baseline.
 type kindInfo struct {
 	// names holds the canonical name first, then the parse aliases.
 	names []string
@@ -46,14 +44,10 @@ type kindInfo struct {
 	// buildMutable lays out the updatable variant and returns its
 	// software mutator; nil for kinds without software mutators.
 	buildMutable func(s *System, keys [][]byte, values []uint64, cfg buildConfig) (mem.VAddr, uint16, mutator)
-	// walk runs one query on the software baseline walker.
-	walk walkFunc
 	// grouping names the level-wise batch rounds' shape; "" keeps every
 	// batch on the windowed path.
 	grouping string
 }
-
-type walkFunc func(as *mem.AddressSpace, header mem.VAddr, key []byte) (Result, isa.Trace, error)
 
 // mutableBTreeFanout is deliberately smaller than the read-only B+-tree
 // fanout of 16 so update workloads exercise node splits and merges at
@@ -74,7 +68,6 @@ var kindTable = [...]kindInfo{
 			l := dstruct.BuildLinkedList(s.m.AS, keys, values)
 			return l.HeaderAddr, l.KeyLen, listMutator{l}
 		},
-		walk:     lookupWalker(baseline.QueryLinkedList),
 		grouping: "chunked scan",
 	},
 	KindHashTable: {
@@ -84,7 +77,6 @@ var kindTable = [...]kindInfo{
 			h := dstruct.BuildHashTable(s.m.AS, uint64(len(keys)/4), 0x51ED, keys, values)
 			return h.HeaderAddr, h.KeyLen
 		},
-		walk:     lookupWalker(baseline.QueryHashTable),
 		grouping: "bucket phases",
 	},
 	KindCuckoo: {
@@ -100,7 +92,6 @@ var kindTable = [...]kindInfo{
 			c := dstruct.BuildCuckoo(s.m.AS, uint64(len(keys)), 8, 0x9E37, keys, values)
 			return c.HeaderAddr, c.KeyLen, cuckooMutator{c}
 		},
-		walk:     lookupWalker(baseline.QueryCuckoo),
 		grouping: "bucket phases",
 	},
 	KindSkipList: {
@@ -114,7 +105,6 @@ var kindTable = [...]kindInfo{
 			sl := dstruct.BuildSkipList(s.m.AS, 7, keys, values)
 			return sl.HeaderAddr, sl.KeyLen, skipListMutator{sl, rand.New(rand.NewSource(s.seed))}
 		},
-		walk:     lookupWalker(baseline.QuerySkipList),
 		grouping: "levels",
 	},
 	KindBST: {
@@ -128,7 +118,6 @@ var kindTable = [...]kindInfo{
 			b := dstruct.BuildBST(s.m.AS, 7, cfg.payload, keys, values)
 			return b.HeaderAddr, b.KeyLen, bstMutator{b}
 		},
-		walk:     lookupWalker(baseline.QueryBST),
 		grouping: "levels",
 	},
 	KindTrie: {
@@ -138,15 +127,6 @@ var kindTable = [...]kindInfo{
 		// queries over variable-length input, so its key length is 1.
 		build: func(s *System, keywords [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
 			return dstruct.BuildTrie(s.m.AS, keywords, values).HeaderAddr, 1
-		},
-		// Like the accelerator, a scan leaves its last match in Value.
-		walk: func(as *mem.AddressSpace, header mem.VAddr, input []byte) (Result, isa.Trace, error) {
-			sr, err := baseline.ScanTrie(as, header, input)
-			res := Result{Found: len(sr.Matches) > 0, Matches: sr.Matches}
-			if res.Found {
-				res.Value = sr.Matches[len(sr.Matches)-1]
-			}
-			return res, sr.Trace, err
 		},
 	},
 	KindBTree: {
@@ -160,7 +140,6 @@ var kindTable = [...]kindInfo{
 			bt := dstruct.BuildBTree(s.m.AS, mutableBTreeFanout, keys, values)
 			return bt.HeaderAddr, bt.KeyLen, btreeMutator{bt}
 		},
-		walk:     lookupWalker(baseline.QueryBTree),
 		grouping: "levels",
 	},
 }
@@ -178,14 +157,6 @@ func (k StructKind) info() *kindInfo {
 		return &customKind
 	}
 	return nil
-}
-
-// lookupWalker adapts a baseline point-lookup routine to walkFunc.
-func lookupWalker(q func(*mem.AddressSpace, mem.VAddr, []byte) (baseline.Result, error)) walkFunc {
-	return func(as *mem.AddressSpace, header mem.VAddr, key []byte) (Result, isa.Trace, error) {
-		br, err := q(as, header, key)
-		return Result{Found: br.Found, Value: br.Value}, br.Trace, err
-	}
 }
 
 // StructKinds lists the built-in kinds in header-type-code order.

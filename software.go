@@ -1,8 +1,10 @@
 package qei
 
 import (
+	"errors"
 	"fmt"
 
+	"qei/internal/baseline"
 	"qei/internal/cpu"
 )
 
@@ -11,27 +13,28 @@ import (
 // the reference path the accelerator is compared against, and the
 // "baseline" serving backend's execution engine. The issue clock
 // advances by the software execution's cycle count. Walker errors
-// (corrupt structure bytes) are returned as errors; tables of custom
-// firmware kinds have no software walker and return ErrUnknownKind.
+// (corrupt structure bytes) are returned as errors. The header's type
+// code selects the walker, as it selects the CFA program; a custom
+// firmware type has no software walker and returns ErrUnknownKind.
 func (s *System) QuerySoftware(t Table, key []byte) (Result, error) {
 	// The software walker reads the structure too: pin the epoch across
 	// the walk so writers cannot reclaim nodes under it.
 	if pinned, ok := s.pinQuery(); ok {
 		defer s.gc.Unpin(pinned)
 	}
-	k := t.Kind.info()
-	if k == nil || k.walk == nil {
+	br, err := s.sw.Query(s.m.AS, t.header, key)
+	if errors.Is(err, baseline.ErrNoWalker) {
 		return Result{}, fmt.Errorf("qei: %w: %s has no software walker", ErrUnknownKind, t.Name())
 	}
-	res, tr, err := k.walk(s.m.AS, t.header, key)
 	if err != nil {
 		return Result{}, err
 	}
+	res := Result{Found: br.Found, Value: br.Value, Matches: br.Matches}
 
 	// Time the software path on a simulated core sharing the machine's
 	// memory system — architecturally ordinary code.
 	core := cpu.New(cpu.DefaultConfig(), s.m.CoreMemPort(0), nil)
-	res.Latency = core.Run(tr)
+	res.Latency = core.Run(br.Trace)
 	if err := core.Err(); err != nil {
 		return Result{}, err
 	}

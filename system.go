@@ -3,6 +3,7 @@ package qei
 import (
 	"fmt"
 
+	"qei/internal/baseline"
 	"qei/internal/cfa"
 	"qei/internal/epoch"
 	"qei/internal/faultinject"
@@ -94,6 +95,8 @@ type System struct {
 	seed  int64
 	now   uint64
 	tag   uint64
+	// sw is the software walker arena behind QuerySoftware.
+	sw baseline.Querier
 	// mreg/tracer are the observability sinks created by
 	// WithMetrics/WithTimeline; nil when the respective option is off.
 	mreg   *metrics.Registry
