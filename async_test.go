@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"qei/internal/serve"
 )
 
 // TestAsyncLifecycle walks the full Sec. IV-D story: issue, interrupt,
@@ -54,9 +56,22 @@ func TestAsyncLifecycle(t *testing.T) {
 	if !res.Found || res.Value != vals[0] {
 		t.Fatalf("reissued query: %+v want value %d", res, vals[0])
 	}
-	// Once the clock has passed completion, Poll agrees with Wait.
-	if res2, err := sys.Poll(h2); err != nil || res2.Value != vals[0] {
-		t.Fatalf("Poll after completion: %+v, %v", res2, err)
+	// Wait retired h2: the system forgot it.
+	if _, err := sys.Poll(h2); !errors.Is(err, ErrUnknownHandle) {
+		t.Fatalf("Poll after Wait retired the handle: err = %v, want ErrUnknownHandle", err)
+	}
+	// Once the clock has passed completion, Poll agrees with Wait, and
+	// retires the handle just as Wait does.
+	h3, err := sys.QueryAsync(tb, keys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Advance(1 << 20)
+	if res3, err := sys.Poll(h3); err != nil || res3.Found != res.Found || res3.Value != res.Value {
+		t.Fatalf("Poll after completion: %+v, %v; Wait gave %+v", res3, err, res)
+	}
+	if _, err := sys.Wait(h3); !errors.Is(err, ErrUnknownHandle) {
+		t.Fatalf("Wait after Poll retired the handle: err = %v, want ErrUnknownHandle", err)
 	}
 }
 
@@ -178,5 +193,63 @@ func TestNewSystemOptions(t *testing.T) {
 		if err != nil || !res.Found || res.Value != 777 {
 			t.Fatalf("seed %d: inserted key not found: %+v, %v", seed, res, err)
 		}
+	}
+}
+
+// TestServedRunRetiresResults serves a stream through the accelerator
+// backend, per query and with batched admission: once the run drains,
+// the accelerator holds no record of any query the System issued, and a
+// second Wait on a retired handle reports ErrUnknownHandle.
+func TestServedRunRetiresResults(t *testing.T) {
+	for _, batch := range []int{0, 8} {
+		cfg := DefaultServingConfig()
+		cfg.Requests = 300
+		cfg.Tenants = 2
+		gen := cfg.GenConfig()
+		reqs, err := serve.Generate(gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := NewSystem(CoreIntegrated)
+		backend, err := NewServingBackend("qei", sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := serve.Run(backend, serve.Config{Gen: gen, SLO: cfg.SLO, BatchAdmit: batch}, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Total.Requests != uint64(cfg.Requests) || sys.tag < uint64(cfg.Requests) {
+			t.Fatalf("batch %d: served %d of %d requests with %d tags", batch, rep.Total.Requests, cfg.Requests, sys.tag)
+		}
+		if batch > 0 && (rep.Batch == nil || rep.Batch.Batches == 0) {
+			t.Fatalf("batch %d: no batch flushed", batch)
+		}
+		for tag := uint64(1); tag <= sys.tag; tag++ {
+			if r, ok := sys.accel.Result(tag); ok {
+				t.Fatalf("batch %d: tag %d still recorded after the run drained: %+v", batch, tag, r)
+			}
+		}
+	}
+
+	sys := NewSystem(CoreIntegrated)
+	keys, vals := testKeys(16, 16, 3)
+	tb := mustBuild(t, sys, KindBST, keys, vals)
+	h, err := sys.QueryAsync(tb, keys[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := sys.Wait(h); err != nil || res.Value != vals[5] {
+		t.Fatalf("first Wait: %+v, %v", res, err)
+	}
+	if _, err := sys.Wait(h); !errors.Is(err, ErrUnknownHandle) {
+		t.Fatalf("second Wait on a retired handle: err = %v, want ErrUnknownHandle", err)
+	}
+	// A blocking query retires when it returns.
+	if res, err := sys.Query(tb, keys[6]); err != nil || res.Value != vals[6] {
+		t.Fatalf("Query: %+v, %v", res, err)
+	}
+	if r, ok := sys.accel.Result(sys.tag); ok {
+		t.Fatalf("blocking query's tag %d still recorded: %+v", sys.tag, r)
 	}
 }

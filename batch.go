@@ -133,27 +133,30 @@ func (s *System) queryBatchLevelWise(t Table, keys [][]byte) ([]Result, error) {
 		defer s.gc.Unpin(pinned)
 	}
 
-	descs := make([]*isa.QueryDesc, len(keys))
-	tags := make([]uint64, len(keys))
+	// The descriptors live in storage the System reuses from batch to
+	// batch; the accelerator reads them only inside ExecuteBatch.
+	if cap(s.batchDescs) < len(keys) {
+		s.batchDescs = make([]isa.QueryDesc, len(keys))
+		s.batchDescPtrs = make([]*isa.QueryDesc, len(keys))
+	}
+	descs, ptrs := s.batchDescs[:len(keys)], s.batchDescPtrs[:len(keys)]
 	issue := s.now
 	for i, k := range keys {
 		keyAddr := s.Write(k)
 		resAddr := s.m.AS.AllocLines(mem.LineSize)
-		tag := s.nextTag()
-		d := &isa.QueryDesc{
+		descs[i] = isa.QueryDesc{
 			HeaderAddr: mem.VAddr(t.HeaderAddr()),
 			KeyAddr:    mem.VAddr(keyAddr),
 			ResultAddr: resAddr,
-			Tag:        tag,
+			Tag:        s.nextTag(),
 		}
 		if t.Kind == KindTrie {
-			d.KeyLen = uint32(len(k))
+			descs[i].KeyLen = uint32(len(k))
 		}
-		descs[i] = d
-		tags[i] = tag
+		ptrs[i] = &descs[i]
 	}
 
-	done, deferred, err := s.accel.ExecuteBatch(descs, issue)
+	done, deferred, err := s.accel.ExecuteBatch(ptrs, issue)
 	if err != nil {
 		return nil, fmt.Errorf("qei: batch: %w", err)
 	}
@@ -161,22 +164,20 @@ func (s *System) queryBatchLevelWise(t Table, keys [][]byte) ([]Result, error) {
 		s.now = done
 	}
 
+	// deferred is in ascending order: every other position resolved in
+	// the batch.
 	results := make([]Result, len(keys))
-	inBatch := make([]bool, len(keys))
-	for i := range keys {
-		inBatch[i] = true
-	}
-	for _, i := range deferred {
-		inBatch[i] = false
-	}
-	for i := range keys {
-		if !inBatch[i] {
+	for i, d := 0, 0; i < len(keys); i++ {
+		if d < len(deferred) && deferred[d] == i {
+			d++
 			continue
 		}
-		r, ok := s.accel.Result(tags[i])
+		tag := descs[i].Tag
+		r, ok := s.accel.Result(tag)
 		if !ok {
 			return nil, fmt.Errorf("qei: batch result for key %d missing", i)
 		}
+		s.accel.Forget(tag)
 		results[i] = Result{
 			Found:   r.Found,
 			Value:   r.Value,

@@ -25,7 +25,8 @@ var (
 	// arm.
 	ErrResultPending = errors.New("qei: async result not yet written")
 	// ErrUnknownHandle is returned by Wait and Poll for a handle this
-	// system never issued.
+	// system never issued, or one whose result Wait or Poll already
+	// returned (the system forgets a query once it is retired).
 	ErrUnknownHandle = errors.New("qei: unknown async handle")
 	// ErrQueryTimeout is carried by Result.Err when the per-query cycle
 	// budget watchdog (WithQueryCycleBudget) killed a stuck or looping

@@ -71,7 +71,7 @@ func (singleCell) Step(q *qei.FirmwareQuery, state qei.FirmwareState) qei.Firmwa
 	const check qei.FirmwareState = 1
 	switch state {
 	case qei.FirmwareStart:
-		return qei.FirmwareContinue(check, true,
+		return qei.FirmwareContinue(q, check, true,
 			qei.FirmwareMemRead(uint64(q.KeyAddr), 1),
 			qei.FirmwareMemRead(uint64(q.Header.Root), 1))
 	case check:
@@ -81,9 +81,9 @@ func (singleCell) Step(q *qei.FirmwareQuery, state qei.FirmwareState) qei.Firmwa
 		}
 		cmp := qei.FirmwareCompare(uint64(q.Header.Root), 1)
 		if stored[0] == q.Key[0] {
-			return qei.FirmwareFinish(true, uint64(stored[0]), cmp)
+			return qei.FirmwareFinish(q, true, uint64(stored[0]), cmp)
 		}
-		return qei.FirmwareFinish(false, 0, cmp)
+		return qei.FirmwareFinish(q, false, 0, cmp)
 	default:
 		return qei.FirmwareFail(fmt.Errorf("cell: bad state %d", state))
 	}

@@ -53,13 +53,13 @@ func (Firmware) Step(q *qei.FirmwareQuery, state qei.FirmwareState) qei.Firmware
 		q.Pos = 0              // bit position
 		q.AltNode = 0          // best-match value so far (reuse scratch)
 		q.Level = 0            // best-match valid flag
-		return qei.FirmwareContinue(lpmWalk, true,
+		return qei.FirmwareContinue(q, lpmWalk, true,
 			qei.FirmwareMemRead(uint64(q.KeyAddr), 4),
 			qei.FirmwareMemRead(uint64(q.Header.Root), 32))
 
 	case lpmWalk:
 		if q.Node == 0 || q.Pos >= 32 {
-			return qei.FirmwareFinish(q.Level != 0, uint64(q.AltNode))
+			return qei.FirmwareFinish(q, q.Level != 0, uint64(q.AltNode))
 		}
 		node := uint64(q.Node)
 		// Functional read of the node.
@@ -84,11 +84,11 @@ func (Firmware) Step(q *qei.FirmwareQuery, state qei.FirmwareState) qei.Firmware
 		q.Pos++
 		q.Node = qei.Addr(childU)
 		if q.Node == 0 {
-			return qei.FirmwareFinish(q.Level != 0, uint64(q.AltNode),
+			return qei.FirmwareFinish(q, q.Level != 0, uint64(q.AltNode),
 				qei.FirmwareCompare(node, 8))
 		}
 		// One compare (the bit test) and the next node's line.
-		return qei.FirmwareContinue(lpmWalk, false,
+		return qei.FirmwareContinue(q, lpmWalk, false,
 			qei.FirmwareCompare(node, 8),
 			qei.FirmwareMemRead(uint64(q.Node), 32))
 

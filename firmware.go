@@ -66,14 +66,17 @@ func FirmwareALU(bytes uint64) FirmwareOp { return cfa.ALU(bytes) }
 // FirmwareHash builds a hashing-unit micro-op over bytes of key.
 func FirmwareHash(bytes uint64) FirmwareOp { return cfa.HashOp(bytes) }
 
-// FirmwareContinue builds a non-terminal transition outcome.
-func FirmwareContinue(next FirmwareState, parallel bool, ops ...FirmwareOp) FirmwareRequest {
-	return cfa.Continue(next, parallel, ops...)
+// FirmwareContinue builds q's non-terminal transition outcome. The ops
+// are copied into storage q owns, so the outcome's ops stay valid until
+// q's next transition and a step allocates nothing for them.
+func FirmwareContinue(q *FirmwareQuery, next FirmwareState, parallel bool, ops ...FirmwareOp) FirmwareRequest {
+	return q.Continue(next, parallel, ops...)
 }
 
-// FirmwareFinish builds a successful terminal outcome.
-func FirmwareFinish(found bool, value uint64, ops ...FirmwareOp) FirmwareRequest {
-	return cfa.Finish(found, value, ops...)
+// FirmwareFinish builds q's successful terminal outcome; its ops live
+// in q's storage, as FirmwareContinue's do.
+func FirmwareFinish(q *FirmwareQuery, found bool, value uint64, ops ...FirmwareOp) FirmwareRequest {
+	return q.Finish(found, value, ops...)
 }
 
 // FirmwareFail builds an exception outcome (Sec. IV-D).

@@ -24,12 +24,12 @@ func (arrayFW) Step(q *FirmwareQuery, state FirmwareState) FirmwareRequest {
 	switch state {
 	case FirmwareStart:
 		q.Pos = 0
-		return FirmwareContinue(scan, true,
+		return FirmwareContinue(q, scan, true,
 			FirmwareMemRead(uint64(q.KeyAddr), 8),
 			FirmwareMemRead(uint64(q.Header.Root), 16))
 	case scan:
 		if uint64(q.Pos) >= q.Header.Size {
-			return FirmwareFinish(false, 0)
+			return FirmwareFinish(q, false, 0)
 		}
 		ea := q.Header.Root + Addr(q.Pos*16)
 		stored, err := q.AS.ReadU64(ea)
@@ -43,10 +43,10 @@ func (arrayFW) Step(q *FirmwareQuery, state FirmwareState) FirmwareRequest {
 			if err != nil {
 				return FirmwareFail(err)
 			}
-			return FirmwareFinish(true, v, cmp)
+			return FirmwareFinish(q, true, v, cmp)
 		}
 		q.Pos++
-		return FirmwareContinue(scan, false, cmp, FirmwareMemRead(uint64(ea+16), 16))
+		return FirmwareContinue(q, scan, false, cmp, FirmwareMemRead(uint64(ea+16), 16))
 	default:
 		return FirmwareFail(fmt.Errorf("array50: bad state %d", state))
 	}

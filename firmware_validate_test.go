@@ -31,7 +31,7 @@ func (f fakeFW) Step(q *qei.FirmwareQuery, s qei.FirmwareState) qei.FirmwareRequ
 
 // finishImmediately is a well-behaved Step: one transition to Done.
 func finishImmediately(q *qei.FirmwareQuery, s qei.FirmwareState) qei.FirmwareRequest {
-	return qei.FirmwareFinish(false, 0)
+	return qei.FirmwareFinish(q, false, 0)
 }
 
 func TestValidateFirmwareAcceptsLPMExample(t *testing.T) {
@@ -52,7 +52,7 @@ func TestValidateFirmwareRejectsPathological(t *testing.T) {
 			step: func(q *qei.FirmwareQuery, s qei.FirmwareState) qei.FirmwareRequest {
 				// Spins between Start and state 1 forever; the probe's
 				// transition budget must cut it off.
-				return qei.FirmwareContinue(1, false)
+				return qei.FirmwareContinue(q, 1, false)
 			}}},
 		{"exception only", fakeFW{code: 93, states: 1,
 			step: func(q *qei.FirmwareQuery, s qei.FirmwareState) qei.FirmwareRequest {
@@ -60,7 +60,7 @@ func TestValidateFirmwareRejectsPathological(t *testing.T) {
 			}}},
 		{"out of range op bytes", fakeFW{code: 94, states: 1,
 			step: func(q *qei.FirmwareQuery, s qei.FirmwareState) qei.FirmwareRequest {
-				return qei.FirmwareFinish(false, 0, qei.FirmwareMemRead(0, 1<<30))
+				return qei.FirmwareFinish(q, false, 0, qei.FirmwareMemRead(0, 1<<30))
 			}}},
 		{"panicking step", fakeFW{code: 95, states: 1,
 			step: func(q *qei.FirmwareQuery, s qei.FirmwareState) qei.FirmwareRequest {

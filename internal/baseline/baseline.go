@@ -95,18 +95,22 @@ type prefixSkel struct {
 }
 
 // Querier is a reusable arena for the query routines: one trace builder,
-// one stored-key scratch buffer, and a per-structure prefix cache. The
-// zero Querier is ready to use. The cache is keyed by header address, so
-// a Querier serves one address space, where headers are never freed.
+// one stored-key scratch buffer, the probed-slot and match buffers of a
+// trie scan, and a per-structure prefix cache, so a warmed query
+// allocates nothing. The zero Querier is ready to use. The cache is
+// keyed by header address, so a Querier serves one address space, where
+// headers are never freed.
 //
-// Traces returned by Query share the arena's storage and are valid only
-// until the next query on the same Querier — callers must copy
-// (isa.Builder.Append does) or consume them first. A Querier is not
-// safe for concurrent use.
+// The Trace and Matches that Query returns share the arena's storage
+// and are valid only until the next query on the same Querier — callers
+// must copy (isa.Builder.Append does) or consume them first. A Querier
+// is not safe for concurrent use.
 type Querier struct {
-	b     isa.Builder
-	key   []byte
-	skels map[mem.VAddr]prefixSkel
+	b       isa.Builder
+	key     []byte
+	slots   []mem.VAddr
+	matches []uint64
+	skels   map[mem.VAddr]prefixSkel
 }
 
 // Query runs one query for key on the structure whose header is at
@@ -390,7 +394,7 @@ func (q *Querier) btree(as *mem.AddressSpace, headerAddr mem.VAddr, h dstruct.He
 
 	node := h.Root
 	for node != 0 {
-		ptr, leaf, found, probes, err := dstruct.BTreeSearchNode(as, node, int(h.KeyLen), key)
+		ptr, leaf, found, probes, err := dstruct.BTreeSearchNode(as, node, int(h.KeyLen), key, q.scratch(int(h.KeyLen)))
 		if err != nil {
 			return Result{}, err
 		}
@@ -425,7 +429,7 @@ func (q *Querier) scanTrie(as *mem.AddressSpace, headerAddr mem.VAddr, h dstruct
 	cur, _ := q.emitPrefix(headerAddr, h)
 	b := &q.b
 
-	var matches []uint64
+	matches := q.matches[:0]
 	state := h.Root
 	for _, ib := range input {
 		// Load the input byte (sequential, prefetch-friendly: charged as
@@ -436,7 +440,8 @@ func (q *Querier) scanTrie(as *mem.AddressSpace, headerAddr mem.VAddr, h dstruct
 			// per probed slot: a single slot for dense nodes, a binary
 			// search for sparse ones).
 			stReady := b.LoadLine(state, cur)
-			child, probes, slots, err := dstruct.TrieFindEdgeProbes(as, state, ib)
+			child, probes, slots, err := dstruct.TrieFindEdgeProbes(as, state, ib, q.slots[:0])
+			q.slots = slots
 			if err != nil {
 				return Result{}, err
 			}
@@ -476,8 +481,10 @@ func (q *Querier) scanTrie(as *mem.AddressSpace, headerAddr mem.VAddr, h dstruct
 			matches = append(matches, out)
 		}
 	}
-	res := Result{Found: len(matches) > 0, Matches: matches, Trace: b.Ops()}
+	q.matches = matches
+	res := Result{Found: len(matches) > 0, Trace: b.Ops()}
 	if res.Found {
+		res.Matches = matches
 		res.Value = matches[len(matches)-1]
 	}
 	return res, nil

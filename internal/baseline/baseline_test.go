@@ -277,15 +277,18 @@ func TestTraceHasRealAddresses(t *testing.T) {
 // BenchmarkQuery measures one software query per built-in structure on a
 // warmed Querier: its prefix cache is filled and its buffers have grown,
 // so allocs/op is the steady state of a long-running caller.
-func BenchmarkQuery(b *testing.B) {
-	as := newAS()
+// queryCase is one built-in structure with a probe key (the trie's is a
+// scan input with three matches).
+type queryCase struct {
+	name   string
+	header mem.VAddr
+	key    []byte
+}
+
+func queryCases(as *mem.AddressSpace) []queryCase {
 	keys, vals := genKeys(1024, 16, 13)
 	kws := [][]byte{[]byte("attack"), []byte("root"), []byte("passwd"), []byte("admin")}
-	cases := []struct {
-		name   string
-		header mem.VAddr
-		key    []byte
-	}{
+	return []queryCase{
 		{"linkedlist", dstruct.BuildLinkedList(as, keys[:64], vals[:64]).HeaderAddr, keys[32]},
 		{"hashtable", dstruct.BuildHashTable(as, 256, 9, keys, vals).HeaderAddr, keys[7]},
 		{"cuckoo", dstruct.BuildCuckoo(as, 512, 4, 11, keys, vals).HeaderAddr, keys[7]},
@@ -294,7 +297,30 @@ func BenchmarkQuery(b *testing.B) {
 		{"trie", dstruct.BuildTrie(as, kws, []uint64{1, 2, 3, 4}).HeaderAddr, []byte("GET /rootkit?admin=1&x=passwd HTTP/1.1")},
 		{"btree", dstruct.BuildBTree(as, 16, keys, vals).HeaderAddr, keys[7]},
 	}
-	for _, c := range cases {
+}
+
+// TestQueryAllocatesNothing pins the software walker: a warmed Querier
+// answers every built-in type code, the trie scan's matches included,
+// without a host allocation.
+func TestQueryAllocatesNothing(t *testing.T) {
+	as := newAS()
+	for _, c := range queryCases(as) {
+		var q Querier
+		run := func() {
+			if _, err := q.Query(as, c.header, c.key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if got := testing.AllocsPerRun(100, run); got != 0 {
+			t.Errorf("%s: %v allocs per warmed query, want 0", c.name, got)
+		}
+	}
+}
+
+func BenchmarkQuery(b *testing.B) {
+	as := newAS()
+	for _, c := range queryCases(as) {
 		b.Run(c.name, func(b *testing.B) {
 			var q Querier
 			if _, err := q.Query(as, c.header, c.key); err != nil {

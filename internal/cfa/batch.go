@@ -52,8 +52,8 @@ func cuckooFindIn(q *Query, base mem.VAddr) (uint64, bool, error) {
 		if occ&1 == 0 {
 			continue
 		}
-		stored := make([]byte, q.Header.KeyLen)
-		if err := q.AS.Read(ea+mem.VAddr(keyOff), stored); err != nil {
+		stored, err := q.readStored(ea+mem.VAddr(keyOff), int(q.Header.KeyLen))
+		if err != nil {
 			return 0, false, err
 		}
 		if bytes.Equal(stored, q.Key) {
@@ -84,9 +84,9 @@ func (p CuckooProgram) BatchStep(q *Query, state StateID) Request {
 		}
 		cmp := Compare(q.Node, bucketBytes)
 		if found {
-			return Finish(true, v, cmp)
+			return q.Finish(true, v, cmp)
 		}
-		return Continue(stAltComp, false, cmp)
+		return q.Continue(stAltComp, false, cmp)
 
 	case stAltComp:
 		// Phase two: the alternative bucket, misses only.
@@ -94,7 +94,7 @@ func (p CuckooProgram) BatchStep(q *Query, state StateID) Request {
 		if err != nil {
 			return Fail(err)
 		}
-		return Finish(found, v, Compare(q.AltNode, bucketBytes))
+		return q.Finish(found, v, Compare(q.AltNode, bucketBytes))
 
 	default:
 		return Fail(errBadState(p.Name(), state))

@@ -114,16 +114,6 @@ type Request struct {
 	Fault error
 }
 
-// Continue builds a non-terminal request.
-func Continue(next StateID, parallel bool, ops ...Op) Request {
-	return Request{Ops: ops, Parallel: parallel, Next: next}
-}
-
-// Finish builds a successful terminal request.
-func Finish(found bool, value uint64, ops ...Op) Request {
-	return Request{Ops: ops, Next: StateDone, Found: found, Value: value}
-}
-
 // Fail builds an exception terminal request (Sec. IV-D).
 func Fail(err error) Request {
 	return Request{Next: StateException, Fault: err}
@@ -145,8 +135,50 @@ type Query struct {
 	Level   int       // skip-list level / bucket slot index
 	Pos     int       // input position (trie scan)
 
-	// Matches accumulates trie-scan outputs (result streaming).
+	// Matches accumulates trie-scan outputs (result streaming). Staging
+	// starts it empty with no storage, so a result that keeps it never
+	// shares it with a later query.
 	Matches []uint64
+
+	// ops backs the Ops of the request the current transition returns
+	// (Continue, Finish), and stored is the compare buffer a stored key
+	// is read into. Both are storage the query owns and reuses from
+	// transition to transition, as the hardware reuses the QST entry's
+	// data field; staging keeps them.
+	ops    []Op
+	stored []byte
+}
+
+// Continue builds a non-terminal request. The ops are copied into
+// storage the query owns, so the request's Ops stay valid until the
+// query's next transition.
+func (q *Query) Continue(next StateID, parallel bool, ops ...Op) Request {
+	q.ops = append(q.ops[:0], ops...)
+	return Request{Ops: q.ops, Parallel: parallel, Next: next}
+}
+
+// Finish builds a successful terminal request; its ops live in the
+// query's storage, like Continue's.
+func (q *Query) Finish(found bool, value uint64, ops ...Op) Request {
+	q.ops = append(q.ops[:0], ops...)
+	return Request{Ops: q.ops, Next: StateDone, Found: found, Value: value}
+}
+
+// compareBuf returns the query's compare buffer, n bytes long. Its
+// contents stay valid until the next compareBuf or readStored.
+func (q *Query) compareBuf(n int) []byte {
+	if cap(q.stored) < n {
+		q.stored = make([]byte, n)
+	}
+	q.stored = q.stored[:n]
+	return q.stored
+}
+
+// readStored reads n bytes of a stored key at addr into the query's
+// compare buffer.
+func (q *Query) readStored(addr mem.VAddr, n int) ([]byte, error) {
+	buf := q.compareBuf(n)
+	return buf, q.AS.Read(addr, buf)
 }
 
 // Program is the firmware for one data-structure type: a named set of

@@ -66,10 +66,10 @@ func TestRegistryRejectsDuplicates(t *testing.T) {
 
 type badProgram struct{ states int }
 
-func (b badProgram) TypeCode() uint8              { return 99 }
-func (b badProgram) Name() string                 { return "bad" }
-func (b badProgram) NumStates() int               { return b.states }
-func (b badProgram) Step(*Query, StateID) Request { return Finish(false, 0) }
+func (b badProgram) TypeCode() uint8                  { return 99 }
+func (b badProgram) Name() string                     { return "bad" }
+func (b badProgram) NumStates() int                   { return b.states }
+func (b badProgram) Step(q *Query, _ StateID) Request { return q.Finish(false, 0) }
 
 func TestValidateProgramStateBounds(t *testing.T) {
 	if err := ValidateProgram(badProgram{states: 255}); err == nil {
@@ -279,12 +279,12 @@ func (p arrayProgram) Step(q *Query, state StateID) Request {
 	switch state {
 	case StateStart:
 		q.Level = 0
-		return Continue(stComp, true,
+		return q.Continue(stComp, true,
 			MemRead(q.KeyAddr, uint64(q.Header.KeyLen)),
 			MemRead(q.Header.Root, stride))
 	case stComp:
 		if uint64(q.Level) >= q.Header.Size {
-			return Finish(false, 0)
+			return q.Finish(false, 0)
 		}
 		ea := q.Header.Root + mem.VAddr(uint64(q.Level)*stride)
 		stored := make([]byte, q.Header.KeyLen)
@@ -297,10 +297,10 @@ func (p arrayProgram) Step(q *Query, state StateID) Request {
 			if err != nil {
 				return Fail(err)
 			}
-			return Finish(true, v, cmp)
+			return q.Finish(true, v, cmp)
 		}
 		q.Level++
-		return Continue(stComp, false, cmp, MemRead(ea+mem.VAddr(stride), stride))
+		return q.Continue(stComp, false, cmp, MemRead(ea+mem.VAddr(stride), stride))
 	default:
 		return Fail(errBadState("array", state))
 	}
@@ -379,7 +379,7 @@ func (loopProgram) TypeCode() uint8 { return 43 }
 func (loopProgram) Name() string    { return "loop" }
 func (loopProgram) NumStates() int  { return 2 }
 func (loopProgram) Step(q *Query, s StateID) Request {
-	return Continue(StateID(1), false)
+	return q.Continue(StateID(1), false)
 }
 
 func TestBTreeCFA(t *testing.T) {

@@ -33,6 +33,16 @@ func errBadState(name string, s StateID) error {
 // nodeLine returns a memory micro-op fetching the single line at addr.
 func nodeLine(addr mem.VAddr) Op { return MemRead(addr, mem.LineSize) }
 
+// readsLine reports whether ops already holds a memory micro-op at line.
+func readsLine(ops []Op, line mem.VAddr) bool {
+	for _, op := range ops {
+		if op.Kind == OpMemRead && op.Addr == line {
+			return true
+		}
+	}
+	return false
+}
+
 // LinkedListProgram walks the singly linked list of Fig. 3 exactly.
 type LinkedListProgram struct{}
 
@@ -45,17 +55,17 @@ func (p LinkedListProgram) Step(q *Query, state StateID) Request {
 	case StateStart:
 		q.Node = q.Header.Root
 		// 1: issue memory requests for the queried key and starting node.
-		ops := []Op{MemRead(q.KeyAddr, uint64(q.Header.KeyLen))}
-		if q.Node != 0 {
-			ops = append(ops, nodeLine(q.Node))
+		key := MemRead(q.KeyAddr, uint64(q.Header.KeyLen))
+		if q.Node == 0 {
+			return q.Continue(stComp, true, key)
 		}
-		return Continue(stComp, true, ops...)
+		return q.Continue(stComp, true, key, nodeLine(q.Node))
 
 	case stComp:
 		if q.Node == 0 {
-			return Finish(false, 0)
+			return q.Finish(false, 0)
 		}
-		k, err := dstruct.ListKey(q.AS, q.Node, q.Header.KeyLen)
+		k, err := q.readStored(dstruct.ListKeyAddr(q.Node), int(q.Header.KeyLen))
 		if err != nil {
 			return Fail(err)
 		}
@@ -66,10 +76,10 @@ func (p LinkedListProgram) Step(q *Query, state StateID) Request {
 				return Fail(err)
 			}
 			// 7-8: return result, go idle.
-			return Finish(true, v, cmp)
+			return q.Finish(true, v, cmp)
 		}
 		// 6: mismatch — fetch the next node.
-		return Continue(stNext, false, cmp)
+		return q.Continue(stNext, false, cmp)
 
 	case stNext:
 		next, err := dstruct.ListNext(q.AS, q.Node)
@@ -78,9 +88,9 @@ func (p LinkedListProgram) Step(q *Query, state StateID) Request {
 		}
 		q.Node = next
 		if next == 0 {
-			return Finish(false, 0)
+			return q.Finish(false, 0)
 		}
-		return Continue(stComp, false, nodeLine(next))
+		return q.Continue(stComp, false, nodeLine(next))
 
 	default:
 		return Fail(errBadState(p.Name(), state))
@@ -100,13 +110,13 @@ func (p HashTableProgram) Step(q *Query, state StateID) Request {
 	switch state {
 	case StateStart:
 		// Stage the key first; hashing needs it.
-		return Continue(stHash, false, MemRead(q.KeyAddr, uint64(q.Header.KeyLen)))
+		return q.Continue(stHash, false, MemRead(q.KeyAddr, uint64(q.Header.KeyLen)))
 
 	case stHash:
 		// Hash the staged key, then fetch the bucket head pointer.
 		slot := dstruct.HashBucketSlot(q.Header, q.Key)
 		q.AltNode = slot
-		return Continue(stNext, false,
+		return q.Continue(stNext, false,
 			HashOp(uint64(q.Header.KeyLen)),
 			MemRead(slot, 8))
 
@@ -129,12 +139,12 @@ func (p HashTableProgram) Step(q *Query, state StateID) Request {
 		}
 		q.Node = next
 		if next == 0 {
-			return Finish(false, 0)
+			return q.Finish(false, 0)
 		}
-		return Continue(stComp, false, nodeLine(next))
+		return q.Continue(stComp, false, nodeLine(next))
 
 	case stComp:
-		k, err := dstruct.ListKey(q.AS, q.Node, q.Header.KeyLen)
+		k, err := q.readStored(dstruct.ListKeyAddr(q.Node), int(q.Header.KeyLen))
 		if err != nil {
 			return Fail(err)
 		}
@@ -144,9 +154,9 @@ func (p HashTableProgram) Step(q *Query, state StateID) Request {
 			if err != nil {
 				return Fail(err)
 			}
-			return Finish(true, v, cmp)
+			return q.Finish(true, v, cmp)
 		}
-		return Continue(stNext, false, cmp)
+		return q.Continue(stNext, false, cmp)
 
 	default:
 		return Fail(errBadState(p.Name(), state))
@@ -167,14 +177,14 @@ func (p CuckooProgram) Step(q *Query, state StateID) Request {
 	bucketBytes := dstruct.CuckooBucketSize(int(q.Header.KeyLen), int(q.Header.Subtype))
 	switch state {
 	case StateStart:
-		return Continue(stHash, false, MemRead(q.KeyAddr, uint64(q.Header.KeyLen)))
+		return q.Continue(stHash, false, MemRead(q.KeyAddr, uint64(q.Header.KeyLen)))
 
 	case stHash:
 		h1, h2 := dstruct.CuckooHashes(q.Key, q.Header.Aux2, q.Header.Aux)
 		q.Node = dstruct.EntryAddr(q.Header, h1, 0)
 		q.AltNode = dstruct.EntryAddr(q.Header, h2, 0)
 		q.Level = 0 // probing bucket 1
-		return Continue(stComp, false, HashOp(uint64(q.Header.KeyLen)))
+		return q.Continue(stComp, false, HashOp(uint64(q.Header.KeyLen)))
 
 	case stComp:
 		// Compare the key against BOTH candidate buckets concurrently,
@@ -185,7 +195,6 @@ func (p CuckooProgram) Step(q *Query, state StateID) Request {
 		// so the probes proceed in parallel, as HALO's and DPDK's own
 		// two-choice lookups do. Schemes without remote comparators
 		// fetch the buckets instead (the engine decides).
-		ops := []Op{Compare(q.Node, bucketBytes), Compare(q.AltNode, bucketBytes)}
 		v, found, err := cuckooFindIn(q, q.Node)
 		if err != nil {
 			return Fail(err)
@@ -196,7 +205,9 @@ func (p CuckooProgram) Step(q *Query, state StateID) Request {
 				return Fail(err)
 			}
 		}
-		return Request{Ops: ops, Parallel: true, Next: StateDone, Found: found, Value: v}
+		req := q.Continue(StateDone, true, Compare(q.Node, bucketBytes), Compare(q.AltNode, bucketBytes))
+		req.Found, req.Value = found, v
+		return req
 
 	default:
 		return Fail(errBadState(p.Name(), state))
@@ -217,7 +228,7 @@ func (p SkipListProgram) Step(q *Query, state StateID) Request {
 	case StateStart:
 		q.Node = q.Header.Root
 		q.Level = int(q.Header.Aux) - 1
-		return Continue(stNext, true,
+		return q.Continue(stNext, true,
 			MemRead(q.KeyAddr, uint64(q.Header.KeyLen)),
 			nodeLine(q.Node))
 
@@ -232,13 +243,13 @@ func (p SkipListProgram) Step(q *Query, state StateID) Request {
 		next := mem.VAddr(nextU)
 		if next == 0 {
 			if q.Level == 0 {
-				return Finish(false, 0, MemRead(slot, 8))
+				return q.Finish(false, 0, MemRead(slot, 8))
 			}
 			q.Level--
-			return Continue(stNext, false, MemRead(slot, 8))
+			return q.Continue(stNext, false, MemRead(slot, 8))
 		}
 		q.AltNode = next
-		return Continue(stComp, false, MemRead(slot, 8), nodeLine(next))
+		return q.Continue(stComp, false, MemRead(slot, 8), nodeLine(next))
 
 	case stComp:
 		next := q.AltNode
@@ -247,8 +258,8 @@ func (p SkipListProgram) Step(q *Query, state StateID) Request {
 			return Fail(err)
 		}
 		keyAddr := dstruct.SkipKeyAddr(next, nh)
-		stored := make([]byte, q.Header.KeyLen)
-		if err := q.AS.Read(keyAddr, stored); err != nil {
+		stored, err := q.readStored(keyAddr, int(q.Header.KeyLen))
+		if err != nil {
 			return Fail(err)
 		}
 		cmp := Compare(keyAddr, uint64(q.Header.KeyLen))
@@ -256,13 +267,13 @@ func (p SkipListProgram) Step(q *Query, state StateID) Request {
 		switch {
 		case c < 0:
 			q.Node = next
-			return Continue(stNext, false, cmp)
+			return q.Continue(stNext, false, cmp)
 		case c == 0 && q.Level == 0:
 			v, err := dstruct.SkipValue(q.AS, next)
 			if err != nil {
 				return Fail(err)
 			}
-			return Finish(true, v, cmp)
+			return q.Finish(true, v, cmp)
 		default:
 			if q.Level == 0 {
 				if c == 0 {
@@ -271,12 +282,12 @@ func (p SkipListProgram) Step(q *Query, state StateID) Request {
 					if err != nil {
 						return Fail(err)
 					}
-					return Finish(true, v, cmp)
+					return q.Finish(true, v, cmp)
 				}
-				return Finish(false, 0, cmp)
+				return q.Finish(false, 0, cmp)
 			}
 			q.Level--
-			return Continue(stNext, false, cmp)
+			return q.Continue(stNext, false, cmp)
 		}
 
 	default:
@@ -297,19 +308,19 @@ func (p BSTProgram) Step(q *Query, state StateID) Request {
 	case StateStart:
 		q.Node = q.Header.Root
 		if q.Node == 0 {
-			return Finish(false, 0)
+			return q.Finish(false, 0)
 		}
 		// Node header line plus the key's lines (payload pushes the key
 		// beyond the first line — the multi-access node of the JVM tree).
-		return Continue(stComp, true,
+		return q.Continue(stComp, true,
 			MemRead(q.KeyAddr, uint64(q.Header.KeyLen)),
 			nodeLine(q.Node),
 			MemRead(dstruct.BSTKeyAddr(q.Node, payload), uint64(q.Header.KeyLen)))
 
 	case stComp:
 		keyAddr := dstruct.BSTKeyAddr(q.Node, payload)
-		stored := make([]byte, q.Header.KeyLen)
-		if err := q.AS.Read(keyAddr, stored); err != nil {
+		stored, err := q.readStored(keyAddr, int(q.Header.KeyLen))
+		if err != nil {
 			return Fail(err)
 		}
 		cmp := Compare(keyAddr, uint64(q.Header.KeyLen))
@@ -319,7 +330,7 @@ func (p BSTProgram) Step(q *Query, state StateID) Request {
 			if err != nil {
 				return Fail(err)
 			}
-			return Finish(true, v, cmp)
+			return q.Finish(true, v, cmp)
 		}
 		childU, err := q.AS.ReadU64(dstruct.BSTChildSlot(q.Node, c > 0))
 		if err != nil {
@@ -327,9 +338,9 @@ func (p BSTProgram) Step(q *Query, state StateID) Request {
 		}
 		q.Node = mem.VAddr(childU)
 		if q.Node == 0 {
-			return Finish(false, 0, cmp)
+			return q.Finish(false, 0, cmp)
 		}
-		return Continue(stComp, false,
+		return q.Continue(stComp, false,
 			cmp,
 			nodeLine(q.Node),
 			MemRead(dstruct.BSTKeyAddr(q.Node, payload), uint64(q.Header.KeyLen)))
@@ -356,7 +367,7 @@ func (p TrieProgram) Step(q *Query, state StateID) Request {
 		q.Node = q.Header.Root
 		q.Pos = 0
 		// Stage the whole input string (its lines stream in) and the root.
-		return Continue(stIndex, true,
+		return q.Continue(stIndex, true,
 			MemRead(q.KeyAddr, uint64(len(q.Key))),
 			nodeLine(q.Node))
 
@@ -366,10 +377,11 @@ func (p TrieProgram) Step(q *Query, state StateID) Request {
 			if n := len(q.Matches); n > 0 {
 				last = q.Matches[n-1]
 			}
-			return Finish(len(q.Matches) > 0, last)
+			return q.Finish(len(q.Matches) > 0, last)
 		}
 		b := q.Key[q.Pos]
-		child, probes, slots, err := dstruct.TrieFindEdgeProbes(q.AS, q.Node, b)
+		var slotBuf [8]mem.VAddr
+		child, probes, slots, err := dstruct.TrieFindEdgeProbes(q.AS, q.Node, b, slotBuf[:0])
 		if err != nil {
 			return Fail(err)
 		}
@@ -377,15 +389,14 @@ func (p TrieProgram) Step(q *Query, state StateID) Request {
 		// (dense nodes: one slot line; sparse: the binary-search probes).
 		// Charge one memory micro-op per distinct probed line beyond the
 		// node header, plus a compare per probe.
-		var idxOps []Op
-		seen := map[mem.VAddr]bool{}
+		var opBuf [8]Op
+		ops := opBuf[:0]
 		for _, s := range slots {
-			if l := s.Line(); !seen[l] {
-				seen[l] = true
-				idxOps = append(idxOps, MemRead(l, 8))
+			if l := s.Line(); !readsLine(ops, l) {
+				ops = append(ops, MemRead(l, 8))
 			}
 		}
-		idxCmp := Compare(q.Node+24, uint64(probes)*8)
+		ops = append(ops, Compare(q.Node+24, uint64(probes)*8))
 		if child != 0 {
 			q.Node = child
 			q.Pos++
@@ -396,18 +407,18 @@ func (p TrieProgram) Step(q *Query, state StateID) Request {
 			if out != 0 {
 				q.Matches = append(q.Matches, out)
 			}
-			return Continue(stIndex, false, append(idxOps, idxCmp, nodeLine(child))...)
+			return q.Continue(stIndex, false, append(ops, nodeLine(child))...)
 		}
 		if q.Node == q.Header.Root {
 			q.Pos++ // no edge from root: consume the byte
-			return Continue(stIndex, false, append(idxOps, idxCmp)...)
+			return q.Continue(stIndex, false, ops...)
 		}
 		fl, err := dstruct.TrieFail(q.AS, q.Node)
 		if err != nil {
 			return Fail(err)
 		}
 		q.Node = fl
-		return Continue(stIndex, false, append(idxOps, idxCmp, nodeLine(fl))...)
+		return q.Continue(stIndex, false, append(ops, nodeLine(fl))...)
 
 	default:
 		return Fail(errBadState(p.Name(), state))
@@ -435,15 +446,15 @@ func (p BTreeProgram) Step(q *Query, state StateID) Request {
 	case StateStart:
 		q.Node = q.Header.Root
 		if q.Node == 0 {
-			return Finish(false, 0)
+			return q.Finish(false, 0)
 		}
 		nodeBytes := uint64(16) + (uint64((int(q.Header.KeyLen)+7)&^7)+8)*uint64(q.Header.Subtype)
-		return Continue(stIndex, true,
+		return q.Continue(stIndex, true,
 			MemRead(q.KeyAddr, uint64(q.Header.KeyLen)),
 			MemRead(q.Node, nodeBytes))
 
 	case stIndex:
-		ptr, leaf, found, probes, err := dstruct.BTreeSearchNode(q.AS, q.Node, int(q.Header.KeyLen), q.Key)
+		ptr, leaf, found, probes, err := dstruct.BTreeSearchNode(q.AS, q.Node, int(q.Header.KeyLen), q.Key, q.compareBuf(int(q.Header.KeyLen)))
 		if err != nil {
 			return Fail(err)
 		}
@@ -452,14 +463,14 @@ func (p BTreeProgram) Step(q *Query, state StateID) Request {
 		// transition, so the comparison is local to the staged data.
 		cmp := Compare(q.Node+16, uint64(probes)*uint64(q.Header.KeyLen))
 		if leaf {
-			return Finish(found, ptr, cmp)
+			return q.Finish(found, ptr, cmp)
 		}
 		q.Node = mem.VAddr(ptr)
 		if q.Node == 0 {
-			return Finish(false, 0, cmp)
+			return q.Finish(false, 0, cmp)
 		}
 		nodeBytes := uint64(16) + (uint64((int(q.Header.KeyLen)+7)&^7)+8)*uint64(q.Header.Subtype)
-		return Continue(stIndex, false, cmp, MemRead(q.Node, nodeBytes))
+		return q.Continue(stIndex, false, cmp, MemRead(q.Node, nodeBytes))
 
 	default:
 		return Fail(errBadState(p.Name(), state))

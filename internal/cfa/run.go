@@ -23,7 +23,8 @@ type ExecResult struct {
 // package qei layers scheduling and latency on the same guarded walk.
 func Run(reg *Registry, as *mem.AddressSpace, headerAddr, keyAddr mem.VAddr, keyLen int) (ExecResult, error) {
 	res := ExecResult{Ops: make(map[OpKind]int)}
-	prog, q, err := Stage(reg, as, headerAddr, keyAddr, keyLen, nil)
+	var q Query
+	prog, err := Stage(reg, as, headerAddr, keyAddr, keyLen, &q)
 	if err != nil {
 		return res, err
 	}

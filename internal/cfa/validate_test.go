@@ -135,7 +135,7 @@ func (p tableFW) Name() string    { return "fuzz-table" }
 func (p tableFW) NumStates() int  { return p.states }
 func (p tableFW) Step(q *Query, s StateID) Request {
 	if len(p.recs) == 0 {
-		return Finish(false, 0)
+		return q.Finish(false, 0)
 	}
 	r := p.recs[int(s)%len(p.recs)]
 	next, kind, off, size, flags := StateID(r[0]), r[1]%5, r[2], uint64(r[3]), r[4]

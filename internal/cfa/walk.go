@@ -31,36 +31,47 @@ var (
 	ErrNoProgram = errors.New("cfa: no CFA firmware")
 )
 
-// Stage prepares a query the way the engine's QST entry does: it reads
-// the structure header at headerAddr, looks up the header type's
-// program in reg, and stages the key at keyAddr (see Query.StageKey).
-// The program is nil when the header is unreadable or its type has no
-// program (ErrNoProgram); a non-nil program with an error means only the
-// key was unreadable.
-func Stage(reg *Registry, as *mem.AddressSpace, headerAddr, keyAddr mem.VAddr, keyLen int, buf []byte) (Program, Query, error) {
+// Stage prepares q the way the engine's QST entry does: it reads the
+// structure header at headerAddr, looks up the header type's program in
+// reg, binds q to the header (see Query.Bind) and stages the key at
+// keyAddr (see Query.StageKey). The program is nil, and q untouched,
+// when the header is unreadable or its type has no program
+// (ErrNoProgram); a non-nil program with an error means only the key
+// was unreadable.
+func Stage(reg *Registry, as *mem.AddressSpace, headerAddr, keyAddr mem.VAddr, keyLen int, q *Query) (Program, error) {
 	hdr, err := dstruct.ReadHeader(as, headerAddr)
 	if err != nil {
-		return nil, Query{}, err
+		return nil, err
 	}
 	prog, ok := reg.Lookup(hdr.Type)
 	if !ok {
-		return nil, Query{}, fmt.Errorf("%w for type %s", ErrNoProgram, dstruct.TypeName(hdr.Type))
+		return nil, fmt.Errorf("%w for type %s", ErrNoProgram, dstruct.TypeName(hdr.Type))
 	}
-	q := Query{AS: as, HeaderAddr: headerAddr, Header: hdr}
-	return prog, q, q.StageKey(keyAddr, keyLen, buf)
+	q.Bind(as, headerAddr, hdr)
+	return prog, q.StageKey(keyAddr, keyLen)
 }
 
-// StageKey reads the query key at keyAddr into buf, growing it as
-// needed: keyLen bytes, or the header's KeyLen when keyLen is 0 (a
-// descriptor's KeyLen overrides the header's, e.g. for a trie scan).
-func (q *Query) StageKey(keyAddr mem.VAddr, keyLen int, buf []byte) error {
+// Bind starts a new query on q against the structure whose header hdr
+// was read at headerAddr: every architectural and cursor field is
+// cleared, Matches included, and only q's own storage (the key buffer,
+// the ops and compare buffers) is kept for reuse.
+func (q *Query) Bind(as *mem.AddressSpace, headerAddr mem.VAddr, hdr dstruct.Header) {
+	*q = Query{AS: as, HeaderAddr: headerAddr, Header: hdr,
+		Key: q.Key[:0], ops: q.ops[:0], stored: q.stored[:0]}
+}
+
+// StageKey reads the query key at keyAddr into q.Key, reusing its
+// storage and growing it as needed: keyLen bytes, or the header's KeyLen
+// when keyLen is 0 (a descriptor's KeyLen overrides the header's, e.g.
+// for a trie scan).
+func (q *Query) StageKey(keyAddr mem.VAddr, keyLen int) error {
 	if keyLen == 0 {
 		keyLen = int(q.Header.KeyLen)
 	}
-	if cap(buf) < keyLen {
-		buf = make([]byte, keyLen)
+	if cap(q.Key) < keyLen {
+		q.Key = make([]byte, keyLen)
 	}
-	q.KeyAddr, q.Key = keyAddr, buf[:keyLen]
+	q.KeyAddr, q.Key = keyAddr, q.Key[:keyLen]
 	return q.AS.Read(keyAddr, q.Key)
 }
 

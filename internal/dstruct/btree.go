@@ -187,14 +187,20 @@ func BuildBTree(as *mem.AddressSpace, fanout int, keys [][]byte, values []uint64
 // BTreeSearchNode finds, within one node, the entry governing key: for
 // leaves the matching entry (or -1), for inner nodes the child to
 // descend into. It returns the child/value, whether it's a leaf match,
-// and the number of entries probed (binary search).
-func BTreeSearchNode(as *mem.AddressSpace, node mem.VAddr, keyLen int, key []byte) (ptr uint64, leaf bool, found bool, probes int, err error) {
+// and the number of entries probed (binary search). Each probed
+// separator is read into buf, which is grown to keyLen bytes only when
+// its capacity is short, so a caller that keeps buf allocates nothing.
+func BTreeSearchNode(as *mem.AddressSpace, node mem.VAddr, keyLen int, key, buf []byte) (ptr uint64, leaf bool, found bool, probes int, err error) {
 	leaf, count, err := BTreeNodeMeta(as, node)
 	if err != nil {
 		return 0, false, false, 0, err
 	}
+	if cap(buf) < keyLen {
+		buf = make([]byte, keyLen)
+	}
+	buf = buf[:keyLen]
 	readKeyAt := func(i int) ([]byte, error) {
-		return readKey(as, BTreeEntryAddr(node, keyLen, i), uint16(keyLen))
+		return buf, as.Read(BTreeEntryAddr(node, keyLen, i), buf)
 	}
 	readPtr := func(i int) (uint64, error) {
 		return as.ReadU64(BTreeEntryAddr(node, keyLen, i) + mem.VAddr(uint64((keyLen+7)&^7)))
@@ -255,8 +261,9 @@ func QueryBTreeRef(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) (uint
 		return 0, false, fmt.Errorf("dstruct: header is %s, want btree", TypeName(h.Type))
 	}
 	node := h.Root
+	buf := make([]byte, h.KeyLen)
 	for i := 0; node != 0 && i <= int(h.Aux); i++ {
-		ptr, leaf, found, _, err := BTreeSearchNode(as, node, int(h.KeyLen), key)
+		ptr, leaf, found, _, err := BTreeSearchNode(as, node, int(h.KeyLen), key, buf)
 		if err != nil {
 			return 0, false, err
 		}

@@ -143,7 +143,7 @@ func BTreeScanFrom(as *mem.AddressSpace, headerAddr mem.VAddr, start []byte, n i
 		if leaf {
 			break
 		}
-		ptr, _, _, _, err := BTreeSearchNode(as, node, int(h.KeyLen), start)
+		ptr, _, _, _, err := BTreeSearchNode(as, node, int(h.KeyLen), start, nil)
 		if err != nil {
 			return nil, err
 		}

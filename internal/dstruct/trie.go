@@ -1,6 +1,8 @@
 package dstruct
 
 import (
+	"slices"
+
 	"qei/internal/mem"
 )
 
@@ -51,9 +53,12 @@ type Trie struct {
 // hostTrieNode is the build-time (host-side) representation.
 type hostTrieNode struct {
 	children map[byte]*hostTrieNode
-	fail     *hostTrieNode
-	output   uint64
-	addr     mem.VAddr
+	// edges lists the bytes of children in ascending order, the order
+	// the layout visits them in.
+	edges  []byte
+	fail   *hostTrieNode
+	output uint64
+	addr   mem.VAddr
 }
 
 // BuildTrie compiles the keyword dictionary into an Aho-Corasick
@@ -114,14 +119,21 @@ func BuildTrie(as *mem.AddressSpace, keywords [][]byte, values []uint64) *Trie {
 
 	// Lay out nodes: allocate, then fill (children need addresses first).
 	var all []*hostTrieNode
+	// Every node but the root is one edge, so one array holds every
+	// node's sorted edge bytes.
+	edges := make([]byte, 0, states-1)
 	var collect func(n *hostTrieNode)
 	collect = func(n *hostTrieNode) {
 		all = append(all, n)
 		// Deterministic order: sorted bytes.
-		for b := 0; b < 256; b++ {
-			if c, ok := n.children[byte(b)]; ok {
-				collect(c)
-			}
+		start := len(edges)
+		for b := range n.children {
+			edges = append(edges, b)
+		}
+		n.edges = edges[start:]
+		slices.Sort(n.edges)
+		for _, b := range n.edges {
+			collect(n.children[b])
 		}
 	}
 	collect(root)
@@ -150,26 +162,16 @@ func BuildTrie(as *mem.AddressSpace, keywords [][]byte, values []uint64) *Trie {
 		}
 		as.MustWrite(n.addr+trieOffCount, cnt)
 		if dense {
-			for b := 0; b < 256; b++ {
-				c, ok := n.children[byte(b)]
-				if !ok {
-					continue
-				}
-				as.MustWrite(n.addr+trieOffEdges+mem.VAddr(b*8), encodeU64(uint64(c.addr)))
+			for _, b := range n.edges {
+				as.MustWrite(n.addr+trieOffEdges+mem.VAddr(int(b)*8), encodeU64(uint64(n.children[b].addr)))
 			}
 			continue
 		}
-		i := 0
-		for b := 0; b < 256; b++ {
-			c, ok := n.children[byte(b)]
-			if !ok {
-				continue
-			}
+		for i, b := range n.edges {
 			edge := make([]byte, trieEdgeSize)
-			edge[0] = byte(b)
-			putU64(edge[8:], uint64(c.addr))
+			edge[0] = b
+			putU64(edge[8:], uint64(n.children[b].addr))
 			as.MustWrite(n.addr+trieOffEdges+mem.VAddr(i*trieEdgeSize), edge)
-			i++
 		}
 	}
 
@@ -212,32 +214,35 @@ func TrieEdgeSlot(node mem.VAddr, dense bool, i int, b byte) mem.VAddr {
 }
 
 // TrieFindEdge searches node's index table for byte b, returning the
-// child address (0 if absent), the number of edge slots examined (the
+// child address (0 if absent) and the number of edge slots examined (the
 // index-table search cost charged by walkers: 1 for dense nodes, a
-// binary search for sparse ones), and the probed slot addresses.
+// binary search for sparse ones).
 func TrieFindEdge(as *mem.AddressSpace, node mem.VAddr, b byte) (child mem.VAddr, probes int, err error) {
-	child, probes, _, err = TrieFindEdgeProbes(as, node, b)
+	var buf [8]mem.VAddr
+	child, probes, _, err = TrieFindEdgeProbes(as, node, b, buf[:0])
 	return child, probes, err
 }
 
-// TrieFindEdgeProbes is TrieFindEdge, additionally returning the probed
-// slot addresses so walkers can charge the exact lines touched.
-func TrieFindEdgeProbes(as *mem.AddressSpace, node mem.VAddr, b byte) (child mem.VAddr, probes int, slots []mem.VAddr, err error) {
+// TrieFindEdgeProbes is TrieFindEdge that also appends the probed slot
+// addresses to slots and returns the extended slice, so walkers can
+// charge the exact lines touched. A caller that passes storage it owns
+// (a stack array is enough for a well-formed node) allocates nothing.
+func TrieFindEdgeProbes(as *mem.AddressSpace, node mem.VAddr, b byte, slots []mem.VAddr) (child mem.VAddr, probes int, _ []mem.VAddr, err error) {
 	dense, err := TrieNodeDense(as, node)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, slots, err
 	}
 	if dense {
 		slot := TrieEdgeSlot(node, true, 0, b)
 		v, err := as.ReadU64(slot)
 		if err != nil {
-			return 0, 1, nil, err
+			return 0, 1, slots, err
 		}
-		return mem.VAddr(v), 1, []mem.VAddr{slot}, nil
+		return mem.VAddr(v), 1, append(slots, slot), nil
 	}
 	n, err := TrieEdgeCount(as, node)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, slots, err
 	}
 	lo, hi := 0, n-1
 	for lo <= hi {

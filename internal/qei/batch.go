@@ -1,11 +1,13 @@
 package qei
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
 	"qei/internal/cache"
 	"qei/internal/cfa"
+	"qei/internal/dstruct"
 	"qei/internal/isa"
 	"qei/internal/mem"
 	"qei/internal/trace"
@@ -43,6 +45,8 @@ import (
 // per-query result or is never resolved by the batch engine at all.
 
 // batchCursor is the lock-step walk state of one representative query.
+// Cursors live in the accelerator's batchPool and keep their query
+// buffers and page set from batch to batch.
 type batchCursor struct {
 	qd   *isa.QueryDesc
 	q    cfa.Query
@@ -51,12 +55,122 @@ type batchCursor struct {
 	// pages are the virtual pages this query touched — the translations
 	// the per-query path would have paid for (saved-translation
 	// accounting).
-	pages    map[uint64]bool
+	pages    stampMap
 	done     bool
 	deferred bool
 	// dups are batch positions of duplicate keys coalesced onto this
 	// walk.
 	dups []int
+	// sameHash is the index in batchPool.reps of the previous
+	// representative whose key hashes like this one's, or -1.
+	sameHash int
+}
+
+// lineOwner records that cursor c needs line from the current round's
+// fetch set. The pairs are scanned only when a fetch fails.
+type lineOwner struct {
+	line uint64
+	c    *batchCursor
+}
+
+// batchWrite is one result record of the writeback phase.
+type batchWrite struct {
+	addr mem.VAddr
+	tag  uint64
+	c    *batchCursor
+	dup  bool
+}
+
+// batchPool is the level-wise engine's working storage. The accelerator
+// owns it and reuses every buffer from batch to batch and round to
+// round, the way the level-wise FPGA search keeps each level's working
+// set in fixed buffers, so a warmed batch allocates only what its
+// results keep (trie-scan Matches).
+type batchPool struct {
+	cursors  []*batchCursor // every cursor made so far; a batch uses a prefix
+	reps     []*batchCursor // representative walks, in submission order
+	active   []*batchCursor // representatives still walking this round
+	cursorAt []*batchCursor // representative resolving each batch position
+	repOf    stampMap       // key hash -> index in reps of its newest representative
+	pages    stampMap       // pages the batch translated (or queued) so far
+	lineSeen stampMap       // lines already in this round's fetch set
+	owners   []lineOwner
+	lines    []uint64
+	writes   []batchWrite
+	deferred []int
+}
+
+// cursor returns pooled cursor i, emptied for a new walk.
+func (bp *batchPool) cursor(i int) *batchCursor {
+	for len(bp.cursors) <= i {
+		bp.cursors = append(bp.cursors, &batchCursor{})
+	}
+	c := bp.cursors[i]
+	c.pages.reset()
+	c.res = Result{}
+	c.done, c.deferred = false, false
+	c.dups = c.dups[:0]
+	return c
+}
+
+// stageBatch stages every descriptor's key onto a pooled cursor and
+// coalesces duplicate keys onto representative walks: bp.reps gets the
+// representatives, bp.cursorAt the one resolving each position, and
+// bp.deferred the positions whose key could not be staged. Staging the
+// first query reads the shared header; the rest stage only their keys.
+// The program is nil when the header cannot be staged at all.
+func (a *Accelerator) stageBatch(qds []*isa.QueryDesc) cfa.Program {
+	bp := &a.batch
+	bp.reps, bp.deferred = bp.reps[:0], bp.deferred[:0]
+	bp.cursorAt = slices.Grow(bp.cursorAt[:0], len(qds))[:len(qds)]
+	clear(bp.cursorAt)
+	bp.repOf.reset()
+
+	c := bp.cursor(0)
+	prog, err := cfa.Stage(a.reg, a.m.AS, qds[0].HeaderAddr, qds[0].KeyAddr, int(qds[0].KeyLen), &c.q)
+	if prog == nil {
+		return nil
+	}
+	as, hdr := c.q.AS, c.q.Header
+	for i, qd := range qds {
+		if i > 0 {
+			c = bp.cursor(len(bp.reps))
+			c.q.Bind(as, qd.HeaderAddr, hdr)
+			err = c.q.StageKey(qd.KeyAddr, int(qd.KeyLen))
+		}
+		if err != nil {
+			bp.deferred = append(bp.deferred, i)
+			continue
+		}
+		h := dstruct.Hash(c.q.Key, 0)
+		c.sameHash = -1
+		if j, ok := bp.repOf.get(h); ok {
+			c.sameHash = int(j)
+		}
+		if rep := bp.repWithKey(c.sameHash, c.q.Key); rep != nil {
+			rep.dups = append(rep.dups, i)
+			bp.cursorAt[i] = rep
+			a.stats.BatchCoalescedProbes++
+			continue
+		}
+		c.qd = qd
+		c.walk = cfa.NewWalk(prog, &c.q, true)
+		bp.repOf.put(h, uint64(len(bp.reps)))
+		bp.reps = append(bp.reps, c)
+		bp.cursorAt[i] = c
+	}
+	return prog
+}
+
+// repWithKey follows the sameHash chain from representative j and
+// returns the one whose key is key, or nil.
+func (bp *batchPool) repWithKey(j int, key []byte) *batchCursor {
+	for ; j >= 0; j = bp.reps[j].sameHash {
+		if bytes.Equal(bp.reps[j].q.Key, key) {
+			return bp.reps[j]
+		}
+	}
+	return nil
 }
 
 // ExecuteBatch runs a batch of queries against one structure (all
@@ -65,7 +179,8 @@ type batchCursor struct {
 // recorded under each descriptor's Tag and written to its ResultAddr
 // exactly as the non-blocking path does. It returns the cycle the
 // batched instruction completed and the batch positions of queries the
-// engine deferred to the per-query path.
+// engine deferred to the per-query path; that slice is the engine's own
+// storage, valid until the next ExecuteBatch.
 func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, []int, error) {
 	if len(qds) == 0 {
 		return issue, nil, nil
@@ -103,34 +218,30 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 
 	sc := &a.sc
 	sc.reset()
-	// batchPages tracks pages translated (or queued for translation) by
+	bp := &a.batch
+	// bp.pages tracks pages translated (or queued for translation) by
 	// the batch so far; a query touching one of them saved a translation
 	// the per-query path would have performed.
-	batchPages := make(map[uint64]bool, 64)
-	touchPage := func(pages map[uint64]bool, line uint64) {
-		page := mem.VAddr(line).Page()
-		if pages != nil {
-			if pages[page] {
-				return
-			}
-			pages[page] = true
+	bp.pages.reset()
+	touchPage := func(pages *stampMap, line uint64) {
+		page := uint64(mem.VAddr(line).Page())
+		if pages != nil && !pages.add(page) {
+			return
 		}
-		if batchPages[page] {
+		if !bp.pages.add(page) {
 			a.stats.BatchTranslationsSaved++
-		} else {
-			batchPages[page] = true
 		}
 	}
 
 	deferAll := func(t uint64) (uint64, []int, error) {
-		all := make([]int, len(qds))
+		bp.deferred = bp.deferred[:0]
 		for i := range qds {
-			all[i] = i
+			bp.deferred = append(bp.deferred, i)
 		}
-		a.stats.BatchDeferred += uint64(len(all))
+		a.stats.BatchDeferred += uint64(len(qds))
 		ins.qstRing[slot] = t
 		a.noteFinish(start, t)
-		return t, all, nil
+		return t, bp.deferred, nil
 	}
 
 	// The structure header is fetched ONCE for the whole batch.
@@ -143,46 +254,16 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 		return deferAll(t)
 	}
 	sc.markFetched(uint64(qds[0].HeaderAddr.Line()))
-	// Staging the first query reads the shared header; the rest stage
-	// only their keys.
-	prog, q0, err0 := cfa.Stage(a.reg, a.m.AS, qds[0].HeaderAddr, qds[0].KeyAddr, int(qds[0].KeyLen), nil)
-	if prog == nil {
+	if a.stageBatch(qds) == nil {
 		return deferAll(t)
 	}
 	for _, qd := range qds {
 		touchPage(nil, uint64(qd.HeaderAddr.Line()))
 	}
 
-	// Stage the keys and coalesce duplicates onto representative walks.
-	var cursors []*batchCursor
-	repOf := make(map[string]*batchCursor, len(qds))
-	cursorAt := make([]*batchCursor, len(qds)) // rep resolving each position
-	var deferred []int
-	for i, qd := range qds {
-		q, err := q0, err0
-		if i > 0 {
-			err = q.StageKey(qd.KeyAddr, int(qd.KeyLen), nil)
-		}
-		if err != nil {
-			deferred = append(deferred, i)
-			continue
-		}
-		if rep, ok := repOf[string(q.Key)]; ok {
-			rep.dups = append(rep.dups, i)
-			cursorAt[i] = rep
-			a.stats.BatchCoalescedProbes++
-			continue
-		}
-		c := &batchCursor{qd: qd, q: q, pages: make(map[uint64]bool, 8)}
-		c.walk = cfa.NewWalk(prog, &c.q, true)
-		repOf[string(q.Key)] = c
-		cursorAt[i] = c
-		cursors = append(cursors, c)
-	}
-
-	active := cursors
+	bp.active = append(bp.active[:0], bp.reps...)
 	round := 0
-	for len(active) > 0 {
+	for len(bp.active) > 0 {
 		round++
 		a.stats.BatchLevels++
 		roundStart := t
@@ -191,12 +272,10 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 		// micro-ops (compares, hashes, ALU) operate on data staged by the
 		// previous round and are charged at the query's transition slot;
 		// memory reads are collected for the batched fetch phase.
-		var lines []uint64
-		lineSeen := make(map[uint64]bool, 64)
-		lineOwners := make(map[uint64][]*batchCursor, 64)
-		next := make([]*batchCursor, 0, len(active))
+		bp.lines, bp.owners = bp.lines[:0], bp.owners[:0]
+		bp.lineSeen.reset()
 		computeEnd := t
-		for k, c := range active {
+		for k, c := range bp.active {
 			ceeT := t + uint64(k)
 			if a.cycleBudget != 0 && ceeT-start >= a.cycleBudget {
 				c.deferred = true
@@ -218,20 +297,19 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 					a.stats.MemOps++
 					first, last := opLines(op)
 					for line := first; line <= last; line += mem.LineSize {
-						touchPage(c.pages, line)
+						touchPage(&c.pages, line)
 						if sc.wasFetched(line) {
 							// Staged by an earlier round; the QST batch
 							// entry still holds it.
 							a.stats.BatchLinesDeduped++
 							continue
 						}
-						if lineSeen[line] {
-							a.stats.BatchLinesDeduped++
+						if bp.lineSeen.add(line) {
+							bp.lines = append(bp.lines, line)
 						} else {
-							lineSeen[line] = true
-							lines = append(lines, line)
+							a.stats.BatchLinesDeduped++
 						}
-						lineOwners[line] = append(lineOwners[line], c)
+						bp.owners = append(bp.owners, lineOwner{line: line, c: c})
 					}
 					continue
 				}
@@ -240,7 +318,7 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 					// query; the batch shares the page cache.
 					first, last := opLines(op)
 					for line := first; line <= last; line += mem.LineSize {
-						touchPage(c.pages, line)
+						touchPage(&c.pages, line)
 					}
 				}
 				lat, err := a.chargeOp(ins, op, ceeT+1, sc, uint64(len(c.q.Key)))
@@ -272,24 +350,24 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 			case req.Next == cfa.StateDone:
 				c.res = Result{Found: req.Found, Value: req.Value, Matches: c.q.Matches}
 				c.done = true
-			default:
-				next = append(next, c)
 			}
 		}
 
 		// Phase 2: the round's fetch set, deduplicated above, streams in
 		// ascending address order at one line per cycle; each distinct
 		// page translates once batch-wide.
-		slices.Sort(lines)
-		fetchStart := t + uint64(len(active))
+		slices.Sort(bp.lines)
+		fetchStart := t + uint64(len(bp.active))
 		fetchEnd := fetchStart
-		for j, line := range lines {
+		for j, line := range bp.lines {
 			at := fetchStart + uint64(j)
 			lat, err := a.dataAccess(ins, mem.VAddr(line), cache.Read, at, sc)
 			a.stats.MemLines++
 			if err != nil {
-				for _, c := range lineOwners[line] {
-					c.deferred = true
+				for _, o := range bp.owners {
+					if o.line == line {
+						o.c.deferred = true
+					}
 				}
 				continue
 			}
@@ -309,38 +387,32 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 				trace.PidQST(a.instanceIndex(ins)), int(slot), nil)
 		}
 
-		// next is freshly allocated each round, so filtering it in place
-		// cannot alias the cursors list.
-		filtered := next[:0]
-		for _, c := range next {
+		// The walks that neither finished nor deviated go on to the next
+		// round, in order.
+		kept := bp.active[:0]
+		for _, c := range bp.active {
 			if !c.deferred && !c.done {
-				filtered = append(filtered, c)
+				kept = append(kept, c)
 			}
 		}
-		active = filtered
+		bp.active = kept
 	}
 
 	// Result writeback: one 16-byte flag+value record per query
 	// (duplicates included), streamed in ascending address order — the
 	// same encoding the non-blocking path uses, so polling software sees
 	// no difference.
-	type wreq struct {
-		addr mem.VAddr
-		tag  uint64
-		c    *batchCursor
-		dup  bool
-	}
-	var writes []wreq
-	for _, c := range cursors {
+	bp.writes = bp.writes[:0]
+	for _, c := range bp.reps {
 		if c.deferred || !c.done {
 			continue
 		}
-		writes = append(writes, wreq{addr: c.qd.ResultAddr, tag: c.qd.Tag, c: c})
+		bp.writes = append(bp.writes, batchWrite{addr: c.qd.ResultAddr, tag: c.qd.Tag, c: c})
 		for _, di := range c.dups {
-			writes = append(writes, wreq{addr: qds[di].ResultAddr, tag: qds[di].Tag, c: c, dup: true})
+			bp.writes = append(bp.writes, batchWrite{addr: qds[di].ResultAddr, tag: qds[di].Tag, c: c, dup: true})
 		}
 	}
-	slices.SortFunc(writes, func(x, y wreq) int {
+	slices.SortFunc(bp.writes, func(x, y batchWrite) int {
 		switch {
 		case x.addr < y.addr:
 			return -1
@@ -350,12 +422,12 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 		return 0
 	})
 	batchDone := t
-	for j, w := range writes {
+	for j, w := range bp.writes {
 		at := t + uint64(j)
 		if w.dup {
 			touchPage(nil, uint64(w.addr.Line()))
 		} else {
-			touchPage(w.c.pages, uint64(w.addr.Line()))
+			touchPage(&w.c.pages, uint64(w.addr.Line()))
 		}
 		wlat, err := a.dataAccess(ins, w.addr, cache.Write, at, sc)
 		if err == nil {
@@ -376,17 +448,14 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 	a.noteFinish(start, batchDone)
 
 	// Deferred positions, in submission order: representatives that
-	// deviated plus duplicates riding on a deviated representative.
-	for i := range qds {
-		c := cursorAt[i]
-		if c == nil {
-			continue // key staging failed; already recorded
-		}
-		if c.deferred || !c.done {
-			deferred = append(deferred, i)
+	// deviated plus duplicates riding on a deviated representative (key
+	// staging failures are already in bp.deferred).
+	for i, c := range bp.cursorAt {
+		if c != nil && (c.deferred || !c.done) {
+			bp.deferred = append(bp.deferred, i)
 		}
 	}
-	slices.Sort(deferred)
-	a.stats.BatchDeferred += uint64(len(deferred))
-	return batchDone, deferred, nil
+	slices.Sort(bp.deferred)
+	a.stats.BatchDeferred += uint64(len(bp.deferred))
+	return batchDone, bp.deferred, nil
 }

@@ -228,11 +228,12 @@ type Accelerator struct {
 	// key buffer), reused across queries — the accelerator computes one
 	// attempt at a time. oneOffSc backs dataAccess calls that need an
 	// empty page cache (result writes), so they keep the exact timing of
-	// a cold translation. pickKey stages the key bytes pickInstance
-	// hashes at issue time.
+	// a cold translation. pickQ stages the key pickInstance hashes at
+	// issue time. batch is the level-wise engine's working storage.
 	sc       scratch
 	oneOffSc scratch
-	pickKey  []byte
+	pickQ    cfa.Query
+	batch    batchPool
 
 	stats Stats
 }
@@ -242,67 +243,64 @@ type Accelerator struct {
 // addresses below the allocator's brk).
 const noEntry = ^uint64(0)
 
-// scratch is the working set of one execution attempt. The maps are
-// cleared (not reallocated) per attempt, and one-entry caches in front
-// of them catch the page/line locality of structure walks — consecutive
-// accesses overwhelmingly hit the page and line just touched. Neither
-// map is ever iterated, so reuse cannot perturb determinism.
+// scratch is the working set of one execution attempt, owned by the
+// accelerator and reused from attempt to attempt. Its two sets are
+// stampMaps, so starting an attempt costs O(1) however many lines the
+// largest attempt staged, and one-entry caches in front of them catch
+// the page/line locality of structure walks — consecutive accesses
+// overwhelmingly hit the page and line just touched. Neither set is
+// ever iterated, so reuse cannot perturb determinism.
 type scratch struct {
 	// pages caches completed translations: virtual page -> physical page
 	// base (QEI keeps the current translation in the QST entry, so
 	// consecutive lines on one page translate once).
-	pages    map[uint64]mem.PAddr
+	pages    stampMap
 	lastPage uint64
 	lastBase mem.PAddr
 	// fetched records virtual lines staged into the QST data field.
-	fetched  map[uint64]bool
+	fetched  stampMap
 	lastLine uint64
 	// q and walk are the attempt's staged query and its guarded CFA
-	// walk; q.Key is reused as the next attempt's key buffer.
+	// walk; q keeps its key, ops and compare buffers across attempts.
 	q    cfa.Query
 	walk cfa.Walk
 }
 
 // reset prepares the scratch for a new attempt.
 func (s *scratch) reset() {
-	if s.pages == nil {
-		s.pages = make(map[uint64]mem.PAddr, 16)
-		s.fetched = make(map[uint64]bool, 32)
-	} else {
-		clear(s.pages)
-		clear(s.fetched)
-	}
+	s.pages.reset()
+	s.fetched.reset()
 	s.lastPage = noEntry
 	s.lastLine = noEntry
 }
 
-// lookupPage consults the one-entry cache, then the map.
+// lookupPage consults the one-entry cache, then the set.
 func (s *scratch) lookupPage(page uint64) (mem.PAddr, bool) {
 	if page == s.lastPage {
 		return s.lastBase, true
 	}
-	base, ok := s.pages[page]
+	base, ok := s.pages.get(page)
 	if ok {
-		s.lastPage, s.lastBase = page, base
+		s.lastPage, s.lastBase = page, mem.PAddr(base)
 	}
-	return base, ok
+	return mem.PAddr(base), ok
 }
 
 // storePage records a completed translation.
 func (s *scratch) storePage(page uint64, base mem.PAddr) {
-	s.pages[page] = base
+	s.pages.put(page, uint64(base))
 	s.lastPage, s.lastBase = page, base
 }
 
 // markFetched records a staged line.
 func (s *scratch) markFetched(line uint64) {
-	s.fetched[line] = true
+	s.fetched.add(line)
 	s.lastLine = line
 }
 
 // wasFetched reports whether a line is staged.
 func (s *scratch) wasFetched(line uint64) bool {
-	return line == s.lastLine || s.fetched[line]
+	return line == s.lastLine || s.fetched.has(line)
 }
 
 // New builds an accelerator for the given machine, scheme, firmware
@@ -398,6 +396,15 @@ func (a *Accelerator) Result(tag uint64) (Result, bool) {
 	return r, ok
 }
 
+// Forget drops everything the accelerator still records for tag, its
+// result and its non-blocking flush record. Software calls it once it
+// has consumed the result, so the records of a long-running accelerator
+// stay bounded by the queries in flight.
+func (a *Accelerator) Forget(tag uint64) {
+	delete(a.results, tag)
+	delete(a.nbInFlight, tag)
+}
+
 // pickInstance distributes queries across instances. Following HALO's
 // NUCA-aware dispatch, CHA schemes route each query to the instance in
 // the CHA that owns the query's first data access — the primary bucket
@@ -419,8 +426,8 @@ func (a *Accelerator) pickInstance(q *isa.QueryDesc) *instance {
 
 // firstDataAddr computes the first structure address a query touches.
 func (a *Accelerator) firstDataAddr(qd *isa.QueryDesc) mem.VAddr {
-	_, q, err := cfa.Stage(a.reg, a.m.AS, qd.HeaderAddr, qd.KeyAddr, int(qd.KeyLen), a.pickKey)
-	a.pickKey = q.Key
+	q := &a.pickQ
+	_, err := cfa.Stage(a.reg, a.m.AS, qd.HeaderAddr, qd.KeyAddr, int(qd.KeyLen), q)
 	if err != nil {
 		return qd.KeyAddr
 	}
@@ -780,8 +787,7 @@ func (a *Accelerator) attempt(ins *instance, qd *isa.QueryDesc, start uint64) (R
 		return fail(corrupt(err))
 	}
 	sc.markFetched(uint64(qd.HeaderAddr.Line()))
-	prog, q, err := cfa.Stage(a.reg, a.m.AS, qd.HeaderAddr, qd.KeyAddr, int(qd.KeyLen), sc.q.Key)
-	sc.q = q
+	prog, err := cfa.Stage(a.reg, a.m.AS, qd.HeaderAddr, qd.KeyAddr, int(qd.KeyLen), &sc.q)
 	if err != nil {
 		if !errors.Is(err, cfa.ErrNoProgram) {
 			err = corrupt(err)

@@ -139,13 +139,13 @@ func TestWalkGuardsFaultBothEngines(t *testing.T) {
 			panic("firmware bug")
 		}, cfa.ErrInvalidProgram},
 		{"oversize-op", func(q *cfa.Query, s cfa.StateID) cfa.Request {
-			return cfa.Finish(false, 0, cfa.ALU(8), cfa.MemRead(q.Header.Root, 1<<30))
+			return q.Finish(false, 0, cfa.ALU(8), cfa.MemRead(q.Header.Root, 1<<30))
 		}, cfa.ErrInvalidProgram},
 		// A walk that never repeats its configuration escapes cycle
 		// detection; the transition bound stops it.
 		{"runaway", func(q *cfa.Query, s cfa.StateID) cfa.Request {
 			q.Level++
-			return cfa.Continue(1, false)
+			return q.Continue(1, false)
 		}, ErrQueryTimeout},
 	}
 	for _, tc := range cases {

@@ -201,6 +201,10 @@ type server struct {
 	wtotal LatencyHist
 	queue  []inflight
 	rep    *Report
+	// done and doneRes are pollRetire's completions, kept across calls
+	// so the poll loop reuses their storage.
+	done    []inflight
+	doneRes []Result
 
 	// Batched admission state (Config.BatchAdmit > 1): the batch-capable
 	// backend view, per-tenant pending lookups, and flush counters.
@@ -526,8 +530,7 @@ func (s *server) waitOne(i int) error {
 // clobber the in-place compaction.
 func (s *server) pollRetire() error {
 	kept := s.queue[:0]
-	var done []inflight
-	var results []Result
+	s.done, s.doneRes = s.done[:0], s.doneRes[:0]
 	for _, q := range s.queue {
 		res, err := s.b.Poll(q.h)
 		if errors.Is(err, ErrPending) {
@@ -537,12 +540,12 @@ func (s *server) pollRetire() error {
 		if err != nil {
 			return fmt.Errorf("serve: request %d: %w", q.seq, err)
 		}
-		done = append(done, q)
-		results = append(results, res)
+		s.done = append(s.done, q)
+		s.doneRes = append(s.doneRes, res)
 	}
 	s.queue = kept
-	for i := range done {
-		if err := s.finish(done[i], results[i]); err != nil {
+	for i := range s.done {
+		if err := s.finish(s.done[i], s.doneRes[i]); err != nil {
 			return err
 		}
 	}

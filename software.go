@@ -3,6 +3,7 @@ package qei
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"qei/internal/baseline"
 	"qei/internal/cpu"
@@ -29,7 +30,8 @@ func (s *System) QuerySoftware(t Table, key []byte) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Found: br.Found, Value: br.Value, Matches: br.Matches}
+	// The walker's Matches are its own storage, reused by its next walk.
+	res := Result{Found: br.Found, Value: br.Value, Matches: slices.Clone(br.Matches)}
 
 	// Time the software path on a simulated core sharing the machine's
 	// memory system — architecturally ordinary code.

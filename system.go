@@ -97,6 +97,11 @@ type System struct {
 	tag   uint64
 	// sw is the software walker arena behind QuerySoftware.
 	sw baseline.Querier
+	// batchDescs backs the level-wise batch's descriptors, and
+	// batchDescPtrs the pointers ExecuteBatch takes, reused across
+	// batches.
+	batchDescs    []isa.QueryDesc
+	batchDescPtrs []*isa.QueryDesc
 	// mreg/tracer are the observability sinks created by
 	// WithMetrics/WithTimeline; nil when the respective option is off.
 	mreg   *metrics.Registry
@@ -301,6 +306,7 @@ func (s *System) QueryAt(t Table, keyAddr uint64, keyLen int) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("qei: result for tag %d missing", tag)
 	}
+	s.accel.Forget(tag)
 	res := Result{
 		Found:   r.Found,
 		Value:   r.Value,
@@ -364,9 +370,10 @@ func (s *System) QueryAsync(t Table, key []byte) (AsyncHandle, error) {
 
 // Wait retrieves an async query's result (the SNAPSHOT_READ loop of
 // List 2), advancing the issue clock to its completion if needed. It
-// returns ErrUnknownHandle for a foreign handle, ErrAborted for a query
-// flushed by Interrupt, and ErrResultPending when the completion flag
-// has not been written.
+// returns ErrUnknownHandle for a foreign handle or one already retired
+// (a second Wait or Poll after the result was returned), ErrAborted for
+// a query flushed by Interrupt, and ErrResultPending when the
+// completion flag has not been written.
 func (s *System) Wait(h AsyncHandle) (Result, error) {
 	r, ok := s.accel.Result(h.tag)
 	if !ok {
@@ -387,7 +394,7 @@ func (s *System) Wait(h AsyncHandle) (Result, error) {
 	if flag == 0 {
 		return Result{}, ErrResultPending
 	}
-	s.unpinTag(h.tag)
+	s.retire(h.tag)
 	return Result{
 		Found:   r.Found,
 		Value:   r.Value,
@@ -400,7 +407,8 @@ func (s *System) Wait(h AsyncHandle) (Result, error) {
 // Poll is one non-advancing iteration of the List-2 loop: it checks an
 // async query's result without moving the issue clock, returning
 // ErrResultPending while the query is still executing at Now(),
-// ErrAborted if it was flushed, and the result once complete.
+// ErrAborted if it was flushed, and the result once complete; after
+// that the handle is retired and reports ErrUnknownHandle.
 func (s *System) Poll(h AsyncHandle) (Result, error) {
 	r, ok := s.accel.Result(h.tag)
 	if !ok {
@@ -413,7 +421,7 @@ func (s *System) Poll(h AsyncHandle) (Result, error) {
 	if r.Done > s.now {
 		return Result{}, ErrResultPending
 	}
-	s.unpinTag(h.tag)
+	s.retire(h.tag)
 	return Result{
 		Found:   r.Found,
 		Value:   r.Value,
@@ -566,6 +574,14 @@ func (s *System) pinQuery() (uint64, bool) {
 // trackPin records an admitted async query's pinned epoch under its tag.
 func (s *System) trackPin(tag, pinned uint64) {
 	s.pinnedTags[tag] = pinned
+}
+
+// retire settles an async query whose result Wait or Poll has just
+// returned: its epoch pin is released and the accelerator forgets the
+// tag, so a later Wait or Poll on the handle reports ErrUnknownHandle.
+func (s *System) retire(tag uint64) {
+	s.unpinTag(tag)
+	s.accel.Forget(tag)
 }
 
 // unpinTag releases the epoch pinned by an async query, once, when its
