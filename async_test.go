@@ -130,8 +130,8 @@ func TestQueryBatch(t *testing.T) {
 	keys, vals := testKeys(200, 16, 13)
 	tb := mustBuild(t, sys, KindCuckoo, keys, vals)
 
-	// Batch twice the QST capacity so the window logic has to recycle
-	// entries.
+	// Batch twice the QST capacity: the level-wise engine holds one QST
+	// entry for the whole batch, so the size is not bounded by it.
 	n := 2 * sys.QSTCapacity()
 	if n > len(keys) {
 		n = len(keys)

@@ -1,51 +1,20 @@
 package qei
 
-// Tests for the level-wise batch engine: plan resolution, parity with
-// the per-query path (clean, under chaos, and across mutations),
-// determinism, the foreign-stall error contract of the windowed path,
-// and batched admission in the serving frontend.
+// Tests for the level-wise batch engine: parity with the per-query path
+// (clean, under chaos, and across mutations), determinism, and batched
+// admission in the serving frontend.
 
 import (
-	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	iqei "qei/internal/qei"
 	"qei/internal/serve"
 )
 
-func TestPlanBatch(t *testing.T) {
-	cases := []struct {
-		kind     StructKind
-		n        int
-		mode     BatchMode
-		grouping string
-	}{
-		{KindBTree, 64, BatchLevelWise, "levels"},
-		{KindBST, 16, BatchLevelWise, "levels"},
-		{KindSkipList, 4, BatchLevelWise, "levels"},
-		{KindCuckoo, 64, BatchLevelWise, "bucket phases"},
-		{KindHashTable, 8, BatchLevelWise, "bucket phases"},
-		{KindLinkedList, 32, BatchLevelWise, "chunked scan"},
-		{KindTrie, 64, BatchWindowed, "windowed"},
-		// Tiny batches have nothing to amortize.
-		{KindBTree, 3, BatchWindowed, "windowed"},
-		{KindCuckoo, 1, BatchWindowed, "windowed"},
-	}
-	for _, c := range cases {
-		p := PlanBatch(c.kind, c.n)
-		if p.Mode != c.mode || p.Grouping != c.grouping {
-			t.Errorf("PlanBatch(%s, %d) = %s/%q, want %s/%q",
-				c.kind, c.n, p.Mode, p.Grouping, c.mode, c.grouping)
-		}
-		if p.Mode == BatchAuto {
-			t.Errorf("PlanBatch(%s, %d) left mode unresolved", c.kind, c.n)
-		}
-	}
-}
-
-// batchKinds are the built-in fixed-length-key kinds with a level-wise
-// plan.
+// batchKinds are the built-in fixed-length-key kinds the engine walks
+// level-wise.
 var batchKinds = []StructKind{
 	KindBTree, KindBST, KindSkipList, KindCuckoo, KindHashTable, KindLinkedList,
 }
@@ -72,33 +41,59 @@ func batchTestProbes(keys, absent [][]byte, n int, seed int64) [][]byte {
 // contract on a clean machine: for every built-in fixed-key kind, the
 // level-wise batch returns exactly what sequential per-query lookups
 // return, probe for probe, under shuffled order, duplicates, and
-// misses.
+// misses. Batches of 1 and 3 keys and trie scans take the same engine
+// and must match too, a trie scan's Matches included.
 func TestQueryBatchLevelWiseMatchesPerQuery(t *testing.T) {
+	type batchCase struct {
+		name string
+		kind StructKind
+		n    int
+	}
+	var cases []batchCase
 	for _, kind := range batchKinds {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+		cases = append(cases, batchCase{kind.String(), kind, 48})
+	}
+	cases = append(cases,
+		batchCase{"btree-1", KindBTree, 1},
+		batchCase{"cuckoo-3", KindCuckoo, 3},
+		batchCase{"trie", KindTrie, 0})
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			keys, vals := testKeys(256, 16, 21)
 			absent, _ := testKeys(32, 16, 22)
-			probes := batchTestProbes(keys, absent, 48, 23)
+			probes := batchTestProbes(keys, absent, c.n, 23)
+			query := (*System).Query
+			if c.kind == KindTrie {
+				keys, vals = [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}, []uint64{10, 20, 30}
+				probes = [][]byte{
+					[]byte("xx alpha yy beta"), []byte("nothing here"), []byte("gammagamma"),
+					[]byte("xx alpha yy beta"), []byte("betalphabet"),
+				}
+				query = (*System).Scan
+			}
 
 			s := NewSystem(CoreIntegrated)
-			tb, err := s.Build(kind, keys, vals)
+			tb, err := s.Build(c.kind, keys, vals)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.QueryBatch(tb, probes, WithBatchMode(BatchLevelWise))
+			got, err := s.QueryBatch(tb, probes)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(got) != len(probes) {
+				t.Fatalf("%d results for %d probes", len(got), len(probes))
 			}
 			for i, p := range probes {
-				want, err := s.Query(tb, p)
+				want, err := query(s, tb, p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				g := got[i]
-				if g.Found != want.Found || g.Value != want.Value || (g.Err == nil) != (want.Err == nil) {
-					t.Fatalf("probe %d: batch (found=%v value=%d err=%v) != per-query (found=%v value=%d err=%v)",
-						i, g.Found, g.Value, g.Err, want.Found, want.Value, want.Err)
+				if g.Found != want.Found || g.Value != want.Value || !slices.Equal(g.Matches, want.Matches) || (g.Err == nil) != (want.Err == nil) {
+					t.Fatalf("probe %d: batch (found=%v value=%d matches=%v err=%v) != per-query (found=%v value=%d matches=%v err=%v)",
+						i, g.Found, g.Value, g.Matches, g.Err, want.Found, want.Value, want.Matches, want.Err)
 				}
 			}
 		})
@@ -151,7 +146,7 @@ func TestQueryBatchLevelWiseUnderChaosAndMutation(t *testing.T) {
 					}
 				}
 				probes := batchTestProbes(live, absent, 32, 44+int64(round))
-				got, err := s.QueryBatch(mt.Table, probes, WithBatchMode(BatchLevelWise))
+				got, err := s.QueryBatch(mt.Table, probes)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,7 +200,7 @@ func TestQueryBatchLevelWiseDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := s.Now()
-		rs, err := s.QueryBatch(tb, probes, WithBatchMode(BatchLevelWise))
+		rs, err := s.QueryBatch(tb, probes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,34 +221,6 @@ func TestQueryBatchLevelWiseDeterministic(t *testing.T) {
 	}
 	if st1.BatchTranslationsSaved == 0 || st1.BatchLinesDeduped == 0 {
 		t.Fatalf("amortization counters flat: %+v", st1)
-	}
-}
-
-// TestQueryBatchForeignStall pins the windowed path's foreign-stall
-// contract: when every QST entry is held by foreign entries that can
-// never complete, QueryBatch surfaces an error satisfying
-// errors.Is(err, ErrQSTFull) instead of spinning or panicking.
-func TestQueryBatchForeignStall(t *testing.T) {
-	keys, vals := testKeys(64, 16, 61)
-	s := NewSystem(CoreIntegrated)
-	tb, err := s.Build(KindBTree, keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Swap in a zero-capacity accelerator over the same machine and
-	// firmware registry: every issue sees a full QST with no in-flight
-	// entry that could ever retire — the never-completing-foreigners
-	// condition in its purest form.
-	p := s.accel.Params()
-	p.QSTEntriesPerInstance = 0
-	s.accel = iqei.New(s.m, p, s.reg, 0)
-
-	_, err = s.QueryBatch(tb, keys[:8], WithBatchMode(BatchWindowed))
-	if err == nil {
-		t.Fatal("windowed batch on a fully-foreign QST returned no error")
-	}
-	if !errors.Is(err, ErrQSTFull) {
-		t.Fatalf("foreign-stall error does not satisfy errors.Is(err, ErrQSTFull): %v", err)
 	}
 }
 

@@ -74,20 +74,29 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/hwdesc
 
 # Scheme smoke: every integration scheme name resolves through the one
 # scheme table in each CLI that takes -scheme, and an unknown name
-# fails.
+# fails. qeitrace must also show the QST-deep overlap it documents:
+# four in-flight queries occupy at least two distinct QST slot tracks
+# (pid,tid pairs) under every scheme.
 bindir=$(mktemp -d)
 trap 'rm -rf "$bindir"' EXIT
 for cli in qeisim qeiserve qeitrace; do
 	go build -o "$bindir/$cli" "./cmd/$cli"
 done
 for s in core cha-tlb cha-notlb device-direct device-indirect; do
-	case "$("$bindir/qeitrace" -scheme "$s" -queries 4)" in
+	trace=$("$bindir/qeitrace" -scheme "$s" -queries 4)
+	case "$trace" in
 	*'"traceEvents"'*) ;;
 	*)
 		echo "scheme-smoke: qeitrace -scheme $s wrote no trace document" >&2
 		exit 1
 		;;
 	esac
+	tracks=$(printf '%s\n' "$trace" | grep '"name":"query"' |
+		grep -o '"pid":[0-9]*,"tid":[0-9]*' | sort -u | wc -l)
+	if [ "$tracks" -lt 2 ]; then
+		echo "scheme-smoke: qeitrace -scheme $s put its query spans on $tracks QST track(s), want at least 2" >&2
+		exit 1
+	fi
 	"$bindir/qeiserve" -scheme "$s" -tenants 1 -requests 20 -keys 16 >/dev/null
 done
 for cli in qeiserve qeisim; do

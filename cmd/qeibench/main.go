@@ -89,8 +89,8 @@ func main() {
 			os.Exit(1)
 		}
 		// The JSON document also carries the batch experiment's
-		// level-wise vs windowed records; TestBenchGoldenCycles pins only
-		// the "bench" rows.
+		// level-wise vs windowed records; TestBenchGoldenCycles pins both
+		// record sets.
 		brs, err := exp.RunBatchBench(scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qeibench: batch bench: %v\n", err)

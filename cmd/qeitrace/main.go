@@ -1,13 +1,19 @@
 // Command qeitrace records the simulator's unified event timeline for a
 // short run and writes it as Chrome trace-event JSON (load in
-// chrome://tracing or Perfetto). Query spans land on QST instance
-// tracks (one row per slot — the staggered spans show the out-of-order,
-// pipelined CFA execution of Sec. IV-B), alongside cache accesses, page
-// walks, NoC transfers, and CHA remote compares on their own tracks.
+// chrome://tracing or Perfetto). The run issues -queries random probes
+// as non-blocking QUERY_NB queries, keeping a full QST's worth in
+// flight and waiting on the oldest (the paper's List-2 loop). Query
+// spans land on QST instance tracks (one row per slot — the staggered
+// spans show the out-of-order, pipelined CFA execution of Sec. IV-B),
+// alongside cache accesses, page walks, NoC transfers, and CHA remote
+// compares on their own tracks.
 //
 // Usage:
 //
 //	qeitrace [-queries 64] [-scheme core|cha-tlb|...] [-table skiplist|cuckoo|...] [-o trace.json]
+//
+// -queries is the number of QUERY_NB probes; up to the QST capacity of
+// them are in flight at once.
 package main
 
 import (
@@ -17,11 +23,12 @@ import (
 	"os"
 
 	"qei"
+	"qei/internal/exp"
 	"qei/internal/scheme"
 )
 
 func main() {
-	nFlag := flag.Int("queries", 64, "queries to trace")
+	nFlag := flag.Int("queries", 64, "QUERY_NB probes to trace, a QST's worth in flight at a time")
 	schemeFlag := flag.String("scheme", "core", "integration scheme")
 	tableFlag := flag.String("table", "skiplist", "structure to trace: skiplist, cuckoo, hashtable, bst, btree, linkedlist")
 	outFlag := flag.String("o", "", "output file (default stdout)")
@@ -58,13 +65,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	// QueryBatch keeps a full QST's worth of queries in flight, so the
-	// viewer shows the QST-deep overlap.
 	probes := make([][]byte, *nFlag)
 	for i := range probes {
 		probes[i] = keys[rng.Intn(len(keys))]
 	}
-	if _, err := sys.QueryBatch(table, probes); err != nil {
+	if _, err := exp.WindowedBatch(sys, table, probes); err != nil {
 		fmt.Fprintf(os.Stderr, "qeitrace: %v\n", err)
 		os.Exit(1)
 	}

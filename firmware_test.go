@@ -86,6 +86,22 @@ func TestPublicFirmwareExtension(t *testing.T) {
 			t.Fatalf("entry %d: %+v", i, res)
 		}
 	}
+	// QueryBatch hands custom firmware to the level-wise engine too; the
+	// last key is absent.
+	batch := make([][]byte, n+1)
+	for i := range batch {
+		batch[i] = binary.LittleEndian.AppendUint64(nil, uint64(0xA000+i))
+	}
+	rs, err := sys.QueryBatch(table, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		if r.Err != nil || r.Found != (i < n) || (i < n && r.Value != uint64(7000+i)) {
+			t.Fatalf("batch entry %d: %+v", i, r)
+		}
+	}
+
 	var miss [8]byte
 	binary.LittleEndian.PutUint64(miss[:], 0xFFFF)
 	res, err := sys.Query(table, miss[:])

@@ -66,20 +66,21 @@ func BenchmarkQueryBatch(b *testing.B) {
 	s, tb, probes := benchBatchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QueryBatch(tb, probes, qei.WithBatchMode(qei.BatchLevelWise)); err != nil {
+		if _, err := s.QueryBatch(tb, probes); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkQueryBatchWindowed runs the identical batch on the windowed
-// non-blocking path, for side-by-side wall-clock comparison.
+// BenchmarkQueryBatchWindowed runs the identical probes through the
+// windowed List-2 loop (WindowedBatch), the batch experiment's
+// baseline, for side-by-side wall-clock comparison.
 func BenchmarkQueryBatchWindowed(b *testing.B) {
 	b.ReportAllocs()
 	s, tb, probes := benchBatchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QueryBatch(tb, probes, qei.WithBatchMode(qei.BatchWindowed)); err != nil {
+		if _, err := WindowedBatch(s, tb, probes); err != nil {
 			b.Fatal(err)
 		}
 	}

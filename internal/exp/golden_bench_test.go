@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// TestBenchGoldenCycles pins the "bench" experiment's simulated outputs
-// to BENCH_bench.json, committed at the repository root. Performance
-// work on the hot path must leave every simulated quantity — cycle
-// counts, speedups, and the counter profile of each run —
-// byte-identical. If this test fails after an intentional model change,
-// regenerate the file from the repository root with:
+// TestBenchGoldenCycles pins the "bench" and "batch" experiments'
+// simulated outputs to BENCH_bench.json, committed at the repository
+// root. Performance work on the hot path must leave every simulated
+// quantity — cycle counts, speedups, and the counter profile of each
+// run — byte-identical. If this test fails after an intentional model
+// change, regenerate the file from the repository root with:
 //
-//	go run ./cmd/qeibench -exp bench -scale small -json -out .
+//	go run ./cmd/qeibench -json -scale small -out .
 func TestBenchGoldenCycles(t *testing.T) {
 	data, err := os.ReadFile("../../BENCH_bench.json")
 	if err != nil {
@@ -23,29 +23,29 @@ func TestBenchGoldenCycles(t *testing.T) {
 	if err := json.Unmarshal(data, &all); err != nil {
 		t.Fatalf("golden file: %v", err)
 	}
-	// The file also carries the "batch" experiment's records (pinned for
-	// determinism by the batch tests); this comparison covers the
-	// "bench" rows.
-	var want []BenchResult
+	want := map[string][]BenchResult{}
 	for _, w := range all {
-		if w.Experiment == "bench" {
-			want = append(want, w)
-		}
+		want[w.Experiment] = append(want[w.Experiment], w)
 	}
-	got, err := RunBench(Small, 0)
+	bench, err := RunBench(Small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d records, golden has %d", len(got), len(want))
+	batch, err := RunBatchBench(Small)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got {
-		g, w := got[i], want[i]
-		gj, _ := json.Marshal(g)
-		wj, _ := json.Marshal(w)
-		if string(gj) != string(wj) {
-			t.Errorf("record %d (%s/%s) diverges from golden:\n got: %s\nwant: %s",
-				i, g.Workload, g.Scheme, gj, wj)
+	for exp, got := range map[string][]BenchResult{"bench": bench, "batch": batch} {
+		if len(got) != len(want[exp]) {
+			t.Fatalf("%s: got %d records, golden has %d", exp, len(got), len(want[exp]))
+		}
+		for i := range got {
+			gj, _ := json.Marshal(got[i])
+			wj, _ := json.Marshal(want[exp][i])
+			if string(gj) != string(wj) {
+				t.Errorf("%s record %d (%s/%s) diverges from golden:\n got: %s\nwant: %s",
+					exp, i, got[i].Workload, got[i].Scheme, gj, wj)
+			}
 		}
 	}
 }

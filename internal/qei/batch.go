@@ -15,9 +15,9 @@ import (
 
 // Level-wise batched execution (the batch optimizer under QueryBatch).
 //
-// The windowed path runs each query of a batch as an independent QST
-// entry: every query pays its own header fetch, address translations,
-// and dependent pointer-chase loads. ExecuteBatch instead treats the
+// The per-query path runs each query as an independent QST entry:
+// every query pays its own header fetch, address translations, and
+// dependent pointer-chase loads. ExecuteBatch instead treats the
 // whole batch as ONE batched instruction against one structure and
 // advances every query in lock-step rounds — one CFA transition per
 // query per round — so that per-round memory traffic can be grouped

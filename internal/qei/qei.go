@@ -509,19 +509,6 @@ func (a *Accelerator) inFlightNB(at uint64) int {
 	return n
 }
 
-// NextNBDone returns the earliest completion cycle among non-blocking
-// queries still executing at cycle at. ok is false when none are.
-func (a *Accelerator) NextNBDone(at uint64) (uint64, bool) {
-	var min uint64
-	ok := false
-	for _, rec := range a.nbInFlight {
-		if rec.done > at && (!ok || rec.done < min) {
-			min, ok = rec.done, true
-		}
-	}
-	return min, ok
-}
-
 // TryIssueNonBlocking is IssueNonBlocking with the architectural QST
 // bound enforced at issue time: when every entry is still occupied it
 // fails fast with ErrQSTFull instead of modelling back-pressure as

@@ -139,7 +139,7 @@ type Report struct {
 // was grouped (server-side) and what the level-wise engine amortized
 // (stamped by the qei layer from accelerator stats).
 type BatchReport struct {
-	// Batches and BatchedReads count the server-side grouping: flushes
+	// Batches and BatchedReads count the server-side batching: flushes
 	// issued and lookups they carried.
 	Batches      uint64 `json:"batches"`
 	BatchedReads uint64 `json:"batched_reads"`

@@ -44,9 +44,6 @@ type kindInfo struct {
 	// buildMutable lays out the updatable variant and returns its
 	// software mutator; nil for kinds without software mutators.
 	buildMutable func(s *System, keys [][]byte, values []uint64, cfg buildConfig) (mem.VAddr, uint16, mutator)
-	// grouping names the level-wise batch rounds' shape; "" keeps every
-	// batch on the windowed path.
-	grouping string
 }
 
 // mutableBTreeFanout is deliberately smaller than the read-only B+-tree
@@ -68,7 +65,6 @@ var kindTable = [...]kindInfo{
 			l := dstruct.BuildLinkedList(s.m.AS, keys, values)
 			return l.HeaderAddr, l.KeyLen, listMutator{l}
 		},
-		grouping: "chunked scan",
 	},
 	KindHashTable: {
 		names: []string{"hashtable", "hash"},
@@ -77,7 +73,6 @@ var kindTable = [...]kindInfo{
 			h := dstruct.BuildHashTable(s.m.AS, uint64(len(keys)/4), 0x51ED, keys, values)
 			return h.HeaderAddr, h.KeyLen
 		},
-		grouping: "bucket phases",
 	},
 	KindCuckoo: {
 		names: []string{"cuckoo"},
@@ -92,7 +87,6 @@ var kindTable = [...]kindInfo{
 			c := dstruct.BuildCuckoo(s.m.AS, uint64(len(keys)), 8, 0x9E37, keys, values)
 			return c.HeaderAddr, c.KeyLen, cuckooMutator{c}
 		},
-		grouping: "bucket phases",
 	},
 	KindSkipList: {
 		names: []string{"skiplist"},
@@ -105,7 +99,6 @@ var kindTable = [...]kindInfo{
 			sl := dstruct.BuildSkipList(s.m.AS, 7, keys, values)
 			return sl.HeaderAddr, sl.KeyLen, skipListMutator{sl, rand.New(rand.NewSource(s.seed))}
 		},
-		grouping: "levels",
 	},
 	KindBST: {
 		names: []string{"bst"},
@@ -118,7 +111,6 @@ var kindTable = [...]kindInfo{
 			b := dstruct.BuildBST(s.m.AS, 7, cfg.payload, keys, values)
 			return b.HeaderAddr, b.KeyLen, bstMutator{b}
 		},
-		grouping: "levels",
 	},
 	KindTrie: {
 		names: []string{"trie"},
@@ -140,7 +132,6 @@ var kindTable = [...]kindInfo{
 			bt := dstruct.BuildBTree(s.m.AS, mutableBTreeFanout, keys, values)
 			return bt.HeaderAddr, bt.KeyLen, btreeMutator{bt}
 		},
-		grouping: "levels",
 	},
 }
 

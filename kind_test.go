@@ -9,21 +9,19 @@ import (
 
 // TestStructKindRoundTrip drives every built-in kind through every code
 // path that reads the kind table: names, the immutable and mutable
-// builders, the software walker against the accelerator, and the batch
-// plan.
+// builders, and the software walker against the accelerator.
 func TestStructKindRoundTrip(t *testing.T) {
 	want := map[StructKind]struct {
-		alias    string
-		mutable  bool
-		grouping string // level-wise grouping at 64 keys; "" = windowed
+		alias   string
+		mutable bool
 	}{
-		KindLinkedList: {"list", true, "chunked scan"},
-		KindHashTable:  {"hash", false, "bucket phases"},
-		KindCuckoo:     {"", true, "bucket phases"},
-		KindSkipList:   {"", true, "levels"},
-		KindBST:        {"", true, "levels"},
-		KindTrie:       {"", false, ""},
-		KindBTree:      {"", true, "levels"},
+		KindLinkedList: {"list", true},
+		KindHashTable:  {"hash", false},
+		KindCuckoo:     {"", true},
+		KindSkipList:   {"", true},
+		KindBST:        {"", true},
+		KindTrie:       {"", false},
+		KindBTree:      {"", true},
 	}
 	keys, vals := testKeys(48, 16, 16)
 	absent, _ := testKeys(4, 16, 17)
@@ -92,17 +90,6 @@ func TestStructKindRoundTrip(t *testing.T) {
 			}
 		case !errors.Is(err, ErrUnsupportedOp):
 			t.Fatalf("BuildMutable(%s) = %v, want ErrUnsupportedOp", k, err)
-		}
-
-		wantMode, wantGrouping := BatchLevelWise, w.grouping
-		if w.grouping == "" {
-			wantMode, wantGrouping = BatchWindowed, "windowed"
-		}
-		if p := PlanBatch(k, 64); p.Mode != wantMode || p.Grouping != wantGrouping {
-			t.Fatalf("PlanBatch(%s, 64) = %+v, want %s/%s", k, p, wantMode, wantGrouping)
-		}
-		if p := PlanBatch(k, 2); p.Mode != BatchWindowed || p.Grouping != "windowed" {
-			t.Fatalf("PlanBatch(%s, 2) = %+v, want windowed", k, p)
 		}
 	}
 

@@ -150,7 +150,7 @@ func asyncResult(h AsyncHandle, res Result) serve.Result {
 // completion; every result reports that completion cycle, since the
 // batch retires as a unit.
 func (b *qeiServeBackend) QueryBatch(t serve.Table, keys [][]byte) ([]serve.Result, error) {
-	rs, err := b.sys.QueryBatch(servingTable(t), keys, WithBatchMode(BatchLevelWise))
+	rs, err := b.sys.QueryBatch(servingTable(t), keys)
 	if err != nil {
 		return nil, err
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // TestQueryBatchOverCapacity pins the over-QST-capacity contract of
-// QueryBatch: a batch several times the QST capacity completes without
-// ever surfacing ErrQSTFull, and returns one result per key in key
-// order.
+// QueryBatch: the level-wise engine runs a batch several times the QST
+// capacity as one batched instruction, never surfaces ErrQSTFull, and
+// returns one result per key in key order.
 func TestQueryBatchOverCapacity(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	cap := sys.QSTCapacity()

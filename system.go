@@ -289,31 +289,18 @@ func (s *System) QueryAt(t Table, keyAddr uint64, keyLen int) (Result, error) {
 	if pinned, ok := s.pinQuery(); ok {
 		defer s.gc.Unpin(pinned)
 	}
-	tag := s.nextTag()
-	desc := &isa.QueryDesc{
-		HeaderAddr: t.header,
-		KeyAddr:    mem.VAddr(keyAddr),
-		Tag:        tag,
-	}
-	if t.Kind == KindTrie {
-		desc.KeyLen = uint32(keyLen)
-	}
-	done, err := s.accel.IssueBlocking(desc, s.now)
+	desc := s.queryDesc(t, keyAddr, keyLen, 0)
+	done, err := s.accel.IssueBlocking(&desc, s.now)
 	if err != nil {
 		return Result{}, err
 	}
-	r, ok := s.accel.Result(tag)
+	r, ok := s.accel.Result(desc.Tag)
 	if !ok {
-		return Result{}, fmt.Errorf("qei: result for tag %d missing", tag)
+		return Result{}, fmt.Errorf("qei: result for tag %d missing", desc.Tag)
 	}
-	s.accel.Forget(tag)
-	res := Result{
-		Found:   r.Found,
-		Value:   r.Value,
-		Matches: r.Matches,
-		Latency: done - s.now,
-		Err:     r.Fault,
-	}
+	s.accel.Forget(desc.Tag)
+	// IssueBlocking stamped the record's Done with the writeback cycle.
+	res := result(r, s.now)
 	s.now = done
 	return res, nil
 }
@@ -341,18 +328,9 @@ type AsyncHandle struct {
 func (s *System) QueryAsync(t Table, key []byte) (AsyncHandle, error) {
 	keyAddr := s.Write(key)
 	resAddr := s.m.AS.AllocLines(mem.LineSize)
-	tag := s.nextTag()
-	desc := &isa.QueryDesc{
-		HeaderAddr: t.header,
-		KeyAddr:    mem.VAddr(keyAddr),
-		ResultAddr: resAddr,
-		Tag:        tag,
-	}
-	if t.Kind == KindTrie {
-		desc.KeyLen = uint32(len(key))
-	}
+	desc := s.queryDesc(t, keyAddr, len(key), resAddr)
 	pinned, havePin := s.pinQuery()
-	accepted, err := s.accel.TryIssueNonBlocking(desc, s.now)
+	accepted, err := s.accel.TryIssueNonBlocking(&desc, s.now)
 	if err != nil {
 		if havePin {
 			s.gc.Unpin(pinned)
@@ -362,10 +340,10 @@ func (s *System) QueryAsync(t Table, key []byte) (AsyncHandle, error) {
 	if havePin {
 		// The pin lives in the QST with the query; Wait/Poll release it
 		// when the completion (or abort) is observed.
-		s.trackPin(tag, pinned)
+		s.trackPin(desc.Tag, pinned)
 	}
 	s.now = accepted
-	return AsyncHandle{tag: tag, resultAddr: resAddr, accepted: accepted}, nil
+	return AsyncHandle{tag: desc.Tag, resultAddr: resAddr, accepted: accepted}, nil
 }
 
 // Wait retrieves an async query's result (the SNAPSHOT_READ loop of
@@ -375,33 +353,21 @@ func (s *System) QueryAsync(t Table, key []byte) (AsyncHandle, error) {
 // a query flushed by Interrupt, and ErrResultPending when the
 // completion flag has not been written.
 func (s *System) Wait(h AsyncHandle) (Result, error) {
-	r, ok := s.accel.Result(h.tag)
-	if !ok {
-		return Result{}, ErrUnknownHandle
+	if r, ok := s.accel.Result(h.tag); ok && !r.Aborted {
+		if r.Done > s.now {
+			s.now = r.Done
+		}
+		// The completion flag is visible at the result address.
+		flag, err := s.m.AS.ReadU64(h.resultAddr)
+		if err != nil {
+			return Result{}, err
+		}
+		if flag == 0 {
+			return Result{}, ErrResultPending
+		}
 	}
-	if r.Aborted {
-		s.unpinTag(h.tag)
-		return Result{}, fmt.Errorf("qei: query %d: %w", h.tag, ErrAborted)
-	}
-	if r.Done > s.now {
-		s.now = r.Done
-	}
-	// The completion flag is visible at the result address.
-	flag, err := s.m.AS.ReadU64(h.resultAddr)
-	if err != nil {
-		return Result{}, err
-	}
-	if flag == 0 {
-		return Result{}, ErrResultPending
-	}
-	s.retire(h.tag)
-	return Result{
-		Found:   r.Found,
-		Value:   r.Value,
-		Matches: r.Matches,
-		Latency: r.Done - h.accepted,
-		Err:     r.Fault,
-	}, nil
+	// The clock is at the completion now: settle it as Poll does.
+	return s.Poll(h)
 }
 
 // Poll is one non-advancing iteration of the List-2 loop: it checks an
@@ -422,13 +388,7 @@ func (s *System) Poll(h AsyncHandle) (Result, error) {
 		return Result{}, ErrResultPending
 	}
 	s.retire(h.tag)
-	return Result{
-		Found:   r.Found,
-		Value:   r.Value,
-		Matches: r.Matches,
-		Latency: r.Done - h.accepted,
-		Err:     r.Fault,
-	}, nil
+	return result(r, h.accepted), nil
 }
 
 // ExportTrace returns the unified cycle-stamped timeline recorded under
@@ -516,6 +476,36 @@ func (s *System) Stats() Stats {
 func (s *System) nextTag() uint64 {
 	s.tag++
 	return s.tag
+}
+
+// queryDesc builds the descriptor of one query against t under a fresh
+// tag: the key is staged at keyAddr, and resultAddr is where a
+// non-blocking or batched query writes its result (0 for QUERY_B). Only
+// a trie scan carries its key length; every other kind reads the
+// header's fixed KeyLen.
+func (s *System) queryDesc(t Table, keyAddr uint64, keyLen int, resultAddr mem.VAddr) isa.QueryDesc {
+	d := isa.QueryDesc{
+		HeaderAddr: t.header,
+		KeyAddr:    mem.VAddr(keyAddr),
+		ResultAddr: resultAddr,
+		Tag:        s.nextTag(),
+	}
+	if t.Kind == KindTrie {
+		d.KeyLen = uint32(keyLen)
+	}
+	return d
+}
+
+// result converts the accelerator's record of a query issued (or
+// accepted) at cycle issue into the architectural Result.
+func result(r qei.Result, issue uint64) Result {
+	return Result{
+		Found:   r.Found,
+		Value:   r.Value,
+		Matches: r.Matches,
+		Latency: r.Done - issue,
+		Err:     r.Fault,
+	}
 }
 
 // ensureGC lazily creates the system's epoch-based reclamation domain
