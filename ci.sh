@@ -1,9 +1,25 @@
 #!/bin/sh
 # CI gate: formatting, vet, and the full test suite under the race
 # detector (the parallel experiment runner must be race-clean).
+#
+#   ./ci.sh        full tier: every stage below
+#   ./ci.sh fast   fast tier: gofmt, vet, the golden fast path, the
+#                  benchmark module's tests, go test ./... without the
+#                  race detector, and the example and CLI smokes; it
+#                  skips the race run, the micro-benchmarks, the
+#                  zero-overhead and bench guards and the fuzzers
 set -eu
 
 cd "$(dirname "$0")"
+
+tier=${1:-full}
+case "$tier" in
+full | fast) ;;
+*)
+	echo "usage: $0 [fast]" >&2
+	exit 2
+	;;
+esac
 
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -24,12 +40,16 @@ go test -run '^(TestBenchGoldenCycles|TestDriversGolden)$' -count=1 ./internal/e
 # The experiment tests (internal/exp) run minutes of simulation;
 # under the race detector on few cores they outlast go test's default
 # 10m per-package budget, so give them room.
-go test -race -timeout 90m ./...
+if [ "$tier" = fast ]; then
+	go test ./...
+else
+	go test -race -timeout 90m ./...
+fi
 
 # Bench smoke: the Tab. I experiment proves the registry and qeibench
-# still assemble and print a table, and one iteration of every layer
-# micro-benchmark keeps those compiling and running (-benchmem prints
-# their allocations too).
+# still assemble and print a table, and (full tier) one iteration of
+# every layer micro-benchmark keeps those compiling and running
+# (-benchmem prints their allocations too).
 case "$(go run ./cmd/qeibench -exp tab1)" in
 *Core-integrated*) ;;
 *)
@@ -37,21 +57,24 @@ case "$(go run ./cmd/qeibench -exp tab1)" in
 	exit 1
 	;;
 esac
-go test -run '^$' -bench . -benchtime 1x -benchmem ./internal/...
+if [ "$tier" = full ]; then
+	go test -run '^$' -bench . -benchtime 1x -benchmem ./internal/...
 
-# Zero-overhead guard: attaching metrics + tracing — and the disabled
-# fault-injection/watchdog apparatus — must not move a single
-# simulated cycle (deterministic cycle-count assertion — no flaky
-# wall-clock thresholds).
-go test -run '^(TestObservabilityZeroCycleImpact|TestFaultInjectionZeroCycleImpact)$' -count=1 .
+	# Zero-overhead guard: attaching metrics + tracing — and the
+	# disabled fault-injection/watchdog apparatus — must not move a
+	# single simulated cycle (deterministic cycle-count assertion — no
+	# flaky wall-clock thresholds).
+	go test -run '^(TestObservabilityZeroCycleImpact|TestFaultInjectionZeroCycleImpact)$' -count=1 .
 
-# Bench guard: benchmark the end-to-end runners and compare against the
-# committed BENCH_guard.json envelope. Allocations are the hard gate
-# (>2x allocs/op fails — machine-independent, so any excursion is a real
-# hot-path regression); wall time gets a generous 5x to absorb machine
-# variation. See internal/exp/bench_guard_test.go for how to regenerate
-# the envelope after an intentional performance change.
-QEI_BENCH_GUARD=1 go test -run '^TestBenchGuard$' -count=1 -short ./internal/exp
+	# Bench guard: benchmark the end-to-end runners and compare against
+	# the committed BENCH_guard.json envelope. Allocations are the hard
+	# gate (>2x allocs/op fails — machine-independent, so any excursion
+	# is a real hot-path regression); wall time gets a generous 5x to
+	# absorb machine variation. See internal/exp/bench_guard_test.go for
+	# how to regenerate the envelope after an intentional performance
+	# change.
+	QEI_BENCH_GUARD=1 go test -run '^TestBenchGuard$' -count=1 -short ./internal/exp
+fi
 
 # Example smoke: every example program checks its answers against a
 # host-side reference and panics on a mismatch, so each must exit 0
@@ -63,14 +86,17 @@ for ex in examples/*/; do
 	fi
 done
 
-# Firmware fuzz: arbitrary table-driven firmware through the admission
-# pass must never panic, and every rejection must wrap
-# ErrInvalidProgram.
-go test -run '^$' -fuzz '^FuzzValidateProgramDeep$' -fuzztime 10s ./internal/cfa
-# Machine-description fuzz: arbitrary bytes through hwdesc.Decode must
-# never panic, every rejection must wrap ErrBadConfig, and an accepted
-# description must validate and round-trip through Encode unchanged.
-go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/hwdesc
+if [ "$tier" = full ]; then
+	# Firmware fuzz: arbitrary table-driven firmware through the
+	# admission pass must never panic, and every rejection must wrap
+	# ErrInvalidProgram.
+	go test -run '^$' -fuzz '^FuzzValidateProgramDeep$' -fuzztime 10s ./internal/cfa
+	# Machine-description fuzz: arbitrary bytes through hwdesc.Decode
+	# must never panic, every rejection must wrap ErrBadConfig, and an
+	# accepted description must validate and round-trip through Encode
+	# unchanged.
+	go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/hwdesc
+fi
 
 # Scheme smoke: every integration scheme name resolves through the one
 # scheme table in each CLI that takes -scheme, and an unknown name
@@ -260,4 +286,4 @@ case "$dse_serial" in
 	;;
 esac
 
-echo "ci: ok"
+echo "ci: ok ($tier)"

@@ -258,12 +258,3 @@ func (c *Cache) Invalidate(a mem.PAddr) (present, wasDirty bool) {
 func (c *Cache) Stats() (hits, misses, evictions, writebacks uint64) {
 	return c.hits, c.misses, c.evictions, c.writebacks
 }
-
-// HitRate returns hits/(hits+misses).
-func (c *Cache) HitRate() float64 {
-	t := c.hits + c.misses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(t)
-}

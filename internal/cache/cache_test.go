@@ -84,7 +84,7 @@ func TestHierarchyBuildsPrivateCachesOnFirstFill(t *testing.T) {
 			t.Fatalf("LLC slice %d has no arrays", i)
 		}
 	}
-	h.L2Access(3, 0x1000, Read)
+	h.L2Access(3, 0x1000, Read, 0)
 	for core := range h.L1D {
 		if h.L1D[core].tags != nil || (h.L2[core].tags != nil) != (core == 3) {
 			t.Fatalf("core %d: L1D built %v, L2 built %v; only core 3's L2 was filled",
@@ -218,7 +218,7 @@ func newTestHierarchy(t *testing.T) *Hierarchy {
 func TestHierarchyColdAccessGoesToDRAM(t *testing.T) {
 	h := newTestHierarchy(t)
 	a := mem.PAddr(0x100000)
-	r := h.CoreAccess(0, a, Read)
+	r := h.CoreAccess(0, a, Read, 0)
 	if r.Hit != LevelDRAM {
 		t.Fatalf("cold access satisfied at %v, want DRAM", r.Hit)
 	}
@@ -233,8 +233,8 @@ func TestHierarchyColdAccessGoesToDRAM(t *testing.T) {
 func TestHierarchyFillPath(t *testing.T) {
 	h := newTestHierarchy(t)
 	a := mem.PAddr(0x200000)
-	h.CoreAccess(3, a, Read)
-	r := h.CoreAccess(3, a, Read)
+	h.CoreAccess(3, a, Read, 0)
+	r := h.CoreAccess(3, a, Read, 0)
 	if r.Hit != LevelL1 {
 		t.Fatalf("second access hit %v, want L1", r.Hit)
 	}
@@ -242,7 +242,7 @@ func TestHierarchyFillPath(t *testing.T) {
 		t.Fatalf("L1 hit latency = %d, want %d", r.Latency, l1dConfig().HitLatency)
 	}
 	// Another core misses privately but hits in the shared LLC.
-	r2 := h.CoreAccess(7, a, Read)
+	r2 := h.CoreAccess(7, a, Read, 0)
 	if r2.Hit != LevelLLC {
 		t.Fatalf("other-core access hit %v, want LLC", r2.Hit)
 	}
@@ -254,14 +254,14 @@ func TestHierarchyFillPath(t *testing.T) {
 func TestL2AccessSkipsL1(t *testing.T) {
 	h := newTestHierarchy(t)
 	a := mem.PAddr(0x300000)
-	h.L2Access(0, a, Read)
+	h.L2Access(0, a, Read, 0)
 	if h.L1D[0].Contains(a) {
 		t.Fatal("L2Access polluted the L1")
 	}
 	if !h.L2[0].Contains(a) {
 		t.Fatal("L2Access did not fill the L2")
 	}
-	r := h.L2Access(0, a, Read)
+	r := h.L2Access(0, a, Read, 0)
 	if r.Hit != LevelL2 || r.Latency != l2Config().HitLatency {
 		t.Fatalf("warm L2 access: %+v", r)
 	}
@@ -270,7 +270,7 @@ func TestL2AccessSkipsL1(t *testing.T) {
 func TestLLCAccessFromDoesNotFillPrivate(t *testing.T) {
 	h := newTestHierarchy(t)
 	a := mem.PAddr(0x400000)
-	r := h.LLCAccessFrom(noc.Stop(10), a, Read)
+	r := h.LLCAccessFrom(noc.Stop(10), a, Read, 0)
 	if r.Hit != LevelDRAM {
 		t.Fatalf("cold LLC access hit %v", r.Hit)
 	}
@@ -279,7 +279,7 @@ func TestLLCAccessFromDoesNotFillPrivate(t *testing.T) {
 			t.Fatalf("LLCAccessFrom polluted private cache of core %d", core)
 		}
 	}
-	r2 := h.LLCAccessFrom(noc.Stop(10), a, Read)
+	r2 := h.LLCAccessFrom(noc.Stop(10), a, Read, 0)
 	if r2.Hit != LevelLLC {
 		t.Fatalf("warm LLC access hit %v", r2.Hit)
 	}
@@ -292,15 +292,15 @@ func TestLLCAccessLocalCheaperThanRemote(t *testing.T) {
 	h := newTestHierarchy(t)
 	a := mem.PAddr(0x500000)
 	owner := h.LLC().StopFor(a)
-	h.LLCAccessFrom(owner, a, Read) // warm the slice
-	local := h.LLCAccessLocal(owner, a, Read)
+	h.LLCAccessFrom(owner, a, Read, 0) // warm the slice
+	local := h.LLCAccessLocal(owner, a, Read, 0)
 	var far noc.Stop
 	for s := noc.Stop(0); int(s) < h.Mesh().Stops(); s++ {
 		if h.Mesh().Hops(s, owner) > h.Mesh().Hops(far, owner) {
 			far = s
 		}
 	}
-	remote := h.LLCAccessFrom(far, a, Read)
+	remote := h.LLCAccessFrom(far, a, Read, 0)
 	if local.Latency >= remote.Latency {
 		t.Fatalf("local CHA access (%d) should beat remote (%d)", local.Latency, remote.Latency)
 	}
@@ -337,8 +337,8 @@ func TestDRAMChannelInterleave(t *testing.T) {
 func TestPrivateFootprint(t *testing.T) {
 	h := newTestHierarchy(t)
 	lines := []mem.PAddr{0x1000, 0x2000, 0x3000}
-	h.CoreAccess(0, lines[0], Read)
-	h.CoreAccess(0, lines[1], Read)
+	h.CoreAccess(0, lines[0], Read, 0)
+	h.CoreAccess(0, lines[1], Read, 0)
 	inL1, inL2 := privateFootprint(h, 0, lines)
 	if inL1 != 2 || inL2 != 2 {
 		t.Fatalf("footprint = %d/%d, want 2/2", inL1, inL2)

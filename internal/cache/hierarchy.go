@@ -140,8 +140,8 @@ type Hierarchy struct {
 	reqBytes  uint64
 	lineBytes uint64
 
-	// tr receives per-access spans from the *At access variants; nil
-	// (the default) keeps the hot paths free of tracing cost.
+	// tr receives one span per CoreAccess, L2Access, LLCAccessFrom and
+	// LLCAccessLocal; nil (the default) records nothing.
 	tr *trace.Tracer
 	// fi may evict the accessed LLC line ahead of a lookup (see
 	// SetFaultInjector); nil disables injection.
@@ -222,9 +222,16 @@ func (h *Hierarchy) llcAccess(a mem.PAddr, kind AccessKind) (uint64, Level) {
 	return lat, LevelDRAM
 }
 
-// CoreAccess performs a load or store from core's pipeline at physical
-// address a through L1D → L2 → LLC → DRAM, filling on the way back.
-func (h *Hierarchy) CoreAccess(core int, a mem.PAddr, kind AccessKind) Result {
+// CoreAccess performs a load or store issued at cycle at from core's
+// pipeline at physical address a through L1D → L2 → LLC → DRAM, filling
+// on the way back. The access lands on the core's memory track.
+func (h *Hierarchy) CoreAccess(core int, a mem.PAddr, kind AccessKind, at uint64) Result {
+	r := h.coreAccess(core, a, kind)
+	h.tr.Span("cache", levelEventName(r.Hit), at, at+r.Latency, core, trace.TidCoreMem, nil)
+	return r
+}
+
+func (h *Hierarchy) coreAccess(core int, a mem.PAddr, kind AccessKind) Result {
 	l1 := h.L1D[core]
 	l2 := h.L2[core]
 	if l1.Lookup(a) {
@@ -252,10 +259,17 @@ func (h *Hierarchy) CoreAccess(core int, a mem.PAddr, kind AccessKind) Result {
 	return Result{Latency: lat, Hit: level}
 }
 
-// L2Access performs an access that starts at a core's L2 (QEI's
-// Core-integrated scheme sits beside the L2 and does not touch the L1,
-// avoiding private-cache pollution of the L1).
-func (h *Hierarchy) L2Access(core int, a mem.PAddr, kind AccessKind) Result {
+// L2Access performs an access issued at cycle at that starts at a
+// core's L2 (QEI's Core-integrated scheme sits beside the L2 and does
+// not touch the L1, avoiding private-cache pollution of the L1). The
+// access lands on the core's memory track.
+func (h *Hierarchy) L2Access(core int, a mem.PAddr, kind AccessKind, at uint64) Result {
+	r := h.l2Access(core, a, kind)
+	h.tr.Span("cache", levelEventName(r.Hit), at, at+r.Latency, core, trace.TidCoreMem, nil)
+	return r
+}
+
+func (h *Hierarchy) l2Access(core int, a mem.PAddr, kind AccessKind) Result {
 	l2 := h.L2[core]
 	if l2.Lookup(a) {
 		if kind == Write {
@@ -274,34 +288,39 @@ func (h *Hierarchy) L2Access(core int, a mem.PAddr, kind AccessKind) Result {
 	return Result{Latency: lat, Hit: level}
 }
 
-// LLCAccessFrom performs an access issued from an arbitrary mesh stop
-// directly against the LLC (no private-cache fill). This is the path of a
-// CHA-resident accelerator or a device-attached accelerator: request
-// travels from the issuing stop to the owning slice and the line comes
-// back.
-func (h *Hierarchy) LLCAccessFrom(from noc.Stop, a mem.PAddr, kind AccessKind) Result {
+// LLCAccessFrom performs an access issued at cycle at from an arbitrary
+// mesh stop directly against the LLC (no private-cache fill). This is
+// the path of a CHA-resident accelerator or a device-attached
+// accelerator: request travels from the issuing stop to the owning
+// slice and the line comes back. The access lands on the owning CHA
+// slice's track.
+func (h *Hierarchy) LLCAccessFrom(from noc.Stop, a mem.PAddr, kind AccessKind, at uint64) Result {
 	sliceStop := h.llc.StopFor(a)
 	lat := h.mesh.Send(from, sliceStop, h.reqBytes)
 	llcLat, level := h.llcAccess(a, kind)
 	lat += llcLat
 	lat += h.mesh.Send(sliceStop, from, h.lineBytes)
+	h.tr.Span("cache", levelEventName(level), at, at+lat, trace.PidCHA(h.llc.SliceFor(a)), 0, nil)
 	return Result{Latency: lat, Hit: level}
 }
 
-// LLCAccessLocal performs an access at the slice owning a, as issued by a
-// comparator that lives in that very CHA (QEI remote comparison): no
-// request/response traversal is charged beyond the slice access itself.
-// If the line belongs to a different slice, the inter-CHA hop is charged.
-func (h *Hierarchy) LLCAccessLocal(at noc.Stop, a mem.PAddr, kind AccessKind) Result {
+// LLCAccessLocal performs an access issued at cycle at at the slice
+// owning a, as issued by a comparator that lives in the CHA at site
+// (QEI remote comparison): no request/response traversal is charged
+// beyond the slice access itself. If the line belongs to a different
+// slice, the inter-CHA hop is charged. The access lands on the owning
+// CHA slice's track.
+func (h *Hierarchy) LLCAccessLocal(site noc.Stop, a mem.PAddr, kind AccessKind, at uint64) Result {
 	sliceStop := h.llc.StopFor(a)
 	var lat uint64
-	if sliceStop != at {
-		lat += h.mesh.Send(at, sliceStop, h.reqBytes)
+	if sliceStop != site {
+		lat += h.mesh.Send(site, sliceStop, h.reqBytes)
 	}
 	llcLat, level := h.llcAccess(a, kind)
 	lat += llcLat
-	if sliceStop != at {
-		lat += h.mesh.Send(sliceStop, at, h.lineBytes)
+	if sliceStop != site {
+		lat += h.mesh.Send(sliceStop, site, h.lineBytes)
 	}
+	h.tr.Span("cache", levelEventName(level), at, at+lat, trace.PidCHA(h.llc.SliceFor(a)), 0, nil)
 	return Result{Latency: lat, Hit: level}
 }

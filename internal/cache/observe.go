@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"qei/internal/faultinject"
-	"qei/internal/mem"
 	"qei/internal/metrics"
-	"qei/internal/noc"
 	"qei/internal/trace"
 )
 
@@ -42,8 +40,9 @@ func registerCache(r *metrics.Registry, c *Cache) {
 	r.RegisterFunc("writebacks", func() uint64 { return c.writebacks })
 }
 
-// SetTracer attaches the unified event tracer; the *At access variants
-// emit one span per access on it. A nil tracer keeps them free.
+// SetTracer attaches the unified event tracer; every CoreAccess,
+// L2Access, LLCAccessFrom and LLCAccessLocal emits one span on it. A nil
+// tracer records nothing.
 func (h *Hierarchy) SetTracer(tr *trace.Tracer) { h.tr = tr }
 
 // SetFaultInjector attaches the fault-injection harness; while fi is
@@ -64,36 +63,4 @@ func levelEventName(l Level) string {
 	default:
 		return "dram_fill"
 	}
-}
-
-// CoreAccessAt is CoreAccess with the issue cycle threaded through so
-// the access lands on the core's memory track in the trace.
-func (h *Hierarchy) CoreAccessAt(core int, a mem.PAddr, kind AccessKind, at uint64) Result {
-	r := h.CoreAccess(core, a, kind)
-	h.tr.Span("cache", levelEventName(r.Hit), at, at+r.Latency, core, trace.TidCoreMem, nil)
-	return r
-}
-
-// L2AccessAt is L2Access with the issue cycle threaded through (the
-// Core-integrated accelerator's data path).
-func (h *Hierarchy) L2AccessAt(core int, a mem.PAddr, kind AccessKind, at uint64) Result {
-	r := h.L2Access(core, a, kind)
-	h.tr.Span("cache", levelEventName(r.Hit), at, at+r.Latency, core, trace.TidCoreMem, nil)
-	return r
-}
-
-// LLCAccessFromAt is LLCAccessFrom with the issue cycle threaded
-// through; the span lands on the owning CHA slice's track.
-func (h *Hierarchy) LLCAccessFromAt(from noc.Stop, a mem.PAddr, kind AccessKind, at uint64) Result {
-	r := h.LLCAccessFrom(from, a, kind)
-	h.tr.Span("cache", levelEventName(r.Hit), at, at+r.Latency, trace.PidCHA(h.llc.SliceFor(a)), 0, nil)
-	return r
-}
-
-// LLCAccessLocalAt is LLCAccessLocal with the issue cycle threaded
-// through; the span lands on the owning CHA slice's track.
-func (h *Hierarchy) LLCAccessLocalAt(at noc.Stop, a mem.PAddr, kind AccessKind, cycle uint64) Result {
-	r := h.LLCAccessLocal(at, a, kind)
-	h.tr.Span("cache", levelEventName(r.Hit), cycle, cycle+r.Latency, trace.PidCHA(h.llc.SliceFor(a)), 0, nil)
-	return r
 }

@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"qei/internal/hwdesc"
-	"qei/internal/power"
 	"qei/internal/runner"
 	"qei/internal/scheme"
 	"qei/internal/workload"
@@ -398,7 +397,7 @@ func Sweep(ctx context.Context, cfg Config) (*Result, error) {
 				p.SpeedupX = float64(sw.Cycles) / float64(hw.Cycles)
 			}
 			if hw.Queries > 0 {
-				p.EnergyNJPerQuery = dynamicEnergy(d.PowerModel(), hw) / float64(hw.Queries)
+				p.EnergyNJPerQuery = d.PowerModel().DynamicEnergyNJ(hw.Activity()) / float64(hw.Queries)
 			}
 			return p, nil
 		})
@@ -416,35 +415,6 @@ func Sweep(ctx context.Context, cfg Config) (*Result, error) {
 	sort.Ints(res.Frontier)
 	res.DominatedCount = len(res.Points) - len(res.Frontier)
 	return res, nil
-}
-
-// dynamicEnergy charges the accelerated run's activity to the power
-// model — the Fig. 12 accounting, including the cheaper comparator
-// line-stream path for CHA remote compares.
-func dynamicEnergy(model power.Model, hw workload.Run) float64 {
-	a := power.Activity{
-		Instructions: hw.Core.Instructions,
-		Mispredicts:  hw.Core.Mispredicts,
-		L1Accesses:   hw.L1Accesses,
-		L2Accesses:   hw.L2Accesses,
-		LLCAccesses:  hw.LLCAccesses,
-		DRAMAccesses: hw.DRAMAccesses,
-		NoCBytes:     hw.NoCBytes,
-		TLBLookups:   hw.TLBLookups,
-		PageWalks:    hw.PageWalks,
-	}
-	if hw.Accel != nil {
-		cmpLines := hw.Accel.CompareBytes / 64
-		if cmpLines > a.LLCAccesses {
-			cmpLines = a.LLCAccesses
-		}
-		a.Transitions = hw.Accel.Transitions
-		a.Compare8Bs = (hw.Accel.CompareBytes + 7) / 8
-		a.ComparatorLineReads = cmpLines
-		a.Hash8Bs = hw.Accel.HashOps * 2
-		a.LLCAccesses -= cmpLines
-	}
-	return model.DynamicEnergyNJ(a)
 }
 
 // dominates reports whether a beats b: no worse on all three

@@ -6,7 +6,6 @@ import (
 
 	"qei/internal/cpu"
 	"qei/internal/hwdesc"
-	"qei/internal/power"
 	"qei/internal/scheme"
 	"qei/internal/workload"
 )
@@ -427,45 +426,14 @@ func fig12DynamicPower(s Scale, par int) (TableData, error) {
 			if err != nil {
 				return nil, err
 			}
-			swE := model.DynamicEnergyNJ(power.Activity{
-				Instructions: sw.Core.Instructions,
-				Mispredicts:  sw.Core.Mispredicts,
-				L1Accesses:   sw.L1Accesses,
-				L2Accesses:   sw.L2Accesses,
-				LLCAccesses:  sw.LLCAccesses,
-				DRAMAccesses: sw.DRAMAccesses,
-				NoCBytes:     sw.NoCBytes,
-				TLBLookups:   sw.TLBLookups,
-				PageWalks:    sw.PageWalks,
-			}) / float64(sw.Queries)
+			swE := model.DynamicEnergyNJ(sw.Activity()) / float64(sw.Queries)
 			var rows [][]string
 			for _, k := range []scheme.Kind{scheme.CHATLB, scheme.CHANoTLB, scheme.DeviceDirect, scheme.DeviceIndirect, scheme.CoreIntegrated} {
 				hw, err := workload.RunQEI(b, k, workload.ROIOnly, workload.WithWarmup())
 				if err != nil {
 					return nil, err
 				}
-				// Lines streamed by CHA comparators are cheaper than full
-				// LLC accesses; split them out of the LLC count.
-				cmpLines := hw.Accel.CompareBytes / 64
-				llc := hw.LLCAccesses
-				if cmpLines > llc {
-					cmpLines = llc
-				}
-				hwE := model.DynamicEnergyNJ(power.Activity{
-					Instructions:        hw.Core.Instructions,
-					Mispredicts:         hw.Core.Mispredicts,
-					Transitions:         hw.Accel.Transitions,
-					Compare8Bs:          (hw.Accel.CompareBytes + 7) / 8,
-					ComparatorLineReads: cmpLines,
-					Hash8Bs:             hw.Accel.HashOps * 2,
-					L1Accesses:          hw.L1Accesses,
-					L2Accesses:          hw.L2Accesses,
-					LLCAccesses:         llc - cmpLines,
-					DRAMAccesses:        hw.DRAMAccesses,
-					NoCBytes:            hw.NoCBytes,
-					TLBLookups:          hw.TLBLookups,
-					PageWalks:           hw.PageWalks,
-				}) / float64(hw.Queries)
+				hwE := model.DynamicEnergyNJ(hw.Activity()) / float64(hw.Queries)
 				rows = append(rows, []string{b.Name(), k.String(), f("%.1f", hwE/swE*100)})
 			}
 			return rows, nil

@@ -161,14 +161,6 @@ type Injector struct {
 // New builds an injector from a schedule.
 func New(s Schedule) *Injector { return &Injector{sched: s} }
 
-// Schedule returns the injector's fault plan.
-func (i *Injector) Schedule() Schedule {
-	if i == nil {
-		return Schedule{}
-	}
-	return i.sched
-}
-
 // Arm enables injection. The accelerator arms around query execution so
 // host-side builders and the software walker stay uncorrupted.
 func (i *Injector) Arm() {
@@ -183,9 +175,6 @@ func (i *Injector) Disarm() {
 		i.armed = false
 	}
 }
-
-// Armed reports whether hooks may fire.
-func (i *Injector) Armed() bool { return i != nil && i.armed }
 
 // Injected returns the total number of faults fired so far. The engine
 // snapshots it around an execution attempt to classify faults as

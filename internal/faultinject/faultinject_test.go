@@ -117,7 +117,7 @@ func TestInjectorDisarmedAndNil(t *testing.T) {
 	}
 
 	var nilInj *Injector
-	if nilInj.Armed() || nilInj.MaybeFlip(0, buf) || nilInj.NoCDrop() ||
+	if nilInj.MaybeFlip(0, buf) || nilInj.NoCDrop() ||
 		nilInj.TLBShootdown() || nilInj.SpuriousFault() || nilInj.EvictLine() ||
 		nilInj.NoCDelayCycles() != 0 || nilInj.Injected() != 0 ||
 		nilInj.Hits(BitFlip) != 0 {

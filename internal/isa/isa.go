@@ -105,15 +105,6 @@ type Op struct {
 // Trace is a dynamic instruction sequence.
 type Trace []Op
 
-// Counts summarizes a trace by kind.
-func (t Trace) Counts() map[Kind]int {
-	m := make(map[Kind]int)
-	for i := range t {
-		m[t[i].Kind]++
-	}
-	return m
-}
-
 // Loads returns the number of memory-read micro-ops (the paper's
 // "memory accesses per query" metric counts these).
 func (t Trace) Loads() int {

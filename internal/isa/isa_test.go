@@ -81,21 +81,6 @@ func TestQueryDescCopied(t *testing.T) {
 	}
 }
 
-func TestCounts(t *testing.T) {
-	b := NewBuilder()
-	b.Load(0x10, 8, 0)
-	b.ALU(0, 0)
-	b.ALUN(4, 0)
-	b.Mul(0, 0)
-	b.Branch(0, false)
-	b.Nop(2)
-	tr := b.Take()
-	c := tr.Counts()
-	if c[Load] != 1 || c[ALU] != 5 || c[MulALU] != 1 || c[Branch] != 1 || c[Nop] != 2 {
-		t.Fatalf("counts = %v", c)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		Nop: "nop", ALU: "alu", MulALU: "mul", Load: "load", Store: "store",

@@ -106,12 +106,6 @@ func (m *Machine) AttachFaultInjection(fi *faultinject.Injector) {
 	}
 }
 
-// Metrics returns the attached registry (nil when observability is off).
-func (m *Machine) Metrics() *metrics.Registry { return m.reg }
-
-// Tracer returns the attached tracer (nil when observability is off).
-func (m *Machine) Tracer() *trace.Tracer { return m.tr }
-
 // corePort adapts a core's TLB + cache path to cpu.MemPort.
 type corePort struct {
 	m    *Machine
@@ -121,7 +115,7 @@ type corePort struct {
 // Access translates a through the core's L1/L2 TLBs and performs the
 // cache access; latency composes translation and hierarchy costs.
 func (p corePort) Access(a mem.VAddr, write bool, issue uint64) (uint64, error) {
-	pa, tlat, err := p.m.TLB[p.core].TranslateAt(a, issue)
+	pa, tlat, err := p.m.TLB[p.core].Translate(a, issue)
 	if err != nil {
 		return 0, err
 	}
@@ -129,7 +123,7 @@ func (p corePort) Access(a mem.VAddr, write bool, issue uint64) (uint64, error) 
 	if write {
 		kind = cache.Write
 	}
-	r := p.m.Hier.CoreAccessAt(p.core, pa, kind, issue+tlat)
+	r := p.m.Hier.CoreAccess(p.core, pa, kind, issue+tlat)
 	return tlat + r.Latency, nil
 }
 
@@ -151,12 +145,6 @@ func (m *Machine) NewCore(core int, q cpu.QueryPort) *cpu.Core {
 		c.SetTracer(m.tr, core)
 	}
 	return c
-}
-
-// Translate resolves a virtual address without charging TLB state
-// (host-side utility for layout/debug purposes).
-func (m *Machine) Translate(a mem.VAddr) (mem.PAddr, error) {
-	return m.AS.Translate(a)
 }
 
 // WarmLLC brings every mapped cacheline in [start, end) into the shared

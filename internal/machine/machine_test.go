@@ -221,7 +221,7 @@ func TestDefaultIsTabII(t *testing.T) {
 		}
 	}
 	a := m.AS.AllocLines(1)
-	if _, lat, err := m.TLB[0].Walker.Walk(a); err != nil || lat != uint64(m.AS.WalkLevels())*30 {
+	if _, lat, err := m.TLB[0].Walker.Walk(a, 0); err != nil || lat != uint64(m.AS.WalkLevels())*30 {
 		t.Errorf("page walk = %d cycles (%v), want 30 per level", lat, err)
 	}
 	p, err := hwdesc.ForScheme(scheme.CHATLB).SchemeParams()

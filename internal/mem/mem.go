@@ -481,13 +481,6 @@ func (as *AddressSpace) ReadU64(a VAddr) (uint64, error) {
 	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
-// WriteU64 writes a little-endian uint64 at a.
-func (as *AddressSpace) WriteU64(a VAddr, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	return as.Write(a, buf[:])
-}
-
 // ReadU16 reads a little-endian uint16 at a.
 func (as *AddressSpace) ReadU16(a VAddr) (uint16, error) {
 	var buf [2]byte

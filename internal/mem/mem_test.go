@@ -108,7 +108,7 @@ func TestContiguousOption(t *testing.T) {
 func TestScalarAccessors(t *testing.T) {
 	as := NewAddressSpace(NewPhysical())
 	a := as.Alloc(64, 8)
-	if err := as.WriteU64(a, 0x1122334455667788); err != nil {
+	if err := as.Write(a, []byte{0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11}); err != nil {
 		t.Fatal(err)
 	}
 	v, err := as.ReadU64(a)

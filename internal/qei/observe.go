@@ -7,11 +7,11 @@ import (
 )
 
 // RegisterMetrics publishes the accelerator's counters under r: the
-// aggregate QST/CEE/DPU statistics as pull-based qei/… metrics plus one
-// live cha<i>/cmp/remote_ops counter per LLC slice, fed by
-// remoteCompare, so the paper's remote-comparator distribution (Sec.
-// V-A) is visible per CHA. Occupancy is published fixed-point
-// (milli-entries) so snapshots stay uint64 and merge deterministically.
+// aggregate QST/CEE/DPU statistics as qei/… metrics plus one
+// cha<i>/cmp/remote_ops counter per LLC slice, fed by remoteCompare, so
+// the paper's remote-comparator distribution (Sec. V-A) is visible per
+// CHA. Occupancy is published fixed-point (milli-entries) so snapshots
+// stay uint64 and merge deterministically.
 func (a *Accelerator) RegisterMetrics(r *metrics.Registry) {
 	if r == nil {
 		return
@@ -45,8 +45,7 @@ func (a *Accelerator) RegisterMetrics(r *metrics.Registry) {
 	q.RegisterFunc("batch/coalesced_probes", func() uint64 { return a.stats.BatchCoalescedProbes })
 	q.RegisterFunc("batch/deferred", func() uint64 { return a.stats.BatchDeferred })
 
-	a.remoteOps = make([]*metrics.Counter, len(a.remoteComp))
 	for i := range a.remoteOps {
-		a.remoteOps[i] = r.Counter(fmt.Sprintf("cha%d/cmp/remote_ops", i))
+		r.RegisterFunc(fmt.Sprintf("cha%d/cmp/remote_ops", i), func() uint64 { return a.remoteOps[i] })
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"qei/internal/isa"
 	"qei/internal/machine"
 	"qei/internal/mem"
-	"qei/internal/metrics"
 	"qei/internal/noc"
 	"qei/internal/scheme"
 	"qei/internal/tlb"
@@ -214,9 +213,9 @@ type Accelerator struct {
 
 	// tr is the unified event tracer (SetTracer); nil disables emission.
 	tr *trace.Tracer
-	// remoteOps are per-slice cha<i>/cmp/remote_ops counters
-	// (RegisterMetrics); nil when no registry is attached.
-	remoteOps []*metrics.Counter
+	// remoteOps counts remote compares per LLC slice, published as
+	// cha<i>/cmp/remote_ops (RegisterMetrics); views share it.
+	remoteOps []uint64
 
 	// fi is the fault-injection harness, armed only inside execute so
 	// host-side code stays exact; nil disables injection entirely.
@@ -331,6 +330,7 @@ func New(m *machine.Machine, p scheme.Params, reg *cfa.Registry, core int) *Acce
 		a.inst = append(a.inst, ins)
 	}
 	a.remoteComp = make([][]uint64, m.Hier.LLC().Slices())
+	a.remoteOps = make([]uint64, len(a.remoteComp))
 	for i := range a.remoteComp {
 		a.remoteComp[i] = make([]uint64, p.ComparatorsPerSite)
 	}
@@ -572,7 +572,7 @@ func (a *Accelerator) translate(ins *instance, addr mem.VAddr, at uint64, sc *sc
 	var err error
 	switch a.p.Translation {
 	case scheme.TransL2TLB:
-		pa, lat, err = a.m.TLB[a.core].TranslateL2At(addr, at)
+		pa, lat, err = a.m.TLB[a.core].TranslateL2(addr, at)
 	case scheme.TransDedicated:
 		if hit, hl := ins.tlb.Lookup(addr); hit {
 			pa, err = a.m.AS.Translate(addr)
@@ -580,7 +580,7 @@ func (a *Accelerator) translate(ins *instance, addr mem.VAddr, at uint64, sc *sc
 		} else {
 			var wl uint64
 			probe := ins.tlb.Config().HitLatency
-			pa, wl, err = ins.walker.WalkAt(addr, at+probe)
+			pa, wl, err = ins.walker.Walk(addr, at+probe)
 			lat = probe + wl
 			if err == nil {
 				ins.tlb.Insert(addr)
@@ -593,7 +593,7 @@ func (a *Accelerator) translate(ins *instance, addr mem.VAddr, at uint64, sc *sc
 		// performance benefits").
 		const mmuPortCost = 12
 		rt := a.m.Mesh.RoundTrip(ins.stop, a.m.Hier.CoreStop(a.core)) + mmuPortCost
-		pa, lat, err = a.m.TLB[a.core].TranslateL2At(addr, at+rt)
+		pa, lat, err = a.m.TLB[a.core].TranslateL2(addr, at+rt)
 		lat += rt
 	}
 	if err != nil {
@@ -619,9 +619,9 @@ func (a *Accelerator) dataAccess(ins *instance, addr mem.VAddr, kind cache.Acces
 	var r cache.Result
 	switch a.p.Data {
 	case scheme.DataViaL2:
-		r = a.m.Hier.L2AccessAt(a.core, pa, kind, at+tlat)
+		r = a.m.Hier.L2Access(a.core, pa, kind, at+tlat)
 	case scheme.DataViaLLC:
-		r = a.m.Hier.LLCAccessFromAt(ins.stop, pa, kind, at+tlat)
+		r = a.m.Hier.LLCAccessFrom(ins.stop, pa, kind, at+tlat)
 	}
 	lat := tlat + r.Latency + a.p.ExtraDataLatency
 	a.stats.DataAccessCycles += r.Latency + a.p.ExtraDataLatency
@@ -941,9 +941,7 @@ func (a *Accelerator) remoteCompare(ins *instance, op cfa.Op, t uint64, sc *scra
 	a.stats.RemoteCompares++
 	slice := a.m.Hier.LLC().SliceFor(pa)
 	sliceStop := a.m.Hier.LLC().StopFor(pa)
-	if a.remoteOps != nil {
-		a.remoteOps[slice].Inc()
-	}
+	a.remoteOps[slice]++
 	// Request carries the remote micro-op + the key chunk to compare.
 	reqLat := a.m.Mesh.SendAt(ins.stop, sliceStop, 16+keyBytes, t+tlat)
 	arrive := t + tlat + reqLat
@@ -955,7 +953,7 @@ func (a *Accelerator) remoteCompare(ins *instance, op cfa.Op, t uint64, sc *scra
 		if err != nil {
 			return 0, err
 		}
-		r := a.m.Hier.LLCAccessLocalAt(sliceStop, lpa, cache.Read, arrive)
+		r := a.m.Hier.LLCAccessLocal(sliceStop, lpa, cache.Read, arrive)
 		if r.Latency > dataLat {
 			dataLat = r.Latency
 		}

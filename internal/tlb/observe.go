@@ -1,7 +1,6 @@
 package tlb
 
 import (
-	"qei/internal/mem"
 	"qei/internal/metrics"
 	"qei/internal/trace"
 )
@@ -47,60 +46,4 @@ func (w *Walker) SetTracer(tr *trace.Tracer, pid, tid int) {
 // SetTracer attaches the tracer to the hierarchy's walker.
 func (h *Hierarchy) SetTracer(tr *trace.Tracer, pid, tid int) {
 	h.Walker.SetTracer(tr, pid, tid)
-}
-
-// WalkAt is Walk with the issue cycle threaded through: the walk appears
-// in the trace as a "page_walk" span covering its full latency, marked
-// "page_fault" instead when the page is unmapped.
-func (w *Walker) WalkAt(a mem.VAddr, at uint64) (mem.PAddr, uint64, error) {
-	pa, lat, err := w.walk(a)
-	if w.tr != nil {
-		name := "page_walk"
-		if err != nil {
-			name = "page_fault"
-		}
-		w.tr.Span("tlb", name, at, at+lat, w.pid, w.tid, nil)
-	}
-	return pa, lat, err
-}
-
-// TranslateAt is Translate with the issue cycle threaded through, so a
-// miss's page walk lands at the right point on the timeline.
-func (h *Hierarchy) TranslateAt(a mem.VAddr, at uint64) (mem.PAddr, uint64, error) {
-	if hit, lat := h.L1.Lookup(a); hit {
-		pa, err := h.Walker.as.Translate(a)
-		return pa, lat, err
-	}
-	lat := h.L1.Config().HitLatency
-	if hit, l2lat := h.L2.Lookup(a); hit {
-		h.L1.Insert(a)
-		pa, err := h.Walker.as.Translate(a)
-		return pa, lat + l2lat, err
-	}
-	lat += h.L2.Config().HitLatency
-	pa, wlat, err := h.Walker.WalkAt(a, at+lat)
-	lat += wlat
-	if err != nil {
-		return 0, lat, err
-	}
-	h.L2.Insert(a)
-	h.L1.Insert(a)
-	return pa, lat, nil
-}
-
-// TranslateL2At is TranslateL2 with the issue cycle threaded through
-// (the Core-integrated accelerator's translation path).
-func (h *Hierarchy) TranslateL2At(a mem.VAddr, at uint64) (mem.PAddr, uint64, error) {
-	if hit, lat := h.L2.Lookup(a); hit {
-		pa, err := h.Walker.as.Translate(a)
-		return pa, lat, err
-	}
-	lat := h.L2.Config().HitLatency
-	pa, wlat, err := h.Walker.WalkAt(a, at+lat)
-	lat += wlat
-	if err != nil {
-		return 0, lat, err
-	}
-	h.L2.Insert(a)
-	return pa, lat, nil
 }

@@ -139,15 +139,6 @@ func (t *TLB) Stats() (hits, misses, flushes uint64) {
 	return t.hits, t.misses, t.flushes
 }
 
-// HitRate returns hits/(hits+misses), or 0 before any lookups.
-func (t *TLB) HitRate() float64 {
-	total := t.hits + t.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.hits) / float64(total)
-}
-
 // Walker models a hardware page-table walker. A walk costs one memory
 // access per level; the per-access latency is a parameter because walks
 // hit in different places (page-walk caches, LLC) in real machines.
@@ -158,8 +149,8 @@ type Walker struct {
 	faults       uint64
 	totalLatency uint64
 
-	// tr (with pid/tid, see SetTracer) receives page-walk spans from
-	// WalkAt; nil keeps walks trace-free.
+	// tr (with pid/tid, see SetTracer) receives page-walk spans; nil
+	// keeps walks trace-free.
 	tr  *trace.Tracer
 	pid int
 	tid int
@@ -170,24 +161,24 @@ func NewWalker(as *mem.AddressSpace, perLevelLatency uint64) *Walker {
 	return &Walker{as: as, perLevel: perLevelLatency}
 }
 
-// Walk translates a, returning the physical address, the walk latency,
-// and a fault if the page is unmapped (a faulting walk still traverses
-// all levels before discovering the hole). WalkAt is the cycle-stamped
-// variant that also emits a trace span.
-func (w *Walker) Walk(a mem.VAddr) (mem.PAddr, uint64, error) {
-	return w.walk(a)
-}
-
-func (w *Walker) walk(a mem.VAddr) (mem.PAddr, uint64, error) {
+// Walk translates a issued at cycle at, returning the physical
+// address, the walk latency, and a fault if the page is unmapped (a
+// faulting walk still traverses all levels before discovering the
+// hole). The walk appears in the trace as a "page_walk" span covering
+// its full latency, marked "page_fault" instead when the page is
+// unmapped.
+func (w *Walker) Walk(a mem.VAddr, at uint64) (mem.PAddr, uint64, error) {
 	w.walks++
 	lat := uint64(w.as.WalkLevels()) * w.perLevel
 	w.totalLatency += lat
 	pa, err := w.as.Translate(a)
+	name := "page_walk"
 	if err != nil {
 		w.faults++
-		return 0, lat, err
+		pa, name = 0, "page_fault"
 	}
-	return pa, lat, nil
+	w.tr.Span("tlb", name, at, at+lat, w.pid, w.tid, nil)
+	return pa, lat, err
 }
 
 // Stats reports walk counts, faults, and cumulative walk cycles.
@@ -216,9 +207,10 @@ func NewHierarchy(as *mem.AddressSpace, perLevelWalk uint64, l1, l2 Config) *Hie
 	}
 }
 
-// Translate resolves a through L1 → L2 → walker, filling upper levels on
-// the way back. It returns the physical address and total latency.
-func (h *Hierarchy) Translate(a mem.VAddr) (mem.PAddr, uint64, error) {
+// Translate resolves a issued at cycle at through L1 → L2 → walker,
+// filling upper levels on the way back. It returns the physical address
+// and total latency; a miss's page walk starts after both TLB probes.
+func (h *Hierarchy) Translate(a mem.VAddr, at uint64) (mem.PAddr, uint64, error) {
 	if hit, lat := h.L1.Lookup(a); hit {
 		pa, err := h.Walker.as.Translate(a)
 		return pa, lat, err
@@ -230,7 +222,7 @@ func (h *Hierarchy) Translate(a mem.VAddr) (mem.PAddr, uint64, error) {
 		return pa, lat + l2lat, err
 	}
 	lat += h.L2.Config().HitLatency
-	pa, wlat, err := h.Walker.Walk(a)
+	pa, wlat, err := h.Walker.Walk(a, at+lat)
 	lat += wlat
 	if err != nil {
 		return 0, lat, err
@@ -240,27 +232,22 @@ func (h *Hierarchy) Translate(a mem.VAddr) (mem.PAddr, uint64, error) {
 	return pa, lat, nil
 }
 
-// TranslateL2 resolves a through the L2 TLB only (the accelerator's path
-// in the Core-integrated scheme — it shares the L2-TLB but not the L1).
-func (h *Hierarchy) TranslateL2(a mem.VAddr) (mem.PAddr, uint64, error) {
+// TranslateL2 resolves a issued at cycle at through the L2 TLB only
+// (the accelerator's path in the Core-integrated scheme — it shares the
+// L2-TLB but not the L1).
+func (h *Hierarchy) TranslateL2(a mem.VAddr, at uint64) (mem.PAddr, uint64, error) {
 	if hit, lat := h.L2.Lookup(a); hit {
 		pa, err := h.Walker.as.Translate(a)
 		return pa, lat, err
 	}
 	lat := h.L2.Config().HitLatency
-	pa, wlat, err := h.Walker.Walk(a)
+	pa, wlat, err := h.Walker.Walk(a, at+lat)
 	lat += wlat
 	if err != nil {
 		return 0, lat, err
 	}
 	h.L2.Insert(a)
 	return pa, lat, nil
-}
-
-// Flush clears both TLB levels.
-func (h *Hierarchy) Flush() {
-	h.L1.Flush()
-	h.L2.Flush()
 }
 
 // SetFaultInjector attaches the fault-injection harness to both TLB

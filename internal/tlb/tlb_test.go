@@ -1,10 +1,12 @@
 package tlb
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"qei/internal/mem"
+	"qei/internal/trace"
 )
 
 // l1TLBConfig is Tab. II's 64-entry first-level data TLB.
@@ -81,7 +83,7 @@ func TestWalkerLatencyAndFaults(t *testing.T) {
 	as := mem.NewAddressSpace(mem.NewPhysical())
 	a := as.Alloc(mem.PageSize, mem.PageSize)
 	w := NewWalker(as, 30)
-	pa, lat, err := w.Walk(a)
+	pa, lat, err := w.Walk(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestWalkerLatencyAndFaults(t *testing.T) {
 	if pa != want {
 		t.Fatalf("walk result %#x, want %#x", uint64(pa), uint64(want))
 	}
-	if _, _, err := w.Walk(mem.VAddr(0xffff0000)); err == nil {
+	if _, _, err := w.Walk(mem.VAddr(0xffff0000), 0); err == nil {
 		t.Fatal("walk of unmapped page should fault")
 	}
 	walks, faults, total := w.Stats()
@@ -107,7 +109,7 @@ func TestHierarchyFillsUpward(t *testing.T) {
 	h := NewHierarchy(as, 30, l1TLBConfig(), l2TLBConfig())
 
 	// First access: L1 miss + L2 miss + full walk.
-	_, lat1, err := h.Translate(a)
+	_, lat1, err := h.Translate(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestHierarchyFillsUpward(t *testing.T) {
 		t.Fatalf("cold translate latency = %d, want %d", lat1, wantWalk)
 	}
 	// Second access: L1 hit.
-	_, lat2, err := h.Translate(a)
+	_, lat2, err := h.Translate(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +131,11 @@ func TestTranslateL2SkipsL1(t *testing.T) {
 	as := mem.NewAddressSpace(mem.NewPhysical())
 	a := as.Alloc(mem.PageSize, mem.PageSize)
 	h := NewHierarchy(as, 30, l1TLBConfig(), l2TLBConfig())
-	if _, _, err := h.TranslateL2(a); err != nil {
+	if _, _, err := h.TranslateL2(a, 0); err != nil {
 		t.Fatal(err)
 	}
 	// L2 now warm; accelerator-path translation is an L2 hit.
-	_, lat, err := h.TranslateL2(a)
+	_, lat, err := h.TranslateL2(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +151,79 @@ func TestTranslateL2SkipsL1(t *testing.T) {
 func TestHierarchyFaultPropagates(t *testing.T) {
 	as := mem.NewAddressSpace(mem.NewPhysical())
 	h := NewHierarchy(as, 30, l1TLBConfig(), l2TLBConfig())
-	if _, _, err := h.Translate(mem.VAddr(0xdeadbeef000)); err == nil {
+	if _, _, err := h.Translate(mem.VAddr(0xdeadbeef000), 0); err == nil {
 		t.Fatal("expected fault")
 	}
-	if _, _, err := h.TranslateL2(mem.VAddr(0xdeadbeef000)); err == nil {
+	if _, _, err := h.TranslateL2(mem.VAddr(0xdeadbeef000), 0); err == nil {
 		t.Fatal("expected fault on L2 path")
+	}
+}
+
+// TestTranslateTracedMatchesUntraced drives both translation paths
+// through an L1 hit, an L2 hit, a walk and an unmapped page, once with a
+// tracer attached and once without. The tracer must not change what a
+// translation returns, a walk must appear as exactly one span that
+// starts once the TLB probes have missed and ends at the completion
+// cycle, and a hit must appear as none.
+func TestTranslateTracedMatchesUntraced(t *testing.T) {
+	const at = 1000
+	as := mem.NewAddressSpace(mem.NewPhysical())
+	mapped := as.Alloc(mem.PageSize, mem.PageSize)
+	unmapped := mem.VAddr(0xdeadbeef000)
+	type path struct {
+		name   string
+		run    func(h *Hierarchy, a mem.VAddr) (mem.PAddr, uint64, error)
+		probes func(h *Hierarchy) uint64 // TLB probe cycles before a walk
+	}
+	paths := []path{
+		{"Translate", func(h *Hierarchy, a mem.VAddr) (mem.PAddr, uint64, error) { return h.Translate(a, at) },
+			func(h *Hierarchy) uint64 { return h.L1.Config().HitLatency + h.L2.Config().HitLatency }},
+		{"TranslateL2", func(h *Hierarchy, a mem.VAddr) (mem.PAddr, uint64, error) { return h.TranslateL2(a, at) },
+			func(h *Hierarchy) uint64 { return h.L2.Config().HitLatency }},
+	}
+	cases := []struct {
+		name string
+		addr mem.VAddr
+		warm func(h *Hierarchy) // TLB contents before the translation
+		span string             // expected walk span, "" for none
+	}{
+		{"l1 hit", mapped, func(h *Hierarchy) { h.L1.Insert(mapped); h.L2.Insert(mapped) }, ""},
+		{"l2 hit", mapped, func(h *Hierarchy) { h.L2.Insert(mapped) }, ""},
+		{"walk", mapped, func(*Hierarchy) {}, "page_walk"},
+		{"unmapped", unmapped, func(*Hierarchy) {}, "page_fault"},
+	}
+	for _, p := range paths {
+		for _, c := range cases {
+			t.Run(p.name+"/"+c.name, func(t *testing.T) {
+				plain := NewHierarchy(as, 30, l1TLBConfig(), l2TLBConfig())
+				traced := NewHierarchy(as, 30, l1TLBConfig(), l2TLBConfig())
+				tr := trace.New(16)
+				traced.SetTracer(tr, 0, 0)
+				c.warm(plain)
+				c.warm(traced)
+				pa, lat, err := p.run(plain, c.addr)
+				tpa, tlat, terr := p.run(traced, c.addr)
+				if pa != tpa || lat != tlat || fmt.Sprint(err) != fmt.Sprint(terr) {
+					t.Fatalf("traced (%#x, %d, %v) != untraced (%#x, %d, %v)", uint64(tpa), tlat, terr, uint64(pa), lat, err)
+				}
+				if (err != nil) != (c.span == "page_fault") {
+					t.Fatalf("err = %v on %s", err, c.name)
+				}
+				evs := tr.Events()
+				if c.span == "" {
+					if len(evs) != 0 {
+						t.Fatalf("a hit emitted %d spans: %+v", len(evs), evs)
+					}
+					return
+				}
+				if len(evs) != 1 || evs[0].Name != c.span {
+					t.Fatalf("events = %+v, want one %s span", evs, c.span)
+				}
+				if start := uint64(at) + p.probes(traced); evs[0].TS != start || evs[0].TS+evs[0].Dur != at+lat {
+					t.Fatalf("%s span [%d, %d), want [%d, %d)", c.span, evs[0].TS, evs[0].TS+evs[0].Dur, start, at+lat)
+				}
+			})
+		}
 	}
 }
 

@@ -77,9 +77,6 @@ func New(capacity int) *Tracer {
 	return &Tracer{buf: make([]Event, 0, capacity)}
 }
 
-// Enabled reports whether the tracer records events.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Emit records a fully specified event. No-op on a nil tracer.
 func (t *Tracer) Emit(e Event) {
 	if t == nil {
@@ -154,12 +151,12 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// ExportChromeTrace serializes events as a Chrome trace-event JSON
+// exportChromeTrace serializes events as a Chrome trace-event JSON
 // document ({"traceEvents":[...]}) accepted by chrome://tracing and
 // Perfetto. Events are ordered by (TS, Pid, Tid, Name) and fields are
 // written in a fixed order, so identical traces export to identical
 // bytes — the property the golden-file tests pin down.
-func ExportChromeTrace(events []Event) string {
+func exportChromeTrace(events []Event) string {
 	sorted := make([]Event, len(events))
 	copy(sorted, events)
 	sort.SliceStable(sorted, func(i, j int) bool {
@@ -213,7 +210,7 @@ func ExportChromeTrace(events []Event) string {
 	return b.String()
 }
 
-// Export serializes the tracer's buffered events; see ExportChromeTrace.
+// Export serializes the tracer's buffered events; see exportChromeTrace.
 func (t *Tracer) Export() string {
-	return ExportChromeTrace(t.Events())
+	return exportChromeTrace(t.Events())
 }

@@ -9,9 +9,6 @@ import (
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	// None of these may panic.
 	tr.Emit(Event{Name: "x"})
 	tr.Span("cpu", "query", 0, 10, 0, 0, nil)

@@ -25,6 +25,7 @@ import (
 	"qei/internal/machine"
 	"qei/internal/mem"
 	"qei/internal/metrics"
+	"qei/internal/power"
 	"qei/internal/qei"
 	"qei/internal/scheme"
 	"qei/internal/trace"
@@ -108,6 +109,33 @@ type Run struct {
 	// WithMetrics attached one. It covers the whole run including any
 	// warmup pass (component counters are cumulative).
 	Metrics metrics.Snapshot
+}
+
+// Activity is the run's event count in the power model's vocabulary.
+// Lines streamed by CHA comparators are cheaper than full LLC accesses,
+// so an accelerated run's compare lines move out of the LLC count into
+// ComparatorLineReads.
+func (r Run) Activity() power.Activity {
+	a := power.Activity{
+		Instructions: r.Core.Instructions,
+		Mispredicts:  r.Core.Mispredicts,
+		L1Accesses:   r.L1Accesses,
+		L2Accesses:   r.L2Accesses,
+		LLCAccesses:  r.LLCAccesses,
+		DRAMAccesses: r.DRAMAccesses,
+		NoCBytes:     r.NoCBytes,
+		TLBLookups:   r.TLBLookups,
+		PageWalks:    r.PageWalks,
+	}
+	if r.Accel != nil {
+		cmpLines := min(r.Accel.CompareBytes/64, a.LLCAccesses)
+		a.Transitions = r.Accel.Transitions
+		a.Compare8Bs = (r.Accel.CompareBytes + 7) / 8
+		a.ComparatorLineReads = cmpLines
+		a.Hash8Bs = r.Accel.HashOps * 2
+		a.LLCAccesses -= cmpLines
+	}
+	return a
 }
 
 // RunOption configures a runner.

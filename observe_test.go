@@ -2,6 +2,7 @@ package qei
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -78,6 +79,39 @@ func TestSystemMetricsReadout(t *testing.T) {
 	// Systems without the option pay nothing and read nothing.
 	if NewSystem(CoreIntegrated).Metrics() != nil {
 		t.Fatal("Metrics() non-nil without WithMetrics")
+	}
+}
+
+// TestRemoteOpsSumToRemoteCompares checks a counter law: every remote
+// compare is counted once in the aggregate qei/cmp/remote and once on
+// the LLC slice that served it, so the per-slice cha<i>/cmp/remote_ops
+// sum to the aggregate. 100 B skip-list keys do not fit in a fetched
+// node line, so CHA-TLB compares them remotely.
+func TestRemoteOpsSumToRemoteCompares(t *testing.T) {
+	sys := NewSystem(CHATLB, WithMetrics())
+	keys, vals := testKeys(120, 100, 14)
+	table := mustBuild(t, sys, KindSkipList, keys, vals)
+	for i, k := range keys {
+		res, err := sys.Query(table, k)
+		if err != nil || !res.Found || res.Value != vals[i] {
+			t.Fatalf("key %d: %+v, %v; want %d", i, res, err, vals[i])
+		}
+	}
+	var remote, perSlice, slices uint64
+	for _, m := range sys.Metrics() {
+		switch {
+		case m.Name == "qei/cmp/remote":
+			remote = m.Value
+		case strings.HasPrefix(m.Name, "cha") && strings.HasSuffix(m.Name, "/cmp/remote_ops"):
+			perSlice += m.Value
+			slices++
+		}
+	}
+	if slices == 0 {
+		t.Fatal("no cha<i>/cmp/remote_ops metrics published")
+	}
+	if remote == 0 || perSlice != remote {
+		t.Fatalf("sum of %d cha<i>/cmp/remote_ops = %d, qei/cmp/remote = %d; want equal and > 0", slices, perSlice, remote)
 	}
 }
 
