@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"qei/internal/hwdesc"
 	"qei/internal/serve"
 )
 
@@ -162,9 +163,11 @@ func TestQueryBatch(t *testing.T) {
 
 func TestNewSystemOptions(t *testing.T) {
 	base := NewSystem(CoreIntegrated)
-	big := NewSystem(CoreIntegrated, WithQSTSize(32))
+	d := hwdesc.ForScheme(CoreIntegrated)
+	d.QST.Entries = 32
+	big := NewSystem(CoreIntegrated, WithMachineSpec(MachineSpec{d: d}))
 	if big.QSTCapacity() <= base.QSTCapacity() {
-		t.Fatalf("WithQSTSize(32): capacity %d not above default %d",
+		t.Fatalf("32-entry QST spec: capacity %d not above default %d",
 			big.QSTCapacity(), base.QSTCapacity())
 	}
 

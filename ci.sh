@@ -211,8 +211,10 @@ esac
 # the software safety net, and replay its recorded trace byte-
 # identically under the same fault schedule. "failed_over" is an
 # omitempty field, so its mere presence in the JSON means >= 1. The
-# batched run checks that faulting batched reads reach the same
-# failover.
+# unbatched run must also trip the breaker and probe it half-open at
+# least once, which pins the fixed breaker policy's trip and probe paths
+# end to end. The batched run checks that faulting batched reads reach
+# the same failover (batched reads skip the breaker).
 res_trace=$(mktemp)
 res_flags="-resilient -faults 9:spurious=0.3,flip=0.03,shootdown=0.05 -writes 0.1 -slo 4000 -tenants 3 -requests 300 -keys 64"
 for mode in "" "-batchmode"; do
@@ -234,6 +236,18 @@ for mode in "" "-batchmode"; do
 		exit 1
 		;;
 	esac
+	if [ -z "$mode" ]; then
+		for field in trips probes; do
+			case "$res_live" in
+			*'"'$field'": '[1-9]*) ;;
+			*)
+				echo "resilience-smoke: breaker reports no $field under chaos" >&2
+				rm -f "$res_trace"
+				exit 1
+				;;
+			esac
+		done
+	fi
 	if [ "$res_live" != "$res_replay" ]; then
 		echo "resilience-smoke${mode:+ $mode}: chaos replay diverged from live run" >&2
 		rm -f "$res_trace"

@@ -10,8 +10,8 @@
 //	         [-keys N] [-keylen N] [-kind cuckoo|bst|...] [-zipf S]
 //	         [-keyzipf S] [-gap CYCLES] [-slo CYCLES] [-slots N]
 //	         [-writes F] [-delfrac F] [-writecost CYCLES]
-//	         [-faults SPEC] [-resilient] [-deadline CYCLES] [-retries N]
-//	         [-budget CYCLES] [-timeline FILE] [-batchmode [-batchadmit N]]
+//	         [-faults SPEC] [-resilient] [-timeline FILE]
+//	         [-batchmode [-batchadmit N]]
 //	         [-seed N] [-scheme core|cha-tlb|...] [-machine preset|file.json]
 //	         [-genparallel N] [-record FILE | -replay FILE] [-json]
 //
@@ -38,13 +38,15 @@
 // -resilient, shed, retried and failed-over reads are not checked.
 //
 // -faults arms the replayable chaos schedule ("seed:kind=rate,...", the
-// qei.ParseFaultSpec format) on the serving machine; -budget adds the per-query
-// cycle watchdog. Without -resilient, faults ride in each report's
-// per-tenant fault counts. With -resilient, the serving resilience
-// layer is on: requests past -deadline cycles (default 4x the SLO) are
-// shed, faulting queries retry up to -retries times with backoff and
-// then fail over to the software walker, and a circuit breaker routes
-// around the accelerator while its fault rate is high. A greppable
+// qei.ParseFaultSpec format) on the serving machine. Without -resilient,
+// faults ride in each report's per-tenant fault counts. With -resilient,
+// the serving resilience layer is on, with a fixed policy: requests
+// still waiting 4x the SLO after arrival are shed (none with -slo 0), a
+// faulting query retries once after a 64-cycle backoff and then fails
+// over to the software walker, and a circuit breaker routes around the
+// accelerator while its fault rate is high (it trips at half of at
+// least 8 outcomes within 32768 cycles, holds open for 32768 cycles,
+// then closes after 4 clean half-open probes). A greppable
 // "resilience ..." summary line follows each text report, and the run
 // exits non-zero on any read-after-retire epoch violation. -timeline
 // writes the unified cycle-stamped Chrome trace (including the serving
@@ -101,9 +103,6 @@ func main() {
 	writeCostFlag := flag.Uint64("writecost", 0, "simulated cycles charged per mutation; 0 = default")
 	faultsFlag := flag.String("faults", "", `chaos schedule "seed:kind=rate,..." injected on the serving machine; empty = clean`)
 	resilientFlag := flag.Bool("resilient", false, "enable deadlines/shedding, retry, software failover, and the circuit breaker")
-	deadlineFlag := flag.Uint64("deadline", 0, "per-request completion budget in cycles before shedding; 0 = 4x the SLO")
-	retriesFlag := flag.Int("retries", 0, "primary-backend retries before failover; 0 = default, negative = none")
-	budgetFlag := flag.Uint64("budget", 0, "per-query cycle-budget watchdog; 0 = off")
 	timelineFlag := flag.String("timeline", "", "write the unified Chrome trace-event timeline to this file")
 	batchModeFlag := flag.Bool("batchmode", false, "batched admission: buffer lookups per tenant and flush them through the level-wise batch engine (qei backend only)")
 	batchAdmitFlag := flag.Int("batchadmit", 16, "lookups buffered per tenant before a batch flush (with -batchmode)")
@@ -143,9 +142,6 @@ func main() {
 		GenWorkers:     *genParFlag,
 		Resilient:      *resilientFlag,
 		KeepResults:    !*resilientFlag,
-		Deadline:       *deadlineFlag,
-		MaxRetries:     *retriesFlag,
-		QueryBudget:    *budgetFlag,
 		Timeline:       *timelineFlag,
 	}
 	if *faultsFlag != "" {

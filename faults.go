@@ -36,8 +36,5 @@ func MustParseFaultSpec(spec string) FaultSpec {
 // String renders the spec back into ParseFaultSpec's form.
 func (f FaultSpec) String() string { return f.sched.String() }
 
-// Enabled reports whether any fault kind has a non-zero rate.
-func (f FaultSpec) Enabled() bool { return f.sched.Enabled() }
-
 // Seed returns the spec's replay seed.
 func (f FaultSpec) Seed() uint64 { return f.sched.Seed }

@@ -167,6 +167,22 @@ func New(cfg Config, memPort MemPort, queryPort QueryPort) *Core {
 	}
 }
 
+// Restart empties the core and moves its clocks to cycle at: the next
+// Run times its trace exactly as on a fresh core, shifted to start at
+// at, so its memory accesses carry the cycles they happen at. Stats and
+// Err start over.
+func (c *Core) Restart(at uint64) {
+	clear(c.regReady[:])
+	clear(c.retireRing)
+	clear(c.loadRing)
+	clear(c.storeRing)
+	c.robPos, c.lqPos, c.sqPos = 0, 0, 0
+	c.fetchCycle, c.fetchSlots = at, 0
+	c.lastRetire, c.retireInCy = at, 0
+	c.maxDispatch = at
+	c.stats, c.err = Stats{}, nil
+}
+
 // Err returns the first fault encountered, if any.
 func (c *Core) Err() error { return c.err }
 

@@ -356,6 +356,54 @@ func TestRunStopsAtFault(t *testing.T) {
 	}
 }
 
+// issueLog is fixedMem that also records each access's issue cycle.
+type issueLog struct {
+	fixedMem
+	issues []uint64
+}
+
+func (l *issueLog) Access(a mem.VAddr, write bool, issue uint64) (uint64, error) {
+	l.issues = append(l.issues, issue)
+	return l.fixedMem.Access(a, write, issue)
+}
+
+// TestRestartShiftsFreshRun pins Restart's contract: after a faulted
+// run, Restart(at) then Run times the trace exactly as a fresh core
+// does, every memory access and the end moved by at, with Err and the
+// stats started over.
+func TestRestartShiftsFreshRun(t *testing.T) {
+	tr := splitTrace()
+	freshMem := &issueLog{fixedMem: fixedMem{lat: 30}}
+	fresh := newSplitCore(8, freshMem)
+	end := fresh.Run(tr)
+
+	const at = 1_000_000
+	port := &issueLog{fixedMem: fixedMem{lat: 30, failAt: 4}}
+	c := newSplitCore(8, port)
+	c.Run(tr)
+	if c.Err() == nil {
+		t.Fatal("the fourth access did not fault")
+	}
+	port.failAt, port.issues = 0, nil
+	c.Restart(at)
+	if got := c.Run(tr); got != at+end || c.Err() != nil {
+		t.Fatalf("restarted run ended at %d (err %v), want %d", got, c.Err(), at+end)
+	}
+	want := fresh.Stats()
+	want.Cycles += at
+	if c.Stats() != want {
+		t.Fatalf("restarted stats %+v, want %+v", c.Stats(), want)
+	}
+	if len(port.issues) != len(freshMem.issues) {
+		t.Fatalf("%d accesses, want %d", len(port.issues), len(freshMem.issues))
+	}
+	for i, issue := range port.issues {
+		if issue != at+freshMem.issues[i] {
+			t.Fatalf("access %d issued at %d, want %d", i, issue, at+freshMem.issues[i])
+		}
+	}
+}
+
 // BenchmarkCoreRun feeds a fixed 4096-op trace shaped like the
 // workloads' non-ROI request work — a dependent ALU chain, independent
 // scalar ops, well-predicted branches and a cache-resident load every

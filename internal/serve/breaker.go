@@ -37,84 +37,35 @@ func (s BreakerState) String() string {
 	return "invalid"
 }
 
-// Defaults for the zero BreakerConfig. The window is sized to hold a
-// few dozen typical request lifetimes at the default serving gap, so a
-// burst of injected faults trips it within one soak but a lone fault
-// ages out before the next one lands.
+// The breaker's fixed policy. The window is sized to hold a few dozen
+// typical request lifetimes at the default serving gap, so a burst of
+// injected faults trips it within one soak but a lone fault ages out
+// before the next one lands. Outcomes age out a bucket at a time. The
+// breaker opens once at least breakerMinSamples outcomes in the window
+// reach breakerTripRate faults, holds open for one window, and then
+// half-opens: breakerProbes is both the cap on concurrently in-flight
+// probes and the number of consecutive probe successes that close it;
+// a probe fault reopens it.
 const (
-	DefaultBreakerWindow     = 32768
-	DefaultBreakerBuckets    = 8
-	DefaultBreakerTripRate   = 0.5
-	DefaultBreakerMinSamples = 8
-	DefaultBreakerProbes     = 4
+	breakerWindow     = 32768 // cycles
+	breakerBuckets    = 8
+	breakerWidth      = breakerWindow / breakerBuckets // cycles per bucket
+	breakerTripRate   = 0.5
+	breakerMinSamples = 8
+	breakerOpenFor    = breakerWindow // cycles
+	breakerProbes     = 4
 )
 
-// BreakerConfig tunes the primary-path circuit breaker. The zero value
-// means "enabled with defaults"; set Disabled to opt out while keeping
-// the rest of the resilience layer.
-type BreakerConfig struct {
-	// Disabled turns the breaker off entirely: requests always try the
-	// primary (per-request retry/failover still applies).
-	Disabled bool `json:"disabled,omitempty"`
-	// Window is the sliding fault-rate window in simulated cycles.
-	// 0 uses DefaultBreakerWindow.
-	Window uint64 `json:"window,omitempty"`
-	// Buckets subdivides the window; outcomes age out a bucket at a
-	// time, so more buckets track the rate more smoothly for a little
-	// more state. 0 uses DefaultBreakerBuckets.
-	Buckets int `json:"buckets,omitempty"`
-	// TripRate is the fault fraction within the window at which the
-	// breaker opens. 0 uses DefaultBreakerTripRate.
-	TripRate float64 `json:"trip_rate,omitempty"`
-	// MinSamples is the minimum window population before TripRate is
-	// evaluated — a single early fault must not trip an idle breaker.
-	// 0 uses DefaultBreakerMinSamples.
-	MinSamples uint64 `json:"min_samples,omitempty"`
-	// OpenFor is how long an open breaker holds before half-opening, in
-	// simulated cycles. 0 uses Window.
-	OpenFor uint64 `json:"open_for,omitempty"`
-	// HalfOpenProbes is both the cap on concurrently in-flight probe
-	// requests while half-open and the number of consecutive probe
-	// successes that close the breaker. A probe fault reopens it.
-	// 0 uses DefaultBreakerProbes.
-	HalfOpenProbes int `json:"half_open_probes,omitempty"`
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window == 0 {
-		c.Window = DefaultBreakerWindow
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = DefaultBreakerBuckets
-	}
-	if c.TripRate <= 0 {
-		c.TripRate = DefaultBreakerTripRate
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = DefaultBreakerMinSamples
-	}
-	if c.OpenFor == 0 {
-		c.OpenFor = c.Window
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = DefaultBreakerProbes
-	}
-	return c
-}
-
-// Breaker is the deterministic sliding-window circuit breaker. All
+// breaker is the deterministic sliding-window circuit breaker. All
 // decisions are pure functions of the (simulated-cycle, outcome)
 // sequence fed to Allow/Record, so serial, parallel-generated, and
 // replayed runs see identical state transitions. Not safe for
 // concurrent use — like the server, one goroutine owns it.
-type Breaker struct {
-	cfg   BreakerConfig
-	width uint64 // cycles per bucket
-
+type breaker struct {
 	state    BreakerState
-	ok, bad  []uint64 // per-bucket outcome counts, ring-indexed
-	slot     uint64   // absolute bucket index holding the latest Record
-	openedAt uint64   // cycle of the last Closed/HalfOpen -> Open trip
+	ok, bad  [breakerBuckets]uint64 // per-bucket outcome counts, ring-indexed
+	slot     uint64                 // absolute bucket index holding the latest Record
+	openedAt uint64                 // cycle of the last Closed/HalfOpen -> Open trip
 
 	probeInflight int // half-open probes currently outstanding
 	probeOK       int // consecutive half-open probe successes
@@ -124,37 +75,23 @@ type Breaker struct {
 	probes    uint64
 }
 
-// NewBreaker builds a breaker with cfg's zero fields defaulted.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	cfg = cfg.withDefaults()
-	return &Breaker{
-		cfg:   cfg,
-		width: cfg.Window / uint64(cfg.Buckets),
-		ok:    make([]uint64, cfg.Buckets),
-		bad:   make([]uint64, cfg.Buckets),
-	}
-}
-
 // rotate ages the window forward to the bucket containing cycle now,
 // clearing every bucket that fell out of it.
-func (b *Breaker) rotate(now uint64) {
-	abs := now / b.width
+func (b *breaker) rotate(now uint64) {
+	abs := now / breakerWidth
 	if abs <= b.slot {
 		return
 	}
-	n := abs - b.slot
-	if n > uint64(b.cfg.Buckets) {
-		n = uint64(b.cfg.Buckets)
-	}
+	n := min(abs-b.slot, breakerBuckets)
 	for i := uint64(1); i <= n; i++ {
-		idx := (b.slot + i) % uint64(b.cfg.Buckets)
+		idx := (b.slot + i) % breakerBuckets
 		b.ok[idx] = 0
 		b.bad[idx] = 0
 	}
 	b.slot = abs
 }
 
-func (b *Breaker) counts() (ok, bad uint64) {
+func (b *breaker) counts() (ok, bad uint64) {
 	for i := range b.ok {
 		ok += b.ok[i]
 		bad += b.bad[i]
@@ -162,28 +99,26 @@ func (b *Breaker) counts() (ok, bad uint64) {
 	return ok, bad
 }
 
-func (b *Breaker) trip(now uint64) {
+func (b *breaker) trip(now uint64) {
 	b.state = BreakerOpen
 	b.openedAt = now
 	b.trips++
 	// Drop the rotten window so a later close starts from a clean slate
 	// instead of instantly re-tripping on stale faults.
-	for i := range b.ok {
-		b.ok[i] = 0
-		b.bad[i] = 0
-	}
+	b.ok = [breakerBuckets]uint64{}
+	b.bad = [breakerBuckets]uint64{}
 }
 
 // Allow reports whether a request arriving at cycle now may try the
 // primary backend. false means route it to the failover path (counted
 // as a fast-fail). An open breaker whose hold has expired half-opens
-// here and admits up to HalfOpenProbes concurrent probes.
-func (b *Breaker) Allow(now uint64) bool {
+// here and admits up to breakerProbes concurrent probes.
+func (b *breaker) Allow(now uint64) bool {
 	switch b.state {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if now < b.openedAt+b.cfg.OpenFor {
+		if now < b.openedAt+breakerOpenFor {
 			b.fastFails++
 			return false
 		}
@@ -192,7 +127,7 @@ func (b *Breaker) Allow(now uint64) bool {
 		b.probeOK = 0
 		fallthrough
 	default: // BreakerHalfOpen
-		if b.probeInflight >= b.cfg.HalfOpenProbes {
+		if b.probeInflight >= breakerProbes {
 			b.fastFails++
 			return false
 		}
@@ -205,10 +140,10 @@ func (b *Breaker) Allow(now uint64) bool {
 // Record feeds one primary-backend outcome (ok = completed without a
 // fault) observed at cycle now into the window and runs the state
 // machine: a closed breaker trips when the window's fault rate reaches
-// TripRate with at least MinSamples outcomes; a half-open breaker
-// closes after HalfOpenProbes consecutive successes and reopens on any
-// fault.
-func (b *Breaker) Record(now uint64, ok bool) {
+// breakerTripRate with at least breakerMinSamples outcomes; a half-open
+// breaker closes after breakerProbes consecutive successes and reopens
+// on any fault.
+func (b *breaker) Record(now uint64, ok bool) {
 	b.rotate(now)
 	if b.state == BreakerHalfOpen {
 		if b.probeInflight > 0 {
@@ -219,12 +154,12 @@ func (b *Breaker) Record(now uint64, ok bool) {
 			return
 		}
 		b.probeOK++
-		if b.probeOK >= b.cfg.HalfOpenProbes {
+		if b.probeOK >= breakerProbes {
 			b.state = BreakerClosed
 		}
 		return
 	}
-	idx := b.slot % uint64(b.cfg.Buckets)
+	idx := b.slot % breakerBuckets
 	if ok {
 		b.ok[idx]++
 	} else {
@@ -234,23 +169,23 @@ func (b *Breaker) Record(now uint64, ok bool) {
 		return
 	}
 	okN, badN := b.counts()
-	if okN+badN >= b.cfg.MinSamples && float64(badN) >= b.cfg.TripRate*float64(okN+badN) {
+	if okN+badN >= breakerMinSamples && float64(badN) >= breakerTripRate*float64(okN+badN) {
 		b.trip(now)
 	}
 }
 
 // State returns the current automaton state.
-func (b *Breaker) State() BreakerState { return b.state }
+func (b *breaker) State() BreakerState { return b.state }
 
 // Trips counts Closed/HalfOpen -> Open transitions.
-func (b *Breaker) Trips() uint64 { return b.trips }
+func (b *breaker) Trips() uint64 { return b.trips }
 
 // FastFails counts requests refused the primary while open (or while
 // half-open past the probe bound) and routed to the failover path.
-func (b *Breaker) FastFails() uint64 { return b.fastFails }
+func (b *breaker) FastFails() uint64 { return b.fastFails }
 
 // Probes counts requests admitted to the primary while half-open.
-func (b *Breaker) Probes() uint64 { return b.probes }
+func (b *breaker) Probes() uint64 { return b.probes }
 
 // BreakerReport is the breaker's summary row in a serving Report.
 type BreakerReport struct {

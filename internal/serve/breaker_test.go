@@ -2,47 +2,69 @@ package serve
 
 import "testing"
 
-// tb returns a breaker with a small, test-friendly window: 8 buckets of
-// 128 cycles, tripping at 50% faults over at least 4 samples, holding
-// open for 512 cycles, closing after 2 probe successes.
-func tb() *Breaker {
-	return NewBreaker(BreakerConfig{
-		Window:         1024,
-		Buckets:        8,
-		TripRate:       0.5,
-		MinSamples:     4,
-		OpenFor:        512,
-		HalfOpenProbes: 2,
-	})
+// The breaker's policy, spelled out as literals so that a change to any
+// constant in breaker.go fails these tests: a 32768-cycle window in 8
+// buckets, a trip at a 0.5 fault rate over at least 8 outcomes, a hold
+// of one window, and 4 half-open probes.
+const (
+	polWindow     = 32768
+	polBucket     = polWindow / 8
+	polMinSamples = 8
+	polProbes     = 4
+)
+
+// record feeds n outcomes, one cycle apart from cycle at.
+func record(b *breaker, at uint64, n int, ok bool) {
+	for i := 0; i < n; i++ {
+		b.Record(at+uint64(i), ok)
+	}
 }
 
 func TestBreakerTripsAtRate(t *testing.T) {
-	b := tb()
-	// Three faults are below MinSamples: no trip yet.
-	for i := uint64(0); i < 3; i++ {
-		b.Record(i*10, false)
+	b := new(breaker)
+	// Seven faults are below the 8-sample minimum: no trip yet.
+	for i := 0; i < polMinSamples-1; i++ {
+		b.Record(uint64(i*10), false)
 		if b.State() != BreakerClosed {
-			t.Fatalf("tripped on sample %d, below MinSamples", i+1)
+			t.Fatalf("tripped on sample %d, below the sample minimum", i+1)
 		}
 	}
-	b.Record(30, false)
+	b.Record(100, false)
 	if b.State() != BreakerOpen {
-		t.Fatal("4 faults out of 4 did not trip")
+		t.Fatalf("%d faults out of %d did not trip", polMinSamples, polMinSamples)
 	}
 	if b.Trips() != 1 {
 		t.Fatalf("trips = %d, want 1", b.Trips())
 	}
-	if b.Allow(40) {
+	if b.Allow(110) {
 		t.Fatal("open breaker allowed the primary")
 	}
 	if b.FastFails() != 1 {
 		t.Fatalf("fastFails = %d, want 1", b.FastFails())
 	}
+
+	// Exactly half of 8 outcomes trips; 3 of 8 does not.
+	half := new(breaker)
+	record(half, 0, polMinSamples/2, true)
+	record(half, 100, polMinSamples/2-1, false)
+	if half.State() != BreakerClosed {
+		t.Fatal("3 faults in 7 outcomes tripped")
+	}
+	half.Record(200, false)
+	if half.State() != BreakerOpen {
+		t.Fatal("4 faults in 8 outcomes (rate 0.5) did not trip")
+	}
+	under := new(breaker)
+	record(under, 0, polMinSamples/2+1, true)
+	record(under, 100, polMinSamples/2-1, false)
+	if under.State() != BreakerClosed {
+		t.Fatal("3 faults in 8 outcomes (rate 0.375) tripped")
+	}
 }
 
 func TestBreakerHealthyMajorityStaysClosed(t *testing.T) {
-	b := tb()
-	// 1 fault in 10 is far under the 50% trip rate.
+	b := new(breaker)
+	// 1 fault in 10 is far under the 0.5 trip rate.
 	for i := uint64(0); i < 10; i++ {
 		b.Record(i*10, i != 3)
 	}
@@ -55,71 +77,70 @@ func TestBreakerHealthyMajorityStaysClosed(t *testing.T) {
 }
 
 func TestBreakerWindowAgesOutFaults(t *testing.T) {
-	b := tb()
-	// Three faults (just under MinSamples) at cycle ~0.
-	for i := uint64(0); i < 3; i++ {
-		b.Record(i, false)
+	// Seven faults (one short of the minimum) at cycle ~0, then one
+	// fresh fault. In the last bucket of the window the stale faults
+	// still count and the eighth trips the breaker ...
+	within := new(breaker)
+	record(within, 0, polMinSamples-1, false)
+	within.Record(polWindow-polBucket, false)
+	if within.State() != BreakerOpen {
+		t.Fatal("faults inside the window did not count")
 	}
-	// A full window later they have aged out: a lone fresh fault among
-	// three successes is 25%, under the 50% trip rate, so the breaker
-	// must stay closed — unless the stale faults wrongly still count.
-	for i := uint64(0); i < 3; i++ {
-		b.Record(2000+i*10, true)
-	}
-	b.Record(2040, false)
-	if b.State() != BreakerClosed {
+	// ... but one window later they have aged out: the fresh fault is
+	// alone, below the sample minimum.
+	aged := new(breaker)
+	record(aged, 0, polMinSamples-1, false)
+	aged.Record(polWindow, false)
+	if aged.State() != BreakerClosed {
 		t.Fatal("aged-out faults still counted against the window")
 	}
 }
 
 func TestBreakerHalfOpenCloseAndRetrip(t *testing.T) {
-	b := tb()
-	for i := uint64(0); i < 4; i++ {
-		b.Record(i, false)
-	}
+	b := new(breaker)
+	record(b, 0, polMinSamples, false)
 	if b.State() != BreakerOpen {
 		t.Fatal("no trip")
 	}
 	openedAt := b.openedAt
-	// Before the hold expires: fast-fail.
-	if b.Allow(openedAt + 100) {
+	// The hold lasts one window: fast-fail until its last cycle.
+	if b.Allow(openedAt + polWindow - 1) {
 		t.Fatal("allowed during open hold")
 	}
-	// After: half-open, bounded probes.
-	if !b.Allow(openedAt + 600) {
-		t.Fatal("no probe after hold expired")
+	// Then half-open, admitting 4 concurrent probes and no more.
+	for i := 0; i < polProbes; i++ {
+		if !b.Allow(openedAt + polWindow + uint64(i)) {
+			t.Fatalf("probe %d refused", i+1)
+		}
+		if b.State() != BreakerHalfOpen {
+			t.Fatalf("state %v after hold, want half-open", b.State())
+		}
 	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state %v after hold, want half-open", b.State())
-	}
-	if !b.Allow(openedAt + 610) {
-		t.Fatal("second probe refused")
-	}
-	// Probe bound reached (HalfOpenProbes = 2): next is a fast-fail.
-	if b.Allow(openedAt + 620) {
+	if b.Allow(openedAt + polWindow + 10) {
 		t.Fatal("probe bound not enforced")
 	}
-	if b.Probes() != 2 {
-		t.Fatalf("probes = %d, want 2", b.Probes())
+	if b.Probes() != polProbes {
+		t.Fatalf("probes = %d, want %d", b.Probes(), polProbes)
 	}
-	// Two probe successes close it.
-	b.Record(openedAt+700, true)
-	b.Record(openedAt+710, true)
+	// Three probe successes leave it half-open; the fourth closes it.
+	record(b, openedAt+polWindow+100, polProbes-1, true)
+	if b.State() != BreakerHalfOpen {
+		t.Fatalf("state %v after %d probe successes, want half-open", b.State(), polProbes-1)
+	}
+	b.Record(openedAt+polWindow+200, true)
 	if b.State() != BreakerClosed {
-		t.Fatalf("state %v after %d probe successes, want closed", b.State(), 2)
+		t.Fatalf("state %v after %d probe successes, want closed", b.State(), polProbes)
 	}
 
 	// Trip again, half-open again, and this time a probe fault reopens.
-	for i := uint64(0); i < 4; i++ {
-		b.Record(openedAt+800+i, false)
-	}
+	record(b, openedAt+polWindow+300, polMinSamples, false)
 	if b.State() != BreakerOpen || b.Trips() != 2 {
 		t.Fatalf("second trip missing: state %v trips %d", b.State(), b.Trips())
 	}
-	if !b.Allow(b.openedAt + 600) {
+	if !b.Allow(b.openedAt + polWindow) {
 		t.Fatal("no probe on second half-open")
 	}
-	b.Record(b.openedAt+700, false)
+	b.Record(b.openedAt+polWindow+100, false)
 	if b.State() != BreakerOpen || b.Trips() != 3 {
 		t.Fatalf("probe fault did not re-trip: state %v trips %d", b.State(), b.Trips())
 	}
@@ -130,15 +151,15 @@ func TestBreakerHalfOpenCloseAndRetrip(t *testing.T) {
 // rests on.
 func TestBreakerDeterministic(t *testing.T) {
 	run := func() (BreakerState, uint64, uint64, uint64) {
-		b := tb()
+		b := new(breaker)
 		x := uint64(99)
-		for i := uint64(0); i < 500; i++ {
+		for i := uint64(0); i < 2000; i++ {
 			x ^= x << 13
 			x ^= x >> 7
 			x ^= x << 17
-			now := i * 37
+			now := i * 300
 			if b.Allow(now) {
-				b.Record(now+20, x%3 != 0)
+				b.Record(now+200, x%2 != 0)
 			}
 		}
 		return b.State(), b.Trips(), b.FastFails(), b.Probes()
@@ -149,7 +170,7 @@ func TestBreakerDeterministic(t *testing.T) {
 		t.Fatalf("same sequence diverged: (%v %d %d %d) vs (%v %d %d %d)",
 			s1, t1, f1, p1, s2, t2, f2, p2)
 	}
-	if t1 == 0 || f1 == 0 {
-		t.Fatalf("sequence exercised no trips (%d) or fast-fails (%d)", t1, f1)
+	if t1 == 0 || f1 == 0 || p1 == 0 {
+		t.Fatalf("sequence exercised no trips (%d), fast-fails (%d) or probes (%d)", t1, f1, p1)
 	}
 }

@@ -85,11 +85,7 @@ func TestResilienceRetryRecovers(t *testing.T) {
 	}
 	b := &flakyBackend{fakeBackend: fakeBackend{lat: 100, cap: 8}, failFirst: 1}
 	soft := &softBackend{p: &b.fakeBackend, lat: 1000}
-	cfg := Config{Gen: gen, Resilience: &Resilience{
-		MaxRetries: 2,
-		Failover:   soft,
-		Breaker:    BreakerConfig{Disabled: true},
-	}}
+	cfg := Config{Gen: gen, Resilience: &Resilience{Failover: soft}}
 	rep, err := Run(b, cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -116,14 +112,16 @@ func TestResilienceFailoverAfterRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Arrivals two breaker windows apart: each window holds only one
+	// request's two faulting attempts, below the breaker's sample
+	// minimum, so every request walks the ladder rung by rung.
+	for i := range reqs {
+		reqs[i].At = uint64(i) * 2 * polWindow
+	}
 	// Every primary query faults, forever.
 	b := &flakyBackend{fakeBackend: fakeBackend{lat: 100, cap: 8}, failFirst: 1 << 60}
 	soft := &softBackend{p: &b.fakeBackend, lat: 1000}
-	cfg := Config{Gen: gen, KeepResults: true, Resilience: &Resilience{
-		MaxRetries: 1,
-		Failover:   soft,
-		Breaker:    BreakerConfig{Disabled: true},
-	}}
+	cfg := Config{Gen: gen, KeepResults: true, Resilience: &Resilience{Failover: soft}}
 	rep, err := Run(b, cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -161,11 +159,7 @@ func TestResilienceBreakerRoutesAroundPrimary(t *testing.T) {
 	b := &flakyBackend{fakeBackend: fakeBackend{lat: 100, cap: 8}, failFirst: 1 << 60}
 	soft := &softBackend{p: &b.fakeBackend, lat: 300}
 	reg := metrics.NewRegistry()
-	cfg := Config{Gen: gen, Metrics: reg, Resilience: &Resilience{
-		MaxRetries: -1,
-		Failover:   soft,
-		Breaker:    BreakerConfig{Window: 4096, MinSamples: 4, OpenFor: 1 << 40},
-	}}
+	cfg := Config{Gen: gen, Metrics: reg, Resilience: &Resilience{Failover: soft}}
 	rep, err := Run(b, cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -209,11 +203,7 @@ func TestResilienceBreakerRecovers(t *testing.T) {
 	b := &flakyBackend{fakeBackend: fakeBackend{lat: 100, cap: 8}, failFirst: 12}
 	soft := &softBackend{p: &b.fakeBackend, lat: 300}
 	tr := trace.New(0)
-	cfg := Config{Gen: gen, Trace: tr, Resilience: &Resilience{
-		MaxRetries: -1,
-		Failover:   soft,
-		Breaker:    BreakerConfig{Window: 2048, MinSamples: 4, OpenFor: 2048, HalfOpenProbes: 2},
-	}}
+	cfg := Config{Gen: gen, Trace: tr, Resilience: &Resilience{Failover: soft}}
 	rep, err := Run(b, cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +377,6 @@ func TestResilienceDeterministic(t *testing.T) {
 		rep, err := Run(b, Config{Gen: gen, SLO: 1000, Resilience: &Resilience{
 			Deadline: 20000,
 			Failover: soft,
-			Breaker:  BreakerConfig{Window: 2048, MinSamples: 4, OpenFor: 2048, HalfOpenProbes: 2},
 		}}, reqs)
 		if err != nil {
 			t.Fatal(err)

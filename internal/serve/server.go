@@ -192,7 +192,7 @@ type server struct {
 	mut Mutator
 	cfg Config
 	res *Resilience
-	brk *Breaker
+	brk *breaker
 
 	tables []Table
 	adm    *Admission
@@ -286,8 +286,8 @@ func newServer(b Backend, cfg Config, reqs []Request) (*server, error) {
 		acct:   make([]tenantAcct, tenants),
 		rep:    &Report{},
 	}
-	if s.res != nil && s.res.Failover != nil && !s.res.Breaker.Disabled {
-		s.brk = NewBreaker(s.res.Breaker)
+	if s.res != nil && s.res.Failover != nil {
+		s.brk = new(breaker)
 	}
 	if cfg.BatchAdmit > 1 {
 		bb, ok := b.(BatchBackend)
@@ -563,11 +563,11 @@ func (s *server) finish(q inflight, res Result) error {
 		s.retire(q.tenant, q.seq, q.at, res)
 		return nil
 	}
-	if !s.pastDeadline(q.at) && q.attempt < s.res.maxRetries() && (s.brk == nil || s.brk.State() == BreakerClosed) {
+	if !s.pastDeadline(q.at) && q.attempt < maxRetries && (s.brk == nil || s.brk.State() == BreakerClosed) {
 		// Back off on the shared clock — the pause is charged to this
 		// request and everything queued behind it — then reissue on the
 		// slot the request still holds.
-		s.b.Advance(retryBackoff(q.attempt))
+		s.b.Advance(retryBackoff)
 		h, err := s.b.QueryAsync(s.tables[q.tenant], q.key)
 		if err == nil {
 			s.acct[q.tenant].retries++
@@ -585,7 +585,7 @@ func (s *server) finish(q inflight, res Result) error {
 	return s.degrade(q.tenant, q.seq, q.at, q.key, res)
 }
 
-// degrade settles a faulting result whose retries are spent: shed if the
+// degrade settles a faulting result whose retry is spent: shed if the
 // deadline has passed, else fail over to the safety-net backend, else
 // retire with the fault.
 func (s *server) degrade(tenant, seq int, at uint64, key []byte, res Result) error {

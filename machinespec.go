@@ -20,14 +20,10 @@ func DefaultMachineSpec() MachineSpec {
 	return MachineSpec{d: hwdesc.Default()}
 }
 
-// MachinePresets lists the named machine descriptions accepted by
-// LoadMachineSpec (and the CLIs' -machine flag): "default" plus one per
-// integration scheme.
-func MachinePresets() []string { return hwdesc.Presets() }
-
-// LoadMachineSpec resolves a preset name or a JSON file path into a
-// validated spec. Unknown presets, unreadable files, unknown fields,
-// and inconsistent geometry all fail with errors wrapping ErrBadConfig.
+// LoadMachineSpec resolves a preset name ("default", or an integration
+// scheme name such as "cha-tlb") or a JSON file path into a validated
+// spec. Unknown presets, unreadable files, unknown fields, and
+// inconsistent geometry all fail with errors wrapping ErrBadConfig.
 func LoadMachineSpec(presetOrPath string) (MachineSpec, error) {
 	d, err := hwdesc.Load(presetOrPath)
 	if err != nil {
@@ -38,9 +34,6 @@ func LoadMachineSpec(presetOrPath string) (MachineSpec, error) {
 
 // Name returns the description's name ("tab2" for the default).
 func (s MachineSpec) Name() string { return s.desc().Name }
-
-// Cores returns the spec's core count.
-func (s MachineSpec) Cores() int { return s.desc().Cores }
 
 // JSON renders the spec in the hwdesc wire format — what LoadMachineSpec
 // reads back, byte-identical round trip.
@@ -56,9 +49,8 @@ func (s MachineSpec) desc() hwdesc.Description {
 
 // WithMachineSpec builds the System on the spec's chip instead of the
 // Tab. II default. The integration scheme remains NewSystem's argument;
-// the spec contributes the topology, the QST sizing (unless WithQSTSize
-// also given, which wins), and the accelerator-TLB/device-latency
-// overrides.
+// the spec contributes the topology, the QST sizing, and the
+// accelerator-TLB/device-latency overrides.
 func WithMachineSpec(spec MachineSpec) Option {
 	return func(c *sysConfig) { c.spec = &spec }
 }

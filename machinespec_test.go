@@ -6,16 +6,18 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"qei/internal/hwdesc"
 )
 
 func TestLoadMachineSpecPresetsAndErrors(t *testing.T) {
-	for _, name := range MachinePresets() {
+	for _, name := range hwdesc.Presets() {
 		spec, err := LoadMachineSpec(name)
 		if err != nil {
 			t.Fatalf("LoadMachineSpec(%q): %v", name, err)
 		}
-		if spec.Cores() != 24 {
-			t.Errorf("%s: Cores() = %d, want 24 (Tab. II)", name, spec.Cores())
+		if cores := spec.desc().Cores; cores != 24 {
+			t.Errorf("%s: %d cores, want 24 (Tab. II)", name, cores)
 		}
 	}
 	if _, err := LoadMachineSpec("not-a-preset"); !errors.Is(err, ErrBadConfig) {

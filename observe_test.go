@@ -150,3 +150,37 @@ func TestSystemUnifiedTraceExport(t *testing.T) {
 		}
 	}
 }
+
+// TestSoftwareWalkEventsAtIssueClock pins that a software walk's cache
+// and TLB events land on the timeline at the cycles the walk runs, not
+// at offsets from cycle 0: every event QuerySoftware records lies
+// between the issue clock before the walks and Now() after them.
+func TestSoftwareWalkEventsAtIssueClock(t *testing.T) {
+	sys := NewSystem(CoreIntegrated, WithTimeline())
+	keys, vals := testKeys(64, 16, 17)
+	tb := mustBuild(t, sys, KindBST, keys, vals)
+	const start = 1_000_000
+	if sys.Now() > start {
+		t.Fatalf("build advanced the clock to %d, past %d", sys.Now(), start)
+	}
+	sys.Advance(start - sys.Now())
+	before := len(sys.tracer.Events())
+	for _, k := range keys[:8] {
+		if _, err := sys.QuerySoftware(tb, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	for _, e := range sys.tracer.Events()[before:] {
+		if e.Cat != "cache" && e.Cat != "tlb" {
+			continue
+		}
+		n++
+		if e.TS < start || e.TS > sys.Now() {
+			t.Fatalf("%s/%s event at cycle %d, outside the walks' [%d, %d]", e.Cat, e.Name, e.TS, start, sys.Now())
+		}
+	}
+	if n == 0 {
+		t.Fatal("software walks recorded no cache or TLB events")
+	}
+}

@@ -20,7 +20,7 @@ import (
 func TestFaultInjectionZeroCycleImpact(t *testing.T) {
 	keys, vals := testKeys(300, 16, 11)
 	zero := MustParseFaultSpec("9:flip=0,nocdelay=0,nocdrop=0,shootdown=0,spurious=0,evict=0")
-	if zero.Enabled() {
+	if zero.sched.Enabled() {
 		t.Fatal("all-zero spec reports Enabled")
 	}
 	for _, sch := range Schemes() {

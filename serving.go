@@ -275,9 +275,6 @@ type ServingConfig struct {
 	// Machine serves on the given chip instead of the Tab. II default
 	// (see LoadMachineSpec); nil keeps the default.
 	Machine *MachineSpec
-	// Metrics attaches the simulator metrics registry and registers the
-	// per-tenant serving counters in it.
-	Metrics bool
 	// KeepResults retains per-request results. Without Resilient, the
 	// run then also checks them against the host model
 	// (Report.Mismatches).
@@ -288,25 +285,14 @@ type ServingConfig struct {
 	// serves without chaos. Without Resilient, injected faults surface
 	// as per-request Result.Err and count in TenantStats.Faults.
 	Faults *FaultSpec
-	// QueryBudget arms the per-query cycle-budget watchdog
-	// (WithQueryCycleBudget): accelerator executions over budget fault
-	// with ErrQueryTimeout and enter the resilience ladder like any
-	// other fault. 0 disables the watchdog.
-	QueryBudget uint64
-	// Resilient enables the serving resilience layer: per-request
-	// deadlines with load shedding, bounded retry of faulting queries,
-	// per-request failover to the software walker, and a circuit
-	// breaker that routes around a misbehaving accelerator wholesale
-	// (serve.Resilience). Off, faults ride in the report and admission
-	// waits are unbounded, exactly as before.
+	// Resilient enables the serving resilience layer (serve.Resilience)
+	// on its fixed policy: requests still waiting 4x the SLO after
+	// arrival are shed (never, with the SLO off), a faulting query is
+	// retried once, then fails over to the software walker, and a
+	// circuit breaker routes around a misbehaving accelerator
+	// wholesale. Off, faults ride in the report and admission waits are
+	// unbounded, exactly as before.
 	Resilient bool
-	// Deadline is the per-request completion budget in cycles from
-	// arrival (requests past it are shed). 0 derives 4x the SLO; with
-	// the SLO also 0, shedding is off. Ignored without Resilient.
-	Deadline uint64
-	// MaxRetries bounds the pre-failover retry loop (serve.Resilience
-	// semantics; 0 uses the serve default).
-	MaxRetries int
 	// Timeline, when non-empty, arms the unified cycle-stamped tracer
 	// and writes the Chrome trace-event JSON document (component tracks
 	// plus the serving track's shed/failover/breaker events) to this
@@ -375,14 +361,8 @@ func ReplayServing(cfg ServingConfig, gen serve.GenConfig, reqs []serve.Request)
 	if cfg.Machine != nil {
 		opts = append(opts, WithMachineSpec(*cfg.Machine))
 	}
-	if cfg.Metrics {
-		opts = append(opts, WithMetrics())
-	}
 	if cfg.Faults != nil {
 		opts = append(opts, WithFaultInjection(*cfg.Faults))
-	}
-	if cfg.QueryBudget > 0 {
-		opts = append(opts, WithQueryCycleBudget(cfg.QueryBudget))
 	}
 	if cfg.Timeline != "" {
 		opts = append(opts, WithTimeline())
@@ -396,20 +376,15 @@ func ReplayServing(cfg ServingConfig, gen serve.GenConfig, reqs []serve.Request)
 		Gen:            gen,
 		SlotsPerTenant: cfg.SlotsPerTenant,
 		SLO:            cfg.SLO,
-		Metrics:        sys.mreg,
 		Trace:          sys.tracer,
 		KeepResults:    cfg.KeepResults,
 		WriteCost:      cfg.WriteCost,
 		BatchAdmit:     cfg.BatchAdmit,
 	}
 	if cfg.Resilient {
-		res := &serve.Resilience{
-			Deadline:   cfg.Deadline,
-			MaxRetries: cfg.MaxRetries,
-		}
-		if res.Deadline == 0 && cfg.SLO > 0 {
-			res.Deadline = 4 * cfg.SLO
-		}
+		// Requests more than four SLOs past arrival are shed; with the
+		// SLO off, nothing is.
+		res := &serve.Resilience{Deadline: 4 * cfg.SLO}
 		// The safety net is the software walker over the same machine:
 		// tables the primary built are queried directly, on the shared
 		// clock. A baseline primary is its own safety net — it still

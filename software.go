@@ -34,12 +34,18 @@ func (s *System) QuerySoftware(t Table, key []byte) (Result, error) {
 	res := Result{Found: br.Found, Value: br.Value, Matches: slices.Clone(br.Matches)}
 
 	// Time the software path on a simulated core sharing the machine's
-	// memory system — architecturally ordinary code.
-	core := cpu.New(cpu.DefaultConfig(), s.m.CoreMemPort(0), nil)
-	res.Latency = core.Run(br.Trace)
-	if err := core.Err(); err != nil {
+	// memory system — architecturally ordinary code. The core restarts
+	// at the issue clock, so the walk's cache and TLB accesses carry the
+	// cycles they happen at.
+	if s.swCore == nil {
+		s.swCore = cpu.New(cpu.DefaultConfig(), s.m.CoreMemPort(0), nil)
+	}
+	s.swCore.Restart(s.now)
+	done := s.swCore.Run(br.Trace)
+	if err := s.swCore.Err(); err != nil {
 		return Result{}, err
 	}
-	s.now += res.Latency
+	res.Latency = done - s.now
+	s.now = done
 	return res, nil
 }

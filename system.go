@@ -5,6 +5,7 @@ import (
 
 	"qei/internal/baseline"
 	"qei/internal/cfa"
+	"qei/internal/cpu"
 	"qei/internal/epoch"
 	"qei/internal/faultinject"
 	"qei/internal/hwdesc"
@@ -95,8 +96,10 @@ type System struct {
 	seed  int64
 	now   uint64
 	tag   uint64
-	// sw is the software walker arena behind QuerySoftware.
-	sw baseline.Querier
+	// sw is the software walker arena behind QuerySoftware, and swCore
+	// the core that times its walks (made by the first walk).
+	sw     baseline.Querier
+	swCore *cpu.Core
 	// batchDescs backs the level-wise batch's descriptors, and
 	// batchDescPtrs the pointers ExecuteBatch takes, reused across
 	// batches.
@@ -122,20 +125,12 @@ type System struct {
 type Option func(*sysConfig)
 
 type sysConfig struct {
-	qstSize     int
 	metrics     bool
 	trace       bool
 	seed        int64
 	faults      *FaultSpec
 	cycleBudget uint64
 	spec        *MachineSpec
-}
-
-// WithQSTSize overrides the scheme's per-instance QST entry count — the
-// Fig. 10 tuple-space ablation knob, without reaching into
-// internal/scheme constants.
-func WithQSTSize(n int) Option {
-	return func(c *sysConfig) { c.qstSize = n }
 }
 
 // WithSeed sets the seed for the system's randomized software routines
@@ -198,9 +193,6 @@ func NewSystem(s Scheme, opts ...Option) *System {
 		panic(err) // unreachable: presets and every MachineSpec constructor validate
 	}
 	m := machine.New(d)
-	if cfg.qstSize > 0 {
-		p.QSTEntriesPerInstance = cfg.qstSize
-	}
 	var mreg *metrics.Registry
 	if cfg.metrics {
 		mreg = metrics.NewRegistry()
