@@ -217,7 +217,7 @@ esac
 # the same failover (batched reads skip the breaker).
 res_trace=$(mktemp)
 res_flags="-resilient -faults 9:spurious=0.3,flip=0.03,shootdown=0.05 -writes 0.1 -slo 4000 -tenants 3 -requests 300 -keys 64"
-for mode in "" "-batchmode"; do
+for mode in "" "-batchadmit 16"; do
 	res_live=$("$bindir/qeiserve" $res_flags $mode -record "$res_trace" -json)
 	res_replay=$("$bindir/qeiserve" $res_flags $mode -replay "$res_trace" -json)
 	case "$res_live" in
@@ -263,7 +263,7 @@ rm -f "$res_trace"
 # through the engine and retire every request (qeiserve exits non-zero
 # on epoch violations).
 go run ./cmd/qeibench -exp batch -scale small >/dev/null
-bserve_out=$(go run ./cmd/qeiserve -batchmode -tenants 2 -requests 80 -keys 64)
+bserve_out=$(go run ./cmd/qeiserve -batchadmit 16 -tenants 2 -requests 80 -keys 64)
 case "$bserve_out" in
 *'batch/batches 0 '*)
 	echo "batch-smoke: batched admission flushed no batches" >&2

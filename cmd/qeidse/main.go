@@ -20,7 +20,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -47,7 +46,7 @@ func main() {
 	if *scaleFlag != "small" && *scaleFlag != "full" {
 		fail("unknown scale %q (want small or full)", *scaleFlag)
 	}
-	res, err := qei.RunDSE(context.Background(), qei.DSEConfig{
+	res, err := qei.RunDSE(qei.DSEConfig{
 		Workload:    *wlFlag,
 		FullScale:   *scaleFlag == "full",
 		Axes:        *axesFlag,

@@ -11,7 +11,7 @@
 //	         [-keyzipf S] [-gap CYCLES] [-slo CYCLES] [-slots N]
 //	         [-writes F] [-delfrac F] [-writecost CYCLES]
 //	         [-faults SPEC] [-resilient] [-timeline FILE]
-//	         [-batchmode [-batchadmit N]]
+//	         [-batchadmit N]
 //	         [-seed N] [-scheme core|cha-tlb|...] [-machine preset|file.json]
 //	         [-genparallel N] [-record FILE | -replay FILE] [-json]
 //
@@ -52,9 +52,9 @@
 // writes the unified cycle-stamped Chrome trace (including the serving
 // track's shed/failover/breaker events) after each run.
 //
-// -batchmode turns on batched admission (qei backend only): lookups
-// buffer per tenant and flush through the level-wise batch engine in
-// groups of up to -batchadmit keys; a tenant's buffer also flushes
+// -batchadmit N (N >= 2) turns on batched admission (qei backend only):
+// lookups buffer per tenant and flush through the level-wise batch
+// engine in groups of up to N keys; a tenant's buffer also flushes
 // before its writes and at end of stream. A greppable "batch ..."
 // counter line (flush counts plus the engine's amortization counters)
 // follows each text report.
@@ -104,8 +104,7 @@ func main() {
 	faultsFlag := flag.String("faults", "", `chaos schedule "seed:kind=rate,..." injected on the serving machine; empty = clean`)
 	resilientFlag := flag.Bool("resilient", false, "enable deadlines/shedding, retry, software failover, and the circuit breaker")
 	timelineFlag := flag.String("timeline", "", "write the unified Chrome trace-event timeline to this file")
-	batchModeFlag := flag.Bool("batchmode", false, "batched admission: buffer lookups per tenant and flush them through the level-wise batch engine (qei backend only)")
-	batchAdmitFlag := flag.Int("batchadmit", 16, "lookups buffered per tenant before a batch flush (with -batchmode)")
+	batchAdmitFlag := flag.Int("batchadmit", 0, "batched admission: buffer up to N >= 2 lookups per tenant and flush them through the level-wise batch engine (qei backend only); 0 = off")
 	seedFlag := flag.Int64("seed", def.Seed, "stream and machine seed")
 	schemeFlag := flag.String("scheme", "core", "integration scheme: core, cha-tlb, cha-notlb, device-direct, device-indirect")
 	machineFlag := flag.String("machine", "", "machine description: a preset name (default, core, cha-tlb, ...) or a JSON file; empty = the Tab. II default")
@@ -161,9 +160,9 @@ func main() {
 		cfg.Machine = &spec
 	}
 
-	if *batchModeFlag {
+	if *batchAdmitFlag != 0 {
 		if *backendFlag != "qei" {
-			fail("-batchmode requires the qei backend (the software walker has no batch path)")
+			fail("-batchadmit requires the qei backend (the software walker has no batch path)")
 		}
 		if *batchAdmitFlag < 2 {
 			fail("-batchadmit must be >= 2, got %d", *batchAdmitFlag)

@@ -26,7 +26,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -234,8 +233,8 @@ func runAllSchemes(bench workload.Benchmark, mode workload.Mode, nb bool, par in
 		p := schemeParams(k, rowDescription(desc, k))
 		jobs = append(jobs, job{name: k.String(), params: &p})
 	}
-	runs, err := runner.Map(context.Background(), par, jobs,
-		func(_ context.Context, _ int, j job) (workload.Run, error) {
+	runs, err := runner.Map(par, jobs,
+		func(j job) (workload.Run, error) {
 			if j.params == nil {
 				return workload.RunBaseline(bench, mode, opts...)
 			}

@@ -1,8 +1,6 @@
 package qei
 
 import (
-	"context"
-
 	"qei/internal/dse"
 	"qei/internal/hwdesc"
 )
@@ -43,7 +41,7 @@ type DSEPoint = dse.Point
 // sizing), scored on lookup speedup, total accelerator silicon, and
 // dynamic energy per query. Bad axis specs, presets, and descriptions
 // fail with errors wrapping ErrBadConfig.
-func RunDSE(ctx context.Context, cfg DSEConfig) (*DSEResult, error) {
+func RunDSE(cfg DSEConfig) (*DSEResult, error) {
 	axes := dse.DefaultAxes()
 	if cfg.Axes != "" {
 		var err error
@@ -60,7 +58,7 @@ func RunDSE(ctx context.Context, cfg DSEConfig) (*DSEResult, error) {
 			return nil, err
 		}
 	}
-	return dse.Sweep(ctx, dse.Config{
+	return dse.Sweep(dse.Config{
 		Workload:    cfg.Workload,
 		FullScale:   cfg.FullScale,
 		Base:        base,

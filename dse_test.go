@@ -1,13 +1,12 @@
 package qei
 
 import (
-	"context"
 	"errors"
 	"testing"
 )
 
 func TestRunDSETinySweep(t *testing.T) {
-	res, err := RunDSE(context.Background(), DSEConfig{
+	res, err := RunDSE(DSEConfig{
 		Axes: "qst=8,32;cores=24",
 	})
 	if err != nil {
@@ -27,14 +26,13 @@ func TestRunDSETinySweep(t *testing.T) {
 }
 
 func TestRunDSEBadInputs(t *testing.T) {
-	ctx := context.Background()
-	if _, err := RunDSE(ctx, DSEConfig{Axes: "bogus=1"}); !errors.Is(err, ErrBadConfig) {
+	if _, err := RunDSE(DSEConfig{Axes: "bogus=1"}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad axes: error = %v, want ErrBadConfig", err)
 	}
-	if _, err := RunDSE(ctx, DSEConfig{Base: "not-a-preset"}); !errors.Is(err, ErrBadConfig) {
+	if _, err := RunDSE(DSEConfig{Base: "not-a-preset"}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad base: error = %v, want ErrBadConfig", err)
 	}
-	if _, err := RunDSE(ctx, DSEConfig{Workload: "quake", Axes: "qst=8"}); !errors.Is(err, ErrBadConfig) {
+	if _, err := RunDSE(DSEConfig{Workload: "quake", Axes: "qst=8"}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad workload: error = %v, want ErrBadConfig", err)
 	}
 }

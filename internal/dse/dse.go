@@ -18,7 +18,6 @@
 package dse
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -318,7 +317,7 @@ func machineKey(d hwdesc.Description) string {
 // measures the software baseline once per distinct chip topology, phase
 // two runs QEI on every point, both fanned across the worker pool in
 // grid order. Points with result mismatches fail the sweep.
-func Sweep(ctx context.Context, cfg Config) (*Result, error) {
+func Sweep(cfg Config) (*Result, error) {
 	base := cfg.Base
 	if base.Cores == 0 {
 		base = hwdesc.Default()
@@ -356,8 +355,8 @@ func Sweep(ctx context.Context, cfg Config) (*Result, error) {
 			firstDesc[keyIdx[k]] = d
 		}
 	}
-	baselines, err := runner.Map(ctx, cfg.Parallelism, firstDesc,
-		func(_ context.Context, _ int, d hwdesc.Description) (workload.Run, error) {
+	baselines, err := runner.Map(cfg.Parallelism, firstDesc,
+		func(d hwdesc.Description) (workload.Run, error) {
 			return workload.RunBaseline(bench, workload.ROIOnly,
 				workload.WithWarmup(), workload.WithMachine(d))
 		})
@@ -366,8 +365,8 @@ func Sweep(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// Phase 2: QEI on every point, scored against its chip's baseline.
-	evaluated, err := runner.Map(ctx, cfg.Parallelism, points,
-		func(_ context.Context, _ int, d hwdesc.Description) (Point, error) {
+	evaluated, err := runner.Map(cfg.Parallelism, points,
+		func(d hwdesc.Description) (Point, error) {
 			params, err := d.SchemeParams()
 			if err != nil {
 				return Point{}, err

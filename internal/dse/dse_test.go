@@ -2,7 +2,6 @@ package dse
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -154,13 +153,12 @@ func TestMarkPareto(t *testing.T) {
 // JSON, and its frontier must be non-empty and correct.
 func TestSweepSerialParallelIdentical(t *testing.T) {
 	axes := Axes{QST: []int{8, 16}, Cores: []int{16, 24}}
-	ctx := context.Background()
 
-	serial, err := Sweep(ctx, Config{Workload: "dpdk", Axes: axes, Parallelism: 1})
+	serial, err := Sweep(Config{Workload: "dpdk", Axes: axes, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Sweep(ctx, Config{Workload: "dpdk", Axes: axes, Parallelism: 8})
+	parallel, err := Sweep(Config{Workload: "dpdk", Axes: axes, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +216,7 @@ func TestSweepSerialParallelIdentical(t *testing.T) {
 func TestSweepBaselineSharing(t *testing.T) {
 	// Points differing only in QST share a chip topology, so their
 	// baseline cycles must be identical.
-	res, err := Sweep(context.Background(), Config{
+	res, err := Sweep(Config{
 		Workload: "dpdk",
 		Axes:     Axes{QST: []int{8, 32}},
 	})
@@ -235,17 +233,16 @@ func TestSweepBaselineSharing(t *testing.T) {
 }
 
 func TestSweepErrors(t *testing.T) {
-	ctx := context.Background()
-	if _, err := Sweep(ctx, Config{Workload: "quake"}); !errors.Is(err, hwdesc.ErrBadConfig) {
+	if _, err := Sweep(Config{Workload: "quake"}); !errors.Is(err, hwdesc.ErrBadConfig) {
 		t.Errorf("unknown workload: error = %v, want ErrBadConfig", err)
 	}
 	bad := hwdesc.Default()
 	bad.Cores = 1000
-	if _, err := Sweep(ctx, Config{Base: bad}); !errors.Is(err, hwdesc.ErrBadConfig) {
+	if _, err := Sweep(Config{Base: bad}); !errors.Is(err, hwdesc.ErrBadConfig) {
 		t.Errorf("invalid base: error = %v, want ErrBadConfig", err)
 	}
 	// A grid whose every cell is invalid must error, not return empty.
-	if _, err := Sweep(ctx, Config{Axes: Axes{Cores: []int{1000}}}); !errors.Is(err, hwdesc.ErrBadConfig) {
+	if _, err := Sweep(Config{Axes: Axes{Cores: []int{1000}}}); !errors.Is(err, hwdesc.ErrBadConfig) {
 		t.Errorf("all-invalid grid: error = %v, want ErrBadConfig", err)
 	}
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 
 	"qei"
@@ -22,7 +21,7 @@ func dseFrontier(s Scale, par int) (TableData, error) {
 	if s == FullScale {
 		axes = "" // the standard 120-point grid
 	}
-	res, err := qei.RunDSE(context.Background(), qei.DSEConfig{
+	res, err := qei.RunDSE(qei.DSEConfig{
 		Workload:    "dpdk",
 		FullScale:   s == FullScale,
 		Axes:        axes,

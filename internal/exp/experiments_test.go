@@ -160,11 +160,27 @@ func TestTailLatencyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Claim: overload (interarrival 20) inflates p99 for Core-integrated.
-	relaxed := find(t, td, 5, "Core-integrated", "2000")
-	slammed := find(t, td, 5, "Core-integrated", "20")
-	if slammed <= relaxed {
-		t.Errorf("p99 under overload (%.0f) should exceed relaxed p99 (%.0f)", slammed, relaxed)
+	// Columns: scheme, interarrival, mean, p50, p99, p999.
+	if len(td.Rows) != 9 {
+		t.Fatalf("rows = %d, want 3 schemes x 3 gaps", len(td.Rows))
+	}
+	for _, r := range td.Rows {
+		// p999 is the histogram quantile clamped to the exact maximum,
+		// so this is p50 <= p99 <= max.
+		mean, p50, p99, p999 := cell(t, r, 2), cell(t, r, 3), cell(t, r, 4), cell(t, r, 5)
+		if mean <= 0 || p50 > p99 || p99 > p999 {
+			t.Errorf("%v: inconsistent percentiles", r)
+		}
+	}
+	// Claim: overload (interarrival 20) inflates the mean and p99 for
+	// every scheme.
+	for _, k := range []string{"Core-integrated", "CHA-TLB", "Device-indirect"} {
+		if slammed, relaxed := find(t, td, 4, k, "20"), find(t, td, 4, k, "2000"); slammed <= relaxed {
+			t.Errorf("%s: p99 under overload (%.0f) should exceed relaxed p99 (%.0f)", k, slammed, relaxed)
+		}
+		if slammed, relaxed := find(t, td, 2, k, "20"), find(t, td, 2, k, "2000"); slammed <= relaxed {
+			t.Errorf("%s: mean under overload (%.0f) should exceed relaxed mean (%.0f)", k, slammed, relaxed)
+		}
 	}
 	// Claim: Device-indirect unloaded median exceeds Core-integrated's.
 	devP50 := find(t, td, 3, "Device-indirect", "2000")

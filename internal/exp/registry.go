@@ -4,11 +4,7 @@
 // qei API and the internal workload drivers; nothing in qei imports it.
 package exp
 
-import (
-	"context"
-
-	"qei/internal/runner"
-)
+import "qei/internal/runner"
 
 // Experiment is one registered figure/table reproduction.
 type Experiment struct {
@@ -28,8 +24,7 @@ type Experiment struct {
 // groups are concatenated in input order so the output matches the
 // serial run byte for byte.
 func mapJobs[J, R any](par int, jobs []J, fn func(job J) ([]R, error)) ([]R, error) {
-	groups, err := runner.Map(context.Background(), par, jobs,
-		func(_ context.Context, _ int, job J) ([]R, error) { return fn(job) })
+	groups, err := runner.Map(par, jobs, fn)
 	if err != nil {
 		return nil, err
 	}

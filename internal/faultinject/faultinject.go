@@ -135,16 +135,6 @@ func (s Schedule) String() string {
 	return fmt.Sprintf("%d:%s", s.Seed, strings.Join(parts, ","))
 }
 
-// Enabled reports whether any kind has a non-zero rate.
-func (s Schedule) Enabled() bool {
-	for _, r := range s.Rate {
-		if r > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Injector hands out deterministic injection decisions. The zero of
 // *Injector (nil) is a valid, permanently-disabled injector; every
 // method no-ops on it, mirroring the repo's nil-safe observability

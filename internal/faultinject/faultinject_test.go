@@ -17,15 +17,15 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 	if back != s {
 		t.Fatalf("round trip changed schedule: %+v vs %+v", back, s)
 	}
-	if !s.Enabled() {
-		t.Fatal("schedule with rates reports disabled")
+	if s.Rate == ([numKinds]float64{}) {
+		t.Fatal("schedule with rates parsed to all-zero rates")
 	}
 
 	empty, err := ParseSchedule("7:")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.Enabled() || empty.Seed != 7 {
+	if empty.Rate != ([numKinds]float64{}) || empty.Seed != 7 {
 		t.Fatalf("bare-seed schedule: %+v", empty)
 	}
 

@@ -384,7 +384,7 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 
 		if a.tr != nil {
 			a.tr.Span("qst", fmt.Sprintf("batch/level%d", round), roundStart, t,
-				trace.PidQST(a.instanceIndex(ins)), int(slot), nil)
+				trace.PidQST(ins.idx), int(slot), nil)
 		}
 
 		// The walks that neither finished nor deviated go on to the next

@@ -875,8 +875,7 @@ func (a *Accelerator) chargeOp(ins *instance, op cfa.Op, t uint64, sc *scratch, 
 		// key is part of the fetched cacheline", Sec. V-A).
 		if a.coveredByStaged(op, sc) {
 			a.stats.LocalCompares++
-			instIdx := a.instanceIndex(ins)
-			startC := bookComparator(a.localComp[instIdx], t, cycles)
+			startC := bookComparator(a.localComp[ins.idx], t, cycles)
 			return startC + cycles - t, nil
 		}
 		if a.p.RemoteCompare {
@@ -889,8 +888,7 @@ func (a *Accelerator) chargeOp(ins *instance, op cfa.Op, t uint64, sc *scratch, 
 			return fetchLat, err
 		}
 		a.stats.LocalCompares++
-		instIdx := a.instanceIndex(ins)
-		startC := bookComparator(a.localComp[instIdx], t+fetchLat, cycles)
+		startC := bookComparator(a.localComp[ins.idx], t+fetchLat, cycles)
 		return startC + cycles - t, nil
 
 	case cfa.OpALU:
@@ -966,8 +964,6 @@ func (a *Accelerator) remoteCompare(ins *instance, op cfa.Op, t uint64, sc *scra
 	done := startC + cycles + respLat
 	return done - t, nil
 }
-
-func (a *Accelerator) instanceIndex(ins *instance) int { return ins.idx }
 
 // Flush aborts in-flight non-blocking queries at an interrupt
 // (Sec. IV-D): abort codes are written to their result addresses with

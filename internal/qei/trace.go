@@ -31,5 +31,5 @@ func (a *Accelerator) querySpan(start, end uint64, ins *instance, slot uint64, f
 	if fault {
 		name = "query!EXCEPTION"
 	}
-	a.tr.Span("qst", name, start, end, trace.PidQST(a.instanceIndex(ins)), int(slot), nil)
+	a.tr.Span("qst", name, start, end, trace.PidQST(ins.idx), int(slot), nil)
 }

@@ -10,8 +10,6 @@
 package runner
 
 import (
-	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,16 +24,16 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Map runs fn(ctx, i, items[i]) for every item on up to workers
-// goroutines and returns the results in input order. workers <= 0 uses
-// GOMAXPROCS. The first failing job (lowest input index) determines the
-// returned error, and its failure cancels the context handed to jobs
-// that have not completed, so long sweeps stop promptly. Jobs must be
-// independent: fn owns everything it touches except read-only inputs.
-func Map[I, O any](ctx context.Context, workers int, items []I, fn func(ctx context.Context, i int, item I) (O, error)) ([]O, error) {
+// Map runs fn(items[i]) for every item on up to workers goroutines and
+// returns the results in input order. workers <= 0 uses GOMAXPROCS.
+// The first failing job (lowest input index) determines the returned
+// error, and once any job fails no new job starts, so long sweeps stop
+// promptly. Jobs must be independent: fn owns everything it touches
+// except read-only inputs.
+func Map[I, O any](workers int, items []I, fn func(item I) (O, error)) ([]O, error) {
 	n := len(items)
 	if n == 0 {
-		return nil, ctx.Err()
+		return nil, nil
 	}
 	workers = Workers(workers)
 	if workers > n {
@@ -45,10 +43,7 @@ func Map[I, O any](ctx context.Context, workers int, items []I, fn func(ctx cont
 	if workers == 1 {
 		// Serial fast path: identical semantics, no goroutines.
 		for i, item := range items {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			o, err := fn(ctx, i, item)
+			o, err := fn(item)
 			if err != nil {
 				return nil, err
 			}
@@ -57,30 +52,25 @@ func Map[I, O any](ctx context.Context, workers int, items []I, fn func(ctx cont
 		return out, nil
 	}
 
-	jctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	errs := make([]error, n)
 	var next atomic.Int64
+	var failed atomic.Bool
 	next.Store(-1)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1))
 				if i >= n {
 					return
 				}
-				if err := jctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				o, err := fn(jctx, i, items[i])
+				o, err := fn(items[i])
 				if err != nil {
 					errs[i] = err
-					cancel()
-					continue
+					failed.Store(true)
+					return
 				}
 				out[i] = o
 			}
@@ -88,23 +78,13 @@ func Map[I, O any](ctx context.Context, workers int, items []I, fn func(ctx cont
 	}
 	wg.Wait()
 
-	// Deterministic error selection: the lowest-index job error wins,
-	// preferring real failures over cancellations it caused.
-	var ctxErr error
+	// Deterministic error selection: jobs are claimed in index order, so
+	// every job below a failed one has run, and the lowest-index error
+	// is the serial path's.
 	for _, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			return nil, err
 		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if ctxErr == nil {
-				ctxErr = err
-			}
-			continue
-		}
-		return nil, err
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
 	}
 	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"qei/internal/metrics"
 	"qei/internal/trace"
 )
 
@@ -158,8 +157,7 @@ func TestResilienceBreakerRoutesAroundPrimary(t *testing.T) {
 	}
 	b := &flakyBackend{fakeBackend: fakeBackend{lat: 100, cap: 8}, failFirst: 1 << 60}
 	soft := &softBackend{p: &b.fakeBackend, lat: 300}
-	reg := metrics.NewRegistry()
-	cfg := Config{Gen: gen, Metrics: reg, Resilience: &Resilience{Failover: soft}}
+	cfg := Config{Gen: gen, Resilience: &Resilience{Failover: soft}}
 	rep, err := Run(b, cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -181,16 +179,11 @@ func TestResilienceBreakerRoutesAroundPrimary(t *testing.T) {
 	if rep.Total.Requests != uint64(len(reqs)) || rep.Total.Found != uint64(len(reqs)) {
 		t.Fatalf("requests %d found %d, want %d", rep.Total.Requests, rep.Total.Found, len(reqs))
 	}
-	snap := reg.Snapshot()
-	if v := snap.Value("serve/breaker/trips"); v != rep.Breaker.Trips {
-		t.Fatalf("serve/breaker/trips = %d, want %d", v, rep.Breaker.Trips)
+	// Every fast-failed request was served by failover.
+	if rep.Total.FailedOver < rep.Breaker.FastFails {
+		t.Fatalf("failed over %d < fast fails %d", rep.Total.FailedOver, rep.Breaker.FastFails)
 	}
-	if v := snap.Value("serve/breaker/state"); v != uint64(BreakerOpen) {
-		t.Fatalf("serve/breaker/state = %d, want %d (open)", v, uint64(BreakerOpen))
-	}
-	if v := snap.Value("serve/failover"); v != rep.Total.FailedOver {
-		t.Fatalf("serve/failover = %d, want %d", v, rep.Total.FailedOver)
-	}
+	checkTotals(t, rep)
 }
 
 func TestResilienceBreakerRecovers(t *testing.T) {
@@ -250,9 +243,8 @@ func TestResilienceDeadlineSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.NewRegistry()
 	b := &fakeBackend{lat: 2000, cap: 1}
-	cfg := Config{Gen: gen, SlotsPerTenant: 1, Metrics: reg,
+	cfg := Config{Gen: gen, SlotsPerTenant: 1, KeepResults: true,
 		Resilience: &Resilience{Deadline: 3000}}
 	rep, err := Run(b, cfg, reqs)
 	if err != nil {
@@ -269,18 +261,21 @@ func TestResilienceDeadlineSheds(t *testing.T) {
 		t.Fatalf("shedding recorded %d faults", rep.Total.Faults)
 	}
 	// The fix under test: shed requests' waits land in the aggregate
-	// histogram (serve/requests reads its population), so the tail is
-	// not silently flattered.
-	snap := reg.Snapshot()
-	if v := snap.Value("serve/requests"); v != uint64(len(reqs)) {
-		t.Fatalf("aggregate histogram holds %d observations, want %d (shed included)", v, len(reqs))
+	// histogram, so the tail is not silently flattered. A shed request's
+	// kept result is stamped at the shed cycle, so the mean and maximum
+	// over every request's Done - At are the report's, with the shed
+	// included.
+	var sum, worst uint64
+	for i, res := range rep.Results {
+		lat := res.Done - reqs[i].At
+		sum += lat
+		worst = max(worst, lat)
 	}
-	if v := snap.Value("serve/shed"); v != rep.Total.Shed {
-		t.Fatalf("serve/shed = %d, want %d", v, rep.Total.Shed)
+	if mean := float64(sum) / float64(len(reqs)); rep.Total.MeanLatency != mean || rep.Total.MaxLatency != worst {
+		t.Fatalf("report mean %.1f max %d, want %.1f and %d over all %d requests (shed included)",
+			rep.Total.MeanLatency, rep.Total.MaxLatency, mean, worst, len(reqs))
 	}
-	if v := snap.Value("serve/tenant0/shed"); v != rep.Tenants[0].Shed {
-		t.Fatalf("serve/tenant0/shed = %d, want %d", v, rep.Tenants[0].Shed)
-	}
+	checkTotals(t, rep)
 }
 
 // TestAdmissionStallBackendFull drives the backend-full stall: a

@@ -20,10 +20,10 @@
 //     and replayed byte-identically.
 //
 //  3. Per-tenant QST admission/QoS and latency accounting: an admission
-//     controller bounds each tenant's in-flight QST slots, a streaming
-//     HdrHistogram-style latency collector yields p50/p99/p999 over
-//     simulated cycles, and SLO-violation counters register in the
-//     simulator-wide metrics registry.
+//     controller bounds each tenant's in-flight QST slots, and a
+//     streaming HdrHistogram-style latency collector yields the mean
+//     and p50/p99/p999 over simulated cycles, which Report carries with
+//     the SLO-violation and resilience counters.
 //
 // Determinism contract: generation, admission, and accounting are pure
 // functions of (GenConfig, seed); parallel-tenant generation is

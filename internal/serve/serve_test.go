@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"qei/internal/metrics"
 )
 
 func testGen() GenConfig {
@@ -374,39 +372,60 @@ func TestServerRunFake(t *testing.T) {
 	}
 }
 
+// checkTotals asserts the report's aggregate row is the per-tenant rows
+// summed: every counter adds up, and the aggregate maximum is the
+// largest tenant maximum with p50 <= p99 <= p999 <= max beneath it.
+func checkTotals(t *testing.T, rep *Report) {
+	t.Helper()
+	var sum TenantStats
+	for _, ts := range rep.Tenants {
+		sum.Requests += ts.Requests
+		sum.Found += ts.Found
+		sum.Faults += ts.Faults
+		sum.Throttled += ts.Throttled
+		sum.SLOViolations += ts.SLOViolations
+		sum.Writes += ts.Writes
+		sum.Shed += ts.Shed
+		sum.Retries += ts.Retries
+		sum.FailedOver += ts.FailedOver
+		sum.MaxLatency = max(sum.MaxLatency, ts.MaxLatency)
+	}
+	tot := rep.Total
+	if sum.Requests != tot.Requests || sum.Found != tot.Found || sum.Faults != tot.Faults ||
+		sum.Throttled != tot.Throttled || sum.SLOViolations != tot.SLOViolations ||
+		sum.Writes != tot.Writes || sum.Shed != tot.Shed || sum.Retries != tot.Retries ||
+		sum.FailedOver != tot.FailedOver || sum.MaxLatency != tot.MaxLatency {
+		t.Fatalf("per-tenant rows sum to %+v, total row is %+v", sum, tot)
+	}
+	if tot.P50 > tot.P99 || tot.P99 > tot.P999 || tot.P999 > tot.MaxLatency {
+		t.Fatalf("total percentiles not monotone: p50 %d p99 %d p999 %d max %d",
+			tot.P50, tot.P99, tot.P999, tot.MaxLatency)
+	}
+}
+
 func TestServerDeterministicAndMetrics(t *testing.T) {
 	gen := testGen()
 	reqs, err := Generate(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() (*Report, *metrics.Registry) {
-		reg := metrics.NewRegistry()
-		cfg := Config{Gen: gen, SLO: 300, SlotsPerTenant: 2, Metrics: reg}
+	run := func() *Report {
+		cfg := Config{Gen: gen, SLO: 300, SlotsPerTenant: 2}
 		rep, err := Run(&fakeBackend{lat: 250, cap: 8}, cfg, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, reg
+		return rep
 	}
-	r1, reg1 := run()
-	r2, reg2 := run()
+	r1 := run()
+	r2 := run()
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatal("two identical runs produced different reports")
 	}
-	if reg1.Snapshot().String() != reg2.Snapshot().String() {
-		t.Fatal("two identical runs produced different metric snapshots")
+	if r1.Total.Requests != uint64(len(reqs)) {
+		t.Fatalf("total requests = %d, want %d", r1.Total.Requests, len(reqs))
 	}
-	snap := reg1.Snapshot()
-	if v := snap.Value("serve/requests"); v != uint64(len(reqs)) {
-		t.Fatalf("serve/requests = %d, want %d", v, len(reqs))
-	}
-	if v := snap.Value("serve/tenant0/requests"); v != r1.Tenants[0].Requests {
-		t.Fatalf("serve/tenant0/requests = %d, want %d", v, r1.Tenants[0].Requests)
-	}
-	if v := snap.Value("serve/latency_p99"); v != r1.Total.P99 {
-		t.Fatalf("serve/latency_p99 = %d, want %d", v, r1.Total.P99)
-	}
+	checkTotals(t, r1)
 	// A saturating open loop with a tight per-tenant bound must actually
 	// throttle and violate the SLO somewhere.
 	if r1.Total.Throttled == 0 {
@@ -572,16 +591,15 @@ func TestServerMixedReadWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() (*Report, *metrics.Registry) {
-		reg := metrics.NewRegistry()
-		cfg := Config{Gen: gen, SLO: 400, WriteCost: 100, KeepResults: true, Metrics: reg}
+	run := func() *Report {
+		cfg := Config{Gen: gen, SLO: 400, WriteCost: 100, KeepResults: true}
 		rep, err := Run(&fakeBackend{lat: 200, cap: 8}, cfg, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, reg
+		return rep
 	}
-	rep, reg := run()
+	rep := run()
 	if rep.Total.Writes == 0 {
 		t.Fatal("mixed stream retired no writes")
 	}
@@ -596,10 +614,7 @@ func TestServerMixedReadWrite(t *testing.T) {
 	if rep.Total.WriteP50 < 100 || rep.Total.WriteP99 < rep.Total.WriteP50 {
 		t.Fatalf("write percentiles: p50 %d p99 %d", rep.Total.WriteP50, rep.Total.WriteP99)
 	}
-	snap := reg.Snapshot()
-	if v := snap.Value("serve/writes"); v != rep.Total.Writes {
-		t.Fatalf("serve/writes = %d, want %d", v, rep.Total.Writes)
-	}
+	checkTotals(t, rep)
 	// Put results carry the written value; del results report prior
 	// existence.
 	for i, res := range rep.Results {
@@ -608,7 +623,7 @@ func TestServerMixedReadWrite(t *testing.T) {
 		}
 	}
 	// Deterministic: an identical rerun matches field for field.
-	rep2, _ := run()
+	rep2 := run()
 	if !reflect.DeepEqual(rep, rep2) {
 		t.Fatal("mixed-stream rerun diverged")
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"qei/internal/metrics"
 	"qei/internal/trace"
 )
 
@@ -22,10 +21,6 @@ type Config struct {
 	// requests whose end-to-end latency exceeds it count as violations.
 	// 0 disables SLO accounting.
 	SLO uint64
-	// Metrics, when non-nil, receives per-tenant serving counters
-	// (serve/tenant<N>/requests, .../slo_violations, .../p99, ...)
-	// alongside the simulator's component metrics.
-	Metrics *metrics.Registry
 	// Trace, when non-nil, receives serving-layer events on the serve
 	// track: breaker-degraded spans, per-request failover spans, and
 	// shed points, cycle-aligned with the machine's component tracks.
@@ -301,7 +296,6 @@ func newServer(b Backend, cfg Config, reqs []Request) (*server, error) {
 	if cfg.KeepResults {
 		s.rep.Results = make([]Result, len(reqs))
 	}
-	s.registerMetrics(cfg.Metrics)
 	return s, nil
 }
 
@@ -770,65 +764,4 @@ func tenantRow(t int, a *tenantAcct, throttled uint64) TenantStats {
 		Retries:       a.retries,
 		FailedOver:    a.failedOver,
 	}
-}
-
-// registerMetrics publishes the serving counters into the simulator
-// registry (nil-safe): per-tenant request/violation/throttle counts and
-// latency percentiles under serve/tenant<N>/, aggregates under serve/,
-// breaker state under serve/breaker/. Everything is pull-based
-// (RegisterFunc), so the serving hot loop pays nothing for it. Note
-// serve/requests reads the aggregate histogram's population, which
-// under a resilience deadline includes shed requests (their wait is
-// observed too); completed reads alone are the per-tenant sums.
-func (s *server) registerMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	sreg := reg.Scoped("serve")
-	for t := range s.acct {
-		t := t
-		a := &s.acct[t]
-		treg := sreg.Scoped(fmt.Sprintf("tenant%d", t))
-		treg.RegisterFunc("requests", func() uint64 { return a.requests })
-		treg.RegisterFunc("writes", func() uint64 { return a.writes })
-		treg.RegisterFunc("found", func() uint64 { return a.found })
-		treg.RegisterFunc("faults", func() uint64 { return a.faults })
-		treg.RegisterFunc("slo_violations", func() uint64 { return a.sloViol })
-		treg.RegisterFunc("throttled", func() uint64 { return s.adm.Throttled(t) })
-		treg.RegisterFunc("latency_p50", func() uint64 { return a.hist.Quantile(0.50) })
-		treg.RegisterFunc("latency_p99", func() uint64 { return a.hist.Quantile(0.99) })
-		treg.RegisterFunc("latency_p999", func() uint64 { return a.hist.Quantile(0.999) })
-		treg.RegisterFunc("shed", func() uint64 { return a.shed })
-		treg.RegisterFunc("retries", func() uint64 { return a.retries })
-		treg.RegisterFunc("failover", func() uint64 { return a.failedOver })
-	}
-	sreg.RegisterFunc("requests", func() uint64 { return s.total.Count() })
-	sreg.RegisterFunc("writes", func() uint64 { return s.wtotal.Count() })
-	sreg.RegisterFunc("latency_p50", func() uint64 { return s.total.Quantile(0.50) })
-	sreg.RegisterFunc("latency_p99", func() uint64 { return s.total.Quantile(0.99) })
-	sreg.RegisterFunc("latency_p999", func() uint64 { return s.total.Quantile(0.999) })
-	sreg.RegisterFunc("write_p99", func() uint64 { return s.wtotal.Quantile(0.99) })
-	sreg.RegisterFunc("shed", func() uint64 { return s.sumAcct(func(a *tenantAcct) uint64 { return a.shed }) })
-	sreg.RegisterFunc("retries", func() uint64 { return s.sumAcct(func(a *tenantAcct) uint64 { return a.retries }) })
-	sreg.RegisterFunc("failover", func() uint64 { return s.sumAcct(func(a *tenantAcct) uint64 { return a.failedOver }) })
-	if s.cfg.BatchAdmit > 1 {
-		breg := sreg.Scoped("batch")
-		breg.RegisterFunc("batches", func() uint64 { return s.batches })
-		breg.RegisterFunc("batched_reads", func() uint64 { return s.batchedReads })
-	}
-	if s.brk != nil {
-		breg := sreg.Scoped("breaker")
-		breg.RegisterFunc("state", func() uint64 { return uint64(s.brk.State()) })
-		breg.RegisterFunc("trips", func() uint64 { return s.brk.Trips() })
-		breg.RegisterFunc("fast_fails", func() uint64 { return s.brk.FastFails() })
-		breg.RegisterFunc("probes", func() uint64 { return s.brk.Probes() })
-	}
-}
-
-func (s *server) sumAcct(f func(*tenantAcct) uint64) uint64 {
-	var n uint64
-	for t := range s.acct {
-		n += f(&s.acct[t])
-	}
-	return n
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -237,8 +236,8 @@ func GenerateParallel(cfg GenConfig, workers int) ([]Request, error) {
 	for t := range tenants {
 		tenants[t] = t
 	}
-	streams, err := runner.Map(context.Background(), workers, tenants,
-		func(_ context.Context, _ int, t int) ([]Request, error) {
+	streams, err := runner.Map(workers, tenants,
+		func(t int) ([]Request, error) {
 			return genTenant(cfg, t, counts[t], w[t]), nil
 		})
 	if err != nil {

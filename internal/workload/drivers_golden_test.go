@@ -11,10 +11,10 @@ import (
 const driversGoldenPath = "testdata/drivers_golden.json"
 
 // TestDriversGolden pins every driver in this package — software,
-// blocking QUERY_B, QUERY_NB, open-loop and multi-core — to the
-// simulated outputs recorded in testdata/drivers_golden.json: the full
-// Run (Metrics cleared, since the registry is only attached on request),
-// the LatencyProfile and the MultiCoreResult. It covers cold and warmed
+// blocking QUERY_B, QUERY_NB and multi-core — to the simulated outputs
+// recorded in testdata/drivers_golden.json: the full Run (Metrics
+// cleared, since the registry is only attached on request) and the
+// MultiCoreResult. It covers cold and warmed
 // windows, every Mode, the batch override and the NoC window, which the
 // root package's bench golden (warmed Full runs only) does not. If it
 // fails after an intentional model change, regenerate the file with:
@@ -63,15 +63,8 @@ func TestDriversGolden(t *testing.T) {
 	record("nb/tuple5/core/cold", r, err)
 
 	for _, k := range []scheme.Kind{scheme.CoreIntegrated, scheme.DeviceIndirect} {
-		p, err := OpenLoopLatency(SmallDPDK(), k, 500, 100)
-		record("openloop/dpdk/"+k.Name(), p, err)
 		mc, err := RunMultiCore(SmallDPDK(), k, 4)
 		record("multicore/dpdk/"+k.Name()+"/4", mc, err)
-	}
-	// Gap 20 overloads the QST, so these pin open-loop queueing.
-	for _, k := range []scheme.Kind{scheme.CHATLB, scheme.CoreIntegrated} {
-		p, err := OpenLoopLatency(SmallDPDK(), k, 20, 100)
-		record("openloop/dpdk/"+k.Name()+"/20", p, err)
 	}
 
 	gotJSON, err := json.MarshalIndent(got, "", "  ")

@@ -20,8 +20,10 @@ import (
 func TestFaultInjectionZeroCycleImpact(t *testing.T) {
 	keys, vals := testKeys(300, 16, 11)
 	zero := MustParseFaultSpec("9:flip=0,nocdelay=0,nocdrop=0,shootdown=0,spurious=0,evict=0")
-	if zero.sched.Enabled() {
-		t.Fatal("all-zero spec reports Enabled")
+	for _, r := range zero.sched.Rate {
+		if r != 0 {
+			t.Fatalf("all-zero spec parsed to rates %v", zero.sched.Rate)
+		}
 	}
 	for _, sch := range Schemes() {
 		sch := sch
