@@ -105,7 +105,7 @@ fi
 # (pid,tid pairs) under every scheme.
 bindir=$(mktemp -d)
 trap 'rm -rf "$bindir"' EXIT
-for cli in qeisim qeiserve qeitrace; do
+for cli in qeisim qeiserve qeitrace qeidse; do
 	go build -o "$bindir/$cli" "./cmd/$cli"
 done
 for s in core cha-tlb cha-notlb device-direct device-indirect; do
@@ -156,6 +156,22 @@ case "$oversized" in
 esac
 if [ "$oversized_status" -ne 1 ]; then
 	echo "machine-smoke: qeisim exited $oversized_status on an over-large description, want 1" >&2
+	exit 1
+fi
+
+# Catalogue smoke: qeisim and qeidse resolve -workload and -scale
+# through the one benchmark catalogue, and refuse an unknown scale or
+# workload with exit status 1 (not a run at some default).
+catalogue_status=0
+"$bindir/qeisim" -scale bogus >/dev/null 2>&1 || catalogue_status=$?
+if [ "$catalogue_status" -ne 1 ]; then
+	echo "catalogue-smoke: qeisim -scale bogus exited $catalogue_status, want 1" >&2
+	exit 1
+fi
+catalogue_status=0
+"$bindir/qeidse" -workload quake -axes qst=8 >/dev/null 2>&1 || catalogue_status=$?
+if [ "$catalogue_status" -ne 1 ]; then
+	echo "catalogue-smoke: qeidse -workload quake exited $catalogue_status, want 1" >&2
 	exit 1
 fi
 

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	qeidse [-axes "qst=8,16,32,64;cores=8,16,24,32;mesh=6x4,4x4;scheme=core,cha-tlb;node=22,14,7"] \
-//	       [-workload dpdk|jvm|rocksdb|snort|flann] [-scale small|full] \
+//	       [-workload dpdk|jvm|rocksdb|snort|flann|tuple5|tuple10|tuple15] [-scale small|full] \
 //	       [-preset NAME|file.json] [-parallel N] [-json [-out FILE]] [-frontier]
 //
 // The default grid is the standard 120-point provisioning sweep. Output
@@ -23,8 +23,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"qei"
+	"qei/internal/dse"
+	"qei/internal/hwdesc"
+	"qei/internal/workload"
 )
 
 func fail(format string, v ...any) {
@@ -34,7 +37,7 @@ func fail(format string, v ...any) {
 
 func main() {
 	axesFlag := flag.String("axes", "", `sweep grid, e.g. "qst=8,32;cores=16,24;scheme=core,cha-tlb"; empty = the standard 120-point grid`)
-	wlFlag := flag.String("workload", "dpdk", "workload scoring each point: dpdk, jvm, rocksdb, snort, flann")
+	wlFlag := flag.String("workload", "dpdk", "workload scoring each point: "+strings.Join(workload.Names(), ", "))
 	scaleFlag := flag.String("scale", "small", "benchmark population: small or full")
 	presetFlag := flag.String("preset", "", "base machine description the axes mutate: a preset name or JSON file; empty = the Tab. II default")
 	parFlag := flag.Int("parallel", 0, "sweep workers; 0 = GOMAXPROCS (output identical at any value)")
@@ -46,13 +49,23 @@ func main() {
 	if *scaleFlag != "small" && *scaleFlag != "full" {
 		fail("unknown scale %q (want small or full)", *scaleFlag)
 	}
-	res, err := qei.RunDSE(qei.DSEConfig{
-		Workload:    *wlFlag,
-		FullScale:   *scaleFlag == "full",
-		Axes:        *axesFlag,
-		Base:        *presetFlag,
-		Parallelism: *parFlag,
-	})
+	bench, err := workload.Lookup(*wlFlag, *scaleFlag == "full")
+	if err != nil {
+		fail("%v", err)
+	}
+	axes := dse.DefaultAxes()
+	if *axesFlag != "" {
+		if axes, err = dse.ParseAxes(*axesFlag); err != nil {
+			fail("%v", err)
+		}
+	}
+	base := hwdesc.Default()
+	if *presetFlag != "" {
+		if base, err = hwdesc.Load(*presetFlag); err != nil {
+			fail("%v", err)
+		}
+	}
+	res, err := dse.Sweep(dse.Config{Bench: bench, Base: base, Axes: axes, Parallelism: *parFlag})
 	if err != nil {
 		fail("%v", err)
 	}

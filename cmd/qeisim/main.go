@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"qei/internal/hwdesc"
 	"qei/internal/metrics"
@@ -39,7 +40,7 @@ import (
 )
 
 func main() {
-	wlFlag := flag.String("workload", "dpdk", "workload: dpdk, jvm, rocksdb, snort, flann, tuple5, tuple10, tuple15")
+	wlFlag := flag.String("workload", "dpdk", "workload: "+strings.Join(workload.Names(), ", "))
 	schemeFlag := flag.String("scheme", "core", "scheme: software, core, cha-tlb, cha-notlb, device-direct, device-indirect, all")
 	modeFlag := flag.String("mode", "full", "mode: full, roi, nonroi")
 	nbFlag := flag.Bool("nb", false, "use non-blocking QUERY_NB (batch 32)")
@@ -52,27 +53,12 @@ func main() {
 	machineFlag := flag.String("machine", "", "machine description: a preset name (default, core, cha-tlb, ...) or a JSON file; empty = the Tab. II default")
 	flag.Parse()
 
-	full := *scaleFlag == "full"
-	var bench workload.Benchmark
-	switch *wlFlag {
-	case "dpdk":
-		bench = pick(full, workload.DefaultDPDK(), workload.SmallDPDK())
-	case "jvm":
-		bench = pick(full, workload.DefaultJVM(), workload.SmallJVM())
-	case "rocksdb":
-		bench = pick(full, workload.DefaultRocksDB(), workload.SmallRocksDB())
-	case "snort":
-		bench = pick(full, workload.DefaultSnort(), workload.SmallSnort())
-	case "flann":
-		bench = pick(full, workload.DefaultFLANN(), workload.SmallFLANN())
-	case "tuple5":
-		bench = pick(full, workload.DefaultTupleSpace(5), workload.SmallTupleSpace(5))
-	case "tuple10":
-		bench = pick(full, workload.DefaultTupleSpace(10), workload.SmallTupleSpace(10))
-	case "tuple15":
-		bench = pick(full, workload.DefaultTupleSpace(15), workload.SmallTupleSpace(15))
-	default:
-		fail("unknown workload %q", *wlFlag)
+	if *scaleFlag != "small" && *scaleFlag != "full" {
+		fail("unknown scale %q (want small or full)", *scaleFlag)
+	}
+	bench, err := workload.Lookup(*wlFlag, *scaleFlag == "full")
+	if err != nil {
+		fail("%v", err)
 	}
 
 	mode := workload.Full
@@ -128,7 +114,6 @@ func main() {
 	}
 
 	var run workload.Run
-	var err error
 	switch *schemeFlag {
 	case "software":
 		run, err = workload.RunBaseline(bench, mode, opts...)
@@ -281,13 +266,6 @@ func runMultiCore(bench workload.Benchmark, schemeName string, cores int) {
 	if r.Mismatches != 0 {
 		os.Exit(1)
 	}
-}
-
-func pick(full bool, f, s workload.Benchmark) workload.Benchmark {
-	if full {
-		return f
-	}
-	return s
 }
 
 // fail reports an error and exits with status 1, as qeidse and qeiserve

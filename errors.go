@@ -67,7 +67,7 @@ var (
 	// FirmwareDone. It also appears as Result.Err when registered
 	// firmware misbehaves at run time (panicking handler, oversized op).
 	ErrFirmwareInvalid = cfa.ErrInvalidProgram
-	// ErrBadConfig is returned by LoadMachineSpec, RunDSE, and the CLIs'
+	// ErrBadConfig is returned by LoadMachineSpec and the CLIs'
 	// -machine flag for a machine description that does not validate:
 	// unknown preset, unreadable or malformed JSON, unknown fields, or
 	// inconsistent geometry (more cores than mesh stops, a cache size not

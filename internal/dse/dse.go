@@ -215,11 +215,9 @@ func (a Axes) Expand(base hwdesc.Description) (points []hwdesc.Description, skip
 
 // Config selects what a sweep evaluates.
 type Config struct {
-	// Workload names the benchmark: dpdk, jvm, rocksdb, snort, flann.
-	Workload string
-	// FullScale uses the paper-scale benchmark population (default is
-	// the small, fast population).
-	FullScale bool
+	// Bench is the benchmark scoring every point (workload.Lookup
+	// resolves a name and scale to one).
+	Bench workload.Benchmark
 	// Base is the description the axes mutate; the zero value means
 	// hwdesc.Default().
 	Base hwdesc.Description
@@ -228,30 +226,6 @@ type Config struct {
 	// Parallelism is the worker count (<= 0 means GOMAXPROCS; 1 forces
 	// the serial path). Output is byte-identical at any value.
 	Parallelism int
-}
-
-// BenchFor resolves a workload name for sweeping.
-func BenchFor(name string, full bool) (workload.Benchmark, error) {
-	pick := func(f, s workload.Benchmark) workload.Benchmark {
-		if full {
-			return f
-		}
-		return s
-	}
-	switch name {
-	case "dpdk", "":
-		return pick(workload.DefaultDPDK(), workload.SmallDPDK()), nil
-	case "jvm":
-		return pick(workload.DefaultJVM(), workload.SmallJVM()), nil
-	case "rocksdb":
-		return pick(workload.DefaultRocksDB(), workload.SmallRocksDB()), nil
-	case "snort":
-		return pick(workload.DefaultSnort(), workload.SmallSnort()), nil
-	case "flann":
-		return pick(workload.DefaultFLANN(), workload.SmallFLANN()), nil
-	}
-	return nil, fmt.Errorf("%w: unknown workload %q (have dpdk, jvm, rocksdb, snort, flann)",
-		hwdesc.ErrBadConfig, name)
 }
 
 // Point is one evaluated design point.
@@ -325,9 +299,8 @@ func Sweep(cfg Config) (*Result, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	bench, err := BenchFor(cfg.Workload, cfg.FullScale)
-	if err != nil {
-		return nil, err
+	if cfg.Bench == nil {
+		return nil, fmt.Errorf("%w: sweep has no benchmark", hwdesc.ErrBadConfig)
 	}
 	points, skipped := cfg.Axes.Expand(base)
 	if len(points) == 0 {
@@ -337,27 +310,18 @@ func Sweep(cfg Config) (*Result, error) {
 
 	// Phase 1: one baseline run per distinct chip topology, in order of
 	// first appearance (deterministic).
-	var keys []string
 	keyIdx := make(map[string]int)
+	var firstDesc []hwdesc.Description
 	for _, d := range points {
 		k := machineKey(d)
 		if _, ok := keyIdx[k]; !ok {
-			keyIdx[k] = len(keys)
-			keys = append(keys, k)
-		}
-	}
-	firstDesc := make([]hwdesc.Description, len(keys))
-	seen := make(map[string]bool)
-	for _, d := range points {
-		k := machineKey(d)
-		if !seen[k] {
-			seen[k] = true
-			firstDesc[keyIdx[k]] = d
+			keyIdx[k] = len(firstDesc)
+			firstDesc = append(firstDesc, d)
 		}
 	}
 	baselines, err := runner.Map(cfg.Parallelism, firstDesc,
 		func(d hwdesc.Description) (workload.Run, error) {
-			return workload.RunBaseline(bench, workload.ROIOnly,
+			return workload.RunBaseline(cfg.Bench, workload.ROIOnly,
 				workload.WithWarmup(), workload.WithMachine(d))
 		})
 	if err != nil {
@@ -371,7 +335,7 @@ func Sweep(cfg Config) (*Result, error) {
 			if err != nil {
 				return Point{}, err
 			}
-			hw, err := workload.RunQEIWithParams(bench, params, workload.ROIOnly,
+			hw, err := workload.RunQEIWithParams(cfg.Bench, params, workload.ROIOnly,
 				workload.WithWarmup(), workload.WithMachine(d))
 			if err != nil {
 				return Point{}, fmt.Errorf("dse %s: %w", d.Name, err)
@@ -404,7 +368,7 @@ func Sweep(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Workload: bench.Name(), Points: evaluated, SkippedInvalid: skipped}
+	res := &Result{Workload: cfg.Bench.Name(), Points: evaluated, SkippedInvalid: skipped}
 	markPareto(res.Points)
 	for i, p := range res.Points {
 		if !p.Dominated {

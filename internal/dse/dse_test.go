@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qei/internal/hwdesc"
+	"qei/internal/workload"
 )
 
 func TestParseAxes(t *testing.T) {
@@ -154,11 +155,11 @@ func TestMarkPareto(t *testing.T) {
 func TestSweepSerialParallelIdentical(t *testing.T) {
 	axes := Axes{QST: []int{8, 16}, Cores: []int{16, 24}}
 
-	serial, err := Sweep(Config{Workload: "dpdk", Axes: axes, Parallelism: 1})
+	serial, err := Sweep(Config{Bench: workload.SmallDPDK(), Axes: axes, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Sweep(Config{Workload: "dpdk", Axes: axes, Parallelism: 8})
+	parallel, err := Sweep(Config{Bench: workload.SmallDPDK(), Axes: axes, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +218,8 @@ func TestSweepBaselineSharing(t *testing.T) {
 	// Points differing only in QST share a chip topology, so their
 	// baseline cycles must be identical.
 	res, err := Sweep(Config{
-		Workload: "dpdk",
-		Axes:     Axes{QST: []int{8, 32}},
+		Bench: workload.SmallDPDK(),
+		Axes:  Axes{QST: []int{8, 32}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,30 +234,17 @@ func TestSweepBaselineSharing(t *testing.T) {
 }
 
 func TestSweepErrors(t *testing.T) {
-	if _, err := Sweep(Config{Workload: "quake"}); !errors.Is(err, hwdesc.ErrBadConfig) {
-		t.Errorf("unknown workload: error = %v, want ErrBadConfig", err)
+	bench := workload.SmallDPDK()
+	if _, err := Sweep(Config{}); !errors.Is(err, hwdesc.ErrBadConfig) {
+		t.Errorf("no benchmark: error = %v, want ErrBadConfig", err)
 	}
 	bad := hwdesc.Default()
 	bad.Cores = 1000
-	if _, err := Sweep(Config{Base: bad}); !errors.Is(err, hwdesc.ErrBadConfig) {
+	if _, err := Sweep(Config{Bench: bench, Base: bad}); !errors.Is(err, hwdesc.ErrBadConfig) {
 		t.Errorf("invalid base: error = %v, want ErrBadConfig", err)
 	}
 	// A grid whose every cell is invalid must error, not return empty.
-	if _, err := Sweep(Config{Axes: Axes{Cores: []int{1000}}}); !errors.Is(err, hwdesc.ErrBadConfig) {
+	if _, err := Sweep(Config{Bench: bench, Axes: Axes{Cores: []int{1000}}}); !errors.Is(err, hwdesc.ErrBadConfig) {
 		t.Errorf("all-invalid grid: error = %v, want ErrBadConfig", err)
-	}
-}
-
-func TestBenchFor(t *testing.T) {
-	for _, name := range []string{"", "dpdk", "jvm", "rocksdb", "snort", "flann"} {
-		if _, err := BenchFor(name, false); err != nil {
-			t.Errorf("BenchFor(%q): %v", name, err)
-		}
-		if _, err := BenchFor(name, true); err != nil {
-			t.Errorf("BenchFor(%q, full): %v", name, err)
-		}
-	}
-	if _, err := BenchFor("quake", false); !errors.Is(err, hwdesc.ErrBadConfig) {
-		t.Errorf("BenchFor(quake) error = %v, want ErrBadConfig", err)
 	}
 }

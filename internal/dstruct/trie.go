@@ -189,14 +189,14 @@ func BuildTrie(as *mem.AddressSpace, keywords [][]byte, values []uint64) *Trie {
 	}
 }
 
-// TrieEdgeCount reads a node's edge count.
-func TrieEdgeCount(as *mem.AddressSpace, node mem.VAddr) (int, error) {
+// trieEdgeCount reads a node's edge count.
+func trieEdgeCount(as *mem.AddressSpace, node mem.VAddr) (int, error) {
 	c, err := as.ReadU16(node + trieOffCount)
 	return int(c), err
 }
 
-// TrieNodeDense reports whether the node uses the dense child array.
-func TrieNodeDense(as *mem.AddressSpace, node mem.VAddr) (bool, error) {
+// trieNodeDense reports whether the node uses the dense child array.
+func trieNodeDense(as *mem.AddressSpace, node mem.VAddr) (bool, error) {
 	var buf [1]byte
 	if err := as.Read(node+trieOffKind, buf[:]); err != nil {
 		return false, err
@@ -204,9 +204,9 @@ func TrieNodeDense(as *mem.AddressSpace, node mem.VAddr) (bool, error) {
 	return buf[0] == trieKindDense, nil
 }
 
-// TrieEdgeSlot returns the address probed for input byte b at probe step
+// trieEdgeSlot returns the address probed for input byte b at probe step
 // i (dense nodes probe exactly one slot).
-func TrieEdgeSlot(node mem.VAddr, dense bool, i int, b byte) mem.VAddr {
+func trieEdgeSlot(node mem.VAddr, dense bool, i int, b byte) mem.VAddr {
 	if dense {
 		return node + trieOffEdges + mem.VAddr(int(b)*8)
 	}
@@ -228,19 +228,19 @@ func TrieFindEdge(as *mem.AddressSpace, node mem.VAddr, b byte) (child mem.VAddr
 // charge the exact lines touched. A caller that passes storage it owns
 // (a stack array is enough for a well-formed node) allocates nothing.
 func TrieFindEdgeProbes(as *mem.AddressSpace, node mem.VAddr, b byte, slots []mem.VAddr) (child mem.VAddr, probes int, _ []mem.VAddr, err error) {
-	dense, err := TrieNodeDense(as, node)
+	dense, err := trieNodeDense(as, node)
 	if err != nil {
 		return 0, 0, slots, err
 	}
 	if dense {
-		slot := TrieEdgeSlot(node, true, 0, b)
+		slot := trieEdgeSlot(node, true, 0, b)
 		v, err := as.ReadU64(slot)
 		if err != nil {
 			return 0, 1, slots, err
 		}
 		return mem.VAddr(v), 1, append(slots, slot), nil
 	}
-	n, err := TrieEdgeCount(as, node)
+	n, err := trieEdgeCount(as, node)
 	if err != nil {
 		return 0, 0, slots, err
 	}

@@ -159,7 +159,7 @@ func ablationIndex(_ Scale, par int) (TableData, error) {
 	rows, err := mapJobs(par, []qei.StructKind{qei.KindSkipList, qei.KindBTree},
 		func(kind qei.StructKind) ([][]string, error) {
 			sys := qei.NewSystem(qei.CoreIntegrated)
-			keys, vals := batchGenKeys(4000, 100, 60)
+			keys, vals := workload.GenUniqueKeys(4000, 100, 60)
 			tb, err := sys.Build(kind, keys, vals)
 			if err != nil {
 				return nil, err

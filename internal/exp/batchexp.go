@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"qei"
+	"qei/internal/workload"
 )
 
 // The "batch" experiment: QueryBatch's level-wise engine vs the
@@ -54,26 +55,6 @@ func batchTableSize(s Scale, kind qei.StructKind) int {
 		return 8192
 	}
 	return 2048
-}
-
-// batchGenKeys generates n distinct keyLen-byte keys with deterministic
-// values (the experiment's structure population).
-func batchGenKeys(n, keyLen int, seed int64) ([][]byte, []uint64) {
-	rng := rand.New(rand.NewSource(seed))
-	seen := make(map[string]bool, n)
-	keys := make([][]byte, 0, n)
-	vals := make([]uint64, 0, n)
-	for len(keys) < n {
-		k := make([]byte, keyLen)
-		rng.Read(k)
-		if seen[string(k)] {
-			continue
-		}
-		seen[string(k)] = true
-		keys = append(keys, k)
-		vals = append(vals, rng.Uint64()|1)
-	}
-	return keys, vals
 }
 
 // batchProbeSet draws the probe keys: mostly present keys in shuffled
@@ -128,8 +109,8 @@ func runBatchCell(s Scale, job batchJob) (batchCell, error) {
 	const keyLen = 16
 	seed := int64(1000*int(job.kind) + job.n)
 	tableN := batchTableSize(s, job.kind)
-	keys, values := batchGenKeys(tableN, keyLen, seed)
-	absent, _ := batchGenKeys(job.n, keyLen, seed+1)
+	keys, values := workload.GenUniqueKeys(tableN, keyLen, seed)
+	absent, _ := workload.GenUniqueKeys(job.n, keyLen, seed+1)
 	// Absent keys must not collide with the table population.
 	inTable := make(map[string]bool, tableN)
 	for _, k := range keys {
@@ -137,7 +118,7 @@ func runBatchCell(s Scale, job batchJob) (batchCell, error) {
 	}
 	for i, k := range absent {
 		for inTable[string(k)] {
-			extra, _ := batchGenKeys(1, keyLen, seed+int64(100+i))
+			extra, _ := workload.GenUniqueKeys(1, keyLen, seed+int64(100+i))
 			k = extra[0]
 		}
 		absent[i] = k

@@ -48,8 +48,8 @@ func BenchmarkEndToEndQEI(b *testing.B) {
 // misses (the level-wise engine's acceptance workload).
 func benchBatchSetup(b *testing.B) (*qei.System, qei.Table, [][]byte) {
 	b.Helper()
-	keys, vals := batchGenKeys(4096, 16, 42)
-	absent, _ := batchGenKeys(64, 16, 43)
+	keys, vals := workload.GenUniqueKeys(4096, 16, 42)
+	absent, _ := workload.GenUniqueKeys(64, 16, 43)
 	probes := batchProbeSet(keys, absent, 64, 44)
 	s := qei.NewSystem(qei.CoreIntegrated)
 	tb, err := s.Build(qei.KindBTree, keys, vals)

@@ -3,7 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"qei"
+	"qei/internal/dse"
+	"qei/internal/workload"
 )
 
 // dseFrontier is the "dse" experiment: a design-space sweep over QST
@@ -17,13 +18,12 @@ func dseFrontier(s Scale, par int) (TableData, error) {
 		Headers: []string{"design", "speedup_x", "area_mm2", "static_mw",
 			"energy_nj_per_query", "pareto"},
 	}
-	axes := "qst=8,32;cores=16,24;scheme=core,cha-tlb"
+	axes := dse.Axes{QST: []int{8, 32}, Cores: []int{16, 24}, Schemes: []string{"core", "cha-tlb"}}
 	if s == FullScale {
-		axes = "" // the standard 120-point grid
+		axes = dse.DefaultAxes() // the standard 120-point grid
 	}
-	res, err := qei.RunDSE(qei.DSEConfig{
-		Workload:    "dpdk",
-		FullScale:   s == FullScale,
+	res, err := dse.Sweep(dse.Config{
+		Bench:       pick(s, workload.SmallDPDK(), workload.DefaultDPDK()),
 		Axes:        axes,
 		Parallelism: par,
 	})

@@ -109,8 +109,8 @@ func NewPhysical() *Physical {
 	return &Physical{nextFrame: 1}
 }
 
-// AllocFrame reserves the next physical frame and returns its number.
-func (p *Physical) AllocFrame() uint64 {
+// allocFrame reserves the next physical frame and returns its number.
+func (p *Physical) allocFrame() uint64 {
 	f := p.nextFrame
 	p.nextFrame++
 	return f
@@ -336,16 +336,16 @@ func (as *AddressSpace) mapPage(vp uint64) {
 	}
 	var frame uint64
 	if as.frameStride == 1 {
-		frame = as.phys.AllocFrame()
+		frame = as.phys.allocFrame()
 	} else {
 		// Scatter: allocate a fresh frame but interleave with a second
 		// allocation every few pages so consecutive virtual pages land on
 		// non-consecutive frames. Deterministic, no RNG required.
-		frame = as.phys.AllocFrame()
+		frame = as.phys.allocFrame()
 		if vp%3 == 1 {
 			// Burn a frame to create a hole; models other allocations
 			// interleaving in a long-running server.
-			as.phys.AllocFrame()
+			as.phys.allocFrame()
 		}
 	}
 	as.setFrame(vp, frame)

@@ -141,19 +141,13 @@ func Merge(snaps ...Snapshot) Snapshot {
 	return out
 }
 
-// Get returns the sample with the given name.
-func (s Snapshot) Get(name string) (Sample, bool) {
-	i := sort.Search(len(s), func(i int) bool { return s[i].Name >= name })
-	if i < len(s) && s[i].Name == name {
-		return s[i], true
-	}
-	return Sample{}, false
-}
-
 // Value returns the value of the named sample (0 if absent).
 func (s Snapshot) Value(name string) uint64 {
-	sm, _ := s.Get(name)
-	return sm.Value
+	i := sort.Search(len(s), func(i int) bool { return s[i].Name >= name })
+	if i < len(s) && s[i].Name == name {
+		return s[i].Value
+	}
+	return 0
 }
 
 // NonZero returns the samples with non-zero values — the useful subset

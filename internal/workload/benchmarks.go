@@ -3,15 +3,16 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"qei/internal/dstruct"
 	"qei/internal/machine"
 	"qei/internal/mem"
 )
 
-// genUniqueKeys produces n distinct keyLen-byte keys and values from a
+// GenUniqueKeys produces n distinct keyLen-byte keys and values from a
 // deterministic seed.
-func genUniqueKeys(n, keyLen int, seed int64) ([][]byte, []uint64) {
+func GenUniqueKeys(n, keyLen int, seed int64) ([][]byte, []uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	seen := make(map[string]bool, n)
 	keys := make([][]byte, 0, n)
@@ -29,16 +30,38 @@ func genUniqueKeys(n, keyLen int, seed int64) ([][]byte, []uint64) {
 	return keys, vals
 }
 
-// stageKeys writes the probe keys into simulated memory (the
-// application's request buffers) and returns their addresses.
-func stageKeys(m *machine.Machine, keys [][]byte) []mem.VAddr {
-	addrs := make([]mem.VAddr, len(keys))
-	for i, k := range keys {
-		a := m.AS.AllocLines(uint64(len(k)))
-		m.AS.MustWrite(a, k)
-		addrs[i] = a
+// stageKey writes a probe key into simulated memory (the application's
+// request buffers) and returns its address.
+func stageKey(m *machine.Machine, k []byte) mem.VAddr {
+	a := m.AS.AllocLines(uint64(len(k)))
+	m.AS.MustWrite(a, k)
+	return a
+}
+
+// newPlan returns shape with its scratch area allocated:
+// shape.scratchSize bytes of cache-resident application state.
+func newPlan(m *machine.Machine, shape Plan) *Plan {
+	shape.Scratch = m.AS.AllocLines(shape.scratchSize)
+	return &shape
+}
+
+// uniformPlan builds the stream of a benchmark whose every request is
+// one lookup of a present key drawn uniformly from keys (keys[j] maps
+// to want[j]): 2*queries draws from seed, the first half the warmup
+// stream. The probe keys are staged before the plan's scratch area is
+// allocated.
+func uniformPlan(m *machine.Machine, shape Plan, header mem.VAddr, keys [][]byte, want []uint64, queries int, seed int64) *Plan {
+	rng := rand.New(rand.NewSource(seed))
+	probes := make([]Probe, 2*queries)
+	for i := range probes {
+		j := rng.Intn(len(keys))
+		probes[i] = Probe{Header: header, Key: stageKey(m, keys[j]), WantFound: true, WantValue: want[j]}
 	}
-	return addrs
+	plan := newPlan(m, shape)
+	for i, p := range probes {
+		plan.add(i < queries, Request{Probes: []Probe{p}})
+	}
+	return plan
 }
 
 // DPDK is the L3 Forwarding Information Base benchmark (Sec. VI-B): an
@@ -60,38 +83,16 @@ func (d DPDK) Name() string { return "DPDK" }
 
 // Build lays out the FIB and the packet stream.
 func (d DPDK) Build(m *machine.Machine) (*Plan, error) {
-	keys, vals := genUniqueKeys(d.Keys, 16, d.Seed)
+	keys, vals := GenUniqueKeys(d.Keys, 16, d.Seed)
 	table := dstruct.BuildCuckoo(m.AS, uint64(d.Keys/2), 8, uint64(d.Seed), keys, vals)
-	rng := rand.New(rand.NewSource(d.Seed + 1))
-	// 2x queries: the first half is the warmup stream, disjointly drawn.
-	n := 2 * d.Queries
-	probeKeys := make([][]byte, n)
-	want := make([]int, n)
-	for i := range probeKeys {
-		j := rng.Intn(len(keys))
-		probeKeys[i] = keys[j]
-		want[i] = j
-	}
-	addrs := stageKeys(m, probeKeys)
-	plan := &Plan{
+	return uniformPlan(m, Plan{
 		Name: d.Name(),
 		// Packet RX/parse/TX around each lookup: header parsing, checksum
 		// and descriptor work. Calibrated so queries are ~40% of time.
 		NonROIOps:       1500,
 		NonROILoadEvery: 8,
-		Scratch:         m.AS.AllocLines(4096),
 		scratchSize:     4096,
-	}
-	for i := 0; i < n; i++ {
-		req := Request{Probes: []Probe{{
-			Header:    table.HeaderAddr,
-			Key:       addrs[i],
-			WantFound: true,
-			WantValue: vals[want[i]],
-		}}}
-		plan.add(i < d.Queries, req)
-	}
-	return plan, nil
+	}, table.HeaderAddr, keys, vals, d.Queries, d.Seed+1), nil
 }
 
 // readKeyAt fetches a probe's key bytes back out of simulated memory
@@ -144,37 +145,16 @@ func (j JVM) Name() string { return "JVM" }
 
 // Build lays out the object tree and the mark-phase query stream.
 func (j JVM) Build(m *machine.Machine) (*Plan, error) {
-	keys, vals := genUniqueKeys(j.Objects, 8, j.Seed)
+	keys, vals := GenUniqueKeys(j.Objects, 8, j.Seed)
 	tree := dstruct.BuildBST(m.AS, j.Seed, 128, keys, vals)
-	rng := rand.New(rand.NewSource(j.Seed + 1))
-	n := 2 * j.Queries
-	probeKeys := make([][]byte, n)
-	want := make([]int, n)
-	for i := range probeKeys {
-		k := rng.Intn(len(keys))
-		probeKeys[i] = keys[k]
-		want[i] = k
-	}
-	addrs := stageKeys(m, probeKeys)
-	plan := &Plan{
+	return uniformPlan(m, Plan{
 		Name: j.Name(),
 		// Mutator work interleaved between GC mark queries (allocation,
 		// barriers, application progress) plus mark bookkeeping.
 		NonROIOps:       11000,
 		NonROILoadEvery: 10,
-		Scratch:         m.AS.AllocLines(4096),
 		scratchSize:     4096,
-	}
-	for i := 0; i < n; i++ {
-		req := Request{Probes: []Probe{{
-			Header:    tree.HeaderAddr,
-			Key:       addrs[i],
-			WantFound: true,
-			WantValue: vals[want[i]],
-		}}}
-		plan.add(i < j.Queries, req)
-	}
-	return plan, nil
+	}, tree.HeaderAddr, keys, vals, j.Queries, j.Seed+1), nil
 }
 
 // RocksDB is the persistent key-value store benchmark (Sec. VI-B): the
@@ -196,7 +176,7 @@ func (r RocksDB) Name() string { return "RocksDB" }
 
 // Build lays out the memtable and the get() stream.
 func (r RocksDB) Build(m *machine.Machine) (*Plan, error) {
-	keys, vals := genUniqueKeys(r.Items, 100, r.Seed)
+	keys, vals := GenUniqueKeys(r.Items, 100, r.Seed)
 	// 900 B values live in their own allocations; the skip list stores
 	// pointers to them, as RocksDB stores handles.
 	valPtrs := make([]uint64, len(vals))
@@ -205,36 +185,15 @@ func (r RocksDB) Build(m *machine.Machine) (*Plan, error) {
 		valPtrs[i] = uint64(va)
 	}
 	table := dstruct.BuildSkipList(m.AS, r.Seed, keys, valPtrs)
-	rng := rand.New(rand.NewSource(r.Seed + 1))
-	n := 2 * r.Queries
-	probeKeys := make([][]byte, n)
-	want := make([]int, n)
-	for i := range probeKeys {
-		k := rng.Intn(len(keys))
-		probeKeys[i] = keys[k]
-		want[i] = k
-	}
-	addrs := stageKeys(m, probeKeys)
-	plan := &Plan{
+	return uniformPlan(m, Plan{
 		Name: r.Name(),
 		// The paper singles RocksDB out: its seek loop carries a lot of
 		// other work (key preprocessing, memcpy, thread management), so
 		// the core's ROB fills before much query parallelism is exposed.
 		NonROIOps:       23000,
 		NonROILoadEvery: 6,
-		Scratch:         m.AS.AllocLines(8192),
 		scratchSize:     8192,
-	}
-	for i := 0; i < n; i++ {
-		req := Request{Probes: []Probe{{
-			Header:    table.HeaderAddr,
-			Key:       addrs[i],
-			WantFound: true,
-			WantValue: valPtrs[want[i]],
-		}}}
-		plan.add(i < r.Queries, req)
-	}
-	return plan, nil
+	}, table.HeaderAddr, keys, valPtrs, r.Queries, r.Seed+1), nil
 }
 
 // Snort is the intrusion-prevention benchmark (Sec. VI-B): a ~40 K
@@ -281,15 +240,14 @@ func (s Snort) Build(m *machine.Machine) (*Plan, error) {
 	}
 	trie := dstruct.BuildTrie(m.AS, kws, vals)
 
-	plan := &Plan{
+	plan := newPlan(m, Plan{
 		Name: s.Name(),
 		// Per-payload packet handling around the scan: decode,
 		// preprocessing, and rule evaluation scale with payload size.
 		NonROIOps:       s.PayloadLen * 1000,
 		NonROILoadEvery: 8,
-		Scratch:         m.AS.AllocLines(8192),
 		scratchSize:     8192,
-	}
+	})
 
 	for qi := 0; qi < 2*s.Queries; qi++ {
 		payload := make([]byte, s.PayloadLen)
@@ -310,8 +268,7 @@ func (s Snort) Build(m *machine.Machine) (*Plan, error) {
 		if len(ref) > 0 {
 			wantVal = ref[len(ref)-1]
 		}
-		addr := m.AS.AllocLines(uint64(len(payload)))
-		m.AS.MustWrite(addr, payload)
+		addr := stageKey(m, payload)
 		req := Request{Probes: []Probe{{
 			Header:    trie.HeaderAddr,
 			Key:       addr,
@@ -350,7 +307,7 @@ func (f FLANN) Build(m *machine.Machine) (*Plan, error) {
 	if perTable == 0 {
 		return nil, fmt.Errorf("workload: FLANN needs at least %d items", f.Tables)
 	}
-	keys, vals := genUniqueKeys(perTable, 20, f.Seed)
+	keys, vals := GenUniqueKeys(perTable, 20, f.Seed)
 	headers := make([]mem.VAddr, f.Tables)
 	// Which tables contain each key: all of them here (the same dataset
 	// hashed 12 ways), so probes hit in every table.
@@ -359,18 +316,17 @@ func (f FLANN) Build(m *machine.Machine) (*Plan, error) {
 		headers[t] = ht.HeaderAddr
 	}
 	rng := rand.New(rand.NewSource(f.Seed + 1))
-	plan := &Plan{
+	plan := newPlan(m, Plan{
 		Name: f.Name(),
 		// Feature extraction and exact-distance verification of the
 		// candidates gathered from the 12 probes.
 		NonROIOps:       57000,
 		NonROILoadEvery: 7,
-		Scratch:         m.AS.AllocLines(8192),
 		scratchSize:     8192,
-	}
+	})
 	for qi := 0; qi < 2*f.Queries; qi++ {
 		k := rng.Intn(len(keys))
-		addr := stageKeys(m, [][]byte{keys[k]})[0]
+		addr := stageKey(m, keys[k])
 		probes := make([]Probe, f.Tables)
 		for t := 0; t < f.Tables; t++ {
 			probes[t] = Probe{
@@ -412,7 +368,7 @@ func (t TupleSpace) Name() string { return fmt.Sprintf("TupleSpace-%d", t.Tuples
 // tuple's table (its matching rule); the classifier must probe all of
 // them.
 func (t TupleSpace) Build(m *machine.Machine) (*Plan, error) {
-	keys, vals := genUniqueKeys(t.Keys*t.Tuples, 16, t.Seed)
+	keys, vals := GenUniqueKeys(t.Keys*t.Tuples, 16, t.Seed)
 	headers := make([]mem.VAddr, t.Tuples)
 	for ti := 0; ti < t.Tuples; ti++ {
 		ks := keys[ti*t.Keys : (ti+1)*t.Keys]
@@ -421,18 +377,17 @@ func (t TupleSpace) Build(m *machine.Machine) (*Plan, error) {
 		headers[ti] = ck.HeaderAddr
 	}
 	rng := rand.New(rand.NewSource(t.Seed + 1))
-	plan := &Plan{
+	plan := newPlan(m, Plan{
 		Name:            t.Name(),
 		NonROIOps:       100,
 		NonROILoadEvery: 8,
-		Scratch:         m.AS.AllocLines(4096),
 		scratchSize:     4096,
-	}
+	})
 	for qi := 0; qi < 2*t.Queries; qi++ {
 		owner := rng.Intn(t.Tuples)
 		ki := rng.Intn(t.Keys)
 		keyIdx := owner*t.Keys + ki
-		addr := stageKeys(m, [][]byte{keys[keyIdx]})[0]
+		addr := stageKey(m, keys[keyIdx])
 		probes := make([]Probe, t.Tuples)
 		for ti := 0; ti < t.Tuples; ti++ {
 			probes[ti] = Probe{
@@ -447,6 +402,47 @@ func (t TupleSpace) Build(m *machine.Machine) (*Plan, error) {
 		plan.add(qi < t.Queries, Request{Probes: probes})
 	}
 	return plan, nil
+}
+
+// catalogue is the one table from a benchmark's command-line name to its
+// full- and small-scale instances: the five applications of Sec. VI-B,
+// then tuple-space search (Sec. VII-B) at 5, 10 and 15 tuples.
+var catalogue = []struct {
+	name        string
+	full, small Benchmark
+}{
+	{"dpdk", DefaultDPDK(), SmallDPDK()},
+	{"jvm", DefaultJVM(), SmallJVM()},
+	{"rocksdb", DefaultRocksDB(), SmallRocksDB()},
+	{"snort", DefaultSnort(), SmallSnort()},
+	{"flann", DefaultFLANN(), SmallFLANN()},
+	{"tuple5", DefaultTupleSpace(5), SmallTupleSpace(5)},
+	{"tuple10", DefaultTupleSpace(10), SmallTupleSpace(10)},
+	{"tuple15", DefaultTupleSpace(15), SmallTupleSpace(15)},
+}
+
+// Names lists the catalogue's benchmark names in table order.
+func Names() []string {
+	names := make([]string, len(catalogue))
+	for i, e := range catalogue {
+		names[i] = e.name
+	}
+	return names
+}
+
+// Lookup resolves a catalogue name to its paper-scale benchmark when
+// full is set, else to its small, fast one. An unknown name is an error
+// that lists the known names.
+func Lookup(name string, full bool) (Benchmark, error) {
+	for _, e := range catalogue {
+		if e.name == name {
+			if full {
+				return e.full, nil
+			}
+			return e.small, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown workload %q (have %s)", name, strings.Join(Names(), ", "))
 }
 
 // All returns the five paper benchmarks at full scale.

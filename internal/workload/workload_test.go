@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"qei/internal/scheme"
@@ -246,5 +247,46 @@ func TestFLANNProbesAllTables(t *testing.T) {
 	}
 	if run.Mismatches != 0 {
 		t.Fatalf("%d mismatches", run.Mismatches)
+	}
+}
+
+// TestCatalogue pins the one name table the CLIs resolve -workload
+// through: every name resolves at both scales to the benchmark the
+// reports print, and an unknown name is an error naming them all.
+func TestCatalogue(t *testing.T) {
+	want := map[string]string{
+		"dpdk": "DPDK", "jvm": "JVM", "rocksdb": "RocksDB", "snort": "Snort", "flann": "FLANN",
+		"tuple5": "TupleSpace-5", "tuple10": "TupleSpace-10", "tuple15": "TupleSpace-15",
+	}
+	names := Names()
+	if len(names) != len(want) {
+		t.Fatalf("Names() = %v, want %d names", names, len(want))
+	}
+	for _, name := range names {
+		small, err := Lookup(name, false)
+		if err != nil {
+			t.Fatalf("Lookup(%q, small): %v", name, err)
+		}
+		full, err := Lookup(name, true)
+		if err != nil {
+			t.Fatalf("Lookup(%q, full): %v", name, err)
+		}
+		if small.Name() != want[name] || full.Name() != want[name] {
+			t.Errorf("%s: names %q (small) and %q (full), want %q", name, small.Name(), full.Name(), want[name])
+		}
+		if small == full {
+			t.Errorf("%s: small and full scale are the same benchmark %+v", name, small)
+		}
+	}
+	for _, bad := range []string{"quake", ""} {
+		_, err := Lookup(bad, false)
+		if err == nil {
+			t.Fatalf("Lookup(%q) resolved, want an error", bad)
+		}
+		for _, name := range names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("Lookup(%q) error %q does not list %q", bad, err, name)
+			}
+		}
 	}
 }
