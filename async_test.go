@@ -35,9 +35,6 @@ func TestAsyncLifecycle(t *testing.T) {
 
 	// Interrupt flushes it; both Wait and Poll now report ErrAborted.
 	sys.Interrupt()
-	if !sys.Aborted(h) {
-		t.Fatal("query not aborted by interrupt")
-	}
 	if _, err := sys.Wait(h); !errors.Is(err, ErrAborted) {
 		t.Fatalf("Wait on aborted query: err = %v, want ErrAborted", err)
 	}

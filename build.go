@@ -2,28 +2,6 @@ package qei
 
 import "fmt"
 
-// BuildOption configures Build and BuildMutable for the structure kinds
-// that take extra parameters.
-type BuildOption func(*buildConfig)
-
-type buildConfig struct {
-	payload int
-}
-
-// WithBSTPayload sets the per-node object-body byte count of a KindBST
-// build (the JVM object-tree shape). Other kinds ignore it. Default 0.
-func WithBSTPayload(n int) BuildOption {
-	return func(c *buildConfig) { c.payload = n }
-}
-
-func newBuildConfig(opts []BuildOption) buildConfig {
-	cfg := buildConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
 // Build lays out a read-only table of any built-in structure kind in
 // the simulated machine's memory: a DPDK-style two-choice cuckoo hash, a
 // chained hash table, a sorted skip list (RocksDB-memtable style), a
@@ -33,24 +11,23 @@ func newBuildConfig(opts []BuildOption) buildConfig {
 // keys must share one length; values[i] is reported when keys[i]
 // matches. For KindTrie the keys are the dictionary's keywords
 // (variable length, values non-zero) and the table answers Scan
-// queries. KindBST takes WithBSTPayload. KindCustom has no generic
-// builder (register firmware and lay the structure out explicitly);
-// it and undefined kinds return ErrUnknownKind.
-func (s *System) Build(kind StructKind, keys [][]byte, values []uint64, opts ...BuildOption) (Table, error) {
+// queries. KindCustom has no generic builder (register firmware and
+// lay the structure out explicitly); it and undefined kinds return
+// ErrUnknownKind.
+func (s *System) Build(kind StructKind, keys [][]byte, values []uint64) (Table, error) {
 	k := kind.info()
 	if k == nil || k.build == nil {
 		return Table{}, fmt.Errorf("%w %s", ErrUnknownKind, kind)
 	}
-	cfg := newBuildConfig(opts)
-	if err := k.check(keys, values, cfg); err != nil {
+	if err := k.check(keys, values); err != nil {
 		return Table{}, err
 	}
-	header, keyLen := k.build(s, keys, values, cfg)
+	header, keyLen, _ := k.build(s, keys, values, false)
 	return Table{header: header, Kind: kind, KeyLen: int(keyLen)}, nil
 }
 
 // checkKV checks fixed-length key/value builder inputs.
-func checkKV(keys [][]byte, values []uint64, _ buildConfig) error {
+func checkKV(keys [][]byte, values []uint64) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("qei: %d keys but %d values", len(keys), len(values))
 	}
@@ -66,20 +43,9 @@ func checkKV(keys [][]byte, values []uint64, _ buildConfig) error {
 	return nil
 }
 
-// checkBST is checkKV plus a non-negative object payload.
-func checkBST(keys [][]byte, values []uint64, cfg buildConfig) error {
-	if err := checkKV(keys, values, cfg); err != nil {
-		return err
-	}
-	if cfg.payload < 0 {
-		return fmt.Errorf("qei: negative payload %d", cfg.payload)
-	}
-	return nil
-}
-
 // checkDict checks a trie dictionary: keywords of any length, values
 // non-zero (zero is the no-match report).
-func checkDict(keywords [][]byte, values []uint64, _ buildConfig) error {
+func checkDict(keywords [][]byte, values []uint64) error {
 	if len(keywords) != len(values) {
 		return fmt.Errorf("qei: %d keywords but %d values", len(keywords), len(values))
 	}

@@ -159,6 +159,17 @@ if [ "$oversized_status" -ne 1 ]; then
 	exit 1
 fi
 
+# Firmware smoke: qeifw walks the default firmware registry, so every
+# built-in program, the B+ tree included, must validate and print a row,
+# and -dot must find the B+ tree program.
+go build -o "$bindir/qeifw" ./cmd/qeifw
+fw_out=$("$bindir/qeifw")
+if ! printf '%s\n' "$fw_out" | grep -q '^btree .* ok$'; then
+	echo "firmware-smoke: qeifw printed no valid btree row" >&2
+	exit 1
+fi
+"$bindir/qeifw" -dot btree >/dev/null
+
 # Catalogue smoke: qeisim and qeidse resolve -workload and -scale
 # through the one benchmark catalogue, and refuse an unknown scale or
 # workload with exit status 1 (not a run at some default).
@@ -190,29 +201,32 @@ for needle in '"p99"' '"backend": "qei"' '"backend": "baseline"' '"slo_violation
 done
 
 # Read-write smoke: a short single-tenant read-write stream through the
-# serving path must answer every read and delete like the host model
-# and read no retired memory (qeiserve exits non-zero otherwise), retire
-# some writes, and replay its recorded trace byte-identically.
+# serving path, over every kind BuildMutable accepts, must answer every
+# read and delete like the host model and read no retired memory
+# (qeiserve exits non-zero otherwise), retire some writes, and replay
+# its recorded trace byte-identically.
 rw_trace=$(mktemp)
-rw_flags="-tenants 1 -kind btree -writes 0.3 -requests 200 -keys 64"
-rw_live=$("$bindir/qeiserve" $rw_flags -record "$rw_trace" -json)
-rw_replay=$("$bindir/qeiserve" -replay "$rw_trace" -json)
+for kind in cuckoo skiplist bst btree linkedlist; do
+	rw_flags="-tenants 1 -kind $kind -writes 0.3 -requests 200 -keys 64"
+	rw_live=$("$bindir/qeiserve" $rw_flags -record "$rw_trace" -json)
+	rw_replay=$("$bindir/qeiserve" -replay "$rw_trace" -json)
+	case "$rw_live" in
+	*'"writes": '[1-9]*) ;;
+	*)
+		echo "rw-smoke: the $kind read-write stream retired no writes" >&2
+		exit 1
+		;;
+	esac
+	if [ "$rw_live" != "$rw_replay" ]; then
+		echo "rw-smoke: $kind trace replay diverged from live run" >&2
+		exit 1
+	fi
+done
 rm -f "$rw_trace"
-case "$rw_live" in
-*'"writes": '[1-9]*) ;;
-*)
-	echo "rw-smoke: the read-write stream retired no writes" >&2
-	exit 1
-	;;
-esac
-if [ "$rw_live" != "$rw_replay" ]; then
-	echo "rw-smoke: trace replay diverged from live run" >&2
-	exit 1
-fi
-# The same stream under a chaos schedule must actually fault some reads
-# (-faults reaches the serving machine) and still answer every unfaulted
-# read like the host model.
-rw_chaos=$("$bindir/qeiserve" $rw_flags -faults "9:spurious=0.3" -json)
+# The B+ tree stream under a chaos schedule must actually fault some
+# reads (-faults reaches the serving machine) and still answer every
+# unfaulted read like the host model.
+rw_chaos=$("$bindir/qeiserve" -tenants 1 -kind btree -writes 0.3 -requests 200 -keys 64 -faults "9:spurious=0.3" -json)
 case "$rw_chaos" in
 *'"faults_injected"'*) ;;
 *)

@@ -14,18 +14,24 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"qei/internal/cfa"
 )
 
 func main() {
-	dotFlag := flag.String("dot", "", "emit DOT for one program (linkedlist, hashtable, cuckoo, skiplist, bst, trie)")
-	flag.Parse()
-
-	programs := []cfa.Program{
-		cfa.LinkedListProgram{}, cfa.HashTableProgram{}, cfa.CuckooProgram{},
-		cfa.SkipListProgram{}, cfa.BSTProgram{}, cfa.TrieProgram{},
+	// The built-in programs, in type-code order.
+	reg := cfa.DefaultRegistry()
+	var programs []cfa.Program
+	var names []string
+	for tc := 0; tc < 256; tc++ {
+		if p, ok := reg.Lookup(uint8(tc)); ok {
+			programs = append(programs, p)
+			names = append(names, p.Name())
+		}
 	}
+	dotFlag := flag.String("dot", "", "emit DOT for one program ("+strings.Join(names, ", ")+")")
+	flag.Parse()
 
 	if *dotFlag != "" {
 		for _, p := range programs {

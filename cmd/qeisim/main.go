@@ -200,7 +200,7 @@ func rowDescription(desc *hwdesc.Description, k scheme.Kind) *hwdesc.Description
 // QUERY_NB (batch 32) when nb is set and QUERY_B otherwise.
 func runScheme(bench workload.Benchmark, params scheme.Params, mode workload.Mode, nb bool, opts []workload.RunOption) (workload.Run, error) {
 	if nb {
-		return workload.RunQEINonBlocking(bench, params, 32, opts...)
+		return workload.RunQEINonBlocking(bench, params, opts...)
 	}
 	return workload.RunQEIWithParams(bench, params, mode, opts...)
 }

@@ -47,7 +47,7 @@ func readsLine(ops []Op, line mem.VAddr) bool {
 type LinkedListProgram struct{}
 
 func (LinkedListProgram) TypeCode() uint8 { return dstruct.TypeLinkedList }
-func (LinkedListProgram) Name() string    { return "linkedlist" }
+func (LinkedListProgram) Name() string    { return dstruct.TypeName(dstruct.TypeLinkedList) }
 func (LinkedListProgram) NumStates() int  { return 4 }
 
 func (p LinkedListProgram) Step(q *Query, state StateID) Request {
@@ -103,7 +103,7 @@ func (p LinkedListProgram) Step(q *Query, state StateID) Request {
 type HashTableProgram struct{}
 
 func (HashTableProgram) TypeCode() uint8 { return dstruct.TypeHashTable }
-func (HashTableProgram) Name() string    { return "hashtable" }
+func (HashTableProgram) Name() string    { return dstruct.TypeName(dstruct.TypeHashTable) }
 func (HashTableProgram) NumStates() int  { return 5 }
 
 func (p HashTableProgram) Step(q *Query, state StateID) Request {
@@ -170,7 +170,7 @@ func (p HashTableProgram) Step(q *Query, state StateID) Request {
 type CuckooProgram struct{}
 
 func (CuckooProgram) TypeCode() uint8 { return dstruct.TypeCuckoo }
-func (CuckooProgram) Name() string    { return "cuckoo" }
+func (CuckooProgram) Name() string    { return dstruct.TypeName(dstruct.TypeCuckoo) }
 func (CuckooProgram) NumStates() int  { return 5 }
 
 func (p CuckooProgram) Step(q *Query, state StateID) Request {
@@ -220,7 +220,7 @@ func (p CuckooProgram) Step(q *Query, state StateID) Request {
 type SkipListProgram struct{}
 
 func (SkipListProgram) TypeCode() uint8 { return dstruct.TypeSkipList }
-func (SkipListProgram) Name() string    { return "skiplist" }
+func (SkipListProgram) Name() string    { return dstruct.TypeName(dstruct.TypeSkipList) }
 func (SkipListProgram) NumStates() int  { return 4 }
 
 func (p SkipListProgram) Step(q *Query, state StateID) Request {
@@ -299,7 +299,7 @@ func (p SkipListProgram) Step(q *Query, state StateID) Request {
 type BSTProgram struct{}
 
 func (BSTProgram) TypeCode() uint8 { return dstruct.TypeBST }
-func (BSTProgram) Name() string    { return "bst" }
+func (BSTProgram) Name() string    { return dstruct.TypeName(dstruct.TypeBST) }
 func (BSTProgram) NumStates() int  { return 4 }
 
 func (p BSTProgram) Step(q *Query, state StateID) Request {
@@ -358,7 +358,7 @@ func (p BSTProgram) Step(q *Query, state StateID) Request {
 type TrieProgram struct{}
 
 func (TrieProgram) TypeCode() uint8 { return dstruct.TypeTrie }
-func (TrieProgram) Name() string    { return "trie" }
+func (TrieProgram) Name() string    { return dstruct.TypeName(dstruct.TypeTrie) }
 func (TrieProgram) NumStates() int  { return 5 }
 
 func (p TrieProgram) Step(q *Query, state StateID) Request {
@@ -435,7 +435,7 @@ type BTreeProgram struct{}
 func (BTreeProgram) TypeCode() uint8 { return dstruct.TypeBTree }
 
 // Name implements Program.
-func (BTreeProgram) Name() string { return "btree" }
+func (BTreeProgram) Name() string { return dstruct.TypeName(dstruct.TypeBTree) }
 
 // NumStates implements Program.
 func (BTreeProgram) NumStates() int { return 3 }

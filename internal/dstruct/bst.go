@@ -36,9 +36,11 @@ type BST struct {
 	PayloadBytes int
 	Len          int
 	// MaxDepth tracks the deepest node ever linked (builder and Insert
-	// both maintain it); NeedsRebuild compares it against the scapegoat
-	// bound. Rebuild resets it to the balanced depth.
+	// both maintain it); needsRebuild compares it against the scapegoat
+	// bound. rebuild resets it to the balanced depth.
 	MaxDepth int
+	// Upkeep counts scapegoat rebuilds and the nodes updates retired.
+	Upkeep
 }
 
 // bstNodeSize returns a node's allocation size.

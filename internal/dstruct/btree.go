@@ -31,9 +31,6 @@ const (
 	btreeKindLeaf  = 1
 )
 
-// TypeBTree is the header type code for B+-trees (a built-in CFA).
-const TypeBTree uint8 = 7
-
 // BTree is the host handle to a simulated B+-tree.
 type BTree struct {
 	HeaderAddr mem.VAddr
@@ -42,11 +39,9 @@ type BTree struct {
 	Fanout     int
 	Height     int
 	Len        int
-	// Splits and Merges count structural rebalances performed by the
-	// software mutators (btree_update.go); the streaming experiment
-	// asserts both paths were exercised.
-	Splits int
-	Merges int
+	// Upkeep counts the node splits and merges the software mutators
+	// (btree_update.go) performed and the nodes they retired.
+	Upkeep
 }
 
 // btreeEntrySize returns the stride of one node entry.

@@ -3,7 +3,6 @@ package dstruct
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 
 	"qei/internal/mem"
 )
@@ -12,8 +11,7 @@ import (
 // with borrow-else-merge, the split/merge churn the streaming workload
 // exercises. Like every mutator in this package the routines run in
 // host software against the simulated bytes; new nodes come from the
-// caller's allocator and unlinked nodes are returned as extents for
-// epoch-based retirement.
+// Reclaimer and unlinked nodes are retired to it.
 //
 // Invariants maintained (matching BuildBTree's bulk-loaded shape):
 //   - inner nodes hold at most Fanout-1 separators (Fanout children),
@@ -162,30 +160,28 @@ func (t *BTree) writeHeaderBack(as *mem.AddressSpace) error {
 }
 
 // Insert adds or updates key in the tree, splitting nodes as needed.
-// It reports whether a structural split occurred.
-func (t *BTree) Insert(as *mem.AddressSpace, al mem.Allocator, key []byte, value uint64) (bool, error) {
-	if len(key) != int(t.KeyLen) {
-		return false, fmt.Errorf("dstruct: key length %d, tree stores %d", len(key), t.KeyLen)
+func (t *BTree) Insert(as *mem.AddressSpace, gc Reclaimer, key []byte, value uint64) error {
+	if err := checkKeyLen(key, t.KeyLen); err != nil {
+		return err
 	}
 	if t.Root == 0 {
-		n := t.newNode(as, al, true)
+		n := t.newNode(as, gc, true)
 		n.setEntry(0, key, value)
 		n.setCount(1)
 		n.store(as)
 		t.Root = n.addr
 		t.Height = 1
 		t.Len = 1
-		return false, t.writeHeaderBack(as)
+		return t.writeHeaderBack(as)
 	}
 
-	splitsBefore := t.Splits
-	promoKey, promoRight, grew, err := t.insertRec(as, al, t.Root, key, value)
+	promoKey, promoRight, grew, err := t.insertRec(as, gc, t.Root, key, value)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if promoRight != 0 {
 		// Root split: a fresh inner root with the old root as link child.
-		root := t.newNode(as, al, false)
+		root := t.newNode(as, gc, false)
 		root.setLink(t.Root)
 		root.setEntry(0, promoKey, uint64(promoRight))
 		root.setCount(1)
@@ -197,11 +193,9 @@ func (t *BTree) Insert(as *mem.AddressSpace, al mem.Allocator, key []byte, value
 		t.Len++
 	}
 	if grew || promoRight != 0 {
-		if err := t.writeHeaderBack(as); err != nil {
-			return false, err
-		}
+		return t.writeHeaderBack(as)
 	}
-	return t.Splits > splitsBefore, nil
+	return nil
 }
 
 // insertRec descends to the leaf, inserting on the way back up. A
@@ -324,20 +318,20 @@ func (n *btNode) stageInnerInsert(idx int, sep []byte, child mem.VAddr) ([][]byt
 	return seps, childs
 }
 
-// Delete removes key, rebalancing with borrow-else-merge. It reports
-// whether the key existed and returns the extents of nodes the
-// rebalance unlinked (merged-away siblings, a collapsed root).
-func (t *BTree) Delete(as *mem.AddressSpace, key []byte) (bool, []mem.Extent, error) {
-	if len(key) != int(t.KeyLen) {
-		return false, nil, fmt.Errorf("dstruct: key length %d, tree stores %d", len(key), t.KeyLen)
+// Delete removes key, rebalancing with borrow-else-merge, and retires
+// the nodes the rebalance unlinked (merged-away siblings, a collapsed
+// root).
+func (t *BTree) Delete(as *mem.AddressSpace, gc Reclaimer, key []byte) (bool, error) {
+	if err := checkKeyLen(key, t.KeyLen); err != nil {
+		return false, err
 	}
 	if t.Root == 0 {
-		return false, nil, nil
+		return false, nil
 	}
 	var freed []mem.Extent
 	found, _, err := t.deleteRec(as, t.Root, key, &freed)
 	if err != nil || !found {
-		return false, nil, err
+		return false, err
 	}
 	t.Len--
 
@@ -345,7 +339,7 @@ func (t *BTree) Delete(as *mem.AddressSpace, key []byte) (bool, []mem.Extent, er
 	for {
 		root, err := t.loadNode(as, t.Root)
 		if err != nil {
-			return false, nil, err
+			return false, err
 		}
 		if root.leaf() || root.count() > 0 {
 			break
@@ -354,7 +348,9 @@ func (t *BTree) Delete(as *mem.AddressSpace, key []byte) (bool, []mem.Extent, er
 		t.Root = root.link()
 		t.Height--
 	}
-	return true, freed, t.writeHeaderBack(as)
+	err = t.writeHeaderBack(as)
+	t.retire(gc, freed...)
+	return true, err
 }
 
 // deleteRec removes key under addr, reporting whether the node is now

@@ -113,12 +113,13 @@ func btreeCheckInvariants(t *testing.T, as *mem.AddressSpace, bt *BTree) {
 
 func TestBTreeInsertSplitsAndGrows(t *testing.T) {
 	as := newAS()
+	gc := &keepGC{AddressSpace: as}
 	keys, vals := genKeys(8, 16, 21)
 	bt := BuildBTree(as, 4, keys, vals) // fanout 4: splits come fast
 
 	extra, extraVals := genKeys(60, 16, 22)
 	for i, k := range extra {
-		if _, err := bt.Insert(as, as, k, extraVals[i]); err != nil {
+		if err := bt.Insert(as, gc, k, extraVals[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +137,7 @@ func TestBTreeInsertSplitsAndGrows(t *testing.T) {
 		}
 	}
 	// Update in place.
-	if _, err := bt.Insert(as, as, extra[0], 31337); err != nil {
+	if err := bt.Insert(as, gc, extra[0], 31337); err != nil {
 		t.Fatal(err)
 	}
 	if v, _, _ := QueryBTreeRef(as, bt.HeaderAddr, extra[0]); v != 31337 {
@@ -149,10 +150,11 @@ func TestBTreeInsertSplitsAndGrows(t *testing.T) {
 
 func TestBTreeInsertIntoEmpty(t *testing.T) {
 	as := newAS()
+	gc := &keepGC{AddressSpace: as}
 	bt := BuildBTree(as, 4, nil, nil)
 	bt.KeyLen = 8 // empty build has no keys to take the length from
 	k := []byte("aaaabbbb")
-	if _, err := bt.Insert(as, as, k, 7); err != nil {
+	if err := bt.Insert(as, gc, k, 7); err != nil {
 		t.Fatal(err)
 	}
 	if v, found, _ := QueryBTreeRef(as, bt.HeaderAddr, k); !found || v != 7 {
@@ -162,28 +164,27 @@ func TestBTreeInsertIntoEmpty(t *testing.T) {
 
 func TestBTreeDeleteMergesAndShrinks(t *testing.T) {
 	as := newAS()
+	gc := &keepGC{AddressSpace: as}
 	keys, vals := genKeys(128, 16, 23)
 	bt := BuildBTree(as, 4, keys, vals)
 	startHeight := bt.Height
 
-	var freedTotal int
 	for i := 0; i < 120; i++ {
-		ok, freed, err := bt.Delete(as, keys[i])
+		ok, err := bt.Delete(as, gc, keys[i])
 		if err != nil || !ok {
 			t.Fatalf("delete %d: %v %v", i, ok, err)
-		}
-		freedTotal += len(freed)
-		for _, e := range freed {
-			if e.Size != bt.nodeSize() {
-				t.Fatalf("freed extent %+v, want node size %d", e, bt.nodeSize())
-			}
 		}
 	}
 	if bt.Merges == 0 {
 		t.Fatal("120 deletes from a fanout-4 tree caused no merges")
 	}
-	if freedTotal == 0 {
-		t.Fatal("merges freed no extents")
+	if len(gc.retired) == 0 || bt.Retired != uint64(len(gc.retired)) {
+		t.Fatalf("merges retired %d extents, counted %d", len(gc.retired), bt.Retired)
+	}
+	for _, e := range gc.retired {
+		if e.Size != bt.nodeSize() {
+			t.Fatalf("retired extent %+v, want node size %d", e, bt.nodeSize())
+		}
 	}
 	if bt.Height >= startHeight {
 		t.Fatalf("height %d did not shrink from %d", bt.Height, startHeight)
@@ -200,7 +201,7 @@ func TestBTreeDeleteMergesAndShrinks(t *testing.T) {
 			t.Fatalf("surviving key %d lost", i)
 		}
 	}
-	if ok, _, _ := bt.Delete(as, bytes.Repeat([]byte{0xEE}, 16)); ok {
+	if ok, _ := bt.Delete(as, gc, bytes.Repeat([]byte{0xEE}, 16)); ok {
 		t.Fatal("absent delete reported success")
 	}
 }
@@ -211,6 +212,7 @@ func TestPropertyBTreeUpdatesMatchMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		as := newAS()
+		gc := &keepGC{AddressSpace: as}
 		keys, vals := genKeys(96, 16, seed)
 		bt := BuildBTree(as, 4, keys[:48], vals[:48])
 		ref := map[string]uint64{}
@@ -221,12 +223,12 @@ func TestPropertyBTreeUpdatesMatchMap(t *testing.T) {
 			i := rng.Intn(96)
 			if rng.Intn(2) == 0 {
 				v := vals[i] ^ uint64(op+1)
-				if _, err := bt.Insert(as, as, keys[i], v); err != nil {
+				if err := bt.Insert(as, gc, keys[i], v); err != nil {
 					return false
 				}
 				ref[string(keys[i])] = v
 			} else {
-				ok, _, err := bt.Delete(as, keys[i])
+				ok, err := bt.Delete(as, gc, keys[i])
 				if err != nil {
 					return false
 				}

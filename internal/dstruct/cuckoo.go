@@ -47,6 +47,8 @@ type Cuckoo struct {
 	Seed       uint64
 	KeyLen     uint16
 	Len        int
+	// Upkeep counts online rehashes and the bucket arrays they retired.
+	Upkeep
 }
 
 // CuckooHashes derives the two candidate bucket indices for key: the
@@ -91,7 +93,7 @@ func BuildCuckoo(as *mem.AddressSpace, nBuckets uint64, entries int, seed uint64
 		if len(k) != keyLen {
 			panic("dstruct: inconsistent key lengths in cuckoo table")
 		}
-		if !c.insert(as, k, values[i], 0) {
+		if ok, _, _ := c.insert(as, k, values[i], 0); !ok {
 			panic(fmt.Sprintf("dstruct: cuckoo insertion failed for key %d — table too full", i))
 		}
 		c.Len++
@@ -148,9 +150,13 @@ func (c *Cuckoo) writeEntry(as *mem.AddressSpace, bucket uint64, slot int, key [
 
 const maxKicks = 128
 
-func (c *Cuckoo) insert(as *mem.AddressSpace, key []byte, value uint64, depth int) bool {
+// insert places key, displacing resident entries along a chain of at
+// most maxKicks kicks. When the chain runs out it returns false with
+// the entry it was still carrying: the key the caller passed is then in
+// the table, and the returned entry is the one left without a slot.
+func (c *Cuckoo) insert(as *mem.AddressSpace, key []byte, value uint64, depth int) (bool, []byte, uint64) {
 	if depth > maxKicks {
-		return false
+		return false, key, value
 	}
 	h1, h2 := CuckooHashes(key, c.Seed, c.NBuckets)
 	// Update in place if present; otherwise take any free slot.
@@ -159,7 +165,7 @@ func (c *Cuckoo) insert(as *mem.AddressSpace, key []byte, value uint64, depth in
 			occ, k, _ := c.readEntry(as, b, s)
 			if occ && bytes.Equal(k, key) {
 				c.writeEntry(as, b, s, key, value)
-				return true
+				return true, nil, 0
 			}
 		}
 	}
@@ -167,7 +173,7 @@ func (c *Cuckoo) insert(as *mem.AddressSpace, key []byte, value uint64, depth in
 		for s := 0; s < c.Entries; s++ {
 			if occ, _, _ := c.readEntry(as, b, s); !occ {
 				c.writeEntry(as, b, s, key, value)
-				return true
+				return true, nil, 0
 			}
 		}
 	}

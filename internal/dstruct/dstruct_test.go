@@ -14,6 +14,15 @@ func newAS() *mem.AddressSpace {
 	return mem.NewAddressSpace(mem.NewPhysical())
 }
 
+// keepGC is a Reclaimer that allocates straight from the address space
+// and records what updates retire, reclaiming nothing.
+type keepGC struct {
+	*mem.AddressSpace
+	retired []mem.Extent
+}
+
+func (g *keepGC) Retire(e mem.Extent) { g.retired = append(g.retired, e) }
+
 func genKeys(n, keyLen int, seed int64) ([][]byte, []uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	seen := map[string]bool{}

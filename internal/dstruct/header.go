@@ -31,26 +31,28 @@ const (
 	TypeSkipList   uint8 = 4
 	TypeBST        uint8 = 5 // binary search tree / object tree
 	TypeTrie       uint8 = 6 // Aho-Corasick automaton
+	TypeBTree      uint8 = 7 // B+-tree
 )
 
-// TypeName returns a printable name for a header type code.
+// typeNames is indexed by type code.
+var typeNames = [...]string{
+	TypeInvalid:    "invalid",
+	TypeLinkedList: "linkedlist",
+	TypeHashTable:  "hashtable",
+	TypeCuckoo:     "cuckoo",
+	TypeSkipList:   "skiplist",
+	TypeBST:        "bst",
+	TypeTrie:       "trie",
+	TypeBTree:      "btree",
+}
+
+// TypeName returns a printable name for a header type code: the
+// built-in structure's name, or "type<code>" for any other code.
 func TypeName(t uint8) string {
-	switch t {
-	case TypeLinkedList:
-		return "linkedlist"
-	case TypeHashTable:
-		return "hashtable"
-	case TypeCuckoo:
-		return "cuckoo"
-	case TypeSkipList:
-		return "skiplist"
-	case TypeBST:
-		return "bst"
-	case TypeTrie:
-		return "trie"
-	default:
-		return fmt.Sprintf("type%d", t)
+	if int(t) < len(typeNames) {
+		return typeNames[t]
 	}
+	return fmt.Sprintf("type%d", t)
 }
 
 // HeaderSize is the metadata header size: one cacheline (Fig. 4).

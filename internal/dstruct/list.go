@@ -33,6 +33,8 @@ type LinkedList struct {
 	Head       mem.VAddr
 	KeyLen     uint16
 	Len        int
+	// Upkeep counts the nodes Delete retired.
+	Upkeep
 }
 
 // BuildLinkedList materializes keys/values as a singly linked list in as,

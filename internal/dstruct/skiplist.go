@@ -38,6 +38,10 @@ type SkipList struct {
 	MaxLevel   int
 	KeyLen     uint16
 	Len        int
+	// Towers draws the tower heights of inserted nodes; the caller sets
+	// it before the first Insert.
+	Towers *rand.Rand
+	Upkeep
 }
 
 // skipNodeSize returns the allocation size for a node of the given height.

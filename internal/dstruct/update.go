@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"qei/internal/mem"
 )
@@ -12,35 +11,97 @@ import (
 // Update operations. QEI accelerates queries only; inserts and deletes
 // stay in software (Sec. IV-A: "Update operations (e.g., insert, delete)
 // are still in software ... QEI targets read-intensive cases"). These
-// mutators work directly on the simulated bytes, so a query issued to
+// routines work directly on the simulated bytes, so a query issued to
 // the accelerator right after an update observes it — both sides read
 // the same coherent memory, exactly the property the paper's
 // cache-coherent integration provides.
 //
-// Mutators that place new nodes take a mem.Allocator so epoch-aware
-// callers can route allocations through a reclaiming allocator
-// (internal/epoch), and mutators that unlink nodes return the freed
-// mem.Extent so the caller can retire it instead of leaking it — the
-// streaming engine's whole consistency story hangs on those two hooks.
+// The five updatable layouts share one contract, Updatable: an
+// upserting Insert and a Delete, both working through a Reclaimer.
+// New nodes come from its Alloc, and every extent an update unlinks
+// goes to its Retire instead of being freed, so an epoch-aware caller
+// (internal/epoch) reuses the memory only once no in-flight query can
+// still hold a pointer into it. Each structure runs its own
+// maintenance — the cuckoo online rehash, the BST scapegoat rebuild,
+// B+-tree splits and merges — and counts it in its Upkeep.
 
 // ErrTableFull reports a cuckoo insertion that could not place its key
-// after the bounded kick chain. Software responds by rehashing into a
-// larger bucket array (Rehash).
+// after the bounded kick chain, even after online rehashes.
 var ErrTableFull = errors.New("dstruct: cuckoo table full")
 
-// InsertFront prepends a key/value node to a linked list and updates
-// the structure's header.
-func (l *LinkedList) InsertFront(as *mem.AddressSpace, al mem.Allocator, key []byte, value uint64) error {
-	if len(key) != int(l.KeyLen) {
-		return fmt.Errorf("dstruct: key length %d, list stores %d", len(key), l.KeyLen)
+// Reclaimer is the memory an update works through: Alloc places new
+// nodes and Retire takes the extents an update unlinked. *epoch.GC is
+// one.
+type Reclaimer interface {
+	mem.Allocator
+	Retire(mem.Extent)
+}
+
+// Updatable is the software update contract of the linked list, cuckoo
+// table, skip list, BST and B+-tree. Insert adds key or, when it is
+// present, replaces its value. Delete removes key and reports whether
+// it was present.
+type Updatable interface {
+	Insert(as *mem.AddressSpace, gc Reclaimer, key []byte, value uint64) error
+	Delete(as *mem.AddressSpace, gc Reclaimer, key []byte) (bool, error)
+	Counts() Upkeep
+}
+
+// Upkeep counts the maintenance a structure's updates ran: online
+// cuckoo rehashes, BST scapegoat rebuilds, B+-tree node splits and
+// merges, and the extents handed to the Reclaimer.
+type Upkeep struct {
+	Rehashes uint64
+	Rebuilds uint64
+	Splits   uint64
+	Merges   uint64
+	Retired  uint64
+}
+
+// Counts returns the maintenance counted so far.
+func (u *Upkeep) Counts() Upkeep { return *u }
+
+// retire hands unlinked extents to gc, in order, and counts them.
+func (u *Upkeep) retire(gc Reclaimer, exts ...mem.Extent) {
+	for _, e := range exts {
+		gc.Retire(e)
+		u.Retired++
 	}
-	node := al.Alloc(ListNodeSize(int(l.KeyLen)), mem.LineSize)
+}
+
+// checkKeyLen rejects a key whose length differs from the structure's.
+func checkKeyLen(key []byte, keyLen uint16) error {
+	if len(key) != int(keyLen) {
+		return fmt.Errorf("dstruct: key length %d, structure stores %d", len(key), keyLen)
+	}
+	return nil
+}
+
+// Insert updates the value in place when key is present; otherwise it
+// prepends a new node and republishes the head through the header.
+func (l *LinkedList) Insert(as *mem.AddressSpace, gc Reclaimer, key []byte, value uint64) error {
+	if err := checkKeyLen(key, l.KeyLen); err != nil {
+		return err
+	}
+	for node := l.Head; node != 0; {
+		k, err := ListKey(as, node, l.KeyLen)
+		if err != nil {
+			return err
+		}
+		if bytes.Equal(k, key) {
+			as.MustWrite(node+listOffValue, encodeU64(value))
+			return nil
+		}
+		if node, err = ListNext(as, node); err != nil {
+			return err
+		}
+	}
+	node := gc.Alloc(ListNodeSize(int(l.KeyLen)), mem.LineSize)
 	as.MustWrite(node+listOffNext, encodeU64(uint64(l.Head)))
 	as.MustWrite(node+listOffValue, encodeU64(value))
 	as.MustWrite(node+listOffKey, key)
 	l.Head = node
 	l.Len++
-	// Publish the new head through the Fig. 4 header.
 	hdr, err := ReadHeader(as, l.HeaderAddr)
 	if err != nil {
 		return err
@@ -51,27 +112,25 @@ func (l *LinkedList) InsertFront(as *mem.AddressSpace, al mem.Allocator, key []b
 	return nil
 }
 
-// Remove unlinks the first node whose key matches, reporting whether a
-// node was removed and, if so, the extent it occupied (for the caller
-// to retire).
-func (l *LinkedList) Remove(as *mem.AddressSpace, key []byte) (bool, mem.Extent, error) {
+// Delete unlinks the node holding key and retires it.
+func (l *LinkedList) Delete(as *mem.AddressSpace, gc Reclaimer, key []byte) (bool, error) {
 	var prev mem.VAddr
 	node := l.Head
 	for node != 0 {
 		k, err := ListKey(as, node, l.KeyLen)
 		if err != nil {
-			return false, mem.Extent{}, err
+			return false, err
 		}
 		if bytes.Equal(k, key) {
 			next, err := ListNext(as, node)
 			if err != nil {
-				return false, mem.Extent{}, err
+				return false, err
 			}
 			if prev == 0 {
 				l.Head = next
 				hdr, err := ReadHeader(as, l.HeaderAddr)
 				if err != nil {
-					return false, mem.Extent{}, err
+					return false, err
 				}
 				hdr.Root = next
 				hdr.Size = uint64(l.Len - 1)
@@ -80,34 +139,59 @@ func (l *LinkedList) Remove(as *mem.AddressSpace, key []byte) (bool, mem.Extent,
 				as.MustWrite(prev+listOffNext, encodeU64(uint64(next)))
 			}
 			l.Len--
-			return true, mem.Extent{Addr: node, Size: ListNodeSize(int(l.KeyLen))}, nil
+			l.retire(gc, mem.Extent{Addr: node, Size: ListNodeSize(int(l.KeyLen))})
+			return true, nil
 		}
 		prev = node
 		node, err = ListNext(as, node)
 		if err != nil {
-			return false, mem.Extent{}, err
+			return false, err
 		}
 	}
-	return false, mem.Extent{}, nil
+	return false, nil
 }
 
+// cuckooMaxLoad is the load-factor ceiling that triggers an online
+// rehash before the kick loop starts thrashing (DPDK resizes in the
+// same regime).
+const cuckooMaxLoad = 0.85
+
 // Insert adds or updates a key in the cuckoo table, performing
-// displacement as needed. It returns ErrTableFull when the bounded
-// kick chain cannot place the key — software then resizes with Rehash.
-func (c *Cuckoo) Insert(as *mem.AddressSpace, key []byte, value uint64) error {
-	if len(key) != int(c.KeyLen) {
-		return fmt.Errorf("dstruct: key length %d, table stores %d", len(key), c.KeyLen)
+// displacement as needed. It resizes online: a rehash to double the
+// buckets runs when the load factor has reached the ceiling, and again,
+// up to twice, when the kick chain runs out (bad luck on a dense
+// table); the entry the chain left without a slot is placed in the
+// larger table. Only then does it return ErrTableFull, with that entry
+// lost.
+func (c *Cuckoo) Insert(as *mem.AddressSpace, gc Reclaimer, key []byte, value uint64) error {
+	if err := checkKeyLen(key, c.KeyLen); err != nil {
+		return err
 	}
-	if !c.insert(as, key, value, 0) {
-		return fmt.Errorf("%w (len %d, %d buckets)", ErrTableFull, c.Len, c.NBuckets)
+	if c.LoadFactor() >= cuckooMaxLoad {
+		if err := c.rehash(as, gc); err != nil {
+			return err
+		}
+	}
+	for attempt := 0; ; attempt++ {
+		ok, homeless, v := c.insert(as, key, value, 0)
+		if ok {
+			break
+		}
+		if attempt >= 2 {
+			return fmt.Errorf("%w (len %d, %d buckets)", ErrTableFull, c.Len, c.NBuckets)
+		}
+		if err := c.rehash(as, gc); err != nil {
+			return err
+		}
+		key, value = homeless, v
 	}
 	c.Len++
 	return nil
 }
 
 // Delete clears the entry holding key, reporting whether it existed.
-// Entries live inside the bucket array, so deletion frees no extent.
-func (c *Cuckoo) Delete(as *mem.AddressSpace, key []byte) (bool, error) {
+// Entries live inside the bucket array, so deletion retires nothing.
+func (c *Cuckoo) Delete(as *mem.AddressSpace, _ Reclaimer, key []byte) (bool, error) {
 	h1, h2 := CuckooHashes(key, c.Seed, c.NBuckets)
 	for _, b := range [2]uint64{h1, h2} {
 		for s := 0; s < c.Entries; s++ {
@@ -127,16 +211,16 @@ func (c *Cuckoo) LoadFactor() float64 {
 	return float64(c.Len) / float64(c.NBuckets*uint64(c.Entries))
 }
 
-// Rehash moves every entry into a fresh bucket array of at least
-// nBuckets buckets (rounded up to a power of two) — the online resize
-// DPDK performs when the load factor breaches its threshold. The new
-// array comes from al; the old array is returned for the caller to
-// retire once no in-flight query can still probe it. On the (for a
-// doubling, practically impossible) chance reinsertion overflows, the
-// table is left unchanged and the abandoned new array is returned with
-// ErrTableFull — the caller retires it and may retry larger.
-func (c *Cuckoo) Rehash(as *mem.AddressSpace, al mem.Allocator, nBuckets uint64) (mem.Extent, error) {
-	nBuckets = ceilPow2(nBuckets)
+// rehash moves every entry into a fresh bucket array of twice the
+// buckets — the online resize DPDK performs when the load factor
+// breaches its threshold — and publishes it through the header. The
+// array that is no longer reachable from the header is retired, never
+// freed: the old one after a publish, so a query admitted against it
+// finishes against it, or the abandoned new one when reinsertion
+// overflows (for a doubling, practically impossible) and the table is
+// left unchanged.
+func (c *Cuckoo) rehash(as *mem.AddressSpace, gc Reclaimer) error {
+	nBuckets := c.NBuckets * 2
 	bucketSize := CuckooBucketSize(int(c.KeyLen), c.Entries)
 	old := mem.Extent{Addr: c.Buckets, Size: c.NBuckets * bucketSize}
 
@@ -151,14 +235,14 @@ func (c *Cuckoo) Rehash(as *mem.AddressSpace, al mem.Allocator, nBuckets uint64)
 		}
 	}
 
-	newArr := al.Alloc(nBuckets*bucketSize, mem.LineSize)
+	newArr := gc.Alloc(nBuckets*bucketSize, mem.LineSize)
 	oldBuckets, oldN, oldLen := c.Buckets, c.NBuckets, c.Len
 	c.Buckets, c.NBuckets, c.Len = newArr, nBuckets, 0
 	for i, k := range keys {
-		if !c.insert(as, k, vals[i], 0) {
+		if ok, _, _ := c.insert(as, k, vals[i], 0); !ok {
 			c.Buckets, c.NBuckets, c.Len = oldBuckets, oldN, oldLen
-			return mem.Extent{Addr: newArr, Size: nBuckets * bucketSize},
-				fmt.Errorf("%w during rehash to %d buckets", ErrTableFull, nBuckets)
+			c.retire(gc, mem.Extent{Addr: newArr, Size: nBuckets * bucketSize})
+			return fmt.Errorf("%w during rehash to %d buckets", ErrTableFull, nBuckets)
 		}
 		c.Len++
 	}
@@ -167,21 +251,23 @@ func (c *Cuckoo) Rehash(as *mem.AddressSpace, al mem.Allocator, nBuckets uint64)
 	// here on probe the new buckets.
 	hdr, err := ReadHeader(as, c.HeaderAddr)
 	if err != nil {
-		return mem.Extent{}, err
+		return err
 	}
 	hdr.Root = newArr
 	hdr.Aux = nBuckets
 	hdr.Size = uint64(c.Len)
 	EncodeHeader(as, c.HeaderAddr, hdr)
-	return old, nil
+	c.retire(gc, old)
+	c.Rehashes++
+	return nil
 }
 
-// Insert adds a key to the skip list with a deterministic tower height
-// drawn from rng. The list remains sorted; duplicate keys update the
-// existing node's value in place.
-func (sl *SkipList) Insert(as *mem.AddressSpace, al mem.Allocator, rng *rand.Rand, key []byte, value uint64) error {
-	if len(key) != int(sl.KeyLen) {
-		return fmt.Errorf("dstruct: key length %d, list stores %d", len(key), sl.KeyLen)
+// Insert adds a key to the skip list with a tower height drawn from
+// sl.Towers. The list remains sorted; duplicate keys update the existing
+// node's value in place.
+func (sl *SkipList) Insert(as *mem.AddressSpace, gc Reclaimer, key []byte, value uint64) error {
+	if err := checkKeyLen(key, sl.KeyLen); err != nil {
+		return err
 	}
 	// Find predecessors at every level.
 	update := make([]mem.VAddr, sl.MaxLevel)
@@ -219,10 +305,10 @@ func (sl *SkipList) Insert(as *mem.AddressSpace, al mem.Allocator, rng *rand.Ran
 		update[l] = node
 	}
 	height := 1
-	for height < sl.MaxLevel && rng.Intn(4) == 0 {
+	for height < sl.MaxLevel && sl.Towers.Intn(4) == 0 {
 		height++
 	}
-	n := al.Alloc(skipNodeSize(int(sl.KeyLen), height), mem.LineSize)
+	n := gc.Alloc(skipNodeSize(int(sl.KeyLen), height), mem.LineSize)
 	as.MustWrite(n+skipOffHeight, encodeU64(uint64(height)))
 	as.MustWrite(n+skipOffValue, encodeU64(value))
 	as.MustWrite(SkipKeyAddr(n, height), key)
@@ -238,11 +324,11 @@ func (sl *SkipList) Insert(as *mem.AddressSpace, al mem.Allocator, rng *rand.Ran
 	return nil
 }
 
-// Delete unlinks the node holding key from every level it appears on,
-// reporting whether it existed and the extent it occupied.
-func (sl *SkipList) Delete(as *mem.AddressSpace, key []byte) (bool, mem.Extent, error) {
-	if len(key) != int(sl.KeyLen) {
-		return false, mem.Extent{}, fmt.Errorf("dstruct: key length %d, list stores %d", len(key), sl.KeyLen)
+// Delete unlinks the node holding key from every level it appears on
+// and retires it.
+func (sl *SkipList) Delete(as *mem.AddressSpace, gc Reclaimer, key []byte) (bool, error) {
+	if err := checkKeyLen(key, sl.KeyLen); err != nil {
+		return false, err
 	}
 	update := make([]mem.VAddr, sl.MaxLevel)
 	node := sl.Head
@@ -250,7 +336,7 @@ func (sl *SkipList) Delete(as *mem.AddressSpace, key []byte) (bool, mem.Extent, 
 		for {
 			nextU, err := as.ReadU64(SkipNextSlot(node, l))
 			if err != nil {
-				return false, mem.Extent{}, err
+				return false, err
 			}
 			next := mem.VAddr(nextU)
 			if next == 0 {
@@ -258,11 +344,11 @@ func (sl *SkipList) Delete(as *mem.AddressSpace, key []byte) (bool, mem.Extent, 
 			}
 			nh, err := SkipHeight(as, next)
 			if err != nil {
-				return false, mem.Extent{}, err
+				return false, err
 			}
 			nk, err := readKey(as, SkipKeyAddr(next, nh), sl.KeyLen)
 			if err != nil {
-				return false, mem.Extent{}, err
+				return false, err
 			}
 			if bytes.Compare(nk, key) < 0 {
 				node = next
@@ -274,43 +360,55 @@ func (sl *SkipList) Delete(as *mem.AddressSpace, key []byte) (bool, mem.Extent, 
 	}
 	targetU, err := as.ReadU64(SkipNextSlot(update[0], 0))
 	if err != nil {
-		return false, mem.Extent{}, err
+		return false, err
 	}
 	target := mem.VAddr(targetU)
 	if target == 0 {
-		return false, mem.Extent{}, nil
+		return false, nil
 	}
 	th, err := SkipHeight(as, target)
 	if err != nil {
-		return false, mem.Extent{}, err
+		return false, err
 	}
 	tk, err := readKey(as, SkipKeyAddr(target, th), sl.KeyLen)
 	if err != nil {
-		return false, mem.Extent{}, err
+		return false, err
 	}
 	if !bytes.Equal(tk, key) {
-		return false, mem.Extent{}, nil
+		return false, nil
 	}
 	for l := 0; l < th; l++ {
 		nextU, err := as.ReadU64(SkipNextSlot(target, l))
 		if err != nil {
-			return false, mem.Extent{}, err
+			return false, err
 		}
 		as.MustWrite(SkipNextSlot(update[l], l), encodeU64(nextU))
 	}
 	sl.Len--
-	return true, mem.Extent{Addr: target, Size: skipNodeSize(int(sl.KeyLen), th)}, nil
+	sl.retire(gc, mem.Extent{Addr: target, Size: skipNodeSize(int(sl.KeyLen), th)})
+	return true, nil
 }
 
-// Insert adds a key to the BST (no rebalancing — an object graph grows
-// by allocation order; see NeedsRebuild/Rebuild for the explicit
-// rebalance writers run when the tree degenerates).
-func (b *BST) Insert(as *mem.AddressSpace, al mem.Allocator, key []byte, value uint64) error {
-	if len(key) != int(b.KeyLen) {
-		return fmt.Errorf("dstruct: key length %d, tree stores %d", len(key), b.KeyLen)
+// Insert adds a key to the BST without rebalancing — an object graph
+// grows by allocation order — and then, when the tree has degenerated
+// past the scapegoat depth bound, rebuilds it balanced.
+func (b *BST) Insert(as *mem.AddressSpace, gc Reclaimer, key []byte, value uint64) error {
+	if err := b.link(as, gc, key, value); err != nil {
+		return err
+	}
+	if b.needsRebuild() {
+		return b.rebuild(as, gc)
+	}
+	return nil
+}
+
+// link inserts key at its leaf position, or updates it in place.
+func (b *BST) link(as *mem.AddressSpace, gc Reclaimer, key []byte, value uint64) error {
+	if err := checkKeyLen(key, b.KeyLen); err != nil {
+		return err
 	}
 	if b.Root == 0 {
-		node := al.Alloc(bstNodeSize(int(b.KeyLen), b.PayloadBytes), mem.LineSize)
+		node := gc.Alloc(bstNodeSize(int(b.KeyLen), b.PayloadBytes), mem.LineSize)
 		as.MustWrite(node+bstOffValue, encodeU64(value))
 		as.MustWrite(BSTKeyAddr(node, b.PayloadBytes), key)
 		b.Root = node
@@ -345,7 +443,7 @@ func (b *BST) Insert(as *mem.AddressSpace, al mem.Allocator, key []byte, value u
 		}
 		depth++
 		if childU == 0 {
-			node := al.Alloc(bstNodeSize(int(b.KeyLen), b.PayloadBytes), mem.LineSize)
+			node := gc.Alloc(bstNodeSize(int(b.KeyLen), b.PayloadBytes), mem.LineSize)
 			as.MustWrite(node+bstOffValue, encodeU64(value))
 			as.MustWrite(BSTKeyAddr(node, b.PayloadBytes), key)
 			as.MustWrite(slot, encodeU64(uint64(node)))
@@ -361,11 +459,10 @@ func (b *BST) Insert(as *mem.AddressSpace, al mem.Allocator, key []byte, value u
 
 // Delete removes key from the BST by the classic delete-by-copy:
 // a two-child node receives its in-order successor's key and value and
-// the successor node is spliced out instead. It reports whether the
-// key existed and the extent of the physically removed node.
-func (b *BST) Delete(as *mem.AddressSpace, key []byte) (bool, mem.Extent, error) {
-	if len(key) != int(b.KeyLen) {
-		return false, mem.Extent{}, fmt.Errorf("dstruct: key length %d, tree stores %d", len(key), b.KeyLen)
+// the successor node is spliced out, and retired, instead.
+func (b *BST) Delete(as *mem.AddressSpace, gc Reclaimer, key []byte) (bool, error) {
+	if err := checkKeyLen(key, b.KeyLen); err != nil {
+		return false, err
 	}
 	var parent mem.VAddr
 	var fromRight bool
@@ -373,7 +470,7 @@ func (b *BST) Delete(as *mem.AddressSpace, key []byte) (bool, mem.Extent, error)
 	for cur != 0 {
 		ck, err := readKey(as, BSTKeyAddr(cur, b.PayloadBytes), b.KeyLen)
 		if err != nil {
-			return false, mem.Extent{}, err
+			return false, err
 		}
 		c := bytes.Compare(key, ck)
 		if c == 0 {
@@ -382,20 +479,20 @@ func (b *BST) Delete(as *mem.AddressSpace, key []byte) (bool, mem.Extent, error)
 		parent, fromRight = cur, c > 0
 		childU, err := as.ReadU64(BSTChildSlot(cur, c > 0))
 		if err != nil {
-			return false, mem.Extent{}, err
+			return false, err
 		}
 		cur = mem.VAddr(childU)
 	}
 	if cur == 0 {
-		return false, mem.Extent{}, nil
+		return false, nil
 	}
 	leftU, err := as.ReadU64(BSTChildSlot(cur, false))
 	if err != nil {
-		return false, mem.Extent{}, err
+		return false, err
 	}
 	rightU, err := as.ReadU64(BSTChildSlot(cur, true))
 	if err != nil {
-		return false, mem.Extent{}, err
+		return false, err
 	}
 
 	var victim mem.VAddr
@@ -406,7 +503,7 @@ func (b *BST) Delete(as *mem.AddressSpace, key []byte) (bool, mem.Extent, error)
 		for {
 			slU, err := as.ReadU64(BSTChildSlot(s, false))
 			if err != nil {
-				return false, mem.Extent{}, err
+				return false, err
 			}
 			if slU == 0 {
 				break
@@ -415,17 +512,17 @@ func (b *BST) Delete(as *mem.AddressSpace, key []byte) (bool, mem.Extent, error)
 		}
 		sk, err := readKey(as, BSTKeyAddr(s, b.PayloadBytes), b.KeyLen)
 		if err != nil {
-			return false, mem.Extent{}, err
+			return false, err
 		}
 		sv, err := BSTValue(as, s)
 		if err != nil {
-			return false, mem.Extent{}, err
+			return false, err
 		}
 		as.MustWrite(BSTKeyAddr(cur, b.PayloadBytes), sk)
 		as.MustWrite(cur+bstOffValue, encodeU64(sv))
 		srU, err := as.ReadU64(BSTChildSlot(s, true))
 		if err != nil {
-			return false, mem.Extent{}, err
+			return false, err
 		}
 		// The successor is its parent's left child unless it is cur's
 		// immediate right child.
@@ -437,7 +534,7 @@ func (b *BST) Delete(as *mem.AddressSpace, key []byte) (bool, mem.Extent, error)
 			b.Root = mem.VAddr(child)
 			hdr, err := ReadHeader(as, b.HeaderAddr)
 			if err != nil {
-				return false, mem.Extent{}, err
+				return false, err
 			}
 			hdr.Root = mem.VAddr(child)
 			EncodeHeader(as, b.HeaderAddr, hdr)
@@ -447,13 +544,14 @@ func (b *BST) Delete(as *mem.AddressSpace, key []byte) (bool, mem.Extent, error)
 		victim = cur
 	}
 	b.Len--
-	return true, mem.Extent{Addr: victim, Size: bstNodeSize(int(b.KeyLen), b.PayloadBytes)}, nil
+	b.retire(gc, mem.Extent{Addr: victim, Size: bstNodeSize(int(b.KeyLen), b.PayloadBytes)})
+	return true, nil
 }
 
-// NeedsRebuild reports whether the tree has degenerated past the
+// needsRebuild reports whether the tree has degenerated past the
 // scapegoat bound — max depth above twice the balanced depth — and a
-// Rebuild would pay off.
-func (b *BST) NeedsRebuild() bool {
+// rebuild would pay off.
+func (b *BST) needsRebuild() bool {
 	if b.Len < 8 {
 		return false
 	}
@@ -464,13 +562,12 @@ func (b *BST) NeedsRebuild() bool {
 	return b.MaxDepth > 2*balanced
 }
 
-// Rebuild replaces the whole tree with a perfectly balanced copy built
-// from fresh nodes — the scapegoat-style whole-tree rebalance writers
-// run when NeedsRebuild fires. Every old node is returned for the
-// caller to retire; in-flight queries keep traversing the old nodes
-// until reclamation, while queries admitted after the header write see
-// the balanced tree.
-func (b *BST) Rebuild(as *mem.AddressSpace, al mem.Allocator) ([]mem.Extent, error) {
+// rebuild replaces the whole tree with a perfectly balanced copy built
+// from fresh nodes — the scapegoat-style whole-tree rebalance Insert
+// runs when needsRebuild fires — and retires every old node: in-flight
+// queries keep traversing the old nodes until reclamation, while
+// queries admitted after the header write see the balanced tree.
+func (b *BST) rebuild(as *mem.AddressSpace, gc Reclaimer) error {
 	nodeSize := bstNodeSize(int(b.KeyLen), b.PayloadBytes)
 	type kv struct {
 		key   []byte
@@ -486,7 +583,7 @@ func (b *BST) Rebuild(as *mem.AddressSpace, al mem.Allocator) ([]mem.Extent, err
 			stack = append(stack, cur)
 			lU, err := as.ReadU64(BSTChildSlot(cur, false))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cur = mem.VAddr(lU)
 		}
@@ -494,17 +591,17 @@ func (b *BST) Rebuild(as *mem.AddressSpace, al mem.Allocator) ([]mem.Extent, err
 		stack = stack[:len(stack)-1]
 		k, err := readKey(as, BSTKeyAddr(n, b.PayloadBytes), b.KeyLen)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v, err := BSTValue(as, n)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		items = append(items, kv{key: k, value: v})
 		old = append(old, mem.Extent{Addr: n, Size: nodeSize})
 		rU, err := as.ReadU64(BSTChildSlot(n, true))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cur = mem.VAddr(rU)
 	}
@@ -515,7 +612,7 @@ func (b *BST) Rebuild(as *mem.AddressSpace, al mem.Allocator) ([]mem.Extent, err
 			return 0
 		}
 		mid := (lo + hi) / 2
-		node := al.Alloc(nodeSize, mem.LineSize)
+		node := gc.Alloc(nodeSize, mem.LineSize)
 		as.MustWrite(node+bstOffValue, encodeU64(items[mid].value))
 		as.MustWrite(BSTKeyAddr(node, b.PayloadBytes), items[mid].key)
 		as.MustWrite(BSTChildSlot(node, false), encodeU64(uint64(buildRange(lo, mid-1))))
@@ -526,7 +623,7 @@ func (b *BST) Rebuild(as *mem.AddressSpace, al mem.Allocator) ([]mem.Extent, err
 
 	hdr, err := ReadHeader(as, b.HeaderAddr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	hdr.Root = root
 	hdr.Size = uint64(len(items))
@@ -538,5 +635,7 @@ func (b *BST) Rebuild(as *mem.AddressSpace, al mem.Allocator) ([]mem.Extent, err
 		depth++
 	}
 	b.MaxDepth = depth
-	return old, nil
+	b.retire(gc, old...)
+	b.Rebuilds++
+	return nil
 }

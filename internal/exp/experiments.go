@@ -333,10 +333,6 @@ func fig10TupleSpace(s Scale, par int) (TableData, error) {
 		Title:   "Fig. 10 — tuple-space search speedup with QUERY_NB",
 		Headers: []string{"tuples", "scheme", "speedup_x"},
 	}
-	// QUERY_NB issue batch: large enough to keep every QST busy across
-	// schemes (the device DPU has 240 entries; the software poll loop is
-	// sized to this).
-	const nbBatch = 32
 	rows, err := mapJobs(par, []int{5, 10, 15},
 		func(tuples int) ([][]string, error) {
 			var b workload.Benchmark
@@ -351,7 +347,7 @@ func fig10TupleSpace(s Scale, par int) (TableData, error) {
 			}
 			var rows [][]string
 			for _, k := range scheme.Kinds() {
-				hw, err := workload.RunQEINonBlocking(b, scheme.ForKind(k), nbBatch, workload.WithWarmup())
+				hw, err := workload.RunQEINonBlocking(b, scheme.ForKind(k), workload.WithWarmup())
 				if err != nil {
 					return nil, err
 				}

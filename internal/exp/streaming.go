@@ -43,7 +43,7 @@ func streamingConsistency(s Scale, par int) (TableData, error) {
 		Headers: []string{"kind", "reads", "writes", "found", "mismatch",
 			"viol", "p50", "p99", "write_p99"},
 	}
-	kinds := []qei.StructKind{qei.KindCuckoo, qei.KindSkipList, qei.KindBST, qei.KindBTree}
+	kinds := []qei.StructKind{qei.KindCuckoo, qei.KindSkipList, qei.KindBST, qei.KindBTree, qei.KindLinkedList}
 	rows, err := mapJobs(par, kinds,
 		func(kind qei.StructKind) ([][]string, error) {
 			rep, err := qei.RunServing(streamingConfig(s, kind))

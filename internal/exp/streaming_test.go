@@ -21,8 +21,8 @@ func TestStreamingSerialParallelIdentical(t *testing.T) {
 	if serial.String() != par.String() {
 		t.Fatalf("parallel run diverged from serial:\n%s\nvs\n%s", serial, par)
 	}
-	if len(serial.Rows) != 4 {
-		t.Fatalf("%d rows, want 4 structure kinds", len(serial.Rows))
+	if len(serial.Rows) != 5 {
+		t.Fatalf("%d rows, want 5 structure kinds", len(serial.Rows))
 	}
 	for _, row := range serial.Rows {
 		if row[2] == "0" || row[4] != "0" || row[5] != "0" {

@@ -56,10 +56,10 @@ func TestDriversGolden(t *testing.T) {
 	}
 
 	for _, k := range scheme.Kinds() {
-		r, err := RunQEINonBlocking(SmallTupleSpace(5), scheme.ForKind(k), 32, WithWarmup())
+		r, err := RunQEINonBlocking(SmallTupleSpace(5), scheme.ForKind(k), WithWarmup())
 		record("nb/tuple5/"+k.Name()+"/warm", r, err)
 	}
-	r, err = RunQEINonBlocking(SmallTupleSpace(5), scheme.ForKind(scheme.CoreIntegrated), 32)
+	r, err = RunQEINonBlocking(SmallTupleSpace(5), scheme.ForKind(scheme.CoreIntegrated))
 	record("nb/tuple5/core/cold", r, err)
 
 	for _, k := range []scheme.Kind{scheme.CoreIntegrated, scheme.DeviceIndirect} {

@@ -12,7 +12,7 @@ import (
 func TestNoCWindowEveryDriver(t *testing.T) {
 	runs := map[string]func() (Run, error){
 		"nb/tuple5/core": func() (Run, error) {
-			return RunQEINonBlocking(SmallTupleSpace(5), scheme.ForKind(scheme.CoreIntegrated), 32, WithNoCWindow())
+			return RunQEINonBlocking(SmallTupleSpace(5), scheme.ForKind(scheme.CoreIntegrated), WithNoCWindow())
 		},
 		"baseline/flann/roi": func() (Run, error) {
 			return RunBaseline(SmallFLANN(), ROIOnly, WithNoCWindow())

@@ -557,20 +557,23 @@ func RunQEIWithParams(bench Benchmark, params scheme.Params, mode Mode, opts ...
 	})
 }
 
+// nbBatch is the QUERY_NB issue batch: large enough to keep every QST
+// busy across schemes (the device DPU has 240 entries; the software poll
+// loop is sized to this). WithBatch overrides it.
+const nbBatch = 32
+
 // RunQEINonBlocking executes bench with QUERY_NB in batches: each batch
-// issues batch requests' probes non-blocking, then polls their result
+// issues nbBatch requests' probes non-blocking, then polls their result
 // lines (the SNAPSHOT_READ loop of List 2). params sizes the
 // accelerator as in RunQEIWithParams; scheme.ForKind gives the defaults.
-func RunQEINonBlocking(bench Benchmark, params scheme.Params, batch int, opts ...RunOption) (Run, error) {
+func RunQEINonBlocking(bench Benchmark, params scheme.Params, opts ...RunOption) (Run, error) {
 	s, err := open(bench, &params, opts)
 	if err != nil {
 		return Run{}, err
 	}
+	batch := nbBatch
 	if s.cfg.batch > 0 {
 		batch = s.cfg.batch
-	}
-	if batch <= 0 {
-		batch = 32
 	}
 	s.run.Mode, s.run.Scheme = Full, params.Kind.String()+"+NB"
 

@@ -109,7 +109,7 @@ func TestInstructionCountReduction(t *testing.T) {
 
 func TestNonBlockingTupleSpace(t *testing.T) {
 	b := SmallTupleSpace(5)
-	run, err := RunQEINonBlocking(b, scheme.ForKind(scheme.CoreIntegrated), 32)
+	run, err := RunQEINonBlocking(b, scheme.ForKind(scheme.CoreIntegrated))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestNonBlockingHonoursParams(t *testing.T) {
 	def := scheme.ForKind(scheme.CoreIntegrated)
 	small := def
 	small.QSTEntriesPerInstance, small.ComparatorsPerSite = 2, 1
-	base, err := RunQEINonBlocking(b, def, 32)
+	base, err := RunQEINonBlocking(b, def)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := RunQEINonBlocking(b, small, 32)
+	tight, err := RunQEINonBlocking(b, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestNonBlockingHelpsDeviceSchemesMost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := RunQEINonBlocking(b, scheme.ForKind(scheme.DeviceDirect), 32)
+	nb, err := RunQEINonBlocking(b, scheme.ForKind(scheme.DeviceDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestNonBlockingHelpsDeviceSchemesMost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ciNB, err := RunQEINonBlocking(b, scheme.ForKind(scheme.CoreIntegrated), 32)
+	ciNB, err := RunQEINonBlocking(b, scheme.ForKind(scheme.CoreIntegrated))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestTupleSpeedupGrowsWithTuples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nb, err := RunQEINonBlocking(b, scheme.ForKind(scheme.CoreIntegrated), 32)
+		nb, err := RunQEINonBlocking(b, scheme.ForKind(scheme.CoreIntegrated))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,18 +32,20 @@ const (
 // kindInfo is everything the root package knows about one structure
 // kind. The query engines live elsewhere, both selected by the header
 // type code: CFA firmware and level-wise rounds in internal/cfa and
-// internal/qei, the software walkers in internal/baseline.
+// internal/qei, the software walkers in internal/baseline. The update
+// routines belong to the structures (dstruct.Updatable).
 type kindInfo struct {
-	// names holds the canonical name first, then the parse aliases.
-	names []string
+	// aliases are the names ParseStructKind accepts besides the
+	// canonical dstruct.TypeName.
+	aliases []string
 	// check validates builder inputs before anything is laid out.
-	check func(keys [][]byte, values []uint64, cfg buildConfig) error
-	// build lays out the read-only structure and returns its header
-	// address and key length; nil for kinds without a generic builder.
-	build func(s *System, keys [][]byte, values []uint64, cfg buildConfig) (mem.VAddr, uint16)
-	// buildMutable lays out the updatable variant and returns its
-	// software mutator; nil for kinds without software mutators.
-	buildMutable func(s *System, keys [][]byte, values []uint64, cfg buildConfig) (mem.VAddr, uint16, mutator)
+	check func(keys [][]byte, values []uint64) error
+	// build lays out the structure — its updatable variant when mutable
+	// is set — and returns its header address, key length and update
+	// handle; nil for kinds without a generic builder.
+	build func(s *System, keys [][]byte, values []uint64, mutable bool) (mem.VAddr, uint16, dstruct.Updatable)
+	// updatable marks the kinds BuildMutable accepts.
+	updatable bool
 }
 
 // mutableBTreeFanout is deliberately smaller than the read-only B+-tree
@@ -53,99 +55,84 @@ const mutableBTreeFanout = 8
 
 // kindTable is indexed by StructKind (the header type code).
 var kindTable = [...]kindInfo{
-	KindInvalid: {names: []string{"invalid"}},
+	KindInvalid: {},
 	KindLinkedList: {
-		names: []string{"linkedlist", "list"},
-		check: checkKV,
-		build: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
+		aliases: []string{"list"},
+		check:   checkKV,
+		build: func(s *System, keys [][]byte, values []uint64, _ bool) (mem.VAddr, uint16, dstruct.Updatable) {
 			l := dstruct.BuildLinkedList(s.m.AS, keys, values)
-			return l.HeaderAddr, l.KeyLen
+			return l.HeaderAddr, l.KeyLen, l
 		},
-		buildMutable: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16, mutator) {
-			l := dstruct.BuildLinkedList(s.m.AS, keys, values)
-			return l.HeaderAddr, l.KeyLen, listMutator{l}
-		},
+		updatable: true,
 	},
 	KindHashTable: {
-		names: []string{"hashtable", "hash"},
-		check: checkKV,
-		build: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
+		aliases: []string{"hash"},
+		check:   checkKV,
+		build: func(s *System, keys [][]byte, values []uint64, _ bool) (mem.VAddr, uint16, dstruct.Updatable) {
 			h := dstruct.BuildHashTable(s.m.AS, uint64(len(keys)/4), 0x51ED, keys, values)
-			return h.HeaderAddr, h.KeyLen
+			return h.HeaderAddr, h.KeyLen, nil
 		},
 	},
 	KindCuckoo: {
-		names: []string{"cuckoo"},
 		check: checkKV,
-		build: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
-			c := dstruct.BuildCuckoo(s.m.AS, uint64(len(keys)/2), 8, 0x9E37, keys, values)
-			return c.HeaderAddr, c.KeyLen
+		build: func(s *System, keys [][]byte, values []uint64, mutable bool) (mem.VAddr, uint16, dstruct.Updatable) {
+			buckets := uint64(len(keys) / 2)
+			if mutable {
+				// One bucket per key leaves room for inserts before the
+				// first online rehash.
+				buckets = uint64(len(keys))
+			}
+			c := dstruct.BuildCuckoo(s.m.AS, buckets, 8, 0x9E37, keys, values)
+			return c.HeaderAddr, c.KeyLen, c
 		},
-		// One bucket per key leaves room for inserts before the first
-		// online rehash.
-		buildMutable: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16, mutator) {
-			c := dstruct.BuildCuckoo(s.m.AS, uint64(len(keys)), 8, 0x9E37, keys, values)
-			return c.HeaderAddr, c.KeyLen, cuckooMutator{c}
-		},
+		updatable: true,
 	},
 	KindSkipList: {
-		names: []string{"skiplist"},
 		check: checkKV,
-		build: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
+		build: func(s *System, keys [][]byte, values []uint64, mutable bool) (mem.VAddr, uint16, dstruct.Updatable) {
 			sl := dstruct.BuildSkipList(s.m.AS, 7, keys, values)
-			return sl.HeaderAddr, sl.KeyLen
+			if mutable {
+				sl.Towers = rand.New(rand.NewSource(s.seed))
+			}
+			return sl.HeaderAddr, sl.KeyLen, sl
 		},
-		buildMutable: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16, mutator) {
-			sl := dstruct.BuildSkipList(s.m.AS, 7, keys, values)
-			return sl.HeaderAddr, sl.KeyLen, skipListMutator{sl, rand.New(rand.NewSource(s.seed))}
-		},
+		updatable: true,
 	},
 	KindBST: {
-		names: []string{"bst"},
-		check: checkBST,
-		build: func(s *System, keys [][]byte, values []uint64, cfg buildConfig) (mem.VAddr, uint16) {
-			b := dstruct.BuildBST(s.m.AS, 7, cfg.payload, keys, values)
-			return b.HeaderAddr, b.KeyLen
+		check: checkKV,
+		build: func(s *System, keys [][]byte, values []uint64, _ bool) (mem.VAddr, uint16, dstruct.Updatable) {
+			b := dstruct.BuildBST(s.m.AS, 7, 0, keys, values)
+			return b.HeaderAddr, b.KeyLen, b
 		},
-		buildMutable: func(s *System, keys [][]byte, values []uint64, cfg buildConfig) (mem.VAddr, uint16, mutator) {
-			b := dstruct.BuildBST(s.m.AS, 7, cfg.payload, keys, values)
-			return b.HeaderAddr, b.KeyLen, bstMutator{b}
-		},
+		updatable: true,
 	},
 	KindTrie: {
-		names: []string{"trie"},
 		check: checkDict,
 		// The keys are the dictionary's keywords; a trie answers Scan
 		// queries over variable-length input, so its key length is 1.
-		build: func(s *System, keywords [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
-			return dstruct.BuildTrie(s.m.AS, keywords, values).HeaderAddr, 1
+		build: func(s *System, keywords [][]byte, values []uint64, _ bool) (mem.VAddr, uint16, dstruct.Updatable) {
+			return dstruct.BuildTrie(s.m.AS, keywords, values).HeaderAddr, 1, nil
 		},
 	},
 	KindBTree: {
-		names: []string{"btree"},
 		check: checkKV,
-		build: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16) {
-			bt := dstruct.BuildBTree(s.m.AS, 16, keys, values)
-			return bt.HeaderAddr, bt.KeyLen
+		build: func(s *System, keys [][]byte, values []uint64, mutable bool) (mem.VAddr, uint16, dstruct.Updatable) {
+			fanout := 16
+			if mutable {
+				fanout = mutableBTreeFanout
+			}
+			bt := dstruct.BuildBTree(s.m.AS, fanout, keys, values)
+			return bt.HeaderAddr, bt.KeyLen, bt
 		},
-		buildMutable: func(s *System, keys [][]byte, values []uint64, _ buildConfig) (mem.VAddr, uint16, mutator) {
-			bt := dstruct.BuildBTree(s.m.AS, mutableBTreeFanout, keys, values)
-			return bt.HeaderAddr, bt.KeyLen, btreeMutator{bt}
-		},
+		updatable: true,
 	},
 }
 
-// customKind is KindCustom's row: a name only, since custom firmware
-// tables are laid out by the application.
-var customKind = kindInfo{names: []string{"custom"}}
-
-// info returns k's row, or nil for a value that names no kind.
+// info returns k's row, or nil for a value that has none (KindCustom
+// and undefined kinds).
 func (k StructKind) info() *kindInfo {
 	if int(k) < len(kindTable) {
 		return &kindTable[k]
-	}
-	if k == KindCustom {
-		return &customKind
 	}
 	return nil
 }
@@ -159,8 +146,11 @@ func StructKinds() []StructKind {
 }
 
 func (k StructKind) String() string {
-	if r := k.info(); r != nil {
-		return r.names[0]
+	if k <= KindBTree {
+		return dstruct.TypeName(uint8(k))
+	}
+	if k == KindCustom {
+		return "custom"
 	}
 	return fmt.Sprintf("structkind(%d)", uint8(k))
 }
@@ -184,7 +174,7 @@ var kindNormalizer = strings.NewReplacer(" ", "", "-", "", "_", "")
 func ParseStructKind(s string) (StructKind, error) {
 	name := strings.ToLower(kindNormalizer.Replace(s))
 	for _, k := range append(StructKinds(), KindCustom) {
-		if slices.Contains(k.info().names, name) {
+		if name == k.String() || k.info() != nil && slices.Contains(k.info().aliases, name) {
 			return k, nil
 		}
 	}

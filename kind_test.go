@@ -5,6 +5,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"qei/internal/cfa"
+	"qei/internal/dstruct"
 )
 
 // TestStructKindRoundTrip drives every built-in kind through every code
@@ -12,16 +15,16 @@ import (
 // builders, and the software walker against the accelerator.
 func TestStructKindRoundTrip(t *testing.T) {
 	want := map[StructKind]struct {
-		alias   string
-		mutable bool
+		name, alias string
+		mutable     bool
 	}{
-		KindLinkedList: {"list", true},
-		KindHashTable:  {"hash", false},
-		KindCuckoo:     {"", true},
-		KindSkipList:   {"", true},
-		KindBST:        {"", true},
-		KindTrie:       {"", false},
-		KindBTree:      {"", true},
+		KindLinkedList: {"linkedlist", "list", true},
+		KindHashTable:  {"hashtable", "hash", false},
+		KindCuckoo:     {"cuckoo", "", true},
+		KindSkipList:   {"skiplist", "", true},
+		KindBST:        {"bst", "", true},
+		KindTrie:       {"trie", "", false},
+		KindBTree:      {"btree", "", true},
 	}
 	keys, vals := testKeys(48, 16, 16)
 	absent, _ := testKeys(4, 16, 17)
@@ -40,6 +43,13 @@ func TestStructKindRoundTrip(t *testing.T) {
 		}
 		if k.TypeCode() == 0 {
 			t.Fatalf("built-in kind %s has no type code", k)
+		}
+		// One list of kinds: the kind, its header type code and its
+		// built-in CFA program share one name.
+		p, ok := cfa.DefaultRegistry().Lookup(k.TypeCode())
+		if k.String() != w.name || dstruct.TypeName(k.TypeCode()) != w.name || !ok || p.Name() != w.name {
+			t.Fatalf("kind %d: String %q, TypeName %q, program %v; want %q",
+				uint8(k), k.String(), dstruct.TypeName(k.TypeCode()), p, w.name)
 		}
 
 		sys := NewSystem(CoreIntegrated)

@@ -75,8 +75,7 @@ func TestAllBuildersAndSchemes(t *testing.T) {
 				if kind == KindLinkedList {
 					n = 30
 				}
-				// Kinds other than KindBST ignore the payload.
-				tb, err := sys.Build(kind, keys[:n], vals[:n], WithBSTPayload(64))
+				tb, err := sys.Build(kind, keys[:n], vals[:n])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,9 +134,6 @@ func TestBuilderValidation(t *testing.T) {
 	}
 	if _, err := sys.Build(KindTrie, [][]byte{[]byte("x")}, []uint64{0}); err == nil {
 		t.Fatal("zero trie value accepted")
-	}
-	if _, err := sys.Build(KindBST, [][]byte{{1}}, []uint64{1}, WithBSTPayload(-1)); err == nil {
-		t.Fatal("negative payload accepted")
 	}
 }
 

@@ -424,13 +424,6 @@ func (s *System) Interrupt() uint64 {
 	return lat
 }
 
-// Aborted reports whether an async query was flushed by an interrupt
-// before completing; aborted queries should be reissued.
-func (s *System) Aborted(h AsyncHandle) bool {
-	r, ok := s.accel.Result(h.tag)
-	return ok && r.Aborted
-}
-
 // Stats summarizes accelerator activity.
 type Stats struct {
 	Queries        uint64

@@ -80,7 +80,7 @@ func TestMutableSkipListAndBST(t *testing.T) {
 	}
 
 	bkeys, bvals := testKeys(80, 8, 22)
-	bst, err := sys.BuildMutable(KindBST, bkeys[:40], bvals[:40], WithBSTPayload(64))
+	bst, err := sys.BuildMutable(KindBST, bkeys[:40], bvals[:40])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +133,30 @@ func TestMutableLinkedList(t *testing.T) {
 	res, _ = ll.Query(keys[25])
 	if res.Found {
 		t.Fatal("deleted list key still visible")
+	}
+}
+
+// TestMutableLinkedListUpsert inserts a key that is already present:
+// the list updates the node in place, so one delete removes the key and
+// no stale copy resurfaces behind it.
+func TestMutableLinkedListUpsert(t *testing.T) {
+	sys := NewSystem(CoreIntegrated)
+	keys, vals := testKeys(20, 16, 23)
+	ll, err := sys.BuildMutable(KindLinkedList, keys, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ll.Insert(keys[7], 777); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := ll.Query(keys[7]); err != nil || !res.Found || res.Value != 777 {
+		t.Fatalf("upserted key: %+v %v, want value 777", res, err)
+	}
+	if ok, err := ll.Delete(keys[7]); err != nil || !ok {
+		t.Fatalf("delete upserted key: %v %v", ok, err)
+	}
+	if res, err := ll.Query(keys[7]); err != nil || res.Found {
+		t.Fatalf("deleted key still visible after an upsert: %+v %v", res, err)
 	}
 }
 
@@ -408,7 +432,7 @@ func TestInterruptFlushAPI(t *testing.T) {
 	}
 	aborted := 0
 	for _, h := range handles {
-		if sys.Aborted(h) {
+		if _, err := sys.Wait(h); errors.Is(err, ErrAborted) {
 			aborted++
 		}
 	}
