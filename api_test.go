@@ -4,20 +4,19 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"qei/internal/golden"
 )
 
 // TestPublicAPI lists every exported name of the package — consts,
 // vars, funcs, types, their exported methods and struct fields — and
 // compares the list with testdata/api.txt, so any growth of the public
 // API shows up as a diff. After an intentional API change, regenerate
-// the file with:
-//
-//	QEI_UPDATE_GOLDEN=1 go test -run '^TestPublicAPI$' .
+// the file as package golden describes.
 func TestPublicAPI(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -36,22 +35,7 @@ func TestPublicAPI(t *testing.T) {
 		names = append(names, exportedNames(f)...)
 	}
 	sort.Strings(names)
-	got := strings.Join(names, "\n") + "\n"
-
-	const golden = "testdata/api.txt"
-	if os.Getenv("QEI_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("exported names differ from %s (regenerate with QEI_UPDATE_GOLDEN=1 after an intended change):\n%s",
-			golden, lineDiff(string(want), got))
-	}
+	golden.Check(t, "testdata/api.txt", strings.Join(names, "\n")+"\n")
 }
 
 // exportedNames lists the exported declarations of one file, one
@@ -115,28 +99,4 @@ func typeIdent(e ast.Expr) *ast.Ident {
 	}
 	id, _ := e.(*ast.Ident)
 	return id
-}
-
-// lineDiff lists the lines only in want (-) and only in got (+).
-func lineDiff(want, got string) string {
-	in := func(s string) map[string]bool {
-		m := map[string]bool{}
-		for _, l := range strings.Split(s, "\n") {
-			m[l] = true
-		}
-		return m
-	}
-	w, g := in(want), in(got)
-	var b strings.Builder
-	for _, l := range strings.Split(want, "\n") {
-		if !g[l] {
-			b.WriteString("- " + l + "\n")
-		}
-	}
-	for _, l := range strings.Split(got, "\n") {
-		if !w[l] {
-			b.WriteString("+ " + l + "\n")
-		}
-	}
-	return b.String()
 }

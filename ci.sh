@@ -29,10 +29,11 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
-# Golden fast path: the bench matrix and every internal/workload driver
-# must reproduce their committed simulated outputs, so a cycle drift
-# fails here in seconds instead of after the race-detector run.
-go test -run '^(TestBenchGoldenCycles|TestDriversGolden)$' -count=1 ./internal/exp ./internal/workload
+# Golden fast path: the bench matrix, every internal/workload driver and
+# the served streams (the streaming rows and this script's qeiserve
+# smokes) must reproduce their committed simulated outputs, so a cycle
+# drift fails here in seconds instead of after the race-detector run.
+go test -run '^(TestBenchGoldenCycles|TestDriversGolden|TestStreamingGolden)$' -count=1 ./internal/exp ./internal/workload
 # Benchmark module: benchmark/ is a Go module of its own, so nothing
 # above compiles it. Its tests run every workload at test size, so a
 # change to an API it calls fails here instead of in benchmark/run.sh.
@@ -105,7 +106,7 @@ fi
 # (pid,tid pairs) under every scheme.
 bindir=$(mktemp -d)
 trap 'rm -rf "$bindir"' EXIT
-for cli in qeisim qeiserve qeitrace qeidse; do
+for cli in qeibench qeisim qeiserve qeitrace qeidse; do
 	go build -o "$bindir/$cli" "./cmd/$cli"
 done
 for s in core cha-tlb cha-notlb device-direct device-indirect; do
@@ -172,7 +173,8 @@ fi
 
 # Catalogue smoke: qeisim and qeidse resolve -workload and -scale
 # through the one benchmark catalogue, and refuse an unknown scale or
-# workload with exit status 1 (not a run at some default).
+# workload with exit status 1 (not a run at some default); qeibench
+# refuses an unknown scale or experiment the same way.
 catalogue_status=0
 "$bindir/qeisim" -scale bogus >/dev/null 2>&1 || catalogue_status=$?
 if [ "$catalogue_status" -ne 1 ]; then
@@ -185,6 +187,14 @@ if [ "$catalogue_status" -ne 1 ]; then
 	echo "catalogue-smoke: qeidse -workload quake exited $catalogue_status, want 1" >&2
 	exit 1
 fi
+for bad in "-scale bogus" "-exp bogus"; do
+	catalogue_status=0
+	"$bindir/qeibench" $bad >/dev/null 2>&1 || catalogue_status=$?
+	if [ "$catalogue_status" -ne 1 ]; then
+		echo "catalogue-smoke: qeibench $bad exited $catalogue_status, want 1" >&2
+		exit 1
+	fi
+done
 
 # Serve smoke: a small multi-tenant run through BOTH serving backends
 # must emit machine-readable per-tenant percentiles. Checks that the
@@ -286,13 +296,10 @@ for mode in "" "-batchadmit 16"; do
 done
 rm -f "$res_trace"
 
-# Batch smoke: the batch experiment parity-checks every kind × batch
-# size cell against the per-query path (qeibench exits non-zero on any
-# divergence; TestQueryBatchLevelWiseDeterministic asserts the engine
-# saves translations). Then a batched-admission serving run must flush
-# through the engine and retire every request (qeiserve exits non-zero
-# on epoch violations).
-go run ./cmd/qeibench -exp batch -scale small >/dev/null
+# Batch smoke: a batched-admission serving run must flush through the
+# level-wise engine and retire every request (qeiserve exits non-zero on
+# epoch violations). The batch experiment's per-cell parity check
+# against the per-query path runs in TestBenchGoldenCycles.
 bserve_out=$(go run ./cmd/qeiserve -batchadmit 16 -tenants 2 -requests 80 -keys 64)
 case "$bserve_out" in
 *'batch/batches 0 '*)

@@ -10,6 +10,8 @@
 //	qeibench -json [-out DIR] [-scale small|full] [-parallel N]
 //	qeibench -cpuprofile cpu.pprof -memprofile mem.pprof -exp bench
 //
+// An unknown -scale or -exp name exits 1, as in qeisim and qeidse.
+//
 // -json runs the bench experiment (the workload × scheme matrix with
 // metrics attached) and writes machine-readable results to
 // BENCH_bench.json in -out: one record per cell with cycles, speedup
@@ -79,7 +81,7 @@ func main() {
 		scale = exp.FullScale
 	default:
 		fmt.Fprintf(os.Stderr, "qeibench: unknown scale %q\n", *scaleFlag)
-		os.Exit(2)
+		os.Exit(1)
 	}
 
 	if *jsonFlag {
@@ -125,6 +127,6 @@ func main() {
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "qeibench: unknown experiment %q\n", *expFlag)
-		os.Exit(2)
+		os.Exit(1)
 	}
 }

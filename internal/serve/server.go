@@ -192,8 +192,6 @@ type server struct {
 	tables []Table
 	adm    *Admission
 	acct   []tenantAcct
-	total  LatencyHist
-	wtotal LatencyHist
 	queue  []inflight
 	rep    *Report
 	// done and doneRes are pollRetire's completions, kept across calls
@@ -498,7 +496,6 @@ func (s *server) serveWrite(req *Request) error {
 	a := &s.acct[req.Tenant]
 	a.writes++
 	a.whist.Observe(lat)
-	s.wtotal.Observe(lat)
 	if s.cfg.SLO > 0 && lat > s.cfg.SLO {
 		a.sloViol++
 	}
@@ -617,7 +614,6 @@ func (s *server) retire(tenant, seq int, at uint64, res Result) {
 	}
 	a := &s.acct[tenant]
 	a.hist.Observe(lat)
-	s.total.Observe(lat)
 	a.requests++
 	if res.Found {
 		a.found++
@@ -641,7 +637,6 @@ func (s *server) shed(tenant, seq int, at uint64) {
 	}
 	a := &s.acct[tenant]
 	a.hist.Observe(wait)
-	s.total.Observe(wait)
 	a.shed++
 	s.cfg.Trace.Point("serve", "shed", s.b.Now(), trace.PidServe, tenant, nil)
 	s.keepResult(seq, Result{Done: s.b.Now()})
@@ -713,10 +708,12 @@ func (s *server) report(requests int) *Report {
 	for t := range s.acct {
 		rep.Tenants[t] = tenantRow(t, &s.acct[t], s.adm.Throttled(t))
 	}
-	agg := tenantAcct{hist: s.total, whist: s.wtotal}
+	var agg tenantAcct
 	var thrTotal uint64
 	for t := range s.acct {
 		a := &s.acct[t]
+		agg.hist.Merge(&a.hist)
+		agg.whist.Merge(&a.whist)
 		agg.requests += a.requests
 		agg.writes += a.writes
 		agg.found += a.found

@@ -2,9 +2,10 @@ package trace
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"qei/internal/golden"
 )
 
 func TestNilTracerIsNoOp(t *testing.T) {
@@ -123,10 +124,8 @@ func TestExportSortedByTimestamp(t *testing.T) {
 
 // TestExportGolden pins the exact export bytes: field order, arg-key
 // order, and event sort must never drift, or previously saved traces
-// would stop diffing cleanly. Regenerate with -update after an
-// intentional format change.
-var update = os.Getenv("UPDATE_GOLDEN") != ""
-
+// would stop diffing cleanly. After an intentional format change,
+// regenerate the file as package golden describes.
 func TestExportGolden(t *testing.T) {
 	tr := New(0)
 	tr.Span("qst", "query", 10, 60, 0, 3, map[string]string{"instance": "0", "slot": "3"})
@@ -134,22 +133,5 @@ func TestExportGolden(t *testing.T) {
 	tr.Span("cha", "remote_cmp", 20, 35, 102, 0, map[string]string{"slice": "2"})
 	tr.Span("noc", "xfer", 22, 26, 200, 0, nil)
 	tr.Point("mem", "page_map", 40, 300, 0, nil)
-	got := tr.Export()
-
-	golden := filepath.Join("testdata", "export_golden.json")
-	if update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (set UPDATE_GOLDEN=1 to generate): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("export drifted from golden file\n--- got:\n%s--- want:\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "export_golden.json"), tr.Export())
 }

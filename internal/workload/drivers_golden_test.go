@@ -2,13 +2,11 @@ package workload
 
 import (
 	"encoding/json"
-	"os"
 	"testing"
 
+	"qei/internal/golden"
 	"qei/internal/scheme"
 )
-
-const driversGoldenPath = "testdata/drivers_golden.json"
 
 // TestDriversGolden pins every driver in this package — software,
 // blocking QUERY_B, QUERY_NB and multi-core — to the simulated outputs
@@ -17,9 +15,8 @@ const driversGoldenPath = "testdata/drivers_golden.json"
 // MultiCoreResult. It covers cold and warmed
 // windows, every Mode, the batch override and the NoC window, which the
 // root package's bench golden (warmed Full runs only) does not. If it
-// fails after an intentional model change, regenerate the file with:
-//
-//	QEI_UPDATE_GOLDEN=1 go test -run '^TestDriversGolden$' ./internal/workload
+// fails after an intentional model change, regenerate the file as
+// package golden describes.
 func TestDriversGolden(t *testing.T) {
 	got := map[string]any{}
 	record := func(name string, v any, err error) {
@@ -71,37 +68,5 @@ func TestDriversGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotJSON = append(gotJSON, '\n')
-	if os.Getenv("QEI_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(driversGoldenPath, gotJSON, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	wantJSON, err := os.ReadFile(driversGoldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file: %v", err)
-	}
-	var want, have map[string]json.RawMessage
-	if err := json.Unmarshal(wantJSON, &want); err != nil {
-		t.Fatalf("golden file: %v", err)
-	}
-	if err := json.Unmarshal(gotJSON, &have); err != nil {
-		t.Fatal(err)
-	}
-	for name, w := range want {
-		h, ok := have[name]
-		if !ok {
-			t.Errorf("%s: in golden, not run", name)
-			continue
-		}
-		if string(h) != string(w) {
-			t.Errorf("%s diverges from golden:\n got: %s\nwant: %s", name, h, w)
-		}
-	}
-	for name := range have {
-		if _, ok := want[name]; !ok {
-			t.Errorf("%s: run, not in golden", name)
-		}
-	}
+	golden.Check(t, "testdata/drivers_golden.json", string(gotJSON)+"\n")
 }
