@@ -56,6 +56,16 @@ func TestExperimentTables(t *testing.T) {
 	}
 }
 
+// TestFig1SmallScale asserts the fig1 shape on a run with the default
+// worker count, apart from the golden pass's fixed one.
+func TestFig1SmallScale(t *testing.T) {
+	td, err := fig1QueryTimeShare(Small, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes["fig1"](t, td)
+}
+
 // multiRun lists the experiments -short skips.
 var multiRun = map[string]bool{
 	"fig7": true, "fig8": true, "fig9": true, "fig10": true, "fig12": true, "tail": true, "noc": true,

@@ -2,6 +2,26 @@ package exp
 
 import "testing"
 
+// TestExperimentParallelDeterminism is the tentpole guarantee: an
+// experiment fanned across workers renders byte-identically to its
+// serial run.
+func TestExperimentParallelDeterminism(t *testing.T) {
+	serial, err := fig1QueryTimeShare(Small, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := fig1QueryTimeShare(Small, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, p := serial.String(), parallel.String(); s != p {
+		t.Fatalf("parallel output diverges from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
+	}
+	if s, p := serial.CSV(), parallel.CSV(); s != p {
+		t.Fatal("parallel CSV diverges from serial")
+	}
+}
+
 func TestExperimentsRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range Experiments() {
