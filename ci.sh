@@ -58,6 +58,17 @@ case "$(go run ./cmd/qeibench -exp tab1)" in
 	exit 1
 	;;
 esac
+# qeibench -json simulates a fresh matrix and batch sweep; the tests read
+# them from a memo the experiment tables share. Both must write the
+# committed BENCH_bench.json byte for byte.
+bench_json=$(mktemp -d)
+go run ./cmd/qeibench -json -scale small -out "$bench_json" >/dev/null
+if ! cmp "$bench_json/BENCH_bench.json" BENCH_bench.json; then
+	echo "bench-smoke: qeibench -json -scale small differs from BENCH_bench.json" >&2
+	rm -rf "$bench_json"
+	exit 1
+fi
+rm -rf "$bench_json"
 if [ "$tier" = full ]; then
 	go test -run '^$' -bench . -benchtime 1x -benchmem ./internal/...
 

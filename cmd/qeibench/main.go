@@ -93,7 +93,7 @@ func main() {
 		// The JSON document also carries the batch experiment's
 		// level-wise vs windowed records; TestBenchGoldenCycles pins both
 		// record sets.
-		brs, err := exp.RunBatchBench(scale)
+		brs, err := exp.RunBatchBench(scale, *parFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qeibench: batch bench: %v\n", err)
 			os.Exit(1)

@@ -34,8 +34,8 @@ func ablationQSTSize(s Scale, par int) (TableData, error) {
 		func(entries int) ([][]string, error) {
 			p := scheme.ForKind(scheme.CoreIntegrated)
 			p.QSTEntriesPerInstance = entries
-			run, err := workload.RunQEIWithParams(b, p, workload.ROIOnly,
-				workload.WithWarmup(), workload.WithBatch(entries))
+			run, err := checked(workload.RunQEIWithParams(b, p, workload.ROIOnly,
+				workload.WithWarmup(), workload.WithBatch(entries)))
 			if err != nil {
 				return nil, err
 			}
@@ -58,7 +58,7 @@ func ablationRemoteCompare(s Scale, par int) (TableData, error) {
 		func(remote bool) ([][]string, error) {
 			p := scheme.ForKind(scheme.CoreIntegrated)
 			p.RemoteCompare = remote
-			run, err := workload.RunQEIWithParams(b, p, workload.ROIOnly, workload.WithWarmup())
+			run, err := checked(workload.RunQEIWithParams(b, p, workload.ROIOnly, workload.WithWarmup()))
 			if err != nil {
 				return nil, err
 			}
@@ -83,7 +83,7 @@ func ablationTranslation(s Scale, par int) (TableData, error) {
 	b := pick(s, workload.SmallJVM(), workload.DefaultJVM())
 	rows, err := mapJobs(par, []scheme.Kind{scheme.CHATLB, scheme.CHANoTLB},
 		func(k scheme.Kind) ([][]string, error) {
-			run, err := workload.RunQEI(b, k, workload.ROIOnly, workload.WithWarmup())
+			run, err := checked(workload.RunQEI(b, k, workload.ROIOnly, workload.WithWarmup()))
 			if err != nil {
 				return nil, err
 			}
@@ -105,8 +105,8 @@ func ablationBatch(s Scale, par int) (TableData, error) {
 	b := pick(s, workload.SmallDPDK(), workload.DefaultDPDK())
 	rows, err := mapJobs(par, []int{1, 2, 5, 10, 20},
 		func(batch int) ([][]string, error) {
-			run, err := workload.RunQEI(b, scheme.CoreIntegrated, workload.Full,
-				workload.WithWarmup(), workload.WithBatch(batch))
+			run, err := checked(workload.RunQEI(b, scheme.CoreIntegrated, workload.Full,
+				workload.WithWarmup(), workload.WithBatch(batch)))
 			if err != nil {
 				return nil, err
 			}
@@ -130,11 +130,11 @@ func ablationSkew(s Scale, par int) (TableData, error) {
 	}
 	rows, err := mapJobs(par, benches,
 		func(b workload.Benchmark) ([][]string, error) {
-			sw, err := workload.RunBaseline(b, workload.ROIOnly, workload.WithWarmup())
+			sw, err := checked(workload.RunBaseline(b, workload.ROIOnly, workload.WithWarmup()))
 			if err != nil {
 				return nil, err
 			}
-			hw, err := workload.RunQEI(b, scheme.CoreIntegrated, workload.ROIOnly, workload.WithWarmup())
+			hw, err := checked(workload.RunQEI(b, scheme.CoreIntegrated, workload.ROIOnly, workload.WithWarmup()))
 			if err != nil {
 				return nil, err
 			}

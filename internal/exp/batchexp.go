@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"qei"
 	"qei/internal/workload"
@@ -85,27 +87,13 @@ var batchCounters = []string{
 	"qei/batch/deferred",
 }
 
-// batchCell is one measured experiment cell.
-type batchCell struct {
-	job       batchJob
-	winCycles uint64
-	lwCycles  uint64
-	// counters holds every batchCounters metric of the level-wise run.
-	counters map[string]uint64
-}
-
-func (c batchCell) speedup() float64 {
-	if c.lwCycles == 0 {
-		return 0
-	}
-	return float64(c.winCycles) / float64(c.lwCycles)
-}
-
 // runBatchCell measures one kind × batch-size cell: a windowed run, a
 // level-wise run, and a sequential per-query oracle, each on its own
-// freshly built machine so cache and TLB state are comparable. It
-// errors if the three result sets are not identical.
-func runBatchCell(s Scale, job batchJob) (batchCell, error) {
+// freshly built machine so cache and TLB state are comparable. Its
+// record is the level-wise run against the windowed baseline, with
+// every batchCounters metric. It errors if the three result sets are
+// not identical.
+func runBatchCell(s Scale, job batchJob) (BenchResult, error) {
 	const keyLen = 16
 	seed := int64(1000*int(job.kind) + job.n)
 	tableN := batchTableSize(s, job.kind)
@@ -125,7 +113,12 @@ func runBatchCell(s Scale, job batchJob) (batchCell, error) {
 	}
 	probes := batchProbeSet(keys, absent, job.n, seed+2)
 
-	cell := batchCell{job: job}
+	cell := BenchResult{
+		Experiment: "batch",
+		Workload:   fmt.Sprintf("%s/%d", job.kind, job.n),
+		Scheme:     qei.CoreIntegrated.String(),
+		Queries:    uint64(job.n),
+	}
 
 	// Sequential per-query oracle.
 	so := qei.NewSystem(qei.CoreIntegrated)
@@ -153,7 +146,7 @@ func runBatchCell(s Scale, job batchJob) (batchCell, error) {
 	if err != nil {
 		return cell, err
 	}
-	cell.winCycles = sw.Now() - winStart
+	cell.BaselineCycles = sw.Now() - winStart
 
 	// Level-wise batch.
 	sl := qei.NewSystem(qei.CoreIntegrated, qei.WithMetrics())
@@ -166,14 +159,15 @@ func runBatchCell(s Scale, job batchJob) (batchCell, error) {
 	if err != nil {
 		return cell, err
 	}
-	cell.lwCycles = sl.Now() - lwStart
-	cell.counters = make(map[string]uint64, len(batchCounters))
-	for _, name := range batchCounters {
-		cell.counters[name] = 0
+	cell.Cycles = sl.Now() - lwStart
+	cell.CyclesPerQuery = float64(cell.Cycles) / float64(job.n)
+	if cell.Cycles != 0 {
+		cell.Speedup = float64(cell.BaselineCycles) / float64(cell.Cycles)
 	}
+	cell.Counters = map[string]uint64{}
 	for _, m := range sl.Metrics() {
-		if _, ok := cell.counters[m.Name]; ok {
-			cell.counters[m.Name] = m.Value
+		if slices.Contains(batchCounters, m.Name) {
+			cell.Counters[m.Name] = m.Value
 		}
 	}
 
@@ -232,55 +226,32 @@ func WindowedBatch(s *qei.System, t qei.Table, keys [][]byte) ([]qei.Result, err
 	return results, nil
 }
 
-// batchSpeedup reproduces the level-wise batching evaluation: simulated
-// makespan of the level-wise engine vs the windowed List-2 loop per
-// structure kind and batch size, with the engine's amortization
-// counters.
-func batchSpeedup(s Scale, par int) (TableData, error) {
+// batchTable reproduces the level-wise batching evaluation from the
+// batch records: simulated makespan of the level-wise engine vs the
+// windowed List-2 loop per structure kind and batch size, with the
+// engine's amortization counters.
+func (m *memo) batchTable(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title: "Batch — level-wise vs windowed QueryBatch (simulated cycles)",
 		Headers: []string{"kind", "batch", "windowed_cyc", "levelwise_cyc",
 			"speedup_x", "levels", "trans_saved", "lines_deduped", "coalesced"},
 	}
-	rows, err := mapJobs(par, batchJobsFor(s),
-		func(job batchJob) ([][]string, error) {
-			c, err := runBatchCell(s, job)
-			if err != nil {
-				return nil, err
-			}
-			return [][]string{{
-				job.kind.String(), f("%d", job.n),
-				f("%d", c.winCycles), f("%d", c.lwCycles), f("%.2f", c.speedup()),
-				f("%d", c.counters["qei/batch/levels"]), f("%d", c.counters["qei/batch/translations_saved"]),
-				f("%d", c.counters["qei/batch/lines_deduped"]), f("%d", c.counters["qei/batch/coalesced_probes"]),
-			}}, nil
+	rs, err := m.batch(s, par)
+	for _, r := range rs {
+		kind, _, _ := strings.Cut(r.Workload, "/")
+		t.Rows = append(t.Rows, []string{
+			kind, f("%d", r.Queries),
+			f("%d", r.BaselineCycles), f("%d", r.Cycles), f("%.2f", r.Speedup),
+			f("%d", r.Counters["qei/batch/levels"]), f("%d", r.Counters["qei/batch/translations_saved"]),
+			f("%d", r.Counters["qei/batch/lines_deduped"]), f("%d", r.Counters["qei/batch/coalesced_probes"]),
 		})
-	t.Rows = rows
+	}
 	return t, err
 }
 
-// RunBatchBench runs the batch sweep serially and returns one
-// machine-readable record per cell — the "batch" rows of
-// BENCH_bench.json.
-func RunBatchBench(s Scale) ([]BenchResult, error) {
-	var out []BenchResult
-	for _, job := range batchJobsFor(s) {
-		c, err := runBatchCell(s, job)
-		if err != nil {
-			return nil, err
-		}
-		r := BenchResult{
-			Experiment:     "batch",
-			Workload:       fmt.Sprintf("%s/%d", job.kind, job.n),
-			Scheme:         qei.CoreIntegrated.String(),
-			BaselineCycles: c.winCycles,
-			Cycles:         c.lwCycles,
-			Queries:        uint64(job.n),
-			CyclesPerQuery: float64(c.lwCycles) / float64(job.n),
-			Speedup:        c.speedup(),
-			Counters:       c.counters,
-		}
-		out = append(out, r)
-	}
-	return out, nil
+// RunBatchBench runs the batch sweep across par workers (<= 0 means
+// GOMAXPROCS) and returns one machine-readable record per cell, in
+// sweep order — the "batch" rows of BENCH_bench.json.
+func RunBatchBench(s Scale, par int) ([]BenchResult, error) {
+	return new(memo).batch(s, par)
 }

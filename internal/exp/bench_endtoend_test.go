@@ -101,15 +101,18 @@ func BenchmarkQueryBatchPerQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndBench runs one full cell of the "bench" experiment
-// matrix — baseline plus every integration scheme — exactly as
-// qeibench -exp bench does, on one workload.
+// BenchmarkEndToEndBench simulates one workload's row of the
+// evaluation matrix — the software Full and NonROIOnly runs plus every
+// integration scheme — and reads its bench records, as qeibench -exp
+// bench does. Each iteration runs a fresh matrix, never a memo hit.
 func BenchmarkEndToEndBench(b *testing.B) {
 	b.ReportAllocs()
 	benches := []workload.Benchmark{workload.SmallDPDK()}
 	for i := 0; i < b.N; i++ {
-		if _, err := runBenchOn(benches, 1); err != nil {
+		rows, err := runMatrix(benches, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		benchRecords(rows)
 	}
 }

@@ -2,13 +2,10 @@ package exp
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 
-	"qei/internal/metrics"
 	"qei/internal/scheme"
-	"qei/internal/workload"
 )
 
 // BenchResult is one machine-readable benchmark record: a workload run
@@ -54,63 +51,57 @@ var benchCounters = []string{
 	"dram/accesses",
 }
 
-// RunBench executes the workload × scheme benchmark matrix with metrics
-// attached and returns one record per cell, in workload-major order
+// RunBench simulates the workload × scheme matrix with metrics
+// attached and returns one record per QEI run, in workload-major order
 // (deterministic at any worker count: par workers, <= 0 means
 // GOMAXPROCS).
 func RunBench(s Scale, par int) ([]BenchResult, error) {
-	return runBenchOn(benchesFor(s), par)
+	return new(memo).bench(s, par)
 }
 
-// runBenchOn is RunBench over an explicit benchmark list (tests use a
-// trimmed set to keep the suite fast).
-func runBenchOn(benches []workload.Benchmark, par int) ([]BenchResult, error) {
-	return mapJobs(par, benches,
-		func(b workload.Benchmark) ([]BenchResult, error) {
-			sw, err := workload.RunBaseline(b, workload.Full, workload.WithWarmup())
-			if err != nil {
-				return nil, err
-			}
-			var out []BenchResult
-			for _, k := range scheme.Kinds() {
-				reg := metrics.NewRegistry()
-				hw, err := workload.RunQEI(b, k, workload.Full,
-					workload.WithWarmup(), workload.WithMetrics(reg))
-				if err != nil {
-					return nil, err
-				}
-				if hw.Mismatches != 0 {
-					return nil, fmt.Errorf("qei: bench %s/%s produced %d wrong results", b.Name(), k, hw.Mismatches)
-				}
-				counters := make(map[string]uint64)
-				for _, name := range benchCounters {
-					if v := hw.Metrics.Value(name); v != 0 {
-						counters[name] = v
-					}
-				}
-				r := BenchResult{
-					Experiment:     "bench",
-					Workload:       b.Name(),
-					Scheme:         k.String(),
-					BaselineCycles: sw.Cycles,
-					Cycles:         hw.Cycles,
-					Queries:        uint64(hw.Queries),
-					Speedup:        float64(sw.Cycles) / float64(hw.Cycles),
-					Counters:       counters,
-				}
-				if hw.Queries > 0 {
-					r.CyclesPerQuery = float64(hw.Cycles) / float64(hw.Queries)
-				}
-				out = append(out, r)
-			}
-			return out, nil
-		})
+// bench returns the matrix's bench records at s.
+func (m *memo) bench(s Scale, par int) ([]BenchResult, error) {
+	rows, err := m.matrix(s, par)
+	return benchRecords(rows), err
 }
 
-// benchMatrix renders RunBench as a TableData for the experiment
-// registry ("bench"); qeibench -json emits the same runs as JSON.
-func benchMatrix(s Scale, par int) (TableData, error) {
-	rs, err := RunBench(s, par)
+// benchRecords reads one record per QEI run of the matrix rows: its
+// cycles, its whole-run speedup over the software Full run and its
+// non-zero benchCounters.
+func benchRecords(rows []matrixRow) []BenchResult {
+	var out []BenchResult
+	for _, row := range rows {
+		for _, k := range scheme.Kinds() {
+			hw := row.hw[k]
+			counters := make(map[string]uint64)
+			for _, name := range benchCounters {
+				if v := hw.Metrics.Value(name); v != 0 {
+					counters[name] = v
+				}
+			}
+			r := BenchResult{
+				Experiment:     "bench",
+				Workload:       row.bench.Name(),
+				Scheme:         k.String(),
+				BaselineCycles: row.sw.Cycles,
+				Cycles:         hw.Cycles,
+				Queries:        uint64(hw.Queries),
+				Speedup:        float64(row.sw.Cycles) / float64(hw.Cycles),
+				Counters:       counters,
+			}
+			if hw.Queries > 0 {
+				r.CyclesPerQuery = float64(hw.Cycles) / float64(hw.Queries)
+			}
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// benchTable renders the bench records as the registry's "bench"
+// table; qeibench -json writes the same records as JSON.
+func (m *memo) benchTable(s Scale, par int) (TableData, error) {
+	rs, err := m.bench(s, par)
 	t := TableData{
 		Title: "Bench — per-scheme cycles, speedup, and key counters",
 		Headers: []string{"workload", "scheme", "cycles", "cyc_per_query",

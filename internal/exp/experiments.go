@@ -119,14 +119,15 @@ func fig1QueryTimeShare(s Scale, par int) (TableData, error) {
 	}
 	rows, err := mapJobs(par, benchesFor(s),
 		func(b workload.Benchmark) ([][]string, error) {
-			share, err := workload.ROIShare(b)
-			if err != nil {
-				return nil, err
+			var runs [3]workload.Run // cold Full, NonROIOnly and ROIOnly
+			for i, mode := range []workload.Mode{workload.Full, workload.NonROIOnly, workload.ROIOnly} {
+				var err error
+				if runs[i], err = checked(workload.RunBaseline(b, mode)); err != nil {
+					return nil, err
+				}
 			}
-			roi, err := workload.RunBaseline(b, workload.ROIOnly)
-			if err != nil {
-				return nil, err
-			}
+			full, roi := runs[0], runs[2]
+			share := float64(roiCycles(full.Cycles, runs[1].Cycles)) / float64(full.Cycles)
 			q := float64(roi.Queries)
 			return [][]string{{b.Name(), f("%.1f", share*100),
 				f("%.2f", float64(roi.Core.Mispredicts)/q),
@@ -216,113 +217,72 @@ func roiCycles(full, nonROI uint64) uint64 {
 	return full - nonROI
 }
 
-// fig7Speedup reproduces Fig. 7: per-workload lookup speedup of every
-// integration scheme over the software baseline.
-func fig7Speedup(s Scale, par int) (TableData, error) {
+// fig7 reproduces Fig. 7 from the matrix: per-workload lookup speedup
+// of every integration scheme over the software baseline.
+func (m *memo) fig7(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 7 — speedup of lookup operations (paper: 6.5x-11.2x, CHA-TLB up to 12.7x)",
 		Headers: []string{"workload", "scheme", "speedup_x"},
 	}
-	rows, err := mapJobs(par, benchesFor(s),
-		func(b workload.Benchmark) ([][]string, error) {
-			sw, err := workload.RunBaseline(b, workload.Full, workload.WithWarmup())
-			if err != nil {
-				return nil, err
-			}
-			non, err := workload.RunBaseline(b, workload.NonROIOnly, workload.WithWarmup())
-			if err != nil {
-				return nil, err
-			}
-			swROI := roiCycles(sw.Cycles, non.Cycles)
-			var rows [][]string
-			for _, k := range scheme.Kinds() {
-				hw, err := workload.RunQEI(b, k, workload.Full, workload.WithWarmup())
-				if err != nil {
-					return nil, err
-				}
-				if hw.Mismatches != 0 {
-					return nil, fmt.Errorf("qei: %s/%s produced %d wrong results", b.Name(), k, hw.Mismatches)
-				}
-				sp := float64(swROI) / float64(roiCycles(hw.Cycles, non.Cycles))
-				rows = append(rows, []string{b.Name(), k.String(), f("%.2f", sp)})
-			}
-			return rows, nil
-		})
-	t.Rows = rows
+	rows, err := m.matrix(s, par)
+	for _, r := range rows {
+		swROI := roiCycles(r.sw.Cycles, r.nonROI.Cycles)
+		for _, k := range scheme.Kinds() {
+			sp := float64(swROI) / float64(roiCycles(r.hw[k].Cycles, r.nonROI.Cycles))
+			t.Rows = append(t.Rows, []string{r.bench.Name(), k.String(), f("%.2f", sp)})
+		}
+	}
 	return t, err
 }
 
-// fig8LatencySweep reproduces Fig. 8: the Device-indirect scheme's
-// sensitivity to the accelerator's data-access latency (50–2000 cycles).
-func fig8LatencySweep(s Scale, par int) (TableData, error) {
+// fig8 reproduces Fig. 8: the Device-indirect scheme's sensitivity to
+// the accelerator's data-access latency (50–2000 cycles), against the
+// matrix's software runs.
+func (m *memo) fig8(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 8 — Device-indirect latency sensitivity",
 		Headers: []string{"workload", "access_latency_cyc", "speedup_x"},
 	}
-	latencies := []uint64{50, 100, 300, 600, 1000, 2000}
-	rows, err := mapJobs(par, benchesFor(s),
-		func(b workload.Benchmark) ([][]string, error) {
-			sw, err := workload.RunBaseline(b, workload.Full, workload.WithWarmup())
-			if err != nil {
-				return nil, err
-			}
-			non, err := workload.RunBaseline(b, workload.NonROIOnly, workload.WithWarmup())
-			if err != nil {
-				return nil, err
-			}
-			swROI := roiCycles(sw.Cycles, non.Cycles)
+	rows, err := m.matrix(s, par)
+	if err != nil {
+		return t, err
+	}
+	t.Rows, err = mapJobs(par, rows,
+		func(r matrixRow) ([][]string, error) {
+			swROI := roiCycles(r.sw.Cycles, r.nonROI.Cycles)
 			var rows [][]string
-			for _, lat := range latencies {
-				hw, err := workload.RunQEIWithParams(b, deviceIndirectWith(lat), workload.Full, workload.WithWarmup())
+			for _, lat := range []uint64{50, 100, 300, 600, 1000, 2000} {
+				// The Tab. II Device-indirect machine at this data latency.
+				p, err := hwdesc.ForScheme(scheme.DeviceIndirect).WithDataLatency(lat).SchemeParams()
 				if err != nil {
 					return nil, err
 				}
-				sp := float64(swROI) / float64(roiCycles(hw.Cycles, non.Cycles))
-				rows = append(rows, []string{b.Name(), f("%d", lat), f("%.2f", sp)})
+				hw, err := checked(workload.RunQEIWithParams(r.bench, p, workload.Full, workload.WithWarmup()))
+				if err != nil {
+					return nil, err
+				}
+				sp := float64(swROI) / float64(roiCycles(hw.Cycles, r.nonROI.Cycles))
+				rows = append(rows, []string{r.bench.Name(), f("%d", lat), f("%.2f", sp)})
 			}
 			return rows, nil
 		})
-	t.Rows = rows
 	return t, err
 }
 
-// deviceIndirectWith materializes the Tab. II Device-indirect machine at
-// the given device-interface data latency — the Fig. 8 sweep axis
-// expressed as a named hwdesc description rather than parameter surgery
-// (hwdesc tests pin the materialization to the former literals).
-func deviceIndirectWith(lat uint64) scheme.Params {
-	p, err := hwdesc.ForScheme(scheme.DeviceIndirect).WithDataLatency(lat).SchemeParams()
-	if err != nil {
-		panic(err) // unreachable: the preset validates
-	}
-	return p
-}
-
-// fig9EndToEnd reproduces Fig. 9: end-to-end query/packet-per-second
-// improvement of the full applications (paper: 36.2%–66.7%).
-func fig9EndToEnd(s Scale, par int) (TableData, error) {
+// fig9 reproduces Fig. 9 from the matrix: end-to-end query/packet-per-
+// second improvement of the full applications (paper: 36.2%–66.7%).
+func (m *memo) fig9(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 9 — end-to-end throughput improvement (paper: 36.2%-66.7%)",
 		Headers: []string{"workload", "scheme", "improvement_pct"},
 	}
-	rows, err := mapJobs(par, benchesFor(s),
-		func(b workload.Benchmark) ([][]string, error) {
-			sw, err := workload.RunBaseline(b, workload.Full, workload.WithWarmup())
-			if err != nil {
-				return nil, err
-			}
-			var rows [][]string
-			for _, k := range []scheme.Kind{scheme.CHATLB, scheme.CHANoTLB, scheme.CoreIntegrated} {
-				hw, err := workload.RunQEI(b, k, workload.Full, workload.WithWarmup())
-				if err != nil {
-					return nil, err
-				}
-				imp := (float64(sw.Cycles)/float64(hw.Cycles) - 1) * 100
-				rows = append(rows, []string{b.Name(), k.String(), f("%.1f", imp)})
-			}
-			return rows, nil
-		})
-	t.Rows = rows
+	rows, err := m.matrix(s, par)
+	for _, r := range rows {
+		for _, k := range []scheme.Kind{scheme.CHATLB, scheme.CHANoTLB, scheme.CoreIntegrated} {
+			imp := (float64(r.sw.Cycles)/float64(r.hw[k].Cycles) - 1) * 100
+			t.Rows = append(t.Rows, []string{r.bench.Name(), k.String(), f("%.1f", imp)})
+		}
+	}
 	return t, err
 }
 
@@ -341,18 +301,15 @@ func fig10TupleSpace(s Scale, par int) (TableData, error) {
 			} else {
 				b = workload.SmallTupleSpace(tuples)
 			}
-			sw, err := workload.RunBaseline(b, workload.Full, workload.WithWarmup())
+			sw, err := checked(workload.RunBaseline(b, workload.Full, workload.WithWarmup()))
 			if err != nil {
 				return nil, err
 			}
 			var rows [][]string
 			for _, k := range scheme.Kinds() {
-				hw, err := workload.RunQEINonBlocking(b, scheme.ForKind(k), workload.WithWarmup())
+				hw, err := checked(workload.RunQEINonBlocking(b, scheme.ForKind(k), workload.WithWarmup()))
 				if err != nil {
 					return nil, err
-				}
-				if hw.Mismatches != 0 {
-					return nil, fmt.Errorf("qei: tuple-%d/%s produced %d wrong results", tuples, k, hw.Mismatches)
 				}
 				sp := float64(sw.Cycles) / float64(hw.Cycles)
 				rows = append(rows, []string{f("%d", tuples), k.String(), f("%.2f", sp)})
@@ -372,11 +329,11 @@ func fig11InstrReduction(s Scale, par int) (TableData, error) {
 	}
 	rows, err := mapJobs(par, benchesFor(s),
 		func(b workload.Benchmark) ([][]string, error) {
-			sw, err := workload.RunBaseline(b, workload.ROIOnly)
+			sw, err := checked(workload.RunBaseline(b, workload.ROIOnly))
 			if err != nil {
 				return nil, err
 			}
-			hw, err := workload.RunQEI(b, scheme.CoreIntegrated, workload.ROIOnly)
+			hw, err := checked(workload.RunQEI(b, scheme.CoreIntegrated, workload.ROIOnly))
 			if err != nil {
 				return nil, err
 			}
@@ -419,14 +376,14 @@ func fig12DynamicPower(s Scale, par int) (TableData, error) {
 	model := hwdesc.Default().PowerModel()
 	rows, err := mapJobs(par, benchesFor(s),
 		func(b workload.Benchmark) ([][]string, error) {
-			sw, err := workload.RunBaseline(b, workload.ROIOnly, workload.WithWarmup())
+			sw, err := checked(workload.RunBaseline(b, workload.ROIOnly, workload.WithWarmup()))
 			if err != nil {
 				return nil, err
 			}
 			swE := model.DynamicEnergyNJ(sw.Activity()) / float64(sw.Queries)
 			var rows [][]string
-			for _, k := range []scheme.Kind{scheme.CHATLB, scheme.CHANoTLB, scheme.DeviceDirect, scheme.DeviceIndirect, scheme.CoreIntegrated} {
-				hw, err := workload.RunQEI(b, k, workload.ROIOnly, workload.WithWarmup())
+			for _, k := range scheme.Kinds() {
+				hw, err := checked(workload.RunQEI(b, k, workload.ROIOnly, workload.WithWarmup()))
 				if err != nil {
 					return nil, err
 				}
@@ -515,11 +472,10 @@ func scalability(s Scale, par int) (TableData, error) {
 	rows, err := mapJobs(par, points,
 		func(pt point) ([][]string, error) {
 			r, err := workload.RunMultiCore(b, pt.k, pt.cores)
-			if err != nil {
+			// Every core plays its share of the ROI-only stream.
+			if _, err := checked(workload.Run{Name: b.Name(), Scheme: f("%s x%d cores", pt.k, pt.cores),
+				Mode: workload.ROIOnly, Mismatches: r.Mismatches}, err); err != nil {
 				return nil, err
-			}
-			if r.Mismatches != 0 {
-				return nil, fmt.Errorf("qei: scalability %s/%d produced %d wrong results", pt.k, pt.cores, r.Mismatches)
 			}
 			return [][]string{{pt.k.String(), f("%d", pt.cores), f("%.2f", r.Throughput)}}, nil
 		})
@@ -542,7 +498,7 @@ func nocUtilization(s Scale, par int) (TableData, error) {
 	}
 	rows, err := mapJobs(par, []scheme.Kind{scheme.CoreIntegrated, scheme.DeviceIndirect},
 		func(k scheme.Kind) ([][]string, error) {
-			hw, err := workload.RunQEI(b, k, workload.ROIOnly, workload.WithNoCWindow())
+			hw, err := checked(workload.RunQEI(b, k, workload.ROIOnly, workload.WithNoCWindow()))
 			if err != nil {
 				return nil, err
 			}

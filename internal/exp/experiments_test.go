@@ -16,13 +16,17 @@ import (
 	"qei/internal/golden"
 )
 
+// testMemo is the memo the package's tests share, so the evaluation
+// matrix and the batch sweep are simulated once per test binary.
+var testMemo = new(memo)
+
 // TestExperimentTables runs each registry entry once at Small and
 // compares its text with testdata/<name>.txt, then asserts the entry's
 // shape (if any) on the same table. Goldens are written serially when
 // golden.Updating and checked with several workers, so the pass also
-// pins serial == parallel for every experiment. bench and batch are
-// left to TestBenchGoldenCycles, which pins their records. After an
-// intended change, regenerate the files as package golden describes.
+// pins serial == parallel for every experiment. The entries share
+// testMemo with TestBenchGoldenCycles. After an intended change,
+// regenerate the files as package golden describes.
 func TestExperimentTables(t *testing.T) {
 	par := 4
 	if golden.Updating() {
@@ -32,11 +36,8 @@ func TestExperimentTables(t *testing.T) {
 	for name := range shapes {
 		unused[name] = true
 	}
-	for _, e := range Experiments() {
+	for _, e := range experiments(testMemo) {
 		delete(unused, e.Name)
-		if e.Name == "bench" || e.Name == "batch" {
-			continue
-		}
 		t.Run(e.Name, func(t *testing.T) {
 			if testing.Short() && multiRun[e.Name] {
 				t.Skip("multi-run experiment")

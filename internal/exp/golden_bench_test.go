@@ -1,51 +1,37 @@
 package exp
 
 import (
-	"encoding/json"
 	"os"
+	"slices"
 	"testing"
+
+	"qei/internal/golden"
 )
 
-// TestBenchGoldenCycles pins the "bench" and "batch" experiments'
-// simulated outputs to BENCH_bench.json, committed at the repository
-// root. Performance work on the hot path must leave every simulated
-// quantity — cycle counts, speedups, and the counter profile of each
-// run — byte-identical. If this test fails after an intentional model
-// change, regenerate the file from the repository root with:
-//
-//	go run ./cmd/qeibench -json -scale small -out .
+// TestBenchGoldenCycles pins the "bench" and "batch" records — every
+// simulated cycle count, speedup and counter profile — to
+// BENCH_bench.json at the repository root, written as WriteBenchJSON
+// writes it (qeibench -json writes the same file; ci.sh compares the
+// two). It reads the records from the memo TestExperimentTables
+// renders the bench and batch tables from, so neither is simulated
+// twice. After an intended model change, regenerate the file as
+// package golden describes.
 func TestBenchGoldenCycles(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_bench.json")
-	if err != nil {
-		t.Fatalf("missing golden file: %v", err)
-	}
-	var all []BenchResult
-	if err := json.Unmarshal(data, &all); err != nil {
-		t.Fatalf("golden file: %v", err)
-	}
-	want := map[string][]BenchResult{}
-	for _, w := range all {
-		want[w.Experiment] = append(want[w.Experiment], w)
-	}
-	bench, err := RunBench(Small, 0)
+	bench, err := testMemo.bench(Small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := RunBatchBench(Small)
+	batch, err := testMemo.batch(Small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for exp, got := range map[string][]BenchResult{"bench": bench, "batch": batch} {
-		if len(got) != len(want[exp]) {
-			t.Fatalf("%s: got %d records, golden has %d", exp, len(got), len(want[exp]))
-		}
-		for i := range got {
-			gj, _ := json.Marshal(got[i])
-			wj, _ := json.Marshal(want[exp][i])
-			if string(gj) != string(wj) {
-				t.Errorf("%s record %d (%s/%s) diverges from golden:\n got: %s\nwant: %s",
-					exp, i, got[i].Workload, got[i].Scheme, gj, wj)
-			}
-		}
+	path, err := WriteBenchJSON(t.TempDir(), "bench", slices.Concat(bench, batch))
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "../../BENCH_bench.json", string(got))
 }

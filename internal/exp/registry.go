@@ -37,14 +37,18 @@ func mapJobs[J, R any](par int, jobs []J, fn func(job J) ([]R, error)) ([]R, err
 
 // Experiments lists every figure/table reproduction in paper order,
 // then the ablations — the registry behind cmd/qeibench.
-func Experiments() []Experiment {
+func Experiments() []Experiment { return experiments(new(memo)) }
+
+// experiments is the registry whose entries read the evaluation matrix
+// and the batch sweep from m, so each is simulated once per Scale.
+func experiments(m *memo) []Experiment {
 	return []Experiment{
 		{Name: "fig1", Title: "query share of CPU time", Run: fig1QueryTimeShare},
 		{Name: "tab1", Title: "integration scheme comparison", Run: tabI},
 		{Name: "tab2", Title: "simulated CPU configuration", Run: tabII},
-		{Name: "fig7", Title: "lookup speedup per scheme", Run: fig7Speedup},
-		{Name: "fig8", Title: "device-indirect latency sensitivity", Run: fig8LatencySweep},
-		{Name: "fig9", Title: "end-to-end throughput improvement", Run: fig9EndToEnd},
+		{Name: "fig7", Title: "lookup speedup per scheme", Run: m.fig7},
+		{Name: "fig8", Title: "device-indirect latency sensitivity", Run: m.fig8},
+		{Name: "fig9", Title: "end-to-end throughput improvement", Run: m.fig9},
 		{Name: "fig10", Title: "tuple-space search with QUERY_NB", Run: fig10TupleSpace},
 		{Name: "fig11", Title: "dynamic instruction reduction", Run: fig11InstrReduction},
 		{Name: "tab3", Title: "area and static power", Run: tabIII},
@@ -55,7 +59,7 @@ func Experiments() []Experiment {
 		{Name: "serving", Title: "multi-tenant serving percentiles per backend", Run: servingPercentiles},
 		{Name: "dse", Title: "design-space Pareto frontier", Run: dseFrontier},
 		{Name: "streaming", Title: "epoch-consistent read-write streams", Run: streamingConsistency},
-		{Name: "batch", Title: "level-wise vs windowed batch execution", Run: batchSpeedup},
+		{Name: "batch", Title: "level-wise vs windowed batch execution", Run: m.batchTable},
 		{Name: "abl-qst", Title: "ablation: QST entries", Run: ablationQSTSize},
 		{Name: "abl-remote", Title: "ablation: remote vs local comparison", Run: ablationRemoteCompare},
 		{Name: "abl-translation", Title: "ablation: translation path", Run: ablationTranslation},
@@ -65,6 +69,6 @@ func Experiments() []Experiment {
 		{Name: "abl-hugepage", Title: "ablation: fragmented vs contiguous layout", Run: ablationHugePage},
 		// bench must stay last: earlier entries are indexed by position in
 		// tests and scripts.
-		{Name: "bench", Title: "machine-readable benchmark matrix", Run: benchMatrix},
+		{Name: "bench", Title: "machine-readable benchmark matrix", Run: m.benchTable},
 	}
 }

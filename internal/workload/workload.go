@@ -15,8 +15,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"qei/internal/baseline"
 	"qei/internal/cfa"
 	"qei/internal/cpu"
@@ -613,26 +611,4 @@ func RunQEINonBlocking(bench Benchmark, params scheme.Params, opts ...RunOption)
 			return nil
 		})
 	})
-}
-
-// ROIShare computes Fig. 1's metric: the fraction of software time spent
-// in query operations, from a full run and a non-ROI-only run of the
-// same benchmark.
-func ROIShare(bench Benchmark) (float64, error) {
-	full, err := RunBaseline(bench, Full)
-	if err != nil {
-		return 0, err
-	}
-	nonROI, err := RunBaseline(bench, NonROIOnly)
-	if err != nil {
-		return 0, err
-	}
-	if full.Cycles == 0 {
-		return 0, fmt.Errorf("workload: empty run")
-	}
-	roi := float64(full.Cycles-nonROI.Cycles) / float64(full.Cycles)
-	if roi < 0 {
-		roi = 0
-	}
-	return roi, nil
 }

@@ -76,10 +76,15 @@ func TestROISharesInProfileBand(t *testing.T) {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
 			t.Parallel()
-			share, err := ROIShare(b)
+			full, err := RunBaseline(b, Full)
 			if err != nil {
 				t.Fatal(err)
 			}
+			nonROI, err := RunBaseline(b, NonROIOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			share := float64(full.Cycles-nonROI.Cycles) / float64(full.Cycles)
 			if share < 0.15 || share > 0.60 {
 				t.Fatalf("ROI share = %.2f, want within the profiled band (~0.23-0.44)", share)
 			}
