@@ -115,6 +115,20 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
+// add adds k times d to s.
+func (s *Stats) add(d Stats, k uint64) {
+	s.Instructions += k * d.Instructions
+	s.Cycles += k * d.Cycles
+	s.Loads += k * d.Loads
+	s.Stores += k * d.Stores
+	s.Branches += k * d.Branches
+	s.Mispredicts += k * d.Mispredicts
+	s.Queries += k * d.Queries
+	s.ROBStallCycles += k * d.ROBStallCycles
+	s.LQStallCycles += k * d.LQStallCycles
+	s.FrontendCycles += k * d.FrontendCycles
+}
+
 // Core is the incremental OoO timing model. Run executes ops in program
 // order; state (register readiness, ROB occupancy, frontend position)
 // persists across calls so independent work in consecutive requests
@@ -146,6 +160,10 @@ type Core struct {
 
 	stats Stats
 	err   error
+
+	// fill is runFiller's scratch, kept across blocks so a warmed core
+	// times filler without a host allocation.
+	fill fillScratch
 
 	// tr/tracePid route pipeline events (query spans, mispredict
 	// instants) onto the core's trace track; nil tr disables them.
@@ -209,16 +227,28 @@ func max2(a, b uint64) uint64 {
 // counts only the ops before the faulting one, and every later Run
 // returns at once.
 //
-// Run is the core's only loop. It keeps the frontend, dispatch and
-// retire clocks, the ring positions and Stats in locals for the length
-// of the call and writes them back once on return, a fault included.
-// That is sound because nothing reads the core while Run is on the
-// stack: the memory and query ports and the tracer never reach back
-// into it, and metric closures are read only between calls.
+// run times every op kind but Filler, and runFiller times Filler
+// blocks; each keeps the frontend, dispatch and retire clocks, the ring
+// positions and Stats in locals for the length of its call and writes
+// them back once on return, a fault included. That is sound because
+// nothing reads the core while either is on the stack: the memory and
+// query ports and the tracer never reach back into it, and metric
+// closures are read only between calls.
 func (c *Core) Run(t isa.Trace) uint64 {
-	if c.err != nil {
-		return c.lastRetire
+	for len(t) > 0 && c.err == nil {
+		n := c.run(t)
+		if n < len(t) && c.err == nil {
+			c.runFiller(&t[n])
+			n++
+		}
+		t = t[n:]
 	}
+	return c.lastRetire
+}
+
+// run times t's ops up to the first Filler block or fault and returns
+// how many it retired.
+func (c *Core) run(t isa.Trace) int {
 	cfg := &c.cfg
 	issueWidth, retireWidth := cfg.IssueWidth, cfg.RetireWidth
 	aluLat, mulLat := cfg.ALULatency, cfg.MulLatency
@@ -234,6 +264,9 @@ func (c *Core) Run(t isa.Trace) uint64 {
 loop:
 	for ; n < len(t); n++ {
 		op := &t[n]
+		if op.Kind == isa.Filler {
+			break
+		}
 
 		// Frontend: claim an issue slot.
 		dispatch := fetchCycle
@@ -390,5 +423,5 @@ loop:
 	c.fetchCycle, c.fetchSlots = fetchCycle, fetchSlots
 	c.maxDispatch = maxDispatch
 	c.lastRetire, c.retireInCy = lastRetire, retireInCy
-	return lastRetire
+	return n
 }

@@ -323,6 +323,63 @@ func TestRunIndependentOfSplit(t *testing.T) {
 			}
 		}
 	}
+
+	// The same with Filler blocks in the trace. The ROB of 8 keeps the
+	// blocks from a steady state; the default ROB lets them skip
+	// periods, the last block up to its end.
+	ftr, last := fillerSplitTrace()
+	for _, rob := range []int{0, 8} {
+		newCore := func() *Core {
+			cfg := DefaultConfig()
+			if rob > 0 {
+				cfg.ROBEntries = rob
+			}
+			return New(cfg, &fixedMem{lat: 30}, &scriptedQuery{blockingLat: 60, acceptLat: 5})
+		}
+		if rob == 0 {
+			probe := newCore()
+			probe.Run(ftr[:last])
+			before := probe.fill.skipped
+			probe.Run(ftr[last : last+1])
+			if probe.fill.skipped == before || probe.fill.cut != 0 {
+				t.Fatalf("the last block skipped %d ops and cut %d skips; it must end in a skip", probe.fill.skipped-before, probe.fill.cut)
+			}
+		}
+		whole := newCore()
+		end := whole.Run(ftr)
+		if whole.Err() != nil {
+			t.Fatal(whole.Err())
+		}
+		for k := 1; k < len(ftr); k++ {
+			c := newCore()
+			c.Run(ftr[:k])
+			if got := c.Run(ftr[k:]); got != end {
+				t.Fatalf("filler rob=%d k=%d: split run ended at %d, want %d", rob, k, got, end)
+			}
+			if !reflect.DeepEqual(c, whole) {
+				t.Fatalf("filler rob=%d k=%d: core state %+v, want %+v", rob, k, *c, *whole)
+			}
+		}
+	}
+}
+
+// fillerSplitTrace is splitTrace between Filler blocks: one with loads
+// before it, then one without loads seeded by a QUERY_B and starting
+// mid fetch group, and last, at the returned index, one of a whole
+// number of periods (168 ops at the default issue width and a load
+// every 8th op), so that a skip can run to its end.
+func fillerSplitTrace() (isa.Trace, int) {
+	b := isa.NewBuilder()
+	b.Filler(3000, 8, 0x10000, 64, 128, 0)
+	b.Append(splitTrace())
+	q := b.QueryB(isa.QueryDesc{HeaderAddr: 0x100, KeyAddr: 0x280})
+	b.ALU(0, 0)
+	b.Filler(2500, 0, 0, 0, 0, q)
+	b.ALU(0, 0)
+	last := b.Len()
+	b.Filler(168*20, 8, 0x10000, 64, 0, 0)
+	b.Load(0x4000, 8, 0)
+	return b.Take(), last
 }
 
 // TestRunStopsAtFault pins the fault contract: the faulting load ends
@@ -404,10 +461,10 @@ func TestRestartShiftsFreshRun(t *testing.T) {
 	}
 }
 
-// BenchmarkCoreRun feeds a fixed 4096-op trace shaped like the
-// workloads' non-ROI request work — a dependent ALU chain, independent
+// BenchmarkCoreRun feeds a fixed 4096-op trace of plain ops shaped
+// like an expanded Filler block — a dependent ALU chain, independent
 // scalar ops, well-predicted branches and a cache-resident load every
-// 8th op — the bulk of every core's instruction stream.
+// 8th op — through Run's per-op loop.
 func BenchmarkCoreRun(b *testing.B) {
 	bl := isa.NewBuilder()
 	chain := isa.Reg(0)

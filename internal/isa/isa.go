@@ -11,7 +11,12 @@
 // (Sec. IV-A) are two additional micro-op kinds.
 package isa
 
-import "qei/internal/mem"
+import (
+	"fmt"
+	"math"
+
+	"qei/internal/mem"
+)
 
 // Reg is an architectural register number. The trace generators use a
 // small conventional file; register 0 is hardwired zero/unused.
@@ -45,6 +50,20 @@ const (
 	// QueryNB is the non-blocking QEI query instruction: behaves like a
 	// store and retires once the accelerator accepts it.
 	QueryNB
+	// Filler is a block of N ops of a request's surrounding work,
+	// described instead of listed (Builder.Filler emits it). Op i of
+	// the block, for i in [0, N), is:
+	//   - a Load into a fresh register, if Size > 0 and i%Size == 0;
+	//   - else an ALU op on the chain register into a fresh one, if
+	//     i%3 == 0;
+	//   - else a well-predicted Branch on the chain, if i%7 == 6;
+	//   - else an ALU op with no sources into a fresh register.
+	// Loads and chain ops make their result the chain, which starts as
+	// Src1. Fresh registers are numbered from Dst on, wrapping as
+	// Builder.Temp does. The j-th load reads 8 bytes at Addr + (Off +
+	// 8·Size·j) mod (Lines·mem.LineSize); a block with no Lines has no
+	// loads.
+	Filler
 )
 
 func (k Kind) String() string {
@@ -65,6 +84,8 @@ func (k Kind) String() string {
 		return "query_b"
 	case QueryNB:
 		return "query_nb"
+	case Filler:
+		return "filler"
 	default:
 		return "unknown"
 	}
@@ -84,20 +105,29 @@ type QueryDesc struct {
 	Tag uint64
 }
 
-// Op is one dynamic micro-operation.
+// Op is one dynamic micro-operation. A Filler op gives some fields a
+// meaning of their own (see Filler). N, Lines and Off fill what would
+// otherwise be padding, so every op stays 32 bytes.
 type Op struct {
 	Kind Kind
 	// Dst is the destination register (0 = none).
 	Dst Reg
 	// Src1, Src2 are source registers (0 = none).
 	Src1, Src2 Reg
+	// N is a Filler block's op count.
+	N uint32
 	// Addr is the effective virtual address for Load/Store.
 	Addr mem.VAddr
 	// Size is the access size in bytes for Load/Store (for stats; timing
-	// is per line).
+	// is per line), and a Filler block's load period.
 	Size uint8
 	// Mispredict marks a branch the predictor missed.
 	Mispredict bool
+	// Lines is the size of a Filler block's scratch area in cachelines.
+	Lines uint16
+	// Off is the offset in bytes of a Filler block's first load in its
+	// scratch area.
+	Off uint32
 	// Query carries QUERY operands; nil otherwise.
 	Query *QueryDesc
 }
@@ -119,8 +149,8 @@ func (t Trace) Loads() int {
 
 // Sink consumes ops in program order. A Trace handed to Run is only
 // valid for the duration of the call: the builder reuses its storage.
-// *cpu.Core is a Sink (package isa cannot import cpu); its Run is the
-// core's only loop.
+// *cpu.Core is a Sink (package isa cannot import cpu); its Run times
+// every op kind, a Filler block in a loop of its own.
 type Sink interface {
 	Run(Trace) uint64
 }
@@ -294,6 +324,83 @@ func (b *Builder) Nop(n int) {
 		b.slot() // a zeroed op is a Nop
 		b.filled()
 	}
+}
+
+// Filler appends a block of n ops of request work (see the Filler kind)
+// and returns the chain register it leaves: its last load or chain op,
+// or seed when n is 0, which appends nothing. Every load'th op loads 8
+// bytes from the scratch area of lines cachelines at scratch, the first
+// at byte off and each next one 8·every bytes on, wrapping at the end;
+// every == 0, a zero scratch or no lines leave out the loads. Register
+// numbering advances as if each op had been emitted on its own.
+func (b *Builder) Filler(n, every int, scratch mem.VAddr, lines int, off uint64, seed Reg) Reg {
+	if n <= 0 {
+		return seed
+	}
+	if every <= 0 || scratch == 0 || lines == 0 {
+		every, scratch, lines, off = 0, 0, 0, 0
+	}
+	if n > math.MaxUint32 || every > math.MaxUint8 || lines > math.MaxUint16 || off > 0 && off >= uint64(lines)*mem.LineSize {
+		panic(fmt.Sprintf("isa: filler block out of range: %d ops, load period %d, %d lines, offset %d", n, every, lines, off))
+	}
+	first := b.nextReg
+	op := b.slot()
+	op.Kind, op.Dst, op.Src1, op.N = Filler, first, seed, uint32(n)
+	op.Addr, op.Size, op.Lines, op.Off = scratch, uint8(every), uint16(lines), uint32(off)
+	b.filled()
+	// Every op but a branch takes a fresh register. The chain is the
+	// last load or chain op, one of the last three ops; those after it
+	// that are not branches took the registers after its.
+	temps := n - fillerBranches(n, every)
+	b.nextReg = regAfter(first, temps)
+	chain := temps - 1
+	for i := n - 1; !fillerChains(i, every); i-- {
+		if i%7 != 6 {
+			chain--
+		}
+	}
+	return regAfter(first, chain)
+}
+
+// fillerChains reports whether a Filler block's op i, with load period
+// every, loads or extends the chain.
+func fillerChains(i, every int) bool {
+	return every > 0 && i%every == 0 || i%3 == 0
+}
+
+// fillerBranches counts the branches among a Filler block's first m ops
+// with load period every. The op kinds repeat every lcm(21, every) ops,
+// so it counts one such period and the remainder.
+func fillerBranches(m, every int) int {
+	p := 21
+	if every > 0 {
+		p = p / gcd(p, every) * every
+	}
+	return m/p*branchesBelow(p, every) + branchesBelow(m%p, every)
+}
+
+// branchesBelow counts the branches among a Filler block's first m ops
+// op by op: the ops at i%7 == 6 that neither load nor extend the chain.
+func branchesBelow(m, every int) int {
+	n := 0
+	for i := 6; i < m; i += 7 {
+		if !fillerChains(i, every) {
+			n++
+		}
+	}
+	return n
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// regAfter is the register Temp returns k calls after it returns first.
+func regAfter(first Reg, k int) Reg {
+	return Reg((int(first)-1+k)%(NumRegs-1) + 1)
 }
 
 // Append concatenates a prebuilt trace, flushing each time a streaming

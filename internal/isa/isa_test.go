@@ -3,6 +3,7 @@ package isa
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"qei/internal/mem"
 )
@@ -84,11 +85,32 @@ func TestQueryDescCopied(t *testing.T) {
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		Nop: "nop", ALU: "alu", MulALU: "mul", Load: "load", Store: "store",
-		Branch: "branch", QueryB: "query_b", QueryNB: "query_nb",
+		Branch: "branch", QueryB: "query_b", QueryNB: "query_nb", Filler: "filler",
 	} {
 		if k.String() != want {
 			t.Fatalf("Kind(%d).String() = %q, want %q", k, k.String(), want)
 		}
+	}
+}
+
+// TestOpSize pins the op at 32 bytes: a Filler block's fields fill
+// the padding the other kinds leave.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 32 {
+		t.Fatalf("Op is %d bytes, want 32", got)
+	}
+}
+
+// TestFillerEmpty pins that an empty block appends nothing and leaves
+// the seed as the chain, and that a block without scratch loads nothing.
+func TestFillerEmpty(t *testing.T) {
+	b := NewBuilder()
+	if r := b.Filler(0, 8, 0x1000, 64, 0, 7); r != 7 || b.Len() != 0 {
+		t.Fatalf("empty block returned %d and appended %d ops", r, b.Len())
+	}
+	b.Filler(100, 8, 0, 64, 64, 7)
+	if op := b.Ops()[0]; op.Kind != Filler || op.N != 100 || op.Size != 0 || op.Lines != 0 || op.Off != 0 || op.Src1 != 7 {
+		t.Fatalf("block without scratch = %+v, want one without loads", op)
 	}
 }
 
@@ -309,10 +331,10 @@ func (s *countingSink) Run(t Trace) uint64 {
 	return 0
 }
 
-// BenchmarkBuilderStream streams 4096 ops per iteration shaped like the
-// workloads' non-ROI request work — a dependent ALU chain, independent
-// scalar ops, well-predicted branches and a load every 8th op — into a
-// sink that only counts them: the cost of building the ops alone.
+// BenchmarkBuilderStream streams 4096 ops per iteration shaped like an
+// expanded Filler block — a dependent ALU chain, independent scalar
+// ops, well-predicted branches and a load every 8th op — into a sink
+// that only counts them: the cost of building the ops alone.
 func BenchmarkBuilderStream(b *testing.B) {
 	sink := &countingSink{}
 	bl := NewBuilder()

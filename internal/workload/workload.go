@@ -240,40 +240,18 @@ func applyMemoryDelta(r *Run, before, after memSnapshot) {
 // emitNonROI appends the request's surrounding work to b: parsing,
 // copying, and bookkeeping modelled as short dependent chains seeded by
 // cache-resident loads, the IPC≈1.5 shape of real protocol-processing
-// code. seed, when non-zero, makes the work depend on a query result
-// register (the accelerated rewrite consumes results, List 2).
+// code, as one isa.Filler block. seed, when non-zero, is a query result
+// register for the work to depend on (the accelerated rewrite consumes
+// results, List 2); but a block reads it only if its first op is not a
+// scratch load, and every benchmark's block starts with one. A
+// data-dependent branch per request closes the work and mispredicts
+// occasionally.
 func emitNonROI(b *isa.Builder, plan *Plan, reqIdx int, seed isa.Reg) {
 	if plan.NonROIOps <= 0 {
 		return
 	}
-	chain := seed
-	loads := plan.NonROILoadEvery > 0 && plan.Scratch != 0
-	// toLoad, to3 and to7 count the ops until the next i%NonROILoadEvery
-	// == 0, i%3 == 0 and i%7 == 6, so choosing an op divides by nothing.
-	toLoad, to3, to7 := 0, 0, 6
-	for i := 0; i < plan.NonROIOps; i++ {
-		switch {
-		case loads && toLoad == 0:
-			off := uint64(reqIdx*64+i*8) % plan.scratchSize
-			chain = b.Load(plan.Scratch+mem.VAddr(off&^7), 8, 0)
-		case to3 == 0:
-			chain = b.ALU(chain, 0) // dependent on the running chain
-		case to7 == 0:
-			b.Branch(chain, false) // well-predicted control flow
-		default:
-			b.ALU(0, 0) // independent scalar work
-		}
-		if toLoad--; toLoad < 0 {
-			toLoad = plan.NonROILoadEvery - 1
-		}
-		if to3--; to3 < 0 {
-			to3 = 2
-		}
-		if to7--; to7 < 0 {
-			to7 = 6
-		}
-	}
-	// A data-dependent branch per request mispredicts occasionally.
+	off := uint64(reqIdx*64) % max(plan.scratchSize, 1)
+	chain := b.Filler(plan.NonROIOps, plan.NonROILoadEvery, plan.Scratch, int(plan.scratchSize/mem.LineSize), off, seed)
 	b.Branch(chain, reqIdx%24 == 0)
 }
 
