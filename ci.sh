@@ -47,11 +47,18 @@ else
 	go test -race -timeout 90m ./...
 fi
 
+# Every smoke below runs the CLIs from these binaries, built once.
+bindir=$(mktemp -d)
+trap 'rm -rf "$bindir"' EXIT
+for cli in qeibench qeidse qeifw qeiserve qeisim qeitrace; do
+	go build -o "$bindir/$cli" "./cmd/$cli"
+done
+
 # Bench smoke: the Tab. I experiment proves the registry and qeibench
 # still assemble and print a table, and (full tier) one iteration of
 # every layer micro-benchmark keeps those compiling and running
 # (-benchmem prints their allocations too).
-case "$(go run ./cmd/qeibench -exp tab1)" in
+case "$("$bindir/qeibench" -exp tab1)" in
 *Core-integrated*) ;;
 *)
 	echo "bench-smoke: qeibench -exp tab1 printed no Core-integrated row" >&2
@@ -62,7 +69,7 @@ esac
 # them from a memo the experiment tables share. Both must write the
 # committed BENCH_bench.json byte for byte.
 bench_json=$(mktemp -d)
-go run ./cmd/qeibench -json -scale small -out "$bench_json" >/dev/null
+"$bindir/qeibench" -json -scale small -out "$bench_json" >/dev/null
 if ! cmp "$bench_json/BENCH_bench.json" BENCH_bench.json; then
 	echo "bench-smoke: qeibench -json -scale small differs from BENCH_bench.json" >&2
 	rm -rf "$bench_json"
@@ -115,11 +122,6 @@ fi
 # fails. qeitrace must also show the QST-deep overlap it documents:
 # four in-flight queries occupy at least two distinct QST slot tracks
 # (pid,tid pairs) under every scheme.
-bindir=$(mktemp -d)
-trap 'rm -rf "$bindir"' EXIT
-for cli in qeibench qeisim qeiserve qeitrace qeidse; do
-	go build -o "$bindir/$cli" "./cmd/$cli"
-done
 for s in core cha-tlb cha-notlb device-direct device-indirect; do
 	trace=$("$bindir/qeitrace" -scheme "$s" -queries 4)
 	case "$trace" in
@@ -174,7 +176,6 @@ fi
 # Firmware smoke: qeifw walks the default firmware registry, so every
 # built-in program, the B+ tree included, must validate and print a row,
 # and -dot must find the B+ tree program.
-go build -o "$bindir/qeifw" ./cmd/qeifw
 fw_out=$("$bindir/qeifw")
 if ! printf '%s\n' "$fw_out" | grep -q '^btree .* ok$'; then
 	echo "firmware-smoke: qeifw printed no valid btree row" >&2
@@ -210,7 +211,7 @@ done
 # Serve smoke: a small multi-tenant run through BOTH serving backends
 # must emit machine-readable per-tenant percentiles. Checks that the
 # JSON carries p99 fields and one report per backend.
-serve_json=$(go run ./cmd/qeiserve -backend both -tenants 2 -requests 60 -keys 32 -json)
+serve_json=$("$bindir/qeiserve" -backend both -tenants 2 -requests 60 -keys 32 -json)
 for needle in '"p99"' '"backend": "qei"' '"backend": "baseline"' '"slo_violations"'; do
 	case "$serve_json" in
 	*"$needle"*) ;;
@@ -311,7 +312,7 @@ rm -f "$res_trace"
 # level-wise engine and retire every request (qeiserve exits non-zero on
 # epoch violations). The batch experiment's per-cell parity check
 # against the per-query path runs in TestBenchGoldenCycles.
-bserve_out=$(go run ./cmd/qeiserve -batchadmit 16 -tenants 2 -requests 80 -keys 64)
+bserve_out=$("$bindir/qeiserve" -batchadmit 16 -tenants 2 -requests 80 -keys 64)
 case "$bserve_out" in
 *'batch/batches 0 '*)
 	echo "batch-smoke: batched admission flushed no batches" >&2
@@ -328,8 +329,8 @@ esac
 # Pareto frontier, and the serial sweep must be byte-identical to the
 # parallel one (the determinism contract of internal/dse).
 dse_axes='qst=8,32;cores=16,24'
-dse_serial=$(go run ./cmd/qeidse -axes "$dse_axes" -parallel 1 -json)
-dse_par=$(go run ./cmd/qeidse -axes "$dse_axes" -parallel 8 -json)
+dse_serial=$("$bindir/qeidse" -axes "$dse_axes" -parallel 1 -json)
+dse_par=$("$bindir/qeidse" -axes "$dse_axes" -parallel 8 -json)
 if [ "$dse_serial" != "$dse_par" ]; then
 	echo "dse-smoke: serial and parallel sweep output differ" >&2
 	exit 1

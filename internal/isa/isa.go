@@ -147,28 +147,13 @@ func (t Trace) Loads() int {
 	return n
 }
 
-// Sink consumes ops in program order. A Trace handed to Run is only
-// valid for the duration of the call: the builder reuses its storage.
-// *cpu.Core is a Sink (package isa cannot import cpu); its Run times
-// every op kind, a Filler block in a loop of its own.
-type Sink interface {
-	Run(Trace) uint64
-}
-
-// streamChunk is the number of ops a streaming Builder buffers before
-// handing them to its sink: 4096 ops = 128 KiB, large enough to
-// amortise the Run call and small enough to stay cache-resident.
-const streamChunk = 4096
-
 // Builder accumulates a trace with a tiny register-allocation convention,
-// making the query-routine generators readable. By default it keeps
-// every op until Take, Ops or Reset; after StreamTo it instead hands its
-// ops to a sink in order through a fixed-size buffer, so an arbitrarily
-// long trace never becomes one slice.
+// making the query-routine generators readable. It keeps every op until
+// Take or Reset; the caller reads them with Ops and hands them to the
+// core (cpu.Core.Run).
 type Builder struct {
 	ops     Trace
 	nextReg Reg
-	sink    Sink // nil: accumulate
 }
 
 // NewBuilder returns an empty trace builder.
@@ -176,43 +161,12 @@ func NewBuilder() *Builder {
 	return &Builder{nextReg: 1}
 }
 
-// StreamTo makes the builder hand its ops to sink: whenever streamChunk
-// ops are buffered they are passed to sink.Run and the buffer empties.
-// Flush hands over the remainder. Register numbering carries on across
-// flushes (only Reset restarts it), so the sink sees exactly the ops,
-// in the same order, that an accumulating builder would hold.
-func (b *Builder) StreamTo(sink Sink) {
-	b.sink = sink
-	if cap(b.ops) < streamChunk {
-		b.ops = make(Trace, 0, streamChunk)
-	}
-}
-
-// Flush hands the buffered ops to the sink and empties the buffer. It
-// does not call the sink when nothing is buffered, and does nothing on
-// a builder that does not stream.
-func (b *Builder) Flush() {
-	if b.sink == nil || len(b.ops) == 0 {
-		return
-	}
-	b.sink.Run(b.ops)
-	b.ops = b.ops[:0]
-}
-
 // slot appends a zeroed op and returns it for the emitter to fill in
-// place: building the op on the stack and copying it into the buffer
-// costs a store-forwarding stall per op. The emitter calls filled once
-// the op is complete.
+// place: building the op on the stack and copying it into the trace
+// costs a store-forwarding stall per op.
 func (b *Builder) slot() *Op {
 	b.ops = append(b.ops, Op{})
 	return &b.ops[len(b.ops)-1]
-}
-
-// filled hands a full stream buffer to the sink.
-func (b *Builder) filled() {
-	if len(b.ops) == streamChunk && b.sink != nil {
-		b.Flush()
-	}
 }
 
 // Temp allocates a fresh register, wrapping within the file (past results
@@ -232,7 +186,6 @@ func (b *Builder) Load(addr mem.VAddr, size uint8, base Reg) Reg {
 	dst := b.Temp()
 	op := b.slot()
 	op.Kind, op.Dst, op.Src1, op.Addr, op.Size = Load, dst, base, addr, size
-	b.filled()
 	return dst
 }
 
@@ -262,7 +215,6 @@ func (b *Builder) LoadRange(addr mem.VAddr, size uint64, base Reg) Reg {
 func (b *Builder) Store(addr mem.VAddr, size uint8, src Reg) {
 	op := b.slot()
 	op.Kind, op.Src1, op.Addr, op.Size = Store, src, addr, size
-	b.filled()
 }
 
 // ALU appends a single-cycle op combining two registers.
@@ -270,7 +222,6 @@ func (b *Builder) ALU(a, c Reg) Reg {
 	dst := b.Temp()
 	op := b.slot()
 	op.Kind, op.Dst, op.Src1, op.Src2 = ALU, dst, a, c
-	b.filled()
 	return dst
 }
 
@@ -288,7 +239,6 @@ func (b *Builder) Mul(a, c Reg) Reg {
 	dst := b.Temp()
 	op := b.slot()
 	op.Kind, op.Dst, op.Src1, op.Src2 = MulALU, dst, a, c
-	b.filled()
 	return dst
 }
 
@@ -296,7 +246,6 @@ func (b *Builder) Mul(a, c Reg) Reg {
 func (b *Builder) Branch(cond Reg, mispredict bool) {
 	op := b.slot()
 	op.Kind, op.Src1, op.Mispredict = Branch, cond, mispredict
-	b.filled()
 }
 
 // QueryB appends a blocking QEI query and returns the result register.
@@ -305,7 +254,6 @@ func (b *Builder) QueryB(q QueryDesc) Reg {
 	qd := q
 	op := b.slot()
 	op.Kind, op.Dst, op.Query = QueryB, dst, &qd
-	b.filled()
 	return dst
 }
 
@@ -314,7 +262,6 @@ func (b *Builder) QueryNB(q QueryDesc) {
 	qd := q
 	op := b.slot()
 	op.Kind, op.Query = QueryNB, &qd
-	b.filled()
 }
 
 // Nop appends n frontend-only micro-ops (models surrounding scalar work
@@ -322,7 +269,6 @@ func (b *Builder) QueryNB(q QueryDesc) {
 func (b *Builder) Nop(n int) {
 	for i := 0; i < n; i++ {
 		b.slot() // a zeroed op is a Nop
-		b.filled()
 	}
 }
 
@@ -347,7 +293,6 @@ func (b *Builder) Filler(n, every int, scratch mem.VAddr, lines int, off uint64,
 	op := b.slot()
 	op.Kind, op.Dst, op.Src1, op.N = Filler, first, seed, uint32(n)
 	op.Addr, op.Size, op.Lines, op.Off = scratch, uint8(every), uint16(lines), uint32(off)
-	b.filled()
 	// Every op but a branch takes a fresh register. The chain is the
 	// last load or chain op, one of the last three ops; those after it
 	// that are not branches took the registers after its.
@@ -403,46 +348,37 @@ func regAfter(first Reg, k int) Reg {
 	return Reg((int(first)-1+k)%(NumRegs-1) + 1)
 }
 
-// Append concatenates a prebuilt trace, flushing each time a streaming
-// builder's buffer fills.
+// Append concatenates a prebuilt trace.
 func (b *Builder) Append(t Trace) {
-	for b.sink != nil && len(b.ops)+len(t) >= streamChunk {
-		n := streamChunk - len(b.ops)
-		b.ops = append(b.ops, t[:n]...)
-		t = t[n:]
-		b.Flush()
-	}
 	b.ops = append(b.ops, t...)
 }
 
-// Take returns the accumulated trace and resets the builder.
+// Take returns the accumulated trace and empties the builder, handing
+// over the backing array. Unlike Reset it keeps register numbering.
 func (b *Builder) Take() Trace {
 	t := b.ops
 	b.ops = nil
 	return t
 }
 
-// Ops returns the ops accumulated since the last Reset (on a streaming
-// builder, since the last flush) without giving up the backing array:
-// the caller may read them until the builder's next emit or Reset,
-// after which the storage is reused. Take hands the storage over
-// instead.
+// Ops returns the ops accumulated since the last Reset without giving
+// up the backing array: the caller may read them until the builder's
+// next emit or Reset, after which the storage is reused. Take hands the
+// storage over instead.
 func (b *Builder) Ops() Trace { return b.ops }
 
 // Reset empties the builder for reuse, keeping the trace's backing
 // array and restarting register numbering exactly as a fresh builder
 // would (NewBuilder starts at register 1, and register numbering feeds
 // the core's dependence tracking — so a Reset builder emits
-// byte-identical traces to a new one). Ops not yet flushed to a sink
-// are dropped, and the sink stays attached. Any Trace previously
-// obtained from Ops is invalidated.
+// byte-identical traces to a new one). Any Trace previously obtained
+// from Ops is invalidated.
 func (b *Builder) Reset() {
 	b.ops = b.ops[:0]
 	b.nextReg = 1
 }
 
-// Len reports the number of ops buffered: accumulated since the last
-// Reset, or on a streaming builder not yet flushed.
+// Len reports the number of ops accumulated since the last Reset.
 func (b *Builder) Len() int { return len(b.ops) }
 
 // Skeleton is a memoized builder prefix: the ops emitted so far plus the
@@ -455,16 +391,15 @@ type Skeleton struct {
 	NextReg Reg
 }
 
-// Snapshot captures the builder's buffered ops as a Skeleton. The ops
-// are copied, so the skeleton stays valid across Reset. Only an
-// accumulating builder holds a whole prefix to capture.
+// Snapshot captures the builder's ops as a Skeleton. The ops are
+// copied, so the skeleton stays valid across Reset.
 func (b *Builder) Snapshot() Skeleton {
 	return Skeleton{Ops: append(Trace(nil), b.ops...), NextReg: b.nextReg}
 }
 
-// AppendSkeleton replays a memoized prefix: the ops are appended (and
-// flushed like Append's) and the register allocator is advanced to the
-// state it had when the skeleton was captured.
+// AppendSkeleton replays a memoized prefix: the ops are appended and
+// the register allocator is advanced to the state it had when the
+// skeleton was captured.
 func (b *Builder) AppendSkeleton(s Skeleton) {
 	b.Append(s.Ops)
 	b.nextReg = s.NextReg

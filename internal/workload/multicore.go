@@ -82,15 +82,15 @@ func RunMultiCore(bench Benchmark, kind scheme.Kind, cores int) (MultiCoreResult
 			progress = true
 			chunk := probes[:min(batch, len(probes))]
 			perCore[c] = probes[len(chunk):]
-			s.b.StreamTo(cpus[c])
-			s.b.Reset()
-			for _, p := range chunk {
-				emitQueryB(s.b, p, s.tag, false)
-				pending[c] = append(pending[c], expect{tag: s.tag, p: p})
-				s.tag++
-			}
-			s.b.Flush()
-			if err := cpus[c].Err(); err != nil {
+			err := s.chunk(cpus[c], func() error {
+				for _, p := range chunk {
+					emitQueryB(s.b, p, s.tag, false)
+					pending[c] = append(pending[c], expect{tag: s.tag, p: p})
+					s.tag++
+				}
+				return nil
+			})
+			if err != nil {
 				return res, err
 			}
 		}

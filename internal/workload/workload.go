@@ -265,10 +265,8 @@ type session struct {
 	plan  *Plan
 	accel *qei.Accelerator // nil on software runs
 	core  *cpu.Core        // core 0, beside accel
-	// b streams every trace into a core (core 0 unless a driver points
-	// it elsewhere) through the builder's fixed-size buffer, so a chunk
-	// of requests never becomes one slice. Reset at each chunk keeps
-	// register numbering byte-identical to a fresh builder.
+	// b holds the chunk being emitted (see chunk). Reset at each chunk
+	// keeps register numbering byte-identical to a fresh builder.
 	b   *isa.Builder
 	run Run
 	// buildStart and buildEnd bound the plan's structures, which a
@@ -303,7 +301,6 @@ func open(bench Benchmark, params *scheme.Params, opts []RunOption) (*session, e
 		port = s.accel
 	}
 	s.core = s.m.NewCore(0, port)
-	s.b.StreamTo(s.core)
 	return s, nil
 }
 
@@ -368,23 +365,28 @@ func (s *session) measure(play func(reqs []Request, measured bool) error) (Run, 
 	return s.run, nil
 }
 
-// batches hands reqs to core 0 in traces of up to n requests: emit
-// streams one chunk's ops into the reset builder (first is the chunk's
-// index in reqs), and the core has run all of them before the next
-// chunk. Once the core faults it ignores the rest of the chunk, so the
-// error is the one its first faulting op raised.
+// batches hands reqs to core 0 in traces of up to n requests, one chunk
+// each: emit appends a chunk's ops (first is the chunk's index in reqs).
 func (s *session) batches(reqs []Request, n int, emit func(chunk []Request, first int) error) error {
 	for first := 0; first < len(reqs); first += n {
-		s.b.Reset()
-		if err := emit(reqs[first:min(first+n, len(reqs))], first); err != nil {
-			return err
-		}
-		s.b.Flush()
-		if err := s.core.Err(); err != nil {
+		chunk := reqs[first:min(first+n, len(reqs))]
+		if err := s.chunk(s.core, func() error { return emit(chunk, first) }); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// chunk runs one trace on core: it resets the builder, lets emit fill
+// it and runs what it built. Once the core faults it ignores the rest
+// of the trace, so the error is the one its first faulting op raised.
+func (s *session) chunk(core *cpu.Core, emit func() error) error {
+	s.b.Reset()
+	if err := emit(); err != nil {
+		return err
+	}
+	core.Run(s.b.Ops())
+	return core.Err()
 }
 
 // issue returns the next query tag for p and, on the measured pass,
