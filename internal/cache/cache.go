@@ -156,7 +156,8 @@ func (c *Cache) Lookup(a mem.PAddr) bool {
 	return false
 }
 
-// Contains probes without touching LRU or stats (for invariant checks).
+// Contains probes without touching LRU or stats (invariant checks and
+// the probe before a run of StampHit calls).
 func (c *Cache) Contains(a mem.PAddr) bool {
 	if c.tags == nil {
 		return false
@@ -169,6 +170,33 @@ func (c *Cache) Contains(a mem.PAddr) bool {
 		}
 	}
 	return false
+}
+
+// StampHit sets the LRU stamp of the resident line containing a to
+// the one Lookup would leave it if the i-th (from 0) of a run of hits
+// starting now were the line's last. A run of read hits whose lines
+// Contains found is applied this way, each line stamped at its last
+// access in the run, and ended with AddHits. It changes nothing if the
+// line is not resident.
+func (c *Cache) StampHit(a mem.PAddr, i uint64) {
+	if c.tags == nil {
+		return
+	}
+	line := uint64(a.Line())
+	base := int(c.setIndex(line)) * c.ways
+	for w, tag := range c.tags[base : base+c.ways] {
+		if tag == line {
+			c.lru[base+w] = c.stamp + 1 + i
+			return
+		}
+	}
+}
+
+// AddHits ends a run of n read hits whose lines StampHit stamped: the
+// LRU counter and the hit count advance as n Lookup hits advance them.
+func (c *Cache) AddHits(n uint64) {
+	c.stamp += n
+	c.hits += n
 }
 
 // Insert fills the line containing a, evicting the LRU way if the set is

@@ -59,6 +59,13 @@ type MemPort interface {
 	// its latency in cycles. Faults are returned as errors (the core
 	// model treats them as fatal for the trace).
 	Access(a mem.VAddr, write bool, issue uint64) (latency uint64, err error)
+	// ReadRing performs the n reads of a ring walk, the i-th (from 0) at
+	// base + (off + i·step) mod size, with size > 0, if each of them,
+	// made by Access in order, would return latency lat and no fault
+	// whatever its issue cycle, and reports true. Otherwise it changes
+	// nothing and reports false, and the caller makes the reads one
+	// Access at a time.
+	ReadRing(base mem.VAddr, off, step, size, n, lat uint64) bool
 }
 
 // QueryPort is the accelerator interface seen by the core's Load-Store

@@ -24,6 +24,16 @@ func (f *fixedMem) Access(a mem.VAddr, write bool, issue uint64) (uint64, error)
 	return f.lat, nil
 }
 
+// ReadRing makes the n reads at once if each would return lat and none
+// faults.
+func (f *fixedMem) ReadRing(_ mem.VAddr, _, _, _, n, lat uint64) bool {
+	if lat != f.lat || f.failAt > f.accesses && f.failAt <= f.accesses+int(n) {
+		return false
+	}
+	f.accesses += int(n)
+	return true
+}
+
 // scriptedQuery returns preprogrammed completion cycles.
 type scriptedQuery struct {
 	blockingLat uint64
@@ -423,6 +433,9 @@ func (l *issueLog) Access(a mem.VAddr, write bool, issue uint64) (uint64, error)
 	l.issues = append(l.issues, issue)
 	return l.fixedMem.Access(a, write, issue)
 }
+
+// ReadRing declines, so every read logs its issue cycle.
+func (l *issueLog) ReadRing(mem.VAddr, uint64, uint64, uint64, uint64, uint64) bool { return false }
 
 // TestRestartShiftsFreshRun pins Restart's contract: after a faulted
 // run, Restart(at) then Run times the trace exactly as a fresh core

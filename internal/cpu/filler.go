@@ -25,12 +25,19 @@ import (
 // exact. A block that the ROB or its own chain holds back drifts behind
 // its fetch clock, never matches, and is timed op by op throughout.
 //
-// A skipped period's loads still go to the memory port, in order and at
-// the cycles op-by-op timing would issue them, so the caches, TLBs,
-// their counters and trace spans see the same accesses. A load whose
-// latency differs from the last period's, or that faults, ends the
-// skip: runFiller rebuilds the state at the start of that period and
-// times it op by op, reusing the outcomes the port already returned.
+// A skipped period's loads still reach the memory port, so the caches,
+// TLBs and their counters see the same accesses. When the template
+// period's loads all took one latency, fillSkip hands the port every
+// skipped load at once as a walk of the scratch ring (MemPort.ReadRing):
+// a port that finds each load would return that latency whatever its
+// cycle, as the machine's does when every line and page is L1-resident
+// and no tracer or fault injector is attached, applies them in one call.
+// Otherwise, or when the template's latencies differ, the loads go to
+// the port one Access each, in order and at the cycles op-by-op timing
+// would issue them, so trace spans see them too. A load whose latency
+// differs from the last period's, or that faults, ends the skip:
+// runFiller rebuilds the state at the start of that period and times it
+// op by op, reusing the outcomes the port already returned.
 
 // fillScratch is runFiller's state that outlives a period.
 type fillScratch struct {
@@ -323,12 +330,18 @@ func snapRing(snap, ring []uint64, pos int, at uint64) bool {
 
 // fillSkip issues the loads of up to k periods after the template
 // period, each at its template issue cycle plus delta per period, and
-// returns how many whole periods returned the template's latencies. At
-// the first load that returns another latency or faults it stops,
-// rewinds the block to that period's first load and leaves the
-// outcomes for fillOps to replay.
+// returns how many whole periods returned the template's latencies.
+// When the template's loads all took one latency, it first offers the
+// port all k periods' loads as one ReadRing call. Otherwise, or if the
+// port declines, it makes them one Access each: at the first load that
+// returns another latency or faults it stops, rewinds the block to that
+// period's first load and leaves the outcomes for fillOps to replay.
 func (c *Core) fillSkip(f *fillBlock, k int) int {
 	s := &c.fill
+	if n := uint64(k * len(s.lat)); n > 0 && uniform(s.lat) && c.mem.ReadRing(f.base, f.off, f.step, f.size, n, s.lat[0]) {
+		f.off = (f.off + n*f.step%f.size) % f.size
+		return k
+	}
 	for q := 0; q < k; q++ {
 		start := f.off
 		d := uint64(q+1) * s.delta
@@ -374,6 +387,16 @@ func (c *Core) fillShift(f *fillBlock, k int) {
 	c.maxDispatch += d
 	c.lastRetire += d
 	c.stats.add(s.dstats, uint64(k))
+}
+
+// uniform reports whether every latency in lat is the first one.
+func uniform(lat []uint64) bool {
+	for _, l := range lat {
+		if l != lat[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // shiftRing appends k periods of adv entries each to ring, whose next

@@ -54,13 +54,26 @@ type access struct {
 	issue uint64
 }
 
+// latScript gives the latency of a port's n-th call (from 1), to
+// address a at issue cycle issue. With peek set it answers for a call
+// that is not made, and changes no state of its own.
+type latScript func(n int, a mem.VAddr, issue uint64, peek bool) uint64
+
+// ringIssue stands in a log for the issue cycle of a read that
+// ReadRing made: the call has none.
+const ringIssue = ^uint64(0)
+
 // scriptPort is a MemPort whose latency is a function of the call, its
 // address and its issue cycle, and that faults on its failAt'th call.
-// It logs every call.
+// It logs every call. clocked marks a script that reads the issue
+// cycle, for which ReadRing declines; rings and declined count the
+// ReadRing calls it took and declined.
 type scriptPort struct {
-	lat    func(n int, a mem.VAddr, issue uint64) uint64
-	failAt int
-	log    []access
+	lat             latScript
+	clocked         bool
+	failAt          int
+	log             []access
+	rings, declined int
 }
 
 func (p *scriptPort) Access(a mem.VAddr, write bool, issue uint64) (uint64, error) {
@@ -68,7 +81,37 @@ func (p *scriptPort) Access(a mem.VAddr, write bool, issue uint64) (uint64, erro
 	if len(p.log) == p.failAt {
 		return 0, errInjected
 	}
-	return p.lat(len(p.log), a, issue), nil
+	return p.lat(len(p.log), a, issue, false), nil
+}
+
+// ReadRing makes the walk's reads one Access each, logged at ringIssue,
+// if the script returns lat for every one of them and none faults.
+// Otherwise it logs nothing and declines.
+func (p *scriptPort) ReadRing(base mem.VAddr, off, step, size, n, lat uint64) bool {
+	first := len(p.log) + 1
+	if p.clocked || p.failAt >= first && p.failAt < first+int(n) {
+		p.declined++
+		return false
+	}
+	for i, o := 0, off; i < int(n); i, o = i+1, (o+step)%size {
+		if p.lat(first+i, base+mem.VAddr(o), ringIssue, true) != lat {
+			p.declined++
+			return false
+		}
+	}
+	for i, o := 0, off; i < int(n); i, o = i+1, (o+step)%size {
+		p.Access(base+mem.VAddr(o), false, ringIssue)
+	}
+	p.rings++
+	return true
+}
+
+// sameAccesses reports whether log got matches want call for call, a
+// read ReadRing made matching a read at any issue cycle.
+func sameAccesses(got, want []access) bool {
+	return slices.EqualFunc(got, want, func(g, w access) bool {
+		return g.addr == w.addr && g.write == w.write && (g.issue == w.issue || g.issue == ringIssue && !w.write)
+	})
 }
 
 // portKinds are the latency scripts of the differential test: fixed,
@@ -76,37 +119,40 @@ func (p *scriptPort) Access(a mem.VAddr, write bool, issue uint64) (uint64, erro
 // misses follow the addresses, and one that alternates with the issue
 // cycle.
 var portKinds = []struct {
-	name string
-	lat  func(r *rand.Rand) func(n int, a mem.VAddr, issue uint64) uint64
+	name    string
+	clocked bool
+	lat     func(r *rand.Rand) latScript
 }{
-	{"fixed", func(r *rand.Rand) func(int, mem.VAddr, uint64) uint64 {
+	{"fixed", false, func(r *rand.Rand) latScript {
 		lat := uint64(1 + r.Intn(40))
-		return func(int, mem.VAddr, uint64) uint64 { return lat }
+		return func(int, mem.VAddr, uint64, bool) uint64 { return lat }
 	}},
-	{"step", func(r *rand.Rand) func(int, mem.VAddr, uint64) uint64 {
+	{"step", false, func(r *rand.Rand) latScript {
 		lo, hi, at := uint64(1+r.Intn(10)), uint64(5+r.Intn(60)), 20+r.Intn(600)
-		return func(n int, _ mem.VAddr, _ uint64) uint64 {
+		return func(n int, _ mem.VAddr, _ uint64, _ bool) uint64 {
 			if n >= at {
 				return hi
 			}
 			return lo
 		}
 	}},
-	{"cache", func(r *rand.Rand) func(int, mem.VAddr, uint64) uint64 {
+	{"cache", false, func(r *rand.Rand) latScript {
 		tags := make([]mem.VAddr, 1<<(2+r.Intn(6)))
-		return func(_ int, a mem.VAddr, _ uint64) uint64 {
+		return func(_ int, a mem.VAddr, _ uint64, peek bool) uint64 {
 			line := a.Line()
 			set := &tags[uint64(line/mem.LineSize)%uint64(len(tags))]
 			if *set == line+1 {
 				return 4
 			}
-			*set = line + 1
+			if !peek {
+				*set = line + 1
+			}
 			return 30
 		}
 	}},
-	{"clock", func(r *rand.Rand) func(int, mem.VAddr, uint64) uint64 {
+	{"clock", true, func(r *rand.Rand) latScript {
 		span := uint64(200 + r.Intn(5000))
-		return func(_ int, _ mem.VAddr, issue uint64) uint64 {
+		return func(_ int, _ mem.VAddr, issue uint64, _ bool) uint64 {
 			return 4 + issue/span%2*7
 		}
 	}},
@@ -200,7 +246,7 @@ func coreState(c *Core) Core {
 // register numbering after the block must match the expansion's too.
 func TestFillerMatchesExpansion(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	var skipped, cut, faults int
+	var skipped, rings, declined, cut, faults int
 	for trial := 0; trial < 1000; trial++ {
 		cfg := randomConfig(r)
 		kind := portKinds[trial%len(portKinds)]
@@ -233,7 +279,7 @@ func TestFillerMatchesExpansion(t *testing.T) {
 			failAt = accesses + 1 + r.Intn(int(op.N)/max(int(op.Size), 1)+1)
 		}
 		newCore := func() (*Core, *scriptPort) {
-			p := &scriptPort{lat: kind.lat(rand.New(rand.NewSource(seed))), failAt: failAt}
+			p := &scriptPort{lat: kind.lat(rand.New(rand.NewSource(seed))), clocked: kind.clocked, failAt: failAt}
 			return New(cfg, p, &scriptedQuery{blockingLat: uint64(seed % 700), acceptLat: 3}), p
 		}
 		got, gotPort := newCore()
@@ -249,21 +295,24 @@ func TestFillerMatchesExpansion(t *testing.T) {
 		if !reflect.DeepEqual(coreState(got), coreState(want)) {
 			t.Fatalf("trial %d (%s port, %+v, block %+v): core state\n%+v\nwant\n%+v", trial, kind.name, cfg, op, coreState(got), coreState(want))
 		}
-		if !slices.Equal(gotPort.log, wantPort.log) {
+		if !sameAccesses(gotPort.log, wantPort.log) {
 			t.Fatalf("trial %d (%s port, block %+v): %d memory accesses, want %d", trial, kind.name, op, len(gotPort.log), len(wantPort.log))
 		}
 		skipped += got.fill.skipped
 		cut += got.fill.cut
+		rings += gotPort.rings
+		declined += gotPort.declined
 		if got.Err() != nil {
 			faults++
 		}
 	}
-	// The trials must reach every path: skips, skips cut short by a
-	// latency or a fault, and faults.
-	if skipped == 0 || cut == 0 || faults == 0 {
-		t.Fatalf("trials skipped %d ops, cut %d skips and faulted %d times", skipped, cut, faults)
+	// The trials must reach every path: skips, whole ones in one ring
+	// call, ring calls declined, skips cut short by a latency or a
+	// fault, and faults.
+	if skipped == 0 || rings == 0 || declined == 0 || cut == 0 || faults == 0 {
+		t.Fatalf("trials skipped %d ops, made %d ring calls and declined %d, cut %d skips and faulted %d times", skipped, rings, declined, cut, faults)
 	}
-	t.Logf("skipped %d ops, cut %d skips, %d faults", skipped, cut, faults)
+	t.Logf("skipped %d ops, %d ring calls, %d declined, cut %d skips, %d faults", skipped, rings, declined, cut, faults)
 }
 
 // TestFillerSkipCutByFault pins the fault path inside a skip: a fault
@@ -275,7 +324,7 @@ func TestFillerSkipCutByFault(t *testing.T) {
 	tr := b.Take()
 	// With a fixed latency the block is steady from early on, so load
 	// 2000 (op 16 000) lies in a skip.
-	lat := func(int, mem.VAddr, uint64) uint64 { return 4 }
+	lat := func(int, mem.VAddr, uint64, bool) uint64 { return 4 }
 	got := New(DefaultConfig(), &scriptPort{lat: lat, failAt: 2000}, nil)
 	got.Run(tr)
 	if got.fill.skipped == 0 || got.fill.cut != 1 {
@@ -378,6 +427,7 @@ func BenchmarkCoreFiller(b *testing.B) {
 		{"dpdk", 1500, 8, 64},
 		{"jvm", 11000, 10, 64},
 		{"rocksdb", 23000, 6, 128},
+		{"snort", 512000, 8, 128},
 		{"flann", 57000, 7, 128},
 	} {
 		b.Run(s.name, func(b *testing.B) {

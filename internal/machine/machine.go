@@ -37,6 +37,8 @@ type Machine struct {
 	// every instrumentation site degrades to a no-op.
 	reg *metrics.Registry
 	tr  *trace.Tracer
+	// fi is the injector AttachFaultInjection wired in, nil if none.
+	fi *faultinject.Injector
 }
 
 // New builds the chip that d describes; d must be valid
@@ -98,6 +100,7 @@ func (m *Machine) AttachObservability(reg *metrics.Registry, tr *trace.Tracer) {
 // The injector only fires while armed, which the accelerator does
 // around query execution — so host-side builders stay exact.
 func (m *Machine) AttachFaultInjection(fi *faultinject.Injector) {
+	m.fi = fi
 	m.AS.SetFaultInjector(fi)
 	m.Mesh.SetFaultInjector(fi)
 	m.Hier.SetFaultInjector(fi)
@@ -125,6 +128,61 @@ func (p corePort) Access(a mem.VAddr, write bool, issue uint64) (uint64, error) 
 	}
 	r := p.m.Hier.CoreAccess(p.core, pa, kind, issue+tlat)
 	return tlat + r.Latency, nil
+}
+
+// ReadRing applies the n reads of a ring walk at once when each would
+// hit the core's L1 TLB and L1D at latency lat: it leaves every touched
+// TLB entry and L1D way with the LRU stamp of its last read, and
+// advances both arrays' stamp counters and hit counts by n, as n Access
+// calls would. Only the last lap of the walk, the reads after which no
+// offset recurs, is visited: it holds each line's and page's last read.
+// A probe of that lap changes no simulated state and declines (see
+// cpu.MemPort) when a tracer or fault injector is attached, when a page
+// or line is not resident or a page does not translate, or when lat is
+// not the two arrays' hit latencies. The lap's translations leave the
+// address space's one-entry memo where the per-read calls would.
+func (p corePort) ReadRing(base mem.VAddr, off, step, size, n, lat uint64) bool {
+	m := p.m
+	t, l1 := m.TLB[p.core].L1, m.Hier.L1D[p.core]
+	if m.tr != nil || m.fi != nil || t.Config().HitLatency+l1.Config().HitLatency != lat {
+		return false
+	}
+	// The walk's offsets repeat every size/gcd(step, size) reads.
+	step %= size
+	g := size
+	for s := step; s != 0; {
+		g, s = s, g%s
+	}
+	repeat := size / g
+	lap := min(n, repeat)
+	first := (off + (n-lap)%repeat*step) % size
+	o := first
+	for i := uint64(0); i < lap; i++ {
+		a := base + mem.VAddr(o)
+		if !t.Contains(a) {
+			return false
+		}
+		pa, err := m.AS.Translate(a)
+		if err != nil || !l1.Contains(pa) {
+			return false
+		}
+		if o += step; o >= size {
+			o -= size
+		}
+	}
+	o = first
+	for i := n - lap; i < n; i++ {
+		a := base + mem.VAddr(o)
+		pa, _ := m.AS.Translate(a)
+		t.StampHit(a, i)
+		l1.StampHit(pa, i)
+		if o += step; o >= size {
+			o -= size
+		}
+	}
+	t.AddHits(n)
+	l1.AddHits(n)
+	return true
 }
 
 // CoreMemPort returns the cpu.MemPort for the given core.

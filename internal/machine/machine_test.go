@@ -5,12 +5,15 @@ import (
 	"testing"
 
 	"qei/internal/cache"
+	"qei/internal/cpu"
+	"qei/internal/faultinject"
 	"qei/internal/hwdesc"
 	"qei/internal/isa"
 	"qei/internal/mem"
 	"qei/internal/noc"
 	"qei/internal/scheme"
 	"qei/internal/tlb"
+	"qei/internal/trace"
 )
 
 func TestNewDefaultGeometry(t *testing.T) {
@@ -68,6 +71,59 @@ func TestCoreMemPortColdVsWarm(t *testing.T) {
 	// Warm = L1 TLB hit (1) + L1D hit (4).
 	if warm != 5 {
 		t.Fatalf("warm access = %d cycles, want 5", warm)
+	}
+}
+
+// TestCoreMemPortReadRing pins when the port applies a ring walk at
+// once: every line warm in the L1D and every page in the L1 TLB, lat
+// their summed hit latency, and neither a tracer nor a fault injector
+// attached. A declined call changes no counter.
+func TestCoreMemPortReadRing(t *testing.T) {
+	const lines, n = 64, 1000
+	setup := func() (*Machine, mem.VAddr) {
+		m := New(hwdesc.Default())
+		return m, m.AS.AllocLines(lines * mem.LineSize)
+	}
+	warm := func(m *Machine, a mem.VAddr, upto int) {
+		for i := 0; i < upto; i++ {
+			if _, err := m.CoreMemPort(0).Access(a+mem.VAddr(i*mem.LineSize), false, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	counts := func(m *Machine) [2]uint64 {
+		l1, _, _, _ := m.Hier.L1D[0].Stats()
+		tl, _, _ := m.TLB[0].L1.Stats()
+		return [2]uint64{l1, tl}
+	}
+	for _, tc := range []struct {
+		name  string
+		warm  int
+		lat   uint64
+		setup func(m *Machine)
+		take  bool
+	}{
+		{"warm", lines, 5, nil, true},
+		{"cold line", lines - 1, 5, nil, false},
+		{"other latency", lines, 6, nil, false},
+		{"tracer", lines, 5, func(m *Machine) { m.AttachObservability(nil, trace.New(16)) }, false},
+		{"fault injector", lines, 5, func(m *Machine) { m.AttachFaultInjection(faultinject.New(faultinject.Schedule{})) }, false},
+	} {
+		m, a := setup()
+		warm(m, a, tc.warm)
+		if tc.setup != nil {
+			tc.setup(m)
+		}
+		before := counts(m)
+		got := m.CoreMemPort(0).ReadRing(a, 8, mem.LineSize, lines*mem.LineSize, n, tc.lat)
+		want := before
+		if tc.take {
+			want[0] += n
+			want[1] += n
+		}
+		if got != tc.take || counts(m) != want {
+			t.Errorf("%s: ReadRing = %v with L1D and L1 TLB hits %v, want %v with %v", tc.name, got, counts(m), tc.take, want)
+		}
 	}
 }
 
@@ -244,3 +300,64 @@ func BenchmarkNewMachine(b *testing.B) {
 
 // benchMachine keeps BenchmarkNewMachine's result live.
 var benchMachine *Machine
+
+// fillerShapes are the paper benchmarks' request work at small scale
+// (internal/workload/benchmarks.go): ops per request, ops per scratch
+// load and scratch lines.
+var fillerShapes = []struct {
+	name            string
+	ops, every, lns int
+}{
+	{"dpdk", 1500, 8, 64},
+	{"jvm", 11000, 10, 64},
+	{"rocksdb", 23000, 6, 128},
+	{"snort", 512000, 8, 128},
+	{"flann", 57000, 7, 128},
+}
+
+// fillerCore returns a core of a default machine and a Filler block of
+// the given shape over scratch lines of that machine, run once so the
+// lines are warm.
+func fillerCore(ops, every, lines int) (*cpu.Core, isa.Trace) {
+	m := New(hwdesc.Default())
+	b := isa.NewBuilder()
+	b.Filler(ops, every, m.AS.AllocLines(uint64(lines)*mem.LineSize), lines, 0, 0)
+	tr := b.Take()
+	c := m.NewCore(0, nil)
+	c.Run(tr)
+	return c, tr
+}
+
+// TestCoreFillerAllocatesNothing pins the real port's share of the
+// filler loop: a warmed Snort-shaped block, whose skips go through
+// ReadRing, timed on a default machine without a host allocation.
+func TestCoreFillerAllocatesNothing(t *testing.T) {
+	c, tr := fillerCore(512000, 8, 128)
+	if c.Err() != nil {
+		t.Fatal(c.Err())
+	}
+	if got := testing.AllocsPerRun(5, func() { c.Run(tr) }); got != 0 {
+		t.Fatalf("%v allocs per warmed block, want 0", got)
+	}
+}
+
+// BenchmarkMachineFiller times one Filler block per iteration, shaped
+// like each paper benchmark's request work, on a core of a default
+// machine: the filler loop with the real port's L1 hits, which
+// cpu.BenchmarkCoreFiller's fixed-latency port does not show.
+func BenchmarkMachineFiller(b *testing.B) {
+	for _, s := range fillerShapes {
+		b.Run(s.name, func(b *testing.B) {
+			c, tr := fillerCore(s.ops, s.every, s.lns)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchRetire = c.Run(tr)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.ops), "ns/filler-op")
+		})
+	}
+}
+
+// benchRetire keeps BenchmarkMachineFiller's result live.
+var benchRetire uint64

@@ -102,6 +102,43 @@ func (t *TLB) Lookup(a mem.VAddr) (hit bool, latency uint64) {
 	return false, t.cfg.HitLatency
 }
 
+// Contains reports whether the page containing a is cached, without
+// touching LRU or statistics.
+func (t *TLB) Contains(a mem.VAddr) bool {
+	vp := a.Page()
+	base := int(t.setIndex(vp)) * t.ways
+	for _, tag := range t.tags[base : base+t.ways] {
+		if tag == vp {
+			return true
+		}
+	}
+	return false
+}
+
+// StampHit sets the LRU stamp of the cached page containing a to the
+// one Lookup would leave it if the i-th (from 0) of a run of hits
+// starting now were the page's last. A run of hits whose pages Contains
+// found is applied this way, each page stamped at its last access in
+// the run, and ended with AddHits. It changes nothing if the page is
+// not cached.
+func (t *TLB) StampHit(a mem.VAddr, i uint64) {
+	vp := a.Page()
+	base := int(t.setIndex(vp)) * t.ways
+	for w, tag := range t.tags[base : base+t.ways] {
+		if tag == vp {
+			t.lru[base+w] = t.stamp + 1 + i
+			return
+		}
+	}
+}
+
+// AddHits ends a run of n hits whose pages StampHit stamped: the LRU
+// counter and the hit count advance as n Lookup hits advance them.
+func (t *TLB) AddHits(n uint64) {
+	t.stamp += n
+	t.hits += n
+}
+
 // Insert caches the translation for the page containing a, evicting the
 // least-recently-used way of its set if needed.
 func (t *TLB) Insert(a mem.VAddr) {
