@@ -31,11 +31,14 @@ fi
 go vet ./...
 # Golden fast path: the bench matrix, every internal/workload driver and
 # the served streams (the streaming rows and this script's qeiserve
-# smokes) must reproduce their committed simulated outputs, and the
-# Filler op's skipped periods on a real machine must leave its caches
-# and TLBs as the op-by-op expansion does, so a cycle or state drift
-# fails here in seconds instead of after the race-detector run.
-go test -run '^(TestBenchGoldenCycles|TestDriversGolden|TestStreamingGolden|TestFillerMachineMatchesExpansion)$' -count=1 ./internal/exp ./internal/workload ./internal/cpu
+# smokes) must reproduce their committed simulated outputs, the Filler
+# op's skipped periods on a real machine must leave its caches and TLBs
+# as the op-by-op expansion does, and a run on a machine reset after
+# other runs must equal the same run on a freshly built one, so a cycle
+# or state drift fails here in seconds instead of after the
+# race-detector run (which, in the full tier, runs the last check
+# again with two workers sharing the machine free list).
+go test -run '^(TestBenchGoldenCycles|TestDriversGolden|TestStreamingGolden|TestFillerMachineMatchesExpansion|TestRecycledMachineMatchesFresh)$' -count=1 ./internal/exp ./internal/workload ./internal/cpu
 # Benchmark module: benchmark/ is a Go module of its own, so nothing
 # above compiles it. Its tests run every workload at test size, so a
 # change to an API it calls fails here instead of in benchmark/run.sh.

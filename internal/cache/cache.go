@@ -121,6 +121,20 @@ func (c *Cache) build() {
 	}
 }
 
+// Reset empties the cache in place: every way invalid, dirty bits, LRU
+// stamps and counters zeroed. Arrays already built are kept and
+// cleared; an unbuilt cache stays unbuilt.
+func (c *Cache) Reset() {
+	if c.tags != nil {
+		for i := range c.tags {
+			c.tags[i] = ^uint64(0)
+		}
+		clear(c.dirty)
+		clear(c.lru)
+	}
+	c.stamp, c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0, 0
+}
+
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 

@@ -63,7 +63,9 @@ type LLC struct {
 // newLLC builds n slices with cfg each, mapped to the given mesh stops.
 // Unlike a private cache, a slice builds its arrays here, with the
 // machine: any run spreads its lines over every slice, so building them
-// on first fill would only move the allocation into the run.
+// on first fill would only move the allocation into the run. The
+// arrays are built once per machine; Hierarchy.Reset clears them in
+// place for the machine's next run.
 func newLLC(n int, cfg Config, stops []noc.Stop) *LLC {
 	if len(stops) != n {
 		panic(fmt.Sprintf("cache: %d slices need %d stops, got %d", n, n, len(stops)))
@@ -175,6 +177,23 @@ func NewHierarchy(nCores int, mesh *noc.Mesh, memStops []noc.Stop, l1d, l2, llcS
 	}
 	h.llc = newLLC(nCores, llcSlice, coreStops)
 	return h
+}
+
+// Reset puts the hierarchy back in the state NewHierarchy builds: every
+// private cache and LLC slice empty with zeroed counters (see
+// Cache.Reset), the DRAM channel counters zeroed, and the tracer and
+// fault injector detached. The mesh is the machine's and is reset
+// there.
+func (h *Hierarchy) Reset() {
+	for i := range h.L1D {
+		h.L1D[i].Reset()
+		h.L2[i].Reset()
+	}
+	for _, s := range h.llc.slices {
+		s.Reset()
+	}
+	clear(h.dram.accesses)
+	h.tr, h.fi = nil, nil
 }
 
 // LLC exposes the shared last-level cache.

@@ -47,13 +47,6 @@ type Machine struct {
 // without affecting a built machine.
 func New(d hwdesc.Description) *Machine {
 	d.MemStops = append([]int(nil), d.MemStops...)
-	phys := mem.NewPhysical()
-	var as *mem.AddressSpace
-	if d.ContiguousFrames {
-		as = mem.NewAddressSpace(phys, mem.WithContiguousFrames())
-	} else {
-		as = mem.NewAddressSpace(phys)
-	}
 	mesh := noc.New(d.Mesh.Config())
 	memStops := make([]noc.Stop, len(d.MemStops))
 	for i, s := range d.MemStops {
@@ -61,15 +54,42 @@ func New(d hwdesc.Description) *Machine {
 	}
 	m := &Machine{
 		Desc: d,
-		Phys: phys,
-		AS:   as,
 		Mesh: mesh,
 		Hier: cache.NewHierarchy(d.Cores, mesh, memStops, d.L1D.Config(), d.L2.Config(), d.LLCSlice.Config()),
 	}
+	m.newProcess()
 	for i := 0; i < d.Cores; i++ {
-		m.TLB = append(m.TLB, tlb.NewHierarchy(as, d.PageWalkLatency, d.L1TLB.Config(), d.L2TLB.Config()))
+		m.TLB = append(m.TLB, tlb.NewHierarchy(m.AS, d.PageWalkLatency, d.L1TLB.Config(), d.L2TLB.Config()))
 	}
 	return m
+}
+
+// newProcess gives the machine fresh physical memory and an empty
+// address space over it.
+func (m *Machine) newProcess() {
+	m.Phys = mem.NewPhysical()
+	if m.Desc.ContiguousFrames {
+		m.AS = mem.NewAddressSpace(m.Phys, mem.WithContiguousFrames())
+	} else {
+		m.AS = mem.NewAddressSpace(m.Phys)
+	}
+}
+
+// Reset puts the machine back in the state New(m.Desc) builds, reusing
+// its cache, TLB and mesh arrays: fresh physical memory and address
+// space with every walker re-bound to it, every cache and TLB empty with
+// zeroed counters, no mesh traffic, and no registry, tracer or fault
+// injector attached. Closures that components registered into a
+// metrics registry read the reset counters afterwards, so a registry
+// should not outlive the run it observed.
+func (m *Machine) Reset() {
+	m.newProcess()
+	m.Mesh.Reset()
+	m.Hier.Reset()
+	for _, t := range m.TLB {
+		t.Reset(m.AS)
+	}
+	m.reg, m.tr, m.fi = nil, nil, nil
 }
 
 // AttachObservability wires every component of the machine into the

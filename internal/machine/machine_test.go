@@ -1,15 +1,19 @@
 package machine
 
 import (
+	"encoding/binary"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"qei/internal/cache"
 	"qei/internal/cpu"
+	"qei/internal/dstruct"
 	"qei/internal/faultinject"
 	"qei/internal/hwdesc"
 	"qei/internal/isa"
 	"qei/internal/mem"
+	"qei/internal/metrics"
 	"qei/internal/noc"
 	"qei/internal/scheme"
 	"qei/internal/tlb"
@@ -300,6 +304,64 @@ func BenchmarkNewMachine(b *testing.B) {
 
 // benchMachine keeps BenchmarkNewMachine's result live.
 var benchMachine *Machine
+
+// TestResetMatchesNew leaves a warm footprint in a machine with every
+// sink attached, resets it, and requires the same footprint then to
+// leave it equal, field for field, to a freshly built machine: memory,
+// every cache and TLB array and counter, the mesh, and no sink.
+func TestResetMatchesNew(t *testing.T) {
+	m := New(hwdesc.Default())
+	m.AttachObservability(metrics.NewRegistry(), trace.New(64))
+	m.AttachFaultInjection(faultinject.New(faultinject.Schedule{}))
+	warmDPDKFootprint(m)
+	m.Hier.Mesh().ObserveWindow(1000)
+	m.TLB[1].L1.Flush()
+	m.Reset()
+	fresh := New(hwdesc.Default())
+	warmDPDKFootprint(m)
+	warmDPDKFootprint(fresh)
+	if !reflect.DeepEqual(m, fresh) {
+		t.Fatal("a reset machine diverges from a fresh one under the same accesses")
+	}
+}
+
+// BenchmarkMachineReset resets a default machine after each iteration
+// leaves small DPDK's footprint in it (see warmDPDKFootprint): the cost
+// a workload run pays instead of BenchmarkNewMachine.
+func BenchmarkMachineReset(b *testing.B) {
+	m := New(hwdesc.Default())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		warmDPDKFootprint(m)
+		b.StartTimer()
+		m.Reset()
+	}
+}
+
+// warmDPDKFootprint lays out a cuckoo table of small DPDK's shape (1024
+// 16-byte keys, 512 buckets of 8 slots) in m, installs it in the LLC
+// and reads each of its lines once from core 0, as a warm paper cell
+// leaves its machine.
+func warmDPDKFootprint(m *Machine) {
+	const n = 1024
+	keys, vals := make([][]byte, n), make([]uint64, n)
+	for i := range keys {
+		keys[i] = binary.LittleEndian.AppendUint64(make([]byte, 8, 16), uint64(i)*0x9E3779B97F4A7C15)
+		vals[i] = uint64(i)
+	}
+	start := m.AS.Brk()
+	dstruct.BuildCuckoo(m.AS, n/2, 8, 101, keys, vals)
+	end := m.AS.Brk()
+	m.WarmLLC(start, end)
+	port := m.CoreMemPort(0)
+	for a := start.Line(); a < end; a += mem.LineSize {
+		if _, err := port.Access(a, false, 0); err != nil {
+			panic(err)
+		}
+	}
+}
 
 // fillerShapes are the paper benchmarks' request work at small scale
 // (internal/workload/benchmarks.go): ops per request, ops per scratch

@@ -223,6 +223,14 @@ func (m *Mesh) ResetTraffic() {
 	m.windowCycles = 0
 }
 
+// Reset puts the mesh back in the state New builds: traffic, the
+// window and the send count at zero, no tracer and no fault injector.
+func (m *Mesh) Reset() {
+	m.ResetTraffic()
+	m.sends = 0
+	m.tr, m.fi = nil, nil
+}
+
 func abs(x int) int {
 	if x < 0 {
 		return -x

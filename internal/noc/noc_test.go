@@ -223,3 +223,18 @@ func (m *Mesh) StopAt(col, row int) Stop {
 	}
 	return Stop(row*m.cfg.Cols + col)
 }
+
+// BenchmarkSend times Mesh.Send corner to corner on the 6x4 mesh, the
+// longest XY route (8 links accounted per call), with no fault injector.
+func BenchmarkSend(b *testing.B) {
+	m := New(testConfig())
+	to := Stop(m.Stops() - 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchLatency = m.Send(0, to, 80)
+	}
+}
+
+// benchLatency keeps BenchmarkSend's result live.
+var benchLatency uint64

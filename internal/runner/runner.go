@@ -1,7 +1,8 @@
 // Package runner is the deterministic worker-pool harness that fans
 // independent simulation jobs across OS threads. Every experiment point
-// (one workload × scheme × ablation configuration) builds its own
-// machine.Machine, so jobs share no mutable state and can execute in any
+// (one workload × scheme × ablation configuration) has exclusive use of
+// a machine.Machine, built for it or reset to the state machine.New
+// builds, so jobs share no mutable state and can execute in any
 // interleaving; the pool collects results strictly by input index, which
 // makes the rendered output of a parallel run byte-identical to the
 // serial run. The harness is the substrate for the experiment registry

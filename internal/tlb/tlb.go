@@ -171,6 +171,14 @@ func (t *TLB) Flush() {
 	t.flushes++
 }
 
+// Reset puts the TLB back in the state New builds: every entry
+// invalid, stamps and counters zeroed, no fault injector.
+func (t *TLB) Reset() {
+	t.Flush()
+	t.stamp, t.hits, t.misses, t.flushes = 0, 0, 0, 0
+	t.fi = nil
+}
+
 // Stats reports accumulated hit/miss counts.
 func (t *TLB) Stats() (hits, misses, flushes uint64) {
 	return t.hits, t.misses, t.flushes
@@ -218,6 +226,12 @@ func (w *Walker) Walk(a mem.VAddr, at uint64) (mem.PAddr, uint64, error) {
 	return pa, lat, err
 }
 
+// Reset puts the walker back in the state NewWalker builds over as:
+// counters zeroed and no tracer.
+func (w *Walker) Reset(as *mem.AddressSpace) {
+	*w = Walker{as: as, perLevel: w.perLevel}
+}
+
 // Stats reports walk counts, faults, and cumulative walk cycles.
 func (w *Walker) Stats() (walks, faults, totalLatency uint64) {
 	return w.walks, w.faults, w.totalLatency
@@ -242,6 +256,15 @@ func NewHierarchy(as *mem.AddressSpace, perLevelWalk uint64, l1, l2 Config) *Hie
 		L2:     New(l2),
 		Walker: NewWalker(as, perLevelWalk),
 	}
+}
+
+// Reset puts the hierarchy back in the state NewHierarchy builds over
+// as: both TLBs empty and the walker re-bound to as (see TLB.Reset and
+// Walker.Reset).
+func (h *Hierarchy) Reset(as *mem.AddressSpace) {
+	h.L1.Reset()
+	h.L2.Reset()
+	h.Walker.Reset(as)
 }
 
 // Translate resolves a issued at cycle at through L1 → L2 → walker,

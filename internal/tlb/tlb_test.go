@@ -261,3 +261,31 @@ func TestPropertyCapacityBehaviour(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTranslate times Hierarchy.Translate on Tab. II's TLBs.
+// l1_hit translates one page over and over; walk cycles over four times
+// as many pages as the L2 TLB holds, so LRU misses both levels on every
+// call and each call walks and fills.
+func BenchmarkTranslate(b *testing.B) {
+	const pages = 4 * 1024
+	as := mem.NewAddressSpace(mem.NewPhysical())
+	base := as.Alloc(pages*mem.PageSize, mem.PageSize)
+	for _, bc := range []struct {
+		name  string
+		pages uint64
+	}{{"l1_hit", 1}, {"walk", pages}} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := NewHierarchy(as, 30, l1TLBConfig(), l2TLBConfig())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a := base + mem.VAddr(uint64(i)%bc.pages<<mem.PageShift)
+				if _, _, err := h.Translate(a, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			walks, _, _ := h.Walker.Stats()
+			b.ReportMetric(float64(walks)/float64(b.N), "walks/op")
+		})
+	}
+}

@@ -40,6 +40,7 @@ func RunMultiCore(bench Benchmark, kind scheme.Kind, cores int) (MultiCoreResult
 	if err != nil {
 		return MultiCoreResult{}, err
 	}
+	defer s.close()
 	if cores > s.m.Desc.Cores {
 		return MultiCoreResult{}, fmt.Errorf("workload: %d cores exceed the chip's %d", cores, s.m.Desc.Cores)
 	}

@@ -7,8 +7,9 @@
 // software on the OoO core, QEI-accelerated with blocking QUERY_B, and
 // QEI-accelerated with non-blocking QUERY_NB batches.
 //
-// Each benchmark builds its data structures in a fresh simulated machine
-// (deterministic layouts from fixed seeds), then plays a query stream.
+// Each benchmark builds its data structures in a simulated machine in the
+// state machine.New builds (deterministic layouts from fixed seeds), then
+// plays a query stream.
 // Requests carry a calibrated amount of non-ROI work (parsing, memcpy,
 // bookkeeping) so that the query share of total time lands in the
 // 23–44% band the paper profiles in Fig. 1.
@@ -148,14 +149,13 @@ type runCfg struct {
 	mach     *hwdesc.Description
 }
 
-// newMachine builds the run's machine: the described chip (WithMachine)
-// or the Tab. II default. machine.New copies the Description, so one
-// value can feed many concurrent runs.
-func (c *runCfg) newMachine() *machine.Machine {
+// desc describes the run's machine: the described chip (WithMachine)
+// or the Tab. II default.
+func (c *runCfg) desc() hwdesc.Description {
 	if c.mach != nil {
-		return machine.New(*c.mach)
+		return *c.mach
 	}
-	return machine.New(hwdesc.Default())
+	return hwdesc.Default()
 }
 
 // WithWarmup plays the request stream once before the measured pass, so
@@ -179,8 +179,11 @@ func WithNoCWindow() RunOption {
 }
 
 // WithMetrics attaches a metrics registry: every component of the run's
-// machine (and the accelerator, for QEI runs) registers its counters
-// into reg, and Run.Metrics carries reg's final snapshot.
+// machine (and the accelerator, for QEI runs) publishes its counters,
+// and Run.Metrics carries their final snapshot. The components register
+// into a registry private to the run; when the run ends, reg receives
+// that final snapshot as constant counters, so one reg passed to several
+// runs sums them.
 func WithMetrics(reg *metrics.Registry) RunOption {
 	return func(c *runCfg) { c.reg = reg }
 }
@@ -255,13 +258,19 @@ func emitNonROI(b *isa.Builder, plan *Plan, reqIdx int, seed isa.Reg) {
 	b.Branch(chain, reqIdx%24 == 0)
 }
 
-// session is one run of a benchmark on a fresh machine. It owns what
-// every driver shares — the machine and its build, the accelerator
-// beside core 0, the trace builder, the measured window and the result
-// check — so a driver is only the trace its configuration emits.
+// session is one run of a benchmark on a machine in machine.New's state,
+// taken from the free list (see takeMachine) and handed back, reset, by
+// close on every return path. It owns what every driver shares — the
+// machine and its build, the accelerator beside core 0, the trace
+// builder, the measured window and the result check — so a driver is
+// only the trace its configuration emits.
 type session struct {
-	cfg   runCfg
-	m     *machine.Machine
+	cfg runCfg
+	m   *machine.Machine
+	// reg is the run's private registry, nil unless WithMetrics gave
+	// one: the machine's counters are reset with it, so closures over
+	// them must not outlive the run (see close).
+	reg   *metrics.Registry
 	plan  *Plan
 	accel *qei.Accelerator // nil on software runs
 	core  *cpu.Core        // core 0, beside accel
@@ -276,19 +285,24 @@ type session struct {
 	pending              []expect // the measured pass's accelerator probes
 }
 
-// open applies opts, builds bench into a fresh machine wired to the
+// open applies opts, takes a machine, builds bench into it wired to the
 // configured observability sinks, and creates core 0 — with an
-// accelerator of the given scheme beside it when params is non-nil.
+// accelerator of the given scheme beside it when params is non-nil. On
+// success the caller must close the session.
 func open(bench Benchmark, params *scheme.Params, opts []RunOption) (*session, error) {
 	s := &session{b: isa.NewBuilder()}
 	for _, o := range opts {
 		o(&s.cfg)
 	}
-	s.m = s.cfg.newMachine()
-	s.m.AttachObservability(s.cfg.reg, s.cfg.tr)
+	if s.cfg.reg != nil {
+		s.reg = metrics.NewRegistry()
+	}
+	s.m = takeMachine(s.cfg.desc())
+	s.m.AttachObservability(s.reg, s.cfg.tr)
 	s.buildStart = s.m.AS.Brk()
 	plan, err := bench.Build(s.m)
 	if err != nil {
+		s.close()
 		return nil, err
 	}
 	s.plan, s.buildEnd = plan, s.m.AS.Brk()
@@ -296,12 +310,28 @@ func open(bench Benchmark, params *scheme.Params, opts []RunOption) (*session, e
 	var port cpu.QueryPort
 	if params != nil {
 		s.accel = qei.New(s.m, *params, cfa.DefaultRegistry(), 0)
-		s.accel.RegisterMetrics(s.cfg.reg)
+		s.accel.RegisterMetrics(s.reg)
 		s.accel.SetTracer(s.cfg.tr)
 		port = s.accel
 	}
 	s.core = s.m.NewCore(0, port)
 	return s, nil
+}
+
+// close ends the session: the caller's registry receives the run's
+// final counters as constants, and the machine goes back to the free
+// list, reset.
+func (s *session) close() {
+	snap := s.run.Metrics // measure's; nil if the run ended before it
+	if snap == nil {
+		snap = s.reg.Snapshot()
+	}
+	for _, sm := range snap {
+		v := sm.Value
+		s.cfg.reg.RegisterFunc(sm.Name, func() uint64 { return v })
+	}
+	giveMachine(s.m)
+	s.m = nil
 }
 
 // warmLLC installs the plan's structures in the LLC.
@@ -361,7 +391,7 @@ func (s *session) measure(play func(reqs []Request, measured bool) error) (Run, 
 		mesh.ObserveWindow(end)
 	}
 	applyMemoryDelta(&s.run, startMem, snapshotMemory(s.m))
-	s.run.Metrics = s.cfg.reg.Snapshot()
+	s.run.Metrics = s.reg.Snapshot()
 	return s.run, nil
 }
 
@@ -451,6 +481,7 @@ func RunBaseline(bench Benchmark, mode Mode, opts ...RunOption) (Run, error) {
 	if err != nil {
 		return Run{}, err
 	}
+	defer s.close()
 	s.run.Mode, s.run.Scheme = mode, "software"
 	// One querier arena and one key buffer serve every probe; Append
 	// copies each trace out of the arena before the next.
@@ -495,6 +526,7 @@ func RunQEIWithParams(bench Benchmark, params scheme.Params, mode Mode, opts ...
 	if err != nil {
 		return Run{}, err
 	}
+	defer s.close()
 	s.run.Mode, s.run.Scheme = mode, params.Kind.String()
 	// The accelerated ROI issues QUERY_B in small batches and then
 	// consumes the batch's results in the per-request work — the List 2
@@ -549,6 +581,7 @@ func RunQEINonBlocking(bench Benchmark, params scheme.Params, opts ...RunOption)
 	if err != nil {
 		return Run{}, err
 	}
+	defer s.close()
 	batch := nbBatch
 	if s.cfg.batch > 0 {
 		batch = s.cfg.batch
