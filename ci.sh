@@ -33,12 +33,15 @@ go vet ./...
 # the served streams (the streaming rows and this script's qeiserve
 # smokes) must reproduce their committed simulated outputs, the Filler
 # op's skipped periods on a real machine must leave its caches and TLBs
-# as the op-by-op expansion does, and a run on a machine reset after
-# other runs must equal the same run on a freshly built one, so a cycle
-# or state drift fails here in seconds instead of after the
-# race-detector run (which, in the full tier, runs the last check
-# again with two workers sharing the machine free list).
-go test -run '^(TestBenchGoldenCycles|TestDriversGolden|TestStreamingGolden|TestFillerMachineMatchesExpansion|TestRecycledMachineMatchesFresh)$' -count=1 ./internal/exp ./internal/workload ./internal/cpu
+# as the op-by-op expansion does, a run on a machine reset after other
+# runs, its benchmark restored from a guest-memory image, must equal the
+# same run built from scratch on a freshly built machine, an image must
+# restore every mapped page's frame and bytes, and no run may modify the
+# plan the runs of one image share. So a cycle, state or image drift
+# fails here in seconds instead of after the race-detector run (which,
+# in the full tier, runs the recycled-machine check again with two
+# workers sharing the machine free list and the images).
+go test -run '^(TestBenchGoldenCycles|TestDriversGolden|TestStreamingGolden|TestFillerMachineMatchesExpansion|TestRecycledMachineMatchesFresh|TestSnapshotRestoreRoundTrip|TestPlanUnchangedByRuns)$' -count=1 ./internal/exp ./internal/workload ./internal/cpu ./internal/mem
 # Benchmark module: benchmark/ is a Go module of its own, so nothing
 # above compiles it. Its tests run every workload at test size, so a
 # change to an API it calls fails here instead of in benchmark/run.sh.

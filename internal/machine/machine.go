@@ -57,33 +57,29 @@ func New(d hwdesc.Description) *Machine {
 		Mesh: mesh,
 		Hier: cache.NewHierarchy(d.Cores, mesh, memStops, d.L1D.Config(), d.L2.Config(), d.LLCSlice.Config()),
 	}
-	m.newProcess()
+	m.Phys = mem.NewPhysical()
+	if d.ContiguousFrames {
+		m.AS = mem.NewAddressSpace(m.Phys, mem.WithContiguousFrames())
+	} else {
+		m.AS = mem.NewAddressSpace(m.Phys)
+	}
 	for i := 0; i < d.Cores; i++ {
 		m.TLB = append(m.TLB, tlb.NewHierarchy(m.AS, d.PageWalkLatency, d.L1TLB.Config(), d.L2TLB.Config()))
 	}
 	return m
 }
 
-// newProcess gives the machine fresh physical memory and an empty
-// address space over it.
-func (m *Machine) newProcess() {
-	m.Phys = mem.NewPhysical()
-	if m.Desc.ContiguousFrames {
-		m.AS = mem.NewAddressSpace(m.Phys, mem.WithContiguousFrames())
-	} else {
-		m.AS = mem.NewAddressSpace(m.Phys)
-	}
-}
-
 // Reset puts the machine back in the state New(m.Desc) builds, reusing
-// its cache, TLB and mesh arrays: fresh physical memory and address
-// space with every walker re-bound to it, every cache and TLB empty with
-// zeroed counters, no mesh traffic, and no registry, tracer or fault
-// injector attached. Closures that components registered into a
-// metrics registry read the reset counters afterwards, so a registry
-// should not outlive the run it observed.
+// its memory, cache, TLB and mesh storage: physical memory zeroed with
+// no frame reserved and an empty address space (mem.Physical.Reset,
+// mem.AddressSpace.Reset), every cache and TLB empty with zeroed
+// counters, no mesh traffic, and no registry, tracer or fault injector
+// attached. Closures that components registered into a metrics registry
+// read the reset counters afterwards, so a registry should not outlive
+// the run it observed.
 func (m *Machine) Reset() {
-	m.newProcess()
+	m.Phys.Reset()
+	m.AS.Reset()
 	m.Mesh.Reset()
 	m.Hier.Reset()
 	for _, t := range m.TLB {

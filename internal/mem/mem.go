@@ -18,6 +18,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"qei/internal/faultinject"
 	"qei/internal/trace"
@@ -101,12 +102,35 @@ const (
 type Physical struct {
 	chunks    [][][]byte
 	nextFrame uint64
+	// written is one past the highest frame Write has touched. The
+	// address space writes only reserved frames, so only a direct Write
+	// can leave bytes at or above nextFrame for Reset to clear.
+	written uint64
 }
 
 // NewPhysical returns an empty physical memory. Frame 0 is reserved so a
 // zero PAddr can act as "unmapped".
 func NewPhysical() *Physical {
 	return &Physical{nextFrame: 1}
+}
+
+// Reset empties the memory in place: every frame goes back to
+// unreserved and zero, and the backing bytes stay materialized for the
+// next process to reuse. Only frames below nextFrame (or below written)
+// are cleared: the frames above them are still zero from the last
+// Reset, or not materialized.
+func (p *Physical) Reset() {
+	top := max(p.nextFrame, p.written)
+	for c := uint64(0); c < uint64(len(p.chunks)) && c<<physChunkShift < top; c++ {
+		if ch := p.chunks[c]; ch != nil {
+			for _, b := range ch[:min(physChunkSize, top-c<<physChunkShift)] {
+				if b != nil {
+					clear(b)
+				}
+			}
+		}
+	}
+	p.nextFrame, p.written = 1, 0
 }
 
 // allocFrame reserves the next physical frame and returns its number.
@@ -129,6 +153,15 @@ func (p *Physical) frame(f uint64) []byte {
 		}
 	}
 	return p.growFrame(f)
+}
+
+// materialized returns frame f's backing bytes, or nil if f was never
+// touched (it reads as zero). Unlike frame, it materializes nothing.
+func (p *Physical) materialized(f uint64) []byte {
+	if c := f >> physChunkShift; c < uint64(len(p.chunks)) && p.chunks[c] != nil {
+		return p.chunks[c][f&physChunkMask]
+	}
+	return nil
 }
 
 // growFrame is the cold path of frame: materialize the chunk and/or the
@@ -164,7 +197,9 @@ func (p *Physical) Read(a PAddr, dst []byte) {
 func (p *Physical) Write(a PAddr, src []byte) {
 	for len(src) > 0 {
 		off := uint64(a) & (PageSize - 1)
-		n := copy(p.frame(a.Frame())[off:], src)
+		f := a.Frame()
+		p.written = max(p.written, f+1)
+		n := copy(p.frame(f)[off:], src)
 		src = src[n:]
 		a += PAddr(n)
 	}
@@ -191,6 +226,10 @@ const (
 // unmappedFrame marks an unmapped page-table entry (frame numbers are
 // small positive integers, so all-ones is free).
 const unmappedFrame = ^uint64(0)
+
+// firstVAddr is where an empty address space starts allocating, so
+// that VAddr 0 is an unmapped NULL.
+const firstVAddr VAddr = 0x10000
 
 // AddressSpace is a per-process virtual address space: a page table over
 // shared physical memory plus a simple bump allocator for virtual ranges.
@@ -250,7 +289,7 @@ func NewAddressSpace(phys *Physical, opts ...ASOption) *AddressSpace {
 	as := &AddressSpace{
 		phys:        phys,
 		lastVP:      unmappedFrame,
-		brk:         0x10000,
+		brk:         firstVAddr,
 		frameStride: 0, // 0 = on-demand, naturally interleaved
 		walkLevels:  4, // x86-64 style 4-level walk
 	}
@@ -285,7 +324,12 @@ func (as *AddressSpace) frameOf(vp uint64) (uint64, bool) {
 
 // setFrame installs vp → frame, growing the table as needed.
 func (as *AddressSpace) setFrame(vp, frame uint64) {
-	c := vp >> pageChunkShift
+	as.chunk(vp >> pageChunkShift)[vp&pageChunkMask] = frame
+}
+
+// chunk returns page-table chunk c, growing the table with an unmapped
+// chunk if it has none.
+func (as *AddressSpace) chunk(c uint64) []uint64 {
 	for uint64(len(as.pt)) <= c {
 		as.pt = append(as.pt, nil)
 	}
@@ -296,7 +340,105 @@ func (as *AddressSpace) setFrame(vp, frame uint64) {
 		}
 		as.pt[c] = ch
 	}
-	as.pt[c][vp&pageChunkMask] = frame
+	return as.pt[c]
+}
+
+// Reset empties the address space in place, as NewAddressSpace over the
+// same physical memory and options builds it, but keeps its page-table
+// storage; the tracer, fault injector and read watch are detached. The
+// physical memory is not touched: reset it first (Physical.Reset).
+func (as *AddressSpace) Reset() {
+	for _, ch := range as.pt {
+		for i := range ch {
+			ch[i] = unmappedFrame
+		}
+	}
+	as.mapped, as.brk = 0, firstVAddr
+	as.lastVP, as.lastFrame = unmappedFrame, 0
+	as.tr, as.fi, as.watch = nil, nil, nil
+}
+
+// Image is a copy of an address space and of the physical memory
+// behind it, taken by Snapshot and put back by Restore: a guest-memory
+// layout built once and replayed into many empty machines.
+type Image struct {
+	brk               VAddr
+	mapped            int
+	nextFrame         uint64
+	lastVP, lastFrame uint64
+	frameStride       uint64
+	// ptChunks lists the page-table chunks that map a page; ptEntries
+	// holds their pageChunkSize entries each, in the same order.
+	ptChunks, ptEntries []uint64
+	// frames lists the mapped, materialized frames; data holds their
+	// PageSize bytes each, in the same order.
+	frames []uint64
+	data   []byte
+}
+
+// Snapshot copies the address space into an image: its page table,
+// allocator break and mapping count, the physical frame allocator's
+// position, and the bytes of every mapped frame that was materialized
+// (an untouched frame reads as zero and restores as zero). It
+// reuses into's storage when into is non-nil and returns it; the image
+// shares nothing with the address space afterwards.
+func (as *AddressSpace) Snapshot(into *Image) *Image {
+	img := into
+	if img == nil {
+		img = new(Image)
+	}
+	img.ptChunks, img.ptEntries = img.ptChunks[:0], img.ptEntries[:0]
+	// Every mapped frame may hold bytes: size for them at once rather
+	// than let append grow a large image by a quarter at a time.
+	img.frames = slices.Grow(img.frames[:0], as.mapped)
+	img.data = slices.Grow(img.data[:0], as.mapped*PageSize)
+	for c, ch := range as.pt {
+		used := false
+		for _, f := range ch {
+			if f == unmappedFrame {
+				continue
+			}
+			used = true
+			if b := as.phys.materialized(f); b != nil {
+				img.frames = append(img.frames, f)
+				img.data = append(img.data, b...)
+			}
+		}
+		if used {
+			img.ptChunks = append(img.ptChunks, uint64(c))
+			img.ptEntries = append(img.ptEntries, ch...)
+		}
+	}
+	img.brk, img.mapped, img.nextFrame = as.brk, as.mapped, as.phys.nextFrame
+	img.lastVP, img.lastFrame, img.frameStride = as.lastVP, as.lastFrame, as.frameStride
+	return img
+}
+
+// Restore puts img back into an empty address space (one just built or
+// reset, over physical memory just built or reset) with the frame
+// layout img was taken with, leaving it as Snapshot found its source.
+// With a tracer attached it emits the page_map instants that mapping
+// img's pages one by one would have. img is only read, so several
+// address spaces may restore one image, though not concurrently with a
+// Snapshot into it.
+func (as *AddressSpace) Restore(img *Image) {
+	if as.mapped != 0 || as.brk != firstVAddr || as.phys.nextFrame != 1 {
+		panic("mem: Restore into an address space that is not empty")
+	}
+	if as.frameStride != img.frameStride {
+		panic("mem: Restore of an image taken with another frame layout")
+	}
+	for i, c := range img.ptChunks {
+		copy(as.chunk(c), img.ptEntries[i*pageChunkSize:(i+1)*pageChunkSize])
+	}
+	for i, f := range img.frames {
+		copy(as.phys.frame(f), img.data[i*PageSize:(i+1)*PageSize])
+	}
+	as.brk, as.mapped, as.phys.nextFrame = img.brk, img.mapped, img.nextFrame
+	as.lastVP, as.lastFrame = img.lastVP, img.lastFrame
+	for seq := 0; seq < as.mapped; seq++ {
+		as.tracePageMap(seq)
+	}
 }
 
 // Alloc reserves size bytes of virtual memory aligned to align (which must
@@ -331,9 +473,7 @@ func (as *AddressSpace) mapPage(vp uint64) {
 	if _, ok := as.frameOf(vp); ok {
 		return
 	}
-	if as.tr != nil {
-		as.tr.Point("mem", "page_map", uint64(as.mapped), trace.PidMem, 0, nil)
-	}
+	as.tracePageMap(as.mapped)
 	var frame uint64
 	if as.frameStride == 1 {
 		frame = as.phys.allocFrame()
@@ -350,6 +490,13 @@ func (as *AddressSpace) mapPage(vp uint64) {
 	}
 	as.setFrame(vp, frame)
 	as.mapped++
+}
+
+// tracePageMap emits the page_map instant of the seq-th page mapped.
+func (as *AddressSpace) tracePageMap(seq int) {
+	if as.tr != nil {
+		as.tr.Point("mem", "page_map", uint64(seq), trace.PidMem, 0, nil)
+	}
 }
 
 // Translate converts a virtual address to a physical address, or reports a

@@ -2,8 +2,11 @@ package mem
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"qei/internal/trace"
 )
 
 func TestPhysicalReadWriteRoundTrip(t *testing.T) {
@@ -296,6 +299,119 @@ func TestExtentOverlaps(t *testing.T) {
 	for _, c := range cases {
 		if got := e.Overlaps(c.a, c.n); got != c.want {
 			t.Fatalf("Overlaps(%d,%d) = %v, want %v", c.a, c.n, got, c.want)
+		}
+	}
+}
+
+// layOut maps a few ranges in as, one spanning two page-table chunks,
+// and writes a pattern into most of their pages, leaving every fifth
+// page of the largest one untouched.
+func layOut(as *AddressSpace, seed byte) {
+	small := as.Alloc(100, 8)
+	as.MustWrite(small, []byte{seed, seed + 1, seed + 2})
+	span := as.Alloc(3*PageSize+100, LineSize)
+	buf := make([]byte, 2*PageSize+10)
+	for i := range buf {
+		buf[i] = byte(i) ^ seed
+	}
+	as.MustWrite(span+PageSize-5, buf)
+	big := as.Alloc(3<<20, PageSize)
+	for off := uint64(0); off < 3<<20; off += PageSize {
+		if off%(5*PageSize) != 0 {
+			as.MustWrite(big+VAddr(off), buf[off%64:][:16])
+		}
+	}
+}
+
+// pageView is what an address space shows of one virtual page.
+type pageView struct {
+	pa    PAddr
+	bytes []byte
+}
+
+// view reads every page from firstVAddr up to the break.
+func view(as *AddressSpace) map[uint64]pageView {
+	pages := map[uint64]pageView{}
+	for vp := firstVAddr.Page(); vp <= (as.Brk() - 1).Page(); vp++ {
+		a := VAddr(vp << PageShift)
+		pa, err := as.Translate(a)
+		if err != nil {
+			continue
+		}
+		b := make([]byte, PageSize)
+		as.MustRead(a, b)
+		pages[vp] = pageView{pa, b}
+	}
+	return pages
+}
+
+// TestSnapshotRestoreRoundTrip takes an image of a laid-out address
+// space and restores it after Reset: the break, mapping count, frames
+// reserved and every mapped page's translation and bytes come back. A
+// write after Restore leaves the image as it was, Physical.Reset after a
+// larger process leaves every frame zero, and a traced Restore emits
+// the page_map instants of the mapping it replaces.
+func TestSnapshotRestoreRoundTrip(t *testing.T) {
+	for _, opts := range [][]ASOption{nil, {WithContiguousFrames()}} {
+		phys := NewPhysical()
+		as := NewAddressSpace(phys, opts...)
+		tr := trace.New(1 << 12)
+		as.SetTracer(tr)
+		layOut(as, 7)
+		brk, mapped, frames := as.Brk(), as.MappedPages(), phys.FramesAllocated()
+		img := as.Snapshot(nil)
+		// Viewing reads every page, so it comes after the snapshot:
+		// untouched pages must restore as zero without being imaged.
+		want, wantEvents := view(as), tr.Events()
+		if mapped == 0 || len(want) != mapped || len(wantEvents) != mapped {
+			t.Fatalf("layout mapped %d pages, viewed %d, traced %d", mapped, len(want), len(wantEvents))
+		}
+
+		restore := func(tr *trace.Tracer) {
+			t.Helper()
+			phys.Reset()
+			as.Reset()
+			as.SetTracer(tr)
+			as.Restore(img)
+			if as.Brk() != brk || as.MappedPages() != mapped || phys.FramesAllocated() != frames {
+				t.Fatalf("restored brk %#x, %d pages, %d frames; want %#x, %d, %d",
+					as.Brk(), as.MappedPages(), phys.FramesAllocated(), brk, mapped, frames)
+			}
+			if got := view(as); !reflect.DeepEqual(got, want) {
+				t.Fatal("restored pages differ from the snapshot's")
+			}
+		}
+		restoreTr := trace.New(1 << 12)
+		restore(restoreTr)
+		if got := restoreTr.Events(); !reflect.DeepEqual(got, wantEvents) {
+			t.Fatalf("traced Restore emitted %d events, want the %d page_map instants of the build", len(got), len(wantEvents))
+		}
+		// Writes after Restore reach the machine's memory, not the image.
+		for vp := range want {
+			as.MustWrite(VAddr(vp<<PageShift+100), []byte{0xee, 0xee})
+		}
+		as.Alloc(PageSize, PageSize)
+		restore(nil)
+
+		// A larger process, including a direct write above the frames it
+		// reserved, leaves nothing behind in reset physical memory.
+		layOut(as, 9)
+		layOut(as, 11)
+		phys.Write(PAddr((phys.nextFrame+5)<<PageShift), []byte{1, 2, 3})
+		phys.Reset()
+		as.Reset()
+		if phys.FramesAllocated() != 0 || as.MappedPages() != 0 || as.Brk() != firstVAddr {
+			t.Fatalf("reset memory holds %d frames, %d pages, brk %#x", phys.FramesAllocated(), as.MappedPages(), as.Brk())
+		}
+		for c, ch := range phys.chunks {
+			for i, b := range ch {
+				if b != nil && !bytes.Equal(b, make([]byte, PageSize)) {
+					t.Fatalf("frame %d holds bytes after Physical.Reset", c<<physChunkShift+i)
+				}
+			}
+		}
+		if _, err := as.Translate(firstVAddr); err == nil {
+			t.Fatal("a page translates after AddressSpace.Reset")
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"qei/internal/hwdesc"
 	"qei/internal/machine"
+	"qei/internal/mem"
 )
 
 // machines is the free list of idle machines, each reset to the state
@@ -46,4 +47,78 @@ func giveMachine(m *machine.Machine) {
 		machines.free = append(machines.free[:0], machines.free[len(machines.free)-n+1:]...)
 	}
 	machines.free = append(machines.free, m)
+}
+
+// image is one benchmark's built guest memory and plan on one
+// description of machine.
+type image struct {
+	bench Benchmark
+	desc  hwdesc.Description
+	plan  *Plan
+	mem   *mem.Image
+}
+
+// images holds the guest-memory images of the benchmarks built most
+// recently, at most GOMAXPROCS, so the cells of a matrix that play one
+// benchmark on one chip build it once. An evicted image's buffers take
+// the next snapshot. Restores and snapshots run under the lock, so no
+// image is overwritten while a run restores from it.
+var images struct {
+	sync.Mutex
+	list []*image // least recently used first
+}
+
+// build lays bench out in m, which is in the state machine.New builds,
+// and returns its plan. If an earlier run built an equal benchmark (by
+// ==, for comparable benchmark types) on an equal description, build
+// restores that run's image into m and returns its plan, shared with
+// every run that restores it; otherwise it calls Build and keeps an
+// image of the result.
+func build(bench Benchmark, m *machine.Machine) (*Plan, error) {
+	if !reflect.TypeOf(bench).Comparable() {
+		return bench.Build(m)
+	}
+	images.Lock()
+	if img := takeImage(bench, m.Desc); img != nil {
+		m.AS.Restore(img.mem)
+		images.list = append(images.list, img)
+		images.Unlock()
+		return img.plan, nil
+	}
+	images.Unlock()
+	plan, err := bench.Build(m)
+	if err != nil {
+		return nil, err
+	}
+	images.Lock()
+	defer images.Unlock()
+	// Another run may have built the same benchmark meanwhile.
+	img := takeImage(bench, m.Desc)
+	if img == nil {
+		img = &image{bench: bench, desc: m.Desc, plan: plan}
+		if n := runtime.GOMAXPROCS(0); len(images.list) >= n {
+			img.mem = images.list[len(images.list)-n].mem
+			images.list = append(images.list[:0], images.list[len(images.list)-n+1:]...)
+		}
+		img.mem = m.AS.Snapshot(img.mem)
+	}
+	images.list = append(images.list, img)
+	return plan, nil
+}
+
+// takeImage removes and returns the image of bench on d, or nil if
+// there is none. The caller holds the images lock.
+func takeImage(bench Benchmark, d hwdesc.Description) *image {
+	for i, img := range images.list {
+		if img.of(bench, d) {
+			images.list = append(images.list[:i], images.list[i+1:]...)
+			return img
+		}
+	}
+	return nil
+}
+
+// of reports whether img is an image of bench on d.
+func (img *image) of(bench Benchmark, d hwdesc.Description) bool {
+	return img.bench == bench && reflect.DeepEqual(img.desc, d)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qei/internal/hwdesc"
+	"qei/internal/machine"
 	"qei/internal/metrics"
 	"qei/internal/runner"
 	"qei/internal/scheme"
@@ -20,6 +21,14 @@ func dropIdleMachines() {
 	machines.Lock()
 	machines.free = nil
 	machines.Unlock()
+}
+
+// dropImages empties the images, so the next run of any benchmark
+// builds it.
+func dropImages() {
+	images.Lock()
+	images.list = nil
+	images.Unlock()
 }
 
 // idleMachine reports whether the free list holds a machine described
@@ -35,12 +44,31 @@ func idleMachine(d hwdesc.Description) bool {
 	return false
 }
 
+// imageOf reports whether an earlier run left an image of bench on d,
+// which the next run of bench on d then restores.
+func imageOf(bench Benchmark, d hwdesc.Description) bool {
+	images.Lock()
+	defer images.Unlock()
+	for _, img := range images.list {
+		if img.of(bench, d) {
+			return true
+		}
+	}
+	return false
+}
+
+// unshared is a benchmark no image matches: each &unshared{b} is a
+// pointer of its own, so a run of it calls Build.
+type unshared struct{ Benchmark }
+
 // recycleCell is one run whose result must not depend on whether its
-// machine was built for it or reset after other runs.
+// machine was built for it or reset after other runs, nor on whether
+// its benchmark was built for it or restored from an image.
 type recycleCell struct {
-	name string
-	desc hwdesc.Description
-	run  func() (any, error)
+	name  string
+	bench Benchmark
+	desc  hwdesc.Description
+	run   func(b Benchmark) (any, error)
 }
 
 // tracedRun is a run together with the events it traced.
@@ -56,8 +84,8 @@ func recycleCells() []recycleCell {
 	qst := hwdesc.Default()
 	qst.QST = hwdesc.QST{Entries: 40, Comparators: 4}
 	var cells []recycleCell
-	add := func(name string, d hwdesc.Description, run func() (any, error)) {
-		cells = append(cells, recycleCell{name, d, run})
+	add := func(name string, bench Benchmark, d hwdesc.Description, run func(b Benchmark) (any, error)) {
+		cells = append(cells, recycleCell{name, bench, d, run})
 	}
 	asAny := func(r Run, err error) (any, error) { return r, err }
 	modes := []struct {
@@ -65,83 +93,114 @@ func recycleCells() []recycleCell {
 		mode Mode
 	}{{"full", Full}, {"roi", ROIOnly}, {"nonroi", NonROIOnly}}
 	for _, m := range modes {
-		add("baseline/jvm/"+m.name, def, func() (any, error) { return asAny(RunBaseline(SmallJVM(), m.mode)) })
+		add("baseline/jvm/"+m.name, SmallJVM(), def, func(b Benchmark) (any, error) { return asAny(RunBaseline(b, m.mode)) })
 		for _, k := range scheme.Kinds() {
-			add("qei/dpdk/"+k.Name()+"/"+m.name, def, func() (any, error) {
+			add("qei/dpdk/"+k.Name()+"/"+m.name, SmallDPDK(), def, func(b Benchmark) (any, error) {
 				if m.mode == ROIOnly {
-					return asAny(RunQEI(SmallDPDK(), k, m.mode))
+					return asAny(RunQEI(b, k, m.mode))
 				}
-				return asAny(RunQEI(SmallDPDK(), k, m.mode, WithWarmup()))
+				return asAny(RunQEI(b, k, m.mode, WithWarmup()))
 			})
 		}
 	}
-	add("nb/tuple5/cha-tlb", def, func() (any, error) {
-		return asAny(RunQEINonBlocking(SmallTupleSpace(5), scheme.ForKind(scheme.CHATLB), WithWarmup()))
+	add("nb/tuple5/cha-tlb", SmallTupleSpace(5), def, func(b Benchmark) (any, error) {
+		return asAny(RunQEINonBlocking(b, scheme.ForKind(scheme.CHATLB), WithWarmup()))
 	})
-	add("multicore/dpdk/core/4", def, func() (any, error) { return RunMultiCore(SmallDPDK(), scheme.CoreIntegrated, 4) })
-	add("nocwindow/flann/device-indirect", def, func() (any, error) {
-		return asAny(RunQEI(SmallFLANN(), scheme.DeviceIndirect, ROIOnly, WithNoCWindow()))
+	add("multicore/dpdk/core/4", SmallDPDK(), def, func(b Benchmark) (any, error) { return RunMultiCore(b, scheme.CoreIntegrated, 4) })
+	add("nocwindow/flann/device-indirect", SmallFLANN(), def, func(b Benchmark) (any, error) {
+		return asAny(RunQEI(b, scheme.DeviceIndirect, ROIOnly, WithNoCWindow()))
 	})
-	add("trace/dpdk/cha-tlb", def, func() (any, error) {
+	add("trace/dpdk/cha-tlb", SmallDPDK(), def, func(b Benchmark) (any, error) {
 		tr := trace.New(1 << 15)
-		r, err := RunQEI(SmallDPDK(), scheme.CHATLB, ROIOnly, WithTrace(tr))
+		r, err := RunQEI(b, scheme.CHATLB, ROIOnly, WithTrace(tr))
 		return tracedRun{r, tr.Export()}, err
 	})
-	add("metrics/dpdk/core", def, func() (any, error) {
-		return asAny(RunQEI(SmallDPDK(), scheme.CoreIntegrated, Full, WithWarmup(), WithMetrics(metrics.NewRegistry())))
+	add("metrics/dpdk/core", SmallDPDK(), def, func(b Benchmark) (any, error) {
+		return asAny(RunQEI(b, scheme.CoreIntegrated, Full, WithWarmup(), WithMetrics(metrics.NewRegistry())))
 	})
-	add("contiguous/jvm/baseline", contiguous, func() (any, error) {
-		return asAny(RunBaseline(SmallJVM(), ROIOnly, WithMachine(contiguous)))
+	add("contiguous/jvm/baseline", SmallJVM(), contiguous, func(b Benchmark) (any, error) {
+		return asAny(RunBaseline(b, ROIOnly, WithMachine(contiguous)))
 	})
-	add("qst/dpdk/core", qst, func() (any, error) {
-		return asAny(RunQEI(SmallDPDK(), scheme.CoreIntegrated, ROIOnly, WithMachine(qst)))
+	add("qst/dpdk/core", SmallDPDK(), qst, func(b Benchmark) (any, error) {
+		return asAny(RunQEI(b, scheme.CoreIntegrated, ROIOnly, WithMachine(qst)))
 	})
 	return cells
 }
 
-// TestRecycledMachineMatchesFresh plays every cell on a freshly built
-// machine, then again in a seeded shuffled order on machines that
-// earlier cells used and handed back, and requires each recycled result
-// to equal the fresh one. The shuffle is played twice: serially, where
-// most cells must find an idle machine, and on two runner.Map workers
-// that hand machines to each other through the free list. Not parallel
-// with other tests: the free list is the package's.
+// TestRecycledMachineMatchesFresh plays every cell from scratch, its
+// benchmark built on a freshly built machine, then again in a seeded
+// shuffled order on machines that earlier cells used and handed back,
+// restoring the images earlier cells left, and requires each replayed
+// result to equal the reference. The shuffle is played twice: serially,
+// where most cells must find an idle machine and a third an image (the
+// images are as many as GOMAXPROCS), and on two
+// runner.Map workers that hand machines to each other through the free
+// list and restore one image concurrently. A cell on a chip with
+// contiguous frames must not take the image of the same benchmark on
+// the default chip. Not parallel with other tests: the free list and
+// the images are the package's.
 func TestRecycledMachineMatchesFresh(t *testing.T) {
 	cells := recycleCells()
 	fresh := make([]any, len(cells))
 	for i, c := range cells {
 		dropIdleMachines()
-		v, err := c.run()
+		v, err := c.run(&unshared{c.bench})
 		if err != nil {
-			t.Fatalf("%s on a fresh machine: %v", c.name, err)
+			t.Fatalf("%s from scratch: %v", c.name, err)
 		}
 		fresh[i] = v
 	}
 	replay := func(i int) (struct{}, error) {
-		v, err := cells[i].run()
+		c := cells[i]
+		v, err := c.run(c.bench)
 		if err != nil {
-			return struct{}{}, fmt.Errorf("%s on a recycled machine: %w", cells[i].name, err)
+			return struct{}{}, fmt.Errorf("%s on a recycled machine: %w", c.name, err)
 		}
 		if !reflect.DeepEqual(v, fresh[i]) {
-			t.Errorf("%s: recycled machine gave\n%+v\nfresh machine gave\n%+v", cells[i].name, v, fresh[i])
+			t.Errorf("%s: recycled machine and image gave\n%+v\nfrom scratch gave\n%+v", c.name, v, fresh[i])
 		}
 		return struct{}{}, nil
 	}
 	order := rand.New(rand.NewSource(37)).Perm(len(cells))
-	recycled := 0
+	recycled, restored := 0, 0
 	for _, i := range order {
 		if idleMachine(cells[i].desc) {
 			recycled++
+		}
+		if imageOf(cells[i].bench, cells[i].desc) {
+			restored++
 		}
 		if _, err := replay(i); err != nil {
 			t.Fatal(err)
 		}
 	}
+	t.Logf("serial replay: %d of %d cells on a recycled machine, %d restored an image", recycled, len(cells), restored)
 	if recycled < len(cells)/2 {
 		t.Errorf("only %d of %d cells ran on a recycled machine", recycled, len(cells))
 	}
+	if restored < len(cells)/3 {
+		t.Errorf("only %d of %d cells restored an image", restored, len(cells))
+	}
 	if _, err := runner.Map(2, order, replay); err != nil {
 		t.Fatal(err)
+	}
+
+	// Contiguous frames lay the same benchmark out differently, so that
+	// cell must build an image of its own beside the default chip's.
+	for i, c := range cells {
+		if !c.desc.ContiguousFrames {
+			continue
+		}
+		dropImages()
+		if _, err := RunBaseline(c.bench, ROIOnly); err != nil || !imageOf(c.bench, hwdesc.Default()) {
+			t.Fatalf("%s: no default-chip image of the benchmark (%v)", c.name, err)
+		}
+		if _, err := replay(i); err != nil {
+			t.Fatal(err)
+		}
+		if !imageOf(c.bench, c.desc) {
+			t.Errorf("%s left no image of its own chip", c.name)
+		}
 	}
 }
 
@@ -186,5 +245,107 @@ func TestSharedRegistrySumsRuns(t *testing.T) {
 	}
 	if got, want := reg.Snapshot(), metrics.Merge(r1.Metrics, r2.Metrics); !reflect.DeepEqual(got, want) {
 		t.Errorf("shared registry holds\n%s\nwant the sum of both runs\n%s", got, want)
+	}
+}
+
+// planRecorder builds its benchmark once per pointer and keeps a deep
+// copy of the plan as Build returned it.
+type planRecorder struct {
+	Benchmark
+	builds      int
+	plan, built *Plan
+}
+
+func (r *planRecorder) Build(m *machine.Machine) (*Plan, error) {
+	plan, err := r.Benchmark.Build(m)
+	if err == nil {
+		r.builds++
+		r.plan, r.built = plan, clonePlan(plan)
+	}
+	return plan, err
+}
+
+// clonePlan copies p down to its probes.
+func clonePlan(p *Plan) *Plan {
+	c := *p
+	clone := func(reqs []Request) []Request {
+		if reqs == nil {
+			return nil
+		}
+		out := make([]Request, len(reqs))
+		for i, r := range reqs {
+			out[i].Probes = append([]Probe(nil), r.Probes...)
+		}
+		return out
+	}
+	c.Requests, c.WarmupRequests = clone(p.Requests), clone(p.WarmupRequests)
+	return &c
+}
+
+// TestPlanUnchangedByRuns plays every driver on each small benchmark.
+// The runs share the plan the first one built, restored with its image,
+// so none of them may modify it.
+func TestPlanUnchangedByRuns(t *testing.T) {
+	dropImages()
+	for _, b := range append(AllSmall(), SmallTupleSpace(5), SmallSkewedDPDK()) {
+		r := &planRecorder{Benchmark: b}
+		runs := []func() error{
+			func() error { _, err := RunBaseline(r, Full, WithWarmup()); return err },
+			func() error { _, err := RunBaseline(r, ROIOnly); return err },
+			func() error { _, err := RunQEI(r, scheme.CoreIntegrated, Full, WithWarmup()); return err },
+			func() error { _, err := RunQEI(r, scheme.CHATLB, NonROIOnly, WithBatch(4)); return err },
+			func() error {
+				_, err := RunQEINonBlocking(r, scheme.ForKind(scheme.DeviceIndirect), WithNoCWindow())
+				return err
+			},
+			func() error { _, err := RunMultiCore(r, scheme.CHANoTLB, 3); return err },
+		}
+		for _, run := range runs {
+			if err := run(); err != nil {
+				t.Fatalf("%s: %v", b.Name(), err)
+			}
+		}
+		if r.builds != 1 {
+			t.Errorf("%s built %d times in %d runs, want once", b.Name(), r.builds, len(runs))
+		}
+		if !reflect.DeepEqual(r.plan, r.built) {
+			t.Errorf("%s: a run modified the shared plan", b.Name())
+		}
+	}
+}
+
+// BenchmarkRestoreImage times what a cell of a matrix pays to lay its
+// benchmark out on a reset default machine: "restore" puts back an
+// image of small Snort or RocksDB taken once, "build" calls Build as a
+// cell without an image does. The machine is reset between ops, off
+// the clock.
+func BenchmarkRestoreImage(b *testing.B) {
+	for _, bench := range []Benchmark{SmallSnort(), SmallRocksDB()} {
+		m := machine.New(hwdesc.Default())
+		if _, err := bench.Build(m); err != nil {
+			b.Fatal(err)
+		}
+		img := m.AS.Snapshot(nil)
+		b.Logf("%s image: %d pages mapped", bench.Name(), m.AS.MappedPages())
+		b.Run(bench.Name()+"/restore", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m.Reset()
+				b.StartTimer()
+				m.AS.Restore(img)
+			}
+		})
+		b.Run(bench.Name()+"/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m.Reset()
+				b.StartTimer()
+				if _, err := bench.Build(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

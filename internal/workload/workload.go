@@ -9,7 +9,10 @@
 //
 // Each benchmark builds its data structures in a simulated machine in the
 // state machine.New builds (deterministic layouts from fixed seeds), then
-// plays a query stream.
+// plays a query stream. A run takes that machine from a free list of
+// reset ones, and the first run of a benchmark on a chip keeps an image
+// of the built guest memory that later runs restore instead of
+// building it again (see Benchmark).
 // Requests carry a calibrated amount of non-ROI work (parsing, memcpy,
 // bookkeeping) so that the query share of total time lands in the
 // 23–44% band the paper profiles in Fig. 1.
@@ -47,7 +50,9 @@ type Request struct {
 	Probes []Probe
 }
 
-// Plan is a fully built benchmark instance inside one machine.
+// Plan is a fully built benchmark instance: the request streams over
+// the guest memory Build laid out. The runs that restore one image of
+// that memory share its Plan, so a run only reads it.
 type Plan struct {
 	Name     string
 	Requests []Request
@@ -64,7 +69,13 @@ type Plan struct {
 	scratchSize     uint64
 }
 
-// Benchmark builds a Plan into a machine.
+// Benchmark builds a Plan into a machine. Build must be a pure
+// function of its receiver and the machine's Desc: it lays the same
+// bytes out at the same addresses and returns an equal Plan whenever
+// both are equal. A run may therefore restore the guest memory and the
+// Plan of an earlier run of an equal benchmark (by ==, when its type is
+// comparable) on an equal Desc instead of calling Build, and the runs
+// sharing that Plan must not modify it.
 type Benchmark interface {
 	Name() string
 	Build(m *machine.Machine) (*Plan, error)
@@ -260,10 +271,11 @@ func emitNonROI(b *isa.Builder, plan *Plan, reqIdx int, seed isa.Reg) {
 
 // session is one run of a benchmark on a machine in machine.New's state,
 // taken from the free list (see takeMachine) and handed back, reset, by
-// close on every return path. It owns what every driver shares — the
-// machine and its build, the accelerator beside core 0, the trace
-// builder, the measured window and the result check — so a driver is
-// only the trace its configuration emits.
+// close on every return path; the benchmark is built into it or
+// restored from an image (see build). It owns what every driver
+// shares — the machine and its build, the accelerator beside core 0,
+// the trace builder, the measured window and the result check — so a
+// driver is only the trace its configuration emits.
 type session struct {
 	cfg runCfg
 	m   *machine.Machine
@@ -285,10 +297,10 @@ type session struct {
 	pending              []expect // the measured pass's accelerator probes
 }
 
-// open applies opts, takes a machine, builds bench into it wired to the
-// configured observability sinks, and creates core 0 — with an
-// accelerator of the given scheme beside it when params is non-nil. On
-// success the caller must close the session.
+// open applies opts, takes a machine, builds or restores bench into it
+// wired to the configured observability sinks, and creates core 0 —
+// with an accelerator of the given scheme beside it when params is
+// non-nil. On success the caller must close the session.
 func open(bench Benchmark, params *scheme.Params, opts []RunOption) (*session, error) {
 	s := &session{b: isa.NewBuilder()}
 	for _, o := range opts {
@@ -300,7 +312,7 @@ func open(bench Benchmark, params *scheme.Params, opts []RunOption) (*session, e
 	s.m = takeMachine(s.cfg.desc())
 	s.m.AttachObservability(s.reg, s.cfg.tr)
 	s.buildStart = s.m.AS.Brk()
-	plan, err := bench.Build(s.m)
+	plan, err := build(bench, s.m)
 	if err != nil {
 		s.close()
 		return nil, err
@@ -474,8 +486,8 @@ func emitQueryB(b *isa.Builder, p Probe, tag uint64, mispredict bool) isa.Reg {
 	return r
 }
 
-// RunBaseline executes bench in pure software on core 0 of a fresh
-// machine.
+// RunBaseline executes bench in pure software on core 0 of a machine
+// in machine.New's state.
 func RunBaseline(bench Benchmark, mode Mode, opts ...RunOption) (Run, error) {
 	s, err := open(bench, nil, opts)
 	if err != nil {
