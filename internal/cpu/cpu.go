@@ -63,8 +63,8 @@ type MemPort interface {
 	// base + (off + i·step) mod size, with size > 0, if each of them,
 	// made by Access in order, would return latency lat and no fault
 	// whatever its issue cycle, and reports true. Otherwise it changes
-	// nothing and reports false, and the caller makes the reads one
-	// Access at a time.
+	// nothing and reports false, and the caller makes no skip: it times
+	// the ops, the reads among them, one by one.
 	ReadRing(base mem.VAddr, off, step, size, n, lat uint64) bool
 }
 
@@ -222,13 +222,6 @@ func (c *Core) Stats() Stats {
 // Now returns the cycle at which the last instruction run retired.
 func (c *Core) Now() uint64 { return c.lastRetire }
 
-func max2(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Run executes t in program order and returns the cycle the last op
 // retired. The first fault stops the run: Err reports it, Instructions
 // counts only the ops before the faulting one, and every later Run
@@ -289,20 +282,20 @@ loop:
 		// which this stall pushes dispatch past the furthest point
 		// already reached.
 		if free := retireRing[robPos]; free > dispatch {
-			if reached := max2(dispatch, maxDispatch); free > reached {
+			if reached := max(dispatch, maxDispatch); free > reached {
 				st.ROBStallCycles += free - reached
 			}
 			dispatch = free
 		}
-		maxDispatch = max2(maxDispatch, dispatch)
+		maxDispatch = max(maxDispatch, dispatch)
 
 		// Register dependences.
 		start := dispatch
 		if op.Src1 != 0 {
-			start = max2(start, regReady[op.Src1])
+			start = max(start, regReady[op.Src1])
 		}
 		if op.Src2 != 0 {
-			start = max2(start, regReady[op.Src2])
+			start = max(start, regReady[op.Src2])
 		}
 
 		var complete uint64
@@ -395,7 +388,7 @@ loop:
 		}
 
 		// In-order retire, RetireWidth per cycle.
-		retire := max2(complete, lastRetire)
+		retire := max(complete, lastRetire)
 		if retire == lastRetire {
 			retireInCy++
 			if retireInCy >= retireWidth {

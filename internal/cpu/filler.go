@@ -14,45 +14,46 @@ import (
 // period before. runFiller times the block op by op, as Run would time
 // its expansion, and compares the pipeline state at each period
 // boundary with the one a period earlier, both taken relative to the
-// fetch clock. Once they are equal, and the next period's scratch loads
-// return the latencies they did in the last one, the next period is the
-// last one moved by the fetch clock's advance Δ: each op dispatches,
-// completes and retires Δ cycles later and adds the same to Stats. So
-// runFiller skips whole periods, adding k·Δ to every clock and k times
-// the last period to Stats, and rebuilds the rings and register
-// readiness from the last period. This is the steady state of interval
-// simulation (Genbrugge et al., HPCA 2010), taken only where it is
-// exact. A block that the ROB or its own chain holds back drifts behind
-// its fetch clock, never matches, and is timed op by op throughout.
+// fetch clock. Once they are equal, and the next periods' scratch loads
+// each take the one latency all of the last period's took, each next
+// period is the last one moved by the fetch clock's advance Δ: each op
+// dispatches, completes and retires Δ cycles later and adds the same to
+// Stats. So runFiller skips whole periods, adding k·Δ to every clock
+// and k times the last period to Stats, and rebuilds the rings and
+// register readiness from the last period. This is the steady state of
+// interval simulation (Genbrugge et al., HPCA 2010), taken only where
+// it is exact. A block that the ROB or its own chain holds back drifts
+// behind its fetch clock, never matches, and is timed op by op
+// throughout.
 //
 // A skipped period's loads still reach the memory port, so the caches,
-// TLBs and their counters see the same accesses. When the template
-// period's loads all took one latency, fillSkip hands the port every
-// skipped load at once as a walk of the scratch ring (MemPort.ReadRing):
-// a port that finds each load would return that latency whatever its
-// cycle, as the machine's does when every line and page is L1-resident
-// and no tracer or fault injector is attached, applies them in one call.
-// Otherwise, or when the template's latencies differ, the loads go to
-// the port one Access each, in order and at the cycles op-by-op timing
-// would issue them, so trace spans see them too. A load whose latency
-// differs from the last period's, or that faults, ends the skip:
-// runFiller rebuilds the state at the start of that period and times it
-// op by op, reusing the outcomes the port already returned.
+// TLBs and their counters see the same accesses: fillSkip hands the
+// port every skipped load at once as a walk of the scratch ring
+// (MemPort.ReadRing). A port that finds each load would return the
+// template period's latency whatever its cycle, as the machine's does
+// when every line and page is L1-resident and no tracer or fault
+// injector is attached, applies them in one call. When the template's
+// loads took mixed latencies, or the port declines, there is no skip
+// and no port call: the block goes on op by op to its next steady
+// boundary, so every load's outcome, trace span and fault is the one
+// op-by-op timing gives.
 
 // fillScratch is runFiller's state that outlives a period.
 type fillScratch struct {
-	// issue and lat hold each load's issue cycle and latency in the
-	// period last timed op by op: the template a skip checks against.
-	issue, lat []uint64
-	snap       fillSnap
+	// lat is the latency of the loads of the period last timed op by
+	// op, the template a skip extends; mixed marks a template whose
+	// loads took more than one.
+	lat   uint64
+	mixed bool
+	snap  fillSnap
 	// delta, dstats and dreg are what the template period advanced the
 	// fetch clock, Stats and register numbering by.
 	delta  uint64
 	dstats Stats
 	dreg   int
-	// skipped counts the ops skips timed and cut the skips a load's
-	// outcome ended early, over the core's life; the tests read them.
-	skipped, cut int
+	// skipped counts the ops skips timed over the core's life; the
+	// tests read it.
+	skipped int
 }
 
 // fillSnap is the pipeline state at the last period boundary, each
@@ -77,9 +78,6 @@ type fillBlock struct {
 	loads            bool
 	reg              isa.Reg
 	chain            uint64
-	replay           int // see fillOps
-	replayLat        uint64
-	replayErr        error
 	every            int // ops per load
 	period, perLoads int // ops and loads per period
 }
@@ -122,7 +120,6 @@ func (c *Core) runFiller(op *isa.Op) {
 	if f.loads {
 		f.perLoads = f.period / f.every
 	}
-	c.fill.grow(f.perLoads, len(c.retireRing), len(c.loadRing))
 
 	n := int(op.N)
 	snapped := false
@@ -145,23 +142,9 @@ func (c *Core) runFiller(op *isa.Op) {
 	}
 }
 
-// grow sizes the scratch for a block with perLoads loads per period on
-// rings of rob and lq entries.
-func (s *fillScratch) grow(perLoads, rob, lq int) {
-	if cap(s.issue) < perLoads {
-		s.issue, s.lat = make([]uint64, perLoads), make([]uint64, perLoads)
-	}
-	s.issue, s.lat = s.issue[:perLoads], s.lat[:perLoads]
-	if s.snap.rob == nil {
-		s.snap.rob, s.snap.lq = make([]uint64, rob), make([]uint64, lq)
-	}
-}
-
 // fillOps times the block's next m ops, which start at a period
-// boundary, with Run's arithmetic, and records each load's issue cycle
-// and latency as the template. With f.replay > 0 the period's first
-// f.replay loads reuse outcomes a skip already had from the port: the
-// template's latencies, and f.replayLat and f.replayErr for the last.
+// boundary, with Run's arithmetic, and records their loads' latency as
+// the template.
 func (c *Core) fillOps(f *fillBlock, m int) {
 	cfg := &c.cfg
 	issueWidth, retireWidth, aluLat := cfg.IssueWidth, cfg.RetireWidth, cfg.ALULatency
@@ -172,13 +155,10 @@ func (c *Core) fillOps(f *fillBlock, m int) {
 	maxDispatch := c.maxDispatch
 	lastRetire, retireInCy := c.lastRetire, c.retireInCy
 	st := c.stats
-	issues, lats := c.fill.issue, c.fill.lat
 	base, step, size, loads, every := f.base, f.step, f.size, f.loads, f.every
 	off, reg, chain := f.off, f.reg, f.chain
-	replay := f.replay
-	f.replay = 0
 
-	ld := 0
+	ld, tlat, mixed := 0, uint64(0), false
 	// toLoad, to3 and to7 count the ops until the next load, chain op
 	// and branch slot, so choosing an op divides by nothing.
 	toLoad, to3, to7 := 0, 0, 6
@@ -208,21 +188,15 @@ ops:
 				st.LQStallCycles += free - start
 				start = free
 			}
-			var lat uint64
-			var err error
-			switch {
-			case ld >= replay:
-				lat, err = c.mem.Access(base+mem.VAddr(off), false, start)
-			case ld < replay-1:
-				lat = lats[ld]
-			default:
-				lat, err = f.replayLat, f.replayErr
-			}
+			lat, err := c.mem.Access(base+mem.VAddr(off), false, start)
 			if err != nil {
 				c.err = err
 				break ops
 			}
-			issues[ld], lats[ld] = start, lat
+			if ld == 0 {
+				tlat = lat
+			}
+			mixed = mixed || lat != tlat
 			ld++
 			for off += step; off >= size; {
 				off -= size
@@ -282,6 +256,7 @@ ops:
 	c.maxDispatch = maxDispatch
 	c.lastRetire, c.retireInCy = lastRetire, retireInCy
 	f.off, f.reg, f.chain = off, reg, chain
+	c.fill.lat, c.fill.mixed = tlat, mixed
 }
 
 // fillSteady reports whether the pipeline state at this period
@@ -292,6 +267,9 @@ ops:
 func (c *Core) fillSteady(f *fillBlock, snapped bool) bool {
 	s := &c.fill
 	p := &s.snap
+	if p.rob == nil {
+		p.rob, p.lq = make([]uint64, len(c.retireRing)), make([]uint64, len(c.loadRing))
+	}
 	at := c.fetchCycle
 	same := snapped && c.fetchSlots == p.fetchSlots && c.retireInCy == p.retireInCy &&
 		c.maxDispatch-at == p.maxDispatch && c.lastRetire-at == p.lastRetire && f.chain-at == p.chain
@@ -328,36 +306,20 @@ func snapRing(snap, ring []uint64, pos int, at uint64) bool {
 	return same
 }
 
-// fillSkip issues the loads of up to k periods after the template
-// period, each at its template issue cycle plus delta per period, and
-// returns how many whole periods returned the template's latencies.
-// When the template's loads all took one latency, it first offers the
-// port all k periods' loads as one ReadRing call. Otherwise, or if the
-// port declines, it makes them one Access each: at the first load that
-// returns another latency or faults it stops, rewinds the block to that
-// period's first load and leaves the outcomes for fillOps to replay.
+// fillSkip applies the loads of the k periods after the template
+// period and returns how many periods the block skips: k when they
+// have no loads or the port takes them all as one ReadRing walk at the
+// template's latency, and 0 with no port call when the template's
+// loads took mixed latencies or the port declines.
 func (c *Core) fillSkip(f *fillBlock, k int) int {
-	s := &c.fill
-	if n := uint64(k * len(s.lat)); n > 0 && uniform(s.lat) && c.mem.ReadRing(f.base, f.off, f.step, f.size, n, s.lat[0]) {
-		f.off = (f.off + n*f.step%f.size) % f.size
+	if f.perLoads == 0 {
 		return k
 	}
-	for q := 0; q < k; q++ {
-		start := f.off
-		d := uint64(q+1) * s.delta
-		for l, issue := range s.issue {
-			lat, err := c.mem.Access(f.base+mem.VAddr(f.off), false, issue+d)
-			if err != nil || lat != s.lat[l] {
-				f.off = start
-				f.replay, f.replayLat, f.replayErr = l+1, lat, err
-				s.cut++
-				return q
-			}
-			for f.off += f.step; f.off >= f.size; {
-				f.off -= f.size
-			}
-		}
+	n := uint64(k * f.perLoads)
+	if c.fill.mixed || !c.mem.ReadRing(f.base, f.off, f.step, f.size, n, c.fill.lat) {
+		return 0
 	}
+	f.off = (f.off + n*f.step%f.size) % f.size
 	return k
 }
 
@@ -387,16 +349,6 @@ func (c *Core) fillShift(f *fillBlock, k int) {
 	c.maxDispatch += d
 	c.lastRetire += d
 	c.stats.add(s.dstats, uint64(k))
-}
-
-// uniform reports whether every latency in lat is the first one.
-func uniform(lat []uint64) bool {
-	for _, l := range lat {
-		if l != lat[0] {
-			return false
-		}
-	}
-	return true
 }
 
 // shiftRing appends k periods of adv entries each to ring, whose next

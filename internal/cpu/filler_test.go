@@ -246,7 +246,7 @@ func coreState(c *Core) Core {
 // register numbering after the block must match the expansion's too.
 func TestFillerMatchesExpansion(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	var skipped, rings, declined, cut, faults int
+	var skipped, rings, declined, faults int
 	for trial := 0; trial < 1000; trial++ {
 		cfg := randomConfig(r)
 		kind := portKinds[trial%len(portKinds)]
@@ -299,36 +299,37 @@ func TestFillerMatchesExpansion(t *testing.T) {
 			t.Fatalf("trial %d (%s port, block %+v): %d memory accesses, want %d", trial, kind.name, op, len(gotPort.log), len(wantPort.log))
 		}
 		skipped += got.fill.skipped
-		cut += got.fill.cut
 		rings += gotPort.rings
 		declined += gotPort.declined
 		if got.Err() != nil {
 			faults++
 		}
 	}
-	// The trials must reach every path: skips, whole ones in one ring
-	// call, ring calls declined, skips cut short by a latency or a
-	// fault, and faults.
-	if skipped == 0 || rings == 0 || declined == 0 || cut == 0 || faults == 0 {
-		t.Fatalf("trials skipped %d ops, made %d ring calls and declined %d, cut %d skips and faulted %d times", skipped, rings, declined, cut, faults)
+	// The trials must reach every path: skips, ring calls taken and
+	// declined, and faults.
+	if skipped == 0 || rings == 0 || declined == 0 || faults == 0 {
+		t.Fatalf("trials skipped %d ops, made %d ring calls and declined %d, and faulted %d times", skipped, rings, declined, faults)
 	}
-	t.Logf("skipped %d ops, %d ring calls, %d declined, cut %d skips, %d faults", skipped, rings, declined, cut, faults)
+	t.Logf("skipped %d ops, %d ring calls, %d declined, %d faults", skipped, rings, declined, faults)
 }
 
 // TestFillerSkipCutByFault pins the fault path inside a skip: a fault
-// on a load the skip issues ends the block at that load, with the
-// state, Err and Instructions op-by-op timing leaves.
+// on a load of a skip's ring walk makes the port decline it, and the
+// block, timed op by op, ends at that load with the state, Err and
+// Instructions of its expansion. A declined skip makes no port call.
 func TestFillerSkipCutByFault(t *testing.T) {
 	b := isa.NewBuilder()
 	b.Filler(20000, 8, 0x10000, 64, 0, 0)
 	tr := b.Take()
 	// With a fixed latency the block is steady from early on, so load
-	// 2000 (op 16 000) lies in a skip.
+	// 2000 (op 16 000) lies in a skip's walk.
 	lat := func(int, mem.VAddr, uint64, bool) uint64 { return 4 }
-	got := New(DefaultConfig(), &scriptPort{lat: lat, failAt: 2000}, nil)
+	port := &scriptPort{lat: lat, failAt: 2000}
+	got := New(DefaultConfig(), port, nil)
 	got.Run(tr)
-	if got.fill.skipped == 0 || got.fill.cut != 1 {
-		t.Fatalf("skipped %d ops and cut %d skips; the fault must fall in a skip", got.fill.skipped, got.fill.cut)
+	if port.declined == 0 || port.rings != 0 || got.fill.skipped != 0 || len(port.log) != 2000 {
+		t.Fatalf("%d ring calls declined and %d taken, %d ops skipped, %d accesses; the fault must decline every skip and the block make its 2000 loads one Access each",
+			port.declined, port.rings, got.fill.skipped, len(port.log))
 	}
 	ref := isa.NewBuilder()
 	expandFiller(ref, &tr[0])
@@ -366,7 +367,6 @@ func TestFillSteadyComparesState(t *testing.T) {
 		{"chain", func(_ *Core, f *fillBlock) { f.chain++ }, false},
 	} {
 		c := New(DefaultConfig(), &fixedMem{lat: 4}, nil)
-		c.fill.grow(0, len(c.retireRing), len(c.loadRing))
 		f := &fillBlock{chain: 1002}
 		c.fetchCycle, c.fetchSlots = 1000, 2
 		c.maxDispatch, c.lastRetire, c.retireInCy = 1003, 1010, 3

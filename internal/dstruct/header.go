@@ -15,6 +15,7 @@
 package dstruct
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"qei/internal/mem"
@@ -94,14 +95,14 @@ func WriteHeader(as *mem.AddressSpace, h Header) mem.VAddr {
 // EncodeHeader stores h at addr (which must be mapped).
 func EncodeHeader(as *mem.AddressSpace, addr mem.VAddr, h Header) {
 	var buf [HeaderSize]byte
-	putU64(buf[hdrOffRoot:], uint64(h.Root))
+	binary.LittleEndian.PutUint64(buf[hdrOffRoot:], uint64(h.Root))
 	buf[hdrOffType] = h.Type
 	buf[hdrOffSubtype] = h.Subtype
-	putU16(buf[hdrOffKeyLen:], h.KeyLen)
-	putU32(buf[hdrOffFlags:], h.Flags)
-	putU64(buf[hdrOffSize:], h.Size)
-	putU64(buf[hdrOffAux:], h.Aux)
-	putU64(buf[hdrOffAux2:], h.Aux2)
+	binary.LittleEndian.PutUint16(buf[hdrOffKeyLen:], h.KeyLen)
+	binary.LittleEndian.PutUint32(buf[hdrOffFlags:], h.Flags)
+	binary.LittleEndian.PutUint64(buf[hdrOffSize:], h.Size)
+	binary.LittleEndian.PutUint64(buf[hdrOffAux:], h.Aux)
+	binary.LittleEndian.PutUint64(buf[hdrOffAux2:], h.Aux2)
 	as.MustWrite(addr, buf[:])
 }
 
@@ -112,57 +113,15 @@ func ReadHeader(as *mem.AddressSpace, addr mem.VAddr) (Header, error) {
 		return Header{}, err
 	}
 	return Header{
-		Root:    mem.VAddr(getU64(buf[hdrOffRoot:])),
+		Root:    mem.VAddr(binary.LittleEndian.Uint64(buf[hdrOffRoot:])),
 		Type:    buf[hdrOffType],
 		Subtype: buf[hdrOffSubtype],
-		KeyLen:  getU16(buf[hdrOffKeyLen:]),
-		Flags:   getU32(buf[hdrOffFlags:]),
-		Size:    getU64(buf[hdrOffSize:]),
-		Aux:     getU64(buf[hdrOffAux:]),
-		Aux2:    getU64(buf[hdrOffAux2:]),
+		KeyLen:  binary.LittleEndian.Uint16(buf[hdrOffKeyLen:]),
+		Flags:   binary.LittleEndian.Uint32(buf[hdrOffFlags:]),
+		Size:    binary.LittleEndian.Uint64(buf[hdrOffSize:]),
+		Aux:     binary.LittleEndian.Uint64(buf[hdrOffAux:]),
+		Aux2:    binary.LittleEndian.Uint64(buf[hdrOffAux2:]),
 	}, nil
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putU32(b []byte, v uint32) {
-	_ = b[3]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	_ = b[3]
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putU16(b []byte, v uint16) {
-	_ = b[1]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-}
-
-func getU16(b []byte) uint16 {
-	_ = b[1]
-	return uint16(b[0]) | uint16(b[1])<<8
 }
 
 // readKey fetches keyLen bytes at addr.

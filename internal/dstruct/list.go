@@ -2,6 +2,7 @@ package dstruct
 
 import (
 	"bytes"
+	"encoding/binary"
 
 	"qei/internal/mem"
 )
@@ -126,6 +127,6 @@ func QueryLinkedListRef(as *mem.AddressSpace, headerAddr mem.VAddr, key []byte) 
 
 func encodeU64(v uint64) []byte {
 	b := make([]byte, 8)
-	putU64(b, v)
+	binary.LittleEndian.PutUint64(b, v)
 	return b
 }

@@ -1,6 +1,7 @@
 package dstruct
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"qei/internal/mem"
@@ -156,7 +157,7 @@ func BuildTrie(as *mem.AddressSpace, keywords [][]byte, values []uint64) *Trie {
 		as.MustWrite(n.addr+trieOffOutput, encodeU64(n.output))
 		dense := len(n.children) > denseThreshold
 		cnt := make([]byte, 8)
-		putU16(cnt, uint16(len(n.children)))
+		binary.LittleEndian.PutUint16(cnt, uint16(len(n.children)))
 		if dense {
 			cnt[2] = trieKindDense
 		}
@@ -170,7 +171,7 @@ func BuildTrie(as *mem.AddressSpace, keywords [][]byte, values []uint64) *Trie {
 		for i, b := range n.edges {
 			edge := make([]byte, trieEdgeSize)
 			edge[0] = b
-			putU64(edge[8:], uint64(n.children[b].addr))
+			binary.LittleEndian.PutUint64(edge[8:], uint64(n.children[b].addr))
 			as.MustWrite(n.addr+trieOffEdges+mem.VAddr(i*trieEdgeSize), edge)
 		}
 	}
@@ -256,7 +257,7 @@ func TrieFindEdgeProbes(as *mem.AddressSpace, node mem.VAddr, b byte, slots []me
 		slots = append(slots, ea)
 		switch {
 		case buf[0] == b:
-			return mem.VAddr(getU64(buf[8:])), probes, slots, nil
+			return mem.VAddr(binary.LittleEndian.Uint64(buf[8:])), probes, slots, nil
 		case buf[0] < b:
 			lo = mid + 1
 		default:

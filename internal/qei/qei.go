@@ -16,6 +16,7 @@
 package qei
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -530,15 +531,9 @@ func (a *Accelerator) writeResult(addr mem.VAddr, r Result) {
 		flag = 3
 	}
 	var buf [16]byte
-	putLE(buf[0:8], flag)
-	putLE(buf[8:16], r.Value)
+	binary.LittleEndian.PutUint64(buf[0:8], flag)
+	binary.LittleEndian.PutUint64(buf[8:16], r.Value)
 	a.m.AS.MustWrite(addr, buf[:])
-}
-
-func putLE(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 // requestHop charges the NoC transfer from the serving core to the
@@ -983,7 +978,7 @@ func (a *Accelerator) Flush(at uint64) uint64 {
 			// Abort code at the result address so polling software can
 			// restart the query after the interrupt.
 			var buf [8]byte
-			putLE(buf[:], 0xAB)
+			binary.LittleEndian.PutUint64(buf[:], 0xAB)
 			a.m.AS.MustWrite(rec.resultAddr, buf[:])
 		}
 		delete(a.nbInFlight, tag)

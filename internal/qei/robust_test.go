@@ -1,6 +1,7 @@
 package qei
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestPointerCycleDetected(t *testing.T) {
 		node = mem.VAddr(next)
 	}
 	var buf [8]byte
-	putLE(buf[:], uint64(ll.Head))
+	binary.LittleEndian.PutUint64(buf[:], uint64(ll.Head))
 	m.AS.MustWrite(node, buf[:])
 
 	absent := stage(m, []byte("absent-key-16byt"))

@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"qei/internal/scheme"
+	"qei/internal/trace"
 )
 
 func TestBaselineRunsCleanAllBenchmarks(t *testing.T) {
@@ -238,6 +240,45 @@ func TestDeterministicRuns(t *testing.T) {
 	if r1.Cycles != r2.Cycles || r1.Core.Instructions != r2.Core.Instructions {
 		t.Fatalf("runs not deterministic: %d/%d vs %d/%d cycles/instrs",
 			r1.Cycles, r1.Core.Instructions, r2.Cycles, r2.Core.Instructions)
+	}
+}
+
+// TestTracedFullRunMatchesUntraced requires a Full-mode run with a
+// tracer attached to equal the same run without one. A tracer makes the
+// machine's memory port decline every ring walk of skipped filler
+// loads, so the traced run times each Filler block op by op where the
+// untraced one skips periods: the two must not differ in any field.
+func TestTracedFullRunMatchesUntraced(t *testing.T) {
+	drivers := []struct {
+		name string
+		run  func(b Benchmark, opts ...RunOption) (Run, error)
+	}{
+		{"baseline", func(b Benchmark, opts ...RunOption) (Run, error) { return RunBaseline(b, Full, opts...) }},
+		{"qei-core", func(b Benchmark, opts ...RunOption) (Run, error) {
+			return RunQEI(b, scheme.CoreIntegrated, Full, opts...)
+		}},
+		{"qei-nb", func(b Benchmark, opts ...RunOption) (Run, error) {
+			return RunQEINonBlocking(b, scheme.ForKind(scheme.CoreIntegrated), opts...)
+		}},
+	}
+	for _, b := range AllSmall() {
+		for _, d := range drivers {
+			plain, err := d.run(b)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", b.Name(), d.name, err)
+			}
+			tr := trace.New(1 << 10)
+			traced, err := d.run(b, WithTrace(tr))
+			if err != nil {
+				t.Fatalf("%s/%s traced: %v", b.Name(), d.name, err)
+			}
+			if tr.Len() == 0 {
+				t.Fatalf("%s/%s: the tracer recorded no event", b.Name(), d.name)
+			}
+			if !reflect.DeepEqual(traced, plain) {
+				t.Errorf("%s/%s: traced run\n%+v\nuntraced run\n%+v", b.Name(), d.name, traced, plain)
+			}
+		}
 	}
 }
 
