@@ -125,6 +125,13 @@ if [ "$tier" = full ]; then
 	# accepted description must validate and round-trip through Encode
 	# unchanged.
 	go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/hwdesc
+	# Fault-spec fuzz: arbitrary text through qei.ParseFaultSpec must
+	# never panic, and an accepted spec must print back to itself.
+	go test -run '^$' -fuzz '^FuzzParseFaultSpec$' -fuzztime 10s .
+	# Serving-trace fuzz: arbitrary bytes through serve.ReadTrace must
+	# never panic, and an accepted trace must survive WriteTrace then
+	# ReadTrace unchanged.
+	go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s ./internal/serve
 fi
 
 # Scheme smoke: every integration scheme name resolves through the one
@@ -209,6 +216,17 @@ if [ "$catalogue_status" -ne 1 ]; then
 	echo "catalogue-smoke: qeidse -workload quake exited $catalogue_status, want 1" >&2
 	exit 1
 fi
+# qeisim -cores N plays the ROI-only blocking stream unwarmed, so it
+# refuses the flags it would otherwise ignore.
+"$bindir/qeisim" -cores 2 >/dev/null
+for bad in -mode=roi -nb -warm=false -metrics -trace=/dev/null; do
+	catalogue_status=0
+	"$bindir/qeisim" -cores 2 "$bad" >/dev/null 2>&1 || catalogue_status=$?
+	if [ "$catalogue_status" -ne 1 ]; then
+		echo "catalogue-smoke: qeisim -cores 2 $bad exited $catalogue_status, want 1" >&2
+		exit 1
+	fi
+done
 for bad in "-scale bogus" "-exp bogus"; do
 	catalogue_status=0
 	"$bindir/qeibench" $bad >/dev/null 2>&1 || catalogue_status=$?

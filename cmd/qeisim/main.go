@@ -23,6 +23,10 @@
 // names, one per line); -trace writes the unified cycle-stamped event
 // timeline as Chrome trace-event JSON (open in Perfetto or
 // chrome://tracing). Both apply to single-scheme, single-core runs.
+//
+// -cores N (N > 1) splits the measured query stream across N cores
+// under one scheme, ROI-only and without a warm-up pass; -machine,
+// -mode, -nb, -warm, -metrics and -trace are rejected there.
 package main
 
 import (
@@ -91,9 +95,15 @@ func main() {
 	}
 
 	if *coresFlag > 1 {
-		if desc != nil {
-			fail("-machine is not supported with -cores > 1")
-		}
+		// The multi-core driver plays the measured stream ROI-only with
+		// blocking queries on the Tab. II machine, LLC-seeded and never
+		// warmed, and reports no metrics or trace.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "machine", "mode", "nb", "warm", "metrics", "trace":
+				fail("-%s is not supported with -cores > 1", f.Name)
+			}
+		})
 		runMultiCore(bench, *schemeFlag, *coresFlag)
 		return
 	}

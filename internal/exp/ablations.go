@@ -24,102 +24,80 @@ func pick(s Scale, small, full workload.Benchmark) workload.Benchmark {
 
 // ablationQSTSize sweeps the QST depth: the paper picks 10 entries as
 // the balance point (50-90% occupancy, Sec. VI-A).
-func ablationQSTSize(s Scale, par int) (TableData, error) {
+func (m *memo) ablationQSTSize(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Ablation — QST entries vs ROI cycles (Core-integrated, JVM)",
 		Headers: []string{"qst_entries", "roi_cycles", "occupancy"},
 	}
 	b := pick(s, workload.SmallJVM(), workload.DefaultJVM())
-	rows, err := mapJobs(par, []int{2, 5, 10, 20, 40},
-		func(entries int) ([][]string, error) {
-			p := scheme.ForKind(scheme.CoreIntegrated)
-			p.QSTEntriesPerInstance = entries
-			run, err := checked(workload.RunQEIWithParams(b, p, workload.ROIOnly,
-				workload.WithWarmup(), workload.WithBatch(entries)))
-			if err != nil {
-				return nil, err
-			}
-			return [][]string{{f("%d", entries), f("%d", run.Cycles),
-				f("%.2f", run.Accel.Occupancy())}}, nil
-		})
-	t.Rows = rows
-	return t, err
+	return t.withRows(readCells(m, par, []int{2, 5, 10, 20, 40}, func(entries int) []cell {
+		p := scheme.ForKind(scheme.CoreIntegrated)
+		p.QSTEntriesPerInstance = entries
+		return []cell{{bench: b, params: p, mode: workload.ROIOnly, warm: warm, batch: entries}}
+	}, func(entries int, runs []workload.Run) [][]string {
+		return [][]string{{f("%d", entries), f("%d", runs[0].Cycles), f("%.2f", runs[0].Accel.Occupancy())}}
+	}))
 }
 
 // ablationRemoteCompare toggles the CHA comparators: without them the
 // Core-integrated scheme must pull large keys through its L2.
-func ablationRemoteCompare(s Scale, par int) (TableData, error) {
+func (m *memo) ablationRemoteCompare(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Ablation — remote (CHA) vs local comparison (RocksDB, 100B keys)",
 		Headers: []string{"comparators", "roi_cycles", "remote_compares", "mem_lines"},
 	}
 	b := pick(s, workload.SmallRocksDB(), workload.DefaultRocksDB())
-	rows, err := mapJobs(par, []bool{true, false},
-		func(remote bool) ([][]string, error) {
-			p := scheme.ForKind(scheme.CoreIntegrated)
-			p.RemoteCompare = remote
-			run, err := checked(workload.RunQEIWithParams(b, p, workload.ROIOnly, workload.WithWarmup()))
-			if err != nil {
-				return nil, err
-			}
-			label := "remote (CHA)"
-			if !remote {
-				label = "local (fetch)"
-			}
-			return [][]string{{label, f("%d", run.Cycles),
-				f("%d", run.Accel.RemoteCompares), f("%d", run.Accel.MemLines)}}, nil
-		})
-	t.Rows = rows
-	return t, err
+	return t.withRows(readCells(m, par, []bool{true, false}, func(remote bool) []cell {
+		p := scheme.ForKind(scheme.CoreIntegrated)
+		p.RemoteCompare = remote
+		return []cell{bCell(b, p, workload.ROIOnly, warm)}
+	}, func(remote bool, runs []workload.Run) [][]string {
+		label := "remote (CHA)"
+		if !remote {
+			label = "local (fetch)"
+		}
+		return [][]string{{label, f("%d", runs[0].Cycles),
+			f("%d", runs[0].Accel.RemoteCompares), f("%d", runs[0].Accel.MemLines)}}
+	}))
 }
 
 // ablationTranslation compares the dedicated TLB with the core-MMU
 // round trip on one CHA-placed accelerator.
-func ablationTranslation(s Scale, par int) (TableData, error) {
+func (m *memo) ablationTranslation(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Ablation — translation path (CHA placement, JVM)",
 		Headers: []string{"translation", "roi_cycles"},
 	}
 	b := pick(s, workload.SmallJVM(), workload.DefaultJVM())
-	rows, err := mapJobs(par, []scheme.Kind{scheme.CHATLB, scheme.CHANoTLB},
-		func(k scheme.Kind) ([][]string, error) {
-			run, err := checked(workload.RunQEI(b, k, workload.ROIOnly, workload.WithWarmup()))
-			if err != nil {
-				return nil, err
-			}
-			return [][]string{{scheme.ForKind(k).Translation.String(), f("%d", run.Cycles)}}, nil
-		})
-	t.Rows = rows
-	return t, err
+	return t.withRows(readCells(m, par, []scheme.Kind{scheme.CHATLB, scheme.CHANoTLB}, func(k scheme.Kind) []cell {
+		return []cell{bCell(b, scheme.ForKind(k), workload.ROIOnly, warm)}
+	}, func(k scheme.Kind, runs []workload.Run) [][]string {
+		return [][]string{{scheme.ForKind(k).Translation.String(), f("%d", runs[0].Cycles)}}
+	}))
 }
 
 // ablationBatch sweeps the QUERY_B software batch size. The runs
 // include the non-ROI work: a batch amortizes its issue and drain
 // against the work between batches, which an ROI-only run lacks (every
 // batch size reads the same cycles there).
-func ablationBatch(s Scale, par int) (TableData, error) {
+func (m *memo) ablationBatch(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Ablation — QUERY_B batch size (DPDK, Core-integrated, full run)",
 		Headers: []string{"batch", "cycles"},
 	}
 	b := pick(s, workload.SmallDPDK(), workload.DefaultDPDK())
-	rows, err := mapJobs(par, []int{1, 2, 5, 10, 20},
-		func(batch int) ([][]string, error) {
-			run, err := checked(workload.RunQEI(b, scheme.CoreIntegrated, workload.Full,
-				workload.WithWarmup(), workload.WithBatch(batch)))
-			if err != nil {
-				return nil, err
-			}
-			return [][]string{{f("%d", batch), f("%d", run.Cycles)}}, nil
-		})
-	t.Rows = rows
-	return t, err
+	core := scheme.ForKind(scheme.CoreIntegrated)
+	return t.withRows(readCells(m, par, []int{1, 2, 5, 10, 20}, func(batch int) []cell {
+		return []cell{{bench: b, params: core, mode: workload.Full, warm: warm, batch: batch}}
+	}, func(batch int, runs []workload.Run) [][]string {
+		return [][]string{{f("%d", batch), f("%d", runs[0].Cycles)}}
+	}))
 }
 
 // ablationSkew compares uniform and Zipf-skewed (YCSB-like, s=0.99)
 // query streams on the DPDK FIB: hot keys keep the software baseline in
 // its private caches, so skew narrows the accelerator's advantage.
-func ablationSkew(s Scale, par int) (TableData, error) {
+func (m *memo) ablationSkew(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Ablation — query-key skew (DPDK, Core-integrated)",
 		Headers: []string{"distribution", "sw_cyc_per_query", "speedup_x"},
@@ -128,21 +106,13 @@ func ablationSkew(s Scale, par int) (TableData, error) {
 		pick(s, workload.SmallDPDK(), workload.DefaultDPDK()),
 		pick(s, workload.SmallSkewedDPDK(), workload.DefaultSkewedDPDK()),
 	}
-	rows, err := mapJobs(par, benches,
-		func(b workload.Benchmark) ([][]string, error) {
-			sw, err := checked(workload.RunBaseline(b, workload.ROIOnly, workload.WithWarmup()))
-			if err != nil {
-				return nil, err
-			}
-			hw, err := checked(workload.RunQEI(b, scheme.CoreIntegrated, workload.ROIOnly, workload.WithWarmup()))
-			if err != nil {
-				return nil, err
-			}
-			return [][]string{{b.Name(), f("%.1f", float64(sw.Cycles)/float64(sw.Queries)),
-				f("%.2f", float64(sw.Cycles)/float64(hw.Cycles))}}, nil
-		})
-	t.Rows = rows
-	return t, err
+	return t.withRows(readCells(m, par, benches, func(b workload.Benchmark) []cell {
+		return []cell{swCell(b, workload.ROIOnly, warm), bCell(b, scheme.ForKind(scheme.CoreIntegrated), workload.ROIOnly, warm)}
+	}, func(b workload.Benchmark, runs []workload.Run) [][]string {
+		sw, hw := runs[0], runs[1]
+		return [][]string{{b.Name(), f("%.1f", float64(sw.Cycles)/float64(sw.Queries)),
+			f("%.2f", float64(sw.Cycles)/float64(hw.Cycles))}}
+	}))
 }
 
 // ablationIndex compares the two classic ordered indexes over identical

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"qei/internal/scheme"
+	"qei/internal/workload"
 )
 
 // BenchResult is one machine-readable benchmark record: a workload run
@@ -59,41 +60,38 @@ func RunBench(s Scale, par int) ([]BenchResult, error) {
 	return new(memo).bench(s, par)
 }
 
-// bench returns the matrix's bench records at s.
+// bench returns the bench records at s.
 func (m *memo) bench(s Scale, par int) ([]BenchResult, error) {
-	rows, err := m.matrix(s, par)
-	return benchRecords(rows), err
+	return readCells(m, par, benchesFor(s), rowCells(workload.Full), benchRecords)
 }
 
-// benchRecords reads one record per QEI run of the matrix rows: its
-// cycles, its whole-run speedup over the software Full run and its
-// non-zero benchCounters.
-func benchRecords(rows []matrixRow) []BenchResult {
+// benchRecords reads one record per QEI run of b's Full-mode matrix
+// row: its cycles, its whole-run speedup over the software Full run and
+// its non-zero benchCounters.
+func benchRecords(b workload.Benchmark, runs []workload.Run) []BenchResult {
 	var out []BenchResult
-	for _, row := range rows {
-		for _, k := range scheme.Kinds() {
-			hw := row.hw[k]
-			counters := make(map[string]uint64)
-			for _, name := range benchCounters {
-				if v := hw.Metrics.Value(name); v != 0 {
-					counters[name] = v
-				}
+	for i, k := range scheme.Kinds() {
+		sw, hw := runs[0], runs[1+i]
+		counters := make(map[string]uint64)
+		for _, name := range benchCounters {
+			if v := hw.Metrics.Value(name); v != 0 {
+				counters[name] = v
 			}
-			r := BenchResult{
-				Experiment:     "bench",
-				Workload:       row.bench.Name(),
-				Scheme:         k.String(),
-				BaselineCycles: row.sw.Cycles,
-				Cycles:         hw.Cycles,
-				Queries:        uint64(hw.Queries),
-				Speedup:        float64(row.sw.Cycles) / float64(hw.Cycles),
-				Counters:       counters,
-			}
-			if hw.Queries > 0 {
-				r.CyclesPerQuery = float64(hw.Cycles) / float64(hw.Queries)
-			}
-			out = append(out, r)
 		}
+		r := BenchResult{
+			Experiment:     "bench",
+			Workload:       b.Name(),
+			Scheme:         k.String(),
+			BaselineCycles: sw.Cycles,
+			Cycles:         hw.Cycles,
+			Queries:        uint64(hw.Queries),
+			Speedup:        float64(sw.Cycles) / float64(hw.Cycles),
+			Counters:       counters,
+		}
+		if hw.Queries > 0 {
+			r.CyclesPerQuery = float64(hw.Cycles) / float64(hw.Queries)
+		}
+		out = append(out, r)
 	}
 	return out
 }

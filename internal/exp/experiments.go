@@ -86,6 +86,12 @@ func (t TableData) CSV() string {
 	return b.String()
 }
 
+// withRows returns t with rows, passing err on: a renderer's last step.
+func (t TableData) withRows(rows [][]string, err error) (TableData, error) {
+	t.Rows = rows
+	return t, err
+}
+
 // csvRow renders one escaped, comma-joined CSV record (no newline).
 func csvRow(cells []string) string {
 	esc := make([]string, len(cells))
@@ -111,31 +117,23 @@ func f(format string, v ...any) string { return fmt.Sprintf(format, v...) }
 // in data-query operations for each workload (paper band: 23%–44%),
 // plus the query code's frontend/backend profile from a cold ROI-only
 // run (Sec. II-A): branch mispredicts and loads per query, and IPC.
-func fig1QueryTimeShare(s Scale, par int) (TableData, error) {
+func (m *memo) fig1QueryTimeShare(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title: "Fig. 1 — query share of CPU time (paper: 23%-44%)",
 		Headers: []string{"workload", "query_share_pct", "mispredicts_per_query",
 			"loads_per_query", "roi_ipc"},
 	}
-	rows, err := mapJobs(par, benchesFor(s),
-		func(b workload.Benchmark) ([][]string, error) {
-			var runs [3]workload.Run // cold Full, NonROIOnly and ROIOnly
-			for i, mode := range []workload.Mode{workload.Full, workload.NonROIOnly, workload.ROIOnly} {
-				var err error
-				if runs[i], err = checked(workload.RunBaseline(b, mode)); err != nil {
-					return nil, err
-				}
-			}
-			full, roi := runs[0], runs[2]
-			share := float64(roiCycles(full.Cycles, runs[1].Cycles)) / float64(full.Cycles)
-			q := float64(roi.Queries)
-			return [][]string{{b.Name(), f("%.1f", share*100),
-				f("%.2f", float64(roi.Core.Mispredicts)/q),
-				f("%.1f", float64(roi.Core.Loads)/q),
-				f("%.2f", roi.Core.IPC())}}, nil
-		})
-	t.Rows = rows
-	return t, err
+	return t.withRows(readCells(m, par, benchesFor(s), func(b workload.Benchmark) []cell {
+		return []cell{swCell(b, workload.Full, cold), swCell(b, workload.NonROIOnly, cold), swCell(b, workload.ROIOnly, cold)}
+	}, func(b workload.Benchmark, runs []workload.Run) [][]string {
+		full, roi := runs[0], runs[2]
+		share := float64(roiCycles(full.Cycles, runs[1].Cycles)) / float64(full.Cycles)
+		q := float64(roi.Queries)
+		return [][]string{{b.Name(), f("%.1f", share*100),
+			f("%.2f", float64(roi.Core.Mispredicts)/q),
+			f("%.1f", float64(roi.Core.Loads)/q),
+			f("%.2f", roi.Core.IPC())}}
+	}))
 }
 
 // tabI reproduces Table I: the qualitative comparison of integration
@@ -217,56 +215,58 @@ func roiCycles(full, nonROI uint64) uint64 {
 	return full - nonROI
 }
 
-// fig7 reproduces Fig. 7 from the matrix: per-workload lookup speedup
-// of every integration scheme over the software baseline.
+// fig7 reproduces Fig. 7 from the evaluation matrix: per-workload lookup
+// speedup of every integration scheme over the software baseline.
 func (m *memo) fig7(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 7 — speedup of lookup operations (paper: 6.5x-11.2x, CHA-TLB up to 12.7x)",
 		Headers: []string{"workload", "scheme", "speedup_x"},
 	}
-	rows, err := m.matrix(s, par)
-	for _, r := range rows {
-		swROI := roiCycles(r.sw.Cycles, r.nonROI.Cycles)
-		for _, k := range scheme.Kinds() {
-			sp := float64(swROI) / float64(roiCycles(r.hw[k].Cycles, r.nonROI.Cycles))
-			t.Rows = append(t.Rows, []string{r.bench.Name(), k.String(), f("%.2f", sp)})
+	return t.withRows(readCells(m, par, benchesFor(s), func(b workload.Benchmark) []cell {
+		return append(rowCells(workload.Full)(b), swCell(b, workload.NonROIOnly, warm))
+	}, func(b workload.Benchmark, runs []workload.Run) (rows [][]string) {
+		nonROI := runs[len(runs)-1].Cycles
+		swROI := roiCycles(runs[0].Cycles, nonROI)
+		for i, k := range scheme.Kinds() {
+			sp := float64(swROI) / float64(roiCycles(runs[1+i].Cycles, nonROI))
+			rows = append(rows, []string{b.Name(), k.String(), f("%.2f", sp)})
 		}
-	}
-	return t, err
+		return rows
+	}))
 }
 
 // fig8 reproduces Fig. 8: the Device-indirect scheme's sensitivity to
 // the accelerator's data-access latency (50–2000 cycles), against the
-// matrix's software runs.
+// matrix's software runs; its 300-cycle row is the matrix's cell.
 func (m *memo) fig8(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 8 — Device-indirect latency sensitivity",
 		Headers: []string{"workload", "access_latency_cyc", "speedup_x"},
 	}
-	rows, err := m.matrix(s, par)
-	if err != nil {
-		return t, err
+	lats := []uint64{50, 100, 300, 600, 1000, 2000}
+	var devs []scheme.Params
+	for _, lat := range lats {
+		// The Tab. II Device-indirect machine at this data latency.
+		p, err := hwdesc.ForScheme(scheme.DeviceIndirect).WithDataLatency(lat).SchemeParams()
+		if err != nil {
+			return t, err
+		}
+		devs = append(devs, p)
 	}
-	t.Rows, err = mapJobs(par, rows,
-		func(r matrixRow) ([][]string, error) {
-			swROI := roiCycles(r.sw.Cycles, r.nonROI.Cycles)
-			var rows [][]string
-			for _, lat := range []uint64{50, 100, 300, 600, 1000, 2000} {
-				// The Tab. II Device-indirect machine at this data latency.
-				p, err := hwdesc.ForScheme(scheme.DeviceIndirect).WithDataLatency(lat).SchemeParams()
-				if err != nil {
-					return nil, err
-				}
-				hw, err := checked(workload.RunQEIWithParams(r.bench, p, workload.Full, workload.WithWarmup()))
-				if err != nil {
-					return nil, err
-				}
-				sp := float64(swROI) / float64(roiCycles(hw.Cycles, r.nonROI.Cycles))
-				rows = append(rows, []string{r.bench.Name(), f("%d", lat), f("%.2f", sp)})
-			}
-			return rows, nil
-		})
-	return t, err
+	return t.withRows(readCells(m, par, benchesFor(s), func(b workload.Benchmark) []cell {
+		cells := []cell{swCell(b, workload.Full, warm), swCell(b, workload.NonROIOnly, warm)}
+		for _, p := range devs {
+			cells = append(cells, bCell(b, p, workload.Full, warm))
+		}
+		return cells
+	}, func(b workload.Benchmark, runs []workload.Run) (rows [][]string) {
+		swROI := roiCycles(runs[0].Cycles, runs[1].Cycles)
+		for i, lat := range lats {
+			sp := float64(swROI) / float64(roiCycles(runs[2+i].Cycles, runs[1].Cycles))
+			rows = append(rows, []string{b.Name(), f("%d", lat), f("%.2f", sp)})
+		}
+		return rows
+	}))
 }
 
 // fig9 reproduces Fig. 9 from the matrix: end-to-end query/packet-per-
@@ -276,77 +276,63 @@ func (m *memo) fig9(s Scale, par int) (TableData, error) {
 		Title:   "Fig. 9 — end-to-end throughput improvement (paper: 36.2%-66.7%)",
 		Headers: []string{"workload", "scheme", "improvement_pct"},
 	}
-	rows, err := m.matrix(s, par)
-	for _, r := range rows {
-		for _, k := range []scheme.Kind{scheme.CHATLB, scheme.CHANoTLB, scheme.CoreIntegrated} {
-			imp := (float64(r.sw.Cycles)/float64(r.hw[k].Cycles) - 1) * 100
-			t.Rows = append(t.Rows, []string{r.bench.Name(), k.String(), f("%.1f", imp)})
+	return t.withRows(readCells(m, par, benchesFor(s), rowCells(workload.Full), func(b workload.Benchmark, runs []workload.Run) (rows [][]string) {
+		for i, k := range scheme.Kinds() {
+			if scheme.ForKind(k).Placement == scheme.PlaceDevice {
+				continue // the figure shows the integrated schemes
+			}
+			imp := (float64(runs[0].Cycles)/float64(runs[1+i].Cycles) - 1) * 100
+			rows = append(rows, []string{b.Name(), k.String(), f("%.1f", imp)})
 		}
-	}
-	return t, err
+		return rows
+	}))
 }
 
 // fig10TupleSpace reproduces Fig. 10: tuple-space search with QUERY_NB
 // over 5/10/15 tuples, per scheme.
-func fig10TupleSpace(s Scale, par int) (TableData, error) {
+func (m *memo) fig10TupleSpace(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 10 — tuple-space search speedup with QUERY_NB",
 		Headers: []string{"tuples", "scheme", "speedup_x"},
 	}
-	rows, err := mapJobs(par, []int{5, 10, 15},
-		func(tuples int) ([][]string, error) {
-			var b workload.Benchmark
-			if s == FullScale {
-				b = workload.DefaultTupleSpace(tuples)
-			} else {
-				b = workload.SmallTupleSpace(tuples)
-			}
-			sw, err := checked(workload.RunBaseline(b, workload.Full, workload.WithWarmup()))
-			if err != nil {
-				return nil, err
-			}
-			var rows [][]string
-			for _, k := range scheme.Kinds() {
-				hw, err := checked(workload.RunQEINonBlocking(b, scheme.ForKind(k), workload.WithWarmup()))
-				if err != nil {
-					return nil, err
-				}
-				sp := float64(sw.Cycles) / float64(hw.Cycles)
-				rows = append(rows, []string{f("%d", tuples), k.String(), f("%.2f", sp)})
-			}
-			return rows, nil
-		})
-	t.Rows = rows
-	return t, err
+	return t.withRows(readCells(m, par, []int{5, 10, 15}, func(tuples int) []cell {
+		var b workload.Benchmark = workload.SmallTupleSpace(tuples)
+		if s == FullScale {
+			b = workload.DefaultTupleSpace(tuples)
+		}
+		cells := []cell{swCell(b, workload.Full, warm)}
+		for _, k := range scheme.Kinds() {
+			cells = append(cells, cell{bench: b, params: scheme.ForKind(k), nb: true, mode: workload.Full, warm: warm})
+		}
+		return cells
+	}, func(tuples int, runs []workload.Run) (rows [][]string) {
+		for i, k := range scheme.Kinds() {
+			sp := float64(runs[0].Cycles) / float64(runs[1+i].Cycles)
+			rows = append(rows, []string{f("%d", tuples), k.String(), f("%.2f", sp)})
+		}
+		return rows
+	}))
 }
 
 // fig11InstrReduction reproduces Fig. 11: dynamic instructions executed
 // by the core in the ROI, software vs QEI.
-func fig11InstrReduction(s Scale, par int) (TableData, error) {
+func (m *memo) fig11InstrReduction(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 11 — dynamic instruction count in ROIs",
 		Headers: []string{"workload", "software_instrs", "qei_instrs", "reduction_pct"},
 	}
-	rows, err := mapJobs(par, benchesFor(s),
-		func(b workload.Benchmark) ([][]string, error) {
-			sw, err := checked(workload.RunBaseline(b, workload.ROIOnly))
-			if err != nil {
-				return nil, err
-			}
-			hw, err := checked(workload.RunQEI(b, scheme.CoreIntegrated, workload.ROIOnly))
-			if err != nil {
-				return nil, err
-			}
-			red := (1 - float64(hw.Core.Instructions)/float64(sw.Core.Instructions)) * 100
-			return [][]string{{
-				b.Name(),
-				f("%d", sw.Core.Instructions),
-				f("%d", hw.Core.Instructions),
-				f("%.1f", red),
-			}}, nil
-		})
-	t.Rows = rows
-	return t, err
+	return t.withRows(readCells(m, par, benchesFor(s), func(b workload.Benchmark) []cell {
+		return []cell{swCell(b, workload.ROIOnly, cold), bCell(b, scheme.ForKind(scheme.CoreIntegrated), workload.ROIOnly, cold)}
+	}, func(b workload.Benchmark, runs []workload.Run) [][]string {
+		sw, hw := runs[0], runs[1]
+		red := (1 - float64(hw.Core.Instructions)/float64(sw.Core.Instructions)) * 100
+		return [][]string{{
+			b.Name(),
+			f("%d", sw.Core.Instructions),
+			f("%d", hw.Core.Instructions),
+			f("%.1f", red),
+		}}
+	}))
 }
 
 // tabIII reproduces Table III: area and static power of the three QEI
@@ -368,32 +354,20 @@ func tabIII(Scale, int) (TableData, error) {
 
 // fig12DynamicPower reproduces Fig. 12: QEI's per-query dynamic energy
 // relative to the software baseline (paper: >60% reduction).
-func fig12DynamicPower(s Scale, par int) (TableData, error) {
+func (m *memo) fig12DynamicPower(s Scale, par int) (TableData, error) {
 	t := TableData{
 		Title:   "Fig. 12 — QEI dynamic energy per query vs software (paper: <40%)",
 		Headers: []string{"workload", "scheme", "energy_pct_of_software"},
 	}
 	model := hwdesc.Default().PowerModel()
-	rows, err := mapJobs(par, benchesFor(s),
-		func(b workload.Benchmark) ([][]string, error) {
-			sw, err := checked(workload.RunBaseline(b, workload.ROIOnly, workload.WithWarmup()))
-			if err != nil {
-				return nil, err
-			}
-			swE := model.DynamicEnergyNJ(sw.Activity()) / float64(sw.Queries)
-			var rows [][]string
-			for _, k := range scheme.Kinds() {
-				hw, err := checked(workload.RunQEI(b, k, workload.ROIOnly, workload.WithWarmup()))
-				if err != nil {
-					return nil, err
-				}
-				hwE := model.DynamicEnergyNJ(hw.Activity()) / float64(hw.Queries)
-				rows = append(rows, []string{b.Name(), k.String(), f("%.1f", hwE/swE*100)})
-			}
-			return rows, nil
-		})
-	t.Rows = rows
-	return t, err
+	return t.withRows(readCells(m, par, benchesFor(s), rowCells(workload.ROIOnly), func(b workload.Benchmark, runs []workload.Run) (rows [][]string) {
+		swE := model.DynamicEnergyNJ(runs[0].Activity()) / float64(runs[0].Queries)
+		for i, k := range scheme.Kinds() {
+			hwE := model.DynamicEnergyNJ(runs[1+i].Activity()) / float64(runs[1+i].Queries)
+			rows = append(rows, []string{b.Name(), k.String(), f("%.1f", hwE/swE*100)})
+		}
+		return rows
+	}))
 }
 
 // tailLatency runs the open-loop latency study (an extension of the

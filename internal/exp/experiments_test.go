@@ -16,8 +16,8 @@ import (
 	"qei/internal/golden"
 )
 
-// testMemo is the memo the package's tests share, so the evaluation
-// matrix and the batch sweep are simulated once per test binary.
+// testMemo is the memo the package's tests share, so each cell and the
+// batch sweep are simulated once per test binary.
 var testMemo = new(memo)
 
 // TestExperimentTables runs each registry entry once at Small and
@@ -57,10 +57,10 @@ func TestExperimentTables(t *testing.T) {
 	}
 }
 
-// TestFig1SmallScale asserts the fig1 shape on a run with the default
-// worker count, apart from the golden pass's fixed one.
+// TestFig1SmallScale asserts the fig1 shape on a fresh simulation with
+// the default worker count, apart from the golden pass's fixed one.
 func TestFig1SmallScale(t *testing.T) {
-	td, err := fig1QueryTimeShare(Small, 0)
+	td, err := new(memo).fig1QueryTimeShare(Small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ var multiRun = map[string]bool{
 	"abl-skew": true, "abl-index": true, "abl-hugepage": true,
 }
 
-func cell(t *testing.T, row []string, i int) float64 {
+func num(t *testing.T, row []string, i int) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(row[i], 64)
 	if err != nil {
@@ -96,7 +96,7 @@ func find(t *testing.T, td TableData, valueCol int, keys ...string) float64 {
 			}
 		}
 		if ok {
-			return cell(t, r, valueCol)
+			return num(t, r, valueCol)
 		}
 	}
 	t.Fatalf("row %v not found in %s", keys, td.Title)
@@ -203,7 +203,7 @@ var shapes = map[string]func(t *testing.T, td TableData){
 	// here and check the paper band in EXPERIMENTS.md's full-scale runs.
 	"fig9": func(t *testing.T, td TableData) {
 		for _, r := range td.Rows {
-			imp := cell(t, r, 2)
+			imp := num(t, r, 2)
 			if imp < 3 || imp > 200 {
 				t.Errorf("%s/%s end-to-end improvement %.1f%% outside plausible band", r[0], r[1], imp)
 			}
@@ -246,7 +246,7 @@ var shapes = map[string]func(t *testing.T, td TableData){
 		for _, r := range td.Rows {
 			// p999 is the histogram quantile clamped to the exact
 			// maximum, so this is p50 <= p99 <= max.
-			mean, p50, p99, p999 := cell(t, r, 2), cell(t, r, 3), cell(t, r, 4), cell(t, r, 5)
+			mean, p50, p99, p999 := num(t, r, 2), num(t, r, 3), num(t, r, 4), num(t, r, 5)
 			if mean <= 0 || p50 > p99 || p99 > p999 {
 				t.Errorf("%v: inconsistent percentiles", r)
 			}
@@ -296,7 +296,7 @@ var shapes = map[string]func(t *testing.T, td TableData){
 		// More QST entries never cost cycles, and the paper's 10
 		// entries run 50-90% occupied (Sec. VI-A).
 		for i := 1; i < len(td.Rows); i++ {
-			if prev, cur := cell(t, td.Rows[i-1], 1), cell(t, td.Rows[i], 1); cur > prev {
+			if prev, cur := num(t, td.Rows[i-1], 1), num(t, td.Rows[i], 1); cur > prev {
 				t.Errorf("%s entries: %.0f ROI cycles, more than %.0f at %s", td.Rows[i][0], cur, prev, td.Rows[i-1][0])
 			}
 		}

@@ -10,42 +10,69 @@ import (
 	"qei/internal/workload"
 )
 
-// matrixRow is one benchmark's row of the evaluation matrix of Sec. VI-B
-// and VII-A: the benchmark run in software, in Full and NonROIOnly
-// mode, and under each integration scheme in Full mode, all warm.
-// Fig. 7, Fig. 9, the bench records and Fig. 8's software pair are
-// readings of it, and a memo simulates it once for all of them.
-type matrixRow struct {
+// The evaluation of Sec. VI-B and VII reads one set of workload runs
+// across Figs. 1, 7-12, the bench records and the ablations. Each run is
+// a cell, named by everything that decides its result, and a memo
+// simulates each cell once for every table that reads it.
+
+// warm and cold name a cell's warm-up setting.
+const warm, cold = true, false
+
+// cell is one workload run as a comparable key. Two cells are equal
+// exactly when their runs are the same simulation, so the bench types
+// must be comparable (every workload benchmark is).
+type cell struct {
 	bench workload.Benchmark
-	// sw and nonROI are the software runs in Full and NonROIOnly mode.
-	sw, nonROI workload.Run
-	// hw holds each scheme's Full-mode QEI run, with metrics attached.
-	hw map[scheme.Kind]workload.Run
+	// params sizes the accelerator; the zero Params is the software
+	// baseline.
+	params scheme.Params
+	// nb runs QUERY_NB (in Full mode) instead of blocking QUERY_B.
+	nb   bool
+	mode workload.Mode
+	warm bool
+	// batch is the QUERY_B issue batch, always explicit so that a
+	// WithBatch row equal to workload.DefaultBatch keys equal to the
+	// default; zero (the driver's default) otherwise.
+	batch int
 }
 
-// runMatrix simulates the matrix over benches, one job per benchmark
-// across par workers (<= 0 means GOMAXPROCS), and returns its rows in
-// bench order.
-func runMatrix(benches []workload.Benchmark, par int) ([]matrixRow, error) {
-	return runner.Map(par, benches, func(b workload.Benchmark) (matrixRow, error) {
-		row := matrixRow{bench: b, hw: map[scheme.Kind]workload.Run{}}
-		var err error
-		if row.sw, err = checked(workload.RunBaseline(b, workload.Full, workload.WithWarmup())); err != nil {
-			return row, err
-		}
-		if row.nonROI, err = checked(workload.RunBaseline(b, workload.NonROIOnly, workload.WithWarmup())); err != nil {
-			return row, err
-		}
+// swCell is bench run in software.
+func swCell(b workload.Benchmark, mode workload.Mode, warm bool) cell {
+	return cell{bench: b, mode: mode, warm: warm}
+}
+
+// bCell is bench run with blocking QUERY_B on the accelerator p sizes,
+// at the default batch.
+func bCell(b workload.Benchmark, p scheme.Params, mode workload.Mode, warm bool) cell {
+	return cell{bench: b, params: p, mode: mode, warm: warm, batch: workload.DefaultBatch(p)}
+}
+
+// rowCells gives a benchmark's row of the evaluation matrix in mode: its
+// warm software cell, then its warm QUERY_B cell under each
+// scheme.Kinds() scheme.
+func rowCells(mode workload.Mode) func(workload.Benchmark) []cell {
+	return func(b workload.Benchmark) []cell {
+		cells := []cell{swCell(b, mode, warm)}
 		for _, k := range scheme.Kinds() {
-			hw, err := checked(workload.RunQEI(b, k, workload.Full,
-				workload.WithWarmup(), workload.WithMetrics(metrics.NewRegistry())))
-			if err != nil {
-				return row, err
-			}
-			row.hw[k] = hw
+			cells = append(cells, bCell(b, scheme.ForKind(k), mode, warm))
 		}
-		return row, nil
-	})
+		return cells
+	}
+}
+
+// simulate runs c through its driver with a metrics registry attached.
+func simulate(c cell) (workload.Run, error) {
+	opts := []workload.RunOption{workload.WithMetrics(metrics.NewRegistry())}
+	if c.warm {
+		opts = append(opts, workload.WithWarmup())
+	}
+	switch {
+	case c.params == scheme.Params{}:
+		return workload.RunBaseline(c.bench, c.mode, opts...)
+	case c.nb:
+		return workload.RunQEINonBlocking(c.bench, c.params, opts...)
+	}
+	return workload.RunQEIWithParams(c.bench, c.params, c.mode, append(opts, workload.WithBatch(c.batch))...)
 }
 
 // once is a value its first reader computes.
@@ -60,19 +87,44 @@ func (o *once[T]) get(compute func() (T, error)) (T, error) {
 	return o.v, o.err
 }
 
-// memo holds, per Scale, the simulations more than one renderer reads:
-// the evaluation matrix and the batch sweep. Each is computed once, by
-// the first reader and with its worker count (every output is the same
-// at any count); readers must not modify what they get.
+// memo holds the simulations more than one renderer reads: every cell
+// (a *once[workload.Run] per cell), and per Scale the batch sweep. Each
+// is computed once, by its first reader (every output is the same at
+// any worker count); readers must not modify what they get.
 type memo struct {
-	matrices [FullScale + 1]once[[]matrixRow]
-	batches  [FullScale + 1]once[[]BenchResult]
+	cells   sync.Map
+	batches [FullScale + 1]once[[]BenchResult]
+	// sim simulates a cell on a miss; nil means simulate. Tests
+	// substitute it to see which cells are simulated.
+	sim func(cell) (workload.Run, error)
 }
 
-// matrix returns the evaluation matrix at s.
-func (m *memo) matrix(s Scale, par int) ([]matrixRow, error) {
-	return m.matrices[s].get(func() ([]matrixRow, error) {
-		return runMatrix(benchesFor(s), par)
+// run returns c's answer-checked run, simulating c on the memo's first
+// request for it.
+func (m *memo) run(c cell) (workload.Run, error) {
+	o, _ := m.cells.LoadOrStore(c, new(once[workload.Run]))
+	return o.(*once[workload.Run]).get(func() (workload.Run, error) {
+		if m.sim != nil {
+			return checked(m.sim(c))
+		}
+		return checked(simulate(c))
+	})
+}
+
+// readCells renders one group of results per item from the runs of the
+// item's cells, in cells' order. Items fan across par workers, and the
+// groups are concatenated in input order.
+func readCells[T, R any](m *memo, par int, items []T, cells func(T) []cell, read func(T, []workload.Run) []R) ([]R, error) {
+	return mapJobs(par, items, func(it T) ([]R, error) {
+		cs := cells(it)
+		runs := make([]workload.Run, len(cs))
+		for i, c := range cs {
+			var err error
+			if runs[i], err = m.run(c); err != nil {
+				return nil, err
+			}
+		}
+		return read(it, runs), nil
 	})
 }
 

@@ -39,20 +39,20 @@ func mapJobs[J, R any](par int, jobs []J, fn func(job J) ([]R, error)) ([]R, err
 // then the ablations — the registry behind cmd/qeibench.
 func Experiments() []Experiment { return experiments(new(memo)) }
 
-// experiments is the registry whose entries read the evaluation matrix
-// and the batch sweep from m, so each is simulated once per Scale.
+// experiments is the registry whose entries read their workload runs
+// (cells) and the batch sweep from m, so each is simulated once.
 func experiments(m *memo) []Experiment {
 	return []Experiment{
-		{Name: "fig1", Title: "query share of CPU time", Run: fig1QueryTimeShare},
+		{Name: "fig1", Title: "query share of CPU time", Run: m.fig1QueryTimeShare},
 		{Name: "tab1", Title: "integration scheme comparison", Run: tabI},
 		{Name: "tab2", Title: "simulated CPU configuration", Run: tabII},
 		{Name: "fig7", Title: "lookup speedup per scheme", Run: m.fig7},
 		{Name: "fig8", Title: "device-indirect latency sensitivity", Run: m.fig8},
 		{Name: "fig9", Title: "end-to-end throughput improvement", Run: m.fig9},
-		{Name: "fig10", Title: "tuple-space search with QUERY_NB", Run: fig10TupleSpace},
-		{Name: "fig11", Title: "dynamic instruction reduction", Run: fig11InstrReduction},
+		{Name: "fig10", Title: "tuple-space search with QUERY_NB", Run: m.fig10TupleSpace},
+		{Name: "fig11", Title: "dynamic instruction reduction", Run: m.fig11InstrReduction},
 		{Name: "tab3", Title: "area and static power", Run: tabIII},
-		{Name: "fig12", Title: "dynamic energy per query", Run: fig12DynamicPower},
+		{Name: "fig12", Title: "dynamic energy per query", Run: m.fig12DynamicPower},
 		{Name: "tail", Title: "open-loop latency percentiles", Run: tailLatency},
 		{Name: "scale", Title: "multi-core scalability", Run: scalability},
 		{Name: "noc", Title: "NoC bandwidth utilization", Run: nocUtilization},
@@ -60,11 +60,11 @@ func experiments(m *memo) []Experiment {
 		{Name: "dse", Title: "design-space Pareto frontier", Run: dseFrontier},
 		{Name: "streaming", Title: "epoch-consistent read-write streams", Run: streamingConsistency},
 		{Name: "batch", Title: "level-wise vs windowed batch execution", Run: m.batchTable},
-		{Name: "abl-qst", Title: "ablation: QST entries", Run: ablationQSTSize},
-		{Name: "abl-remote", Title: "ablation: remote vs local comparison", Run: ablationRemoteCompare},
-		{Name: "abl-translation", Title: "ablation: translation path", Run: ablationTranslation},
-		{Name: "abl-batch", Title: "ablation: QUERY_B batch size", Run: ablationBatch},
-		{Name: "abl-skew", Title: "ablation: query-key skew", Run: ablationSkew},
+		{Name: "abl-qst", Title: "ablation: QST entries", Run: m.ablationQSTSize},
+		{Name: "abl-remote", Title: "ablation: remote vs local comparison", Run: m.ablationRemoteCompare},
+		{Name: "abl-translation", Title: "ablation: translation path", Run: m.ablationTranslation},
+		{Name: "abl-batch", Title: "ablation: QUERY_B batch size", Run: m.ablationBatch},
+		{Name: "abl-skew", Title: "ablation: query-key skew", Run: m.ablationSkew},
 		{Name: "abl-index", Title: "ablation: index structure", Run: ablationIndex},
 		{Name: "abl-hugepage", Title: "ablation: fragmented vs contiguous layout", Run: ablationHugePage},
 		// bench must stay last: earlier entries are indexed by position in

@@ -4,13 +4,13 @@ import "testing"
 
 // TestExperimentParallelDeterminism is the tentpole guarantee: an
 // experiment fanned across workers renders byte-identically to its
-// serial run.
+// serial run. Each simulates afresh, on its own memo.
 func TestExperimentParallelDeterminism(t *testing.T) {
-	serial, err := fig1QueryTimeShare(Small, 1)
+	serial, err := new(memo).fig1QueryTimeShare(Small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := fig1QueryTimeShare(Small, 4)
+	parallel, err := new(memo).fig1QueryTimeShare(Small, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func ParseSchedule(spec string) (Schedule, error) {
 			return s, fmt.Errorf("faultinject: bad rate %q (want kind=rate)", part)
 		}
 		r, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || r < 0 || r > 1 {
+		if err != nil || !(r >= 0 && r <= 1) { // so NaN fails too
 			return s, fmt.Errorf("faultinject: rate %q must be a probability in [0,1]", part)
 		}
 		found := false

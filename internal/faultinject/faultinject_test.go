@@ -29,7 +29,8 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 		t.Fatalf("bare-seed schedule: %+v", empty)
 	}
 
-	for _, bad := range []string{"", "x:flip=1", "1:flip", "1:flip=2", "1:bogus=0.5", "1:flip=-1"} {
+	for _, bad := range []string{"", "x:flip=1", "1:flip", "1:flip=2", "1:bogus=0.5", "1:flip=-1",
+		"7:flip=NaN", "7:spurious=nan", "7:evict=Inf", "7:nocdrop=-Inf"} {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Fatalf("ParseSchedule(%q) accepted", bad)
 		}

@@ -753,9 +753,37 @@ func TestGenConfigValidateWriteFractions(t *testing.T) {
 		func() GenConfig { c := testGen(); c.WriteFraction = -0.1; return c }(),
 		func() GenConfig { c := testGen(); c.WriteFraction = 1.5; return c }(),
 		func() GenConfig { c := testGen(); c.DeleteFraction = 2; return c }(),
+		func() GenConfig { c := testGen(); c.WriteFraction = math.NaN(); return c }(),
+		func() GenConfig { c := testGen(); c.DeleteFraction = math.NaN(); return c }(),
+		func() GenConfig { c := testGen(); c.WriteFraction = math.Inf(1); return c }(),
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("bad write fractions accepted: %+v", bad)
+		}
+	}
+}
+
+// TestGenConfigValidateSkews rejects every skew Generate cannot use:
+// NaN panicked in tenantCounts and -Inf never returned.
+func TestGenConfigValidateSkews(t *testing.T) {
+	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+		tenant, key := testGen(), testGen()
+		tenant.TenantSkew, key.KeySkew = s, s
+		if err := tenant.Validate(); err == nil {
+			t.Errorf("tenant skew %v accepted", s)
+		}
+		if _, err := Generate(tenant); err == nil {
+			t.Errorf("Generate accepted tenant skew %v", s)
+		}
+		if err := key.Validate(); err == nil {
+			t.Errorf("key skew %v accepted", s)
+		}
+	}
+	for _, s := range []float64{0, 0.99, 1e308} {
+		c := testGen()
+		c.TenantSkew, c.KeySkew = s, s
+		if err := c.Validate(); err != nil {
+			t.Errorf("skew %v rejected: %v", s, err)
 		}
 	}
 }
@@ -793,4 +821,29 @@ func TestLatencyHistVsExact(t *testing.T) {
 			t.Errorf("q%.3f: hist %d vs exact %d (rel %.3f)", q, got, exact, rel)
 		}
 	}
+}
+
+// FuzzReadTrace feeds arbitrary bytes to ReadTrace. It must never
+// panic, and an accepted trace written back with WriteTrace must read
+// back equal. The seed corpus (testdata/fuzz/FuzzReadTrace) holds a
+// generated read-write trace, upper-case keys, blank lines and
+// malformed headers and records.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, reqs, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, cfg, reqs); err != nil {
+			t.Fatalf("write back: %v", err)
+		}
+		cfg2, reqs2, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("written-back trace does not read: %v\n%s", err, buf.Bytes())
+		}
+		if cfg2 != cfg || !reflect.DeepEqual(reqs2, reqs) {
+			t.Fatalf("round trip changed the trace:\n%+v %+v\n%+v %+v", cfg, reqs, cfg2, reqs2)
+		}
+	})
 }

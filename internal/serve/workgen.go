@@ -62,13 +62,22 @@ func (c GenConfig) Validate() error {
 		return fmt.Errorf("serve: key length %d < 8", c.KeyLen)
 	case c.MeanGap < 1:
 		return fmt.Errorf("serve: zero mean arrival gap")
-	case c.WriteFraction < 0 || c.WriteFraction > 1:
+	case !(c.WriteFraction >= 0 && c.WriteFraction <= 1): // NaN fails too
 		return fmt.Errorf("serve: write fraction %v outside [0,1]", c.WriteFraction)
-	case c.DeleteFraction < 0 || c.DeleteFraction > 1:
+	case !(c.DeleteFraction >= 0 && c.DeleteFraction <= 1):
 		return fmt.Errorf("serve: delete fraction %v outside [0,1]", c.DeleteFraction)
+	case !finiteSkew(c.TenantSkew):
+		return fmt.Errorf("serve: tenant skew %v is not a finite exponent >= 0", c.TenantSkew)
+	case !finiteSkew(c.KeySkew):
+		return fmt.Errorf("serve: key skew %v is not a finite exponent >= 0", c.KeySkew)
 	}
 	return nil
 }
+
+// finiteSkew reports whether s is a usable Zipf exponent. A negative
+// exponent is no Zipf popularity, and NaN or +Inf (or a large negative
+// one) turns the weights into NaN, which tenantCounts cannot split.
+func finiteSkew(s float64) bool { return s >= 0 && !math.IsInf(s, 1) }
 
 // Request is one serving-layer request: tenant, probe key, and its
 // open-loop arrival cycle.

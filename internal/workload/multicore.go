@@ -29,8 +29,10 @@ type MultiCoreResult struct {
 	Mismatches int
 }
 
-// RunMultiCore runs bench's query stream split across the given number
-// of cores under one integration scheme, ROI-only, with warmup.
+// RunMultiCore runs bench's measured query stream split across the
+// given number of cores under one integration scheme, ROI-only. There is
+// no warm-up pass: the built structure is seeded into the LLC, and the
+// makespan counts from cycle 0.
 func RunMultiCore(bench Benchmark, kind scheme.Kind, cores int) (MultiCoreResult, error) {
 	if cores < 1 {
 		return MultiCoreResult{}, fmt.Errorf("workload: need at least one core")

@@ -531,6 +531,13 @@ func RunQEI(bench Benchmark, kind scheme.Kind, mode Mode, opts ...RunOption) (Ru
 	return RunQEIWithParams(bench, scheme.ForKind(kind), mode, opts...)
 }
 
+// DefaultBatch is the QUERY_B issue batch of a run on params unless
+// WithBatch overrides it. The accelerated ROI issues QUERY_B in small
+// batches and then consumes the batch's results in the per-request work
+// — the List 2 usage pattern that fills (but does not overflow) the
+// QST — so software batches to the common QST depth.
+func DefaultBatch(params scheme.Params) int { return min(params.QSTEntriesPerInstance, 10) }
+
 // RunQEIWithParams is RunQEI with an explicit (possibly modified) scheme
 // parameter set — used by the Fig. 8 latency sweep and the ablations.
 func RunQEIWithParams(bench Benchmark, params scheme.Params, mode Mode, opts ...RunOption) (Run, error) {
@@ -540,13 +547,9 @@ func RunQEIWithParams(bench Benchmark, params scheme.Params, mode Mode, opts ...
 	}
 	defer s.close()
 	s.run.Mode, s.run.Scheme = mode, params.Kind.String()
-	// The accelerated ROI issues QUERY_B in small batches and then
-	// consumes the batch's results in the per-request work — the List 2
-	// usage pattern that fills (but does not overflow) the QST. Software
-	// batches to the common QST depth unless WithBatch overrides it.
 	batch := s.cfg.batch
 	if batch <= 0 {
-		batch = min(params.QSTEntriesPerInstance, 10)
+		batch = DefaultBatch(params)
 	}
 	prevFound := true
 	var results []isa.Reg // each chunk request's result register

@@ -168,3 +168,25 @@ func TestPublicWatchdogTimeout(t *testing.T) {
 		t.Fatalf("Stats().Timeouts = %d, want 1", st.Timeouts)
 	}
 }
+
+// FuzzParseFaultSpec feeds arbitrary text to ParseFaultSpec. It must
+// never panic, and an accepted spec's String must parse back to an
+// equal schedule: every accepted rate is a probability String can
+// print. The seed corpus (testdata/fuzz/FuzzParseFaultSpec) holds
+// documented specs, hex seeds, mixed-case kinds and a NaN rate.
+func FuzzParseFaultSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		fs, err := ParseFaultSpec(spec)
+		if err != nil {
+			return
+		}
+		back, err := ParseFaultSpec(fs.String())
+		if err != nil {
+			t.Fatalf("String() %q of accepted spec %q does not parse: %v", fs, spec, err)
+		}
+		if back != fs {
+			t.Fatalf("spec %q round-tripped through %q to seed %d rates %v, want seed %d rates %v",
+				spec, fs, back.Seed(), back.sched.Rate, fs.Seed(), fs.sched.Rate)
+		}
+	})
+}
