@@ -210,7 +210,11 @@ type Accelerator struct {
 
 	results map[uint64]Result
 	// nbInFlight tracks non-blocking queries for interrupt flushes.
+	// nbEarliest is a lower bound on every record's done cycle: an
+	// issue raises nothing above it, and Forget and Flush only remove
+	// records, which cannot break it. The zero value is a valid bound.
 	nbInFlight map[uint64]nbRecord
+	nbEarliest uint64
 
 	// tr is the unified event tracer (SetTracer); nil disables emission.
 	tr *trace.Tracer
@@ -481,6 +485,9 @@ func (a *Accelerator) IssueNonBlocking(q *isa.QueryDesc, issue uint64) (uint64, 
 	r.Done = finish + wlat
 	a.results[q.Tag] = r
 	a.nbInFlight[q.Tag] = nbRecord{done: r.Done, resultAddr: q.ResultAddr}
+	if r.Done < a.nbEarliest {
+		a.nbEarliest = r.Done
+	}
 	return accepted, nil
 }
 
@@ -496,26 +503,35 @@ func (a *Accelerator) Capacity() int {
 	return a.p.QSTEntriesPerInstance * a.p.Instances
 }
 
-// inFlightNB counts non-blocking queries still executing at cycle at,
-// pruning records of queries that have already completed.
+// inFlightNB counts non-blocking queries still executing at cycle at.
+// While at is below nbEarliest every record is still executing, so the
+// count is the map's size; otherwise it walks the map once, pruning the
+// records of completed queries and making nbEarliest exact again, so at
+// non-decreasing cycles the next walk waits until at reaches the
+// earliest completion still recorded.
 func (a *Accelerator) inFlightNB(at uint64) int {
-	n := 0
+	if at < a.nbEarliest {
+		return len(a.nbInFlight)
+	}
+	a.nbEarliest = ^uint64(0)
 	for tag, rec := range a.nbInFlight {
-		if rec.done > at {
-			n++
-		} else {
+		if rec.done <= at {
 			delete(a.nbInFlight, tag)
+		} else if rec.done < a.nbEarliest {
+			a.nbEarliest = rec.done
 		}
 	}
-	return n
+	return len(a.nbInFlight)
 }
 
 // TryIssueNonBlocking is IssueNonBlocking with the architectural QST
 // bound enforced at issue time: when every entry is still occupied it
 // fails fast with ErrQSTFull instead of modelling back-pressure as
-// waiting, so software can run the List-2 drain-and-retry loop.
+// waiting, so software can run the List-2 drain-and-retry loop. Fewer
+// records than entries admit without counting, so the check costs O(1)
+// unless the QST may be full.
 func (a *Accelerator) TryIssueNonBlocking(q *isa.QueryDesc, issue uint64) (uint64, error) {
-	if a.inFlightNB(issue) >= a.Capacity() {
+	if len(a.nbInFlight) >= a.Capacity() && a.inFlightNB(issue) >= a.Capacity() {
 		return 0, fmt.Errorf("%w: %d queries outstanding at cycle %d", ErrQSTFull, a.Capacity(), issue)
 	}
 	return a.IssueNonBlocking(q, issue)

@@ -1,7 +1,9 @@
 package qei
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qei/internal/cfa"
@@ -304,6 +306,109 @@ func TestFlushAfterCompletionIsFree(t *testing.T) {
 	}
 	if r2, _ := a.Result(0); r2.Aborted {
 		t.Fatal("completed query marked aborted")
+	}
+}
+
+// TestInFlightCountMatchesBruteForce drives a seeded mix of QUERY_NB
+// issues (fresh and reissued tags), blocking queries, Forgets and
+// Flushes at non-decreasing cycles, and checks inFlightNB and every
+// TryIssueNonBlocking admit or reject against a brute-force count of
+// the queries still executing.
+func TestInFlightCountMatchesBruteForce(t *testing.T) {
+	m, a := newAccel(t, scheme.CoreIntegrated)
+	keys, vals := genKeys(64, 16, 11)
+	ck := dstruct.BuildCuckoo(m.AS, 64, 4, 9, keys, vals)
+	keyAddrs := make([]mem.VAddr, len(keys))
+	for i, k := range keys {
+		keyAddrs[i] = stage(m, k)
+	}
+	resAddr := m.AS.AllocLines(64)
+	rng := rand.New(rand.NewSource(3))
+	// live holds the done cycle of every accepted query not yet
+	// forgotten or flushed.
+	live := map[uint64]uint64{}
+	brute := func(at uint64) int {
+		n := 0
+		for _, done := range live {
+			if done > at {
+				n++
+			}
+		}
+		return n
+	}
+	// liveTag picks a recorded tag by the seeded source, so the sequence
+	// does not depend on map iteration order.
+	liveTag := func() (uint64, bool) {
+		if len(live) == 0 {
+			return 0, false
+		}
+		tags := make([]uint64, 0, len(live))
+		for tag := range live {
+			tags = append(tags, tag)
+		}
+		slices.Sort(tags)
+		return tags[rng.Intn(len(tags))], true
+	}
+	var at, next uint64
+	var admits, rejects, flushes int
+	for step := 0; step < 4000; step++ {
+		at += uint64(rng.Intn(25))
+		k := rng.Intn(len(keys))
+		switch r := rng.Intn(20); {
+		case r < 12:
+			tag := next + 1
+			if old, ok := liveTag(); ok && r == 0 {
+				tag = old // reissue a tag still recorded
+			} else {
+				next++
+			}
+			full := brute(at) >= a.Capacity()
+			qd := &isa.QueryDesc{HeaderAddr: ck.HeaderAddr, KeyAddr: keyAddrs[k], ResultAddr: resAddr, Tag: tag}
+			_, err := a.TryIssueNonBlocking(qd, at)
+			if full != errors.Is(err, ErrQSTFull) {
+				t.Fatalf("step %d: brute count %d at cycle %d, capacity %d, but TryIssueNonBlocking returned %v",
+					step, brute(at), at, a.Capacity(), err)
+			}
+			if err == nil {
+				rec, _ := a.Result(tag)
+				live[tag] = rec.Done
+				admits++
+			} else {
+				rejects++
+			}
+		case r < 14:
+			next++
+			qd := &isa.QueryDesc{HeaderAddr: ck.HeaderAddr, KeyAddr: keyAddrs[k], Tag: next}
+			if _, err := a.IssueBlocking(qd, at); err != nil {
+				t.Fatal(err)
+			}
+			a.Forget(next)
+		case r < 19:
+			if tag, ok := liveTag(); ok {
+				a.Forget(tag)
+				delete(live, tag)
+			}
+		default:
+			if rng.Intn(8) == 0 {
+				want := uint64(brute(at))
+				before := a.Stats().AbortedNB
+				a.Flush(at)
+				if got := a.Stats().AbortedNB - before; got != want {
+					t.Fatalf("step %d: Flush aborted %d queries, brute count %d", step, got, want)
+				}
+				clear(live)
+				flushes++
+			}
+		}
+		if rng.Intn(4) == 0 {
+			if got, want := a.inFlightNB(at), brute(at); got != want {
+				t.Fatalf("step %d: inFlightNB(%d) = %d, brute count %d", step, at, got, want)
+			}
+		}
+	}
+	t.Logf("%d admits, %d rejects, %d flushes", admits, rejects, flushes)
+	if admits == 0 || rejects == 0 || flushes == 0 {
+		t.Fatalf("sequence exercised too little: %d admits, %d rejects, %d flushes", admits, rejects, flushes)
 	}
 }
 
