@@ -22,10 +22,12 @@ import (
 // corrupt pointer) is re-executed on the per-query path,
 // retry-from-root included.
 //
-// The batch occupies one QST entry however many keys it holds, so
-// len(keys) may exceed QSTCapacity by any factor and QueryBatch never
-// returns ErrQSTFull. Software that wants the paper's windowed
-// QUERY_NB shape (List 2) runs its own loop over QueryAsync and Wait.
+// The keys and result lines live in guest memory the System reuses
+// from batch to batch. The batch occupies one QST entry however many
+// keys it holds, so len(keys) may exceed QSTCapacity by any factor and
+// QueryBatch never returns ErrQSTFull. Software that wants the paper's
+// windowed QUERY_NB shape (List 2) runs its own loop over QueryAsync
+// and Wait.
 func (s *System) QueryBatch(t Table, keys [][]byte) ([]Result, error) {
 	if len(keys) == 0 {
 		return nil, nil
@@ -44,11 +46,19 @@ func (s *System) QueryBatch(t Table, keys [][]byte) ([]Result, error) {
 	}
 	descs, ptrs := s.batchDescs[:len(keys)], s.batchDescPtrs[:len(keys)]
 	issue := s.now
+	keyAddr := s.batchKeys.stage(s.m.AS, t, keys...)
 	for i, k := range keys {
-		keyAddr := s.Write(k)
-		descs[i] = s.queryDesc(t, keyAddr, len(k), s.m.AS.AllocLines(mem.LineSize))
+		descs[i] = s.queryDesc(t, uint64(keyAddr), len(k), s.takeLine(0))
 		ptrs[i] = &descs[i]
+		keyAddr += mem.VAddr(keySpan(t, k))
 	}
+	// The result lines go back before QueryBatch returns, last key's
+	// first, so the next batch takes them in the same key order.
+	defer func() {
+		for i := len(descs) - 1; i >= 0; i-- {
+			s.freeLine(descs[i].ResultAddr)
+		}
+	}()
 
 	done, deferred, err := s.accel.ExecuteBatch(ptrs, issue)
 	if err != nil {

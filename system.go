@@ -1,6 +1,7 @@
 package qei
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"qei/internal/baseline"
@@ -105,6 +106,13 @@ type System struct {
 	// batches.
 	batchDescs    []isa.QueryDesc
 	batchDescPtrs []*isa.QueryDesc
+	// keys stages the key of Query and QueryAsync, and batchKeys the
+	// keys of QueryBatch: the accelerator reads a key into its QST entry
+	// at issue, so each area is rewritten by the next query or batch.
+	keys, batchKeys stagingArea
+	// freeLines holds the result lines no query owns, reused last
+	// freed first (takeLine).
+	freeLines []mem.VAddr
 	// mreg/tracer are the observability sinks created by
 	// WithMetrics/WithTimeline; nil when the respective option is off.
 	mreg   *metrics.Registry
@@ -264,8 +272,8 @@ func (s *System) Write(data []byte) uint64 {
 // Query performs a blocking QUERY_B lookup of key in t through the
 // accelerator, returning the architectural result and its latency.
 func (s *System) Query(t Table, key []byte) (Result, error) {
-	keyAddr := s.Write(key)
-	return s.QueryAt(t, keyAddr, len(key))
+	keyAddr := s.keys.stage(s.m.AS, t, key)
+	return s.QueryAt(t, uint64(keyAddr), len(key))
 }
 
 // QueryAt is Query for a key already staged in simulated memory: one
@@ -316,17 +324,21 @@ type AsyncHandle struct {
 // QueryAsync issues a non-blocking QUERY_NB lookup. The issue clock
 // advances only to the acceptance point; Wait retrieves the result.
 // When every QST entry is occupied it returns ErrQSTFull — drain a
-// completion with Wait and reissue, or use QueryBatch.
+// completion with Wait and reissue, or use QueryBatch. The key and the
+// result line live in guest memory the System reuses: the line goes
+// back once Wait or Poll returns the result or first reports the abort,
+// so guest memory grows only with the handles outstanding.
 func (s *System) QueryAsync(t Table, key []byte) (AsyncHandle, error) {
-	keyAddr := s.Write(key)
-	resAddr := s.m.AS.AllocLines(mem.LineSize)
-	desc := s.queryDesc(t, keyAddr, len(key), resAddr)
+	keyAddr := s.keys.stage(s.m.AS, t, key)
+	desc := s.queryDesc(t, uint64(keyAddr), len(key), 0)
+	desc.ResultAddr = s.takeLine(desc.Tag)
 	pinned, havePin := s.pinQuery()
 	accepted, err := s.accel.TryIssueNonBlocking(&desc, s.now)
 	if err != nil {
 		if havePin {
 			s.gc.Unpin(pinned)
 		}
+		s.freeLine(desc.ResultAddr)
 		return AsyncHandle{}, err
 	}
 	if havePin {
@@ -335,7 +347,7 @@ func (s *System) QueryAsync(t Table, key []byte) (AsyncHandle, error) {
 		s.trackPin(desc.Tag, pinned)
 	}
 	s.now = accepted
-	return AsyncHandle{tag: desc.Tag, resultAddr: resAddr, accepted: accepted}, nil
+	return AsyncHandle{tag: desc.Tag, resultAddr: desc.ResultAddr, accepted: accepted}, nil
 }
 
 // Wait retrieves an async query's result (the SNAPSHOT_READ loop of
@@ -374,12 +386,18 @@ func (s *System) Poll(h AsyncHandle) (Result, error) {
 	}
 	if r.Aborted {
 		s.unpinTag(h.tag)
+		// The line still names this query until its abort is first
+		// observed; later polls find it freed or owned by another.
+		if owner, _ := s.m.AS.ReadU64(h.resultAddr + ownerOffset); owner == h.tag {
+			s.freeLine(h.resultAddr)
+		}
 		return Result{}, fmt.Errorf("qei: query %d: %w", h.tag, ErrAborted)
 	}
 	if r.Done > s.now {
 		return Result{}, ErrResultPending
 	}
 	s.retire(h.tag)
+	s.freeLine(h.resultAddr)
 	return result(r, h.accepted), nil
 }
 
@@ -491,6 +509,76 @@ func result(r qei.Result, issue uint64) Result {
 		Latency: r.Done - issue,
 		Err:     r.Fault,
 	}
+}
+
+// ownerOffset is where a result line records the tag of the query that
+// owns it, past the 16-byte flag+value record the accelerator writes.
+const ownerOffset = 16
+
+// takeLine hands out a result line owned by the query tagged owner (0
+// for a batch): the most recently freed line, its flag+value record
+// zeroed as a fresh line's is, or a fresh line. The host writes cost no
+// simulated cycles.
+func (s *System) takeLine(owner uint64) mem.VAddr {
+	var line mem.VAddr
+	if n := len(s.freeLines); n > 0 {
+		line, s.freeLines = s.freeLines[n-1], s.freeLines[:n-1]
+	} else {
+		line = s.m.AS.AllocLines(mem.LineSize)
+	}
+	var rec [ownerOffset + 8]byte
+	binary.LittleEndian.PutUint64(rec[ownerOffset:], owner)
+	s.m.AS.MustWrite(line, rec[:])
+	return line
+}
+
+// freeLine returns a result line no query owns any more to the free
+// list, clearing its owner.
+func (s *System) freeLine(line mem.VAddr) {
+	var none [8]byte
+	s.m.AS.MustWrite(line+ownerOffset, none[:])
+	s.freeLines = append(s.freeLines, line)
+}
+
+// stagingArea is guest memory the System reuses to stage query keys,
+// each at a line-aligned offset. It grows to the largest staging asked
+// of it. Each key is followed by zeros through the length the
+// accelerator reads, so it reads as a key staged in fresh lines does.
+type stagingArea struct {
+	addr mem.VAddr
+	size int
+	buf  []byte // host copy of the last staging
+}
+
+// keySpan is the bytes a key staged for t takes: its length, or the
+// length the accelerator reads if that is longer, rounded up to whole
+// lines (one line for an empty key).
+func keySpan(t Table, k []byte) int {
+	n := len(k)
+	if t.Kind != KindTrie {
+		n = max(n, t.KeyLen) // a trie query carries its own length
+	}
+	return max(n+mem.LineSize-1, mem.LineSize) &^ (mem.LineSize - 1)
+}
+
+// stage writes keys for t into the area, key i at the sum of keySpan of
+// the keys before it, and returns the area's address.
+func (a *stagingArea) stage(as *mem.AddressSpace, t Table, keys ...[]byte) mem.VAddr {
+	n := 0
+	for _, k := range keys {
+		n += keySpan(t, k)
+	}
+	if n > a.size {
+		a.addr, a.size = as.AllocLines(uint64(n)), n
+	}
+	a.buf = append(a.buf[:0], make([]byte, n)...)
+	off := 0
+	for _, k := range keys {
+		copy(a.buf[off:], k)
+		off += keySpan(t, k)
+	}
+	as.MustWrite(a.addr, a.buf)
+	return a.addr
 }
 
 // ensureGC lazily creates the system's epoch-based reclamation domain
