@@ -154,16 +154,27 @@ func tenantCounts(cfg GenConfig) []int {
 // and across tenants.
 func TenantKey(cfg GenConfig, t, rank int) []byte {
 	k := make([]byte, cfg.KeyLen)
+	fillKey(k, t, rank)
+	return k
+}
+
+// fillKey writes TenantKey(cfg, t, rank) into k, which has KeyLen bytes.
+func fillKey(k []byte, t, rank int) {
 	binary.BigEndian.PutUint32(k[0:4], uint32(t))
 	binary.BigEndian.PutUint32(k[4:8], uint32(rank))
 	x := uint64(t)<<32 | uint64(rank) | 1
-	for i := 8; i < cfg.KeyLen; i++ {
+	for i := 8; i < len(k); i++ {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
 		k[i] = byte(x)
 	}
-	return k
+}
+
+// arenaKey returns the i-th KeyLen-byte key of arena, capped so that an
+// append to one key never writes into the next.
+func arenaKey(arena []byte, keyLen, i int) []byte {
+	return arena[i*keyLen : (i+1)*keyLen : (i+1)*keyLen]
 }
 
 // TenantValue returns the value stored under tenant t's rank-r key:
@@ -174,22 +185,38 @@ func TenantValue(t, rank int) uint64 {
 }
 
 // TenantKeys materializes tenant t's full table contents in rank order —
-// what the server hands to Backend.Build.
+// what the server hands to Backend.Build. The keys share one arena.
 func TenantKeys(cfg GenConfig, t int) (keys [][]byte, values []uint64) {
 	keys = make([][]byte, cfg.KeysPerTenant)
 	values = make([]uint64, cfg.KeysPerTenant)
+	arena := make([]byte, cfg.KeysPerTenant*cfg.KeyLen)
 	for r := range keys {
-		keys[r] = TenantKey(cfg, t, r)
+		keys[r] = arenaKey(arena, cfg.KeyLen, r)
+		fillKey(keys[r], t, r)
 		values[r] = TenantValue(t, r)
 	}
 	return keys, values
 }
 
+// arrival is one request of a tenant's sub-stream, held without a
+// pointer until the merge gives it a key: its arrival cycle, put value,
+// key rank and operation.
+type arrival struct {
+	at    uint64
+	value uint64
+	rank  uint32
+	op    uint8 // index into arrivalOps
+}
+
+var arrivalOps = [...]Op{OpGet, OpPut, OpDel}
+
 // genTenant produces tenant t's private request sub-stream: count
-// requests with Zipf(KeySkew) key ranks and an open-loop arrival process
+// arrivals with Zipf(KeySkew) key ranks and an open-loop arrival process
 // whose mean gap is the aggregate gap divided by the tenant's
-// popularity share. Entirely a function of (cfg, t, count).
-func genTenant(cfg GenConfig, t, count int, share float64) []Request {
+// popularity share. Entirely a function of (cfg, t, count). The keys are
+// left as ranks: GenerateParallel writes them into its key arena as it
+// merges the sub-streams.
+func genTenant(cfg GenConfig, t, count int, share float64) []arrival {
 	if count == 0 {
 		return nil
 	}
@@ -206,23 +233,23 @@ func genTenant(cfg GenConfig, t, count int, share float64) []Request {
 	if gap < 1 {
 		gap = 1
 	}
-	reqs := make([]Request, count)
+	arrs := make([]arrival, count)
 	at := uint64(0)
-	for i := range reqs {
+	for i := range arrs {
 		// Uniform in [1, 2*gap-1]: mean gap, never zero, deterministic.
 		at += 1 + uint64(rng.Int63n(int64(2*gap-1)))
-		req := Request{Tenant: t, At: at, Key: TenantKey(cfg, t, pick.Next())}
+		a := arrival{at: at, rank: uint32(pick.Next())}
 		if wrng != nil && wrng.Float64() < cfg.WriteFraction {
+			a.op = 1 // OpPut in arrivalOps; 2 is OpDel
 			if wrng.Float64() < cfg.DeleteFraction {
-				req.Op = OpDel
+				a.op = 2
 			} else {
-				req.Op = OpPut
-				req.Value = wrng.Uint64() | 1 // never zero: trie-safe
+				a.value = wrng.Uint64() | 1 // never zero: trie-safe
 			}
 		}
-		reqs[i] = req
+		arrs[i] = a
 	}
-	return reqs
+	return arrs
 }
 
 // Generate produces the merged open-loop request stream serially.
@@ -235,6 +262,13 @@ func Generate(cfg GenConfig) ([]Request, error) {
 // sub-stream is an independent pure function of the config, and the
 // merge orders by (arrival, tenant), so the output is byte-identical to
 // Generate at any worker count.
+//
+// The merge takes the T sub-streams, each already in arrival order,
+// through a min-heap of tenant indexes keyed on (next arrival, tenant):
+// O(n log T) work into an exact-capacity stream, with Seq assigned as
+// each request is emitted. Every key is written into one
+// Requests×KeyLen arena, so a stream costs O(T) allocations, not one
+// per request.
 func GenerateParallel(cfg GenConfig, workers int) ([]Request, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -246,26 +280,58 @@ func GenerateParallel(cfg GenConfig, workers int) ([]Request, error) {
 		tenants[t] = t
 	}
 	streams, err := runner.Map(workers, tenants,
-		func(t int) ([]Request, error) {
+		func(t int) ([]arrival, error) {
 			return genTenant(cfg, t, counts[t], w[t]), nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	var merged []Request
-	for _, s := range streams {
-		merged = append(merged, s...)
-	}
-	// Stable by arrival with tenant tie-break: per-tenant order is
-	// already ascending, so the merge is totally determined.
-	sort.SliceStable(merged, func(a, b int) bool {
-		if merged[a].At != merged[b].At {
-			return merged[a].At < merged[b].At
+	// heap holds the tenants with arrivals left, the earliest next
+	// arrival (lower tenant on a tie) on top; pos[t] is tenant t's next.
+	pos := make([]int, cfg.Tenants)
+	heap := make([]int, 0, cfg.Tenants)
+	for t, s := range streams {
+		if len(s) > 0 {
+			heap = append(heap, t)
 		}
-		return merged[a].Tenant < merged[b].Tenant
-	})
-	for i := range merged {
-		merged[i].Seq = i
+	}
+	less := func(a, b int) bool {
+		x, y := streams[a][pos[a]].at, streams[b][pos[b]].at
+		return x < y || x == y && a < b
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heap) {
+				return
+			}
+			if r := c + 1; r < len(heap) && less(heap[r], heap[c]) {
+				c = r
+			}
+			if !less(heap[c], heap[i]) {
+				return
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	merged := make([]Request, cfg.Requests)
+	arena := make([]byte, cfg.Requests*cfg.KeyLen)
+	for seq := range merged {
+		t := heap[0]
+		a := streams[t][pos[t]]
+		key := arenaKey(arena, cfg.KeyLen, seq)
+		fillKey(key, t, int(a.rank))
+		merged[seq] = Request{Seq: seq, Tenant: t, At: a.at, Key: key, Op: arrivalOps[a.op], Value: a.value}
+		pos[t]++
+		if pos[t] == len(streams[t]) {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
 	}
 	return merged, nil
 }
