@@ -70,6 +70,10 @@ func (c Config) Sets() int {
 // L1D and L2 per core, and most runs touch only core 0's. Until then
 // the cache is empty, so Lookup counts a miss and Contains, MarkDirty
 // and Invalidate find nothing.
+//
+// Reset clears only the sets filled since the last reset (see filled),
+// so a machine handed from run to run pays for the lines a run
+// touched, not for the 33 MB LLC's capacity.
 type Cache struct {
 	cfg  Config
 	sets uint64
@@ -85,6 +89,14 @@ type Cache struct {
 	dirty []bool
 	lru   []uint64
 	stamp uint64
+	// filled lists the sets Insert has filled since the last reset: a
+	// set joins when its way 0 is filled while invalid, which is where
+	// a set's first fill lands (Insert prefers the lowest invalid way),
+	// so every set that differs from its reset state is listed. A set
+	// invalidated and refilled may be listed twice. The list is
+	// allocated at its full capacity, sets/fillShare, by build; once it
+	// is full, appends stop and Reset clears every set.
+	filled []int32
 
 	hits, misses, evictions, writebacks uint64
 }
@@ -110,7 +122,13 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// build allocates the tag, dirty and LRU arrays, every way invalid.
+// fillShare is the inverse of the share of its sets a cache lists as
+// filled: past sets/fillShare filled sets, clearing set by set costs
+// about what clearing the whole array in one sweep does.
+const fillShare = 4
+
+// build allocates the tag, dirty and LRU arrays, every way invalid, and
+// the list of filled sets.
 func (c *Cache) build() {
 	n := int(c.sets) * c.ways
 	c.tags = make([]uint64, n)
@@ -119,18 +137,32 @@ func (c *Cache) build() {
 	for i := range c.tags {
 		c.tags[i] = ^uint64(0)
 	}
+	c.filled = make([]int32, 0, c.sets/fillShare)
 }
 
 // Reset empties the cache in place: every way invalid, dirty bits, LRU
-// stamps and counters zeroed. Arrays already built are kept and
-// cleared; an unbuilt cache stays unbuilt.
+// stamps and counters zeroed. Arrays already built are kept; it clears
+// the sets filled since the last reset, or every set once their list is
+// full. An unbuilt cache stays unbuilt.
 func (c *Cache) Reset() {
 	if c.tags != nil {
-		for i := range c.tags {
-			c.tags[i] = ^uint64(0)
+		if len(c.filled) == cap(c.filled) {
+			for i := range c.tags {
+				c.tags[i] = ^uint64(0)
+			}
+			clear(c.dirty)
+			clear(c.lru)
+		} else {
+			for _, set := range c.filled {
+				base := int(set) * c.ways
+				for i := base; i < base+c.ways; i++ {
+					c.tags[i] = ^uint64(0)
+				}
+				clear(c.dirty[base : base+c.ways])
+				clear(c.lru[base : base+c.ways])
+			}
 		}
-		clear(c.dirty)
-		clear(c.lru)
+		c.filled = c.filled[:0]
 	}
 	c.stamp, c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0, 0
 }
@@ -221,7 +253,8 @@ func (c *Cache) Insert(a mem.PAddr, dirtyFill bool) (evicted uint64, writeback b
 		c.build()
 	}
 	line := uint64(a.Line())
-	base := int(c.setIndex(line)) * c.ways
+	index := c.setIndex(line)
+	base := int(index) * c.ways
 	set := c.tags[base : base+c.ways]
 	for i, tag := range set {
 		if tag == line {
@@ -253,6 +286,8 @@ func (c *Cache) Insert(a mem.PAddr, dirtyFill bool) (evicted uint64, writeback b
 		if writeback {
 			c.writebacks++
 		}
+	} else if victim == 0 && len(c.filled) < cap(c.filled) {
+		c.filled = append(c.filled, int32(index))
 	}
 	c.stamp++
 	set[victim] = line

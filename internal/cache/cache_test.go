@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -205,6 +207,103 @@ func TestPropertySetBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// driveCache applies n seeded operations to c on lines drawn from the
+// first span lines of memory: fills (some dirty), lookups, runs of
+// read hits applied with StampHit and AddHits, MarkDirty and
+// Invalidate.
+func driveCache(c *Cache, seed int64, n int, span uint64) {
+	r := rand.New(rand.NewSource(seed))
+	line := func() mem.PAddr { return lineAddr(uint64(r.Int63n(int64(span)))) }
+	for i := 0; i < n; i++ {
+		switch a := line(); r.Intn(8) {
+		case 0, 1, 2:
+			c.Insert(a, r.Intn(4) == 0)
+		case 3:
+			c.Lookup(a)
+		case 4:
+			c.MarkDirty(a)
+		case 5:
+			c.Invalidate(a)
+		default:
+			var run uint64
+			for k := 0; k < 4; k++ {
+				if b := line(); c.Contains(b) {
+					c.StampHit(b, run)
+					run++
+				}
+			}
+			c.AddHits(run)
+		}
+	}
+}
+
+// TestCacheResetMatchesNew drives a cache, resets it, and requires it
+// to equal a fresh cache of its geometry, array for array and counter
+// for counter, both right after the reset and after the same later
+// sequence. The cases take Reset down both of its paths: the listed
+// sets only, and the whole array once the list of filled sets is full.
+func TestCacheResetMatchesNew(t *testing.T) {
+	odd := Config{SizeBytes: 100 * 4 * mem.LineSize, Ways: 4, LineSize: mem.LineSize, HitLatency: 2}
+	cases := []struct {
+		name string
+		cfg  Config
+		span uint64 // lines the operations before the reset draw from
+		ops  int
+		full bool // whether the list of filled sets ends full
+	}{
+		{"l2 few sets", l2Config(), 64, 400, false},
+		{"l2 overflow", l2Config(), 8192, 6000, true},
+		{"llc slice few sets", llcSliceConfig(), 300, 1000, false},
+		{"odd sets few", odd, 12, 40, false},
+		{"odd sets overflow", odd, 1000, 3000, true},
+		{"unbuilt", l2Config(), 64, 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(tc.cfg)
+			driveCache(c, 1, tc.ops, tc.span)
+			if c.tags != nil && (len(c.filled) == cap(c.filled)) != tc.full {
+				t.Fatalf("%d of %d filled sets listed; want a full list: %v", len(c.filled), cap(c.filled), tc.full)
+			}
+			c.Reset()
+			fresh := New(tc.cfg)
+			if tc.ops > 0 {
+				fresh.build()
+			}
+			if !reflect.DeepEqual(c, fresh) {
+				t.Fatal("a reset cache differs from a fresh one")
+			}
+			fresh = New(tc.cfg)
+			driveCache(c, 2, 500, 2*tc.span+1)
+			driveCache(fresh, 2, 500, 2*tc.span+1)
+			if !reflect.DeepEqual(c, fresh) {
+				t.Fatal("a reset cache diverges from a fresh one under the same operations")
+			}
+		})
+	}
+}
+
+// TestCacheResetRefilledSet invalidates and refills a set's way 0, which
+// lists the set twice, and requires a reset to leave the cache as a
+// fresh one.
+func TestCacheResetRefilledSet(t *testing.T) {
+	c := New(l2Config())
+	a, b := lineAddr(3), lineAddr(3+1024) // one set
+	c.Insert(a, true)
+	c.Insert(b, false)
+	c.Invalidate(a)
+	c.Insert(a, false)
+	if want := []int32{3, 3}; !reflect.DeepEqual(c.filled, want) {
+		t.Fatalf("filled sets = %v, want %v", c.filled, want)
+	}
+	c.Reset()
+	fresh := New(l2Config())
+	fresh.build()
+	if !reflect.DeepEqual(c, fresh) {
+		t.Fatal("a reset cache differs from a fresh one")
 	}
 }
 

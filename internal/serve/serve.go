@@ -137,7 +137,8 @@ type Backend interface {
 // uses it only when Config.BatchAdmit enables batched admission. The
 // call is synchronous — it advances the backend clock to the batch's
 // completion — and returns one Result per key, in key order, with
-// per-query faults in Result.Err.
+// per-query faults in Result.Err. The keys slice is the server's to
+// reuse once the call returns.
 type BatchBackend interface {
 	QueryBatch(t Table, keys [][]byte) ([]Result, error)
 }

@@ -203,6 +203,7 @@ type server struct {
 	// backend view, per-tenant pending lookups, and flush counters.
 	bb           BatchBackend
 	pending      [][]pendingGet
+	batchKeys    [][]byte // flushBatch's keys, reused from batch to batch
 	batches      uint64
 	batchedReads uint64
 
@@ -428,11 +429,11 @@ func (s *server) flushBatch(tenant int) error {
 	if len(pend) == 0 {
 		return nil
 	}
-	s.pending[tenant] = nil
-	keys := make([][]byte, len(pend))
+	keys := s.batchKeys[:0]
 	for i := range pend {
-		keys[i] = pend[i].key
+		keys = append(keys, pend[i].key)
 	}
+	s.batchKeys = keys
 	start := s.b.Now()
 	rs, err := s.bb.QueryBatch(s.tables[tenant], keys)
 	if err != nil {
@@ -441,7 +442,9 @@ func (s *server) flushBatch(tenant int) error {
 	if len(rs) != len(pend) {
 		return fmt.Errorf("serve: tenant %d batch flush: %d results for %d keys", tenant, len(rs), len(pend))
 	}
-	s.cfg.Trace.Span("serve", fmt.Sprintf("batch_flush/%d", len(pend)), start, s.b.Now(), trace.PidServe, tenant, nil)
+	if s.cfg.Trace != nil {
+		s.cfg.Trace.Span("serve", fmt.Sprintf("batch_flush/%d", len(pend)), start, s.b.Now(), trace.PidServe, tenant, nil)
+	}
 	s.batches++
 	s.batchedReads += uint64(len(pend))
 	done := s.b.Now()
@@ -460,6 +463,9 @@ func (s *server) flushBatch(tenant int) error {
 		}
 		s.retire(tenant, pend[i].seq, pend[i].at, res)
 	}
+	// Neither degrade nor retire buffers a lookup, so the settled
+	// buffer's storage goes back to the tenant for its next batch.
+	s.pending[tenant] = pend[:0]
 	return nil
 }
 

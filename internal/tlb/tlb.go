@@ -28,7 +28,9 @@ type Config struct {
 //
 // Tag and LRU state are flat arrays indexed set*ways+way, and the set
 // index is an AND when the set count is a power of two (every
-// configuration here) — same layout rationale as cache.Cache.
+// configuration here) — same layout rationale as cache.Cache. Like
+// cache.Cache, it lists the sets it fills, so Flush and Reset clear
+// those sets only.
 type TLB struct {
 	cfg      Config
 	sets     int
@@ -37,14 +39,27 @@ type TLB struct {
 	setsPow2 bool
 	tags     []uint64 // virtual page numbers; ^0 = invalid
 	lru      []uint64 // higher = more recent
-	stamp    uint64
-	hits     uint64
-	misses   uint64
-	flushes  uint64
+	// filled lists the sets Insert has filled since the last flush: a
+	// set joins when its way 0 is filled while invalid, which is where
+	// a set's first fill lands (every way of a flushed set has stamp
+	// 0, and the victim is the first way of least stamp), so every set
+	// that differs from its flushed state is listed. It is allocated
+	// at its full capacity, sets/fillShare, by New; once it is full,
+	// appends stop and Flush clears every set.
+	filled  []int32
+	stamp   uint64
+	hits    uint64
+	misses  uint64
+	flushes uint64
 	// fi may force a shootdown-flush ahead of a lookup (see
 	// SetFaultInjector); nil disables injection.
 	fi *faultinject.Injector
 }
+
+// fillShare is the inverse of the share of its sets a TLB lists as
+// filled: past sets/fillShare filled sets, clearing set by set costs
+// about what clearing the whole array in one sweep does.
+const fillShare = 4
 
 // New builds a TLB from cfg. Entries must be divisible by Ways.
 func New(cfg Config) *TLB {
@@ -62,6 +77,7 @@ func New(cfg Config) *TLB {
 	for i := range t.tags {
 		t.tags[i] = ^uint64(0)
 	}
+	t.filled = make([]int32, 0, sets/fillShare)
 	return t
 }
 
@@ -143,7 +159,8 @@ func (t *TLB) AddHits(n uint64) {
 // least-recently-used way of its set if needed.
 func (t *TLB) Insert(a mem.VAddr) {
 	vp := a.Page()
-	base := int(t.setIndex(vp)) * t.ways
+	index := t.setIndex(vp)
+	base := int(index) * t.ways
 	victim := 0
 	oldest := ^uint64(0)
 	for i, tag := range t.tags[base : base+t.ways] {
@@ -157,17 +174,33 @@ func (t *TLB) Insert(a mem.VAddr) {
 			victim = i
 		}
 	}
+	if victim == 0 && t.tags[base] == ^uint64(0) && len(t.filled) < cap(t.filled) {
+		t.filled = append(t.filled, int32(index))
+	}
 	t.stamp++
 	t.tags[base+victim] = vp
 	t.lru[base+victim] = t.stamp
 }
 
 // Flush invalidates every entry (context switch / interrupt handling).
+// It clears the sets filled since the last flush, or every set once
+// their list is full.
 func (t *TLB) Flush() {
-	for i := range t.tags {
-		t.tags[i] = ^uint64(0)
-		t.lru[i] = 0
+	if len(t.filled) == cap(t.filled) {
+		for i := range t.tags {
+			t.tags[i] = ^uint64(0)
+			t.lru[i] = 0
+		}
+	} else {
+		for _, set := range t.filled {
+			base := int(set) * t.ways
+			for i := base; i < base+t.ways; i++ {
+				t.tags[i] = ^uint64(0)
+				t.lru[i] = 0
+			}
+		}
 	}
+	t.filled = t.filled[:0]
 	t.flushes++
 }
 

@@ -2,6 +2,8 @@ package tlb
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -221,6 +223,93 @@ func TestTranslateTracedMatchesUntraced(t *testing.T) {
 				}
 				if start := uint64(at) + p.probes(traced); evs[0].TS != start || evs[0].TS+evs[0].Dur != at+lat {
 					t.Fatalf("%s span [%d, %d), want [%d, %d)", c.span, evs[0].TS, evs[0].TS+evs[0].Dur, start, at+lat)
+				}
+			})
+		}
+	}
+}
+
+// driveTLB applies n seeded operations to tl on pages drawn from the
+// first span pages: fills, lookups, runs of hits applied with StampHit
+// and AddHits, and about one Flush in 128 operations. It returns the flushes made.
+func driveTLB(tl *TLB, seed int64, n int, span uint64) (flushes uint64) {
+	r := rand.New(rand.NewSource(seed))
+	page := func() mem.VAddr { return vaddr(uint64(r.Int63n(int64(span)))) }
+	for i := 0; i < n; i++ {
+		if r.Intn(128) == 0 {
+			tl.Flush()
+			flushes++
+		}
+		switch a := page(); r.Intn(8) {
+		case 0, 1, 2:
+			tl.Insert(a)
+		case 3, 4:
+			tl.Lookup(a)
+		default:
+			var run uint64
+			for k := 0; k < 4; k++ {
+				if b := page(); tl.Contains(b) {
+					tl.StampHit(b, run)
+					run++
+				}
+			}
+			tl.AddHits(run)
+		}
+	}
+	return flushes
+}
+
+// TestTLBFlushAndResetMatchNew drives a TLB, then flushes or resets it,
+// and requires it to equal a fresh TLB of its geometry: right after a
+// flush with the counters carried over and one more flush counted,
+// right after a reset outright, and after the same later sequence. The
+// cases take both down both of their paths: the listed sets only, and
+// the whole array once the list of filled sets is full.
+func TestTLBFlushAndResetMatchNew(t *testing.T) {
+	odd := Config{Entries: 96, Ways: 4, HitLatency: 1} // 24 sets
+	cases := []struct {
+		name string
+		cfg  Config
+		span uint64 // pages the operations before the flush draw from
+		ops  int
+		full bool // whether the list of filled sets ends full
+	}{
+		{"l2 few sets", l2TLBConfig(), 16, 300, false},
+		{"l2 overflow", l2TLBConfig(), 2048, 2000, true},
+		{"l1 few sets", l1TLBConfig(), 3, 50, false},
+		{"l1 overflow", l1TLBConfig(), 256, 500, true},
+		{"odd sets few", odd, 4, 100, false},
+		{"odd sets overflow", odd, 400, 800, true},
+	}
+	for _, tc := range cases {
+		for _, reset := range []bool{false, true} {
+			name := tc.name + "/flush"
+			if reset {
+				name = tc.name + "/reset"
+			}
+			t.Run(name, func(t *testing.T) {
+				tl := New(tc.cfg)
+				flushes := driveTLB(tl, 1, tc.ops, tc.span)
+				if (len(tl.filled) == cap(tl.filled)) != tc.full {
+					t.Fatalf("%d of %d filled sets listed; want a full list: %v", len(tl.filled), cap(tl.filled), tc.full)
+				}
+				want := New(tc.cfg)
+				if reset {
+					tl.Reset()
+				} else {
+					tl.Flush()
+					want.stamp, want.hits, want.misses, want.flushes = tl.stamp, tl.hits, tl.misses, flushes+1
+				}
+				if !reflect.DeepEqual(tl, want) {
+					t.Fatal("a flushed or reset TLB differs from a fresh one")
+				}
+				if _, _, n := tl.Stats(); n != want.flushes {
+					t.Fatalf("flushes = %d, want %d", n, want.flushes)
+				}
+				driveTLB(tl, 2, 400, 2*tc.span+1)
+				driveTLB(want, 2, 400, 2*tc.span+1)
+				if !reflect.DeepEqual(tl, want) {
+					t.Fatal("a flushed or reset TLB diverges from a fresh one under the same operations")
 				}
 			})
 		}
