@@ -48,7 +48,7 @@ func (s *System) QueryBatch(t Table, keys [][]byte) ([]Result, error) {
 	issue := s.now
 	keyAddr := s.batchKeys.stage(s.m.AS, t, keys...)
 	for i, k := range keys {
-		descs[i] = s.queryDesc(t, uint64(keyAddr), len(k), s.takeLine(0))
+		descs[i] = s.queryDesc(t, uint64(keyAddr), len(k), s.takeLine())
 		ptrs[i] = &descs[i]
 		keyAddr += mem.VAddr(keySpan(t, k))
 	}

@@ -47,10 +47,13 @@ go vet ./...
 # after the first, so a leaked key area or result line fails here too.
 # Two full-size generated request streams must keep their committed
 # digests, so a generator change that moves a byte fails here as well.
-# A cache, a TLB and a whole machine, reset or flushed down either path
-# (the sets listed as filled, or the whole array), must equal fresh
-# ones, so state a reset leaves behind fails here too.
-go test -run '^(TestBenchGoldenCycles|TestDriversGolden|TestStreamingGolden|TestFillerMatchesExpansion|TestFillerMachineMatchesExpansion|TestTracedFullRunMatchesUntraced|TestRecycledMachineMatchesFresh|TestSnapshotRestoreRoundTrip|TestPlanUnchangedByRuns|TestServedStagingBoundedMemory|TestGenerateDigestGolden|TestCacheResetMatchesNew|TestCacheResetRefilledSet|TestTLBFlushAndResetMatchNew|TestResetMatchesNew)$' -count=1 . ./internal/exp ./internal/workload ./internal/cpu ./internal/mem ./internal/serve ./internal/cache ./internal/tlb ./internal/machine
+# A cache, a TLB, a core, an accelerator and a whole machine, reset or
+# flushed down either path (the sets listed as filled, or the whole
+# array), must equal fresh ones, so state a reset leaves behind fails
+# here too. A warm run on a recycled machine, with and without metrics,
+# must allocate no more than its answer and a small margin, so run
+# state that stops being recycled with the machine fails here as well.
+go test -run '^(TestBenchGoldenCycles|TestDriversGolden|TestStreamingGolden|TestFillerMatchesExpansion|TestFillerMachineMatchesExpansion|TestTracedFullRunMatchesUntraced|TestRecycledMachineMatchesFresh|TestRunsAllocateBounded|TestSnapshotRestoreRoundTrip|TestPlanUnchangedByRuns|TestServedStagingBoundedMemory|TestGenerateDigestGolden|TestCacheResetMatchesNew|TestCacheResetRefilledSet|TestTLBFlushAndResetMatchNew|TestResetMatchesNew)$' -count=1 . ./internal/exp ./internal/workload ./internal/cpu ./internal/qei ./internal/mem ./internal/serve ./internal/cache ./internal/tlb ./internal/machine
 # Benchmark module: benchmark/ is a Go module of its own, so nothing
 # above compiles it. Its tests run every workload at test size, so a
 # change to an API it calls fails here instead of in benchmark/run.sh.

@@ -99,7 +99,7 @@ type prefixSkel struct {
 // trie scan, and a per-structure prefix cache, so a warmed query
 // allocates nothing. The zero Querier is ready to use. The cache is
 // keyed by header address, so a Querier serves one address space, where
-// headers are never freed.
+// headers are never freed, until Reset.
 //
 // The Trace and Matches that Query returns share the arena's storage
 // and are valid only until the next query on the same Querier — callers
@@ -112,6 +112,10 @@ type Querier struct {
 	matches []uint64
 	skels   map[mem.VAddr]prefixSkel
 }
+
+// Reset empties the prefix cache, keeping the arena's buffers, so the
+// Querier can serve another address space (or one reset since).
+func (q *Querier) Reset() { clear(q.skels) }
 
 // Query runs one query for key on the structure whose header is at
 // headerAddr, with the routine the header's type code selects; a trie

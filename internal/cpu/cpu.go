@@ -182,14 +182,38 @@ type Core struct {
 // query port may be nil when the trace contains no QUERY ops (pure
 // software baseline).
 func New(cfg Config, memPort MemPort, queryPort QueryPort) *Core {
-	return &Core{
-		cfg:        cfg,
-		mem:        memPort,
-		query:      queryPort,
-		retireRing: make([]uint64, cfg.ROBEntries),
-		loadRing:   make([]uint64, cfg.LoadQueueEntries),
-		storeRing:  make([]uint64, cfg.StoreQueueEntries),
+	c := new(Core)
+	c.Reset(cfg, memPort, queryPort)
+	return c
+}
+
+// Reset puts c in the state New(cfg, memPort, queryPort) builds: empty,
+// at cycle 0, with no tracer. It keeps the rings and the filler's
+// scratch that fit cfg's sizes, so a core reset for each run of a
+// recycled machine allocates nothing; metrics registered over c go on
+// reading it.
+func (c *Core) Reset(cfg Config, memPort MemPort, queryPort QueryPort) {
+	c.cfg, c.mem, c.query = cfg, memPort, queryPort
+	c.retireRing = resize(c.retireRing, cfg.ROBEntries)
+	c.loadRing = resize(c.loadRing, cfg.LoadQueueEntries)
+	c.storeRing = resize(c.storeRing, cfg.StoreQueueEntries)
+	snap := c.fill.snap
+	c.fill = fillScratch{}
+	if len(snap.rob) == cfg.ROBEntries && len(snap.lq) == cfg.LoadQueueEntries {
+		clear(snap.rob)
+		clear(snap.lq)
+		c.fill.snap.rob, c.fill.snap.lq = snap.rob, snap.lq
 	}
+	c.tr, c.tracePid = nil, 0
+	c.Restart(0)
+}
+
+// resize returns ring with n entries, reusing its storage if it has n.
+func resize(ring []uint64, n int) []uint64 {
+	if len(ring) != n {
+		return make([]uint64, n)
+	}
+	return ring
 }
 
 // Restart empties the core and moves its clocks to cycle at: the next

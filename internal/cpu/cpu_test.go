@@ -474,6 +474,37 @@ func TestRestartShiftsFreshRun(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNew pins Reset's contract: a core that ran a filler
+// trace under one configuration and then faulted, reset to another
+// configuration and ports, times a trace exactly as a core New builds
+// with them, and reset to its own configuration it allocates nothing.
+func TestResetMatchesNew(t *testing.T) {
+	tr, _ := fillerSplitTrace()
+	c := newSplitCore(8, &fixedMem{lat: 30, failAt: 40})
+	c.Run(tr)
+	if c.Err() == nil {
+		t.Fatal("the run did not fault")
+	}
+	for _, rob := range []int{8, 224} {
+		freshMem, port := &issueLog{fixedMem: fixedMem{lat: 30}}, &issueLog{fixedMem: fixedMem{lat: 30}}
+		q := &scriptedQuery{blockingLat: 60, acceptLat: 5}
+		fresh := New(splitConfig(rob), freshMem, q)
+		c.Reset(splitConfig(rob), port, q)
+		if got, want := c.Run(tr), fresh.Run(tr); got != want || c.Stats() != fresh.Stats() || c.Err() != nil {
+			t.Fatalf("ROB %d: reset core ended at %d with %+v (err %v), a new one at %d with %+v",
+				rob, got, c.Stats(), c.Err(), want, fresh.Stats())
+		}
+		if !reflect.DeepEqual(coreState(c), coreState(fresh)) || !reflect.DeepEqual(port.issues, freshMem.issues) {
+			t.Fatalf("ROB %d: reset core's state or accesses differ from a new core's", rob)
+		}
+	}
+	cfg := splitConfig(224)
+	port := &fixedMem{lat: 30}
+	if n := testing.AllocsPerRun(10, func() { c.Reset(cfg, port, nil) }); n != 0 {
+		t.Errorf("Reset to the same sizes made %v allocations, want 0", n)
+	}
+}
+
 // BenchmarkCoreRun feeds a fixed 4096-op trace of plain ops shaped
 // like an expanded Filler block — a dependent ALU chain, independent
 // scalar ops, well-predicted branches and a cache-resident load every

@@ -154,6 +154,28 @@ func (t Trace) Loads() int {
 type Builder struct {
 	ops     Trace
 	nextReg Reg
+	// descs holds the QUERY ops' descriptors in blocks of descBlock, so
+	// an op's pointer stays valid as more are added, and nDescs counts
+	// those in use. Reset reuses them from the first; Take hands the
+	// blocks in use over with the trace.
+	descs  [][]QueryDesc
+	nDescs int
+}
+
+// descBlock is the number of query descriptors in one of a builder's
+// blocks.
+const descBlock = 64
+
+// desc stores q in the builder's descriptor blocks and returns it.
+func (b *Builder) desc(q QueryDesc) *QueryDesc {
+	i := b.nDescs / descBlock
+	if i == len(b.descs) {
+		b.descs = append(b.descs, make([]QueryDesc, descBlock))
+	}
+	d := &b.descs[i][b.nDescs%descBlock]
+	b.nDescs++
+	*d = q
+	return d
 }
 
 // NewBuilder returns an empty trace builder.
@@ -251,17 +273,15 @@ func (b *Builder) Branch(cond Reg, mispredict bool) {
 // QueryB appends a blocking QEI query and returns the result register.
 func (b *Builder) QueryB(q QueryDesc) Reg {
 	dst := b.Temp()
-	qd := q
 	op := b.slot()
-	op.Kind, op.Dst, op.Query = QueryB, dst, &qd
+	op.Kind, op.Dst, op.Query = QueryB, dst, b.desc(q)
 	return dst
 }
 
 // QueryNB appends a non-blocking QEI query.
 func (b *Builder) QueryNB(q QueryDesc) {
-	qd := q
 	op := b.slot()
-	op.Kind, op.Query = QueryNB, &qd
+	op.Kind, op.Query = QueryNB, b.desc(q)
 }
 
 // Nop appends n frontend-only micro-ops (models surrounding scalar work
@@ -354,10 +374,13 @@ func (b *Builder) Append(t Trace) {
 }
 
 // Take returns the accumulated trace and empties the builder, handing
-// over the backing array. Unlike Reset it keeps register numbering.
+// over the backing array and the query descriptors. Unlike Reset it
+// keeps register numbering.
 func (b *Builder) Take() Trace {
 	t := b.ops
 	b.ops = nil
+	b.descs = b.descs[(b.nDescs+descBlock-1)/descBlock:]
+	b.nDescs = 0
 	return t
 }
 
@@ -372,10 +395,11 @@ func (b *Builder) Ops() Trace { return b.ops }
 // would (NewBuilder starts at register 1, and register numbering feeds
 // the core's dependence tracking — so a Reset builder emits
 // byte-identical traces to a new one). Any Trace previously obtained
-// from Ops is invalidated.
+// from Ops is invalidated, its query descriptors included.
 func (b *Builder) Reset() {
 	b.ops = b.ops[:0]
 	b.nextReg = 1
+	b.nDescs = 0
 }
 
 // Len reports the number of ops accumulated since the last Reset.
@@ -391,10 +415,18 @@ type Skeleton struct {
 	NextReg Reg
 }
 
-// Snapshot captures the builder's ops as a Skeleton. The ops are
-// copied, so the skeleton stays valid across Reset.
+// Snapshot captures the builder's ops as a Skeleton. The ops and their
+// query descriptors are copied, so the skeleton stays valid across
+// Reset.
 func (b *Builder) Snapshot() Skeleton {
-	return Skeleton{Ops: append(Trace(nil), b.ops...), NextReg: b.nextReg}
+	ops := append(Trace(nil), b.ops...)
+	for i := range ops {
+		if q := ops[i].Query; q != nil {
+			cp := *q
+			ops[i].Query = &cp
+		}
+	}
+	return Skeleton{Ops: ops, NextReg: b.nextReg}
 }
 
 // AppendSkeleton replays a memoized prefix: the ops are appended and

@@ -155,6 +155,39 @@ func TestBuilderTakeKeepsRegistersResetRestarts(t *testing.T) {
 	}
 }
 
+// TestBuilderQueryDescriptorsOutliveTheirUse emits enough queries to
+// fill several descriptor blocks, then checks that a taken trace and a
+// skeleton keep their descriptors while the builder is reset and
+// reused, and that a warm builder's queries allocate nothing.
+func TestBuilderQueryDescriptorsOutliveTheirUse(t *testing.T) {
+	fresh := func() Trace {
+		b := NewBuilder()
+		emitMixed(b, 3*descBlock)
+		return b.Take()
+	}
+	b := NewBuilder()
+	emitMixed(b, 3*descBlock)
+	skel := b.Snapshot()
+	b.Reset()
+	emitMixed(b, 3*descBlock)
+	taken := b.Take()
+	b.Reset()
+	emitMixed(b, 5*descBlock)
+	if want := fresh(); !reflect.DeepEqual(skel.Ops, want) || !reflect.DeepEqual(taken, want) {
+		t.Fatal("a skeleton or a taken trace lost its query descriptors to later emits")
+	}
+	q := QueryDesc{HeaderAddr: 0x40, KeyAddr: 0x80}
+	if n := testing.AllocsPerRun(10, func() {
+		b.Reset()
+		for i := 0; i < 4*descBlock; i++ {
+			b.QueryB(q)
+			b.QueryNB(q)
+		}
+	}); n != 0 {
+		t.Errorf("a warm builder's queries made %v allocations, want 0", n)
+	}
+}
+
 // TestBuilderReusedSlotsCarryNoStaleFields refills a builder's trace
 // positions across six Resets: each position alternates between a
 // QUERY_B, a mispredicted branch or a load and, the round after, an

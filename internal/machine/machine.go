@@ -32,11 +32,9 @@ type Machine struct {
 	// TLB holds one translation hierarchy per core.
 	TLB []*tlb.Hierarchy
 
-	// reg/tr are the observability sinks attached by
-	// AttachObservability; both may be nil (the default), in which case
-	// every instrumentation site degrades to a no-op.
-	reg *metrics.Registry
-	tr  *trace.Tracer
+	// tr is the tracer SetTracer attached, nil (the default) to emit
+	// nothing.
+	tr *trace.Tracer
 	// fi is the injector AttachFaultInjection wired in, nil if none.
 	fi *faultinject.Injector
 }
@@ -69,14 +67,18 @@ func New(d hwdesc.Description) *Machine {
 	return m
 }
 
-// Reset puts the machine back in the state New(m.Desc) builds, reusing
-// its memory, cache, TLB and mesh storage: physical memory zeroed with
-// no frame reserved and an empty address space (mem.Physical.Reset,
-// mem.AddressSpace.Reset), every cache and TLB empty with zeroed
-// counters, no mesh traffic, and no registry, tracer or fault injector
-// attached. Closures that components registered into a metrics registry
-// read the reset counters afterwards, so a registry should not outlive
-// the run it observed.
+// Reset returns the machine to the state New(m.Desc) builds, in
+// everything a run can observe, reusing its memory, cache, TLB and mesh
+// storage: physical memory with no frame reserved and an empty address
+// space (mem.Physical.Reset, mem.AddressSpace.Reset), every cache and
+// TLB empty with zeroed counters, no mesh traffic, and no tracer or
+// fault injector attached. Two things differ from New.
+// Physical memory keeps the frames it materialized, zeroed, for the
+// next run to reuse, where a fresh machine has none. And a registry
+// that the components registered their counters in (RegisterMetrics)
+// keeps those registrations: they read the reset counters from here on,
+// so a registry kept across Reset observes the machine's next run,
+// while one meant for a single run should not outlive it.
 func (m *Machine) Reset() {
 	m.Phys.Reset()
 	m.AS.Reset()
@@ -85,26 +87,36 @@ func (m *Machine) Reset() {
 	for _, t := range m.TLB {
 		t.Reset(m.AS)
 	}
-	m.reg, m.tr, m.fi = nil, nil, nil
+	m.tr, m.fi = nil, nil
 }
 
-// AttachObservability wires every component of the machine into the
-// given metrics registry and event tracer. Either (or both) may be nil:
-// component registration is nil-safe and instrumented hot paths fall
-// back to their free no-op branches. Cores built afterwards via NewCore
-// are wired automatically; call this before running simulation.
-func (m *Machine) AttachObservability(reg *metrics.Registry, tr *trace.Tracer) {
-	m.reg = reg
-	m.tr = tr
+// RegisterMetrics registers the counters of every component of the
+// machine (caches, mesh, memory, core TLBs; not cores) in reg. Each
+// registration reads its counter for as long as reg lives, across
+// Reset, so a registry kept as long as the machine is registered once.
+// A nil reg registers nothing, and instrumentation costs nothing.
+func (m *Machine) RegisterMetrics(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
 	m.Hier.RegisterMetrics(reg)
-	m.Hier.SetTracer(tr)
 	m.Mesh.RegisterMetrics(reg.Scoped("noc"))
-	m.Mesh.SetTracer(tr)
 	m.Phys.RegisterMetrics(reg.Scoped("mem"))
 	m.AS.RegisterMetrics(reg.Scoped("mem"))
-	m.AS.SetTracer(tr)
 	for i, t := range m.TLB {
 		t.RegisterMetrics(reg.Scoped(fmt.Sprintf("core%d/tlb", i)))
+	}
+}
+
+// SetTracer attaches the event tracer to every component of the
+// machine and to the cores NewCore builds afterwards; nil detaches it.
+// Instrumented hot paths fall back to free no-op branches without one.
+func (m *Machine) SetTracer(tr *trace.Tracer) {
+	m.tr = tr
+	m.Hier.SetTracer(tr)
+	m.Mesh.SetTracer(tr)
+	m.AS.SetTracer(tr)
+	for i, t := range m.TLB {
 		t.SetTracer(tr, i, trace.TidCoreTLB)
 	}
 }
@@ -207,14 +219,10 @@ func (m *Machine) CoreMemPort(core int) cpu.MemPort {
 }
 
 // NewCore builds a cpu.Core wired to this machine's memory system, with
-// the given accelerator port (nil for pure software runs). If
-// observability is attached, the core registers its pipeline counters
-// under core<i>/ and emits events on the core's trace track.
+// the given accelerator port (nil for pure software runs). With a
+// tracer attached, the core emits events on its trace track.
 func (m *Machine) NewCore(core int, q cpu.QueryPort) *cpu.Core {
 	c := cpu.New(cpu.DefaultConfig(), m.CoreMemPort(core), q)
-	if m.reg != nil {
-		c.RegisterMetrics(m.reg.Scoped(fmt.Sprintf("core%d", core)))
-	}
 	if m.tr != nil {
 		c.SetTracer(m.tr, core)
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
 	"runtime"
@@ -110,7 +111,7 @@ func TestCoreMemPortReadRing(t *testing.T) {
 		{"warm", lines, 5, nil, true},
 		{"cold line", lines - 1, 5, nil, false},
 		{"other latency", lines, 6, nil, false},
-		{"tracer", lines, 5, func(m *Machine) { m.AttachObservability(nil, trace.New(16)) }, false},
+		{"tracer", lines, 5, func(m *Machine) { m.SetTracer(trace.New(16)) }, false},
 		{"fault injector", lines, 5, func(m *Machine) { m.AttachFaultInjection(faultinject.New(faultinject.Schedule{})) }, false},
 	} {
 		m, a := setup()
@@ -308,51 +309,60 @@ var benchMachine *Machine
 // TestResetMatchesNew leaves a warm footprint in a machine with every
 // sink attached, resets it, and requires the same footprint then to
 // leave it equal, field for field, to a freshly built machine: memory,
-// every cache and TLB array and counter, the mesh, and no sink.
+// every cache and TLB array and counter, the mesh, and no sink. The
+// zeroed frames a reset physical memory keeps are the one difference
+// allowed (see sameMachine).
 //
 // More cycles take every cache and TLB down both of Reset's paths.
 // Small DPDK's 2049 lines overflow the lists of filled sets of core
 // 0's L1D, L2 and TLBs, which Reset then clears whole, while each LLC
 // slice clears only its listed sets; after a 48-line footprint only
-// the L1D's list overflows. A reset machine keeps the zeroed frames of
-// its physical memory for reuse and a fresh one has none, so the
-// footprint after each reset covers the one before it.
+// the L1D's list overflows. The small footprint follows the large one,
+// so the reset machine keeps frames the fresh one never made.
 func TestResetMatchesNew(t *testing.T) {
 	m := New(hwdesc.Default())
-	m.AttachObservability(metrics.NewRegistry(), trace.New(64))
+	m.RegisterMetrics(metrics.NewRegistry())
+	m.SetTracer(trace.New(64))
 	m.AttachFaultInjection(faultinject.New(faultinject.Schedule{}))
 	warmDPDKFootprint(m)
 	m.Hier.Mesh().ObserveWindow(1000)
 	m.TLB[1].L1.Flush()
-	m.Reset()
-	fresh := New(hwdesc.Default())
-	warmDPDKFootprint(m)
-	warmDPDKFootprint(fresh)
-	if !reflect.DeepEqual(m, fresh) {
-		t.Fatal("a reset machine diverges from a fresh one under the same accesses")
-	}
-	resetMatchesNew(t, m, warmDPDKFootprint)
 	warmSmall := func(m *Machine) {
 		start := m.AS.AllocLines(48 * mem.LineSize)
 		warmRange(m, start, start+48*mem.LineSize)
 	}
-	m = New(hwdesc.Default())
-	warmSmall(m)
-	resetMatchesNew(t, m, warmSmall)
-	resetMatchesNew(t, m, warmDPDKFootprint)
+	for _, warm := range []func(*Machine){warmDPDKFootprint, warmSmall, warmDPDKFootprint, warmSmall} {
+		m.Reset()
+		fresh := New(hwdesc.Default())
+		warm(m)
+		warm(fresh)
+		if !sameMachine(m, fresh) {
+			t.Fatal("a reset machine diverges from a fresh one under the same accesses")
+		}
+	}
 }
 
-// resetMatchesNew resets m, leaves the same footprint in it and in a
-// fresh machine, and requires the two equal.
-func resetMatchesNew(t *testing.T, m *Machine, warm func(*Machine)) {
-	t.Helper()
-	m.Reset()
-	fresh := New(hwdesc.Default())
-	warm(m)
-	warm(fresh)
-	if !reflect.DeepEqual(m, fresh) {
-		t.Fatal("a machine reset again diverges from a fresh one under the same accesses")
+// sameMachine reports whether a and b are equal field for field but
+// for the zeroed frames a reset physical memory keeps materialized:
+// their physical memories must reserve as many frames and hold the same
+// bytes in each.
+func sameMachine(a, b *Machine) bool {
+	n := a.Phys.FramesAllocated()
+	if b.Phys.FramesAllocated() != n {
+		return false
 	}
+	fa, fb := make([]byte, mem.PageSize), make([]byte, mem.PageSize)
+	for f := uint64(1); f <= n; f++ {
+		a.Phys.Read(mem.PAddr(f<<mem.PageShift), fa)
+		b.Phys.Read(mem.PAddr(f<<mem.PageShift), fb)
+		if !bytes.Equal(fa, fb) {
+			return false
+		}
+	}
+	pa, pb := *a.Phys, *b.Phys
+	*a.Phys, *b.Phys = mem.Physical{}, mem.Physical{}
+	defer func() { *a.Phys, *b.Phys = pa, pb }()
+	return reflect.DeepEqual(a, b)
 }
 
 // BenchmarkMachineReset resets a default machine after each iteration

@@ -5,9 +5,13 @@
 // "where did the cycles go" with one snapshot instead of reaching into
 // package-specific stats structs.
 //
-// There is one metric kind: a component keeps its own uint64 stats
-// fields and registers a func that reads one (RegisterFunc). Nothing is
-// pushed on a hot path; a func is called only when Snapshot is taken.
+// A component keeps its own uint64 stats fields and registers a func
+// that reads one (RegisterFunc). Nothing is pushed on a hot path; a
+// func is called only when Snapshot is taken. A registry can also hold
+// the samples of an earlier snapshot as constants (AddSnapshot) and
+// read another registry's metrics as its own (Include), so a registry
+// kept with the components it reads is registered once and read by
+// every run.
 //
 // Design constraints, in order:
 //
@@ -33,6 +37,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -49,6 +54,90 @@ type funcMetric struct {
 // cheap prefix views over one core.
 type registryCore struct {
 	funcs []funcMetric
+	// snaps are the constant counters AddSnapshot added.
+	snaps []Snapshot
+	// subs are the registries Include made this one read.
+	subs []*registryCore
+	// index is Snapshot's layout, built by the first Snapshot and again
+	// by the first one after a metric was added.
+	index *snapIndex
+}
+
+// snapIndex lays out a snapshot: the distinct names in order, and the
+// slot among them of each metric in the order read visits them. size is
+// the metric count it was built for; metrics are only ever added, so an
+// equal count means the same metrics.
+type snapIndex struct {
+	names []string
+	slots []int32
+	size  int
+}
+
+// size counts the metrics Snapshot reads: the core's own and those of
+// the registries it includes.
+func (c *registryCore) size() int {
+	n := len(c.funcs)
+	for _, s := range c.snaps {
+		n += len(s)
+	}
+	for _, sub := range c.subs {
+		n += sub.size()
+	}
+	return n
+}
+
+// appendNames appends the name of every metric Snapshot reads, in the
+// order read visits them.
+func (c *registryCore) appendNames(dst []string) []string {
+	for _, f := range c.funcs {
+		dst = append(dst, f.name)
+	}
+	for _, s := range c.snaps {
+		for _, sm := range s {
+			dst = append(dst, sm.Name)
+		}
+	}
+	for _, sub := range c.subs {
+		dst = sub.appendNames(dst)
+	}
+	return dst
+}
+
+// read adds every metric's value to out at its slot, taking slots in
+// the order appendNames lists the metrics, and returns the slots left.
+func (c *registryCore) read(out Snapshot, slots []int32) []int32 {
+	for i, f := range c.funcs {
+		out[slots[i]].Value += f.fn()
+	}
+	slots = slots[len(c.funcs):]
+	for _, s := range c.snaps {
+		for i, sm := range s {
+			out[slots[i]].Value += sm.Value
+		}
+		slots = slots[len(s):]
+	}
+	for _, sub := range c.subs {
+		slots = sub.read(out, slots)
+	}
+	return slots
+}
+
+// layout returns the core's snapshot index, rebuilding it if metrics
+// were added since it was built.
+func (c *registryCore) layout() *snapIndex {
+	if n := c.size(); c.index == nil || c.index.size != n {
+		all := c.appendNames(make([]string, 0, n))
+		names := append([]string(nil), all...)
+		sort.Strings(names)
+		names = slices.Compact(names)
+		slots := make([]int32, len(all))
+		for i, name := range all {
+			j, _ := slices.BinarySearch(names, name)
+			slots[i] = int32(j)
+		}
+		c.index = &snapIndex{names: names, slots: slots, size: n}
+	}
+	return c.index
 }
 
 // Registry is a hierarchical metric namespace. The zero-value pointer
@@ -93,6 +182,35 @@ func (r *Registry) RegisterFunc(name string, fn func() uint64) {
 	r.core.funcs = append(r.core.funcs, funcMetric{name: r.join(name), fn: fn})
 }
 
+// AddSnapshot adds the samples of s as constant counters, each under
+// its name prefixed as RegisterFunc would, summed with same-named
+// metrics at Snapshot. Unscoped, r keeps s itself, so s must not be
+// modified afterwards. No-op on a nil registry.
+func (r *Registry) AddSnapshot(s Snapshot) {
+	if r == nil || len(s) == 0 {
+		return
+	}
+	if r.prefix != "" {
+		named := make(Snapshot, len(s))
+		for i, sm := range s {
+			named[i] = Sample{Name: r.join(sm.Name), Value: sm.Value}
+		}
+		s = named
+	}
+	r.core.snaps = append(r.core.snaps, s)
+}
+
+// Include makes r's Snapshot read every metric registered in sub, now
+// or later, under the name it has in sub. Registries may share one
+// included registry, so a component registered once can appear in
+// several; sub must not include r. No-op if either is nil.
+func (r *Registry) Include(sub *Registry) {
+	if r == nil || sub == nil {
+		return
+	}
+	r.core.subs = append(r.core.subs, sub.core)
+}
+
 // Sample is one named value in a Snapshot.
 type Sample struct {
 	Name  string
@@ -103,17 +221,21 @@ type Sample struct {
 type Snapshot []Sample
 
 // Snapshot reads every registered metric, summing same-named entries,
-// and returns the samples sorted by name. A nil registry snapshots to
-// nil.
+// and returns the samples sorted by name. The registry keeps the
+// order of names and where each metric sums into from one Snapshot to
+// the next, so a snapshot allocates only its samples. A nil registry
+// snapshots to nil.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return nil
 	}
-	s := make(Snapshot, 0, len(r.core.funcs))
-	for _, f := range r.core.funcs {
-		s = append(s, Sample{Name: f.name, Value: f.fn()})
+	idx := r.core.layout()
+	s := make(Snapshot, len(idx.names))
+	for i, name := range idx.names {
+		s[i].Name = name
 	}
-	return Merge(s)
+	r.core.read(s, idx.slots)
+	return s
 }
 
 // Merge combines snapshots by summing same-named samples. Summation is

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -106,6 +107,59 @@ func TestNonZero(t *testing.T) {
 	nz := r.Snapshot().NonZero()
 	if len(nz) != 1 || nz[0].Name != "used" {
 		t.Fatalf("NonZero = %v, want just 'used'", nz)
+	}
+}
+
+// TestSnapshotMatchesMerge registers duplicate names, constant counters
+// and an included registry, in that order and across snapshots, and
+// requires each snapshot to equal the Merge of every metric read one by
+// one, so the kept layout follows every addition.
+func TestSnapshotMatchesMerge(t *testing.T) {
+	var n uint64 = 3
+	sub := NewRegistry()
+	sub.Scoped("core0").RegisterFunc("loads", func() uint64 { return n })
+	sub.RegisterFunc("a", constant(2))
+	r := NewRegistry()
+	r.RegisterFunc("b", constant(1))
+	r.RegisterFunc("a", constant(4))
+	want := func(extra ...Sample) Snapshot {
+		s := Snapshot{{"b", 1}, {"a", 4}}
+		return Merge(append(s, extra...))
+	}
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want()) {
+		t.Fatalf("own metrics: %v", got)
+	}
+	r.Include(sub)
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want(Sample{"core0/loads", 3}, Sample{"a", 2})) {
+		t.Fatalf("after Include: %v", got)
+	}
+	n = 5
+	sub.RegisterFunc("z", constant(9))
+	r.Scoped("run").AddSnapshot(Snapshot{{"a", 10}})
+	r.AddSnapshot(Snapshot{{"a", 100}, {"c", 7}})
+	got := r.Snapshot()
+	if w := want(Sample{"core0/loads", 5}, Sample{"a", 2}, Sample{"z", 9}, Sample{"run/a", 10}, Sample{"a", 100}, Sample{"c", 7}); !reflect.DeepEqual(got, w) {
+		t.Fatalf("after later additions: %v, want %v", got, w)
+	}
+	if s := sub.Snapshot(); !reflect.DeepEqual(s, Snapshot{{"a", 2}, {"core0/loads", 5}, {"z", 9}}) {
+		t.Fatalf("the included registry reads %v on its own", s)
+	}
+	if empty := NewRegistry().Snapshot(); empty == nil || len(empty) != 0 {
+		t.Fatalf("an empty registry snapshots to %#v, want an empty non-nil snapshot", empty)
+	}
+}
+
+// TestSnapshotAllocatesOnlySamples requires a snapshot of an unchanged
+// registry to allocate its samples and nothing else.
+func TestSnapshotAllocatesOnlySamples(t *testing.T) {
+	r := NewRegistry()
+	for core := 0; core < 4; core++ {
+		r.Scoped(fmt.Sprintf("core%d", core)).RegisterFunc("hits", constant(1))
+	}
+	r.RegisterFunc("core0/hits", constant(1))
+	r.Snapshot()
+	if n := testing.AllocsPerRun(10, func() { sinkSnapshot = r.Snapshot() }); n != 1 {
+		t.Errorf("a snapshot made %v allocations, want 1", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package qei
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"qei/internal/isa"
 	"qei/internal/machine"
 	"qei/internal/mem"
+	"qei/internal/metrics"
 	"qei/internal/scheme"
 )
 
@@ -401,5 +403,81 @@ func TestBatchPoolReuseIsInvisible(t *testing.T) {
 		first.BatchLevels != second.BatchLevels || first.MemLines != second.MemLines ||
 		first.Transitions != second.Transitions {
 		t.Fatalf("reused pool changed the batch's counters:\nfirst  %+v\nsecond %+v", first, second)
+	}
+}
+
+// resetRun is what one run of resetWorkload observes: each query's
+// completion and record, the flush latency, the statistics and the
+// metrics registered over the accelerator.
+type resetRun struct {
+	Done    []uint64
+	Results []Result
+	Flush   uint64
+	Stats   Stats
+	Metrics string
+}
+
+// resetWorkload lays a cuckoo table out in m, which is in the state
+// machine.New builds, and runs blocking and non-blocking queries on a
+// and an interrupt among them.
+func resetWorkload(t *testing.T, m *machine.Machine, a *Accelerator, reg *metrics.Registry) resetRun {
+	t.Helper()
+	keys, vals := genKeys(96, 16, 11)
+	ck := dstruct.BuildCuckoo(m.AS, 64, 4, 9, keys, vals)
+	results := m.AS.AllocLines(32 * mem.LineSize)
+	var run resetRun
+	cycle := uint64(100)
+	for i, key := range keys {
+		qd := &isa.QueryDesc{HeaderAddr: ck.HeaderAddr, KeyAddr: stage(m, key), Tag: uint64(i)}
+		var done uint64
+		var err error
+		if i%3 == 0 {
+			qd.ResultAddr = results + mem.VAddr(i%32*mem.LineSize)
+			done, err = a.TryIssueNonBlocking(qd, cycle)
+		} else {
+			done, err = a.IssueBlocking(qd, cycle)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 60 {
+			run.Flush = a.Flush(done)
+		}
+		run.Done = append(run.Done, done)
+		cycle = done
+	}
+	for i := range keys {
+		r, _ := a.Result(uint64(i))
+		run.Results = append(run.Results, r)
+	}
+	run.Stats = a.Stats()
+	run.Metrics = reg.Snapshot().String()
+	return run
+}
+
+// TestResetMatchesNew runs one machine and accelerator through every
+// scheme, each run after Machine.Reset and Accelerator.Reset, with the
+// accelerator's metrics registered once before the first, and requires
+// each run to equal the same run on a new machine and accelerator with
+// a registry of their own: the dedicated TLBs kept from a CHA-TLB run
+// must serve a device scheme's run as new ones do.
+func TestResetMatchesNew(t *testing.T) {
+	m := machine.New(hwdesc.Default())
+	a := New(m, scheme.ForKind(scheme.CoreIntegrated), cfa.DefaultRegistry(), 3)
+	reg := metrics.NewRegistry()
+	a.RegisterMetrics(reg)
+	for _, k := range []scheme.Kind{scheme.CHATLB, scheme.CoreIntegrated, scheme.DeviceDirect, scheme.CHANoTLB, scheme.CHATLB, scheme.DeviceIndirect} {
+		p := scheme.ForKind(k)
+		m.Reset()
+		a.Reset(m, p, cfa.DefaultRegistry(), 3)
+		got := resetWorkload(t, m, a, reg)
+
+		fm := machine.New(hwdesc.Default())
+		fa := New(fm, p, cfa.DefaultRegistry(), 3)
+		freg := metrics.NewRegistry()
+		fa.RegisterMetrics(freg)
+		if want := resetWorkload(t, fm, fa, freg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: a reset accelerator's run differs from a new one's:\n%+v\nwant\n%+v", k, got, want)
+		}
 	}
 }

@@ -190,8 +190,11 @@ type instance struct {
 	// lastCEECycle is the most recent cycle a transition was issued, used
 	// to charge a conflict cycle when two entries contend for the CEE.
 	lastCEECycle uint64
-	tlb          *tlb.TLB    // dedicated TLB (TransDedicated), else nil
-	walker       *tlb.Walker // page walker for the dedicated TLB
+	// tlb and walker are the dedicated TLB and its page walker, in use
+	// under TransDedicated only; nil until a dedicated configuration
+	// first needs them, then kept across Reset.
+	tlb    *tlb.TLB
+	walker *tlb.Walker
 }
 
 // Accelerator is a QEI accelerator complex configured for one
@@ -310,16 +313,40 @@ func (s *scratch) wasFetched(line uint64) bool {
 // New builds an accelerator for the given machine, scheme, firmware
 // registry, and serving core.
 func New(m *machine.Machine, p scheme.Params, reg *cfa.Registry, core int) *Accelerator {
-	a := &Accelerator{
-		m: m, p: p, reg: reg, core: core,
-		results:    make(map[uint64]Result),
-		nbInFlight: make(map[uint64]nbRecord),
+	a := new(Accelerator)
+	a.Reset(m, p, reg, core)
+	return a
+}
+
+// Reset puts a in the state New(m, p, reg, core) builds: no query
+// recorded or in flight, every QST entry and comparator free, zeroed
+// statistics, and no tracer, fault injector or cycle budget. It keeps
+// a's storage where it fits p: the maps and working sets, the QST
+// rings, the comparator timelines and each instance's dedicated TLB
+// and walker while p's TLB has their entries and ways, emptied
+// set-wise and given p's hit latency (tlb.TLB.ResetTo). Metrics registered over a (RegisterMetrics) go on
+// reading it, so m must have as many LLC slices as a's earlier machine.
+func (a *Accelerator) Reset(m *machine.Machine, p scheme.Params, reg *cfa.Registry, core int) {
+	a.m, a.p, a.reg, a.core = m, p, reg, core
+	if a.results == nil {
+		a.results = make(map[uint64]Result)
+		a.nbInFlight = make(map[uint64]nbRecord)
 	}
-	for i := 0; i < p.Instances; i++ {
-		ins := &instance{
-			idx:     i,
-			qstRing: make([]uint64, p.QSTEntriesPerInstance),
+	clear(a.results)
+	clear(a.nbInFlight)
+	a.nbEarliest = 0
+	a.tr, a.fi, a.cycleBudget = nil, nil, 0
+	a.stats = Stats{}
+
+	a.inst = grow(a.inst, p.Instances)
+	for i, ins := range a.inst {
+		if ins == nil {
+			ins = new(instance)
+			a.inst[i] = ins
 		}
+		ins.idx = i
+		ins.qstRing = zeroed(ins.qstRing, p.QSTEntriesPerInstance)
+		ins.qstSeq, ins.lastCEECycle = 0, 0
 		switch p.Placement {
 		case scheme.PlaceCore:
 			ins.stop = m.Hier.CoreStop(core)
@@ -329,21 +356,44 @@ func New(m *machine.Machine, p scheme.Params, reg *cfa.Registry, core int) *Acce
 			ins.stop = noc.Stop(m.Mesh.Stops() - 1)
 		}
 		if p.Translation == scheme.TransDedicated {
-			ins.tlb = tlb.New(p.DedicatedTLB)
-			ins.walker = tlb.NewWalker(m.AS, m.Desc.PageWalkLatency)
+			if ins.tlb == nil || !ins.tlb.ResetTo(p.DedicatedTLB) {
+				ins.tlb = tlb.New(p.DedicatedTLB)
+			}
+			if ins.walker == nil || ins.walker.PerLevel() != m.Desc.PageWalkLatency {
+				ins.walker = tlb.NewWalker(m.AS, m.Desc.PageWalkLatency)
+			} else {
+				ins.walker.Reset(m.AS)
+			}
 		}
-		a.inst = append(a.inst, ins)
 	}
-	a.remoteComp = make([][]uint64, m.Hier.LLC().Slices())
-	a.remoteOps = make([]uint64, len(a.remoteComp))
+	nSlices := m.Hier.LLC().Slices()
+	a.remoteComp = grow(a.remoteComp, nSlices)
 	for i := range a.remoteComp {
-		a.remoteComp[i] = make([]uint64, p.ComparatorsPerSite)
+		a.remoteComp[i] = zeroed(a.remoteComp[i], p.ComparatorsPerSite)
 	}
-	a.localComp = make([][]uint64, p.Instances)
+	a.remoteOps = zeroed(a.remoteOps, nSlices)
+	a.localComp = grow(a.localComp, p.Instances)
 	for i := range a.localComp {
-		a.localComp[i] = make([]uint64, p.ComparatorsPerSite)
+		a.localComp[i] = zeroed(a.localComp[i], p.ComparatorsPerSite)
 	}
-	return a
+}
+
+// grow returns s with n elements, its first ones those s had: the
+// elements past len(s) that its capacity kept from an earlier use come
+// back too, so they are reused.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// zeroed returns s with n zero elements, reusing its storage if it can
+// hold them.
+func zeroed(s []uint64, n int) []uint64 {
+	s = grow(s, n)
+	clear(s)
+	return s
 }
 
 // ViewForCore returns an accelerator view bound to another issuing core.
@@ -377,10 +427,11 @@ func (a *Accelerator) ViewForCore(core int) *Accelerator {
 // wired by machine.AttachFaultInjection.
 func (a *Accelerator) SetFaultInjector(fi *faultinject.Injector) {
 	a.fi = fi
+	if a.p.Translation != scheme.TransDedicated {
+		return
+	}
 	for _, ins := range a.inst {
-		if ins.tlb != nil {
-			ins.tlb.SetFaultInjector(fi)
-		}
+		ins.tlb.SetFaultInjector(fi)
 	}
 }
 
@@ -408,6 +459,18 @@ func (a *Accelerator) Result(tag uint64) (Result, bool) {
 func (a *Accelerator) Forget(tag uint64) {
 	delete(a.results, tag)
 	delete(a.nbInFlight, tag)
+}
+
+// Records counts the queries the accelerator still keeps a result or a
+// non-blocking flush record for: those issued and not yet forgotten.
+func (a *Accelerator) Records() int {
+	n := len(a.results)
+	for tag := range a.nbInFlight {
+		if _, ok := a.results[tag]; !ok {
+			n++
+		}
+	}
+	return n
 }
 
 // pickInstance distributes queries across instances. Following HALO's

@@ -1,6 +1,9 @@
 package qei
 
-import "qei/internal/trace"
+import (
+	"qei/internal/scheme"
+	"qei/internal/trace"
+)
 
 // Query-timeline tracing. The accelerator's per-query spans ride on the
 // simulator-wide tracer (internal/trace): when one is attached via
@@ -14,10 +17,11 @@ import "qei/internal/trace"
 // A nil tracer detaches.
 func (a *Accelerator) SetTracer(tr *trace.Tracer) {
 	a.tr = tr
+	if a.p.Translation != scheme.TransDedicated {
+		return
+	}
 	for i, ins := range a.inst {
-		if ins.walker != nil {
-			ins.walker.SetTracer(tr, trace.PidQST(i), 1)
-		}
+		ins.walker.SetTracer(tr, trace.PidQST(i), 1)
 	}
 }
 

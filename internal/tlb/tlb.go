@@ -212,6 +212,19 @@ func (t *TLB) Reset() {
 	t.fi = nil
 }
 
+// ResetTo puts the TLB in the state New(cfg) builds, reusing its
+// arrays, and reports true if cfg has its entries and ways; a different
+// hit latency is taken over. Otherwise it changes nothing and reports
+// false.
+func (t *TLB) ResetTo(cfg Config) bool {
+	if cfg.Entries != t.cfg.Entries || cfg.Ways != t.cfg.Ways {
+		return false
+	}
+	t.Reset()
+	t.cfg = cfg
+	return true
+}
+
 // Stats reports accumulated hit/miss counts.
 func (t *TLB) Stats() (hits, misses, flushes uint64) {
 	return t.hits, t.misses, t.flushes
@@ -258,6 +271,9 @@ func (w *Walker) Walk(a mem.VAddr, at uint64) (mem.PAddr, uint64, error) {
 	w.tr.Span("tlb", name, at, at+lat, w.pid, w.tid, nil)
 	return pa, lat, err
 }
+
+// PerLevel returns the cycles a walk charges per page-table level.
+func (w *Walker) PerLevel() uint64 { return w.perLevel }
 
 // Reset puts the walker back in the state NewWalker builds over as:
 // counters zeroed and no tracer.

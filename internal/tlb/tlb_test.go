@@ -316,6 +316,34 @@ func TestTLBFlushAndResetMatchNew(t *testing.T) {
 	}
 }
 
+// TestTLBResetToMatchesNew drives a TLB, then resets it to a
+// configuration of the same geometry and another hit latency, and
+// requires it to equal a fresh TLB of that configuration, before and
+// after the same later operations; a configuration of another geometry
+// must leave the TLB as it was.
+func TestTLBResetToMatchesNew(t *testing.T) {
+	cfg := l2TLBConfig()
+	tl := New(cfg)
+	driveTLB(tl, 1, 2000, 2048)
+	before := *tl
+	other := cfg
+	other.Ways *= 2
+	if tl.ResetTo(other) || !reflect.DeepEqual(*tl, before) {
+		t.Fatal("ResetTo another geometry changed the TLB")
+	}
+	retimed := cfg
+	retimed.HitLatency += 5
+	want := New(retimed)
+	if !tl.ResetTo(retimed) || !reflect.DeepEqual(tl, want) {
+		t.Fatal("a TLB reset to a new hit latency differs from a fresh one")
+	}
+	driveTLB(tl, 2, 400, 64)
+	driveTLB(want, 2, 400, 64)
+	if !reflect.DeepEqual(tl, want) {
+		t.Fatal("a TLB reset to a new hit latency diverges from a fresh one under the same operations")
+	}
+}
+
 // Property: after Insert(p), Lookup(p) hits until ways distinct conflicting
 // pages are inserted.
 func TestPropertyInsertThenHit(t *testing.T) {

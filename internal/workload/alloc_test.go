@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"qei/internal/metrics"
 	"qei/internal/scheme"
 )
 
@@ -15,23 +16,34 @@ import (
 // freshly built default machine is about 9.4 MiB of LLC arrays, which a
 // run on a recycled machine does not allocate, and the second run of a
 // benchmark restores the first one's image into memory the machine
-// keeps instead of building it: the "recycled" case is the second of
-// two small-DPDK runs. It allocates about 152 KiB, mostly the
-// accelerator's query records, the queued probes and the emitted
-// traces; its bound leaves about 100 KiB of margin. Not parallel:
-// TotalAlloc counts every goroutine's allocations, and the free list
-// and the images are the package's.
+// keeps instead of building it. The "recycled" cases are the second of
+// two small-DPDK runs on one machine, without and with metrics: the
+// session hands the core, the accelerator, the trace builder, the
+// probe queue and the registries back with the machine, so the run
+// allocates its Run, the accelerator's Stats and, with metrics, the
+// snapshot of about 600 samples (14 KiB): 320 B and 14.4 KiB measured,
+// bounded at 1 and 16 KiB. Not parallel: TotalAlloc counts every
+// goroutine's allocations, and the free list and the images are the
+// package's.
 func TestRunsAllocateBounded(t *testing.T) {
-	dpdk := func() (Run, error) { return RunQEI(SmallDPDK(), scheme.CoreIntegrated, Full, WithWarmup()) }
-	if _, err := dpdk(); err != nil {
-		t.Fatal(err)
+	dpdk := func(opts ...RunOption) func() (Run, error) {
+		return func() (Run, error) {
+			return RunQEI(SmallDPDK(), scheme.CoreIntegrated, Full, append(opts, WithWarmup())...)
+		}
+	}
+	withMetrics := dpdk(WithMetrics(metrics.NewRegistry()))
+	for _, warm := range []func() (Run, error){dpdk(), withMetrics} {
+		if _, err := warm(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, tc := range []struct {
 		name  string
 		limit uint64
 		run   func() (Run, error)
 	}{
-		{"recycled", 256 << 10, dpdk},
+		{"recycled", 1 << 10, dpdk()},
+		{"recycled/metrics", 16 << 10, withMetrics},
 		{"qei", 64 << 20, func() (Run, error) { return RunQEI(SmallSnort(), scheme.CoreIntegrated, Full, WithWarmup()) }},
 		{"baseline", 64 << 20, func() (Run, error) { return RunBaseline(SmallSnort(), Full, WithWarmup()) }},
 	} {
@@ -46,9 +58,9 @@ func TestRunsAllocateBounded(t *testing.T) {
 			t.Fatalf("%s: %d result mismatches", tc.name, run.Mismatches)
 		}
 		got := after.TotalAlloc - before.TotalAlloc
-		t.Logf("%s run allocated %d KiB", tc.name, got>>10)
+		t.Logf("%s run allocated %d B", tc.name, got)
 		if got > tc.limit {
-			t.Errorf("%s run allocated %d KiB, want at most %d KiB", tc.name, got>>10, tc.limit>>10)
+			t.Errorf("%s run allocated %d B, want at most %d KiB", tc.name, got, tc.limit>>10)
 		}
 	}
 }

@@ -10,43 +10,45 @@ import (
 	"qei/internal/mem"
 )
 
-// machines is the free list of idle machines, each reset to the state
-// machine.New builds from its Desc. A run takes one whose Desc equals
-// its own and hands it back, reset, when it ends, so the cells of a
-// matrix reuse one chip's cache arrays instead of building them per
-// run. It holds at most GOMAXPROCS machines; handing one back to a full
-// list drops the least recently returned. It is a pool, but not a
-// sync.Pool: a run needs a machine of its own description, and a
-// sync.Pool would be emptied by the collections every run triggers.
+// machines is the free list of idle sessions, each holding a machine
+// reset to the state machine.New builds from its Desc together with the
+// run state kept with it (see session). A run takes one whose machine's
+// Desc equals its own and hands it back, reset, when it ends, so the
+// cells of a matrix reuse one chip's cache arrays, core, accelerator
+// and buffers instead of building them per run. It holds at most
+// GOMAXPROCS sessions; handing one back to a full list drops the least
+// recently returned. It is a pool, but not a sync.Pool: a run needs a
+// machine of its own description, and a sync.Pool would be emptied by
+// the collections every run triggers.
 var machines struct {
 	sync.Mutex
-	free []*machine.Machine
+	free []*session
 }
 
-// takeMachine removes and returns the most recently returned idle
-// machine described by d, or builds one outside the lock.
-func takeMachine(d hwdesc.Description) *machine.Machine {
+// takeSession removes and returns the most recently returned idle
+// session on a machine described by d, or builds one outside the lock.
+func takeSession(d *hwdesc.Description) *session {
 	machines.Lock()
 	for i := len(machines.free) - 1; i >= 0; i-- {
-		if m := machines.free[i]; reflect.DeepEqual(m.Desc, d) {
+		if s := machines.free[i]; reflect.DeepEqual(&s.m.Desc, d) {
 			machines.free = append(machines.free[:i], machines.free[i+1:]...)
 			machines.Unlock()
-			return m
+			return s
 		}
 	}
 	machines.Unlock()
-	return machine.New(d)
+	return newSession(*d)
 }
 
-// giveMachine resets m and puts it on the free list.
-func giveMachine(m *machine.Machine) {
-	m.Reset()
+// giveSession resets s's machine and puts s on the free list.
+func giveSession(s *session) {
+	s.m.Reset()
 	machines.Lock()
 	defer machines.Unlock()
 	if n := runtime.GOMAXPROCS(0); len(machines.free) >= n {
 		machines.free = append(machines.free[:0], machines.free[len(machines.free)-n+1:]...)
 	}
-	machines.free = append(machines.free, m)
+	machines.free = append(machines.free, s)
 }
 
 // image is one benchmark's built guest memory and plan on one
@@ -79,7 +81,7 @@ func build(bench Benchmark, m *machine.Machine) (*Plan, error) {
 		return bench.Build(m)
 	}
 	images.Lock()
-	if img := takeImage(bench, m.Desc); img != nil {
+	if img := takeImage(bench, &m.Desc); img != nil {
 		m.AS.Restore(img.mem)
 		images.list = append(images.list, img)
 		images.Unlock()
@@ -93,7 +95,7 @@ func build(bench Benchmark, m *machine.Machine) (*Plan, error) {
 	images.Lock()
 	defer images.Unlock()
 	// Another run may have built the same benchmark meanwhile.
-	img := takeImage(bench, m.Desc)
+	img := takeImage(bench, &m.Desc)
 	if img == nil {
 		img = &image{bench: bench, desc: m.Desc, plan: plan}
 		if n := runtime.GOMAXPROCS(0); len(images.list) >= n {
@@ -108,7 +110,7 @@ func build(bench Benchmark, m *machine.Machine) (*Plan, error) {
 
 // takeImage removes and returns the image of bench on d, or nil if
 // there is none. The caller holds the images lock.
-func takeImage(bench Benchmark, d hwdesc.Description) *image {
+func takeImage(bench Benchmark, d *hwdesc.Description) *image {
 	for i, img := range images.list {
 		if img.of(bench, d) {
 			images.list = append(images.list[:i], images.list[i+1:]...)
@@ -119,6 +121,6 @@ func takeImage(bench Benchmark, d hwdesc.Description) *image {
 }
 
 // of reports whether img is an image of bench on d.
-func (img *image) of(bench Benchmark, d hwdesc.Description) bool {
-	return img.bench == bench && reflect.DeepEqual(img.desc, d)
+func (img *image) of(bench Benchmark, d *hwdesc.Description) bool {
+	return img.bench == bench && reflect.DeepEqual(&img.desc, d)
 }

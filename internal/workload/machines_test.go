@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"qei/internal/hwdesc"
@@ -36,8 +37,8 @@ func dropImages() {
 func idleMachine(d hwdesc.Description) bool {
 	machines.Lock()
 	defer machines.Unlock()
-	for _, m := range machines.free {
-		if reflect.DeepEqual(m.Desc, d) {
+	for _, s := range machines.free {
+		if reflect.DeepEqual(s.m.Desc, d) {
 			return true
 		}
 	}
@@ -50,7 +51,7 @@ func imageOf(bench Benchmark, d hwdesc.Description) bool {
 	images.Lock()
 	defer images.Unlock()
 	for _, img := range images.list {
-		if img.of(bench, d) {
+		if img.of(bench, &d) {
 			return true
 		}
 	}
@@ -133,12 +134,13 @@ func recycleCells() []recycleCell {
 // restoring the images earlier cells left, and requires each replayed
 // result to equal the reference. The shuffle is played twice: serially,
 // where most cells must find an idle machine and a third an image (the
-// images are as many as GOMAXPROCS), and on two
-// runner.Map workers that hand machines to each other through the free
-// list and restore one image concurrently. A cell on a chip with
-// contiguous frames must not take the image of the same benchmark on
-// the default chip. Not parallel with other tests: the free list and
-// the images are the package's.
+// images are as many as GOMAXPROCS), and on two runner.Map workers that
+// hand machines to each other through the free list and restore one
+// image concurrently. A cell on a chip with contiguous frames must not
+// take the image of the same benchmark on the default chip. Last, one
+// machine runs a chain of schemes (oneMachineThroughSchemes). Not
+// parallel with other tests: the free list and the images are the
+// package's.
 func TestRecycledMachineMatchesFresh(t *testing.T) {
 	cells := recycleCells()
 	fresh := make([]any, len(cells))
@@ -201,6 +203,60 @@ func TestRecycledMachineMatchesFresh(t *testing.T) {
 		if !imageOf(c.bench, c.desc) {
 			t.Errorf("%s left no image of its own chip", c.name)
 		}
+	}
+	oneMachineThroughSchemes(t)
+}
+
+// oneMachineThroughSchemes runs small DPDK on one recycled machine
+// through software, CHA-TLB, a device scheme (with and without metrics)
+// and Core-integrated, so that machine's core, accelerator, dedicated
+// TLBs and registries carry over from run to run, and requires each
+// Run, Metrics included, to equal the same run on a fresh machine.
+func oneMachineThroughSchemes(t *testing.T) {
+	t.Helper()
+	withMetrics := func() RunOption { return WithMetrics(metrics.NewRegistry()) }
+	steps := []struct {
+		name string
+		run  func(b Benchmark) (Run, error)
+	}{
+		{"software", func(b Benchmark) (Run, error) { return RunBaseline(b, Full, WithWarmup(), withMetrics()) }},
+		{"cha-tlb", func(b Benchmark) (Run, error) { return RunQEI(b, scheme.CHATLB, Full, WithWarmup(), withMetrics()) }},
+		{"device-indirect", func(b Benchmark) (Run, error) {
+			return RunQEI(b, scheme.DeviceIndirect, Full, WithWarmup(), withMetrics())
+		}},
+		{"device-direct/no-metrics", func(b Benchmark) (Run, error) { return RunQEI(b, scheme.DeviceDirect, ROIOnly) }},
+		{"core-integrated", func(b Benchmark) (Run, error) {
+			return RunQEI(b, scheme.CoreIntegrated, Full, WithWarmup(), withMetrics())
+		}},
+	}
+	fresh := make([]Run, len(steps))
+	for i, st := range steps {
+		dropIdleMachines()
+		r, err := st.run(&unshared{SmallDPDK()})
+		if err != nil {
+			t.Fatalf("%s from scratch: %v", st.name, err)
+		}
+		fresh[i] = r
+	}
+	dropIdleMachines()
+	var recycled *session
+	for i, st := range steps {
+		r, err := st.run(SmallDPDK())
+		if err != nil {
+			t.Fatalf("%s on the recycled machine: %v", st.name, err)
+		}
+		if len(r.Metrics) == 0 != strings.HasSuffix(st.name, "no-metrics") {
+			t.Fatalf("%s: %d metrics", st.name, len(r.Metrics))
+		}
+		if !reflect.DeepEqual(r, fresh[i]) {
+			t.Errorf("%s: the recycled machine gave\n%+v\na fresh one gave\n%+v", st.name, r, fresh[i])
+		}
+		machines.Lock()
+		if len(machines.free) != 1 || recycled != nil && machines.free[0] != recycled {
+			t.Fatalf("%s did not hand its session back to be the only idle one", st.name)
+		}
+		recycled = machines.free[0]
+		machines.Unlock()
 	}
 }
 

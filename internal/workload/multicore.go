@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"qei/internal/cfa"
 	"qei/internal/cpu"
 	"qei/internal/qei"
 	"qei/internal/scheme"
@@ -56,7 +55,7 @@ func RunMultiCore(bench Benchmark, kind scheme.Kind, cores int) (MultiCoreResult
 	for c := 1; c < cores; c++ {
 		var a *qei.Accelerator
 		if params.Placement == scheme.PlaceCore {
-			a = qei.New(s.m, params, cfa.DefaultRegistry(), c)
+			a = qei.New(s.m, params, s.fw, c)
 		} else {
 			a = s.accel.ViewForCore(c)
 		}

@@ -160,13 +160,16 @@ type runCfg struct {
 	mach     *hwdesc.Description
 }
 
+// defaultDesc is the Tab. II chip, which runs without WithMachine use.
+var defaultDesc = hwdesc.Default()
+
 // desc describes the run's machine: the described chip (WithMachine)
-// or the Tab. II default.
-func (c *runCfg) desc() hwdesc.Description {
+// or the Tab. II default. Callers only read it.
+func (c *runCfg) desc() *hwdesc.Description {
 	if c.mach != nil {
-		return *c.mach
+		return c.mach
 	}
-	return hwdesc.Default()
+	return &defaultDesc
 }
 
 // WithWarmup plays the request stream once before the measured pass, so
@@ -192,9 +195,10 @@ func WithNoCWindow() RunOption {
 // WithMetrics attaches a metrics registry: every component of the run's
 // machine (and the accelerator, for QEI runs) publishes its counters,
 // and Run.Metrics carries their final snapshot. The components register
-// into a registry private to the run; when the run ends, reg receives
-// that final snapshot as constant counters, so one reg passed to several
-// runs sums them.
+// into a registry the recycled machine keeps, not into reg; when the
+// run ends, reg receives that final snapshot as constant counters
+// (metrics.Registry.AddSnapshot, sharing Run.Metrics's samples), so one
+// reg passed to several runs sums them.
 func WithMetrics(reg *metrics.Registry) RunOption {
 	return func(c *runCfg) { c.reg = reg }
 }
@@ -269,23 +273,35 @@ func emitNonROI(b *isa.Builder, plan *Plan, reqIdx int, seed isa.Reg) {
 	b.Branch(chain, reqIdx%24 == 0)
 }
 
-// session is one run of a benchmark on a machine in machine.New's state,
-// taken from the free list (see takeMachine) and handed back, reset, by
-// close on every return path; the benchmark is built into it or
-// restored from an image (see build). It owns what every driver
-// shares — the machine and its build, the accelerator beside core 0,
-// the trace builder, the measured window and the result check — so a
-// driver is only the trace its configuration emits.
+// session is one run of a benchmark on a machine in machine.New's
+// state; it owns what every driver shares — the machine and its build,
+// the accelerator beside core 0, the trace builder, the measured window
+// and the result check — so a driver is only the trace its
+// configuration emits. A session is taken from the free list with its
+// machine (see takeSession) and handed back, machine reset, by close on
+// every return path. What a run allocates besides its answer lives on
+// with the session: open resets the core, the accelerator, the builder
+// and the query buffers in place, and the registries that read the
+// machine's, core 0's and the accelerator's counters are built by the
+// first run that asks for metrics and kept.
 type session struct {
 	cfg runCfg
 	m   *machine.Machine
-	// reg is the run's private registry, nil unless WithMetrics gave
-	// one: the machine's counters are reset with it, so closures over
-	// them must not outlive the run (see close).
-	reg   *metrics.Registry
+	// reg is the run's registry, nil unless WithMetrics gave one:
+	// machineReg on software runs, accelReg on accelerated ones.
+	reg *metrics.Registry
+	// machineReg holds the counters of the machine and core 0, and
+	// accelReg includes it and adds the accelerator's. Each is built
+	// once, by the first run that needs it, and its counters are reset
+	// with the components they read; so a snapshot of one is the current
+	// run's, and close hands the caller's registry only its values.
+	machineReg, accelReg *metrics.Registry
+	// fw is the firmware registry accelerated runs load.
+	fw    *cfa.Registry
 	plan  *Plan
-	accel *qei.Accelerator // nil on software runs
-	core  *cpu.Core        // core 0, beside accel
+	accel *qei.Accelerator // &qa on accelerated runs, nil on software runs
+	qa    qei.Accelerator
+	core  *cpu.Core // core 0, beside accel
 	// b holds the chunk being emitted (see chunk). Reset at each chunk
 	// keeps register numbering byte-identical to a fresh builder.
 	b   *isa.Builder
@@ -295,22 +311,33 @@ type session struct {
 	buildStart, buildEnd mem.VAddr
 	tag                  uint64   // next accelerator query tag
 	pending              []expect // the measured pass's accelerator probes
+	// querier, key and results are the drivers' per-probe buffers: the
+	// software query arena, its key buffer, and each chunk request's
+	// QUERY_B result register.
+	querier baseline.Querier
+	key     []byte
+	results []isa.Reg
 }
 
-// open applies opts, takes a machine, builds or restores bench into it
-// wired to the configured observability sinks, and creates core 0 —
-// with an accelerator of the given scheme beside it when params is
+// newSession builds a session on a new machine described by d.
+func newSession(d hwdesc.Description) *session {
+	return &session{m: machine.New(d), fw: cfa.DefaultRegistry(), core: new(cpu.Core), b: isa.NewBuilder()}
+}
+
+// open applies opts, takes a session, builds or restores bench into its
+// machine wired to the configured observability sinks, and resets core
+// 0 — with an accelerator of the given scheme beside it when params is
 // non-nil. On success the caller must close the session.
 func open(bench Benchmark, params *scheme.Params, opts []RunOption) (*session, error) {
-	s := &session{b: isa.NewBuilder()}
+	var cfg runCfg
 	for _, o := range opts {
-		o(&s.cfg)
+		o(&cfg)
 	}
-	if s.cfg.reg != nil {
-		s.reg = metrics.NewRegistry()
-	}
-	s.m = takeMachine(s.cfg.desc())
-	s.m.AttachObservability(s.reg, s.cfg.tr)
+	s := takeSession(cfg.desc())
+	s.cfg, s.reg, s.accel = cfg, nil, nil
+	s.run, s.tag, s.pending = Run{}, 0, s.pending[:0]
+	s.querier.Reset()
+	s.m.SetTracer(cfg.tr)
 	s.buildStart = s.m.AS.Brk()
 	plan, err := build(bench, s.m)
 	if err != nil {
@@ -321,29 +348,51 @@ func open(bench Benchmark, params *scheme.Params, opts []RunOption) (*session, e
 	s.run.Name = plan.Name
 	var port cpu.QueryPort
 	if params != nil {
-		s.accel = qei.New(s.m, *params, cfa.DefaultRegistry(), 0)
-		s.accel.RegisterMetrics(s.reg)
-		s.accel.SetTracer(s.cfg.tr)
+		s.accel = &s.qa
+		s.accel.Reset(s.m, *params, s.fw, 0)
+		s.accel.SetTracer(cfg.tr)
 		port = s.accel
 	}
-	s.core = s.m.NewCore(0, port)
+	s.core.Reset(cpu.DefaultConfig(), s.m.CoreMemPort(0), port)
+	if cfg.tr != nil {
+		s.core.SetTracer(cfg.tr, 0)
+	}
+	if cfg.reg != nil {
+		s.reg = s.registry()
+	}
 	return s, nil
 }
 
+// registry returns the run's registry, registering the machine's and
+// core 0's counters, and on an accelerated run the accelerator's, the
+// first time a run of the session needs them.
+func (s *session) registry() *metrics.Registry {
+	if s.machineReg == nil {
+		s.machineReg = metrics.NewRegistry()
+		s.m.RegisterMetrics(s.machineReg)
+		s.core.RegisterMetrics(s.machineReg.Scoped("core0"))
+	}
+	if s.accel == nil {
+		return s.machineReg
+	}
+	if s.accelReg == nil {
+		s.accelReg = metrics.NewRegistry()
+		s.accelReg.Include(s.machineReg)
+		s.accel.RegisterMetrics(s.accelReg)
+	}
+	return s.accelReg
+}
+
 // close ends the session: the caller's registry receives the run's
-// final counters as constants, and the machine goes back to the free
-// list, reset.
+// final counters as constants, and the session goes back to the free
+// list, its machine reset.
 func (s *session) close() {
 	snap := s.run.Metrics // measure's; nil if the run ended before it
 	if snap == nil {
 		snap = s.reg.Snapshot()
 	}
-	for _, sm := range snap {
-		v := sm.Value
-		s.cfg.reg.RegisterFunc(sm.Name, func() uint64 { return v })
-	}
-	giveMachine(s.m)
-	s.m = nil
+	s.cfg.reg.AddSnapshot(snap)
+	giveSession(s)
 }
 
 // warmLLC installs the plan's structures in the LLC.
@@ -495,10 +544,8 @@ func RunBaseline(bench Benchmark, mode Mode, opts ...RunOption) (Run, error) {
 	}
 	defer s.close()
 	s.run.Mode, s.run.Scheme = mode, "software"
-	// One querier arena and one key buffer serve every probe; Append
-	// copies each trace out of the arena before the next.
-	var q baseline.Querier
-	var key []byte
+	// The session's querier arena and key buffer serve every probe;
+	// Append copies each trace out of the arena before the next.
 	return s.measure(func(reqs []Request, measured bool) error {
 		return s.batches(reqs, 1, func(chunk []Request, first int) error {
 			if mode != ROIOnly {
@@ -508,7 +555,7 @@ func RunBaseline(bench Benchmark, mode Mode, opts ...RunOption) (Run, error) {
 				return nil
 			}
 			for _, p := range chunk[0].Probes {
-				r, err := q.Query(s.m.AS, p.Header, readKeyAt(s.m, p, &key))
+				r, err := s.querier.Query(s.m.AS, p.Header, readKeyAt(s.m, p, &s.key))
 				if err != nil {
 					return err
 				}
@@ -552,13 +599,12 @@ func RunQEIWithParams(bench Benchmark, params scheme.Params, mode Mode, opts ...
 		batch = DefaultBatch(params)
 	}
 	prevFound := true
-	var results []isa.Reg // each chunk request's result register
 	return s.measure(func(reqs []Request, measured bool) error {
 		return s.batches(reqs, batch, func(chunk []Request, first int) error {
-			if cap(results) < len(chunk) {
-				results = make([]isa.Reg, len(chunk))
+			if cap(s.results) < len(chunk) {
+				s.results = make([]isa.Reg, len(chunk))
 			}
-			results = results[:len(chunk)]
+			results := s.results[:len(chunk)]
 			clear(results)
 			if mode != NonROIOnly {
 				for i, req := range chunk {

@@ -178,6 +178,49 @@ func TestServedStagingBoundedMemory(t *testing.T) {
 	}
 }
 
+// TestAbortsForgotten issues, interrupts and polls 50 queries in rounds
+// of a QST's worth: the accelerator must forget each aborted query when
+// its abort is first reported, later polls must report ErrAborted until
+// the next Interrupt and ErrUnknownHandle after it, and no record may
+// be left at the end.
+func TestAbortsForgotten(t *testing.T) {
+	sys := NewSystem(CoreIntegrated)
+	keys, vals := testKeys(64, 16, 32)
+	tb := mustBuild(t, sys, KindBST, keys, vals)
+	var last []AsyncHandle
+	for aborted := 0; aborted < 50; {
+		var round []AsyncHandle
+		for len(round) < sys.accel.Capacity() && aborted+len(round) < 50 {
+			h, err := sys.QueryAsync(tb, keys[(aborted+len(round))%len(keys)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			round = append(round, h)
+		}
+		sys.Interrupt()
+		for _, h := range last {
+			if _, err := sys.Poll(h); !errors.Is(err, ErrUnknownHandle) {
+				t.Fatalf("Poll of an abort reported before the last Interrupt: %v, want ErrUnknownHandle", err)
+			}
+		}
+		for _, h := range round {
+			for i := 0; i < 2; i++ {
+				if _, err := sys.Poll(h); !errors.Is(err, ErrAborted) {
+					t.Fatalf("Poll %d of an aborted handle: %v, want ErrAborted", i, err)
+				}
+			}
+			aborted++
+		}
+		last = round
+	}
+	if n := sys.accel.Records(); n != 0 {
+		t.Fatalf("the accelerator keeps %d records after every abort was reported", n)
+	}
+	if len(sys.aborted) > sys.accel.Capacity() {
+		t.Fatalf("%d reported aborts remembered, want at most a QST's %d", len(sys.aborted), sys.accel.Capacity())
+	}
+}
+
 // TestAbortedLineHeldUntilObserved checks that a query aborted by an
 // Interrupt keeps its result line until software observes the abort,
 // and that polling it again, or polling a retired handle again, never

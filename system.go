@@ -1,8 +1,8 @@
 package qei
 
 import (
-	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"qei/internal/baseline"
 	"qei/internal/cfa"
@@ -127,6 +127,10 @@ type System struct {
 	// pinnedTags maps in-flight async query tags to the epoch they
 	// pinned at admission; Wait/Poll unpin on completion or abort.
 	pinnedTags map[uint64]uint64
+	// aborted holds the tags of the aborted queries whose abort Wait or
+	// Poll has reported since the last Interrupt; the accelerator
+	// forgets them when the abort is first reported.
+	aborted []uint64
 }
 
 // Option configures a System at construction.
@@ -209,7 +213,8 @@ func NewSystem(s Scheme, opts ...Option) *System {
 	if cfg.trace {
 		tracer = trace.New(0)
 	}
-	m.AttachObservability(mreg, tracer)
+	m.RegisterMetrics(mreg)
+	m.SetTracer(tracer)
 	reg := cfa.DefaultRegistry()
 	sys := &System{
 		m:      m,
@@ -331,7 +336,7 @@ type AsyncHandle struct {
 func (s *System) QueryAsync(t Table, key []byte) (AsyncHandle, error) {
 	keyAddr := s.keys.stage(s.m.AS, t, key)
 	desc := s.queryDesc(t, uint64(keyAddr), len(key), 0)
-	desc.ResultAddr = s.takeLine(desc.Tag)
+	desc.ResultAddr = s.takeLine()
 	pinned, havePin := s.pinQuery()
 	accepted, err := s.accel.TryIssueNonBlocking(&desc, s.now)
 	if err != nil {
@@ -354,8 +359,8 @@ func (s *System) QueryAsync(t Table, key []byte) (AsyncHandle, error) {
 // List 2), advancing the issue clock to its completion if needed. It
 // returns ErrUnknownHandle for a foreign handle or one already retired
 // (a second Wait or Poll after the result was returned), ErrAborted for
-// a query flushed by Interrupt, and ErrResultPending when the
-// completion flag has not been written.
+// a query flushed by Interrupt (until the next Interrupt, as Poll), and
+// ErrResultPending when the completion flag has not been written.
 func (s *System) Wait(h AsyncHandle) (Result, error) {
 	if r, ok := s.accel.Result(h.tag); ok && !r.Aborted {
 		if r.Done > s.now {
@@ -378,19 +383,23 @@ func (s *System) Wait(h AsyncHandle) (Result, error) {
 // async query's result without moving the issue clock, returning
 // ErrResultPending while the query is still executing at Now(),
 // ErrAborted if it was flushed, and the result once complete; after
-// that the handle is retired and reports ErrUnknownHandle.
+// that the handle is retired and reports ErrUnknownHandle. An aborted
+// handle is retired when its abort is first reported: its result line
+// goes back and the accelerator forgets the query. Later polls of it
+// report ErrAborted again until the next Interrupt, and
+// ErrUnknownHandle after it.
 func (s *System) Poll(h AsyncHandle) (Result, error) {
 	r, ok := s.accel.Result(h.tag)
 	if !ok {
+		if slices.Contains(s.aborted, h.tag) {
+			return Result{}, fmt.Errorf("qei: query %d: %w", h.tag, ErrAborted)
+		}
 		return Result{}, ErrUnknownHandle
 	}
 	if r.Aborted {
-		s.unpinTag(h.tag)
-		// The line still names this query until its abort is first
-		// observed; later polls find it freed or owned by another.
-		if owner, _ := s.m.AS.ReadU64(h.resultAddr + ownerOffset); owner == h.tag {
-			s.freeLine(h.resultAddr)
-		}
+		s.retire(h.tag)
+		s.freeLine(h.resultAddr)
+		s.aborted = append(s.aborted, h.tag)
 		return Result{}, fmt.Errorf("qei: query %d: %w", h.tag, ErrAborted)
 	}
 	if r.Done > s.now {
@@ -435,8 +444,11 @@ func (s *System) Metrics() []Metric {
 // (Sec. IV-D): the accelerator is flushed, in-flight non-blocking
 // queries are aborted with abort codes written to their result
 // addresses so software can restart them, and the issue clock advances
-// by the flush latency. It returns the number of cycles the flush cost.
+// by the flush latency. Handles whose abort Wait or Poll already
+// reported report ErrUnknownHandle from then on. It returns the number
+// of cycles the flush cost.
 func (s *System) Interrupt() uint64 {
+	s.aborted = s.aborted[:0]
 	lat := s.accel.Flush(s.now)
 	s.now += lat
 	return lat
@@ -511,32 +523,24 @@ func result(r qei.Result, issue uint64) Result {
 	}
 }
 
-// ownerOffset is where a result line records the tag of the query that
-// owns it, past the 16-byte flag+value record the accelerator writes.
-const ownerOffset = 16
-
-// takeLine hands out a result line owned by the query tagged owner (0
-// for a batch): the most recently freed line, its flag+value record
-// zeroed as a fresh line's is, or a fresh line. The host writes cost no
+// takeLine hands out a result line: the most recently freed line or a
+// fresh one, its flag+value record zeroed. The host writes cost no
 // simulated cycles.
-func (s *System) takeLine(owner uint64) mem.VAddr {
+func (s *System) takeLine() mem.VAddr {
 	var line mem.VAddr
 	if n := len(s.freeLines); n > 0 {
 		line, s.freeLines = s.freeLines[n-1], s.freeLines[:n-1]
 	} else {
 		line = s.m.AS.AllocLines(mem.LineSize)
 	}
-	var rec [ownerOffset + 8]byte
-	binary.LittleEndian.PutUint64(rec[ownerOffset:], owner)
+	var rec [16]byte
 	s.m.AS.MustWrite(line, rec[:])
 	return line
 }
 
 // freeLine returns a result line no query owns any more to the free
-// list, clearing its owner.
+// list.
 func (s *System) freeLine(line mem.VAddr) {
-	var none [8]byte
-	s.m.AS.MustWrite(line+ownerOffset, none[:])
 	s.freeLines = append(s.freeLines, line)
 }
 
